@@ -8,8 +8,9 @@
 //!
 //! Usage: `ablation_scoreboard [--no-verify]`
 
-use warpweave_bench::harness::{format_ipc_table, run_matrix};
-use warpweave_core::{ScoreboardMode, SmConfig};
+use warpweave_bench::harness::{format_ipc_table, run_matrix_figure};
+use warpweave_core::{ScoreboardMode, SmConfig, SweepRunner};
+use warpweave_workloads::Scale;
 
 fn with_mode(mode: ScoreboardMode, name: &str) -> SmConfig {
     let mut cfg = SmConfig::sbi().named(name);
@@ -24,7 +25,14 @@ fn main() {
         with_mode(ScoreboardMode::Exact, "Exact"),
     ];
     let workloads = warpweave_workloads::irregular();
-    let m = run_matrix(&configs, &workloads, verify);
+    let m = run_matrix_figure(
+        &SweepRunner::new(),
+        &configs,
+        &workloads,
+        Scale::Bench,
+        verify,
+        None,
+    );
     let rows: Vec<usize> = (0..m.workloads.len())
         .filter(|&w| !m.workloads[w].starts_with("TMD"))
         .collect();

@@ -8,8 +8,9 @@
 //!
 //! Usage: `ablation_sideband [--no-verify]`
 
-use warpweave_bench::harness::{format_ipc_table, run_matrix};
-use warpweave_core::SmConfig;
+use warpweave_bench::harness::{format_ipc_table, run_matrix_figure};
+use warpweave_core::{SmConfig, SweepRunner};
+use warpweave_workloads::Scale;
 
 fn main() {
     let verify = !std::env::args().any(|a| a == "--no-verify");
@@ -19,7 +20,14 @@ fn main() {
     ideal.model_sideband_sorter = false;
     let configs = vec![modelled, ideal];
     let workloads = warpweave_workloads::irregular();
-    let m = run_matrix(&configs, &workloads, verify);
+    let m = run_matrix_figure(
+        &SweepRunner::new(),
+        &configs,
+        &workloads,
+        Scale::Bench,
+        verify,
+        None,
+    );
     let rows: Vec<usize> = (0..m.workloads.len())
         .filter(|&w| !m.workloads[w].starts_with("TMD"))
         .collect();

@@ -10,8 +10,7 @@
 //!              [--record-golden] [--check-golden] [--golden PATH]`
 //!
 //! * default — a quick test-scale sweep (2 workloads × 5 front-ends) plus
-//!   the 4 machine probes; also cross-checks the serial vs. parallel path
-//!   for bit-identical statistics (the determinism audit).
+//!   the 7 machine probes.
 //! * `--frontend NAMES` — replace the fig. 7 columns with the named
 //!   issue policies (comma-separated; any name the policy registry
 //!   resolves, e.g. `GreedyThenOldest` or `Baseline,GTO`).
@@ -22,8 +21,9 @@
 //!   `BENCH_sweep.checkpoint`), and a re-run resumes from the last cell
 //!   instead of restarting. The resumed JSON is **byte-identical** to an
 //!   uninterrupted run's.
-//! * `--cell-budget N` — stop after N newly simulated cells (exit code 3);
-//!   combined with the checkpoint this splits a long sweep across runs.
+//! * `--cell-budget N` — stop after N newly simulated jobs, matrix cells
+//!   and machine probes alike (exit code 3); combined with the checkpoint
+//!   this splits a long sweep across runs.
 //! * `--salvage` — before resuming, truncate a torn/corrupt checkpoint to
 //!   its last checksum-valid record (the damaged tail is preserved as a
 //!   `.quarantine` sidecar) instead of refusing to load it.
@@ -65,19 +65,16 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use warpweave_bench::grid;
+use warpweave_bench::arg_value;
+use warpweave_bench::grid::{self, grid_jobs, GridJob};
 use warpweave_bench::harness::{
-    format_failures, run_matrix_at, run_matrix_contained, run_matrix_serial_at, run_matrix_shard,
-    FaultPolicy,
+    format_failures, run_grid, run_machine_probes, run_matrix_at, CellResult, FaultPolicy,
 };
 use warpweave_bench::report::{
     check_golden, probes_from_store, render_faulted_sweep_json, render_golden_json,
-    render_sweep_json, run_machine_probes, run_machine_probes_selected,
+    render_sweep_json,
 };
-use warpweave_bench::shard::{
-    job_counts, matrix_from_store, merge_checkpoints, split_jobs, ShardSpec,
-};
-use warpweave_bench::{arg_value, cell_key, MatrixResult};
+use warpweave_bench::shard::{matrix_from_store, merge_checkpoints, ShardSpec};
 use warpweave_core::checkpoint::SweepCheckpoint;
 use warpweave_core::faultinject::{FaultPlan, FAULTS_ENV};
 use warpweave_core::{PolicyRegistry, SweepRunner};
@@ -148,16 +145,6 @@ fn merge_shard_paths(args: &[String]) -> Option<Vec<String>> {
             .cloned()
             .collect(),
     )
-}
-
-fn cells_identical(a: &MatrixResult, b: &MatrixResult) -> bool {
-    a.workloads == b.workloads
-        && a.configs == b.configs
-        && a.cells.len() == b.cells.len()
-        && a.cells
-            .iter()
-            .zip(&b.cells)
-            .all(|(ra, rb)| ra.iter().zip(rb).all(|(ca, cb)| ca.stats == cb.stats))
 }
 
 /// Runs the golden grid (full workload matrix + machine probes at test
@@ -333,25 +320,48 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // Shard mode: run one slice of the job grid into the checkpoint.
-    if let Some(spec) = arg_value(&args, "--jobs-from") {
-        let spec = match ShardSpec::parse(&spec) {
-            Ok(spec) => spec,
-            Err(e) => {
-                eprintln!("--jobs-from: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let (matrix_cells, probe_count) = job_counts(&configs, &workloads);
-        let indices = match spec.select(matrix_cells + probe_count) {
-            Ok(indices) => indices,
-            Err(e) => {
-                eprintln!("--jobs-from: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let (cell_indices, probe_indices) = split_jobs(&indices, matrix_cells);
-        let id = grid::grid_id(&configs, &workloads, scale);
+    // Everything else is one run of the canonical job list. `--jobs-from`
+    // only narrows the selection and makes the checkpoint the sole output.
+    let all = grid_jobs(&configs, &workloads);
+    let shard = match arg_value(&args, "--jobs-from").map(|spec| {
+        let spec = ShardSpec::parse(&spec)?;
+        let indices = spec.select(all.len())?;
+        Ok::<_, String>((spec, indices))
+    }) {
+        Some(Ok(shard)) => Some(shard),
+        Some(Err(e)) => {
+            eprintln!("--jobs-from: {e}");
+            return ExitCode::from(2);
+        }
+        None => None,
+    };
+    let total = all.len();
+    let selected: Vec<GridJob> = match &shard {
+        Some((_, indices)) => indices.iter().map(|&i| all[i].clone()).collect(),
+        None => all,
+    };
+    let probe_count = selected.iter().filter(|job| job.is_probe()).count();
+    let host_threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    eprintln!(
+        "{}: {} of {total} grid jobs ({} matrix cells + {probe_count} probes) on \
+         {host_threads} host threads ({} worker threads, {scale_label} scale)",
+        shard
+            .as_ref()
+            .map_or("sweep".into(), |(spec, _)| format!("shard {spec}")),
+        selected.len(),
+        selected.len() - probe_count,
+        runner.threads(),
+    );
+
+    // `--full` checkpoints by default (it is minutes of work) and a shard's
+    // checkpoint is its output; the quick sweep runs into an in-memory
+    // store unless `--checkpoint` is passed explicitly.
+    let use_checkpoint =
+        shard.is_some() || (!no_checkpoint && (full || args.iter().any(|a| a == "--checkpoint")));
+    let id = grid::grid_id(&configs, &workloads, scale);
+    let mut store = if use_checkpoint {
         if salvage {
             match SweepCheckpoint::salvage(&checkpoint_path) {
                 Ok(report) => eprintln!("checkpoint {checkpoint_path}: salvage: {report}"),
@@ -360,174 +370,78 @@ fn main() -> ExitCode {
                 }
             }
         }
-        let mut store = SweepCheckpoint::resume(&checkpoint_path, id)
-            .unwrap_or_else(|e| panic!("checkpoint {checkpoint_path}: {e}"));
-        if let Some(injector) = &policy.injector {
-            store.arm_faults(Arc::clone(injector));
-        }
-        let done_before = store.len();
-        eprintln!(
-            "shard {spec}: {} of {} grid jobs ({} matrix cells + {} probes) -> {checkpoint_path}",
-            indices.len(),
-            matrix_cells + probe_count,
-            cell_indices.len(),
-            probe_indices.len()
-        );
-        let t0 = Instant::now();
-        let report = run_matrix_shard(
-            &runner,
-            &configs,
-            &workloads,
-            scale,
-            verify,
-            &mut store,
-            cell_budget,
-            &policy,
-            Some(&cell_indices),
-        )
-        .unwrap_or_else(|e| panic!("sharded sweep: {e}"));
-        if !report.failures.is_empty() {
-            eprint!("{}", format_failures(&report.failures));
-            eprintln!("healthy shard cells are persisted; fix the fault and re-run this shard");
-            return ExitCode::from(4);
-        }
-        let shard_cells_done = cell_indices.iter().all(|&i| {
-            store.contains(&cell_key(
-                workloads[i / configs.len()].name(),
-                &configs[i % configs.len()].name,
-            ))
-        });
-        if !shard_cells_done {
-            eprintln!(
-                "cell budget exhausted mid-shard ({:.1} s); re-run to resume from \
-                 {checkpoint_path}",
-                t0.elapsed().as_secs_f64()
-            );
-            return ExitCode::from(3);
-        }
-        run_machine_probes_selected(scale, Some(&mut store), &probe_indices)
-            .unwrap_or_else(|e| panic!("sharded probes: {e}"));
-        eprintln!(
-            "shard {spec} complete: {} job(s) in store ({} resumed) in {:.1} s; merge with \
-             `bench_sweep --merge {checkpoint_path} ...`",
-            store.len(),
-            done_before,
-            t0.elapsed().as_secs_f64()
-        );
-        return ExitCode::SUCCESS;
-    }
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    eprintln!(
-        "sweep: {} workloads x {} configs = {jobs} jobs on {host_threads} host threads \
-         ({} worker threads, {scale_label} scale)",
-        workloads.len(),
-        configs.len(),
-        runner.threads(),
-    );
-
-    // `--full` checkpoints by default (it is minutes of work); the quick
-    // sweep stays checkpoint-free — it doubles as the serial-vs-parallel
-    // determinism audit — unless `--checkpoint` is passed explicitly.
-    // Fault injection always routes through the contained path (a
-    // checkpoint-free injected run uses an in-memory store), because the
-    // strict path treats any cell failure as fatal.
-    let use_checkpoint = !no_checkpoint && (full || args.iter().any(|a| a == "--checkpoint"));
-    let (matrix, probes) = if !use_checkpoint && policy.injector.is_none() {
-        // Checkpoint-free path: also the serial-vs-parallel determinism
-        // audit (only meaningful when both paths actually run).
-        let t0 = Instant::now();
-        let serial = run_matrix_serial_at(&configs, &workloads, scale, verify);
-        let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t1 = Instant::now();
-        let parallel = run_matrix_at(&runner, &configs, &workloads, scale, verify);
-        let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
-        assert!(
-            cells_identical(&serial, &parallel),
-            "serial and parallel sweeps must produce bit-identical statistics"
-        );
-        eprintln!(
-            "serial: {serial_ms:9.1} ms  parallel: {parallel_ms:9.1} ms  \
-             speedup {:.2}x  (stats bit-identical: true)",
-            serial_ms / parallel_ms.max(1e-9)
-        );
-        let probes = run_machine_probes(scale, None).expect("probes without a store cannot fail");
-        (parallel, probes)
+        SweepCheckpoint::resume(&checkpoint_path, id)
+            .unwrap_or_else(|e| panic!("checkpoint {checkpoint_path}: {e}"))
     } else {
-        let id = grid::grid_id(&configs, &workloads, scale);
-        let mut store = if use_checkpoint {
-            if salvage {
-                match SweepCheckpoint::salvage(&checkpoint_path) {
-                    Ok(report) => eprintln!("checkpoint {checkpoint_path}: salvage: {report}"),
-                    Err(e) => eprintln!(
-                        "checkpoint {checkpoint_path}: salvage skipped: {e} \
-                         (resuming as-is)"
-                    ),
-                }
-            }
-            SweepCheckpoint::resume(&checkpoint_path, id)
-                .unwrap_or_else(|e| panic!("checkpoint {checkpoint_path}: {e}"))
-        } else {
-            SweepCheckpoint::in_memory(id)
-        };
-        if let Some(injector) = &policy.injector {
-            store.arm_faults(Arc::clone(injector));
-        }
-        let done_before = store.len();
-        if done_before > 0 {
-            eprintln!(
-                "checkpoint {checkpoint_path}: resuming with {done_before} completed cell(s)"
-            );
-        }
-        let t0 = Instant::now();
-        let report = run_matrix_contained(
-            &runner,
-            &configs,
-            &workloads,
-            scale,
-            verify,
-            &mut store,
-            cell_budget,
-            &policy,
-        )
-        .unwrap_or_else(|e| panic!("checkpointed sweep: {e}"));
-        if !report.failures.is_empty() {
-            eprint!("{}", format_failures(&report.failures));
-            eprintln!(
-                "{} healthy cell(s) completed and persisted; fix the fault and re-run \
-                 to fill the gaps",
-                report.healthy.len()
-            );
-            let json =
-                render_faulted_sweep_json(scale_label, jobs, &report.healthy, &report.failures);
+        SweepCheckpoint::in_memory(id)
+    };
+    if let Some(injector) = &policy.injector {
+        store.arm_faults(Arc::clone(injector));
+    }
+    let done_before = store.len();
+    if done_before > 0 {
+        eprintln!("checkpoint {checkpoint_path}: resuming with {done_before} completed job(s)");
+    }
+    let t0 = Instant::now();
+    let failures = run_grid(
+        &runner,
+        &selected,
+        scale,
+        verify,
+        &policy,
+        cell_budget,
+        &mut store,
+    )
+    .unwrap_or_else(|e| panic!("checkpointed sweep: {e}"));
+    if !failures.is_empty() {
+        eprint!("{}", format_failures(&failures));
+        eprintln!("healthy jobs are persisted; fix the fault and re-run to fill the gaps");
+        if shard.is_none() {
+            let healthy: Vec<CellResult> = selected
+                .iter()
+                .filter(|job| !job.is_probe())
+                .filter_map(|job| {
+                    store.get(&job.key).map(|record| CellResult {
+                        workload: job.workload.to_string(),
+                        config: job.config.name.clone(),
+                        stats: record.stats.clone(),
+                    })
+                })
+                .collect();
+            let json = render_faulted_sweep_json(scale_label, jobs, &healthy, &failures);
             if let Err(code) = write_artifact(&out_path, &json) {
                 return code;
             }
             eprintln!("wrote {out_path} (partial: quarantined cells listed under \"failures\")");
-            return ExitCode::from(4);
         }
-        let Some(matrix) = report.matrix else {
-            eprintln!(
-                "cell budget exhausted after {} of {jobs} matrix cells ({:.1} s); \
-                 re-run to resume from {checkpoint_path}",
-                store.len(),
-                t0.elapsed().as_secs_f64()
-            );
-            return ExitCode::from(3);
-        };
-        let probes = run_machine_probes(scale, Some(&mut store))
-            .unwrap_or_else(|e| panic!("checkpointed probes: {e}"));
+        return ExitCode::from(4);
+    }
+    let done = selected
+        .iter()
+        .filter(|job| store.contains(&job.key))
+        .count();
+    if done < selected.len() {
         eprintln!(
-            "sweep complete: {} cells ({} resumed) + {} probes in {:.1} s",
-            jobs,
-            done_before,
-            probes.len(),
+            "cell budget exhausted after {done} of {} jobs ({:.1} s); re-run to resume from \
+             {checkpoint_path}",
+            selected.len(),
             t0.elapsed().as_secs_f64()
         );
-        (matrix, probes)
-    };
+        return ExitCode::from(3);
+    }
+    eprintln!(
+        "sweep complete: {} jobs ({done_before} resumed) in {:.1} s",
+        selected.len(),
+        t0.elapsed().as_secs_f64()
+    );
+    if shard.is_some() {
+        eprintln!("merge with `bench_sweep --merge {checkpoint_path} ...`");
+        return ExitCode::SUCCESS;
+    }
 
+    let complete = "every job of the grid is in the store";
+    let matrix = matrix_from_store(&configs, &workloads, &store).expect(complete);
+    let probes = probes_from_store(&store).expect(complete);
     for p in &probes {
         eprintln!(
             "machine {}sm/{}: makespan {} cycles, ipc {:.1}, channel util {:.1}%",

@@ -15,7 +15,9 @@
 //! when computing the performance means", §5.1).
 
 use warpweave_bench::grid;
-use warpweave_bench::harness::{format_bandwidth_table, format_ipc_table, run_matrix};
+use warpweave_bench::harness::{format_bandwidth_table, format_ipc_table, run_matrix_figure};
+use warpweave_core::SweepRunner;
+use warpweave_workloads::Scale;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -37,7 +39,14 @@ fn main() {
 
     if set == "regular" || set == "all" {
         let workloads = warpweave_workloads::regular();
-        let m = run_matrix(&configs, &workloads, verify);
+        let m = run_matrix_figure(
+            &SweepRunner::new(),
+            &configs,
+            &workloads,
+            Scale::Bench,
+            verify,
+            None,
+        );
         let rows: Vec<usize> = (0..m.workloads.len()).collect();
         println!("== Figure 7(a): regular applications (IPC) ==");
         print!("{}", format_ipc_table(&m, &rows, "Gmean"));
@@ -48,7 +57,14 @@ fn main() {
     }
     if set == "irregular" || set == "all" {
         let workloads = warpweave_workloads::irregular();
-        let m = run_matrix(&configs, &workloads, verify);
+        let m = run_matrix_figure(
+            &SweepRunner::new(),
+            &configs,
+            &workloads,
+            Scale::Bench,
+            verify,
+            None,
+        );
         let rows: Vec<usize> = (0..m.workloads.len())
             .filter(|&w| !m.workloads[w].starts_with("TMD"))
             .collect();

@@ -3,8 +3,9 @@
 //! irregular sets (paper: SBI +15%/+41%, SWI +25%/+33%, SBI+SWI +23%/+40%).
 //!
 //! Usage: `summary_speedups [--no-verify]`
-use warpweave_bench::harness::run_matrix;
-use warpweave_core::SmConfig;
+use warpweave_bench::harness::run_matrix_figure;
+use warpweave_core::{SmConfig, SweepRunner};
+use warpweave_workloads::Scale;
 
 fn main() {
     let verify = !std::env::args().any(|a| a == "--no-verify");
@@ -13,7 +14,14 @@ fn main() {
         ("regular", warpweave_workloads::regular()),
         ("irregular", warpweave_workloads::irregular()),
     ] {
-        let m = run_matrix(&configs, &workloads, verify);
+        let m = run_matrix_figure(
+            &SweepRunner::new(),
+            &configs,
+            &workloads,
+            Scale::Bench,
+            verify,
+            None,
+        );
         let rows: Vec<usize> = (0..m.workloads.len())
             .filter(|&w| !m.workloads[w].starts_with("TMD"))
             .collect();

@@ -11,11 +11,16 @@
 //! the identity a [`SweepCheckpoint`](warpweave_core::SweepCheckpoint)
 //! binds to.
 
-use warpweave_core::checkpoint::CHECKPOINT_VERSION;
+use warpweave_core::checkpoint::{CellRecord, CHECKPOINT_VERSION};
 use warpweave_core::digest::fnv1a;
+use warpweave_core::sweep::JobFailure;
 use warpweave_core::{Associativity, LaneShuffle, SmConfig};
 use warpweave_mem::CacheConfig;
-use warpweave_workloads::{all_workloads, by_name, Scale, Workload};
+use warpweave_workloads::{
+    all_workloads, by_name, run_prepared, run_prepared_multi_sm, Scale, Workload,
+};
+
+use crate::harness::{cell_key, CellFailure};
 
 /// The fig. 7 front-end set — the columns of the sweep and of the golden
 /// baseline's single-SM grid. Constructed through the policy registry
@@ -194,6 +199,98 @@ pub fn machine_probes() -> Vec<MachineProbe> {
         cfg,
     })
     .collect()
+}
+
+/// One job of the canonical sweep grid: a single-SM matrix cell or a
+/// multi-SM machine probe. Both kinds are enumerated by [`grid_jobs`],
+/// keyed into the same checkpoint/cache namespace and simulated by the
+/// same cell body ([`GridJob::run`]), so whatever drives a job list —
+/// the local sweep, a shard, the sweep server — treats them alike.
+///
+/// A job owns everything it needs (the workload is a registry label,
+/// resolved when the job runs), so job lists can outlive the grid
+/// definition they were enumerated from, e.g. in a server's request.
+#[derive(Debug, Clone)]
+pub struct GridJob {
+    /// Position in the **full** grid, whatever selection the job is run
+    /// in: fault rules (`panic@cell:7`) and shard specs (`shard:2/8`)
+    /// address this index, so they mean the same job on a fresh run, a
+    /// resumed run and every host of a sharded run.
+    pub index: usize,
+    /// Checkpoint, golden and cache key: `workload/config` for a matrix
+    /// cell, [`MachineProbe::key`] for a probe.
+    pub key: String,
+    /// Workload label.
+    pub workload: &'static str,
+    /// SM configuration (of every SM, for a probe); carries the seed.
+    pub config: SmConfig,
+    /// SM count of a machine probe; `None` for a single-SM matrix cell.
+    pub num_sms: Option<usize>,
+}
+
+impl GridJob {
+    /// True for a machine probe, false for a matrix cell.
+    pub fn is_probe(&self) -> bool {
+        self.num_sms.is_some()
+    }
+
+    /// Simulates the job at `scale` — **the** cell body of every sweep
+    /// driver. A matrix cell runs on one SM; a probe runs on a
+    /// [`Machine`](warpweave_core::Machine) and records the shared-channel
+    /// counters beside the machine totals.
+    ///
+    /// # Errors
+    /// The rendered simulation or verification failure (drivers run this
+    /// under `catch_unwind` and turn either into a [`CellFailure`]).
+    pub fn run(&self, scale: Scale, verify: bool) -> Result<CellRecord, String> {
+        let workload = by_name(self.workload)
+            .ok_or_else(|| format!("workload `{}` unregistered", self.workload))?;
+        let prepared = workload.prepare(scale);
+        match self.num_sms {
+            None => run_prepared(&self.config, prepared, verify).map(CellRecord::new),
+            Some(num_sms) => run_prepared_multi_sm(&self.config, num_sms, prepared, verify)
+                .map(|stats| CellRecord::with_channel(stats.total, stats.channel)),
+        }
+        .map_err(|e| e.to_string())
+    }
+
+    /// The quarantine record of this job after `attempts` failed attempts.
+    pub fn failure(&self, attempts: u32, reason: JobFailure) -> CellFailure {
+        CellFailure {
+            key: self.key.clone(),
+            workload: self.workload.to_string(),
+            config: self.config.name.clone(),
+            seed: self.config.seed,
+            attempts,
+            reason,
+        }
+    }
+}
+
+/// The canonical job list of a grid: the workload-major matrix cells
+/// (`0 .. W×C`) followed by the [`machine_probes`] (`W×C .. W×C+P`). This
+/// is the one enumeration shard specs, fault rules, the merge
+/// completeness check and the sweep server all index.
+pub fn grid_jobs(configs: &[SmConfig], workloads: &[Box<dyn Workload>]) -> Vec<GridJob> {
+    let cells = workloads.iter().flat_map(|w| {
+        configs
+            .iter()
+            .map(|cfg| (cell_key(w.name(), &cfg.name), w.name(), cfg.clone(), None))
+    });
+    let probes = machine_probes()
+        .into_iter()
+        .map(|p| (p.key(), p.workload, p.cfg, Some(p.num_sms)));
+    cells
+        .chain(probes)
+        .enumerate()
+        .map(|(index, (key, workload, config, num_sms))| GridJob {
+            index,
+            key,
+            workload,
+            config,
+            num_sms,
+        })
+        .collect()
 }
 
 /// Digests a grid — config labels, workload labels, machine probes, scale

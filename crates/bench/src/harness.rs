@@ -1,16 +1,21 @@
-//! Workload × configuration run matrix, fanned out across host cores via
-//! [`SweepRunner`], with optional per-cell checkpointing through
-//! [`SweepCheckpoint`] and per-cell failure containment through
-//! [`run_matrix_contained`].
+//! The sweep driver ([`run_grid`]): a selection of the canonical job list
+//! ([`grid_jobs`]) fanned out across host cores via [`SweepRunner`], with
+//! per-job checkpointing through [`SweepCheckpoint`] and per-job failure
+//! containment — plus the matrix result types and table formatters the
+//! figure binaries share.
 
 use std::sync::{Arc, Mutex};
 
-use warpweave_core::checkpoint::{CellRecord, CheckpointError, SweepCheckpoint};
+use warpweave_core::checkpoint::{CheckpointError, SweepCheckpoint};
 use warpweave_core::faultinject::{FaultInjector, FaultKind, FaultPlan, FAULTS_ENV};
 use warpweave_core::sweep::JobFailure;
 use warpweave_core::{SmConfig, Stats, SweepRunner};
 use warpweave_mem::DramConfig;
-use warpweave_workloads::{run_prepared, Scale, Workload};
+use warpweave_workloads::{Scale, Workload};
+
+use crate::grid::{grid_id, grid_jobs, GridJob};
+use crate::report::{probes_from_store, ProbeResult};
+use crate::shard::matrix_from_store;
 
 /// Seed used by every benchmark configuration (determinism across figures).
 pub const BENCH_SEED: u64 = 0xb1e55ed;
@@ -122,103 +127,19 @@ pub fn gmean(values: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-/// Runs one workload under one configuration at benchmark scale.
-///
-/// # Panics
-/// Panics if the simulation fails or (when `verify`) the result is wrong —
-/// benchmark numbers from a broken run would be meaningless.
-pub fn run_one(cfg: &SmConfig, workload: &dyn Workload, verify: bool) -> CellResult {
-    run_one_at(cfg, workload, Scale::Bench, verify)
-}
-
-/// [`run_one`] at an explicit problem scale.
-///
-/// # Panics
-/// As [`run_one`].
-pub fn run_one_at(
-    cfg: &SmConfig,
-    workload: &dyn Workload,
-    scale: Scale,
-    verify: bool,
-) -> CellResult {
-    try_run_one_at(cfg, workload, scale, verify)
-        .unwrap_or_else(|e| panic!("{} on {}: {e}", workload.name(), cfg.name))
-}
-
-/// Fallible [`run_one_at`]: simulation and verification failures come
-/// back as an `Err` string instead of a panic. This is the cell body
-/// the fault-isolated sweep runs under `catch_unwind` — a sick cell
-/// becomes a [`CellFailure`], never a dead process.
-///
-/// # Errors
-/// The rendered [`warpweave_workloads::RunError`].
-pub fn try_run_one_at(
-    cfg: &SmConfig,
-    workload: &dyn Workload,
-    scale: Scale,
-    verify: bool,
-) -> Result<CellResult, String> {
-    let prepared = workload.prepare(scale);
-    let stats = run_prepared(cfg, prepared, verify).map_err(|e| e.to_string())?;
-    Ok(CellResult {
-        workload: workload.name().to_string(),
-        config: cfg.name.clone(),
-        stats,
-    })
-}
-
-/// Runs the full `workloads × configs` matrix, fanning the cells out
-/// across host cores through [`SweepRunner`]. Each cell stays a
-/// single-SM simulation (the paper's figures model one SM), so per-cell
-/// statistics are bit-identical to [`run_matrix_serial`] and independent
-/// of the host thread count.
-pub fn run_matrix(
-    configs: &[SmConfig],
-    workloads: &[Box<dyn Workload>],
-    verify: bool,
-) -> MatrixResult {
-    run_matrix_on(&SweepRunner::new(), configs, workloads, verify)
-}
-
-/// [`run_matrix`] on an explicit [`SweepRunner`] (thread-cap control for
-/// benchmarks and tests).
-pub fn run_matrix_on(
-    runner: &SweepRunner,
-    configs: &[SmConfig],
-    workloads: &[Box<dyn Workload>],
-    verify: bool,
-) -> MatrixResult {
-    run_matrix_at(runner, configs, workloads, Scale::Bench, verify)
-}
-
-/// [`run_matrix_on`] at an explicit problem scale.
-pub fn run_matrix_at(
-    runner: &SweepRunner,
-    configs: &[SmConfig],
-    workloads: &[Box<dyn Workload>],
-    scale: Scale,
-    verify: bool,
-) -> MatrixResult {
-    let jobs: Vec<(usize, usize)> = (0..workloads.len())
-        .flat_map(|w| (0..configs.len()).map(move |c| (w, c)))
-        .collect();
-    let flat = runner.run(&jobs, |&(w, c)| {
-        run_one_at(&configs[c], workloads[w].as_ref(), scale, verify)
-    });
-    collect_matrix(configs, workloads, flat)
-}
-
-/// The checkpoint key of one sweep cell: `workload/config`. Workload and
+/// The checkpoint key of one matrix cell: `workload/config`. Workload and
 /// config labels never contain `|`, `#` or newlines (the characters the
 /// checkpoint line format reserves), so the key is always recordable.
 pub fn cell_key(workload: &str, config: &str) -> String {
     format!("{workload}/{config}")
 }
 
-/// One quarantined sweep cell, with full provenance: which cell, under
+/// One quarantined sweep job, with full provenance: which job, under
 /// which seed, how many attempts were made, and why the last one failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellFailure {
+    /// The job's grid key (`workload/config`, or `machine/...` for a probe).
+    pub key: String,
     /// Workload label.
     pub workload: String,
     /// Configuration label.
@@ -235,8 +156,8 @@ impl std::fmt::Display for CellFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}/{}: seed {:#x}, {} attempt(s): {}",
-            self.workload, self.config, self.seed, self.attempts, self.reason
+            "{}: seed {:#x}, {} attempt(s): {}",
+            self.key, self.seed, self.attempts, self.reason
         )
     }
 }
@@ -251,28 +172,20 @@ pub fn format_failures(failures: &[CellFailure]) -> String {
     out
 }
 
-/// Containment policy of a [`run_matrix_contained`] run: how often a
-/// failing cell is retried, and an optional armed fault plan (tests/CI).
+/// Containment policy of a [`run_grid`] run: how often a failing job is
+/// retried, and an optional armed fault plan (tests/CI).
 #[derive(Debug, Default)]
 pub struct FaultPolicy {
-    /// Retries per cell after its first failed attempt.
+    /// Retries per job after its first failed attempt.
     pub max_retries: u32,
     /// Deterministic fault injection, when armed.
     pub injector: Option<Arc<FaultInjector>>,
 }
 
 impl FaultPolicy {
-    /// No retries, no injection — the strict legacy behaviour.
+    /// No retries, no injection.
     pub fn none() -> FaultPolicy {
         FaultPolicy::default()
-    }
-
-    /// `max_retries` retries, no injection.
-    pub fn with_retries(max_retries: u32) -> FaultPolicy {
-        FaultPolicy {
-            max_retries,
-            injector: None,
-        }
     }
 
     /// Reads a fault plan from the [`FAULTS_ENV`] environment variable
@@ -288,209 +201,166 @@ impl FaultPolicy {
     }
 }
 
-/// Outcome of a fault-isolated matrix run ([`run_matrix_contained`]).
-#[derive(Debug)]
-pub struct SweepReport {
-    /// The full matrix — present only when **every** cell of the grid is
-    /// in the store (no quarantined cells, no exhausted budget).
-    pub matrix: Option<MatrixResult>,
-    /// Every completed cell (including resumed ones), in job order.
-    pub healthy: Vec<CellResult>,
-    /// Quarantined cells with provenance, in job order.
-    pub failures: Vec<CellFailure>,
-}
-
-/// [`run_matrix_at`] with per-cell checkpointing **and** per-cell failure
-/// containment. Cells already present in `store` are not re-simulated;
-/// every freshly completed cell is appended to `store` (and flushed to
-/// its file) the moment it finishes. Each cell attempt runs under
-/// `catch_unwind`: a panicking or erroring cell is retried up to
-/// `policy.max_retries` times and then quarantined as a [`CellFailure`],
-/// while every healthy cell still completes — bit-identical to a
-/// fault-free run at any host thread count, because containment wraps
-/// the cell closure without reordering or re-seeding anything.
+/// **The** sweep driver: runs a selection of the canonical job list
+/// ([`grid_jobs`]) — matrix cells and machine probes alike — into `store`.
 ///
-/// `cell_budget` caps how many *new* cells this call may attempt —
-/// `None` means "run to completion". Quarantined cells are **not**
-/// recorded to the store, so a later run (after the bug is fixed)
-/// re-simulates exactly the quarantined cells. When every cell of the
-/// grid is present, the assembled [`MatrixResult`] is built **from the
-/// store**, so a resumed sweep is bit-identical to an uninterrupted one.
+/// * Jobs whose key is already in `store` are skipped, so the same call
+///   resumes an interrupted sweep; `budget` caps how many *new* jobs this
+///   call attempts (`None` = all of them).
+/// * Every attempt first consults `policy.injector` with the job's
+///   full-grid index and key, then runs [`GridJob::run`] under
+///   `catch_unwind`; a panicking or erroring job is retried up to
+///   `policy.max_retries` times and then quarantined as a [`CellFailure`]
+///   while every other job still completes.
+/// * Each success is recorded (and, for a file-backed store, flushed)
+///   the moment it settles, from whichever worker ran it; quarantined
+///   jobs are never recorded, so a later run re-attempts exactly those.
+///
+/// Results are read back from the store ([`matrix_from_store`],
+/// [`probes_from_store`]), never from this call: a job is a pure function
+/// of `(workload, config, scale)`, so it does not matter which run, host
+/// thread or shard computed it, and a resumed or sharded sweep is
+/// bit-identical to an uninterrupted single-host one. A job missing from
+/// the store afterwards either failed (it is in the returned list, which
+/// is in job order) or fell outside the budget.
 ///
 /// # Errors
 /// The first [`CheckpointError`] hit while recording. Simulation
-/// failures do **not** error — they come back in
-/// [`SweepReport::failures`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_matrix_contained(
+/// failures do **not** error — they come back as the failure list.
+pub fn run_grid(
     runner: &SweepRunner,
-    configs: &[SmConfig],
-    workloads: &[Box<dyn Workload>],
+    jobs: &[GridJob],
     scale: Scale,
     verify: bool,
-    store: &mut SweepCheckpoint,
-    cell_budget: Option<usize>,
     policy: &FaultPolicy,
-) -> Result<SweepReport, CheckpointError> {
-    run_matrix_shard(
-        runner,
-        configs,
-        workloads,
-        scale,
-        verify,
-        store,
-        cell_budget,
-        policy,
-        None,
-    )
-}
-
-/// [`run_matrix_contained`] restricted to a slice of the grid: with
-/// `selected = Some(indices)` only the matrix cells at those
-/// workload-major grid indices are attempted (cells already in `store`
-/// are still skipped, and indices keep their meaning in the **full**
-/// grid, so fault rules and shard specs agree across hosts and resumes).
-/// `None` runs the whole grid — this *is* [`run_matrix_contained`].
-///
-/// This is the execution half of the distributed sweep fabric's shard
-/// mode (`bench_sweep --jobs-from`): each host runs its slice into an
-/// ordinary checkpoint, and `--merge` unions the files back into the
-/// single-host payload.
-///
-/// # Errors
-/// As [`run_matrix_contained`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_matrix_shard(
-    runner: &SweepRunner,
-    configs: &[SmConfig],
-    workloads: &[Box<dyn Workload>],
-    scale: Scale,
-    verify: bool,
+    budget: Option<usize>,
     store: &mut SweepCheckpoint,
-    cell_budget: Option<usize>,
-    policy: &FaultPolicy,
-    selected: Option<&[usize]>,
-) -> Result<SweepReport, CheckpointError> {
-    let all: Vec<(usize, usize)> = (0..workloads.len())
-        .flat_map(|w| (0..configs.len()).map(move |c| (w, c)))
-        .collect();
-    let key_of = |&(w, c): &(usize, usize)| cell_key(workloads[w].name(), &configs[c].name);
-    // Remaining jobs keep their index in the *full* grid: fault rules
-    // and shard specs target that index, so `panic@cell:7` (or
-    // `shard:2/8`) means the same cell whether the sweep is fresh,
-    // resumed, or sliced across hosts.
-    let in_shard = |i: usize| selected.is_none_or(|sel| sel.binary_search(&i).is_ok());
-    let remaining: Vec<(usize, (usize, usize))> = all
+) -> Result<Vec<CellFailure>, CheckpointError> {
+    let remaining: Vec<&GridJob> = jobs
         .iter()
-        .enumerate()
-        .filter(|(i, pair)| in_shard(*i) && !store.contains(&key_of(pair)))
-        .take(cell_budget.unwrap_or(usize::MAX))
-        .map(|(i, pair)| (i, *pair))
+        .filter(|job| !store.contains(&job.key))
+        .take(budget.unwrap_or(usize::MAX))
         .collect();
 
     // The store is appended to from worker threads in completion order;
-    // the mutex serialises the appends, the Option records the first
-    // failure (later cells still simulate, they just stop persisting).
-    // Lock recovery is poison-tolerant: a cell panic is caught *inside*
-    // the isolated closure, but belt-and-braces beats a second abort.
+    // the mutex serialises the appends, the Option keeps the first
+    // recording error (later jobs still simulate, they just stop
+    // persisting). Lock recovery is poison-tolerant: a job panic is caught
+    // *inside* the isolated closure, but belt-and-braces beats a second
+    // abort.
     let recorder: Mutex<(&mut SweepCheckpoint, Option<CheckpointError>)> =
         Mutex::new((store, None));
     let outcomes = runner.run_isolated_reporting(
         &remaining,
         policy.max_retries,
-        |&(cell_idx, (w, c))| {
-            let key = cell_key(workloads[w].name(), &configs[c].name);
-            if let Some(injector) = &policy.injector {
-                match injector.cell_fault(cell_idx, &key) {
-                    Some(FaultKind::Panic) => {
-                        panic!("injected fault: panic in cell {cell_idx} ({key})")
-                    }
-                    Some(FaultKind::SimError) => {
-                        return Err(format!(
-                            "injected fault: simulation error in cell {cell_idx} ({key})"
-                        ))
-                    }
-                    None => {}
-                }
+        |job| {
+            let (index, key) = (job.index, &job.key);
+            let fault = policy
+                .injector
+                .as_ref()
+                .and_then(|injector| injector.cell_fault(index, key));
+            match fault {
+                Some(FaultKind::Panic) => panic!("injected fault: panic in cell {index} ({key})"),
+                Some(FaultKind::SimError) => Err(format!(
+                    "injected fault: simulation error in cell {index} ({key})"
+                )),
+                None => job.run(scale, verify),
             }
-            try_run_one_at(&configs[c], workloads[w].as_ref(), scale, verify)
         },
         |i, outcome| {
-            if let Ok(cell) = &outcome.result {
-                let key = key_of(&remaining[i].1);
+            if let Ok(record) = &outcome.result {
                 let mut guard = recorder
                     .lock()
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
                 if guard.1.is_none() {
-                    if let Err(e) = guard.0.record(&key, CellRecord::new(cell.stats.clone())) {
+                    if let Err(e) = guard.0.record(&remaining[i].key, record.clone()) {
                         guard.1 = Some(e);
                     }
                 }
             }
         },
     );
-    let (store, error) = recorder
+    let (_, error) = recorder
         .into_inner()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
     if let Some(e) = error {
         return Err(e);
     }
-
-    let failures: Vec<CellFailure> = remaining
+    Ok(remaining
         .iter()
-        .zip(&outcomes)
-        .filter_map(|(&(_, (w, c)), outcome)| {
-            outcome.result.as_ref().err().map(|failure| CellFailure {
-                workload: workloads[w].name().to_string(),
-                config: configs[c].name.clone(),
-                seed: configs[c].seed,
-                attempts: outcome.attempts,
-                reason: failure.clone(),
-            })
+        .zip(outcomes)
+        .filter_map(|(job, outcome)| {
+            let reason = outcome.result.err()?;
+            Some(job.failure(outcome.attempts, reason))
         })
-        .collect();
-
-    let healthy: Vec<CellResult> = all
-        .iter()
-        .filter_map(|&(w, c)| {
-            store.get(&key_of(&(w, c))).map(|record| CellResult {
-                workload: workloads[w].name().to_string(),
-                config: configs[c].name.clone(),
-                stats: record.stats.clone(),
-            })
-        })
-        .collect();
-    let matrix =
-        (healthy.len() == all.len()).then(|| collect_matrix(configs, workloads, healthy.clone()));
-    Ok(SweepReport {
-        matrix,
-        healthy,
-        failures,
-    })
+        .collect())
 }
 
-/// [`run_matrix_at`] with per-cell checkpointing: cells already present in
-/// `store` are **not** re-simulated; every freshly completed cell is
-/// appended to `store` (and flushed to its file) the moment it finishes,
-/// from whichever worker thread ran it.
+/// The matrix cells of a grid (its job list without the machine probes).
+fn matrix_jobs(configs: &[SmConfig], workloads: &[Box<dyn Workload>]) -> Vec<GridJob> {
+    let mut jobs = grid_jobs(configs, workloads);
+    jobs.retain(|job| !job.is_probe());
+    jobs
+}
+
+/// [`run_grid`] for callers to whom a half-measured grid is useless: no
+/// retries, no injection, and the first quarantined job panics.
+fn run_strict(
+    runner: &SweepRunner,
+    jobs: &[GridJob],
+    scale: Scale,
+    verify: bool,
+    budget: Option<usize>,
+    store: &mut SweepCheckpoint,
+) -> Result<(), CheckpointError> {
+    let failures = run_grid(
+        runner,
+        jobs,
+        scale,
+        verify,
+        &FaultPolicy::none(),
+        budget,
+        store,
+    )?;
+    if let Some(first) = failures.first() {
+        panic!("{}: {}", first.key, first.reason);
+    }
+    Ok(())
+}
+
+/// Runs the full `workloads × configs` matrix in memory, fanning the
+/// cells out across `runner`'s host threads. Each cell stays a single-SM
+/// simulation (the paper's figures model one SM), so per-cell statistics
+/// are independent of the host thread count.
 ///
-/// `cell_budget` caps how many *new* cells this call may run — `None`
-/// means "run to completion". With a budget the call can return
-/// `Ok(None)`: the grid is still incomplete (resume later). When every
-/// cell of the grid is present, the assembled [`MatrixResult`] is built
-/// **from the store**, so a resumed sweep is bit-identical to an
-/// uninterrupted one — each cell is a pure function of `(workload,
-/// config, scale)` and it does not matter which run computed it.
-///
-/// This is the strict wrapper over [`run_matrix_contained`]: no retries,
-/// no injection, and any cell failure panics.
+/// # Panics
+/// Simulation failures and (when `verify`) wrong results — benchmark
+/// numbers from a broken run would be meaningless.
+pub fn run_matrix_at(
+    runner: &SweepRunner,
+    configs: &[SmConfig],
+    workloads: &[Box<dyn Workload>],
+    scale: Scale,
+    verify: bool,
+) -> MatrixResult {
+    let mut store = SweepCheckpoint::in_memory(grid_id(configs, workloads, scale));
+    run_matrix_checkpointed(runner, configs, workloads, scale, verify, &mut store, None)
+        .expect("an in-memory store records infallibly")
+        .expect("no cell budget, so the grid completes")
+}
+
+/// [`run_matrix_at`] into a caller-supplied store: cells already present
+/// in `store` are not re-simulated, every freshly completed cell is
+/// recorded the moment it finishes, and `cell_budget` caps how many *new*
+/// cells this call runs. Returns `Ok(None)` while the matrix is still
+/// incomplete (resume later); the completed matrix is assembled from the
+/// store, so a resumed sweep is bit-identical to an uninterrupted one.
 ///
 /// # Errors
 /// The first [`CheckpointError`] hit while recording.
 ///
 /// # Panics
-/// Simulation failures, as in [`run_one_at`] — a half-measured benchmark
-/// is useless.
+/// Simulation failures, as in [`run_matrix_at`].
 pub fn run_matrix_checkpointed(
     runner: &SweepRunner,
     configs: &[SmConfig],
@@ -500,38 +370,54 @@ pub fn run_matrix_checkpointed(
     store: &mut SweepCheckpoint,
     cell_budget: Option<usize>,
 ) -> Result<Option<MatrixResult>, CheckpointError> {
-    let report = run_matrix_contained(
-        runner,
-        configs,
-        workloads,
-        scale,
-        verify,
-        store,
-        cell_budget,
-        &FaultPolicy::none(),
-    )?;
-    if let Some(first) = report.failures.first() {
-        panic!("{} on {}: {}", first.workload, first.config, first.reason);
-    }
-    Ok(report.matrix)
+    let jobs = matrix_jobs(configs, workloads);
+    run_strict(runner, &jobs, scale, verify, cell_budget, store)?;
+    Ok(matrix_from_store(configs, workloads, store).ok())
 }
 
-/// Runs a figure grid with optional per-cell checkpointing, the entry
-/// point the fig8a/fig8b/fig9 binaries share. With a `checkpoint` path the
-/// grid resumes from (and records into) that file — bound via
-/// [`crate::grid::grid_id`] to this exact config/workload set, so a stale
-/// file from a different figure can never be resumed against it; without
-/// one it runs purely in memory. A resumed grid is bit-identical to an
-/// uninterrupted one (each cell is a pure function of its coordinates).
+/// Runs (or resumes from `store`) every machine probe of the sweep grid
+/// at `scale`, one after the other on the calling host thread, without
+/// result verification.
 ///
-/// Cells run fault-isolated under the policy from [`FAULTS_ENV`] (no env
-/// var means no injection, one retry). Quarantined cells print a failures
-/// block to stderr and **exit the process with code 4** — every healthy
-/// cell is already persisted to the checkpoint, so nothing is lost.
+/// # Errors
+/// Checkpoint recording failures.
 ///
 /// # Panics
-/// Checkpoint failures or a malformed fault spec — as in [`run_one_at`],
-/// a partial figure is useless.
+/// Simulation failures — a sweep with a broken probe has no value.
+pub fn run_machine_probes(
+    scale: Scale,
+    store: Option<&mut SweepCheckpoint>,
+) -> Result<Vec<ProbeResult>, CheckpointError> {
+    let mut scratch = SweepCheckpoint::in_memory(0);
+    let store = store.unwrap_or(&mut scratch);
+    // An empty matrix leaves exactly the probes in the job list.
+    let probes = grid_jobs(&[], &[]);
+    run_strict(
+        &SweepRunner::with_threads(1),
+        &probes,
+        scale,
+        false,
+        None,
+        store,
+    )?;
+    Ok(probes_from_store(store).expect("no budget and no failures, so every probe is stored"))
+}
+
+/// The figure binaries' entry point: runs a figure's matrix through
+/// [`run_grid`], fault-isolated under the policy from [`FAULTS_ENV`] (no
+/// env var means no injection; one retry either way). With a `checkpoint`
+/// path the grid resumes from (and records into) that file — bound via
+/// [`grid_id`] to this exact config/workload set, so a stale file from a
+/// different figure can never be resumed against it; without one it runs
+/// purely in memory.
+///
+/// Quarantined cells print a failures block to stderr and **exit the
+/// process with code 4** — every healthy cell is already persisted to the
+/// checkpoint, so nothing is lost.
+///
+/// # Panics
+/// Checkpoint failures or a malformed fault spec — a partial figure is
+/// useless.
 pub fn run_matrix_figure(
     runner: &SweepRunner,
     configs: &[SmConfig],
@@ -542,93 +428,34 @@ pub fn run_matrix_figure(
 ) -> MatrixResult {
     let policy =
         FaultPolicy::from_env(1).unwrap_or_else(|e| panic!("bad {FAULTS_ENV} fault spec: {e}"));
-    let Some(path) = checkpoint else {
-        if policy.injector.is_none() {
-            return run_matrix_at(runner, configs, workloads, scale, verify);
+    let id = grid_id(configs, workloads, scale);
+    let mut store = match checkpoint {
+        Some(path) => {
+            let store = SweepCheckpoint::resume(path, id)
+                .unwrap_or_else(|e| panic!("checkpoint {path}: {e}"));
+            if !store.is_empty() {
+                eprintln!(
+                    "checkpoint {path}: resuming with {} completed cell(s)",
+                    store.len()
+                );
+            }
+            store
         }
-        // Injection without a checkpoint still needs an (in-memory) store
-        // so the contained path can assemble healthy cells.
-        let mut store = SweepCheckpoint::in_memory(crate::grid::grid_id(configs, workloads, scale));
-        return finish_figure(run_matrix_contained(
-            runner, configs, workloads, scale, verify, &mut store, None, &policy,
-        ));
+        None => SweepCheckpoint::in_memory(id),
     };
-    let id = crate::grid::grid_id(configs, workloads, scale);
-    let mut store =
-        SweepCheckpoint::resume(path, id).unwrap_or_else(|e| panic!("checkpoint {path}: {e}"));
-    if !store.is_empty() {
-        eprintln!(
-            "checkpoint {path}: resuming with {} completed cell(s)",
-            store.len()
-        );
-    }
     if let Some(injector) = &policy.injector {
         store.arm_faults(Arc::clone(injector));
     }
-    finish_figure(run_matrix_contained(
-        runner, configs, workloads, scale, verify, &mut store, None, &policy,
-    ))
-}
-
-/// Shared tail of [`run_matrix_figure`]: surfaces quarantined cells and
-/// exits 4, panics on checkpoint errors, unwraps the completed matrix.
-fn finish_figure(report: Result<SweepReport, CheckpointError>) -> MatrixResult {
-    let report = report.unwrap_or_else(|e| panic!("checkpointed figure grid: {e}"));
-    if !report.failures.is_empty() {
-        eprint!("{}", format_failures(&report.failures));
+    let jobs = matrix_jobs(configs, workloads);
+    let failures = run_grid(runner, &jobs, scale, verify, &policy, None, &mut store)
+        .unwrap_or_else(|e| panic!("figure grid: {e}"));
+    if !failures.is_empty() {
+        eprint!("{}", format_failures(&failures));
         eprintln!("completed cells are persisted; fix the fault and re-run to fill the gaps");
         std::process::exit(4);
     }
-    report
-        .matrix
-        .expect("no cell budget and no failures, so the grid must complete")
-}
-
-/// The pre-parallelism reference path: every cell run back-to-back on the
-/// calling thread. Kept as the baseline the sweep-scaling benchmark and
-/// `BENCH_sweep.json` measure against.
-pub fn run_matrix_serial(
-    configs: &[SmConfig],
-    workloads: &[Box<dyn Workload>],
-    verify: bool,
-) -> MatrixResult {
-    run_matrix_serial_at(configs, workloads, Scale::Bench, verify)
-}
-
-/// [`run_matrix_serial`] at an explicit problem scale.
-pub fn run_matrix_serial_at(
-    configs: &[SmConfig],
-    workloads: &[Box<dyn Workload>],
-    scale: Scale,
-    verify: bool,
-) -> MatrixResult {
-    let flat: Vec<CellResult> = (0..workloads.len())
-        .flat_map(|w| (0..configs.len()).map(move |c| (w, c)))
-        .map(|(w, c)| run_one_at(&configs[c], workloads[w].as_ref(), scale, verify))
-        .collect();
-    collect_matrix(configs, workloads, flat)
-}
-
-fn collect_matrix(
-    configs: &[SmConfig],
-    workloads: &[Box<dyn Workload>],
-    flat: Vec<CellResult>,
-) -> MatrixResult {
-    debug_assert_eq!(flat.len(), configs.len() * workloads.len());
-    let mut cells: Vec<Vec<CellResult>> = Vec::with_capacity(workloads.len());
-    let mut it = flat.into_iter();
-    for _ in 0..workloads.len() {
-        cells.push(
-            (0..configs.len())
-                .map(|_| it.next().expect("full matrix"))
-                .collect(),
-        );
-    }
-    MatrixResult {
-        configs: configs.iter().map(|c| c.name.clone()).collect(),
-        workloads: workloads.iter().map(|w| w.name().to_string()).collect(),
-        cells,
-    }
+    matrix_from_store(configs, workloads, &store)
+        .expect("no budget and no failures, so the grid completes")
 }
 
 /// Formats an IPC table: one row per workload, one column per config, plus
@@ -725,12 +552,16 @@ mod tests {
     fn tiny_matrix_runs() {
         // One cheap workload × two configs, verified.
         let configs = vec![SmConfig::baseline(), SmConfig::sbi()];
-        let w = warpweave_workloads::by_name("Hotspot").expect("registered");
-        // Use Test scale through run_prepared directly to keep this fast.
-        for cfg in &configs {
-            let prepared = w.prepare(Scale::Test);
-            let stats = run_prepared(cfg, prepared, true).unwrap();
-            assert!(stats.ipc() > 0.0);
-        }
+        let workloads = vec![warpweave_workloads::by_name("Hotspot").expect("registered")];
+        let m = run_matrix_at(
+            &SweepRunner::with_threads(2),
+            &configs,
+            &workloads,
+            Scale::Test,
+            true,
+        );
+        assert_eq!(m.workloads, ["Hotspot"]);
+        assert_eq!(m.configs, ["Baseline", "SBI"]);
+        assert!(m.ipc(0, 0) > 0.0 && m.ipc(0, 1) > 0.0);
     }
 }

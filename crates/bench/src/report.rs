@@ -1,5 +1,5 @@
-//! Deterministic sweep reports: the `BENCH_sweep.json` payload, the
-//! machine-probe runner, and the golden-baseline record/check machinery.
+//! Deterministic sweep reports: the `BENCH_sweep.json` payload, machine
+//! probe results, and the golden-baseline record/check machinery.
 //!
 //! # Determinism contract
 //!
@@ -13,10 +13,9 @@
 //! single IPC digit, one stall cycle — is a real behaviour change that
 //! must be acknowledged by re-recording the baseline.
 
-use warpweave_core::checkpoint::{CellRecord, CheckpointError, SweepCheckpoint};
+use warpweave_core::checkpoint::SweepCheckpoint;
 use warpweave_core::Stats;
 use warpweave_mem::ChannelStats;
-use warpweave_workloads::{by_name, run_prepared_multi_sm, Scale};
 
 use crate::grid::{machine_probes, MachineProbe};
 use crate::harness::{CellFailure, CellResult, MatrixResult};
@@ -64,85 +63,10 @@ impl ProbeResult {
     }
 }
 
-/// Runs (or resumes from `store`) every machine probe of the sweep grid at
-/// `scale`. Completed probes are appended to the checkpoint like matrix
-/// cells, so an interrupted `--full` sweep does not redo them either.
-///
-/// # Errors
-/// Checkpoint recording failures.
-///
-/// # Panics
-/// Simulation failures — a sweep with a broken probe has no value.
-pub fn run_machine_probes(
-    scale: Scale,
-    store: Option<&mut SweepCheckpoint>,
-) -> Result<Vec<ProbeResult>, CheckpointError> {
-    let all: Vec<usize> = (0..machine_probes().len()).collect();
-    run_machine_probes_selected(scale, store, &all)
-}
-
-/// [`run_machine_probes`] restricted to the probes at the given indices
-/// of the [`machine_probes`] list — the probe half of a sharded
-/// (`--jobs-from`) sweep, where each host runs only its slice of the job
-/// grid. Results come back in probe order, selected probes only.
-///
-/// # Errors
-/// Checkpoint recording failures.
-///
-/// # Panics
-/// Simulation failures, as in [`run_machine_probes`].
-pub fn run_machine_probes_selected(
-    scale: Scale,
-    mut store: Option<&mut SweepCheckpoint>,
-    selected: &[usize],
-) -> Result<Vec<ProbeResult>, CheckpointError> {
-    let mut results = Vec::new();
-    for (idx, probe) in machine_probes().into_iter().enumerate() {
-        if !selected.contains(&idx) {
-            continue;
-        }
-        let key = probe.key();
-        if let Some(record) = store.as_ref().and_then(|s| s.get(&key)) {
-            results.push(ProbeResult {
-                probe,
-                total: record.stats.clone(),
-                channel: record.channel.unwrap_or_default(),
-            });
-            continue;
-        }
-        let record =
-            run_probe(&probe, scale).unwrap_or_else(|e| panic!("machine probe {key}: {e}"));
-        if let Some(s) = store.as_deref_mut() {
-            s.record(&key, record.clone())?;
-        }
-        results.push(ProbeResult {
-            probe,
-            total: record.stats,
-            channel: record.channel.unwrap_or_default(),
-        });
-    }
-    Ok(results)
-}
-
-/// Simulates one machine probe at `scale`, returning the checkpoint
-/// record (machine-total counters plus shared-channel counters) the
-/// sweep would persist for it. This is the single-probe cell body the
-/// sweep service queues alongside matrix cells.
-///
-/// # Errors
-/// The rendered simulation failure.
-pub fn run_probe(probe: &MachineProbe, scale: Scale) -> Result<CellRecord, String> {
-    let workload = by_name(probe.workload)
-        .ok_or_else(|| format!("machine-probe workload `{}` unregistered", probe.workload))?;
-    let stats = run_prepared_multi_sm(&probe.cfg, probe.num_sms, workload.prepare(scale), false)
-        .map_err(|e| e.to_string())?;
-    Ok(CellRecord::with_channel(stats.total, stats.channel))
-}
-
-/// Assembles every machine probe purely from a (merged) store — the
-/// probe half of `bench_sweep --merge`, which must never re-simulate
-/// anything: a merge is a validation-and-union step over already-run
-/// shards.
+/// Assembles every machine probe from a store — how every sweep reads
+/// its probe results back, and the probe half of `bench_sweep --merge`,
+/// which must never re-simulate anything: a merge is a
+/// validation-and-union step over already-run shards.
 ///
 /// # Errors
 /// The sorted list of missing probe keys, when the union does not cover
@@ -403,8 +327,8 @@ pub struct GoldenCell {
 /// Parses the committed golden baseline's cell lines back into
 /// [`GoldenCell`]s. The renderer puts one cell per line with the fields
 /// in a fixed order ([`render_golden_json`]), so a line scan is exact for
-/// our own output — this is what `bench_hotpath`'s micro-assert and the
-/// policy-equivalence test cross-check registry-built runs against.
+/// our own output — this is what the policy-equivalence test
+/// cross-checks registry-built runs against.
 pub fn parse_golden_cells(text: &str) -> Vec<GoldenCell> {
     fn field_u64(line: &str, key: &str) -> Option<u64> {
         let start = line.find(key)? + key.len();

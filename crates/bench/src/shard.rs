@@ -7,11 +7,13 @@
 //! [`SweepCheckpoint`] file, and the files merged back into the exact
 //! payload a single host would have produced. Three pieces make that safe:
 //!
-//! * **One canonical job numbering** ([`job_counts`]): the full job grid is
-//!   the workload-major matrix cells (`0 .. W×C`) followed by the machine
-//!   probes (`W×C .. W×C+P`). Shard specs, fault-injection rules and the
-//!   merge completeness check all index this same list, so `shard:2/8`
-//!   means the same jobs on every host and across resumes.
+//! * **One canonical job numbering** ([`grid_jobs`](crate::grid::grid_jobs)):
+//!   the full job grid is the workload-major matrix cells (`0 .. W×C`)
+//!   followed by the machine probes (`W×C .. W×C+P`). Shard specs,
+//!   fault-injection rules and the merge completeness check all index this
+//!   same list, so `shard:2/8` means the same jobs on every host and across
+//!   resumes; a shard is simply [`run_grid`](crate::harness::run_grid) over
+//!   the selected jobs.
 //! * **Grid-bound shards**: every shard checkpoint carries the same grid
 //!   id a single-host checkpoint would; [`merge_checkpoints`] refuses a
 //!   shard from a different grid (or a torn/corrupt file) instead of
@@ -25,11 +27,10 @@
 
 use std::collections::BTreeSet;
 
-use warpweave_core::checkpoint::{CellRecord, SweepCheckpoint};
+use warpweave_core::checkpoint::SweepCheckpoint;
 use warpweave_core::SmConfig;
 use warpweave_workloads::Workload;
 
-use crate::grid::machine_probes;
 use crate::harness::{cell_key, CellResult, MatrixResult};
 
 /// Which slice of the full job grid a `--jobs-from` run executes.
@@ -145,30 +146,6 @@ impl std::fmt::Display for ShardSpec {
     }
 }
 
-/// `(matrix_cells, machine_probes)` — the two segments of the full job
-/// grid, in canonical order: workload-major matrix cells first, then the
-/// machine probes of [`machine_probes`].
-pub fn job_counts(configs: &[SmConfig], workloads: &[Box<dyn Workload>]) -> (usize, usize) {
-    (configs.len() * workloads.len(), machine_probes().len())
-}
-
-/// Splits sorted full-grid job indices into `(matrix_cell_indices,
-/// probe_indices)` — probe indices re-based to `0..P`.
-pub fn split_jobs(indices: &[usize], matrix_cells: usize) -> (Vec<usize>, Vec<usize>) {
-    let cells = indices
-        .iter()
-        .copied()
-        .filter(|&i| i < matrix_cells)
-        .collect();
-    let probes = indices
-        .iter()
-        .copied()
-        .filter(|&i| i >= matrix_cells)
-        .map(|i| i - matrix_cells)
-        .collect();
-    (cells, probes)
-}
-
 /// Merges shard checkpoint files into one in-memory union store bound to
 /// `expected_grid`.
 ///
@@ -253,20 +230,6 @@ pub fn matrix_from_store(
     })
 }
 
-/// Copies `record` under `key` into `store` (test helper for synthesizing
-/// shard files from already-simulated cells; the production shard path
-/// records through the contained runner).
-///
-/// # Errors
-/// As [`SweepCheckpoint::record`].
-pub fn record_into(
-    store: &mut SweepCheckpoint,
-    key: &str,
-    record: CellRecord,
-) -> Result<(), String> {
-    store.record(key, record).map_err(|e| e.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,12 +286,5 @@ mod tests {
         ] {
             assert!(ShardSpec::parse(bad).is_err(), "`{bad}` must be rejected");
         }
-    }
-
-    #[test]
-    fn split_jobs_rebases_probe_indices() {
-        let (cells, probes) = split_jobs(&[0, 3, 9, 10, 12], 10);
-        assert_eq!(cells, vec![0, 3, 9]);
-        assert_eq!(probes, vec![0, 2]);
     }
 }

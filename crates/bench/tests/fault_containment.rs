@@ -1,23 +1,28 @@
 //! Fault-containment drills at the harness level: a fault injected into
-//! **any** cell of a sweep grid quarantines exactly that cell — every
-//! healthy cell completes bit-identical to a fault-free run at 1 and 8
-//! host threads — and a checkpoint torn by an injected partial write is
-//! salvaged and resumed to a **byte-identical** `BENCH_sweep.json`.
+//! **any** job of a sweep grid — matrix cell or machine probe, addressed
+//! by index or by key — quarantines exactly that job, every healthy job
+//! completes bit-identical to a fault-free run at 1 and 8 host threads,
+//! and the healed re-run renders a **byte-identical** `BENCH_sweep.json`;
+//! so does a checkpoint torn by an injected partial write, once salvaged
+//! and resumed.
 
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
-use warpweave_bench::grid;
-use warpweave_bench::harness::{run_matrix_at, run_matrix_contained, FaultPolicy};
-use warpweave_bench::report::{render_sweep_json, run_machine_probes};
-use warpweave_bench::{cell_key, MatrixResult};
-use warpweave_core::checkpoint::SweepCheckpoint;
+use warpweave_bench::grid::{self, grid_jobs, GridJob};
+use warpweave_bench::harness::{run_grid, FaultPolicy};
+use warpweave_bench::report::{probes_from_store, render_sweep_json};
+use warpweave_bench::shard::matrix_from_store;
+use warpweave_core::checkpoint::{CellRecord, SweepCheckpoint};
 use warpweave_core::faultinject::FaultPlan;
 use warpweave_core::{SmConfig, SweepRunner};
 use warpweave_workloads::{Scale, Workload};
 
-/// A small but non-trivial grid: 2 workloads × 3 front-ends.
+const SCALE: Scale = Scale::Test;
+
+/// A small but non-trivial grid: 2 workloads × 3 front-ends, plus the
+/// machine probes every grid carries.
 fn test_grid() -> (Vec<SmConfig>, Vec<Box<dyn Workload>>) {
     let configs = grid::figure7_configs().into_iter().take(3).collect();
     (configs, grid::quick_workloads())
@@ -29,106 +34,101 @@ fn scratch(name: &str) -> std::path::PathBuf {
     dir.join(name)
 }
 
-/// The fault-free reference matrix, computed once on one thread.
-fn reference() -> &'static MatrixResult {
-    static REF: OnceLock<MatrixResult> = OnceLock::new();
+/// Runs `jobs` into `store` on `threads` host threads, without a budget.
+fn sweep(
+    threads: usize,
+    jobs: &[GridJob],
+    policy: &FaultPolicy,
+    store: &mut SweepCheckpoint,
+) -> Result<Vec<warpweave_bench::CellFailure>, warpweave_core::CheckpointError> {
+    let runner = SweepRunner::with_threads(threads);
+    run_grid(&runner, jobs, SCALE, false, policy, None, store)
+}
+
+/// Renders the sweep payload of a store that holds the whole test grid.
+fn render(store: &SweepCheckpoint) -> String {
+    let (configs, workloads) = test_grid();
+    let matrix = matrix_from_store(&configs, &workloads, store).expect("every cell stored");
+    let probes = probes_from_store(store).expect("every probe stored");
+    render_sweep_json("test", &matrix, &probes)
+}
+
+/// The fault-free reference, computed once on one thread: every job's
+/// record in job order, and the payload rendered from them.
+fn reference() -> &'static (Vec<CellRecord>, String) {
+    static REF: OnceLock<(Vec<CellRecord>, String)> = OnceLock::new();
     REF.get_or_init(|| {
         let (configs, workloads) = test_grid();
-        run_matrix_at(
-            &SweepRunner::with_threads(1),
-            &configs,
-            &workloads,
-            Scale::Test,
-            false,
-        )
+        let jobs = grid_jobs(&configs, &workloads);
+        let mut store = SweepCheckpoint::in_memory(grid::grid_id(&configs, &workloads, SCALE));
+        let failures = sweep(1, &jobs, &FaultPolicy::none(), &mut store).unwrap();
+        assert!(failures.is_empty(), "{failures:?}");
+        let records = jobs
+            .iter()
+            .map(|job| store.get(&job.key).expect("reference job").clone())
+            .collect();
+        (records, render(&store))
     })
 }
 
-/// Exhaustive drill (every cell × both fault kinds × 1 and 8 threads):
-/// the faulted cell is retried once, quarantined with full provenance,
-/// and every other cell is bit-identical to the fault-free reference. A
-/// follow-up run on the same store with injection disabled heals the
-/// grid to a matrix bit-identical to the reference.
+/// Exhaustive drill (every job × 1 and 8 threads, both fault kinds, both
+/// addressing modes): the faulted job is retried once and quarantined
+/// with full provenance, every other job is bit-identical to the
+/// fault-free reference, and a follow-up run on the same store with
+/// injection disabled heals the grid to the byte-identical payload.
 #[test]
-fn fault_in_any_cell_contains_to_that_cell() {
+fn fault_in_any_job_contains_to_that_job() {
     let (configs, workloads) = test_grid();
-    let scale = Scale::Test;
-    let id = grid::grid_id(&configs, &workloads, scale);
-    let total = configs.len() * workloads.len();
-    let reference = reference();
+    let id = grid::grid_id(&configs, &workloads, SCALE);
+    let jobs = grid_jobs(&configs, &workloads);
+    assert_eq!(jobs.len(), 6 + grid::machine_probes().len());
+    let (ref_records, ref_json) = reference();
 
-    for fault_cell in 0..total {
-        // Alternate the kind per cell: every cell index is drilled, both
-        // kinds are drilled repeatedly, and the drill stays fast.
-        let spec_kind = if fault_cell % 2 == 0 { "panic" } else { "sim" };
-        {
-            for threads in [1usize, 8] {
-                let what = format!("{spec_kind}@cell:{fault_cell} at {threads} threads");
-                let plan = FaultPlan::parse(&format!("{spec_kind}@cell:{fault_cell}")).unwrap();
-                let policy = FaultPolicy {
-                    max_retries: 1,
-                    injector: Some(Arc::new(plan.arm())),
-                };
-                let runner = SweepRunner::with_threads(threads);
-                let mut store = SweepCheckpoint::in_memory(id);
-                let report = run_matrix_contained(
-                    &runner, &configs, &workloads, scale, false, &mut store, None, &policy,
-                )
-                .unwrap();
+    for target in &jobs {
+        // Alternate kind and addressing per job: every index is drilled,
+        // every form is drilled repeatedly, and the drill stays fast.
+        let spec = match (target.index % 2 == 0, target.is_probe()) {
+            (true, _) => format!("panic@cell:{}", target.index),
+            (false, false) => format!("sim@cell:{}", target.index),
+            (false, true) => format!("panic@key:{}", target.key),
+        };
+        for threads in [1usize, 8] {
+            let what = format!("{spec} at {threads} threads");
+            let plan = FaultPlan::parse(&spec).unwrap();
+            let policy = FaultPolicy {
+                max_retries: 1,
+                injector: Some(Arc::new(plan.arm())),
+            };
+            let mut store = SweepCheckpoint::in_memory(id);
+            let failures = sweep(threads, &jobs, &policy, &mut store).unwrap();
 
-                // Exactly the targeted cell is quarantined, with provenance.
-                assert_eq!(report.failures.len(), 1, "{what}: one quarantined cell");
-                let failure = &report.failures[0];
-                let (w, c) = (fault_cell / configs.len(), fault_cell % configs.len());
-                assert_eq!(failure.workload, workloads[w].name(), "{what}");
-                assert_eq!(failure.config, configs[c].name, "{what}");
-                assert_eq!(failure.seed, configs[c].seed, "{what}: seed provenance");
-                assert_eq!(failure.attempts, 2, "{what}: one retry before quarantine");
-                assert!(report.matrix.is_none(), "{what}: no full matrix");
+            // Exactly the targeted job is quarantined, with provenance.
+            assert_eq!(failures.len(), 1, "{what}: one quarantined job");
+            let failure = &failures[0];
+            assert_eq!(failure.key, target.key, "{what}");
+            assert_eq!(failure.workload, target.workload, "{what}");
+            assert_eq!(failure.config, target.config.name, "{what}");
+            assert_eq!(failure.seed, target.config.seed, "{what}: seed provenance");
+            assert_eq!(failure.attempts, 2, "{what}: one retry before quarantine");
+            assert!(failure.to_string().contains(&target.key), "{what}");
 
-                // Every healthy cell is bit-identical to the reference.
-                assert_eq!(report.healthy.len(), total - 1, "{what}");
-                for cell in &report.healthy {
-                    let rw = reference
-                        .workloads
-                        .iter()
-                        .position(|n| *n == cell.workload)
-                        .unwrap();
-                    let rc = reference
-                        .configs
-                        .iter()
-                        .position(|n| *n == cell.config)
-                        .unwrap();
-                    assert_eq!(
-                        cell.stats,
-                        reference.cells[rw][rc].stats,
-                        "{what}: healthy cell {} drifted",
-                        cell_key(&cell.workload, &cell.config)
-                    );
-                }
-
-                // Healing run: same store, injection off — completes the grid.
-                let healed = run_matrix_contained(
-                    &runner,
-                    &configs,
-                    &workloads,
-                    scale,
-                    false,
-                    &mut store,
-                    None,
-                    &FaultPolicy::none(),
-                )
-                .unwrap();
-                assert!(healed.failures.is_empty(), "{what}: heals cleanly");
-                let matrix = healed.matrix.expect("healed grid completes");
-                assert_eq!(matrix.workloads, reference.workloads, "{what}");
-                assert_eq!(matrix.configs, reference.configs, "{what}");
-                for (ra, rb) in matrix.cells.iter().zip(&reference.cells) {
-                    for (ca, cb) in ra.iter().zip(rb) {
-                        assert_eq!(ca.stats, cb.stats, "{what}: healed cell drifted");
-                    }
+            // Every healthy job is stored bit-identical to the reference;
+            // the quarantined one is not stored at all.
+            assert_eq!(store.len(), jobs.len() - 1, "{what}");
+            for (job, expected) in jobs.iter().zip(ref_records) {
+                let stored = store.get(&job.key);
+                if job.index == target.index {
+                    assert!(stored.is_none(), "{what}: quarantined job recorded");
+                } else {
+                    assert_eq!(stored, Some(expected), "{what}: {} drifted", job.key);
                 }
             }
+
+            // Healing run: same store, injection off — re-attempts only
+            // the gap and completes the grid.
+            let healed = sweep(threads, &jobs, &FaultPolicy::none(), &mut store).unwrap();
+            assert!(healed.is_empty(), "{what}: heals cleanly");
+            assert_eq!(&render(&store), ref_json, "{what}: healed payload");
         }
     }
 }
@@ -146,15 +146,9 @@ proptest! {
         keep in 0usize..60,
     ) {
         let (configs, workloads) = test_grid();
-        let scale = Scale::Test;
-        let id = grid::grid_id(&configs, &workloads, scale);
-        let runner = SweepRunner::with_threads(1);
-
-        // The uninterrupted reference payload.
-        let ref_json = {
-            let probes = run_machine_probes(scale, None).unwrap();
-            render_sweep_json("test", reference(), &probes)
-        };
+        let id = grid::grid_id(&configs, &workloads, SCALE);
+        let jobs = grid_jobs(&configs, &workloads);
+        let (_, ref_json) = reference();
 
         let path = scratch(&format!("torn-{record}-{keep}.checkpoint"));
         let _ = std::fs::remove_file(&path);
@@ -163,10 +157,7 @@ proptest! {
         let plan = FaultPlan::parse(&format!("torn@record:{record}:{keep}")).unwrap();
         let mut store = SweepCheckpoint::resume(&path, id).unwrap();
         store.arm_faults(Arc::new(plan.arm()));
-        let crash = run_matrix_contained(
-            &runner, &configs, &workloads, scale, false, &mut store, None,
-            &FaultPolicy::none(),
-        );
+        let crash = sweep(1, &jobs, &FaultPolicy::none(), &mut store);
         prop_assert!(crash.is_err(), "torn write must surface as a checkpoint error");
         drop(store);
 
@@ -178,16 +169,9 @@ proptest! {
         }
         let mut store = SweepCheckpoint::resume(&path, id).unwrap();
         prop_assert_eq!(store.len(), record);
-        let resumed = run_matrix_contained(
-            &runner, &configs, &workloads, scale, false, &mut store, None,
-            &FaultPolicy::none(),
-        )
-        .unwrap();
-        prop_assert!(resumed.failures.is_empty());
-        let matrix = resumed.matrix.expect("resumed grid completes");
-        let probes = run_machine_probes(scale, Some(&mut store)).unwrap();
-        let json = render_sweep_json("test", &matrix, &probes);
-        prop_assert_eq!(json, ref_json, "salvaged-and-resumed payload must be byte-identical");
+        let resumed = sweep(1, &jobs, &FaultPolicy::none(), &mut store).unwrap();
+        prop_assert!(resumed.is_empty());
+        prop_assert_eq!(&render(&store), ref_json, "salvaged-and-resumed payload");
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -5,7 +5,7 @@
 //! checkpoint recorded for one figure's grid must be refused by another's.
 
 use warpweave_bench::grid;
-use warpweave_bench::harness::{run_matrix_checkpointed, run_matrix_figure, run_matrix_serial_at};
+use warpweave_bench::harness::{run_matrix_at, run_matrix_checkpointed, run_matrix_figure};
 use warpweave_bench::MatrixResult;
 use warpweave_core::checkpoint::{CheckpointError, SweepCheckpoint};
 use warpweave_core::SweepRunner;
@@ -49,7 +49,7 @@ fn interrupted_figure_grid_resumes_bit_identical() {
     let _ = std::fs::remove_file(&path);
 
     // The uninterrupted in-memory reference.
-    let reference = run_matrix_serial_at(&configs, &workloads, scale, false);
+    let reference = run_matrix_at(&runner, &configs, &workloads, scale, false);
 
     // Phase 1: "kill" the figure run after 2 of its 4 cells (a cell
     // budget stands in for SIGKILL at a cell boundary).

@@ -5,19 +5,20 @@
 //!   serialization — the preset's `policy` field resolves back to the
 //!   same entry, and a sweep checkpoint keyed by each policy's config
 //!   label resumes exactly;
-//! * the five legacy `Frontend` configurations produce **bit-identical**
+//! * the paper's five front-end configurations produce **bit-identical**
 //!   statistics to the committed `BENCH_golden.json` when constructed via
 //!   the new registry path (`SmConfig::with_policy`);
 //! * the net-new `GreedyThenOldest` policy is selectable from the
 //!   registry, differs from the baseline order, and is bit-identical
 //!   across 1 and 8 host threads on a multi-SM machine.
 
-use warpweave_bench::harness::{cell_key, run_one_at};
+use warpweave_bench::grid::{grid_jobs, quick_workloads};
+use warpweave_bench::harness::cell_key;
 use warpweave_bench::parse_golden_cells;
 use warpweave_core::checkpoint::{CellRecord, SweepCheckpoint};
 use warpweave_core::{Launch, Machine, MachineStats, PolicyRegistry, SchedOrder, SmConfig};
 use warpweave_isa::{p, r, CmpOp, KernelBuilder, Operand, Program, SpecialReg};
-use warpweave_workloads::{by_name, Scale};
+use warpweave_workloads::Scale;
 
 /// The committed golden baseline at the workspace root.
 fn golden_path() -> std::path::PathBuf {
@@ -78,28 +79,30 @@ fn legacy_frontends_match_golden_via_registry_path() {
         .expect("committed BENCH_golden.json at the workspace root");
     let cells = parse_golden_cells(&text);
     assert!(!cells.is_empty(), "golden baseline parsed no cells");
+    let configs: Vec<SmConfig> = ["Baseline", "Warp64", "SBI", "SWI", "SBI+SWI"]
+        .iter()
+        .map(|name| SmConfig::with_policy(name).expect("registered"))
+        .collect();
+    // MatrixMul and SortingNetworks: one regular, one irregular.
     let mut checked = 0usize;
-    for name in ["Baseline", "Warp64", "SBI", "SWI", "SBI+SWI"] {
-        let cfg = SmConfig::with_policy(name).expect("registered");
-        for workload in ["MatrixMul", "SortingNetworks"] {
-            let key = cell_key(workload, &cfg.name);
-            let golden = cells
-                .iter()
-                .find(|c| c.key == key)
-                .unwrap_or_else(|| panic!("golden baseline has no cell '{key}'"));
-            let cell = run_one_at(
-                &cfg,
-                by_name(workload).expect("registered workload").as_ref(),
-                Scale::Test,
-                false,
-            );
-            assert_eq!(
-                (cell.stats.cycles, cell.stats.thread_instructions),
-                (golden.cycles, golden.thread_instructions),
-                "{key}: registry-constructed run drifted from BENCH_golden.json"
-            );
-            checked += 1;
+    for job in grid_jobs(&configs, &quick_workloads()) {
+        if job.is_probe() {
+            continue;
         }
+        let golden = cells
+            .iter()
+            .find(|c| c.key == job.key)
+            .unwrap_or_else(|| panic!("golden baseline has no cell '{}'", job.key));
+        let record = job
+            .run(Scale::Test, false)
+            .unwrap_or_else(|e| panic!("{}: {e}", job.key));
+        assert_eq!(
+            (record.stats.cycles, record.stats.thread_instructions),
+            (golden.cycles, golden.thread_instructions),
+            "{}: registry-constructed run drifted from BENCH_golden.json",
+            job.key
+        );
+        checked += 1;
     }
     assert_eq!(checked, 10);
 }

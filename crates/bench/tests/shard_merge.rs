@@ -9,10 +9,10 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use warpweave_bench::grid;
+use warpweave_bench::grid::{self, grid_jobs, GridJob};
 use warpweave_bench::{
-    cell_key, job_counts, matrix_from_store, merge_checkpoints, probes_from_store,
-    render_sweep_json, run_machine_probes_selected, run_matrix_shard, FaultPolicy, ShardSpec,
+    matrix_from_store, merge_checkpoints, probes_from_store, render_sweep_json, run_grid,
+    FaultPolicy, ShardSpec,
 };
 use warpweave_core::checkpoint::{CellRecord, SweepCheckpoint};
 use warpweave_core::SweepRunner;
@@ -26,47 +26,48 @@ struct Reference {
     json: String,
 }
 
+/// Runs `jobs` of the quick grid into `store`; nothing may fail.
+fn sweep(jobs: &[GridJob], store: &mut SweepCheckpoint) {
+    let runner = SweepRunner::with_threads(2);
+    let policy = FaultPolicy::none();
+    let failures =
+        run_grid(&runner, jobs, Scale::Test, false, &policy, None, store).expect("sweep records");
+    assert!(failures.is_empty(), "{failures:?}");
+}
+
+/// Renders the sweep payload from a store holding (part of) the quick grid.
+fn render(store: &SweepCheckpoint) -> Result<String, String> {
+    let configs = grid::figure7_configs();
+    let workloads = grid::sweep_workloads(false);
+    let matrix = matrix_from_store(&configs, &workloads, store)
+        .map_err(|missing| format!("missing cells: {missing:?}"))?;
+    let probes =
+        probes_from_store(store).map_err(|missing| format!("missing probes: {missing:?}"))?;
+    Ok(render_sweep_json("test", &matrix, &probes))
+}
+
+fn quick_jobs() -> Vec<GridJob> {
+    grid_jobs(&grid::figure7_configs(), &grid::sweep_workloads(false))
+}
+
 fn reference() -> &'static Reference {
     static REF: OnceLock<Reference> = OnceLock::new();
     REF.get_or_init(|| {
         let configs = grid::figure7_configs();
         let workloads = grid::sweep_workloads(false);
         let id = grid::grid_id(&configs, &workloads, Scale::Test);
+        let jobs = quick_jobs();
         let mut store = SweepCheckpoint::in_memory(id);
-        let runner = SweepRunner::with_threads(2);
-        let report = run_matrix_shard(
-            &runner,
-            &configs,
-            &workloads,
-            Scale::Test,
-            false,
-            &mut store,
-            None,
-            &FaultPolicy::none(),
-            None,
-        )
-        .expect("reference sweep");
-        let matrix = report.matrix.expect("no budget, no failures");
-        let all: Vec<usize> = (0..grid::machine_probes().len()).collect();
-        let probes = run_machine_probes_selected(Scale::Test, Some(&mut store), &all)
-            .expect("reference probes");
-        let json = render_sweep_json("test", &matrix, &probes);
+        sweep(&jobs, &mut store);
         // Canonical job order: matrix cells workload-major, then probes.
-        let mut records = Vec::new();
-        for w in &workloads {
-            for c in &configs {
-                let key = cell_key(w.name(), &c.name);
-                records.push((key.clone(), store.get(&key).expect("matrix cell").clone()));
-            }
-        }
-        for p in grid::machine_probes() {
-            let key = p.key();
-            records.push((key.clone(), store.get(&key).expect("probe cell").clone()));
-        }
+        let records = jobs
+            .iter()
+            .map(|job| (job.key.clone(), store.get(&job.key).expect("job").clone()))
+            .collect();
         Reference {
             records,
             grid_id: id,
-            json,
+            json: render(&store).expect("full grid"),
         }
     })
 }
@@ -95,15 +96,7 @@ fn write_shard(path: &str, indices: &[usize]) {
 
 /// Renders the sweep payload from a merged union store.
 fn render_union(paths: &[String]) -> Result<String, String> {
-    let reference = reference();
-    let union = merge_checkpoints(paths, reference.grid_id)?;
-    let configs = grid::figure7_configs();
-    let workloads = grid::sweep_workloads(false);
-    let matrix = matrix_from_store(&configs, &workloads, &union)
-        .map_err(|missing| format!("missing cells: {missing:?}"))?;
-    let probes =
-        probes_from_store(&union).map_err(|missing| format!("missing probes: {missing:?}"))?;
-    Ok(render_sweep_json("test", &matrix, &probes))
+    render(&merge_checkpoints(paths, reference().grid_id)?)
 }
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -163,53 +156,24 @@ fn round_robin_sharded_execution_reproduces_the_single_host_payload() {
     // three stores, unioned, rendered — against the same reference the
     // partition property uses.
     let reference = reference();
-    let configs = grid::figure7_configs();
-    let workloads = grid::sweep_workloads(false);
-    let (matrix_cells, probe_count) = job_counts(&configs, &workloads);
-    let runner = SweepRunner::with_threads(2);
+    let jobs = quick_jobs();
     let mut union = SweepCheckpoint::in_memory(reference.grid_id);
     for k in 0..3 {
         let spec = ShardSpec::parse(&format!("shard:{k}/3")).unwrap();
-        let indices = spec.select(matrix_cells + probe_count).unwrap();
-        let (cells, probe_sel): (Vec<usize>, Vec<usize>) = (
-            indices
-                .iter()
-                .copied()
-                .filter(|&i| i < matrix_cells)
-                .collect(),
-            indices
-                .iter()
-                .copied()
-                .filter(|&i| i >= matrix_cells)
-                .map(|i| i - matrix_cells)
-                .collect(),
-        );
+        let indices = spec.select(jobs.len()).unwrap();
+        let shard: Vec<GridJob> = indices.iter().map(|&i| jobs[i].clone()).collect();
         let mut store = SweepCheckpoint::in_memory(reference.grid_id);
-        run_matrix_shard(
-            &runner,
-            &configs,
-            &workloads,
-            Scale::Test,
-            false,
-            &mut store,
-            None,
-            &FaultPolicy::none(),
-            Some(&cells),
-        )
-        .expect("shard run");
-        run_machine_probes_selected(Scale::Test, Some(&mut store), &probe_sel)
-            .expect("shard probes");
-        for key in store.keys().map(str::to_string).collect::<Vec<_>>() {
+        sweep(&shard, &mut store);
+        assert_eq!(store.len(), shard.len(), "a shard runs exactly its slice");
+        for key in store.keys() {
             union
-                .record(&key, store.get(&key).unwrap().clone())
+                .record(key, store.get(key).unwrap().clone())
                 .expect("union record");
         }
     }
-    let matrix = matrix_from_store(&configs, &workloads, &union).expect("full union");
-    let probes = probes_from_store(&union).expect("full probes");
     assert_eq!(
-        render_sweep_json("test", &matrix, &probes),
-        reference.json,
+        render(&union).as_deref(),
+        Ok(reference.json.as_str()),
         "sharded execution must be byte-identical to single-host"
     );
 }

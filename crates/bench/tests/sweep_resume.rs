@@ -3,10 +3,12 @@
 //! rendered `BENCH_sweep.json` payload — **bit-identical** to an
 //! uninterrupted run, at 1 and 8 host threads alike.
 
-use warpweave_bench::grid;
-use warpweave_bench::harness::{run_matrix_at, run_matrix_checkpointed};
-use warpweave_bench::report::{render_sweep_json, run_machine_probes};
-use warpweave_bench::MatrixResult;
+use warpweave_bench::grid::{self, grid_jobs};
+use warpweave_bench::harness::{
+    run_grid, run_machine_probes, run_matrix_at, run_matrix_checkpointed, FaultPolicy,
+};
+use warpweave_bench::report::{probes_from_store, render_sweep_json};
+use warpweave_bench::{matrix_from_store, MatrixResult};
 use warpweave_core::checkpoint::{CheckpointError, SweepCheckpoint};
 use warpweave_core::{SmConfig, SweepRunner};
 use warpweave_workloads::{Scale, Workload};
@@ -119,6 +121,55 @@ fn interrupted_sweep_resumes_bit_identical_across_thread_counts() {
         .expect("fully-checkpointed grid assembles under a zero budget");
         assert_matrices_bit_identical(&reference, &replay, "replay from checkpoint only");
 
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// The budget counts *jobs*, probes included: a sweep stopped two probes
+/// into the probe tail has simulated exactly the budgeted jobs, and the
+/// resumed run fills the rest into a byte-identical payload.
+#[test]
+fn cell_budget_counts_probes_and_the_resumed_sweep_is_byte_identical() {
+    let (configs, workloads) = test_grid();
+    let scale = Scale::Test;
+    let id = grid::grid_id(&configs, &workloads, scale);
+    let jobs = grid_jobs(&configs, &workloads);
+    let cells = configs.len() * workloads.len();
+    let render = |store: &SweepCheckpoint| {
+        let matrix = matrix_from_store(&configs, &workloads, store).expect("every cell stored");
+        let probes = probes_from_store(store).expect("every probe stored");
+        render_sweep_json("test", &matrix, &probes)
+    };
+
+    let mut reference = SweepCheckpoint::in_memory(id);
+    let serial = SweepRunner::with_threads(1);
+    let none = FaultPolicy::none();
+    run_grid(&serial, &jobs, scale, false, &none, None, &mut reference).unwrap();
+    let reference_json = render(&reference);
+
+    for threads in [1usize, 8] {
+        let runner = SweepRunner::with_threads(threads);
+        let path = scratch(&format!("budget-{threads}.checkpoint"));
+        let _ = std::fs::remove_file(&path);
+
+        let mut store = SweepCheckpoint::resume(&path, id).unwrap();
+        let budget = Some(cells + 2);
+        let failures = run_grid(&runner, &jobs, scale, false, &none, budget, &mut store).unwrap();
+        assert!(failures.is_empty());
+        assert_eq!(
+            store.len(),
+            cells + 2,
+            "{threads} threads: budget respected"
+        );
+        assert!(matrix_from_store(&configs, &workloads, &store).is_ok());
+        let missing = probes_from_store(&store).expect_err("probes fall outside the budget");
+        assert_eq!(missing.len(), jobs.len() - cells - 2, "{threads} threads");
+        drop(store);
+
+        let mut store = SweepCheckpoint::resume(&path, id).unwrap();
+        run_grid(&runner, &jobs, scale, false, &none, None, &mut store).unwrap();
+        assert_eq!(store.len(), jobs.len());
+        assert_eq!(render(&store), reference_json, "{threads} threads: resumed");
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -5,62 +5,6 @@ use warpweave_mem::{CacheConfig, DramConfig};
 use crate::lane::LaneShuffle;
 use crate::policy::{PolicyRegistry, SchedOrder};
 
-/// The paper's five issue front-ends, kept as a **thin alias over the
-/// policy registry's names**: since the issue paths moved into
-/// [`crate::policy`], an [`SmConfig`] selects its front-end by registry
-/// name ([`SmConfig::policy`]) and this enum only maps the legacy figure
-/// labels onto those names (and back via [`Frontend::from_name`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Frontend {
-    /// Fermi-like baseline: two warp pools (even/odd IDs), one oldest-first
-    /// scheduler each, PDOM-stack reconvergence (paper §2, fig. 1).
-    Baseline,
-    /// Reference design from fig. 7: thread-frontier reconvergence with
-    /// 64-wide warps, sequential branch execution, dual pools.
-    Warp64,
-    /// Simultaneous Branch Interweaving: co-issues the primary and secondary
-    /// warp-splits (CPC1/CPC2) of the *same* warp (paper §3).
-    Sbi,
-    /// Simultaneous Warp Interweaving: a cascaded secondary scheduler fills
-    /// the primary instruction's free lanes with another warp (paper §4).
-    Swi,
-    /// Both techniques combined (fig. 2e).
-    SbiSwi,
-}
-
-impl Frontend {
-    /// The label used in the paper's figures — also the policy's
-    /// canonical [`PolicyRegistry`] name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Frontend::Baseline => "Baseline",
-            Frontend::Warp64 => "Warp64",
-            Frontend::Sbi => "SBI",
-            Frontend::Swi => "SWI",
-            Frontend::SbiSwi => "SBI+SWI",
-        }
-    }
-
-    /// Maps a registry name back onto the legacy enum (`None` for
-    /// policies outside the paper's five, e.g. `GreedyThenOldest`).
-    pub fn from_name(name: &str) -> Option<Frontend> {
-        [
-            Frontend::Baseline,
-            Frontend::Warp64,
-            Frontend::Sbi,
-            Frontend::Swi,
-            Frontend::SbiSwi,
-        ]
-        .into_iter()
-        .find(|f| f.name() == name)
-    }
-
-    /// True if this front-end can co-issue a secondary instruction.
-    pub fn dual_issue_same_row(self) -> bool {
-        matches!(self, Frontend::Sbi | Frontend::Swi | Frontend::SbiSwi)
-    }
-}
-
 /// How intra-warp divergence is tracked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DivergenceModel {
@@ -234,13 +178,15 @@ pub struct SmConfig {
 }
 
 impl SmConfig {
-    fn common(frontend: Frontend) -> SmConfig {
+    /// The fields every preset shares; `policy` is the preset's
+    /// [`PolicyRegistry`] name and doubles as its figure label.
+    fn common(policy: &str) -> SmConfig {
         use warpweave_isa::UnitClass::*;
         SmConfig {
-            name: frontend.name().to_string(),
+            name: policy.to_string(),
             num_warps: 16,
             warp_width: 64,
-            policy: frontend.name().to_string(),
+            policy: policy.to_string(),
             sched_order: SchedOrder::OldestFirst,
             divergence: DivergenceModel::Frontier,
             sbi_constraints: false,
@@ -306,14 +252,14 @@ impl SmConfig {
                     width: 32,
                 },
             ],
-            ..Self::common(Frontend::Baseline)
+            ..Self::common("Baseline")
         }
     }
 
     /// The fig. 7 reference: thread frontiers with 64-wide warps, sequential
     /// branch execution.
     pub fn warp64() -> SmConfig {
-        Self::common(Frontend::Warp64)
+        Self::common("Warp64")
     }
 
     /// Simultaneous Branch Interweaving (table 2, column 2). Reconvergence
@@ -326,7 +272,7 @@ impl SmConfig {
         SmConfig {
             scoreboard_mode: ScoreboardMode::Matrix,
             sbi_constraints: true,
-            ..Self::common(Frontend::Sbi)
+            ..Self::common("SBI")
         }
     }
 
@@ -337,7 +283,7 @@ impl SmConfig {
         SmConfig {
             sched_latency: 2,
             lane_shuffle: LaneShuffle::XorRev,
-            ..Self::common(Frontend::Swi)
+            ..Self::common("SWI")
         }
     }
 
@@ -348,7 +294,7 @@ impl SmConfig {
             sbi_constraints: true,
             sched_latency: 2,
             lane_shuffle: LaneShuffle::XorRev,
-            ..Self::common(Frontend::SbiSwi)
+            ..Self::common("SBI+SWI")
         }
     }
 
@@ -429,12 +375,6 @@ impl SmConfig {
     pub fn with_sched_order(mut self, order: SchedOrder) -> SmConfig {
         self.sched_order = order;
         self
-    }
-
-    /// The legacy [`Frontend`] this configuration's policy name maps to
-    /// (`None` for policies outside the paper's five).
-    pub fn frontend(&self) -> Option<Frontend> {
-        Frontend::from_name(&self.policy)
     }
 
     /// Enables/disables idle-cycle fast-forwarding (builder style).
@@ -697,23 +637,6 @@ mod tests {
             via_registry.validate().unwrap();
         }
         assert!(SmConfig::with_policy("NoSuchPolicy").is_err());
-    }
-
-    #[test]
-    fn frontend_is_a_thin_alias_over_registry_names() {
-        for f in [
-            Frontend::Baseline,
-            Frontend::Warp64,
-            Frontend::Sbi,
-            Frontend::Swi,
-            Frontend::SbiSwi,
-        ] {
-            assert_eq!(Frontend::from_name(f.name()), Some(f));
-            let cfg = SmConfig::with_policy(f.name()).unwrap();
-            assert_eq!(cfg.frontend(), Some(f));
-        }
-        // The net-new policy has no legacy alias.
-        assert_eq!(SmConfig::greedy_then_oldest().frontend(), None);
     }
 
     #[test]

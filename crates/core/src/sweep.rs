@@ -2,10 +2,10 @@
 //!
 //! Everything above the single-SM pipeline that wants host-level
 //! parallelism — the multi-SM [`crate::machine::Machine`], the benchmark
-//! harness's `workload × frontend × config` matrices, criterion sweeps —
-//! funnels through [`SweepRunner::run`]: a deterministic parallel map
-//! that returns results in job order regardless of how many worker
-//! threads execute them.
+//! harness's `workload × frontend × config` grids — funnels through
+//! [`SweepRunner::run`]: a deterministic parallel map that returns
+//! results in job order regardless of how many worker threads execute
+//! them.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -31,7 +31,7 @@ impl fmt::Display for JobFailure {
     }
 }
 
-/// Outcome of one job run under [`SweepRunner::run_isolated`]: the
+/// Outcome of one job run under [`SweepRunner::run_isolated_reporting`]: the
 /// result (or the last failure) plus how many attempts were made.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IsolatedOutcome<R> {
@@ -112,32 +112,6 @@ impl SweepRunner {
         }
     }
 
-    /// [`SweepRunner::run`] with a completion callback: `on_done(index,
-    /// &result)` fires on the worker thread the moment job `index`
-    /// finishes, **in completion order** (nondeterministic), while the
-    /// returned vector stays in job order as always.
-    ///
-    /// This is the incremental-persistence hook of the checkpointed sweep:
-    /// the bench harness appends each finished cell to its
-    /// [`crate::checkpoint::SweepCheckpoint`] from `on_done`, so an
-    /// interrupted sweep loses at most the cells still in flight.
-    /// `on_done` runs concurrently from many workers — synchronise any
-    /// shared state it touches (a mutex around the checkpoint store).
-    pub fn run_reporting<J, R, F, P>(&self, jobs: &[J], f: F, on_done: P) -> Vec<R>
-    where
-        J: Sync + Send,
-        R: Send,
-        F: Fn(&J) -> R + Sync + Send,
-        P: Fn(usize, &R) + Sync + Send,
-    {
-        let indexed: Vec<(usize, &J)> = jobs.iter().enumerate().collect();
-        self.run(&indexed, |&(i, job)| {
-            let result = f(job);
-            on_done(i, &result);
-            result
-        })
-    }
-
     /// Fault-isolated parallel map: each job attempt runs under
     /// `catch_unwind`, panics and `Err` returns are retried up to
     /// `max_retries` times on the same worker, and a job whose budget is
@@ -146,27 +120,16 @@ impl SweepRunner {
     /// [`SweepRunner::run`] at any thread count, because containment
     /// never reorders or re-seeds work — it only wraps each closure
     /// call.
-    pub fn run_isolated<J, R, E, F>(
-        &self,
-        jobs: &[J],
-        max_retries: u32,
-        f: F,
-    ) -> Vec<IsolatedOutcome<R>>
-    where
-        J: Sync + Send,
-        R: Send,
-        E: fmt::Display,
-        F: Fn(&J) -> Result<R, E> + Sync + Send,
-    {
-        self.run_isolated_reporting(jobs, max_retries, f, |_, _| {})
-    }
-
-    /// [`SweepRunner::run_isolated`] with a completion callback:
+    ///
     /// `on_done(index, &outcome)` fires on the worker thread the moment
-    /// job `index` settles (success or quarantine), in completion order.
-    /// This is the containment-aware variant of
-    /// [`SweepRunner::run_reporting`] — the checkpointed sweep persists
-    /// only `Ok` outcomes from here.
+    /// job `index` settles (success or quarantine), **in completion
+    /// order** (nondeterministic), while the returned vector stays in job
+    /// order as always. This is the incremental-persistence hook of the
+    /// sweep driver: it appends each `Ok` outcome to its
+    /// [`crate::checkpoint::SweepCheckpoint`] from `on_done`, so an
+    /// interrupted sweep loses at most the jobs still in flight.
+    /// `on_done` runs concurrently from many workers — synchronise any
+    /// shared state it touches (a mutex around the checkpoint store).
     pub fn run_isolated_reporting<J, R, E, F, P>(
         &self,
         jobs: &[J],
@@ -258,25 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn run_reporting_sees_every_completion_once() {
-        use std::sync::Mutex;
-        let jobs: Vec<u64> = (0..37).collect();
-        let seen = Mutex::new(Vec::new());
-        let out = SweepRunner::with_threads(4).run_reporting(
-            &jobs,
-            |&j| j + 1,
-            |i, &r| seen.lock().unwrap().push((i, r)),
-        );
-        assert_eq!(out, (1..38).collect::<Vec<u64>>());
-        let mut seen = seen.into_inner().unwrap();
-        seen.sort_unstable();
-        assert_eq!(
-            seen,
-            (0..37).map(|i| (i as usize, i + 1)).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn run_mut_mutates_in_place_and_orders_results() {
         let mut jobs: Vec<u64> = (0..40).collect();
         let doubled = SweepRunner::with_threads(4).run_mut(&mut jobs, |j| {
@@ -296,11 +240,16 @@ mod tests {
     #[test]
     fn isolated_contains_panics_and_errors() {
         let jobs: Vec<u64> = (0..12).collect();
-        let out = SweepRunner::with_threads(4).run_isolated(&jobs, 1, |&j| match j {
-            3 => panic!("injected panic on job {j}"),
-            7 => Err(format!("bad job {j}")),
-            _ => Ok(j * 10),
-        });
+        let out = SweepRunner::with_threads(4).run_isolated_reporting(
+            &jobs,
+            1,
+            |&j| match j {
+                3 => panic!("injected panic on job {j}"),
+                7 => Err(format!("bad job {j}")),
+                _ => Ok(j * 10),
+            },
+            |_, _| {},
+        );
         assert_eq!(out.len(), 12);
         for (i, o) in out.iter().enumerate() {
             match i {
@@ -329,18 +278,23 @@ mod tests {
         use std::sync::Mutex;
         let jobs: Vec<u64> = (0..6).collect();
         let tries: Mutex<HashMap<u64, u32>> = Mutex::new(HashMap::new());
-        let out = SweepRunner::with_threads(2).run_isolated(&jobs, 2, |&j| {
-            let n = {
-                let mut tries = tries.lock().unwrap();
-                let n = tries.entry(j).or_insert(0);
-                *n += 1;
-                *n
-            };
-            if j == 4 && n == 1 {
-                return Err("transient".to_string());
-            }
-            Ok(j + 1)
-        });
+        let out = SweepRunner::with_threads(2).run_isolated_reporting(
+            &jobs,
+            2,
+            |&j| {
+                let n = {
+                    let mut tries = tries.lock().unwrap();
+                    let n = tries.entry(j).or_insert(0);
+                    *n += 1;
+                    *n
+                };
+                if j == 4 && n == 1 {
+                    return Err("transient".to_string());
+                }
+                Ok(j + 1)
+            },
+            |_, _| {},
+        );
         assert_eq!(out[4].result, Ok(5));
         assert_eq!(out[4].attempts, 2, "failed once, then recovered");
         assert!(out
@@ -358,13 +312,12 @@ mod tests {
             }
             Ok(j.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 9)
         };
-        let reference = SweepRunner::with_threads(1).run_isolated(&jobs, 0, f);
+        let run = |threads| {
+            SweepRunner::with_threads(threads).run_isolated_reporting(&jobs, 0, f, |_, _| {})
+        };
+        let reference = run(1);
         for threads in [2, 8] {
-            assert_eq!(
-                SweepRunner::with_threads(threads).run_isolated(&jobs, 0, f),
-                reference,
-                "{threads} threads"
-            );
+            assert_eq!(run(threads), reference, "{threads} threads");
         }
     }
 

@@ -110,16 +110,16 @@ proptest! {
         let run = |threads: usize| {
             // Each run arms its own injector so attempt budgets reset.
             let injector = plan.clone().arm();
-            SweepRunner::with_threads(threads).run_isolated(&items, 1, |&i| {
-                match injector.cell_fault(i, &format!("job-{i}")) {
+            SweepRunner::with_threads(threads).run_isolated_reporting(
+                &items,
+                1,
+                |&i| match injector.cell_fault(i, &format!("job-{i}")) {
                     Some(FaultKind::Panic) => panic!("injected panic in job {i}"),
-                    Some(FaultKind::SimError) => {
-                        return Err(format!("injected sim error in job {i}"))
-                    }
-                    None => {}
-                }
-                Ok((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-            })
+                    Some(FaultKind::SimError) => Err(format!("injected sim error in job {i}")),
+                    None => Ok((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+                },
+                |_, _| {},
+            )
         };
         let serial = run(1);
         let wide = run(8);

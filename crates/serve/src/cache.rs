@@ -186,6 +186,32 @@ impl CellCache {
         }
     }
 
+    /// Serves a whole request from the memory tier, or none of it: when
+    /// every digest is ready in memory, touches and counts each as a hit
+    /// (as that many [`acquire`](Self::acquire) calls in order would) and
+    /// returns the lines in order; otherwise changes nothing and returns
+    /// `None`. One lock hold and no waiting, so an all-hit request costs
+    /// the same however its threads are scheduled.
+    pub fn acquire_all_ready(&self, digests: &[u64]) -> Option<Vec<String>> {
+        let mut inner = self.inner.lock().expect("cache lock");
+        let lines = digests
+            .iter()
+            .map(|d| match inner.slots.get(d) {
+                Some(Slot::Ready { line, .. }) => Some(line.clone()),
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>()?;
+        for d in digests {
+            inner.tick += 1;
+            let touched = inner.tick;
+            if let Some(Slot::Ready { tick, .. }) = inner.slots.get_mut(d) {
+                *tick = touched;
+            }
+        }
+        inner.stats.hits += digests.len() as u64;
+        Some(lines)
+    }
+
     /// A snapshot of the cumulative counters.
     pub fn stats(&self) -> CacheStats {
         let inner = self.inner.lock().expect("cache lock");
@@ -325,6 +351,33 @@ mod tests {
         }
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn acquire_all_ready_is_all_or_nothing() {
+        let cache = CellCache::in_memory(8);
+        let digests: Vec<u64> = (0..3)
+            .map(|i| cell_digest(Scale::Test, i, "w/c", "c"))
+            .collect();
+        for (i, &d) in digests[..2].iter().enumerate() {
+            let Acquired::Claimed(claim) = cache.acquire(d) else {
+                panic!("must miss");
+            };
+            claim.fulfill(line("w/c", i as u64));
+        }
+        // One absent cell: nothing is served, counted or claimed.
+        assert_eq!(cache.acquire_all_ready(&digests), None);
+        assert_eq!((cache.stats().hits, cache.stats().misses), (0, 2));
+        let Acquired::Claimed(claim) = cache.acquire(digests[2]) else {
+            panic!("the absent cell must still be claimable");
+        };
+        // Nor while it is pending under another requester.
+        assert_eq!(cache.acquire_all_ready(&digests), None);
+        claim.fulfill(line("w/c", 2));
+        let lines = cache.acquire_all_ready(&digests).expect("all ready");
+        let expect: Vec<String> = (0..3).map(|i| line("w/c", i)).collect();
+        assert_eq!(lines, expect);
+        assert_eq!(cache.stats().hits, 3);
     }
 
     #[test]

@@ -200,6 +200,9 @@ pub fn request_shutdown(addr: &str) -> Result<(), String> {
 /// One request/response exchange: connect, send, read to `done` or EOF.
 fn exchange(addr: &str, req: &Request) -> Result<Vec<ResponseLine>, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("set TCP_NODELAY: {e}"))?;
     let mut writer = stream
         .try_clone()
         .map_err(|e| format!("clone stream: {e}"))?;

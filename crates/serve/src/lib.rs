@@ -31,5 +31,5 @@ pub use client::{
     render_response_json, request_run, request_shutdown, request_stats, RequestStats, SweepResponse,
 };
 pub use protocol::{parse_request, render_request, Request, RunRequest, PROTOCOL_ID};
-pub use queue::{resolve, run_jobs, CellJob, Outcome, ResolvedGrid};
+pub use queue::{resolve, run_jobs, Outcome, ResolvedGrid};
 pub use server::{ServeConfig, Server};

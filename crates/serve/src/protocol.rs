@@ -209,8 +209,8 @@ pub fn parse_hello(line: &str) -> Result<u64, String> {
 /// provenance (cell, seed, attempts, final reason) on the wire.
 pub fn fail_line(f: &CellFailure) -> String {
     format!(
-        "fail|{}/{}|seed={:#x}|attempts={}|{}",
-        f.workload, f.config, f.seed, f.attempts, f.reason
+        "fail|{}|seed={:#x}|attempts={}|{}",
+        f.key, f.seed, f.attempts, f.reason
     )
 }
 

@@ -1,54 +1,33 @@
 //! The server's cell queue: request → canonical job list → fault-isolated
 //! parallel execution through the content-addressed cache.
 //!
-//! A `run` request resolves to the same canonical job order the sweep
-//! harness uses — workload-major matrix cells, then machine probes — so
-//! a served grid and a locally-run grid enumerate identical cells. Each
-//! job then flows through [`run_jobs`]: a cache [`acquire`]
-//! (serve-or-claim), and for claimed cells the **same contained cell
-//! body the checkpointed sweep runs** ([`try_run_one_at`] /
-//! [`run_probe`] under [`SweepRunner::run_isolated_reporting`]'s
-//! catch-unwind + retry loop). A cell that exhausts its retries becomes
-//! a [`CellFailure`] with full provenance, never a dead server — and is
-//! never cached, so a later request re-attempts it fresh.
+//! A `run` request resolves to the canonical job list the sweep harness
+//! enumerates ([`grid_jobs`]: workload-major matrix cells, then machine
+//! probes), so a served grid and a locally-run grid name identical cells.
+//! Each job then flows through [`run_jobs`]: a cache [`acquire`]
+//! (serve-or-claim), and for claimed cells the **same cell body the local
+//! sweep driver runs** ([`GridJob::run`] under
+//! [`SweepRunner::run_isolated_reporting`]'s catch-unwind + retry loop).
+//! A cell that exhausts its retries becomes a [`CellFailure`] with full
+//! provenance, never a dead server — and is never cached, so a later
+//! request re-attempts it fresh.
 //!
 //! [`acquire`]: crate::cache::CellCache::acquire
 
-use warpweave_bench::grid::{frontend_config, machine_probes, sweep_workloads, MachineProbe};
-use warpweave_bench::{cell_key, run_probe, try_run_one_at, CellFailure};
-use warpweave_core::checkpoint::{encode_cell, CellRecord};
+use warpweave_bench::grid::{figure7_configs, frontend_config, grid_id, sweep_workloads};
+use warpweave_bench::{grid_jobs, CellFailure, GridJob};
+use warpweave_core::checkpoint::encode_cell;
 use warpweave_core::{SmConfig, SweepRunner};
 use warpweave_workloads::{by_name, Scale};
 
 use crate::cache::{cell_digest, Acquired, CellCache};
 use crate::protocol::RunRequest;
 
-/// One schedulable cell of a request, carrying everything needed to
-/// simulate it and to address it in the cache.
-pub struct CellJob {
-    /// The checkpoint cell key (`workload/config` or `machine/...`).
-    pub key: String,
-    /// Workload label (provenance on failure).
-    pub workload: String,
-    /// Config label (provenance on failure).
-    pub config: String,
-    /// The config's RNG seed (part of the content address).
-    pub seed: u64,
-    kind: JobKind,
-}
-
-enum JobKind {
-    // Boxed: an SmConfig is ~30x the probe variant, and jobs live in
-    // per-request vectors.
-    Matrix { cfg: Box<SmConfig> },
-    Probe { index: usize },
-}
-
 /// The grid a request resolved to: its jobs in canonical order plus the
-/// lists the grid id is computed from.
+/// identity and scale they run under.
 pub struct ResolvedGrid {
     /// Jobs in canonical order (matrix cells workload-major, probes last).
-    pub jobs: Vec<CellJob>,
+    pub jobs: Vec<GridJob>,
     /// The request's grid identity (binds the response to the grid).
     pub grid_id: u64,
     /// Problem scale of every job.
@@ -62,7 +41,7 @@ pub struct ResolvedGrid {
 /// line).
 pub fn resolve(req: &RunRequest) -> Result<ResolvedGrid, String> {
     let configs: Vec<SmConfig> = if req.frontends.is_empty() {
-        warpweave_bench::grid::figure7_configs()
+        figure7_configs()
     } else {
         req.frontends
             .iter()
@@ -78,35 +57,13 @@ pub fn resolve(req: &RunRequest) -> Result<ResolvedGrid, String> {
             .collect::<Result<Vec<_>, String>>()?
     };
     let scale = if req.full { Scale::Bench } else { Scale::Test };
-    let mut jobs = Vec::new();
-    for w in &workloads {
-        for cfg in &configs {
-            jobs.push(CellJob {
-                key: cell_key(w.name(), &cfg.name),
-                workload: w.name().to_string(),
-                config: cfg.name.clone(),
-                seed: cfg.seed,
-                kind: JobKind::Matrix {
-                    cfg: Box::new(cfg.clone()),
-                },
-            });
-        }
+    let mut jobs = grid_jobs(&configs, &workloads);
+    if !req.probes {
+        jobs.retain(|job| !job.is_probe());
     }
-    if req.probes {
-        for (index, probe) in machine_probes().into_iter().enumerate() {
-            jobs.push(CellJob {
-                key: probe.key(),
-                workload: probe.workload.to_string(),
-                config: probe.cfg.name.clone(),
-                seed: probe.cfg.seed,
-                kind: JobKind::Probe { index },
-            });
-        }
-    }
-    let grid_id = warpweave_bench::grid::grid_id(&configs, &workloads, scale);
     Ok(ResolvedGrid {
         jobs,
-        grid_id,
+        grid_id: grid_id(&configs, &workloads, scale),
         scale,
     })
 }
@@ -133,77 +90,55 @@ impl Outcome {
     }
 }
 
-/// Simulates (or cache-serves) one job body — the closure
-/// `run_isolated_reporting` retries and catch-unwinds.
-fn run_cell(job: &CellJob, scale: Scale, probes: &[MachineProbe]) -> Result<CellRecord, String> {
-    match &job.kind {
-        JobKind::Matrix { cfg } => {
-            let workload = by_name(&job.workload)
-                .ok_or_else(|| format!("unknown workload `{}`", job.workload))?;
-            // Pure simulation (no verify), as in every timing sweep.
-            let result = try_run_one_at(cfg, workload.as_ref(), scale, false)?;
-            Ok(CellRecord::new(result.stats))
-        }
-        JobKind::Probe { index } => run_probe(&probes[*index], scale),
-    }
+/// The cache address of `job` at `scale`.
+pub fn job_digest(scale: Scale, job: &GridJob) -> u64 {
+    cell_digest(scale, job.config.seed, &job.key, &job.config.name)
 }
 
-/// Runs `jobs` through the cache and the fault-isolated parallel runner.
-/// `on_done(index, outcome)` fires in **completion order** on worker
-/// threads; the returned vector is in job order. A worker that finds a
-/// cell `Pending` under another requester blocks (only that worker)
-/// until the cell settles — its outcome is then a [`Outcome::Hit`],
-/// since someone else paid for the simulation.
+/// Runs `jobs` through the cache and the fault-isolated parallel runner:
+/// the cache-claim wrapper around [`GridJob::run`] (pure simulation, no
+/// verify, as in every timing sweep). `on_done(index, outcome)` fires in
+/// **completion order** on worker threads; the returned vector is in job
+/// order. A worker that finds a cell `Pending` under another requester
+/// blocks (only that worker) until the cell settles — its outcome is
+/// then a [`Outcome::Hit`], since someone else paid for the simulation.
 pub fn run_jobs(
     runner: &SweepRunner,
     cache: &CellCache,
     scale: Scale,
     max_retries: u32,
-    jobs: &[CellJob],
+    jobs: &[GridJob],
     on_done: impl Fn(usize, &Outcome) + Sync + Send,
 ) -> Vec<Outcome> {
-    let probes = machine_probes();
     let outcomes = runner.run_isolated_reporting(
         jobs,
         max_retries,
         |job| -> Result<Outcome, String> {
-            let digest = cell_digest(scale, job.seed, &job.key, &job.config);
-            match cache.acquire(digest) {
+            match cache.acquire(job_digest(scale, job)) {
                 Acquired::Ready(line) => Ok(Outcome::Hit(line)),
                 Acquired::Claimed(claim) => {
                     // A failure (Err or panic) drops the claim, which
                     // abandons the slot — failures are never cached.
-                    let record = run_cell(job, scale, &probes)?;
-                    let line = encode_cell(&job.key, &record);
+                    let line = encode_cell(&job.key, &job.run(scale, false)?);
                     claim.fulfill(line.clone());
                     Ok(Outcome::Simulated(line))
                 }
             }
         },
-        |i, isolated| {
-            let outcome = settle(&jobs[i], isolated);
-            on_done(i, &outcome);
-        },
+        |i, isolated| on_done(i, &settle(&jobs[i], isolated)),
     );
-    outcomes
-        .iter()
-        .enumerate()
-        .map(|(i, isolated)| settle(&jobs[i], isolated))
+    jobs.iter()
+        .zip(&outcomes)
+        .map(|(job, isolated)| settle(job, isolated))
         .collect()
 }
 
 /// Converts one isolated outcome into the wire-facing [`Outcome`],
 /// attaching the job's provenance to failures.
-fn settle(job: &CellJob, isolated: &warpweave_core::IsolatedOutcome<Outcome>) -> Outcome {
+fn settle(job: &GridJob, isolated: &warpweave_core::IsolatedOutcome<Outcome>) -> Outcome {
     match &isolated.result {
         Ok(outcome) => outcome.clone(),
-        Err(reason) => Outcome::Failed(CellFailure {
-            workload: job.workload.clone(),
-            config: job.config.clone(),
-            seed: job.seed,
-            attempts: isolated.attempts,
-            reason: reason.clone(),
-        }),
+        Err(reason) => Outcome::Failed(job.failure(isolated.attempts, reason.clone())),
     }
 }
 
@@ -225,7 +160,7 @@ mod tests {
     fn resolve_orders_jobs_canonically() {
         let grid = resolve(&RunRequest::quick()).unwrap();
         // 2 quick workloads × 5 fig-7 configs, then the probes.
-        let probes = machine_probes().len();
+        let probes = warpweave_bench::grid::machine_probes().len();
         assert_eq!(grid.jobs.len(), 10 + probes);
         assert_eq!(grid.jobs[0].key, "MatrixMul/Baseline");
         assert_eq!(grid.jobs[9].key, "SortingNetworks/Warp64");

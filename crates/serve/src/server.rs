@@ -22,7 +22,7 @@ use warpweave_core::SweepRunner;
 
 use crate::cache::CellCache;
 use crate::protocol::{done_line, error_line, hello_line, parse_request, stats_line, Request};
-use crate::queue::{resolve, run_jobs, Outcome};
+use crate::queue::{job_digest, resolve, run_jobs, Outcome};
 
 /// Server tuning knobs (all optional; defaults are sensible for CI).
 pub struct ServeConfig {
@@ -98,11 +98,14 @@ impl Server {
     /// in the handler).
     pub fn run(self) -> std::io::Result<()> {
         let addr = self.local_addr()?;
-        let mut handlers = Vec::new();
+        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
+            // Finished connections release their thread's resources now,
+            // not at shutdown: a long-lived daemon serves unboundedly many.
+            handlers.retain(|h| !h.is_finished());
             let stream = match stream {
                 Ok(stream) => stream,
                 Err(e) => {
@@ -136,6 +139,9 @@ fn handle(
     stop: &AtomicBool,
     addr: SocketAddr,
 ) -> std::io::Result<()> {
+    // Responses are flushed at line-group boundaries; Nagle would hold each
+    // flush back until the client's delayed ACK of the previous one.
+    stream.set_nodelay(true)?;
     let reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     for line in reader.lines() {
@@ -203,6 +209,20 @@ fn stream_in_order(
     max_retries: u32,
     grid: &crate::queue::ResolvedGrid,
 ) -> std::io::Result<(u64, u64, usize)> {
+    // An all-hit request is answered here, on the connection's thread:
+    // no workers, no reorder buffer, and a write count that does not
+    // depend on how those would have been scheduled.
+    let digests: Vec<u64> = grid
+        .jobs
+        .iter()
+        .map(|job| job_digest(grid.scale, job))
+        .collect();
+    if let Some(lines) = cache.acquire_all_ready(&digests) {
+        for line in &lines {
+            writeln!(writer, "{line}")?;
+        }
+        return Ok((lines.len() as u64, 0, 0));
+    }
     let slots: Mutex<Vec<Option<Outcome>>> = Mutex::new(vec![None; grid.jobs.len()]);
     let ready = Condvar::new();
     let mut counts = (0u64, 0u64, 0usize);
@@ -221,11 +241,15 @@ fn stream_in_order(
             );
         });
         for i in 0..grid.jobs.len() {
-            let outcome = {
+            // `more` is whether the next line can be written without
+            // waiting (the lines after the last cell always can).
+            let (outcome, more) = {
                 let mut slots = slots.lock().expect("slot lock");
                 loop {
                     match slots[i].take() {
-                        Some(outcome) => break outcome,
+                        Some(outcome) => {
+                            break (outcome, slots.get(i + 1).is_none_or(Option::is_some))
+                        }
                         None => slots = ready.wait(slots).expect("slot lock"),
                     }
                 }
@@ -236,7 +260,11 @@ fn stream_in_order(
                 Outcome::Failed(_) => counts.2 += 1,
             }
             writeln!(writer, "{}", outcome.line())?;
-            writer.flush()?;
+            // A line streams the moment it is streamable; only a writer
+            // about to block on the reorder buffer needs to flush first.
+            if !more {
+                writer.flush()?;
+            }
         }
         Ok(())
     })?;

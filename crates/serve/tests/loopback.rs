@@ -1,11 +1,17 @@
 //! End-to-end loopback tests of the sweep service: a real `Server` on an
 //! ephemeral TCP port, real clients, real simulations.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
+
 use warpweave_bench::grid;
-use warpweave_bench::{render_sweep_json, run_machine_probes, run_matrix_serial_at};
+use warpweave_bench::{render_sweep_json, run_machine_probes, run_matrix_at};
+use warpweave_core::SweepRunner;
+use warpweave_serve::protocol::{classify_line, ResponseLine};
 use warpweave_serve::{
-    render_response_json, request_run, request_shutdown, request_stats, RunRequest, ServeConfig,
-    Server,
+    render_request, render_response_json, request_run, request_shutdown, request_stats, Request,
+    RunRequest, ServeConfig, Server,
 };
 use warpweave_workloads::Scale;
 
@@ -74,11 +80,63 @@ fn served_full_grid_renders_the_exact_sweep_payload() {
     let served = render_response_json(&req, &response).expect("render from response");
     let configs = grid::figure7_configs();
     let workloads = grid::sweep_workloads(false);
-    let matrix = run_matrix_serial_at(&configs, &workloads, Scale::Test, false);
+    let runner = SweepRunner::with_threads(1);
+    let matrix = run_matrix_at(&runner, &configs, &workloads, Scale::Test, false);
     let probes = run_machine_probes(Scale::Test, None).expect("probes");
     let local = render_sweep_json("test", &matrix, &probes);
     assert_eq!(served, local, "served and local sweep payloads");
 
+    request_shutdown(&addr).expect("shutdown");
+    server.join().unwrap();
+}
+
+#[test]
+fn repeat_requests_on_one_connection_are_prompt_and_byte_identical() {
+    let (addr, server) = start_server(ServeConfig::default());
+    let req = small_grid();
+    let reference = request_run(&addr, &req)
+        .expect("fill the cache")
+        .transcript();
+
+    // 40 all-hit requests back to back on ONE connection, each sent when
+    // the previous response is complete. A hit response costs about a
+    // millisecond; a server that flushes every line through Nagle's
+    // algorithm stalls each response after the first on the client's
+    // delayed ACK (45-90 ms apiece).
+    const REQUESTS: usize = 40;
+    let stream = TcpStream::connect(&addr).expect("connect");
+    stream.set_nodelay(true).expect("TCP_NODELAY");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut lines = BufReader::new(stream).lines();
+    let request = render_request(&Request::Run(req));
+    let started = Instant::now();
+    for i in 0..REQUESTS {
+        writeln!(writer, "{request}").expect("send request");
+        let mut transcript = String::new();
+        loop {
+            let line = lines
+                .next()
+                .expect("response before EOF")
+                .expect("read response");
+            match classify_line(&line).expect("protocol line") {
+                ResponseLine::Cell(raw) | ResponseLine::Fail(raw) => {
+                    transcript.push_str(&raw);
+                    transcript.push('\n');
+                }
+                ResponseLine::Done { .. } => break,
+                ResponseLine::Hello(_) | ResponseLine::Stats(_) => {}
+                ResponseLine::Error(reason) => panic!("server refused: {reason}"),
+            }
+        }
+        assert_eq!(transcript, reference, "request {i} transcript");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "{REQUESTS} warm requests took {elapsed:?}"
+    );
+
+    drop((writer, lines));
     request_shutdown(&addr).expect("shutdown");
     server.join().unwrap();
 }
