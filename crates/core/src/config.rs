@@ -472,6 +472,12 @@ impl SmConfig {
         if self.num_warps == 0 || self.warp_width == 0 {
             return Err("warp pool and width must be non-zero".into());
         }
+        if self.num_warps > 64 {
+            return Err(format!(
+                "{} resident warps exceed the limit of 64 (every per-warp scheduler set is a u64)",
+                self.num_warps
+            ));
+        }
         if !self.warp_width.is_power_of_two() || self.warp_width > 64 {
             return Err(format!(
                 "warp width {} must be a power of two ≤ 64",
@@ -524,6 +530,15 @@ impl SmConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validate_rejects_pools_wider_than_the_warp_sets() {
+        SmConfig::baseline().with_warps(64).validate().unwrap();
+        for n in [65, 96, 128] {
+            let err = SmConfig::baseline().with_warps(n).validate().unwrap_err();
+            assert!(err.contains("limit of 64"), "{err}");
+        }
+    }
 
     #[test]
     fn validate_rejects_bad_memory_geometry() {

@@ -48,34 +48,28 @@ impl LaneShuffle {
         }
     }
 
-    /// Maps thread-in-warp `tid` of warp `wid` to a physical lane.
+    /// The per-warp XOR key: every policy of table 1 is `lane = tid ⊕
+    /// key(wid)` (a mirror `n - tid` is `tid ⊕ n` for `n = width - 1`).
     ///
     /// `width` must be a power of two; `num_warps` is the pool size `m` used
-    /// by `MirrorHalf`. The mapping is a bijection on `0..width` for every
-    /// `wid`.
-    pub fn lane(self, tid: usize, wid: usize, width: usize, num_warps: usize) -> usize {
+    /// by `MirrorHalf`.
+    pub fn key(self, wid: usize, width: usize, num_warps: usize) -> usize {
         debug_assert!(width.is_power_of_two());
-        debug_assert!(tid < width);
         let n = width - 1;
         match self {
-            LaneShuffle::Identity => tid,
-            LaneShuffle::MirrorOdd => {
-                if wid % 2 == 1 {
-                    n - tid
-                } else {
-                    tid
-                }
-            }
-            LaneShuffle::MirrorHalf => {
-                if wid > num_warps / 2 {
-                    n - tid
-                } else {
-                    tid
-                }
-            }
-            LaneShuffle::Xor => tid ^ (wid & n),
-            LaneShuffle::XorRev => tid ^ (bitrev(wid, width.trailing_zeros()) & n),
+            LaneShuffle::Identity => 0,
+            LaneShuffle::MirrorOdd => n * (wid % 2),
+            LaneShuffle::MirrorHalf => n * usize::from(wid > num_warps / 2),
+            LaneShuffle::Xor => wid & n,
+            LaneShuffle::XorRev => bitrev(wid, width.trailing_zeros()) & n,
         }
+    }
+
+    /// Maps thread-in-warp `tid` of warp `wid` to a physical lane. The
+    /// mapping is a bijection on `0..width` for every `wid`.
+    pub fn lane(self, tid: usize, wid: usize, width: usize, num_warps: usize) -> usize {
+        debug_assert!(tid < width);
+        tid ^ self.key(wid, width, num_warps)
     }
 
     /// Writes the thread→lane mapping of warp `wid` into `out` (index =
@@ -90,65 +84,57 @@ impl LaneShuffle {
 
     /// Translates a thread-space mask into lane space for warp `wid`.
     ///
-    /// This is the uncached reference: it recomputes the permutation per
-    /// bit (including `bitrev` for [`LaneShuffle::XorRev`]). The pipeline
-    /// uses the precomputed [`LaneTable`] instead — the SWI mask lookup
-    /// translates a mask per probed candidate per cycle, which made the
-    /// recomputation a measurable hot path.
+    /// This is the per-bit reference; the pipeline uses the closed-form
+    /// [`LaneTable::mask_to_lanes`] instead — the SWI mask lookup
+    /// translates a mask per ready instruction, which made the per-bit walk
+    /// a measurable hot path.
     pub fn mask_to_lanes(self, mask: Mask, wid: usize, width: usize, num_warps: usize) -> Mask {
-        if self == LaneShuffle::Identity {
-            return mask; // hot path
-        }
         mask.iter()
             .map(|tid| self.lane(tid, wid, width, num_warps))
             .collect()
     }
 
-    /// Precomputes the per-warp thread→lane permutation table for a pool
-    /// of `num_warps` warps of `width` threads (the SoA form of this
-    /// policy — one row per warp, built once at SM construction).
+    /// Precomputes the per-warp XOR keys for a pool of `num_warps` warps of
+    /// `width` threads (built once at SM construction).
     pub fn table(self, width: usize, num_warps: usize) -> LaneTable {
-        let identity = self == LaneShuffle::Identity;
-        let mut perms = Vec::new();
-        if !identity {
-            perms.reserve(width * num_warps);
-            for wid in 0..num_warps {
-                for tid in 0..width {
-                    perms.push(self.lane(tid, wid, width, num_warps) as u16);
-                }
-            }
-        }
         LaneTable {
-            identity,
-            width,
-            perms,
+            keys: (0..num_warps)
+                .map(|wid| self.key(wid, width, num_warps) as u8)
+                .collect(),
         }
     }
 }
 
-/// A precomputed per-warp lane-permutation table (`perms[wid][tid] =
-/// lane`), replacing the bit-by-bit permute of
-/// [`LaneShuffle::mask_to_lanes`] on the pipeline's hot paths. The
-/// translation is exactly equivalent for every policy (asserted by
-/// `table_matches_reference` below); identity shuffles skip the table
-/// entirely.
+/// One XOR key per warp. Because every policy is `lane = tid ⊕ key`,
+/// translating a whole mask is a butterfly: for each set key bit `b`, swap
+/// the mask's adjacent `2^b`-bit blocks — at most six masked shifts on the
+/// `u64`, independent of the population. Exactly equivalent to the per-bit
+/// [`LaneShuffle::mask_to_lanes`] (asserted by `table_matches_reference`).
 #[derive(Debug, Clone)]
 pub struct LaneTable {
-    identity: bool,
-    width: usize,
-    /// Flattened `num_warps × width` permutation rows (empty for
-    /// identity).
-    perms: Vec<u16>,
+    keys: Vec<u8>,
 }
 
 impl LaneTable {
     /// Translates a thread-space `mask` of warp `wid` into lane space.
     pub fn mask_to_lanes(&self, mask: Mask, wid: usize) -> Mask {
-        if self.identity {
-            return mask;
+        /// Bits whose index has bit `b` clear (the low block of each pair).
+        const LOW: [u64; 6] = [
+            0x5555_5555_5555_5555,
+            0x3333_3333_3333_3333,
+            0x0f0f_0f0f_0f0f_0f0f,
+            0x00ff_00ff_00ff_00ff,
+            0x0000_ffff_0000_ffff,
+            0x0000_0000_ffff_ffff,
+        ];
+        let mut key = self.keys[wid];
+        let mut x = mask.bits();
+        while key != 0 {
+            let b = key.trailing_zeros() as usize;
+            key &= key - 1;
+            x = ((x & LOW[b]) << (1 << b)) | ((x >> (1 << b)) & LOW[b]);
         }
-        let row = &self.perms[wid * self.width..(wid + 1) * self.width];
-        mask.iter().map(|tid| row[tid] as usize).collect()
+        Mask::from_bits(x)
     }
 }
 
@@ -232,20 +218,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn table_matches_reference() {
-        // The precomputed table must translate every mask exactly as the
-        // per-bit reference, for every policy, width and warp.
-        for policy in LaneShuffle::ALL {
-            for (width, num_warps) in [(4usize, 16usize), (32, 16), (64, 24)] {
-                let table = policy.table(width, num_warps);
-                for wid in 0..num_warps {
-                    for bits in [0u64, 1, 0b1011, 0xdead_beef, u64::MAX] {
+    proptest::proptest! {
+        /// The closed-form block swap translates every mask exactly as the
+        /// per-bit reference, for every policy, width and warp id.
+        #[test]
+        fn table_matches_reference(bits in proptest::prelude::any::<u64>(), wid in 0usize..64) {
+            for policy in LaneShuffle::ALL {
+                for width in [4usize, 32, 64] {
+                    let table = policy.table(width, 64);
+                    for bits in [bits, 0, 1, u64::MAX] {
                         let m = Mask::from_bits(bits) & Mask::full(width);
-                        assert_eq!(
+                        proptest::prop_assert_eq!(
                             table.mask_to_lanes(m, wid),
-                            policy.mask_to_lanes(m, wid, width, num_warps),
-                            "{policy:?} w={wid} width={width}"
+                            policy.mask_to_lanes(m, wid, width, 64),
+                            "{:?} w={} width={}", policy, wid, width
                         );
                     }
                 }

@@ -37,7 +37,7 @@ use crate::launch::{Launch, WarpInfo};
 use crate::lsu::{plan_global_into, shared_passes, GlobalPlan};
 use crate::machine::MemJournal;
 use crate::mask::Mask;
-use crate::policy::{Dispatch, IssueCtx, IssuePolicy, Pick, PolicyRegistry, Ready};
+use crate::policy::{Dispatch, IssueCtx, IssuePolicy, Pick, PolicyRegistry, Ready, ReadyInfo};
 use crate::regfile::WarpRegFile;
 use crate::scoreboard::{SbToken, Scoreboard};
 use crate::stats::Stats;
@@ -409,9 +409,19 @@ pub struct Sm {
     /// value — the dense mirror oldest-first scans walk instead of
     /// copying the memo enum per probe.
     ready_now: [Cell<u64>; 2],
-    /// `(seq, unit)` of the memoized `Ready` per `(warp, slot)`; valid
-    /// only while the matching `ready_now` bit is set.
-    ready_info: Vec<[Cell<(u64, UnitClass)>; 2]>,
+    /// Age, unit class and lane-space mask of the memoized `Ready` per
+    /// `(warp, slot)`, filled once per memo evaluation; valid only while
+    /// the matching `ready_now` bit is set.
+    ready_info: Vec<[Cell<ReadyInfo>; 2]>,
+    /// Bit `w` set ⇔ warp `w`'s secondary slot is parked by an SBI
+    /// reconvergence constraint (§3.3). Re-derived whenever slot 1's memo
+    /// is re-evaluated, so it is exact for every warp whose slot-1 memo is
+    /// settled (everything it reads changes only at [`Sm::wake_warp`]
+    /// events).
+    suspended: Cell<u64>,
+    /// The SWI lookup's associativity sets (fig. 9) as warp bitmasks,
+    /// indexed by `warp % sets`.
+    lookup_sets: Vec<u64>,
     /// Bit `w` set ⇔ warp `w`'s divergence contexts may have moved (or
     /// its ibuf been written) since `validate_ibufs` last ran for it.
     /// Clean warps are fixed points of the re-association pass; the pass
@@ -440,8 +450,7 @@ pub struct Sm {
     /// issue call itself (taken out to let the policy borrow the SM
     /// through an [`IssueCtx`]).
     policy: Option<Box<dyn IssuePolicy>>,
-    /// Precomputed per-warp thread→lane permutation (SoA form of the
-    /// configured [`crate::lane::LaneShuffle`]).
+    /// Per-warp XOR keys of the configured [`crate::lane::LaneShuffle`].
     lane_table: LaneTable,
     rng: SmallRng,
     stats: Stats,
@@ -557,6 +566,15 @@ impl Sm {
         let lane_table = cfg.lane_shuffle.table(cfg.warp_width, cfg.num_warps);
         let sb = cfg.superblocks.then(|| SuperblockSet::build(&program));
         let pc_meta = program.instructions().iter().map(PcMeta::of).collect();
+        // `validate` bounds the pool at 64, the width of every warp set.
+        let all_warps = u64::MAX >> (64 - cfg.num_warps);
+        let sets = cfg.swi_assoc.num_sets(cfg.num_warps);
+        // Placeholder: a mirror record is read only under its `ready_now` bit.
+        let no_info = ReadyInfo {
+            seq: 0,
+            lanes: Mask::EMPTY,
+            unit: UnitClass::Control,
+        };
         let mut sm = Sm {
             program,
             params,
@@ -576,14 +594,7 @@ impl Sm {
             ready_memo: (0..cfg.num_warps)
                 .map(|_| [Cell::new(ReadyMemo::Stale), Cell::new(ReadyMemo::Stale)])
                 .collect(),
-            ready_cand: {
-                let all = if cfg.num_warps >= 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << cfg.num_warps) - 1
-                };
-                [Cell::new(all), Cell::new(all)]
-            },
+            ready_cand: [Cell::new(all_warps), Cell::new(all_warps)],
             timed_wake: [
                 std::cell::RefCell::new(std::collections::BinaryHeap::new()),
                 std::cell::RefCell::new(std::collections::BinaryHeap::new()),
@@ -591,18 +602,17 @@ impl Sm {
             timed_min: [Cell::new(u64::MAX), Cell::new(u64::MAX)],
             ready_now: [Cell::new(0), Cell::new(0)],
             ready_info: (0..cfg.num_warps)
-                .map(|_| {
-                    [
-                        Cell::new((0, UnitClass::Control)),
-                        Cell::new((0, UnitClass::Control)),
-                    ]
+                .map(|_| [Cell::new(no_info), Cell::new(no_info)])
+                .collect(),
+            suspended: Cell::new(0),
+            lookup_sets: (0..sets)
+                .map(|s| {
+                    (s..cfg.num_warps)
+                        .step_by(sets)
+                        .fold(0, |m, w| m | 1u64 << w)
                 })
                 .collect(),
-            ctx_dirty: if cfg.num_warps >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << cfg.num_warps) - 1
-            },
+            ctx_dirty: all_warps,
             fetchable: [0, 0],
             warps,
             blocks,
@@ -1223,11 +1233,20 @@ impl Sm {
             }
             _ => {}
         }
+        if slot == 1 {
+            let parked = u64::from(self.sync_parked(w)) << w;
+            self.suspended
+                .set(self.suspended.get() & !(1u64 << w) | parked);
+        }
         match self.ready_check_slow(w, slot) {
             Ok(r) => {
                 memo.set(ReadyMemo::Ready(r));
                 self.ready_now[slot].set(self.ready_now[slot].get() | (1u64 << w));
-                self.ready_info[w][slot].set((r.seq, r.unit));
+                self.ready_info[w][slot].set(ReadyInfo {
+                    seq: r.seq,
+                    lanes: self.lane_table.mask_to_lanes(r.mask, w),
+                    unit: r.unit,
+                });
                 Some(r)
             }
             Err(until) => {
@@ -1295,30 +1314,65 @@ impl Sm {
         self.ready_now[1].set(self.ready_now[1].get() & !bit);
     }
 
-    /// Warps whose `ready_check(w, slot)` might return `Some` this cycle,
-    /// as a bitmask. A clear bit is a *guarantee* of not-ready (a cached
-    /// until-wake failure), so scanning policies skip it outright; a set
-    /// bit is only a candidate — the check itself still decides.
-    pub(crate) fn ready_candidates(&self, slot: usize) -> u64 {
-        self.ready_cand[slot].get()
+    /// The scan primitive behind [`IssueCtx::ready_set`]: the warps of
+    /// `among` for which `ready_check(w, slot)` returns an instruction of a
+    /// unit class in `classes` (a bitmask over `UnitClass as u8`).
+    ///
+    /// *Settle, then walk set bits.* A clear `ready_cand` bit is a
+    /// guarantee of not-ready (a memoized until-wake failure) and a set
+    /// `ready_now` bit a memoized success, so only the candidates in
+    /// between — warps some event woke since the last scan — run the check
+    /// itself; the pick then touches nothing but the dense mirrors. A
+    /// blocked warp costs nothing per cycle.
+    pub(crate) fn ready_set(&self, slot: usize, among: u64, classes: u8) -> u64 {
+        self.settle(slot, among);
+        // Control needs no port, so it is always free.
+        let free =
+            classes & (self.groups.free_class_mask(self.cycle) | 1 << UnitClass::Control as u8);
+        let mut ready = self.ready_now[slot].get() & among;
+        let mut set = 0;
+        while ready != 0 {
+            let w = ready.trailing_zeros() as usize;
+            ready &= ready - 1;
+            if free & (1 << self.ready_info[w][slot].get().unit as u8) != 0 {
+                set |= 1u64 << w;
+            }
+        }
+        set
     }
 
-    /// Warps with a memoized `Ready` in `slot` (always a subset of
-    /// [`Sm::ready_candidates`]).
-    pub(crate) fn ready_now(&self, slot: usize) -> u64 {
-        self.ready_now[slot].get()
+    /// Re-evaluates the stale readiness memos of slot `slot` among the
+    /// warps of `among`, after which `ready_now` (and, for slot 1,
+    /// `suspended`) is exact for all of them.
+    fn settle(&self, slot: usize, among: u64) {
+        let mut unknown = self.ready_cand[slot].get() & among & !self.ready_now[slot].get();
+        while unknown != 0 {
+            let w = unknown.trailing_zeros() as usize;
+            unknown &= unknown - 1;
+            let _ = self.ready_check_nogroup(w, slot);
+        }
     }
 
-    /// `(seq, unit)` of the memoized `Ready` — only meaningful while the
-    /// matching [`Sm::ready_now`] bit is set.
-    pub(crate) fn ready_info(&self, w: usize, slot: usize) -> (u64, UnitClass) {
+    /// The dense-mirror record of the memoized `Ready` — only meaningful
+    /// for warps [`Sm::ready_set`] just returned.
+    pub(crate) fn ready_info(&self, w: usize, slot: usize) -> ReadyInfo {
         self.ready_info[w][slot].get()
     }
 
-    /// Unit classes with a free issue port this cycle, as a bitmask over
-    /// `UnitClass as u8` (Control, which needs no port, is always set).
-    pub(crate) fn free_unit_mask(&self) -> u8 {
-        self.groups.free_class_mask(self.cycle) | (1 << UnitClass::Control as u8)
+    /// Warps whose secondary slot an SBI reconvergence constraint parks
+    /// (§3.3), after settling slot 1 so the maintained set is exact.
+    pub(crate) fn suspended_warps(&self) -> u64 {
+        self.settle(1, u64::MAX);
+        self.suspended.get()
+    }
+
+    /// [`Sm::ready_check`] recomputed from the architectural state alone —
+    /// no memo, no candidate sets. The debug cross-check's reference.
+    #[cfg(debug_assertions)]
+    pub(crate) fn ready_check_reference(&self, w: usize, slot: usize) -> Option<Ready> {
+        let r = self.ready_check_slow(w, slot).ok()?;
+        (r.unit == UnitClass::Control || self.groups.find_free(r.unit, self.cycle).is_some())
+            .then_some(r)
     }
 
     /// Re-derives warp `w`'s fetch-candidate bits from its liveness and
@@ -1393,26 +1447,20 @@ impl Sm {
     }
 
     /// True if warp `w`'s secondary slot is currently parked by an SBI
-    /// reconvergence constraint (§3.3).
-    pub(crate) fn constraint_suspended(&self, w: usize) -> bool {
+    /// reconvergence constraint (§3.3) — which implies its slot 1 is not
+    /// ready: every earlier exit of [`Sm::ready_check_slow`] is a failure
+    /// too.
+    pub(crate) fn sync_parked(&self, w: usize) -> bool {
         if !self.cfg.sbi_constraints {
             return false;
         }
         let Some((pc, _, at_barrier)) = self.ctx(w, 1) else {
             return false;
         };
-        if at_barrier || self.program[pc].op != Op::Sync {
+        if at_barrier || !self.pc_meta[pc.index()].is_sync {
             return false;
         }
         matches!(self.ctx(w, 0), Some((cpc1, _, _)) if cpc1 < pc)
-    }
-
-    /// Counts a constraint suspension if that is the (only) reason the slot
-    /// is not ready (statistics for §5.1's constraints discussion).
-    pub(crate) fn note_constraint_suspension(&mut self, w: usize) {
-        if self.constraint_suspended(w) {
-            self.stats.constraint_suspensions += 1;
-        }
     }
 
     // --- the narrow policy-facing queries (see `crate::policy::IssueCtx`) ------
@@ -1433,9 +1481,14 @@ impl Sm {
     }
 
     /// Thread-space `mask` of warp `wid` translated into lane space
-    /// through the precomputed permutation table.
+    /// through the per-warp XOR keys.
     pub(crate) fn lanes_of(&self, mask: Mask, wid: usize) -> Mask {
         self.lane_table.mask_to_lanes(mask, wid)
+    }
+
+    /// Warps sharing warp `w`'s SWI lookup set (`w` included).
+    pub(crate) fn lookup_set(&self, w: usize) -> u64 {
+        self.lookup_sets[w % self.lookup_sets.len()]
     }
 
     /// A pseudo-random index below `n` from the seeded tie-breaking RNG.
@@ -1507,7 +1560,7 @@ impl Sm {
 
             // Back-end timing, then hand the scratch buffer back for the
             // next issue event.
-            let wb_time = self.time_pick(w, instr, r.mask, &accesses, pick.dispatch);
+            let wb_time = self.time_pick(instr, &accesses, pick.dispatch);
             self.access_scratch = accesses;
 
             // Statistics & trace.
@@ -1875,9 +1928,7 @@ impl Sm {
     /// whose transactions await a DRAM grant.
     fn time_pick(
         &mut self,
-        _w: usize,
         instr: &Instruction,
-        _mask: Mask,
         accesses: &[(usize, u32, u32)],
         dispatch: Dispatch,
     ) -> WbTiming {
@@ -2011,12 +2062,8 @@ impl Sm {
         let newly = mask - warp.exited;
         warp.exited |= mask;
         let slot = warp.block_slot;
+        // `alive` stays true until the scoreboard drains (`refill_blocks`).
         self.blocks[slot].alive_threads -= newly.count();
-        if warp.exited == warp.populated {
-            // Transition::Exit removal happens in the divergence structure;
-            // keep `alive` true until the scoreboard drains (refill handles
-            // it).
-        }
     }
 
     fn release_barriers(&mut self) {

@@ -22,6 +22,24 @@
 //! squashed); the SWI cascade's pending-primary revalidation shows the
 //! pattern.
 //!
+//! # How to scan
+//!
+//! Never probe `0..num_warps` with [`IssueCtx::ready_check`] every cycle:
+//! most warps are blocked most of the time, and the SM already knows
+//! which. [`IssueCtx::ready_set`]`(slot, among, classes)` returns the
+//! ready, port-free warps of a warp bitmask in one call — it re-runs the
+//! check only for warps an event woke since the last scan and answers the
+//! rest from dense mirrors. Walk its set bits (ascending warp order) and
+//! read each candidate's age, unit class and lane mask from
+//! [`IssueCtx::ready_info`]; [`IssueCtx::oldest_ready`] is the
+//! oldest-first pick built that way, and what every built-in scheduler
+//! calls. Restrict a scan with `among` (a pool, a lookup set, "not this
+//! warp") and `classes` rather than filtering afterwards. Fetch the full
+//! [`Ready`] of a chosen `(warp, slot)` with
+//! [`IssueCtx::ready_check_unported`] — a memo hit. Debug builds check
+//! every `ready_set` result against a memo-free reference fold over all
+//! warps, so a policy written this way is cross-checked by its own tests.
+//!
 //! # Determinism clause
 //!
 //! Every policy must be a **deterministic function of the SM state and
@@ -87,6 +105,20 @@ pub struct Ready {
     pub unit: UnitClass,
     /// Fetch sequence number (age; smaller = older).
     pub seq: u64,
+}
+
+/// The dense-mirror record of a ready instruction: what a scan needs per
+/// candidate, filled once when the readiness memo is evaluated. Read it
+/// through [`IssueCtx::ready_info`] for warps [`IssueCtx::ready_set`]
+/// returned.
+#[derive(Debug, Clone, Copy)]
+pub struct ReadyInfo {
+    /// Fetch sequence number (age; smaller = older).
+    pub seq: u64,
+    /// Lane-space active mask (its population equals the thread mask's).
+    pub lanes: Mask,
+    /// Back-end unit class the instruction needs.
+    pub unit: UnitClass,
 }
 
 /// How a pick maps onto the back-end.
@@ -192,11 +224,10 @@ impl IssueCtx<'_> {
         self.sm.config().sched_order
     }
 
-    /// Number of sets the SWI mask-lookup partitions the warp pool into
-    /// (fig. 9 associativity).
-    pub fn lookup_sets(&self) -> usize {
-        let cfg = self.sm.config();
-        cfg.swi_assoc.num_sets(cfg.num_warps)
+    /// The warps in `warp`'s set of the SWI mask-lookup (fig. 9
+    /// associativity), `warp` included, as a bitmask.
+    pub fn lookup_set(&self, warp: usize) -> u64 {
+        self.sm.lookup_set(warp)
     }
 
     /// Whether `(warp, slot)` holds a ready instruction whose execution
@@ -211,32 +242,41 @@ impl IssueCtx<'_> {
         self.sm.ready_check_nogroup(warp, slot)
     }
 
-    /// Warp bitmask for which [`IssueCtx::ready_check`] on `slot` *might*
-    /// return `Some` this cycle. A clear bit is a guarantee of not-ready
-    /// (a memoized until-wake failure), so scan loops may skip it without
-    /// changing any pick; a set bit still needs the check itself.
-    pub fn ready_candidates(&self, slot: usize) -> u64 {
-        self.sm.ready_candidates(slot)
+    /// The scan primitive: the warps of `among` (a bitmask) for which
+    /// [`IssueCtx::ready_check`] on `slot` returns an instruction whose
+    /// unit class is in `classes` (a bitmask over `UnitClass as u8`; `!0`
+    /// for any). Event-driven — see the module docs' "How to scan".
+    pub fn ready_set(&self, slot: usize, among: u64, classes: u8) -> u64 {
+        let set = self.sm.ready_set(slot, among, classes);
+        // The invariants' test: the set equals the reference fold of the
+        // memo-free ready check over every warp.
+        #[cfg(debug_assertions)]
+        {
+            let reference = (0..self.num_warps())
+                .filter(|&w| among >> w & 1 != 0)
+                .filter_map(|w| self.sm.ready_check_reference(w, slot))
+                .filter(|r| classes >> r.unit as u8 & 1 != 0)
+                .fold(0, |m, r| m | 1u64 << r.warp);
+            assert_eq!(set, reference, "slot {slot} scan missed a ready warp");
+        }
+        set
     }
 
-    /// Warps with a *memoized* ready instruction in `slot` (subset of
-    /// [`IssueCtx::ready_candidates`]); pair with
-    /// [`IssueCtx::ready_info`] for scan loops that only need age and
-    /// unit class.
-    pub fn ready_now(&self, slot: usize) -> u64 {
-        self.sm.ready_now(slot)
-    }
-
-    /// `(seq, unit)` of the memoized ready instruction — only meaningful
-    /// while the matching [`IssueCtx::ready_now`] bit is set.
-    pub fn ready_info(&self, warp: usize, slot: usize) -> (u64, UnitClass) {
+    /// Age, unit class and lane mask of the ready instruction in
+    /// `(warp, slot)` — only meaningful for the warps
+    /// [`IssueCtx::ready_set`] returned this cycle.
+    pub fn ready_info(&self, warp: usize, slot: usize) -> ReadyInfo {
         self.sm.ready_info(warp, slot)
     }
 
-    /// Unit classes with a free issue port this cycle, as a bitmask over
-    /// `UnitClass as u8` (Control is always set).
-    pub fn free_unit_mask(&self) -> u8 {
-        self.sm.free_unit_mask()
+    /// The oldest instruction of [`IssueCtx::ready_set`]`(slot, among,
+    /// classes)` — the oldest-first pick of every built-in scheduler.
+    pub fn oldest_ready(&self, slot: usize, among: u64, classes: u8) -> Option<Ready> {
+        // Ascending warp order; `min_by_key` keeps the first minimum.
+        let w = Mask::from_bits(self.ready_set(slot, among, classes))
+            .iter()
+            .min_by_key(|&w| self.ready_info(w, slot).seq)?;
+        self.ready_check_unported(w, slot)
     }
 
     /// `(pc, mask, at_barrier)` of the divergence context feeding ibuf
@@ -251,22 +291,19 @@ impl IssueCtx<'_> {
         self.sm.slot_masks(warp)
     }
 
-    /// True if `warp`'s secondary slot is parked by an SBI reconvergence
-    /// constraint (§3.3).
-    pub fn constraint_suspended(&self, warp: usize) -> bool {
-        self.sm.constraint_suspended(warp)
-    }
-
-    /// Counts a constraint suspension if that is the reason `warp`'s
-    /// secondary slot is not ready (§5.1 statistics).
-    pub fn note_constraint_suspension(&mut self, warp: usize) {
-        self.sm.note_constraint_suspension(warp);
-    }
-
-    /// Adds `n` pre-counted constraint suspensions (the idle fast-forward
-    /// replication path).
-    pub fn add_constraint_suspensions(&mut self, n: u64) {
-        self.sm.stats_mut().constraint_suspensions += n;
+    /// Counts `cycles` cycles of SBI constraint suspensions — one per
+    /// parked secondary per cycle (§3.3; §5.1 statistics). The parked set
+    /// is maintained at readiness events, not re-derived per warp.
+    pub fn count_constraint_suspensions(&mut self, cycles: u64) {
+        let parked = self.sm.suspended_warps();
+        #[cfg(debug_assertions)]
+        {
+            let reference = (0..self.num_warps())
+                .filter(|&w| self.sm.sync_parked(w))
+                .fold(0, |m, w| m | 1u64 << w);
+            assert_eq!(parked, reference, "maintained suspension set drifted");
+        }
+        self.sm.stats_mut().constraint_suspensions += cycles * parked.count_ones() as u64;
     }
 
     /// Counts one SWI mask-lookup probe.
@@ -327,15 +364,6 @@ impl IssueCtx<'_> {
     /// DRAM arbitration follow it), so commit in the order picked.
     pub fn commit(&mut self, warp: usize, picks: &[Pick]) {
         self.sm.commit_warp_issue(warp, picks);
-    }
-}
-
-/// Selects the better primary candidate under oldest-first ordering.
-/// Shared by every built-in policy's scan loop.
-pub(crate) fn older(best: Option<Ready>, candidate: Ready) -> Option<Ready> {
-    match best {
-        Some(b) if b.seq <= candidate.seq => Some(b),
-        _ => Some(candidate),
     }
 }
 

@@ -45,37 +45,9 @@ impl IssuePolicy for DualPoolPolicy {
                 }
             }
             if best.is_none() {
-                // Walk only the maintained candidate set: a clear bit is a
-                // memoized not-ready guarantee, and `older` picks the
-                // minimum seq, so skipping clear bits changes nothing.
                 const EVEN: u64 = 0x5555_5555_5555_5555;
                 let pool_mask = if pool == 0 { EVEN } else { !EVEN };
-                // Settle candidates whose memo went stale so the dense
-                // mirrors cover the whole pool...
-                let mut unknown = ctx.ready_candidates(0) & pool_mask & !ctx.ready_now(0);
-                while unknown != 0 {
-                    let w = unknown.trailing_zeros() as usize;
-                    unknown &= unknown - 1;
-                    let _ = ctx.ready_check_unported(w, 0);
-                }
-                // ...then pick the oldest memoized-ready warp whose unit
-                // has a free port, touching only the (seq, unit) mirror.
-                // Ascending-warp order with a strict compare reproduces
-                // the old `older` fold exactly (first wins on seq ties).
-                let free = ctx.free_unit_mask();
-                let mut ready = ctx.ready_now(0) & pool_mask;
-                let mut best_w = None;
-                let mut best_seq = u64::MAX;
-                while ready != 0 {
-                    let w = ready.trailing_zeros() as usize;
-                    ready &= ready - 1;
-                    let (seq, unit) = ctx.ready_info(w, 0);
-                    if free & (1 << unit as u8) != 0 && seq < best_seq {
-                        best_seq = seq;
-                        best_w = Some(w);
-                    }
-                }
-                best = best_w.and_then(|w| ctx.ready_check(w, 0));
+                best = ctx.oldest_ready(0, pool_mask, !0);
             }
             if let Some(r) = best {
                 if let Some(dispatch) = ctx.plan_dispatch(r.unit) {

@@ -5,9 +5,7 @@
 
 use warpweave_isa::UnitClass;
 
-use super::{
-    older, Dispatch, FetchChannels, FetchPref, IssueCtx, IssuePolicy, Pick, Ready, SchedOrder,
-};
+use super::{FetchChannels, FetchPref, IssueCtx, IssuePolicy, Pick, SchedOrder};
 
 /// The SBI front-end. Scheduling is primary-led: the leading split never
 /// advances while the laggard stalls, so desynchronised splits can catch
@@ -15,7 +13,9 @@ use super::{
 /// picked warp offers no co-issuable secondary, the second front-end
 /// falls back to the oldest ready instruction of another warp for a
 /// *different* free SIMD group (conventional multiple-issue — full masks
-/// cannot share lanes).
+/// cannot share lanes). Both picks are [`IssueCtx::oldest_ready`] scans,
+/// and the §3.3 constraint-suspension statistic reads a maintained set,
+/// so a cycle's cost follows the warps that woke, not the pool size.
 #[derive(Debug, Default)]
 pub struct SbiPolicy {
     order: SchedOrder,
@@ -38,24 +38,14 @@ impl SbiPolicy {
 
 impl IssuePolicy for SbiPolicy {
     fn issue(&mut self, ctx: &mut IssueCtx<'_>) -> usize {
-        // One scan selects the oldest ready primary *and* counts parked
-        // secondaries (the §3.3 constraint-suspension statistic) — the
-        // scan always runs in full so the statistic is order-independent.
-        let mut best: Option<Ready> = None;
-        for w in 0..ctx.num_warps() {
-            if let Some(r) = ctx.ready_check(w, 0) {
-                best = older(best, r);
-            }
-            if ctx.ready_check(w, 1).is_none() {
-                ctx.note_constraint_suspension(w);
-            }
-        }
+        ctx.count_constraint_suspensions(1);
+        // Greedy handle first (GTO only), else the oldest ready primary.
+        let mut best = None;
         if self.order == SchedOrder::GreedyThenOldest {
-            if let Some(w) = self.last {
-                if let Some(r) = ctx.ready_check(w, 0) {
-                    best = Some(r);
-                }
-            }
+            best = self.last.and_then(|w| ctx.ready_check(w, 0));
+        }
+        if best.is_none() {
+            best = ctx.oldest_ready(0, !0, !0);
         }
         let Some(r1) = best else { return 0 };
         let w = r1.warp;
@@ -82,32 +72,22 @@ impl IssuePolicy for SbiPolicy {
         }
         let mut issued = n;
         if n == 1 {
-            // Other-warp fallback for the idle front-end.
-            let mut alt: Option<(Ready, Dispatch)> = None;
-            for ow in (0..ctx.num_warps()).filter(|&ow| ow != w) {
-                let Some(r) = ctx.ready_check(ow, 0) else {
-                    continue;
-                };
-                if alt.as_ref().is_some_and(|(b, _)| b.seq <= r.seq) {
-                    continue;
-                }
-                if r.unit == UnitClass::Control {
-                    alt = Some((r, Dispatch::None));
-                } else if r.unit != p1.ready.unit || matches!(p1.dispatch, Dispatch::None) {
-                    if let Some(g) = ctx.free_group(r.unit) {
-                        alt = Some((r, Dispatch::Group(g)));
-                    }
-                }
-            }
-            if let Some((r, d)) = alt {
-                let lsu_clash = p1.ready.unit == UnitClass::Lsu && r.unit == UnitClass::Lsu;
-                if !(lsu_clash || (ctx.is_branch(p1.ready.pc) && ctx.is_branch(r.pc))) {
+            // Other-warp fallback for the idle front-end: the oldest
+            // ready instruction that needs no port of the primary's class.
+            let classes = match r1.unit {
+                UnitClass::Control => !0,
+                unit => !(1 << unit as u8),
+            };
+            if let Some(r) = ctx.oldest_ready(0, !(1u64 << w), classes) {
+                // At most one divergence per cycle.
+                if !(ctx.is_branch(r1.pc) && ctx.is_branch(r.pc)) {
+                    let dispatch = ctx.plan_dispatch(r.unit).expect("scanned port-free");
                     issued += 1;
                     ctx.commit(
                         r.warp,
                         &[Pick {
                             ready: r,
-                            dispatch: d,
+                            dispatch,
                             secondary: true,
                         }],
                     );
@@ -129,9 +109,6 @@ impl IssuePolicy for SbiPolicy {
         // statistic is exact (the suspension set is frozen with the rest
         // of the state — no group frees and no writeback lands inside the
         // skipped window by construction).
-        let parked = (0..ctx.num_warps())
-            .filter(|&w| ctx.ready_check(w, 1).is_none() && ctx.constraint_suspended(w))
-            .count() as u64;
-        ctx.add_constraint_suspensions(skipped * parked);
+        ctx.count_constraint_suspensions(skipped);
     }
 }

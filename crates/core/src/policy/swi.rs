@@ -8,9 +8,7 @@ use warpweave_isa::{Pc, UnitClass};
 
 use crate::mask::Mask;
 
-use super::{
-    older, Dispatch, FetchChannels, FetchPref, IssueCtx, IssuePolicy, Pick, Ready, SchedOrder,
-};
+use super::{Dispatch, FetchChannels, FetchPref, IssueCtx, IssuePolicy, Pick, Ready, SchedOrder};
 
 /// The pending primary pick of the cascade (selected one cycle before
 /// issue — table 2's 2-cycle scheduler latency).
@@ -24,7 +22,9 @@ struct PendingPrimary {
 /// The SWI front-end (solo, or combined with SBI's secondary-split
 /// fetch). This cycle issues the primary picked *last* cycle plus a
 /// secondary found now; in parallel the next primary is picked, with
-/// a-posteriori conflict squashing (§4).
+/// a-posteriori conflict squashing (§4). Every pick walks
+/// [`IssueCtx::ready_set`] bitmasks and reads the dense
+/// [`IssueCtx::ready_info`] mirror — no per-warp probing, no allocation.
 #[derive(Debug)]
 pub struct SwiPolicy {
     order: SchedOrder,
@@ -67,6 +67,22 @@ impl SwiPolicy {
         }
     }
 
+    /// The ready `(warp, slot)` pairs among the warps of `among`, in
+    /// lookup order: ascending warp, then slot.
+    fn ready_pairs(&self, ctx: &IssueCtx<'_>, among: u64) -> impl Iterator<Item = (usize, usize)> {
+        let mut sets = [0u64; 2];
+        for (slot, set) in sets.iter_mut().enumerate().take(self.slots) {
+            *set = ctx.ready_set(slot, among, !0);
+        }
+        Mask::from_bits(sets[0] | sets[1])
+            .iter()
+            .flat_map(move |w| {
+                (0..2)
+                    .filter(move |&slot| sets[slot] >> w & 1 != 0)
+                    .map(move |slot| (w, slot))
+            })
+    }
+
     /// The SWI secondary lookup: search the primary's associativity set
     /// for a ready instruction whose lanes fit in the primary's free
     /// lanes (same-group ride), or any instruction for another free
@@ -77,128 +93,122 @@ impl SwiPolicy {
         r1: &Ready,
         d1: Dispatch,
     ) -> Option<(Ready, Dispatch)> {
-        let width = ctx.warp_width();
-        let nw = ctx.num_warps();
-        let free = Mask::full(width) - ctx.lanes_of(r1.mask, r1.warp);
-        let sets = ctx.lookup_sets();
-        let my_set = r1.warp % sets;
-
-        let mut rides: Vec<(Ready, usize, u32)> = Vec::new(); // (ready, group, fit)
-        let mut others: Vec<(Ready, Dispatch)> = Vec::new();
+        let free = Mask::full(ctx.warp_width()) - ctx.lanes_of(r1.mask, r1.warp);
+        let mut rides = BestFit::default();
+        // Oldest candidate for another group: (seq, warp, slot).
+        let mut other: Option<(u64, usize, usize)> = None;
 
         // Same-warp CPC2 (SBI-style) — always reachable, no lookup needed.
         if self.slots > 1 {
             if let Some(r2) = ctx.ready_check(r1.warp, 1) {
-                if let Some(d2) = ctx.plan_coissue(r1, d1, &r2) {
-                    match d2 {
-                        Dispatch::Ride(g) => rides.push((r2, g, r2.mask.count())),
-                        d => others.push((r2, d)),
-                    }
+                match ctx.plan_coissue(r1, d1, &r2) {
+                    Some(Dispatch::Ride(_)) => rides.offer(r1.warp, 1, r2.mask.count()),
+                    Some(_) => other = Some((r2.seq, r1.warp, 1)),
+                    None => {}
                 }
             }
         }
 
-        for w in (0..nw).filter(|w| w % sets == my_set && *w != r1.warp) {
-            for slot in 0..self.slots {
-                let Some(r2) = ctx.ready_check(w, slot) else {
-                    continue;
-                };
-                ctx.count_lookup_probe();
+        let others = ctx.lookup_set(r1.warp) & !(1u64 << r1.warp);
+        for (w, slot) in self.ready_pairs(ctx, others) {
+            ctx.count_lookup_probe();
+            let info = ctx.ready_info(w, slot);
+            if info.unit != r1.unit || info.unit == UnitClass::Control {
+                // Another class has a free group of its own (the scan
+                // vouches for the port); control needs none.
+                if other.is_none_or(|(seq, ..)| info.seq < seq) {
+                    other = Some((info.seq, w, slot));
+                }
+            } else if info.unit != UnitClass::Lsu && info.lanes.is_subset(free) {
                 // Cross-warp branch pairs are fine (separate HCT sorters);
                 // only the single 128-byte L1 port is exclusive.
-                if r2.unit == UnitClass::Lsu && r1.unit == UnitClass::Lsu {
-                    continue;
-                }
-                let lanes = ctx.lanes_of(r2.mask, w);
-                if r2.unit == r1.unit
-                    && matches!(r1.unit, UnitClass::Mad | UnitClass::Sfu)
-                    && lanes.is_subset(free)
-                {
-                    if let Dispatch::Group(g) = d1 {
-                        rides.push((r2, g, lanes.count()));
-                        continue;
-                    }
-                }
-                if r2.unit == UnitClass::Control {
-                    others.push((r2, Dispatch::None));
-                } else if r2.unit != r1.unit {
-                    if let Some(g) = ctx.free_group(r2.unit) {
-                        others.push((r2, Dispatch::Group(g)));
-                    }
-                }
+                rides.offer(w, slot, info.lanes.count());
             }
         }
 
-        // Best fit: maximise occupancy; pseudo-random tie-breaking.
-        if !rides.is_empty() {
-            let best_fit = rides.iter().map(|&(_, _, c)| c).max().expect("non-empty");
-            let tied: Vec<&(Ready, usize, u32)> =
-                rides.iter().filter(|&&(_, _, c)| c == best_fit).collect();
-            let pick = tied[ctx.rand_below(tied.len())];
-            ctx.count_lookup_hit();
-            return Some((pick.0, Dispatch::Ride(pick.1)));
-        }
-        if !others.is_empty() {
-            let oldest = others
-                .into_iter()
-                .min_by_key(|(r, _)| r.seq)
-                .expect("non-empty");
-            ctx.count_lookup_hit();
-            return Some(oldest);
-        }
-        None
+        let (w, slot, ride) = match rides.pick(ctx) {
+            Some((w, slot)) => (w, slot, true),
+            None => other.map(|(_, w, slot)| (w, slot, false))?,
+        };
+        ctx.count_lookup_hit();
+        let r2 = ctx.ready_check_unported(w, slot)?;
+        let d2 = match d1 {
+            Dispatch::Group(g) if ride => Dispatch::Ride(g),
+            _ => ctx.plan_dispatch(r2.unit)?,
+        };
+        Some((r2, d2))
     }
 
     /// The secondary scheduler's solo pick (after a conflict bubble):
     /// best-fit over all ready instructions.
     fn solo_pick(&self, ctx: &mut IssueCtx<'_>) -> Option<Ready> {
-        let mut best: Vec<Ready> = Vec::new();
-        let mut best_fit = 0;
-        for w in 0..ctx.num_warps() {
-            for slot in 0..self.slots {
-                if let Some(r) = ctx.ready_check(w, slot) {
-                    let c = r.mask.count();
-                    if c > best_fit {
-                        best_fit = c;
-                        best.clear();
-                    }
-                    if c == best_fit {
-                        best.push(r);
-                    }
-                }
-            }
+        let mut best = BestFit::default();
+        for (w, slot) in self.ready_pairs(ctx, !0) {
+            best.offer(w, slot, ctx.ready_info(w, slot).lanes.count());
         }
-        if best.is_empty() {
-            None
-        } else {
-            Some(best[ctx.rand_below(best.len())])
+        let (w, slot) = best.pick(ctx)?;
+        ctx.ready_check_unported(w, slot)
+    }
+}
+
+/// The best-fit candidates seen so far, in offer order — a running maximum
+/// plus its ties in a fixed buffer (at most 64 warps × 2 slots), so the
+/// pseudo-random tie-break draws once, over the same candidates in the
+/// same order as a collected list would give.
+struct BestFit {
+    fit: u32,
+    len: usize,
+    /// `warp << 1 | slot` of each candidate tied at `fit`.
+    tied: [u8; 128],
+}
+
+impl Default for BestFit {
+    fn default() -> BestFit {
+        BestFit {
+            fit: 0,
+            len: 0,
+            tied: [0; 128],
         }
+    }
+}
+
+impl BestFit {
+    fn offer(&mut self, warp: usize, slot: usize, fit: u32) {
+        if fit > self.fit {
+            (self.fit, self.len) = (fit, 0);
+        }
+        if fit == self.fit {
+            self.tied[self.len] = (warp << 1 | slot) as u8;
+            self.len += 1;
+        }
+    }
+
+    /// One of the tied best fits, by one draw of the SM's RNG (none when
+    /// nothing was offered).
+    fn pick(&self, ctx: &mut IssueCtx<'_>) -> Option<(usize, usize)> {
+        if self.len == 0 {
+            return None;
+        }
+        let key = self.tied[ctx.rand_below(self.len)] as usize;
+        Some((key >> 1, key & 1))
     }
 }
 
 impl IssuePolicy for SwiPolicy {
     fn issue(&mut self, ctx: &mut IssueCtx<'_>) -> usize {
-        // Phase n+1 primary pick (in parallel with this cycle's secondary).
+        // Phase n+1 primary pick (in parallel with this cycle's
+        // secondary), excluding the warp whose entry the pending primary
+        // reserves: greedy handle first (GTO only), else the oldest.
+        let others = !self.pending.map_or(0, |pp| 1u64 << pp.warp);
         let mut np: Option<Ready> = None;
-        for w in 0..ctx.num_warps() {
-            // Exclude the entry reserved by the pending primary.
-            if let Some(pp) = self.pending {
-                if pp.warp == w {
-                    continue;
-                }
-            }
-            if let Some(r) = ctx.ready_check(w, 0) {
-                np = older(np, r);
-            }
-        }
         if self.order == SchedOrder::GreedyThenOldest {
-            if let Some(w) = self.last {
-                if self.pending.is_none_or(|pp| pp.warp != w) {
-                    if let Some(r) = ctx.ready_check(w, 0) {
-                        np = Some(r);
-                    }
-                }
-            }
+            np = self
+                .last
+                .filter(|&w| others >> w & 1 != 0)
+                .and_then(|w| ctx.ready_check(w, 0));
+        }
+        if np.is_none() {
+            np = ctx.oldest_ready(0, others, !0);
         }
 
         let mut issued = 0;
