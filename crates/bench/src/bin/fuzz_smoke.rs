@@ -25,7 +25,7 @@
 //! Every run is wall-clock-free and deterministic in `(seed, count)`; any
 //! failure prints a one-line rerun command carrying the seed.
 
-use warpweave_bench::arg_value;
+use warpweave_bench::{arg_value, Json};
 use warpweave_core::fuzzing::{run_case, CaseOutcome};
 use warpweave_isa::fuzz::{self, parse_seed, seed_from_env, FuzzProfile, Reproducer, SEED_ENV};
 
@@ -97,25 +97,26 @@ fn emit_corpus(dir: &str) -> Result<(), String> {
 }
 
 fn stats_json(stats: &[ProfileStats], base_seed: u64, count: usize) -> String {
-    let mut rows = Vec::new();
-    for s in stats.iter().filter(|s| s.cases > 0) {
+    let rows = stats.iter().filter(|s| s.cases > 0).map(|s| {
+        let mean = |sum: f64, decimals| Json::Fixed(sum / s.cases as f64, decimals);
         let ipcs = s
             .ipc_sums
             .iter()
-            .map(|(n, sum)| format!("\"{n}\": {:.6}", sum / s.cases as f64))
-            .collect::<Vec<_>>()
-            .join(", ");
-        rows.push(format!(
-            "    {{\"profile\": \"{}\", \"cases\": {}, \"mean_static_instrs\": {:.1}, \"mean_ipc\": {{{ipcs}}}}}",
-            s.name,
-            s.cases,
-            s.instrs as f64 / s.cases as f64,
-        ));
-    }
-    format!(
-        "{{\n  \"schema\": \"warpweave-fuzz-smoke-v1\",\n  \"base_seed\": \"{base_seed:#x}\",\n  \"count\": {count},\n  \"profiles\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    )
+            .map(|(n, sum)| (n.as_str(), mean(*sum, 6)));
+        Json::Object(vec![
+            ("profile", s.name.into()),
+            ("cases", Json::Int(s.cases as u64)),
+            ("mean_static_instrs", mean(s.instrs as f64, 1)),
+            ("mean_ipc", Json::Object(ipcs.collect())),
+        ])
+    });
+    Json::Object(vec![
+        ("schema", "warpweave-fuzz-smoke-v1".into()),
+        ("base_seed", Json::Str(format!("{base_seed:#x}"))),
+        ("count", Json::Int(count as u64)),
+        ("profiles", Json::Lines(rows.collect())),
+    ])
+    .render()
 }
 
 fn print_table(stats: &[ProfileStats]) {

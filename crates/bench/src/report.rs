@@ -14,7 +14,7 @@
 //! must be acknowledged by re-recording the baseline.
 
 use warpweave_core::checkpoint::SweepCheckpoint;
-use warpweave_core::Stats;
+use warpweave_core::{Stats, CHECKPOINT_VERSION};
 use warpweave_mem::ChannelStats;
 
 use crate::grid::{machine_probes, MachineProbe};
@@ -23,17 +23,80 @@ use crate::harness::{CellFailure, CellResult, MatrixResult};
 /// Schema tag of the sweep payload.
 pub const SWEEP_SCHEMA: &str = "warpweave-bench-sweep-v3";
 /// Schema tag of the partial payload a faulted sweep emits.
-pub const FAULTED_SWEEP_SCHEMA: &str = "warpweave-bench-sweep-faulted-v1";
+pub const FAULTED_SWEEP_SCHEMA: &str = "warpweave-bench-sweep-faulted-v2";
 /// Schema tag of the golden baseline.
 pub const GOLDEN_SCHEMA: &str = "warpweave-bench-golden-v1";
 
-/// Escapes a string for a JSON literal.
+/// Escapes a string for a JSON literal (every control character included,
+/// so a panic message carrying terminal escapes still yields valid JSON).
 pub fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-        .replace('\r', "\\r")
-        .replace('\t', "\\t")
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '\\' | '"' => out.extend(['\\', c]),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// An ordered JSON value — the one writer behind every artifact payload:
+/// commas, indentation, escaping and the float form live here and nowhere
+/// else, and members keep insertion order.
+#[derive(Debug, Clone)]
+pub enum Json<'a> {
+    /// A string (escaped on output).
+    Str(String),
+    /// An integer.
+    Int(u64),
+    /// A float printed with a fixed number of decimals.
+    Fixed(f64, usize),
+    /// An object; members in insertion order.
+    Object(Vec<(&'a str, Json<'a>)>),
+    /// An array of one-line elements, one per line (a diff names the cell).
+    Lines(Vec<Json<'a>>),
+}
+
+impl Json<'_> {
+    /// The document form: two-space indented, newline-terminated.
+    pub fn render(&self) -> String {
+        self.text(Some(0)) + "\n"
+    }
+
+    /// The value at nesting `depth`, or on one line when `depth` is `None`.
+    fn text(&self, depth: Option<usize>) -> String {
+        let layout = |open: char, items: Vec<String>, close: char| match depth {
+            None => format!("{open}{}{close}", items.join(", ")),
+            Some(d) => {
+                let pad = "  ".repeat(d + 1);
+                let lines: Vec<String> = items.iter().map(|i| format!("{pad}{i}")).collect();
+                format!("{open}\n{}\n{}{close}", lines.join(",\n"), "  ".repeat(d))
+            }
+        };
+        match self {
+            Json::Str(s) => format!("\"{}\"", json_escape(s)),
+            Json::Int(n) => n.to_string(),
+            Json::Fixed(x, decimals) => format!("{x:.decimals$}"),
+            Json::Object(members) => {
+                let inner = depth.map(|d| d + 1);
+                let items = members
+                    .iter()
+                    .map(|(k, v)| format!("\"{}\": {}", json_escape(k), v.text(inner)));
+                layout('{', items.collect(), '}')
+            }
+            Json::Lines(items) => layout('[', items.iter().map(|v| v.text(None)).collect(), ']'),
+        }
+    }
+}
+
+impl From<&str> for Json<'_> {
+    fn from(s: &str) -> Self {
+        Json::Str(s.to_string())
+    }
 }
 
 /// The measured outcome of one [`MachineProbe`].
@@ -96,45 +159,29 @@ pub fn probes_from_store(store: &SweepCheckpoint) -> Result<Vec<ProbeResult>, Ve
 /// per-config geometric means. Byte-for-byte reproducible for a given
 /// grid — see the module docs.
 pub fn render_sweep_json(scale: &str, m: &MatrixResult, probes: &[ProbeResult]) -> String {
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!("  \"schema\": \"{SWEEP_SCHEMA}\",\n"));
-    json.push_str(&format!("  \"scale\": \"{scale}\",\n"));
-    json.push_str(&format!(
-        "  \"jobs\": {},\n",
-        m.configs.len() * m.workloads.len()
-    ));
-
     // Per-cell IPC grid: one line per cell, workload-major.
-    json.push_str("  \"cells\": [\n");
-    let mut cell_lines = Vec::new();
-    for (w, workload) in m.workloads.iter().enumerate() {
-        for (c, config) in m.configs.iter().enumerate() {
-            cell_lines.push(render_sweep_cell(workload, config, &m.cells[w][c].stats));
-        }
-    }
-    json.push_str(&cell_lines.join(",\n"));
-    json.push_str("\n  ],\n");
-
-    json.push_str("  \"machine_probe\": [\n");
-    let probe_lines: Vec<String> = probes
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"key\": \"{}\", \"num_sms\": {}, \"mem_model\": \"{}\", \
-                 \"makespan_cycles\": {}, \"ipc\": {:.4}, \"channel_utilization\": {:.4}}}",
-                json_escape(&p.probe.key()),
-                p.probe.num_sms,
-                p.probe.cfg.mem_model.name(),
-                p.total.cycles,
-                p.ipc(),
-                p.channel_utilization()
-            )
-        })
-        .collect();
-    json.push_str(&probe_lines.join(",\n"));
-    json.push_str("\n  ],\n");
-
+    let cells = m.cells.iter().flatten().map(sweep_cell);
+    let utilization = |p: &ProbeResult| Json::Fixed(p.channel_utilization(), 4);
+    let probe_lines = probes.iter().map(|p| {
+        Json::Object(vec![
+            ("key", Json::Str(p.probe.key())),
+            ("num_sms", Json::Int(p.probe.num_sms as u64)),
+            ("mem_model", p.probe.cfg.mem_model.name().into()),
+            ("makespan_cycles", Json::Int(p.total.cycles)),
+            ("ipc", Json::Fixed(p.ipc(), 4)),
+            ("channel_utilization", utilization(p)),
+        ])
+    });
+    let mut doc = vec![
+        ("schema", SWEEP_SCHEMA.into()),
+        ("scale", scale.into()),
+        (
+            "jobs",
+            Json::Int((m.configs.len() * m.workloads.len()) as u64),
+        ),
+        ("cells", Json::Lines(cells.collect())),
+        ("machine_probe", Json::Lines(probe_lines.collect())),
+    ];
     // Contention profile of the widest plain shared-bandwidth probe
     // (default hierarchy knobs — the suffixed probes have their own
     // machine_probe lines and golden cells).
@@ -144,134 +191,95 @@ pub fn render_sweep_json(scale: &str, m: &MatrixResult, probes: &[ProbeResult]) 
         .max_by_key(|p| p.probe.num_sms)
     {
         let ch = &shared.channel;
-        json.push_str("  \"shared_channel\": {\n");
-        json.push_str(&format!(
-            "    \"utilization\": {:.4},\n",
-            shared.channel_utilization()
-        ));
-        json.push_str(&format!(
-            "    \"avg_queue_delay_cycles\": {:.4},\n",
-            ch.avg_queue_delay()
-        ));
-        json.push_str(&format!(
-            "    \"max_queue_delay_cycles\": {},\n",
-            ch.max_queue_delay
-        ));
-        json.push_str(&format!(
-            "    \"queued_requests\": {},\n",
-            ch.queued_requests
-        ));
-        json.push_str(&format!("    \"read_transfers\": {},\n", ch.read_transfers));
-        json.push_str(&format!(
-            "    \"write_transfers\": {}\n",
-            ch.write_transfers
-        ));
-        json.push_str("  },\n");
+        let delay = Json::Fixed(ch.avg_queue_delay(), 4);
+        let block = Json::Object(vec![
+            ("utilization", utilization(shared)),
+            ("avg_queue_delay_cycles", delay),
+            ("max_queue_delay_cycles", Json::Int(ch.max_queue_delay)),
+            ("queued_requests", Json::Int(ch.queued_requests)),
+            ("read_transfers", Json::Int(ch.read_transfers)),
+            ("write_transfers", Json::Int(ch.write_transfers)),
+        ]);
+        doc.push(("shared_channel", block));
     }
-
-    json.push_str("  \"gmean_ipc_per_config\": {\n");
     let rows: Vec<usize> = (0..m.workloads.len())
         .filter(|&w| !m.workloads[w].starts_with("TMD"))
         .collect();
-    let gmeans = m.gmean_ipc(&rows);
-    let entries: Vec<String> = m
-        .configs
-        .iter()
-        .zip(&gmeans)
-        .map(|(c, g)| format!("    \"{}\": {g:.4}", json_escape(c)))
-        .collect();
-    json.push_str(&entries.join(",\n"));
-    json.push_str("\n  }\n}\n");
-    json
+    let gmeans = m.gmean_ipc(&rows).into_iter().map(|g| Json::Fixed(g, 4));
+    let gmeans = m.configs.iter().map(String::as_str).zip(gmeans);
+    doc.push(("gmean_ipc_per_config", Json::Object(gmeans.collect())));
+    Json::Object(doc).render()
 }
 
-/// Renders one sweep cell line — shared by the clean and faulted sweep
-/// renderers, so a faulted run's healthy cells are **byte-identical** to
-/// the same cells in a clean run's payload.
-fn render_sweep_cell(workload: &str, config: &str, stats: &Stats) -> String {
-    format!(
-        "    {{\"workload\": \"{}\", \"config\": \"{}\", \"ipc\": {:.4}, \
-         \"cycles\": {}, \"thread_instructions\": {}}}",
-        json_escape(workload),
-        json_escape(config),
-        stats.ipc(),
-        stats.cycles,
-        stats.thread_instructions
-    )
+/// One sweep cell line — shared by the clean and faulted sweep renderers,
+/// so a faulted run's healthy cells are **byte-identical** to the same
+/// cells in a clean run's payload.
+fn sweep_cell(cell: &CellResult) -> Json<'_> {
+    Json::Object(vec![
+        ("workload", cell.workload.as_str().into()),
+        ("config", cell.config.as_str().into()),
+        ("ipc", Json::Fixed(cell.ipc(), 4)),
+        ("cycles", Json::Int(cell.stats.cycles)),
+        (
+            "thread_instructions",
+            Json::Int(cell.stats.thread_instructions),
+        ),
+    ])
 }
 
-/// Renders the partial payload of a sweep with quarantined cells: every
+/// Renders the partial payload of a sweep with quarantined jobs: every
 /// healthy cell (byte-identical to its line in a clean run's
 /// [`render_sweep_json`] payload — both go through the same cell-line
-/// renderer) plus a `failures` block carrying the full provenance of
-/// each quarantined cell. No gmean or probe blocks: a partial aggregate
-/// would silently misrepresent the grid.
+/// builder) plus a `failures` block carrying the full provenance of each
+/// quarantined job, grid key first (what tells a probe from the matrix cell
+/// of the same labels). No gmean or probe blocks: a partial aggregate would
+/// silently misrepresent the grid.
 pub fn render_faulted_sweep_json(
     scale: &str,
     jobs: usize,
     healthy: &[CellResult],
     failures: &[CellFailure],
 ) -> String {
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!("  \"schema\": \"{FAULTED_SWEEP_SCHEMA}\",\n"));
-    json.push_str(&format!("  \"scale\": \"{scale}\",\n"));
-    json.push_str(&format!("  \"jobs\": {jobs},\n"));
-    json.push_str(&format!("  \"healthy\": {},\n", healthy.len()));
-    json.push_str(&format!("  \"quarantined\": {},\n", failures.len()));
-    json.push_str("  \"cells\": [\n");
-    let cell_lines: Vec<String> = healthy
-        .iter()
-        .map(|cell| render_sweep_cell(&cell.workload, &cell.config, &cell.stats))
-        .collect();
-    json.push_str(&cell_lines.join(",\n"));
-    json.push_str("\n  ],\n");
-    json.push_str("  \"failures\": [\n");
-    let failure_lines: Vec<String> = failures
-        .iter()
-        .map(|f| {
-            format!(
-                "    {{\"workload\": \"{}\", \"config\": \"{}\", \"seed\": \"{:#x}\", \
-                 \"attempts\": {}, \"reason\": \"{}\"}}",
-                json_escape(&f.workload),
-                json_escape(&f.config),
-                f.seed,
-                f.attempts,
-                json_escape(&f.reason.to_string())
-            )
-        })
-        .collect();
-    json.push_str(&failure_lines.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    json
+    let cells = healthy.iter().map(sweep_cell);
+    let failure_lines = failures.iter().map(|f| {
+        Json::Object(vec![
+            ("key", f.key.as_str().into()),
+            ("workload", f.workload.as_str().into()),
+            ("config", f.config.as_str().into()),
+            ("seed", Json::Str(format!("{:#x}", f.seed))),
+            ("attempts", Json::Int(f.attempts.into())),
+            ("reason", Json::Str(f.reason.to_string())),
+        ])
+    });
+    Json::Object(vec![
+        ("schema", FAULTED_SWEEP_SCHEMA.into()),
+        ("scale", scale.into()),
+        ("jobs", Json::Int(jobs as u64)),
+        ("healthy", Json::Int(healthy.len() as u64)),
+        ("quarantined", Json::Int(failures.len() as u64)),
+        ("cells", Json::Lines(cells.collect())),
+        ("failures", Json::Lines(failure_lines.collect())),
+    ])
+    .render()
 }
 
-/// Renders one golden cell line: the key, the headline IPC and **every**
-/// integer counter of the cell (the full stall breakdown, cache, DRAM and
-/// — for probes — channel counters). One cell per line, so a golden diff
-/// names the drifted cell precisely.
-fn render_golden_cell(key: &str, stats: &Stats, channel: Option<&ChannelStats>) -> String {
-    let counters: Vec<String> = stats
-        .to_fields()
-        .iter()
-        .map(|(name, value)| format!("\"{name}\": {value}"))
-        .collect();
-    let mut line = format!(
-        "    {{\"key\": \"{}\", \"ipc\": {:.4}, \"counters\": {{{}}}",
-        json_escape(key),
-        stats.ipc(),
-        counters.join(", ")
-    );
+/// One golden cell line: the key, the headline IPC and **every** integer
+/// counter of the cell (the full stall breakdown, cache, DRAM and — for
+/// probes — channel counters). One cell per line, so a golden diff names
+/// the drifted cell precisely.
+fn golden_cell<'a>(key: &str, stats: &Stats, channel: Option<&ChannelStats>) -> Json<'a> {
+    let counters = |fields: Vec<(&'static str, u64)>| {
+        Json::Object(fields.into_iter().map(|(k, n)| (k, Json::Int(n))).collect())
+    };
+    let mut cell = vec![
+        ("key", key.into()),
+        ("ipc", Json::Fixed(stats.ipc(), 4)),
+        ("counters", counters(stats.to_fields())),
+    ];
     if let Some(ch) = channel {
-        let fields: Vec<String> = ch
-            .to_fields()
-            .iter()
-            .map(|(name, value)| format!("\"{name}\": {value}"))
-            .collect();
-        line.push_str(&format!(", \"channel\": {{{}}}", fields.join(", ")));
+        cell.push(("channel", counters(ch.to_fields())));
     }
-    line.push('}');
-    line
+    Json::Object(cell)
 }
 
 /// Renders the golden baseline: every matrix cell and machine probe with
@@ -283,33 +291,22 @@ pub fn render_golden_json(
     m: &MatrixResult,
     probes: &[ProbeResult],
 ) -> String {
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!("  \"schema\": \"{GOLDEN_SCHEMA}\",\n"));
-    json.push_str(&format!(
-        "  \"checkpoint_version\": {},\n",
-        warpweave_core::CHECKPOINT_VERSION
-    ));
-    json.push_str(&format!("  \"scale\": \"{scale}\",\n"));
-    json.push_str(&format!("  \"grid\": \"{grid_id:016x}\",\n"));
-    json.push_str("  \"cells\": [\n");
-    let mut lines = Vec::new();
-    for (w, workload) in m.workloads.iter().enumerate() {
-        for (c, config) in m.configs.iter().enumerate() {
-            let key = crate::harness::cell_key(workload, config);
-            lines.push(render_golden_cell(&key, &m.cells[w][c].stats, None));
-        }
-    }
-    json.push_str(&lines.join(",\n"));
-    json.push_str("\n  ],\n");
-    json.push_str("  \"machine_probes\": [\n");
-    let lines: Vec<String> = probes
+    let cells = m.cells.iter().flatten().map(|cell| {
+        let key = crate::harness::cell_key(&cell.workload, &cell.config);
+        golden_cell(&key, &cell.stats, None)
+    });
+    let probe_cells = probes
         .iter()
-        .map(|p| render_golden_cell(&p.probe.key(), &p.total, Some(&p.channel)))
-        .collect();
-    json.push_str(&lines.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    json
+        .map(|p| golden_cell(&p.probe.key(), &p.total, Some(&p.channel)));
+    Json::Object(vec![
+        ("schema", GOLDEN_SCHEMA.into()),
+        ("checkpoint_version", Json::Int(CHECKPOINT_VERSION.into())),
+        ("scale", scale.into()),
+        ("grid", Json::Str(format!("{grid_id:016x}"))),
+        ("cells", Json::Lines(cells.collect())),
+        ("machine_probes", Json::Lines(probe_cells.collect())),
+    ])
+    .render()
 }
 
 /// One cell pulled back out of a committed golden baseline: the key plus
@@ -425,8 +422,45 @@ mod tests {
     }
 
     #[test]
+    fn control_characters_in_a_failure_reason_stay_valid_json() {
+        let failure = CellFailure {
+            key: "w/c".into(),
+            workload: "w".into(),
+            config: "c".into(),
+            seed: 7,
+            attempts: 2,
+            reason: warpweave_core::JobFailure::Panic("\u{1b}[31mboom\u{0}\t\"q\"\\".into()),
+        };
+        let json = render_faulted_sweep_json("test", 1, &[], &[failure]);
+        assert!(
+            json.contains(r#""reason": "panic: \u001b[31mboom\u0000\t\"q\"\\""#),
+            "{json}"
+        );
+        // No raw control character survives except the layout's newlines.
+        assert!(json.chars().all(|c| c == '\n' || c >= ' '), "{json:?}");
+        assert!(json.contains(r#"{"key": "w/c", "workload": "w""#), "{json}");
+    }
+
+    #[test]
+    fn writer_layouts() {
+        let doc = Json::Object(vec![
+            ("n", Json::Int(3)),
+            (
+                "rows",
+                Json::Lines(vec![Json::Object(vec![("x", Json::Fixed(0.5, 4))])]),
+            ),
+            ("nested", Json::Object(vec![("empty", Json::Lines(vec![]))])),
+        ]);
+        assert_eq!(
+            doc.render(),
+            "{\n  \"n\": 3,\n  \"rows\": [\n    {\"x\": 0.5000}\n  ],\n  \
+             \"nested\": {\n    \"empty\": [\n\n    ]\n  }\n}\n"
+        );
+    }
+
+    #[test]
     fn golden_cell_lines_are_single_lines() {
-        let line = render_golden_cell("w/c", &Stats::default(), Some(&ChannelStats::default()));
+        let line = golden_cell("w/c", &Stats::default(), Some(&ChannelStats::default())).text(None);
         assert!(!line.contains('\n'));
         assert!(line.contains("\"key\": \"w/c\""));
         assert!(line.contains("\"cycles\": 0"));
@@ -440,7 +474,7 @@ mod tests {
             thread_instructions: 56789,
             ..Stats::default()
         };
-        let line = render_golden_cell("MatrixMul/SWI", &stats, None);
+        let line = golden_cell("MatrixMul/SWI", &stats, None).text(None);
         let cells = parse_golden_cells(&line);
         assert_eq!(
             cells,

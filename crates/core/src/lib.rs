@@ -80,7 +80,7 @@ pub use machine::{Machine, MachineStats, MemJournal};
 pub use mask::Mask;
 pub use pipeline::{SimError, Sm, WarpDiagnosis};
 pub use policy::{
-    Dispatch, IssueCtx, IssuePolicy, Pick, PolicyInfo, PolicyRegistry, Ready, ReadyInfo, SchedOrder,
+    Dispatch, IssueCtx, IssuePolicy, Pick, PolicyInfo, PolicyRegistry, Ready, SchedOrder,
 };
 pub use regfile::WarpRegFile;
 pub use scoreboard::{DepMatrix, Scoreboard};

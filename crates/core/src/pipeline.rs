@@ -37,7 +37,7 @@ use crate::launch::{Launch, WarpInfo};
 use crate::lsu::{plan_global_into, shared_passes, GlobalPlan};
 use crate::machine::MemJournal;
 use crate::mask::Mask;
-use crate::policy::{Dispatch, IssueCtx, IssuePolicy, Pick, PolicyRegistry, Ready, ReadyInfo};
+use crate::policy::{Dispatch, IssueCtx, IssuePolicy, Pick, PolicyRegistry, Ready};
 use crate::regfile::WarpRegFile;
 use crate::scoreboard::{SbToken, Scoreboard};
 use crate::stats::Stats;
@@ -184,27 +184,6 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// One slot's cached [`Sm::ready_check_nogroup`] outcome (see
-/// [`Warp::ready_memo`]). Both non-`Stale` states are stable under pure
-/// clock advance: a ready instruction stays ready — with the identical
-/// [`Ready`] record — until an event touches the warp, and the only
-/// time-gated failure (an entry fetched this cycle) carries the cycle at
-/// which it clears.
-/// Interior-mutable min-heap of `(wake_cycle, warp)` re-arm entries (see
-/// [`Sm::park_warp`]).
-type TimedWakeHeap = std::cell::RefCell<std::collections::BinaryHeap<std::cmp::Reverse<(u64, u8)>>>;
-
-#[derive(Debug, Clone, Copy)]
-enum ReadyMemo {
-    /// An event may have changed the outcome: re-evaluate.
-    Stale,
-    /// Known not ready at every cycle strictly before this one
-    /// (`u64::MAX` = blocked until a waking event).
-    NotBefore(u64),
-    /// Known ready with this exact result.
-    Ready(Ready),
-}
-
 /// Per-warp divergence tracking (selected by the configuration).
 #[derive(Debug, Clone)]
 enum Divergence {
@@ -215,7 +194,6 @@ enum Divergence {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct IbufEntry {
     pc: Pc,
-    fetched_at: u64,
     seq: u64,
 }
 
@@ -271,7 +249,11 @@ struct SbRun {
     mask: Mask,
 }
 
+// Cache-line aligned so every warp's hot fields sit at the same line
+// offsets whatever the record's size: at a 416-byte stride (6.5 lines)
+// `mem_hierarchy` and `dense_alu` ran 3-4 % slower than at 432 or 448.
 #[derive(Debug)]
+#[repr(align(64))]
 struct Warp {
     alive: bool,
     block_slot: usize,
@@ -385,37 +367,29 @@ pub struct Sm {
     finalized: bool,
     cycle: u64,
     warps: Vec<Warp>,
-    /// Per-`(warp, slot)` cached [`Sm::ready_check_nogroup`] outcome,
-    /// kept as a dense side array (not in [`Warp`]) so the schedulers'
-    /// every-warp-every-cycle scans stay inside a few hot cache lines
-    /// and never touch the big per-warp records. `Cell` keeps the check
-    /// `&self`. Invalidated by [`Sm::wake_warp`] at every event that can
-    /// change readiness; see [`ReadyMemo`].
-    ready_memo: Vec<[Cell<ReadyMemo>; 2]>,
-    /// Bit `w` set ⇔ `ready_check(w, slot)` *might* return `Some` — i.e.
-    /// warp `w`'s slot memo is not a cached until-wake failure. Scanning
-    /// policies walk only set bits, so a blocked warp costs nothing per
-    /// cycle. Maintained by [`Sm::wake_warp`] (set) and the memo's slow
-    /// path (cleared on an until-wake failure).
+    /// The readiness of every `(warp, slot)`, as two warp bitsets per slot
+    /// with `ready_now ⊆ ready_cand`. Bit `w` of `ready_cand[slot]` clear:
+    /// *blocked* — the last evaluation failed and no event has touched the
+    /// warp since, so `ready_check(w, slot)` is `None` and a scan skips the
+    /// warp at no cost. Set with the `ready_now` bit clear: *woken* — an
+    /// event may have changed the outcome and the next check re-evaluates.
+    /// Both set: *eligible*, with the exact record in `ready`. Both
+    /// settled states are stable under pure clock advance; only
+    /// [`Sm::wake_warp`] (set `ready_cand`, clear `ready_now`) and the
+    /// evaluation in [`Sm::ready_check_nogroup`] (clear `ready_cand` on
+    /// failure, set `ready_now` on success) move a warp between them.
+    /// `Cell` keeps the check `&self`.
     ready_cand: [Cell<u64>; 2],
-    /// Re-arm times for warps parked on a timed readiness failure: a
-    /// min-heap of `(cycle, warp)` per slot, drained at each cycle start
-    /// to restore the candidate bits whose `NotBefore` horizon arrived.
-    timed_wake: [TimedWakeHeap; 2],
-    /// Earliest entry in each `timed_wake` heap (`u64::MAX` when empty),
-    /// so the per-cycle drain is a single compare in the common case.
-    timed_min: [Cell<u64>; 2],
-    /// Warps whose slot-`i` readiness memo currently holds a `Ready`
-    /// value — the dense mirror oldest-first scans walk instead of
-    /// copying the memo enum per probe.
+    /// See `ready_cand`.
     ready_now: [Cell<u64>; 2],
-    /// Age, unit class and lane-space mask of the memoized `Ready` per
-    /// `(warp, slot)`, filled once per memo evaluation; valid only while
-    /// the matching `ready_now` bit is set.
-    ready_info: Vec<[Cell<ReadyInfo>; 2]>,
+    /// The evaluated [`Ready`] per `(warp, slot)`, valid exactly while the
+    /// matching `ready_now` bit is set. A dense side array (not in
+    /// [`Warp`]) so the schedulers' scans stay inside a few hot cache
+    /// lines and never touch the big per-warp records.
+    ready: Vec<[Cell<Ready>; 2]>,
     /// Bit `w` set ⇔ warp `w`'s secondary slot is parked by an SBI
-    /// reconvergence constraint (§3.3). Re-derived whenever slot 1's memo
-    /// is re-evaluated, so it is exact for every warp whose slot-1 memo is
+    /// reconvergence constraint (§3.3). Re-derived whenever slot 1 is
+    /// re-evaluated, so it is exact for every warp whose slot 1 is
     /// settled (everything it reads changes only at [`Sm::wake_warp`]
     /// events).
     suspended: Cell<u64>,
@@ -569,11 +543,15 @@ impl Sm {
         // `validate` bounds the pool at 64, the width of every warp set.
         let all_warps = u64::MAX >> (64 - cfg.num_warps);
         let sets = cfg.swi_assoc.num_sets(cfg.num_warps);
-        // Placeholder: a mirror record is read only under its `ready_now` bit.
-        let no_info = ReadyInfo {
-            seq: 0,
+        // Placeholder: a record is read only under its `ready_now` bit.
+        let unset = Ready {
+            warp: 0,
+            slot: 0,
+            pc: Pc(0),
+            mask: Mask::EMPTY,
             lanes: Mask::EMPTY,
             unit: UnitClass::Control,
+            seq: 0,
         };
         let mut sm = Sm {
             program,
@@ -591,18 +569,10 @@ impl Sm {
             external_mem: false,
             finalized: false,
             cycle: 0,
-            ready_memo: (0..cfg.num_warps)
-                .map(|_| [Cell::new(ReadyMemo::Stale), Cell::new(ReadyMemo::Stale)])
-                .collect(),
             ready_cand: [Cell::new(all_warps), Cell::new(all_warps)],
-            timed_wake: [
-                std::cell::RefCell::new(std::collections::BinaryHeap::new()),
-                std::cell::RefCell::new(std::collections::BinaryHeap::new()),
-            ],
-            timed_min: [Cell::new(u64::MAX), Cell::new(u64::MAX)],
             ready_now: [Cell::new(0), Cell::new(0)],
-            ready_info: (0..cfg.num_warps)
-                .map(|_| [Cell::new(no_info), Cell::new(no_info)])
+            ready: (0..cfg.num_warps)
+                .map(|_| [Cell::new(unset), Cell::new(unset)])
                 .collect(),
             suspended: Cell::new(0),
             lookup_sets: (0..sets)
@@ -813,7 +783,6 @@ impl Sm {
     /// a machine-driven SM must not jump past while it waits on grants.
     fn step_capped(&mut self, cap: Option<u64>) -> Result<(), SimError> {
         self.cycle += 1;
-        self.rearm_timed_wakes();
         self.process_writebacks();
         self.validate_ibufs();
         // The policy is taken out for the call so it can borrow the SM
@@ -1216,102 +1185,46 @@ impl Sm {
     /// [`Sm::ready_check`] without the free-group requirement (used by the
     /// SWI cascade to *hold* a pending primary while its port drains).
     ///
-    /// Memoized per `(warp, slot)`: both outcomes of an evaluation are
-    /// stable until an event touches the warp (a failure records the
-    /// first cycle at which it could clear on its own — `fetched_at + 1`
-    /// for a just-fetched entry, `u64::MAX` otherwise), so the
-    /// schedulers' every-warp-every-cycle scans short-circuit on the
-    /// cached state. [`Sm::wake_warp`] resets the memo at each event
-    /// that can change the outcome, so this is behaviour-invariant.
+    /// Evaluated once per waking event: both outcomes are stable until an
+    /// event touches the warp, so an eligible warp answers from its record
+    /// and a blocked one from its clear `ready_cand` bit; only a woken warp
+    /// runs [`Sm::ready_check_slow`]. [`Sm::wake_warp`] marks the warp at
+    /// each event that can change the outcome, so this is
+    /// behaviour-invariant.
     pub(crate) fn ready_check_nogroup(&self, w: usize, slot: usize) -> Option<Ready> {
-        let memo = &self.ready_memo[w][slot];
-        match memo.get() {
-            ReadyMemo::Ready(r) => return Some(r),
-            ReadyMemo::NotBefore(c) if self.cycle < c => {
-                self.park_warp(w, slot, c);
-                return None;
-            }
-            _ => {}
+        let bit = 1u64 << w;
+        if self.ready_now[slot].get() & bit != 0 {
+            return Some(self.ready[w][slot].get());
+        }
+        if self.ready_cand[slot].get() & bit == 0 {
+            return None;
         }
         if slot == 1 {
             let parked = u64::from(self.sync_parked(w)) << w;
-            self.suspended
-                .set(self.suspended.get() & !(1u64 << w) | parked);
+            self.suspended.set(self.suspended.get() & !bit | parked);
         }
-        match self.ready_check_slow(w, slot) {
-            Ok(r) => {
-                memo.set(ReadyMemo::Ready(r));
-                self.ready_now[slot].set(self.ready_now[slot].get() | (1u64 << w));
-                self.ready_info[w][slot].set(ReadyInfo {
-                    seq: r.seq,
-                    lanes: self.lane_table.mask_to_lanes(r.mask, w),
-                    unit: r.unit,
-                });
-                Some(r)
+        let ready = self.ready_check_slow(w, slot);
+        match ready {
+            Some(r) => {
+                self.ready[w][slot].set(r);
+                self.ready_now[slot].set(self.ready_now[slot].get() | bit);
             }
-            Err(until) => {
-                memo.set(ReadyMemo::NotBefore(until));
-                self.park_warp(w, slot, until);
-                None
-            }
+            None => self.ready_cand[slot].set(self.ready_cand[slot].get() & !bit),
         }
+        ready
     }
 
-    /// Drops warp `w` from slot `slot`'s candidate set after a readiness
-    /// failure. An until-wake failure (`u64::MAX`) relies on
-    /// [`Sm::wake_warp`] alone to restore the bit; a timed failure also
-    /// queues a re-arm at `until` so the guarantee stays conservative.
-    fn park_warp(&self, w: usize, slot: usize, until: u64) {
-        let bit = 1u64 << w;
-        let cands = self.ready_cand[slot].get();
-        if cands & bit == 0 {
-            return;
-        }
-        self.ready_cand[slot].set(cands & !bit);
-        if until != u64::MAX {
-            self.timed_wake[slot]
-                .borrow_mut()
-                .push(std::cmp::Reverse((until, w as u8)));
-            if until < self.timed_min[slot].get() {
-                self.timed_min[slot].set(until);
-            }
-        }
-    }
-
-    /// Restores the candidate bits of parked warps whose `NotBefore`
-    /// horizon has arrived. Runs once per cycle, before issue; setting a
-    /// bit is always safe (the check itself still decides), so stale or
-    /// duplicate heap entries are harmless.
-    fn rearm_timed_wakes(&mut self) {
-        for slot in 0..2 {
-            if self.timed_min[slot].get() > self.cycle {
-                continue;
-            }
-            let heap = self.timed_wake[slot].get_mut();
-            while let Some(&std::cmp::Reverse((t, w))) = heap.peek() {
-                if t > self.cycle {
-                    break;
-                }
-                heap.pop();
-                self.ready_cand[slot].set(self.ready_cand[slot].get() | 1u64 << w);
-            }
-            self.timed_min[slot].set(heap.peek().map_or(u64::MAX, |r| r.0 .0));
-        }
-    }
-
-    /// Resets warp `w`'s readiness memo so the next scan re-evaluates it.
-    /// Must be called whenever state feeding [`Sm::ready_check_slow`]
-    /// changes: issue (divergence / ibuf / scoreboard), fetch fill,
-    /// writeback retirement, barrier release, block launch or teardown,
-    /// and ibuf re-association.
+    /// Marks warp `w` woken so the next scan re-evaluates it. Must be
+    /// called whenever state feeding [`Sm::ready_check_slow`] changes:
+    /// issue (divergence / ibuf / scoreboard), fetch fill, writeback
+    /// retirement, barrier release, block launch or teardown, and ibuf
+    /// re-association.
     fn wake_warp(&self, w: usize) {
-        self.ready_memo[w][0].set(ReadyMemo::Stale);
-        self.ready_memo[w][1].set(ReadyMemo::Stale);
         let bit = 1u64 << w;
-        self.ready_cand[0].set(self.ready_cand[0].get() | bit);
-        self.ready_cand[1].set(self.ready_cand[1].get() | bit);
-        self.ready_now[0].set(self.ready_now[0].get() & !bit);
-        self.ready_now[1].set(self.ready_now[1].get() & !bit);
+        for slot in 0..2 {
+            self.ready_cand[slot].set(self.ready_cand[slot].get() | bit);
+            self.ready_now[slot].set(self.ready_now[slot].get() & !bit);
+        }
     }
 
     /// The scan primitive behind [`IssueCtx::ready_set`]: the warps of
@@ -1319,11 +1232,11 @@ impl Sm {
     /// unit class in `classes` (a bitmask over `UnitClass as u8`).
     ///
     /// *Settle, then walk set bits.* A clear `ready_cand` bit is a
-    /// guarantee of not-ready (a memoized until-wake failure) and a set
-    /// `ready_now` bit a memoized success, so only the candidates in
-    /// between — warps some event woke since the last scan — run the check
-    /// itself; the pick then touches nothing but the dense mirrors. A
-    /// blocked warp costs nothing per cycle.
+    /// guarantee of not-ready and a set `ready_now` bit an evaluated
+    /// success, so only the candidates in between — warps some event woke
+    /// since the last scan — run the check itself; the pick then touches
+    /// nothing but the dense records. A blocked warp costs nothing per
+    /// cycle.
     pub(crate) fn ready_set(&self, slot: usize, among: u64, classes: u8) -> u64 {
         self.settle(slot, among);
         // Control needs no port, so it is always free.
@@ -1334,16 +1247,15 @@ impl Sm {
         while ready != 0 {
             let w = ready.trailing_zeros() as usize;
             ready &= ready - 1;
-            if free & (1 << self.ready_info[w][slot].get().unit as u8) != 0 {
+            if free & (1 << self.ready[w][slot].get().unit as u8) != 0 {
                 set |= 1u64 << w;
             }
         }
         set
     }
 
-    /// Re-evaluates the stale readiness memos of slot `slot` among the
-    /// warps of `among`, after which `ready_now` (and, for slot 1,
-    /// `suspended`) is exact for all of them.
+    /// Re-evaluates the woken warps of `among` on slot `slot`, after which
+    /// `ready_now` (and, for slot 1, `suspended`) is exact for all of them.
     fn settle(&self, slot: usize, among: u64) {
         let mut unknown = self.ready_cand[slot].get() & among & !self.ready_now[slot].get();
         while unknown != 0 {
@@ -1353,10 +1265,11 @@ impl Sm {
         }
     }
 
-    /// The dense-mirror record of the memoized `Ready` — only meaningful
-    /// for warps [`Sm::ready_set`] just returned.
-    pub(crate) fn ready_info(&self, w: usize, slot: usize) -> ReadyInfo {
-        self.ready_info[w][slot].get()
+    /// The evaluated `Ready` of `(w, slot)` — only meaningful for warps
+    /// [`Sm::ready_set`] just returned.
+    pub(crate) fn ready_info(&self, w: usize, slot: usize) -> Ready {
+        debug_assert!(self.ready_now[slot].get() >> w & 1 != 0);
+        self.ready[w][slot].get()
     }
 
     /// Warps whose secondary slot an SBI reconvergence constraint parks
@@ -1367,12 +1280,19 @@ impl Sm {
     }
 
     /// [`Sm::ready_check`] recomputed from the architectural state alone —
-    /// no memo, no candidate sets. The debug cross-check's reference.
+    /// no records, no candidate sets. The debug cross-check's reference.
     #[cfg(debug_assertions)]
     pub(crate) fn ready_check_reference(&self, w: usize, slot: usize) -> Option<Ready> {
-        let r = self.ready_check_slow(w, slot).ok()?;
+        let r = self.ready_check_slow(w, slot)?;
         (r.unit == UnitClass::Control || self.groups.find_free(r.unit, self.cycle).is_some())
             .then_some(r)
+    }
+
+    /// `(ready_cand, ready_now)` of `slot`, for the debug cross-check of
+    /// the encoding's one structural invariant (`ready_now ⊆ ready_cand`).
+    #[cfg(debug_assertions)]
+    pub(crate) fn readiness_sets(&self, slot: usize) -> (u64, u64) {
+        (self.ready_cand[slot].get(), self.ready_now[slot].get())
     }
 
     /// Re-derives warp `w`'s fetch-candidate bits from its liveness and
@@ -1389,27 +1309,21 @@ impl Sm {
         }
     }
 
-    /// The uncached evaluation behind [`Sm::ready_check_nogroup`]:
-    /// `Err(c)` means not ready at any cycle before `c` unless a waking
-    /// event intervenes.
-    fn ready_check_slow(&self, w: usize, slot: usize) -> Result<Ready, u64> {
+    /// The uncached evaluation behind [`Sm::ready_check_nogroup`]. Every
+    /// failure lasts until an event wakes the warp: none clears by the
+    /// clock alone.
+    fn ready_check_slow(&self, w: usize, slot: usize) -> Option<Ready> {
         let warp = &self.warps[w];
-        let Some((pc, mask, at_barrier)) = self.ctx(w, slot) else {
-            return Err(u64::MAX);
-        };
+        let (pc, mask, at_barrier) = self.ctx(w, slot)?;
         if at_barrier {
-            return Err(u64::MAX);
+            return None;
         }
-        let Some(entry) = warp.ibuf[slot] else {
-            return Err(u64::MAX);
-        };
-        if entry.pc != pc {
-            return Err(u64::MAX);
-        }
-        if entry.fetched_at >= self.cycle {
-            // The only purely time-gated failure: ready next cycle.
-            return Err(entry.fetched_at + 1);
-        }
+        // No "fetched this cycle" test: an entry is never evaluated in its
+        // fetch cycle. Readiness is evaluated only through an `IssueCtx`,
+        // which exists inside `policy.issue` — before `fetch` in
+        // `step_capped` — and inside `account_idle_skip`, reached only when
+        // this cycle's `fetch` filled nothing.
+        let entry = warp.ibuf[slot].filter(|e| e.pc == pc)?;
         // The pre-decoded metadata covers every check below, so the hot
         // per-cycle path never loads the full `Instruction` record.
         let meta = self.pc_meta[pc.index()];
@@ -1423,7 +1337,7 @@ impl Sm {
         if slot == 1 && self.cfg.sbi_constraints && meta.is_sync {
             if let Some((cpc1, _, _)) = self.ctx(w, 0) {
                 if cpc1 < pc {
-                    return Err(u64::MAX);
+                    return None;
                 }
             }
         }
@@ -1431,16 +1345,17 @@ impl Sm {
             .scoreboard
             .depends_masks(meta.regs, meta.preds, mask, slot)
         {
-            return Err(u64::MAX);
+            return None;
         }
         if meta.writes && !warp.scoreboard.has_free() {
-            return Err(u64::MAX);
+            return None;
         }
-        Ok(Ready {
+        Some(Ready {
             warp: w,
             slot,
             pc,
             mask,
+            lanes: self.lane_table.mask_to_lanes(mask, w),
             unit: meta.unit,
             seq: entry.seq,
         })
@@ -1478,12 +1393,6 @@ impl Sm {
     /// True if the decoded instruction at `pc` is a branch.
     pub(crate) fn is_branch(&self, pc: Pc) -> bool {
         self.program[pc].op.is_branch()
-    }
-
-    /// Thread-space `mask` of warp `wid` translated into lane space
-    /// through the per-warp XOR keys.
-    pub(crate) fn lanes_of(&self, mask: Mask, wid: usize) -> Mask {
-        self.lane_table.mask_to_lanes(mask, wid)
     }
 
     /// Warps sharing warp `w`'s SWI lookup set (`w` included).
@@ -1576,7 +1485,6 @@ impl Sm {
                 self.stats.primary_issues += 1;
             }
             if let Some(trace) = &mut self.trace {
-                let lanes = self.lane_table.mask_to_lanes(r.mask, w);
                 trace.push(TraceEvent {
                     cycle: self.cycle,
                     warp: w,
@@ -1587,7 +1495,7 @@ impl Sm {
                     },
                     pc: r.pc,
                     mask: r.mask,
-                    lanes,
+                    lanes: r.lanes,
                     unit: r.unit,
                 });
             }
@@ -2157,11 +2065,6 @@ impl Sm {
             warp.ibuf = [None, None];
             warp.sb_run = [SbRun::default(); 2];
             self.ctx_dirty |= 1u64 << w;
-            self.ready_cand[0].set(self.ready_cand[0].get() | 1u64 << w);
-            self.ready_cand[1].set(self.ready_cand[1].get() | 1u64 << w);
-            self.ready_now[0].set(self.ready_now[0].get() & !(1u64 << w));
-            self.ready_now[1].set(self.ready_now[1].get() & !(1u64 << w));
-            self.ready_memo[w] = [Cell::new(ReadyMemo::Stale), Cell::new(ReadyMemo::Stale)];
             warp.div = match self.cfg.divergence {
                 crate::config::DivergenceModel::Stack => {
                     Divergence::Stack(PdomStack::new(populated))
@@ -2170,6 +2073,7 @@ impl Sm {
                     Divergence::Frontier(FrontierHeap::new(populated))
                 }
             };
+            self.wake_warp(w);
             self.update_fetchable(w);
         }
     }
@@ -2215,7 +2119,6 @@ impl Sm {
                     };
                     self.warps[w].ibuf[slot] = Some(IbufEntry {
                         pc,
-                        fetched_at: self.cycle,
                         seq: self.next_seq,
                     });
                     self.next_seq += 1;

@@ -13,9 +13,9 @@
 //! # The `IssueCtx` contract
 //!
 //! A policy is asked once per cycle to produce the cycle's picks. It
-//! observes the SM **only** through [`IssueCtx`] — ready-checks, slot
-//! masks, lane-shuffle translation, scoreboard and issue-port queries —
-//! and mutates it **only** through [`IssueCtx::commit`] (plus the
+//! observes the SM **only** through [`IssueCtx`] — ready-checks (lane
+//! masks included), slot masks, scoreboard and issue-port queries — and
+//! mutates it **only** through [`IssueCtx::commit`] (plus the
 //! dedicated statistic counters and the SM's tie-breaking RNG). A policy
 //! must never cache `Ready` entries across cycles without revalidating
 //! them (warp-splits move, dependencies appear, buffer entries get
@@ -29,16 +29,16 @@
 //! which. [`IssueCtx::ready_set`]`(slot, among, classes)` returns the
 //! ready, port-free warps of a warp bitmask in one call — it re-runs the
 //! check only for warps an event woke since the last scan and answers the
-//! rest from dense mirrors. Walk its set bits (ascending warp order) and
-//! read each candidate's age, unit class and lane mask from
-//! [`IssueCtx::ready_info`]; [`IssueCtx::oldest_ready`] is the
-//! oldest-first pick built that way, and what every built-in scheduler
-//! calls. Restrict a scan with `among` (a pool, a lookup set, "not this
-//! warp") and `classes` rather than filtering afterwards. Fetch the full
-//! [`Ready`] of a chosen `(warp, slot)` with
-//! [`IssueCtx::ready_check_unported`] — a memo hit. Debug builds check
-//! every `ready_set` result against a memo-free reference fold over all
-//! warps, so a policy written this way is cross-checked by its own tests.
+//! rest from the dense readiness record. Walk its set bits (ascending
+//! warp order) and read each candidate's full [`Ready`] — age, unit
+//! class, thread and lane masks — from [`IssueCtx::ready_info`]: the
+//! scan's record *is* the pick, no second lookup.
+//! [`IssueCtx::oldest_ready`] is the oldest-first pick built that way,
+//! and what every built-in scheduler calls. Restrict a scan with `among`
+//! (a pool, a lookup set, "not this warp") and `classes` rather than
+//! filtering afterwards. Debug builds check every `ready_set` result
+//! against a cache-free reference fold over all warps, so a policy written
+//! this way is cross-checked by its own tests.
 //!
 //! # Determinism clause
 //!
@@ -101,24 +101,13 @@ pub struct Ready {
     pub pc: Pc,
     /// Thread-space active mask of the issuing warp-split.
     pub mask: Mask,
-    /// Back-end unit class the instruction needs.
-    pub unit: UnitClass,
-    /// Fetch sequence number (age; smaller = older).
-    pub seq: u64,
-}
-
-/// The dense-mirror record of a ready instruction: what a scan needs per
-/// candidate, filled once when the readiness memo is evaluated. Read it
-/// through [`IssueCtx::ready_info`] for warps [`IssueCtx::ready_set`]
-/// returned.
-#[derive(Debug, Clone, Copy)]
-pub struct ReadyInfo {
-    /// Fetch sequence number (age; smaller = older).
-    pub seq: u64,
-    /// Lane-space active mask (its population equals the thread mask's).
+    /// `mask` in lane space (its population equals the thread mask's),
+    /// translated once per readiness evaluation.
     pub lanes: Mask,
     /// Back-end unit class the instruction needs.
     pub unit: UnitClass,
+    /// Fetch sequence number (age; smaller = older).
+    pub seq: u64,
 }
 
 /// How a pick maps onto the back-end.
@@ -248,10 +237,15 @@ impl IssueCtx<'_> {
     /// for any). Event-driven — see the module docs' "How to scan".
     pub fn ready_set(&self, slot: usize, among: u64, classes: u8) -> u64 {
         let set = self.sm.ready_set(slot, among, classes);
-        // The invariants' test: the set equals the reference fold of the
-        // memo-free ready check over every warp.
+        // The invariants' test: the readiness encoding is well-formed and
+        // the set equals the reference fold of the cache-free ready check
+        // over every warp.
         #[cfg(debug_assertions)]
         {
+            for s in 0..2 {
+                let (cand, now) = self.sm.readiness_sets(s);
+                assert_eq!(now & !cand, 0, "slot {s}: ready_now outside ready_cand");
+            }
             let reference = (0..self.num_warps())
                 .filter(|&w| among >> w & 1 != 0)
                 .filter_map(|w| self.sm.ready_check_reference(w, slot))
@@ -262,21 +256,21 @@ impl IssueCtx<'_> {
         set
     }
 
-    /// Age, unit class and lane mask of the ready instruction in
-    /// `(warp, slot)` — only meaningful for the warps
-    /// [`IssueCtx::ready_set`] returned this cycle.
-    pub fn ready_info(&self, warp: usize, slot: usize) -> ReadyInfo {
+    /// The ready instruction in `(warp, slot)` — only meaningful for the
+    /// warps [`IssueCtx::ready_set`] returned this cycle.
+    pub fn ready_info(&self, warp: usize, slot: usize) -> Ready {
         self.sm.ready_info(warp, slot)
     }
 
     /// The oldest instruction of [`IssueCtx::ready_set`]`(slot, among,
     /// classes)` — the oldest-first pick of every built-in scheduler.
     pub fn oldest_ready(&self, slot: usize, among: u64, classes: u8) -> Option<Ready> {
-        // Ascending warp order; `min_by_key` keeps the first minimum.
+        // Ascending warp order; `min_by_key` keeps the first minimum. The
+        // fold carries warp indices, not 48-byte records.
         let w = Mask::from_bits(self.ready_set(slot, among, classes))
             .iter()
             .min_by_key(|&w| self.ready_info(w, slot).seq)?;
-        self.ready_check_unported(w, slot)
+        Some(self.ready_info(w, slot))
     }
 
     /// `(pc, mask, at_barrier)` of the divergence context feeding ibuf
@@ -344,12 +338,6 @@ impl IssueCtx<'_> {
     /// one-divergence-per-cycle co-issue rule needs this).
     pub fn is_branch(&self, pc: Pc) -> bool {
         self.sm.is_branch(pc)
-    }
-
-    /// Translates a thread-space `mask` of warp `wid` into lane space
-    /// through the SM's precomputed lane-permutation table.
-    pub fn lanes_of(&self, mask: Mask, wid: usize) -> Mask {
-        self.sm.lanes_of(mask, wid)
     }
 
     /// Deterministic tie-breaking: a pseudo-random index below `n` from

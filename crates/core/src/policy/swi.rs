@@ -24,7 +24,7 @@ struct PendingPrimary {
 /// secondary found now; in parallel the next primary is picked, with
 /// a-posteriori conflict squashing (§4). Every pick walks
 /// [`IssueCtx::ready_set`] bitmasks and reads the dense
-/// [`IssueCtx::ready_info`] mirror — no per-warp probing, no allocation.
+/// [`IssueCtx::ready_info`] record — no per-warp probing, no allocation.
 #[derive(Debug)]
 pub struct SwiPolicy {
     order: SchedOrder,
@@ -93,17 +93,17 @@ impl SwiPolicy {
         r1: &Ready,
         d1: Dispatch,
     ) -> Option<(Ready, Dispatch)> {
-        let free = Mask::full(ctx.warp_width()) - ctx.lanes_of(r1.mask, r1.warp);
+        let free = Mask::full(ctx.warp_width()) - r1.lanes;
         let mut rides = BestFit::default();
-        // Oldest candidate for another group: (seq, warp, slot).
-        let mut other: Option<(u64, usize, usize)> = None;
+        // Oldest candidate for another group.
+        let mut other: Option<Ready> = None;
 
         // Same-warp CPC2 (SBI-style) — always reachable, no lookup needed.
         if self.slots > 1 {
             if let Some(r2) = ctx.ready_check(r1.warp, 1) {
                 match ctx.plan_coissue(r1, d1, &r2) {
                     Some(Dispatch::Ride(_)) => rides.offer(r1.warp, 1, r2.mask.count()),
-                    Some(_) => other = Some((r2.seq, r1.warp, 1)),
+                    Some(_) => other = Some(r2),
                     None => {}
                 }
             }
@@ -116,8 +116,8 @@ impl SwiPolicy {
             if info.unit != r1.unit || info.unit == UnitClass::Control {
                 // Another class has a free group of its own (the scan
                 // vouches for the port); control needs none.
-                if other.is_none_or(|(seq, ..)| info.seq < seq) {
-                    other = Some((info.seq, w, slot));
+                if other.is_none_or(|o| info.seq < o.seq) {
+                    other = Some(info);
                 }
             } else if info.unit != UnitClass::Lsu && info.lanes.is_subset(free) {
                 // Cross-warp branch pairs are fine (separate HCT sorters);
@@ -126,12 +126,11 @@ impl SwiPolicy {
             }
         }
 
-        let (w, slot, ride) = match rides.pick(ctx) {
-            Some((w, slot)) => (w, slot, true),
-            None => other.map(|(_, w, slot)| (w, slot, false))?,
+        let (r2, ride) = match rides.pick(ctx) {
+            Some((w, slot)) => (ctx.ready_info(w, slot), true),
+            None => (other?, false),
         };
         ctx.count_lookup_hit();
-        let r2 = ctx.ready_check_unported(w, slot)?;
         let d2 = match d1 {
             Dispatch::Group(g) if ride => Dispatch::Ride(g),
             _ => ctx.plan_dispatch(r2.unit)?,
@@ -147,7 +146,7 @@ impl SwiPolicy {
             best.offer(w, slot, ctx.ready_info(w, slot).lanes.count());
         }
         let (w, slot) = best.pick(ctx)?;
-        ctx.ready_check_unported(w, slot)
+        Some(ctx.ready_info(w, slot))
     }
 }
 

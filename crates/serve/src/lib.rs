@@ -30,6 +30,8 @@ pub use cache::{cell_digest, Acquired, CacheStats, CellCache, Claim};
 pub use client::{
     render_response_json, request_run, request_shutdown, request_stats, RequestStats, SweepResponse,
 };
-pub use protocol::{parse_request, render_request, Request, RunRequest, PROTOCOL_ID};
+pub use protocol::{
+    parse_request, render_request, Request, RunRequest, MAX_REQUEST_LINE, PROTOCOL_ID,
+};
 pub use queue::{resolve, run_jobs, Outcome, ResolvedGrid};
 pub use server::{ServeConfig, Server};

@@ -17,14 +17,18 @@
 //! ```
 //!
 //! Omitted `frontends` means the fig. 7 set; omitted `workloads` means
-//! the scale's default sweep rows; omitted `probes` means `all`.
+//! the scale's default sweep rows; omitted `probes` means `all`. A
+//! request line is at most [`MAX_REQUEST_LINE`] bytes (terminator
+//! excluded): the server answers a longer one with
+//! `error|request line exceeds <N> bytes` and closes the connection
+//! without buffering the rest.
 //!
 //! ## Responses (server → client, in order)
 //!
 //! ```text
 //! hello|warpweave-serve-v1|grid=<id:016x>
 //! cell|<key>|s:<fields>[|c:<fields>]|#<checksum:016x>      (one per healthy cell)
-//! fail|<workload>/<config>|seed=<hex>|attempts=<n>|<reason> (one per quarantined cell)
+//! fail|<key>|seed=<hex>|attempts=<n>|<reason>              (one per quarantined job)
 //! stats|hits=<n>|misses=<n>|evictions=<n>|simulated=<n>
 //! done|cells=<n>|failed=<n>
 //! ```
@@ -50,6 +54,10 @@ use warpweave_bench::CellFailure;
 /// The protocol identifier carried by the `hello` line. Bumped when the
 /// request grammar or response sequence changes incompatibly.
 pub const PROTOCOL_ID: &str = "warpweave-serve-v1";
+
+/// Longest request line the server buffers, in bytes without the `\n`
+/// (the longest legitimate `run …` line is a few hundred).
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq, Eq)]

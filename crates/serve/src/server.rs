@@ -12,7 +12,7 @@
 //! client reads cell lines as they become streamable, yet the transcript
 //! is a pure function of the request.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,7 +21,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use warpweave_core::SweepRunner;
 
 use crate::cache::CellCache;
-use crate::protocol::{done_line, error_line, hello_line, parse_request, stats_line, Request};
+use crate::protocol::{
+    done_line, error_line, hello_line, parse_request, stats_line, Request, MAX_REQUEST_LINE,
+};
 use crate::queue::{job_digest, resolve, run_jobs, Outcome};
 
 /// Server tuning knobs (all optional; defaults are sensible for CI).
@@ -142,14 +144,28 @@ fn handle(
     // Responses are flushed at line-group boundaries; Nagle would hold each
     // flush back until the client's delayed ACK of the previous one.
     stream.set_nodelay(true)?;
-    let reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let line = line?;
+    let mut line = Vec::new();
+    loop {
+        // A request line is client-controlled: never buffer more of one
+        // than the cap (plus its terminator) before refusing it.
+        line.clear();
+        let cap = MAX_REQUEST_LINE as u64 + 1;
+        if reader.by_ref().take(cap).read_until(b'\n', &mut line)? == 0 {
+            return Ok(());
+        }
+        if line.len() > MAX_REQUEST_LINE && !line.ends_with(b"\n") {
+            let reason = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+            writeln!(writer, "{}", error_line(&reason))?;
+            return writer.flush();
+        }
+        let line = std::str::from_utf8(&line)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         if line.trim().is_empty() {
             continue;
         }
-        match parse_request(&line) {
+        match parse_request(line) {
             Err(reason) => {
                 writeln!(writer, "{}", error_line(&reason))?;
                 writer.flush()?;
@@ -196,7 +212,6 @@ fn handle(
             }
         }
     }
-    Ok(())
 }
 
 /// Runs the grid's jobs and streams their lines in canonical order as a

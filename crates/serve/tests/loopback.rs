@@ -1,7 +1,7 @@
 //! End-to-end loopback tests of the sweep service: a real `Server` on an
 //! ephemeral TCP port, real clients, real simulations.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -11,7 +11,7 @@ use warpweave_core::SweepRunner;
 use warpweave_serve::protocol::{classify_line, ResponseLine};
 use warpweave_serve::{
     render_request, render_response_json, request_run, request_shutdown, request_stats, Request,
-    RunRequest, ServeConfig, Server,
+    RunRequest, ServeConfig, Server, MAX_REQUEST_LINE,
 };
 use warpweave_workloads::Scale;
 
@@ -151,6 +151,38 @@ fn unknown_names_are_refused_not_fatal() {
     // The server survives the refusal and still answers work.
     let ok = request_run(&addr, &small_grid()).expect("healthy request after refusal");
     assert_eq!(ok.cell_lines.len(), 4);
+    request_shutdown(&addr).expect("shutdown");
+    server.join().unwrap();
+}
+
+#[test]
+fn oversized_request_line_is_refused_and_the_daemon_keeps_serving() {
+    let (addr, server) = start_server(ServeConfig::default());
+    let req = RunRequest::quick();
+    let before = request_run(&addr, &req).expect("quick grid").transcript();
+
+    // 1 MiB with no newline: the server must answer after reading at most
+    // the cap, then hang up. The write itself may be cut short by that.
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let _ = writer.write_all(&vec![b'x'; 1 << 20]);
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error line");
+    assert_eq!(
+        line,
+        format!("error|request line exceeds {MAX_REQUEST_LINE} bytes\n")
+    );
+    // EOF — as a reset when the server closed with our bytes still unread.
+    let mut rest = Vec::new();
+    match reader.read_to_end(&mut rest) {
+        Ok(_) => {}
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+    assert!(rest.is_empty(), "nothing after the error line");
+
+    let after = request_run(&addr, &req).expect("well-formed request after the refusal");
+    assert_eq!(after.transcript(), before, "served byte-identically");
     request_shutdown(&addr).expect("shutdown");
     server.join().unwrap();
 }
