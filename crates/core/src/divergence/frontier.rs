@@ -65,21 +65,33 @@ pub struct FrontierHeap {
 impl FrontierHeap {
     /// A fresh heap: all of `mask` at PC 0.
     pub fn new(mask: Mask) -> Self {
-        FrontierHeap {
-            hct: [
-                Some(Ctx {
-                    pc: Pc(0),
-                    mask,
-                    at_barrier: false,
-                }),
-                None,
-            ],
-            cct: VecDeque::new(),
-            stats: HeapStats {
-                max_live_splits: 1,
-                ..HeapStats::default()
-            },
-        }
+        let mut heap = FrontierHeap {
+            hct: [None, None],
+            // Splits hold disjoint non-empty thread sets, so the table
+            // can never outgrow this: spills do not allocate.
+            cct: VecDeque::with_capacity(mask.count().saturating_sub(2) as usize),
+            stats: HeapStats::default(),
+        };
+        heap.reset(mask);
+        heap
+    }
+
+    /// Restarts the heap as [`FrontierHeap::new`]`(mask)` builds it, keeping
+    /// the CCT's allocation (a block relaunch on the same warp).
+    pub fn reset(&mut self, mask: Mask) {
+        self.hct = [
+            Some(Ctx {
+                pc: Pc(0),
+                mask,
+                at_barrier: false,
+            }),
+            None,
+        ];
+        self.cct.clear();
+        self.stats = HeapStats {
+            max_live_splits: 1,
+            ..HeapStats::default()
+        };
     }
 
     /// The primary warp-split (CPC1 = min PC), if any.
@@ -149,36 +161,62 @@ impl FrontierHeap {
         t2: Option<Transition>,
         sideband_free: bool,
     ) -> HeapUpdate {
+        self.apply_pair_with(t1, t2, sideband_free, &mut Vec::new())
+    }
+
+    /// [`FrontierHeap::apply_pair`] for a caller that runs it per issue
+    /// event: `scratch` is the candidate buffer of the re-sort with cold
+    /// contexts (cleared here, capacity kept), so no call allocates. With
+    /// an empty CCT — the common case — the at most three candidates sort
+    /// in a fixed array and `scratch` is not touched.
+    pub fn apply_pair_with(
+        &mut self,
+        t1: Option<Transition>,
+        t2: Option<Transition>,
+        sideband_free: bool,
+        scratch: &mut Vec<Ctx>,
+    ) -> HeapUpdate {
         debug_assert!(
             !(matches!(t1, Some(Transition::Split { .. }))
                 && matches!(t2, Some(Transition::Split { .. }))),
             "at most one divergence per cycle"
         );
-        let mut candidates: Vec<Ctx> = Vec::with_capacity(3);
+        // Two slots, at most one of which splits: three candidates.
+        let unset = Ctx {
+            pc: Pc(0),
+            mask: Mask::EMPTY,
+            at_barrier: false,
+        };
+        let mut candidates = [unset; 3];
+        let mut n = 0;
+        let mut push = |c: Ctx| {
+            candidates[n] = c;
+            n += 1;
+        };
         for (slot, t) in [(0usize, t1), (1usize, t2)] {
             match t {
                 None => {
                     if let Some(c) = self.hct[slot] {
-                        candidates.push(c);
+                        push(c);
                     }
                 }
                 Some(tr) => {
                     let c = self.hct[slot].expect("transition for empty HCT slot");
                     match tr {
-                        Transition::Advance(pc) => candidates.push(Ctx { pc, ..c }),
-                        Transition::Barrier(pc) => candidates.push(Ctx {
+                        Transition::Advance(pc) => push(Ctx { pc, ..c }),
+                        Transition::Barrier(pc) => push(Ctx {
                             pc,
                             at_barrier: true,
                             ..c
                         }),
                         Transition::Exit => {}
                         Transition::Split { first, second } => {
-                            candidates.push(Ctx {
+                            push(Ctx {
                                 pc: first.0,
                                 mask: first.1,
                                 at_barrier: false,
                             });
-                            candidates.push(Ctx {
+                            push(Ctx {
                                 pc: second.0,
                                 mask: second.1,
                                 at_barrier: false,
@@ -188,21 +226,23 @@ impl FrontierHeap {
                 }
             }
         }
-        self.hct = [None, None];
-        let update = self.resort(candidates, sideband_free);
+        let update = if self.cct.is_empty() {
+            self.resort(&mut candidates[..n], sideband_free)
+        } else {
+            scratch.clear();
+            scratch.extend_from_slice(&candidates[..n]);
+            self.promote_cct_heads(scratch);
+            self.resort(scratch, sideband_free)
+        };
         self.stats.max_live_splits = self.stats.max_live_splits.max(self.live_splits());
         update
     }
 
-    /// Sorts/compacts/merges `candidates` together with promotable CCT
-    /// heads, fills the HCT with the two minimal contexts and spills the
-    /// rest.
-    fn resort(&mut self, mut candidates: Vec<Ctx>, sideband_free: bool) -> HeapUpdate {
-        let mut update = HeapUpdate::default();
-        // Promote the CCT head while it would beat the HCT's would-be
-        // second entry (or while the HCT has room). The HCT sorter sees the
-        // head's CPC each cycle, so this costs no extra hardware beyond the
-        // comparators of fig. 5(b).
+    /// Moves the CCT head into `candidates` while it would beat the HCT's
+    /// would-be second entry (or while the HCT has room). The HCT sorter
+    /// sees the head's CPC each cycle, so this costs no extra hardware
+    /// beyond the comparators of fig. 5(b).
+    fn promote_cct_heads(&mut self, candidates: &mut Vec<Ctx>) {
         while let Some(&head) = self.cct.front() {
             candidates.sort_by_key(|c| c.pc);
             let promote = candidates.len() < 2
@@ -215,22 +255,35 @@ impl FrontierHeap {
                 break;
             }
         }
+    }
+
+    /// Sorts/compacts/merges `candidates` in place, fills the HCT with the
+    /// two minimal contexts and spills the rest.
+    fn resort(&mut self, candidates: &mut [Ctx], sideband_free: bool) -> HeapUpdate {
+        let mut update = HeapUpdate::default();
+        // Stable, and in place for a slice this short: a barrier-flagged
+        // and an unflagged context at one pc do not merge, so their order
+        // is observable.
         candidates.sort_by_key(|c| c.pc);
-        // Merge adjacent equal-PC contexts (reconvergence).
-        let mut merged: Vec<Ctx> = Vec::with_capacity(candidates.len());
-        for c in candidates {
-            match merged.last_mut() {
+        // Merge adjacent equal-PC contexts (reconvergence), compacting
+        // towards the front.
+        let mut live = 0;
+        for i in 0..candidates.len() {
+            let c = candidates[i];
+            match candidates[..live].last_mut() {
                 Some(last) if last.pc == c.pc && last.at_barrier == c.at_barrier => {
                     debug_assert!(last.mask.is_disjoint(c.mask), "overlapping splits");
                     last.mask |= c.mask;
                     self.stats.merges += 1;
                 }
-                _ => merged.push(c),
+                _ => {
+                    candidates[live] = c;
+                    live += 1;
+                }
             }
         }
-        let mut it = merged.into_iter();
-        self.hct[0] = it.next();
-        self.hct[1] = it.next();
+        let mut it = candidates[..live].iter().copied();
+        self.hct = [it.next(), it.next()];
         // Spill the remainder through the sideband sorter.
         for c in it {
             update.spilled = true;
@@ -269,15 +322,15 @@ impl FrontierHeap {
             c.mask = c.mask - m;
         }
         self.cct.retain(|c| !c.mask.is_empty());
-        let live: Vec<Ctx> = self
+        let mut live: Vec<Ctx> = self
             .hct
             .iter()
             .flatten()
             .copied()
             .filter(|c| !c.mask.is_empty())
             .collect();
-        self.hct = [None, None];
-        self.resort(live, true);
+        self.promote_cct_heads(&mut live);
+        self.resort(&mut live, true);
     }
 }
 

@@ -41,15 +41,26 @@ pub struct PdomStack {
 impl PdomStack {
     /// A fresh stack: all of `mask` at PC 0.
     pub fn new(mask: Mask) -> Self {
-        PdomStack {
-            stack: vec![StackEntry {
-                pc: Pc(0),
-                mask,
-                reconv: None,
-            }],
+        let mut stack = PdomStack {
+            stack: Vec::new(),
             waiting_barrier: false,
             max_depth: 1,
-        }
+        };
+        stack.reset(mask);
+        stack
+    }
+
+    /// Restarts the stack as [`PdomStack::new`]`(mask)` would build it,
+    /// keeping its allocation (a block relaunch on the same warp).
+    pub fn reset(&mut self, mask: Mask) {
+        self.stack.clear();
+        self.stack.push(StackEntry {
+            pc: Pc(0),
+            mask,
+            reconv: None,
+        });
+        self.waiting_barrier = false;
+        self.max_depth = 1;
     }
 
     /// The executing context (top of stack), if any threads remain.

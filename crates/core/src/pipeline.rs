@@ -22,12 +22,12 @@ use rand::{Rng, SeedableRng};
 
 use warpweave_isa::{Instruction, Op, Pc, Program, SuperblockSet, UnitClass};
 use warpweave_mem::{
-    atomic_transactions_into, coalesce_into, Cache, MemEventQueue, MemGrant, MemRequest, Memory,
+    atomic_transactions_into, coalesce_into, Cache, CalendarQueue, MemGrant, MemRequest, Memory,
     MshrFile, SharedDramChannel, SharedMem, TxScratch,
 };
 
-use crate::config::{ScoreboardMode, SmConfig};
-use crate::divergence::frontier::FrontierHeap;
+use crate::config::{DivergenceModel, ScoreboardMode, SmConfig};
+use crate::divergence::frontier::{Ctx, FrontierHeap};
 use crate::divergence::stack::PdomStack;
 use crate::divergence::Transition;
 use crate::exec::execute_warp;
@@ -354,8 +354,6 @@ pub struct Sm {
     sm_id: u32,
     /// Monotonic per-SM DRAM transaction counter.
     mem_seq: u64,
-    /// Monotonic writeback-event counter (heap tie-break).
-    wb_seq: u64,
     /// Transactions issued but not yet arbitrated; drained every epoch by
     /// the machine (shared mode) or at the end of each issue event
     /// (private mode).
@@ -387,6 +385,12 @@ pub struct Sm {
     /// [`Warp`]) so the schedulers' scans stay inside a few hot cache
     /// lines and never touch the big per-warp records.
     ready: Vec<[Cell<Ready>; 2]>,
+    /// `ready_now[slot]` partitioned by the unit class of each eligible
+    /// warp's instruction (`[slot][UnitClass as usize]`), so a scan ORs the
+    /// sets of the port-free classes instead of reading a record per warp.
+    /// Written where `ready_now` is: the successful evaluation sets the
+    /// warp's bit in its class, [`Sm::wake_warp`] clears it in all four.
+    ready_class: [[Cell<u64>; 4]; 2],
     /// Bit `w` set ⇔ warp `w`'s secondary slot is parked by an SBI
     /// reconvergence constraint (§3.3). Re-derived whenever slot 1 is
     /// re-evaluated, so it is exact for every warp whose slot 1 is
@@ -418,7 +422,8 @@ pub struct Sm {
     journal: Option<MemJournal>,
     groups: ExecGroups,
     sideband_busy_until: u64,
-    pending_wb: MemEventQueue<WbSlot>,
+    /// Timed writebacks, drained in `(cycle, push order)` every cycle.
+    pending_wb: CalendarQueue<WbSlot>,
     /// The issue front-end, resolved by name from the
     /// [`PolicyRegistry`] at construction. Always `Some` outside the
     /// issue call itself (taken out to let the policy borrow the SM
@@ -444,6 +449,10 @@ pub struct Sm {
     /// Persistent LSU plan for [`crate::lsu::plan_global_into`] — its
     /// request/merge vectors keep their capacity across issue events.
     plan_scratch: GlobalPlan,
+    /// Persistent candidate buffer for the frontier heap's re-sort when a
+    /// warp has cold contexts (see [`FrontierHeap::apply_pair_with`]).
+    /// Here rather than in the heap so the per-warp record stays small.
+    frontier_scratch: Vec<Ctx>,
     /// Superblock fusion plan for `program`, built once at construction
     /// when [`SmConfig::superblocks`] is set. `None` disables the fused
     /// issue path entirely.
@@ -522,6 +531,9 @@ impl Sm {
                 block_slot: 0,
                 regs: WarpRegFile::new(cfg.warp_width),
                 info: WarpInfo::new(cfg.warp_width),
+                // A placeholder until `assign_block` — under either model:
+                // a warp that never receives a block reports a stack of
+                // depth 1 to `finalize_stats`, which the golden grid pins.
                 div: Divergence::Stack(PdomStack::new(Mask::EMPTY)),
                 scoreboard: Scoreboard::new(cfg.scoreboard_mode, cfg.scoreboard_entries),
                 ibuf: [None, None],
@@ -563,7 +575,6 @@ impl Sm {
             dram,
             sm_id: 0,
             mem_seq: 0,
-            wb_seq: 0,
             mem_outbox: Vec::new(),
             pending_mem: Vec::new(),
             external_mem: false,
@@ -571,6 +582,7 @@ impl Sm {
             cycle: 0,
             ready_cand: [Cell::new(all_warps), Cell::new(all_warps)],
             ready_now: [Cell::new(0), Cell::new(0)],
+            ready_class: Default::default(),
             ready: (0..cfg.num_warps)
                 .map(|_| [Cell::new(unset), Cell::new(unset)])
                 .collect(),
@@ -593,7 +605,9 @@ impl Sm {
             journal: None,
             groups: ExecGroups::new(&cfg.groups),
             sideband_busy_until: 0,
-            pending_wb: MemEventQueue::new(),
+            // One event per in-flight scoreboard instruction at most, so
+            // the queue never grows after construction.
+            pending_wb: CalendarQueue::with_capacity(cfg.num_warps * cfg.scoreboard_entries * 2),
             policy: Some(policy),
             lane_table,
             rng: SmallRng::seed_from_u64(seed),
@@ -606,6 +620,7 @@ impl Sm {
             addr_scratch: Vec::new(),
             tx_scratch: TxScratch::default(),
             plan_scratch: GlobalPlan::default(),
+            frontier_scratch: Vec::new(),
             sb,
             pc_meta,
             cfg,
@@ -714,11 +729,14 @@ impl Sm {
     /// [`SimError::Deadlock`] if the watchdog detects no forward progress;
     /// [`SimError::CyclesExhausted`] if the budget runs out.
     pub fn run(&mut self, max_cycles: u64) -> Result<&Stats, SimError> {
+        // One refcount bump per call buys every issue event below borrowed
+        // access to the decoded instructions.
+        let program = Arc::clone(&self.program);
         while !self.is_done() {
             if self.cycle >= max_cycles {
                 return Err(self.cycles_exhausted(max_cycles));
             }
-            self.step_capped(None)?;
+            self.step_capped(&program, None)?;
         }
         self.finalize_stats();
         Ok(&self.stats)
@@ -734,11 +752,12 @@ impl Sm {
     /// # Errors
     /// As [`Sm::run`], with `budget` as the cycle budget.
     pub fn run_until(&mut self, limit: u64, budget: u64) -> Result<bool, SimError> {
+        let program = Arc::clone(&self.program);
         while !self.is_done() && self.cycle < limit {
             if self.cycle >= budget {
                 return Err(self.cycles_exhausted(budget));
             }
-            self.step_capped(Some(limit))?;
+            self.step_capped(&program, Some(limit))?;
         }
         let done = self.is_done();
         if done {
@@ -776,19 +795,22 @@ impl Sm {
     /// # Errors
     /// [`SimError::Deadlock`] from the watchdog.
     pub fn step(&mut self) -> Result<(), SimError> {
-        self.step_capped(None)
+        let program = Arc::clone(&self.program);
+        self.step_capped(&program, None)
     }
 
     /// [`Sm::step`] with an optional fast-forward cap — the epoch barrier
     /// a machine-driven SM must not jump past while it waits on grants.
-    fn step_capped(&mut self, cap: Option<u64>) -> Result<(), SimError> {
+    /// `program` is the caller's borrow of `self.program`, held across the
+    /// call so the issue path never touches the refcount.
+    fn step_capped(&mut self, program: &Program, cap: Option<u64>) -> Result<(), SimError> {
         self.cycle += 1;
         self.process_writebacks();
         self.validate_ibufs();
         // The policy is taken out for the call so it can borrow the SM
         // mutably through the `IssueCtx` view; it is always restored.
         let mut policy = self.policy.take().expect("policy present outside issue");
-        let issued = policy.issue(&mut IssueCtx { sm: self });
+        let issued = policy.issue(&mut IssueCtx { sm: self, program });
         self.policy = Some(policy);
         if issued == 0 {
             self.stats.idle_cycles += 1;
@@ -807,7 +829,7 @@ impl Sm {
             && self.last_progress < self.cycle
             && !self.policy().carries_pick()
         {
-            self.fast_forward_idle(cap);
+            self.fast_forward_idle(program, cap);
         }
         if self.cycle - self.last_progress > WATCHDOG_CYCLES {
             return Err(SimError::Deadlock {
@@ -841,7 +863,7 @@ impl Sm {
     /// nothing, fetched nothing and retired nothing, so only `cycle`,
     /// `idle_cycles` and the fetch round-robin pointers (which rotate
     /// 1/cycle while no warp is fetchable) need advancing.
-    fn fast_forward_idle(&mut self, cap: Option<u64>) {
+    fn fast_forward_idle(&mut self, program: &Program, cap: Option<u64>) {
         let now = self.cycle;
         let mut next_event = self.pending_wb.next_ready_cycle().unwrap_or(u64::MAX);
         if let Some(t) = self.groups.next_release_after(now) {
@@ -875,7 +897,7 @@ impl Sm {
             // cycles (SBI's parked secondaries) replicate it for the
             // skipped window so fast-forwarding stays statistics-exact.
             let mut policy = self.policy.take().expect("policy present outside issue");
-            policy.account_idle_skip(&mut IssueCtx { sm: self }, skipped);
+            policy.account_idle_skip(&mut IssueCtx { sm: self, program }, skipped);
             self.policy = Some(policy);
         }
     }
@@ -1013,11 +1035,9 @@ impl Sm {
     fn process_writebacks(&mut self) {
         let now = self.cycle;
         let mut progressed = false;
-        while let Some(ev) = self.pending_wb.pop_ready(now) {
-            self.warps[ev.payload.warp]
-                .scoreboard
-                .retire(ev.payload.token);
-            self.wake_warp(ev.payload.warp);
+        while let Some((_, wb)) = self.pending_wb.pop_ready(now) {
+            self.warps[wb.warp].scoreboard.retire(wb.token);
+            self.wake_warp(wb.warp);
             progressed = true;
         }
         if progressed {
@@ -1029,10 +1049,7 @@ impl Sm {
 
     /// Schedules a writeback at `time` retiring `token` of warp `warp`.
     fn push_wb(&mut self, time: u64, warp: usize, token: SbToken) {
-        let seq = self.wb_seq;
-        self.wb_seq += 1;
-        self.pending_wb
-            .push(time, self.sm_id, seq, WbSlot { warp, token });
+        self.pending_wb.push(time, WbSlot { warp, token });
     }
 
     /// Enqueues the DRAM transactions of one instruction (`(issue_cycle,
@@ -1208,6 +1225,8 @@ impl Sm {
             Some(r) => {
                 self.ready[w][slot].set(r);
                 self.ready_now[slot].set(self.ready_now[slot].get() | bit);
+                let class = &self.ready_class[slot][r.unit as usize];
+                class.set(class.get() | bit);
             }
             None => self.ready_cand[slot].set(self.ready_cand[slot].get() & !bit),
         }
@@ -1224,6 +1243,9 @@ impl Sm {
         for slot in 0..2 {
             self.ready_cand[slot].set(self.ready_cand[slot].get() | bit);
             self.ready_now[slot].set(self.ready_now[slot].get() & !bit);
+            for class in &self.ready_class[slot] {
+                class.set(class.get() & !bit);
+            }
         }
     }
 
@@ -1231,27 +1253,25 @@ impl Sm {
     /// `among` for which `ready_check(w, slot)` returns an instruction of a
     /// unit class in `classes` (a bitmask over `UnitClass as u8`).
     ///
-    /// *Settle, then walk set bits.* A clear `ready_cand` bit is a
-    /// guarantee of not-ready and a set `ready_now` bit an evaluated
+    /// *Settle, then OR the free classes' sets.* A clear `ready_cand` bit
+    /// is a guarantee of not-ready and a set `ready_now` bit an evaluated
     /// success, so only the candidates in between — warps some event woke
-    /// since the last scan — run the check itself; the pick then touches
-    /// nothing but the dense records. A blocked warp costs nothing per
-    /// cycle.
+    /// since the last scan — run the check itself; the eligible warps are
+    /// already sorted by unit class in `ready_class`, so the answer is the
+    /// union of the wanted port-free classes' sets — no per-warp read at
+    /// all. A blocked warp costs nothing per cycle.
     pub(crate) fn ready_set(&self, slot: usize, among: u64, classes: u8) -> u64 {
         self.settle(slot, among);
         // Control needs no port, so it is always free.
         let free =
             classes & (self.groups.free_class_mask(self.cycle) | 1 << UnitClass::Control as u8);
-        let mut ready = self.ready_now[slot].get() & among;
         let mut set = 0;
-        while ready != 0 {
-            let w = ready.trailing_zeros() as usize;
-            ready &= ready - 1;
-            if free & (1 << self.ready[w][slot].get().unit as u8) != 0 {
-                set |= 1u64 << w;
+        for (class, warps) in self.ready_class[slot].iter().enumerate() {
+            if free >> class & 1 != 0 {
+                set |= warps.get();
             }
         }
-        set
+        set & among
     }
 
     /// Re-evaluates the woken warps of `among` on slot `slot`, after which
@@ -1288,11 +1308,16 @@ impl Sm {
             .then_some(r)
     }
 
-    /// `(ready_cand, ready_now)` of `slot`, for the debug cross-check of
-    /// the encoding's one structural invariant (`ready_now ⊆ ready_cand`).
+    /// `(ready_cand, ready_now, ready_class)` of `slot`, for the debug
+    /// cross-check of the encoding's structural invariants (`ready_now ⊆
+    /// ready_cand`; the class sets partition `ready_now`).
     #[cfg(debug_assertions)]
-    pub(crate) fn readiness_sets(&self, slot: usize) -> (u64, u64) {
-        (self.ready_cand[slot].get(), self.ready_now[slot].get())
+    pub(crate) fn readiness_sets(&self, slot: usize) -> (u64, u64, [u64; 4]) {
+        (
+            self.ready_cand[slot].get(),
+            self.ready_now[slot].get(),
+            std::array::from_fn(|c| self.ready_class[slot][c].get()),
+        )
     }
 
     /// Re-derives warp `w`'s fetch-candidate bits from its liveness and
@@ -1448,12 +1473,12 @@ impl Sm {
     /// execution, back-end timing, divergence update, scoreboard event.
     /// This is the only mutation path a policy has
     /// ([`crate::policy::IssueCtx::commit`]).
-    pub(crate) fn commit_warp_issue(&mut self, w: usize, picks: &[Pick]) {
+    pub(crate) fn commit_warp_issue(&mut self, program: &Program, w: usize, picks: &[Pick]) {
         debug_assert!(!picks.is_empty() && picks.len() <= 2);
-        // One refcount bump per issue event buys borrowed access to every
-        // decoded instruction below — no per-issue `Instruction` clone.
-        let program = Arc::clone(&self.program);
-        let before = self.slot_masks(w);
+        // Only the matrix scoreboard consumes the slot partition (the
+        // cold remainder walks the whole CCT).
+        let before =
+            (self.cfg.scoreboard_mode == ScoreboardMode::Matrix).then(|| self.slot_masks(w));
         let mut transitions: [Option<Transition>; 2] = [None, None];
         // At most two picks per event: fixed slots, no per-issue heap churn.
         let mut sb_alloc: [Option<(&Instruction, Mask)>; 2] = [None, None];
@@ -1525,7 +1550,7 @@ impl Sm {
         let branch_reconv = picks
             .iter()
             .find(|p| matches!(transitions[p.ready.slot], Some(Transition::Split { .. })))
-            .map(|p| self.program[p.ready.pc].reconv)
+            .map(|p| program[p.ready.pc].reconv)
             .unwrap_or(None);
         let sideband_free = self.sideband_busy_until <= self.cycle;
         match &mut self.warps[w].div {
@@ -1534,7 +1559,12 @@ impl Sm {
                 s.apply(t, branch_reconv);
             }
             Divergence::Frontier(h) => {
-                let update = h.apply_pair(transitions[0], transitions[1], sideband_free);
+                let update = h.apply_pair_with(
+                    transitions[0],
+                    transitions[1],
+                    sideband_free,
+                    &mut self.frontier_scratch,
+                );
                 if update.spilled && !update.degraded && self.cfg.model_sideband_sorter {
                     self.sideband_busy_until = self.cycle + update.cct_walk as u64;
                 }
@@ -1543,7 +1573,6 @@ impl Sm {
 
         // Scoreboard: allocate the entry for this event, then fold the slot
         // transition into every in-flight matrix.
-        let after = self.slot_masks(w);
         let mut new_entry = None;
         if n_alloc > 0 {
             let warp = &mut self.warps[w];
@@ -1560,7 +1589,8 @@ impl Sm {
                 self.schedule_retire(w, t2, wb2);
             }
         }
-        if self.cfg.scoreboard_mode == ScoreboardMode::Matrix {
+        if let Some(before) = before {
+            let after = self.slot_masks(w);
             self.warps[w]
                 .scoreboard
                 .on_event(&before, &after, new_entry);
@@ -2060,19 +2090,22 @@ impl Sm {
                 width,
                 self.cfg.num_warps,
             );
-            warp.scoreboard =
-                Scoreboard::new(self.cfg.scoreboard_mode, self.cfg.scoreboard_entries);
+            // `refill_blocks` recycles a slot only once its scoreboards
+            // have drained, so the (empty) table is reused as it stands.
+            debug_assert_eq!(warp.scoreboard.in_flight(), 0);
             warp.ibuf = [None, None];
             warp.sb_run = [SbRun::default(); 2];
             self.ctx_dirty |= 1u64 << w;
-            warp.div = match self.cfg.divergence {
-                crate::config::DivergenceModel::Stack => {
-                    Divergence::Stack(PdomStack::new(populated))
+            // Restart the divergence state in place (a relaunch allocates
+            // nothing); only a warp's first launch under the frontier model
+            // replaces the construction-time placeholder.
+            match (&mut warp.div, self.cfg.divergence) {
+                (Divergence::Stack(s), DivergenceModel::Stack) => s.reset(populated),
+                (Divergence::Frontier(h), _) => h.reset(populated),
+                (div, DivergenceModel::Frontier) => {
+                    *div = Divergence::Frontier(FrontierHeap::new(populated));
                 }
-                crate::config::DivergenceModel::Frontier => {
-                    Divergence::Frontier(FrontierHeap::new(populated))
-                }
-            };
+            }
             self.wake_warp(w);
             self.update_fetchable(w);
         }

@@ -29,10 +29,11 @@
 //! which. [`IssueCtx::ready_set`]`(slot, among, classes)` returns the
 //! ready, port-free warps of a warp bitmask in one call — it re-runs the
 //! check only for warps an event woke since the last scan and answers the
-//! rest from the dense readiness record. Walk its set bits (ascending
-//! warp order) and read each candidate's full [`Ready`] — age, unit
-//! class, thread and lane masks — from [`IssueCtx::ready_info`]: the
-//! scan's record *is* the pick, no second lookup.
+//! rest by OR-ing the ready bitsets of the port-free unit classes, reading
+//! no per-warp record at all. Walk its set bits (ascending warp order) and
+//! read each candidate's full [`Ready`] — age, unit class, thread and lane
+//! masks — from [`IssueCtx::ready_info`]: the evaluation's record *is* the
+//! pick, no second lookup.
 //! [`IssueCtx::oldest_ready`] is the oldest-first pick built that way,
 //! and what every built-in scheduler calls. Restrict a scan with `among`
 //! (a pool, a lookup set, "not this warp") and `classes` rather than
@@ -55,7 +56,7 @@ pub mod swi;
 
 use std::sync::OnceLock;
 
-use warpweave_isa::{Pc, UnitClass};
+use warpweave_isa::{Pc, Program, UnitClass};
 
 use crate::config::SmConfig;
 use crate::mask::Mask;
@@ -190,6 +191,9 @@ pub trait IssuePolicy: std::fmt::Debug + Send {
 /// RNG, and [`IssueCtx::commit`] — never the SM's internals directly.
 pub struct IssueCtx<'a> {
     pub(crate) sm: &'a mut Sm,
+    /// The SM's decoded program, borrowed once per `run` so a commit
+    /// reads instructions without touching the `Arc`'s refcount.
+    pub(crate) program: &'a Program,
 }
 
 impl IssueCtx<'_> {
@@ -243,8 +247,14 @@ impl IssueCtx<'_> {
         #[cfg(debug_assertions)]
         {
             for s in 0..2 {
-                let (cand, now) = self.sm.readiness_sets(s);
+                let (cand, now, by_class) = self.sm.readiness_sets(s);
                 assert_eq!(now & !cand, 0, "slot {s}: ready_now outside ready_cand");
+                // The class sets partition `ready_now`: their union is it,
+                // and — bits counted — no warp sits in two of them.
+                let union = by_class.iter().fold(0, |u, c| u | c);
+                let bits: u32 = by_class.iter().map(|c| c.count_ones()).sum();
+                assert_eq!(union, now, "slot {s}: class sets do not cover ready_now");
+                assert_eq!(bits, now.count_ones(), "slot {s}: class sets overlap");
             }
             let reference = (0..self.num_warps())
                 .filter(|&w| among >> w & 1 != 0)
@@ -351,7 +361,7 @@ impl IssueCtx<'_> {
     /// Commit order is architecturally meaningful (port occupancy and
     /// DRAM arbitration follow it), so commit in the order picked.
     pub fn commit(&mut self, warp: usize, picks: &[Pick]) {
-        self.sm.commit_warp_issue(warp, picks);
+        self.sm.commit_warp_issue(self.program, warp, picks);
     }
 }
 

@@ -145,8 +145,8 @@ impl Scoreboard {
     }
 
     /// Recomputes the aggregate write footprints from the live entries
-    /// (≤ `entries × 2` instructions — allocate/retire rate, not
-    /// ready-check rate).
+    /// (≤ `entries × 2` instructions — retire rate, not ready-check rate;
+    /// allocation only ever adds bits, so it ORs them in instead).
     fn recompute_agg(&mut self) {
         let mut regs = 0u64;
         let mut preds = 0u8;
@@ -261,13 +261,16 @@ impl Scoreboard {
             insts: [Some(to_inst(i1)), i2.map(to_inst)],
             matrix: DepMatrix::identity(), // replaced by `on_event`
         };
+        for inst in e.insts.iter().flatten() {
+            self.agg_regs |= inst.dst_bit;
+            self.agg_preds |= inst.pdst_bit;
+        }
         let t2 = i2.map(|_| SbToken {
             entry: idx,
             slot: 1,
         });
         self.entries[idx] = Some(e);
         self.occupied += 1;
-        self.recompute_agg();
         Some((
             SbToken {
                 entry: idx,

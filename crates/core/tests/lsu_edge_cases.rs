@@ -3,7 +3,11 @@
 //! fully-masked-off warps, and replay trains under a zero-capacity epoch
 //! (a channel so slow the whole epoch grants nothing on time).
 
-use warpweave_core::lsu::plan_global;
+use std::collections::BTreeSet;
+
+use proptest::prelude::*;
+
+use warpweave_core::lsu::{plan_global, shared_passes};
 use warpweave_mem::{
     coalesce, Cache, CacheConfig, DramConfig, MemRequest, MshrFile, SharedDramChannel, Transaction,
     BLOCK_BYTES,
@@ -169,4 +173,50 @@ fn replay_train_under_a_zero_capacity_epoch_serialises_cleanly() {
     // An epoch with no requests grants nothing and records nothing.
     assert!(epoch_channel.arbitrate_epoch(8, 4, Vec::new()).is_empty());
     assert_eq!(epoch_channel.stats(), stats);
+}
+
+/// `shared_passes` from its definition: per 32-lane wave, the most
+/// distinct words any one bank serves — no conflict-free shortcut, no
+/// sort.
+fn shared_passes_reference(accesses: &[(usize, u32)]) -> u64 {
+    let mut total = 0;
+    for wave in 0..2 {
+        let mut banks: [BTreeSet<u32>; 32] = Default::default();
+        for &(_, a) in accesses.iter().filter(|&&(l, _)| l / 32 == wave) {
+            banks[(a / 4 % 32) as usize].insert(a / 4);
+        }
+        total += banks.iter().map(BTreeSet::len).max().unwrap_or(0) as u64;
+    }
+    total.max(1)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The conflict-free fast path (one OR per lane, no sort) returns the
+    /// pass count of the sorted path on every access pattern: strided
+    /// (conflict-free at odd strides, 2-/4-/…-way conflicts at even ones),
+    /// broadcast-heavy, and scattered.
+    #[test]
+    fn shared_passes_fast_path_counts_like_the_sorted_one(
+        lanes in any::<u64>(),
+        stride in 0u32..34,
+        base in 0u32..64,
+        scatter in proptest::collection::vec(0u32..4096, 64..65),
+        mode in 0u8..3,
+    ) {
+        let accesses: Vec<(usize, u32)> = (0..64usize)
+            .filter(|l| lanes >> l & 1 != 0)
+            .map(|l| {
+                let word = match mode {
+                    0 => base + l as u32 * stride,
+                    // Few distinct words: broadcasts and same-bank pairs.
+                    1 => base + scatter[l] % 5 * stride,
+                    _ => scatter[l],
+                };
+                (l, word * 4)
+            })
+            .collect();
+        prop_assert_eq!(shared_passes(&accesses), shared_passes_reference(&accesses));
+    }
 }

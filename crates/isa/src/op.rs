@@ -40,6 +40,9 @@ pub enum CmpOp {
 
 impl CmpOp {
     /// Evaluates the comparison on signed 32-bit integers.
+    // `#[inline]`: called per lane from `warpweave-core`'s execute loops,
+    // and without LTO a cross-crate call there blocks their vectorising.
+    #[inline]
     pub fn eval_i32(self, a: i32, b: i32) -> bool {
         match self {
             CmpOp::Eq => a == b,
@@ -52,6 +55,7 @@ impl CmpOp {
     }
 
     /// Evaluates the comparison on `f32` values (IEEE ordered semantics).
+    #[inline]
     pub fn eval_f32(self, a: f32, b: f32) -> bool {
         match self {
             CmpOp::Eq => a == b,

@@ -5,7 +5,8 @@
 //! scheduling, a set-associative tag-only L1 [`Cache`], a
 //! throughput/latency-limited private [`Dram`] channel, and the
 //! event-driven shared-bandwidth subsystem — a deterministic
-//! [`MemEventQueue`] and the [`SharedDramChannel`] that arbitrates one
+//! [`MemEventQueue`] (with the O(1) [`CalendarQueue`] an SM's writebacks
+//! use built over it) and the [`SharedDramChannel`] that arbitrates one
 //! bandwidth pool across all SMs of a machine per epoch.
 //!
 //! Parameters default to the paper's table 2: 48 K 6-way 128 B L1 at 3
@@ -58,7 +59,7 @@ pub use coalesce::{
     BLOCK_BYTES,
 };
 pub use dram::{Dram, DramConfig, DramStats};
-pub use event::{MemEvent, MemEventQueue};
+pub use event::{CalendarQueue, MemEvent, MemEventQueue};
 pub use l2::{L2Stats, SharedL2};
 pub use mshr::{MshrFile, MshrLookup};
 pub use space::{Memory, SharedMem};
