@@ -17,8 +17,8 @@ pub use harness::{
 };
 pub use report::{
     check_golden, parse_golden_cells, probes_from_store, render_faulted_sweep_json,
-    render_golden_json, render_sweep_json, GoldenCell, Json, ProbeResult, FAULTED_SWEEP_SCHEMA,
-    GOLDEN_SCHEMA, SWEEP_SCHEMA,
+    render_golden_json, render_sweep_json, Json, ProbeResult, FAULTED_SWEEP_SCHEMA, GOLDEN_SCHEMA,
+    SWEEP_SCHEMA,
 };
 pub use shard::{matrix_from_store, merge_checkpoints, ShardSpec};
 

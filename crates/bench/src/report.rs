@@ -13,7 +13,7 @@
 //! single IPC digit, one stall cycle — is a real behaviour change that
 //! must be acknowledged by re-recording the baseline.
 
-use warpweave_core::checkpoint::SweepCheckpoint;
+use warpweave_core::checkpoint::{CellRecord, SweepCheckpoint};
 use warpweave_core::{Stats, CHECKPOINT_VERSION};
 use warpweave_mem::ChannelStats;
 
@@ -309,51 +309,47 @@ pub fn render_golden_json(
     .render()
 }
 
-/// One cell pulled back out of a committed golden baseline: the key plus
-/// the two headline counters every consumer cross-checks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GoldenCell {
-    /// `workload/config` (or `machine/...` probe) key.
-    pub key: String,
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Thread-instructions committed.
-    pub thread_instructions: u64,
-}
-
-/// Parses the committed golden baseline's cell lines back into
-/// [`GoldenCell`]s. The renderer puts one cell per line with the fields
-/// in a fixed order ([`render_golden_json`]), so a line scan is exact for
-/// our own output — this is what the policy-equivalence test
-/// cross-checks registry-built runs against.
-pub fn parse_golden_cells(text: &str) -> Vec<GoldenCell> {
-    fn field_u64(line: &str, key: &str) -> Option<u64> {
-        let start = line.find(key)? + key.len();
-        let tail = &line[start..];
-        let num: String = tail.chars().take_while(char::is_ascii_digit).collect();
-        num.parse().ok()
-    }
-    let mut out = Vec::new();
-    for line in text.lines() {
-        const KKEY: &str = "\"key\": \"";
-        let Some(kstart) = line.find(KKEY) else {
-            continue;
+/// Parses a golden baseline's cell lines back into `(key, record)` pairs by
+/// handing each line's `counters` / `channel` object to
+/// [`Stats::from_fields`] / [`ChannelStats::from_fields`] — the strict
+/// decode (names, order, count) a checkpoint line goes through, so a file
+/// written by a different counter table is an error, not a partial read.
+/// [`render_golden_json`] puts one cell per line, which is all the framing
+/// this relies on; lines without a `"key"` (the document header) are
+/// skipped.
+///
+/// # Errors
+/// The 1-based line number and the first defect of a cell line.
+pub fn parse_golden_cells(text: &str) -> Result<Vec<(String, CellRecord)>, String> {
+    /// The `"name": integer` members of the flat object `"member": {..}`.
+    fn object<'a>(line: &'a str, member: &str) -> Option<Result<Vec<(&'a str, u64)>, String>> {
+        let (_, tail) = line.split_once(&format!("\"{member}\": {{"))?;
+        let body = tail.split_once('}').map_or(tail, |(body, _)| body);
+        let field = |pair: &'a str| {
+            let bad = || format!("`{member}` member `{pair}` is not `\"name\": integer`");
+            let quoted = pair.strip_prefix('"').ok_or_else(bad)?;
+            let (name, value) = quoted.split_once("\": ").ok_or_else(bad)?;
+            Ok((name, value.parse().map_err(|_| bad())?))
         };
-        let rest = &line[kstart + KKEY.len()..];
-        let Some(kend) = rest.find('"') else { continue };
-        let (Some(cycles), Some(thread_instructions)) = (
-            field_u64(line, "\"cycles\": "),
-            field_u64(line, "\"thread_instructions\": "),
-        ) else {
-            continue;
-        };
-        out.push(GoldenCell {
-            key: rest[..kend].to_string(),
-            cycles,
-            thread_instructions,
-        });
+        Some(body.split(", ").map(field).collect())
     }
-    out
+    fn cell(line: &str) -> Option<Result<(String, CellRecord), String>> {
+        let (key, _) = line.split_once("{\"key\": \"")?.1.split_once('"')?;
+        let record = || {
+            let counters = object(line, "counters").ok_or("no `counters` object")??;
+            let channel = object(line, "channel").transpose()?;
+            Ok(CellRecord {
+                stats: Stats::from_fields(&counters)?,
+                channel: channel.map(|c| ChannelStats::from_fields(&c)).transpose()?,
+            })
+        };
+        Some(record().map(|record| (key.to_string(), record)))
+    }
+    let numbered = text.lines().enumerate();
+    let cells = numbered.filter_map(|(i, line)| {
+        Some(cell(line)?.map_err(|e| format!("golden line {}: {e}", i + 1)))
+    });
+    cells.collect()
 }
 
 /// Diffs a freshly rendered golden baseline against the committed one,
@@ -468,21 +464,40 @@ mod tests {
     }
 
     #[test]
-    fn golden_cells_round_trip_through_the_parser() {
+    fn golden_parser_is_as_strict_as_the_checkpoint_codec() {
         let stats = Stats {
             cycles: 1234,
             thread_instructions: 56789,
             ..Stats::default()
         };
-        let line = golden_cell("MatrixMul/SWI", &stats, None).text(None);
-        let cells = parse_golden_cells(&line);
+        let channel = ChannelStats {
+            l2_hits: 7,
+            ..ChannelStats::default()
+        };
+        let line = golden_cell("machine/w/4sm/shared", &stats, Some(&channel)).text(None);
         assert_eq!(
-            cells,
-            vec![GoldenCell {
-                key: "MatrixMul/SWI".into(),
-                cycles: 1234,
-                thread_instructions: 56789,
-            }]
+            parse_golden_cells(&line).unwrap(),
+            [(
+                "machine/w/4sm/shared".to_string(),
+                CellRecord::with_channel(stats, channel)
+            )]
+        );
+        // A renamed, dropped or reordered counter is an error naming the line.
+        for bad in [
+            line.replace("\"cycles\"", "\"cycels\""),
+            line.replace("\"idle_cycles\": 0, ", ""),
+            line.replace(
+                "\"l2_hits\": 7, \"l2_misses\": 0",
+                "\"l2_misses\": 0, \"l2_hits\": 7",
+            ),
+            line.replace("\"counters\"", "\"counts\""),
+        ] {
+            let err = parse_golden_cells(&format!("{{\n{bad}\n}}")).unwrap_err();
+            assert!(err.starts_with("golden line 2: "), "{err}");
+        }
+        assert_eq!(
+            parse_golden_cells("{\n  \"cells\": [\n  ]\n}\n"),
+            Ok(vec![])
         );
     }
 }

@@ -6,15 +6,21 @@
 //!   same entry, and a sweep checkpoint keyed by each policy's config
 //!   label resumes exactly;
 //! * the paper's five front-end configurations produce **bit-identical**
-//!   statistics to the committed `BENCH_golden.json` when constructed via
-//!   the new registry path (`SmConfig::with_policy`);
+//!   statistics (all 35 counters) to the committed `BENCH_golden.json`
+//!   when constructed via the new registry path (`SmConfig::with_policy`),
+//!   and the golden parser that reads them back loses nothing: parse →
+//!   render reproduces the committed file byte for byte;
 //! * the net-new `GreedyThenOldest` policy is selectable from the
 //!   registry, differs from the baseline order, and is bit-identical
 //!   across 1 and 8 host threads on a multi-SM machine.
 
-use warpweave_bench::grid::{grid_jobs, quick_workloads};
+use warpweave_bench::grid::{
+    figure7_configs, grid_id, grid_jobs, quick_workloads, sweep_workloads,
+};
 use warpweave_bench::harness::cell_key;
-use warpweave_bench::parse_golden_cells;
+use warpweave_bench::{
+    matrix_from_store, parse_golden_cells, probes_from_store, render_golden_json,
+};
 use warpweave_core::checkpoint::{CellRecord, SweepCheckpoint};
 use warpweave_core::{Launch, Machine, MachineStats, PolicyRegistry, SchedOrder, SmConfig};
 use warpweave_isa::{p, r, CmpOp, KernelBuilder, Operand, Program, SpecialReg};
@@ -77,8 +83,7 @@ fn registry_names_round_trip_through_config_serialization() {
 fn legacy_frontends_match_golden_via_registry_path() {
     let text = std::fs::read_to_string(golden_path())
         .expect("committed BENCH_golden.json at the workspace root");
-    let cells = parse_golden_cells(&text);
-    assert!(!cells.is_empty(), "golden baseline parsed no cells");
+    let cells = parse_golden_cells(&text).expect("committed baseline parses");
     let configs: Vec<SmConfig> = ["Baseline", "Warp64", "SBI", "SWI", "SBI+SWI"]
         .iter()
         .map(|name| SmConfig::with_policy(name).expect("registered"))
@@ -89,22 +94,44 @@ fn legacy_frontends_match_golden_via_registry_path() {
         if job.is_probe() {
             continue;
         }
-        let golden = cells
+        let (_, golden) = cells
             .iter()
-            .find(|c| c.key == job.key)
+            .find(|(key, _)| *key == job.key)
             .unwrap_or_else(|| panic!("golden baseline has no cell '{}'", job.key));
         let record = job
             .run(Scale::Test, false)
             .unwrap_or_else(|e| panic!("{}: {e}", job.key));
         assert_eq!(
-            (record.stats.cycles, record.stats.thread_instructions),
-            (golden.cycles, golden.thread_instructions),
+            record, *golden,
             "{}: registry-constructed run drifted from BENCH_golden.json",
             job.key
         );
         checked += 1;
     }
     assert_eq!(checked, 10);
+}
+
+#[test]
+fn committed_golden_file_round_trips_through_the_parser() {
+    let text = std::fs::read_to_string(golden_path())
+        .expect("committed BENCH_golden.json at the workspace root");
+    let cells = parse_golden_cells(&text).expect("committed baseline parses");
+    assert_eq!(cells.len(), 105 + 7);
+    assert_eq!(cells.iter().filter(|(_, r)| r.channel.is_some()).count(), 7);
+    // Rebuild the renderer's inputs from the parsed records alone: if the
+    // result is the committed file byte for byte, no counter of any of the
+    // 112 lines — channel sections included — was lost or moved in the parse.
+    let mut store = SweepCheckpoint::in_memory(0);
+    for (key, record) in &cells {
+        store.record(key, record.clone()).expect("distinct keys");
+    }
+    let (configs, workloads) = (figure7_configs(), sweep_workloads(true));
+    let matrix = matrix_from_store(&configs, &workloads, &store).expect("all 105 cells");
+    let probes = probes_from_store(&store).expect("all 7 probes");
+    let id = grid_id(&configs, &workloads, Scale::Test);
+    let rendered = render_golden_json("test", id, &matrix, &probes);
+    assert_eq!(rendered, text);
+    assert_eq!(parse_golden_cells(&rendered).as_ref(), Ok(&cells));
 }
 
 /// A divergent kernel with data-dependent trip counts (the

@@ -39,8 +39,12 @@
 //!
 //! **Versioning rule:** any change to the field lists, the line grammar or
 //! the checksum must bump [`CHECKPOINT_VERSION`] — old files then fail the
-//! header check cleanly instead of decoding garbage. The exhaustive
-//! destructuring inside `to_fields` makes forgetting this a compile error.
+//! header check cleanly instead of decoding garbage. The field lists are
+//! the rows of the two counter tables ([`Stats::FIELD_NAMES`],
+//! [`ChannelStats::FIELD_NAMES`]; a counter cannot exist outside its
+//! table), and `format_is_pinned_to_the_version` below holds a digest of
+//! both next to the version: a table edit fails it until the version and
+//! the digest move together.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -607,21 +611,55 @@ mod tests {
     }
 
     #[test]
-    fn cell_line_round_trips() {
-        let record = CellRecord::with_channel(
-            sample_stats(7),
-            ChannelStats {
-                read_transfers: 1,
-                write_transfers: 2,
-                bytes_transferred: 384,
-                queued_requests: 1,
-                queue_delay_cycles: 13,
-                max_queue_delay: 13,
-                l2_hits: 5,
-                l2_misses: 6,
-                l2_cross_sm_evictions: 2,
-            },
+    fn format_is_pinned_to_the_version() {
+        let names = [
+            Stats::FIELD_NAMES.join(","),
+            ChannelStats::FIELD_NAMES.join(","),
+        ];
+        assert_eq!(
+            (CHECKPOINT_VERSION, names.map(|n| fnv1a(n.as_bytes()))),
+            (3, [0xda25_d408_55b5_59bc, 0x93d5_d5cf_b01b_d694]),
+            "the counter tables changed the serialised format: bump CHECKPOINT_VERSION, \
+             update this pin (and the v3 literal below) and re-record the golden file \
+             (`bench_sweep --record-golden`) in the same change"
         );
+    }
+
+    /// A probe line written by the last commit that carried the hand-written
+    /// codecs (both sections, L2 counters non-zero).
+    const V3_PROBE_LINE: &str = "\
+        cell|machine/MatrixMul/4sm/shared+2ch+mshr32+l2|s:cycles=1719,\
+        thread_instructions=137216,warp_instructions=2144,primary_issues=559,\
+        secondary_issues=1585,same_group_coissues=0,other_group_coissues=1585,\
+        fetch_squashes=0,scheduler_conflicts=1344,constraint_suspensions=0,\
+        lookup_probes=682,lookup_hits=116,lsu_transactions=2496,lsu_replays=1168,\
+        idle_cycles=4313,barrier_releases=16,blocks_completed=4,max_stack_depth=1,\
+        heap_max_live_splits=1,heap_spills=0,heap_degraded_inserts=0,heap_merges=0,\
+        l1_load_hits=64,l1_load_misses=192,l1_stores=64,dram_read_transfers=192,\
+        dram_write_transfers=64,dram_queued_loads=60,dram_queue_delay=7198,\
+        dram_max_queue_delay=275,mshr_merges=0,mshr_bypasses=0,superblock_enters=80,\
+        superblock_covered=2064,superblock_aborts=0|c:read_transfers=64,write_transfers=64,\
+        bytes_transferred=16384,queued_requests=120,queue_delay_cycles=12960,\
+        max_queue_delay=275,l2_hits=128,l2_misses=64,\
+        l2_cross_sm_evictions=0|#087a4f0de5a0845e";
+
+    #[test]
+    fn literal_v3_line_decodes_and_re_encodes_to_the_same_bytes() {
+        let (key, record) = decode_cell(V3_PROBE_LINE).unwrap();
+        assert_eq!(key, "machine/MatrixMul/4sm/shared+2ch+mshr32+l2");
+        assert_eq!(
+            (record.stats.cycles, record.stats.heap.max_live_splits),
+            (1719, 1)
+        );
+        assert_eq!(record.channel.unwrap().l2_hits, 128);
+        assert_eq!(encode_cell(&key, &record), V3_PROBE_LINE);
+    }
+
+    #[test]
+    fn cell_line_round_trips() {
+        let channel: Vec<(&str, u64)> = ChannelStats::FIELD_NAMES.into_iter().zip(1..).collect();
+        let channel = ChannelStats::from_fields(&channel).unwrap();
+        let record = CellRecord::with_channel(sample_stats(7), channel);
         let line = encode_cell("MatrixMul/SBI+SWI", &record);
         let (key, parsed) = decode_cell(&line).unwrap();
         assert_eq!(key, "MatrixMul/SBI+SWI");

@@ -104,6 +104,13 @@ pub struct GroupConfig {
 
 /// Full SM configuration. Build one with the presets ([`SmConfig::baseline`]
 /// etc.) and adjust fields as needed.
+///
+/// Two table-2 values are modelled by a mechanism, not by a field. The
+/// scheduler latency (1 cycle; 2 for SWI's cascade) is the SWI policy's
+/// pending primary: picked one cycle, issued the next ([`crate::policy`]).
+/// §5.2's 8-entry Cold Context Table is unbounded in
+/// [`crate::FrontierHeap`]; the `heap_max_live_splits` counter reports how
+/// many entries a run needed.
 #[derive(Debug, Clone)]
 pub struct SmConfig {
     /// Human-readable label (defaults to the front-end name).
@@ -130,25 +137,23 @@ pub struct SmConfig {
     pub scoreboard_mode: ScoreboardMode,
     /// In-flight instructions tracked per warp (table 2: 6).
     pub scoreboard_entries: usize,
-    /// Scheduler latency in cycles (1; 2 for SWI's cascade — table 2).
-    pub sched_latency: u32,
     /// Instruction delivery latency (0 baseline; 1 for SBI/SWI — table 2).
     pub delivery_latency: u32,
     /// Execution latency in cycles (table 2: 8).
     pub exec_latency: u32,
     /// Shared-memory access latency in cycles.
     pub shared_latency: u32,
-    /// Cold Context Table entries per warp (§5.2 assumes 8).
-    pub cct_capacity: usize,
     /// Model the sideband CCT sorter's walk time (degrades to stack order
     /// under pressure, §3.4). `false` keeps the CCT ideally sorted.
     pub model_sideband_sorter: bool,
     /// Skip over provably-idle stretches by jumping the clock to the next
     /// writeback / port-release event instead of ticking cycle-by-cycle.
-    /// Produces bit-identical statistics to exhaustive ticking (the
-    /// equivalence is asserted by `fast_forward_is_exact` in
-    /// `tests/multi_sm_determinism.rs`); disable only when tracing
-    /// cycle-by-cycle behaviour in a debugger.
+    /// Bit-identical to exhaustive ticking at test scale
+    /// (`fast_forward_is_exact`, and every job of the golden grid in
+    /// `switch_invariance.rs`) but not at bench scale, where runs drift by
+    /// a few cycles (`benchmark/README.md` finding 1; ROADMAP item 6a′
+    /// tracks the fix). Disable it to trace cycle by cycle, or to rule the
+    /// skip out of a discrepancy.
     pub fast_forward: bool,
     /// Back-end SIMD groups.
     pub groups: Vec<GroupConfig>,
@@ -194,11 +199,9 @@ impl SmConfig {
             swi_assoc: Associativity::Full,
             scoreboard_mode: ScoreboardMode::WarpLevel,
             scoreboard_entries: 6,
-            sched_latency: 1,
             delivery_latency: 1,
             exec_latency: 8,
             shared_latency: 10,
-            cct_capacity: 8,
             model_sideband_sorter: true,
             fast_forward: true,
             groups: vec![
@@ -277,11 +280,11 @@ impl SmConfig {
     }
 
     /// Simultaneous Warp Interweaving (table 2, column 3): cascaded
-    /// scheduler (2-cycle latency), fully-associative lookup, XorRev lane
-    /// shuffling (the paper's most consistent policy).
+    /// scheduler (its 2-cycle latency is the policy's pending primary, see
+    /// [`SmConfig`]), fully-associative lookup, XorRev lane shuffling (the
+    /// paper's most consistent policy).
     pub fn swi() -> SmConfig {
         SmConfig {
-            sched_latency: 2,
             lane_shuffle: LaneShuffle::XorRev,
             ..Self::common("SWI")
         }
@@ -292,7 +295,6 @@ impl SmConfig {
         SmConfig {
             scoreboard_mode: ScoreboardMode::Matrix,
             sbi_constraints: true,
-            sched_latency: 2,
             lane_shuffle: LaneShuffle::XorRev,
             ..Self::common("SBI+SWI")
         }
@@ -577,7 +579,6 @@ mod tests {
     fn table2_baseline() {
         let c = SmConfig::baseline();
         assert_eq!((c.num_warps, c.warp_width), (32, 32));
-        assert_eq!(c.sched_latency, 1);
         assert_eq!(c.delivery_latency, 0);
         assert_eq!(c.exec_latency, 8);
         assert_eq!(c.scoreboard_entries, 6);
@@ -590,20 +591,17 @@ mod tests {
     fn table2_sbi_swi() {
         let sbi = SmConfig::sbi();
         assert_eq!((sbi.num_warps, sbi.warp_width), (16, 64));
-        assert_eq!(sbi.sched_latency, 1);
         assert_eq!(sbi.delivery_latency, 1);
         assert_eq!(sbi.peak_ipc(), 104);
         sbi.validate().unwrap();
 
         let swi = SmConfig::swi();
-        assert_eq!(swi.sched_latency, 2);
         assert_eq!(swi.delivery_latency, 1);
         assert_eq!(swi.peak_ipc(), 104);
         swi.validate().unwrap();
 
         let both = SmConfig::sbi_swi();
         assert_eq!(both.scoreboard_mode, ScoreboardMode::Matrix);
-        assert_eq!(both.sched_latency, 2);
         both.validate().unwrap();
     }
 

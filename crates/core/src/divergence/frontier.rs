@@ -41,17 +41,20 @@ pub struct HeapUpdate {
     pub degraded: bool,
 }
 
-/// Occupancy statistics for hardware provisioning and §5.2 validation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HeapStats {
-    /// High-water mark of live warp-splits (HCT + CCT).
-    pub max_live_splits: usize,
-    /// Contexts spilled to the CCT.
-    pub spills: u64,
-    /// Spills that used the degraded stack-order path.
-    pub degraded_inserts: u64,
-    /// Context merges (reconvergence events).
-    pub merges: u64,
+warpweave_mem::counter_table! {
+    /// Occupancy statistics for hardware provisioning and §5.2 validation
+    /// (serialised as `heap_*`).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct HeapStats, prefix "heap_" {
+        /// High-water mark of live warp-splits (HCT + CCT).
+        max_live_splits: usize = max,
+        /// Contexts spilled to the CCT.
+        spills: u64 = sum,
+        /// Spills that used the degraded stack-order path.
+        degraded_inserts: u64 = sum,
+        /// Context merges (reconvergence events).
+        merges: u64 = sum,
+    }
 }
 
 /// The per-warp sorted heap (HCT + CCT).

@@ -571,10 +571,7 @@ impl Machine {
             channel_total.accumulate(&channel.stats());
         }
         if let Some(l2) = &l2 {
-            let s = l2.stats();
-            channel_total.l2_hits += s.hits;
-            channel_total.l2_misses += s.misses;
-            channel_total.l2_cross_sm_evictions += s.cross_sm_evictions;
+            channel_total.accumulate(&l2.stats());
         }
         Ok(self.merge_shards(outcomes, channel_total))
     }

@@ -778,14 +778,7 @@ impl Sm {
                 Divergence::Stack(s) => {
                     self.stats.max_stack_depth = self.stats.max_stack_depth.max(s.max_depth());
                 }
-                Divergence::Frontier(h) => {
-                    let hs = h.stats();
-                    self.stats.heap.max_live_splits =
-                        self.stats.heap.max_live_splits.max(hs.max_live_splits);
-                    self.stats.heap.merges += hs.merges;
-                    self.stats.heap.spills += hs.spills;
-                    self.stats.heap.degraded_inserts += hs.degraded_inserts;
-                }
+                Divergence::Frontier(h) => self.stats.heap.accumulate(&h.stats()),
             }
         }
     }
@@ -1408,11 +1401,6 @@ impl Sm {
     /// Mutable statistics access for the dedicated policy counters.
     pub(crate) fn stats_mut(&mut self) -> &mut Stats {
         &mut self.stats
-    }
-
-    /// Index of a free back-end group serving `unit` this cycle.
-    pub(crate) fn free_group(&self, unit: UnitClass) -> Option<usize> {
-        self.groups.find_free(unit, self.cycle)
     }
 
     /// True if the decoded instruction at `pc` is a branch.

@@ -212,11 +212,6 @@ impl IssueCtx<'_> {
         self.sm.config().warp_width
     }
 
-    /// The configured scheduling order (see [`SchedOrder`]).
-    pub fn sched_order(&self) -> SchedOrder {
-        self.sm.config().sched_order
-    }
-
     /// The warps in `warp`'s set of the SWI mask-lookup (fig. 9
     /// associativity), `warp` included, as a bitmask.
     pub fn lookup_set(&self, warp: usize) -> u64 {
@@ -283,18 +278,6 @@ impl IssueCtx<'_> {
         Some(self.ready_info(w, slot))
     }
 
-    /// `(pc, mask, at_barrier)` of the divergence context feeding ibuf
-    /// `slot` of `warp` (`None` when the warp is dead or the slot empty).
-    pub fn split_ctx(&self, warp: usize, slot: usize) -> Option<(Pc, Mask, bool)> {
-        self.sm.ctx(warp, slot)
-    }
-
-    /// The thread-space masks of `warp`'s primary split, secondary split
-    /// and cold remainder (all empty under stack divergence).
-    pub fn slot_masks(&self, warp: usize) -> [Mask; 3] {
-        self.sm.slot_masks(warp)
-    }
-
     /// Counts `cycles` cycles of SBI constraint suspensions — one per
     /// parked secondary per cycle (§3.3; §5.1 statistics). The parked set
     /// is maintained at readiness events, not re-derived per warp.
@@ -337,11 +320,6 @@ impl IssueCtx<'_> {
     /// one-divergence-per-cycle and single-LSU-port rules.
     pub fn plan_coissue(&self, r1: &Ready, d1: Dispatch, r2: &Ready) -> Option<Dispatch> {
         self.sm.plan_coissue(r1, d1, r2)
-    }
-
-    /// Index of a free back-end group serving `unit` this cycle.
-    pub fn free_group(&self, unit: UnitClass) -> Option<usize> {
-        self.sm.free_group(unit)
     }
 
     /// True if the instruction at `pc` is a branch (the

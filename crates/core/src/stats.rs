@@ -1,82 +1,90 @@
-//! Simulation statistics.
+//! Simulation statistics: the [`Stats`] counter table
+//! ([`warpweave_mem::counter_table!`] generates the struct, its
+//! `to_fields` / `from_fields` codec and its `accumulate` /
+//! `merge_parallel` folds from the rows) and the metrics derived from it.
 
 use warpweave_mem::{CacheStats, DramConfig, DramStats};
 
 use crate::divergence::frontier::HeapStats;
 
-/// Counters collected over one kernel execution on one SM.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Stats {
-    /// Cycles simulated.
-    pub cycles: u64,
-    /// Thread-instructions committed (Σ active-mask population per issued
-    /// instruction) — the numerator of the paper's IPC metric.
-    pub thread_instructions: u64,
-    /// Warp-level instructions issued.
-    pub warp_instructions: u64,
-    /// Primary-slot issues.
-    pub primary_issues: u64,
-    /// Secondary-slot issues (SBI/SWI co-issues).
-    pub secondary_issues: u64,
-    /// Secondary issues that shared the primary's SIMD group (disjoint
-    /// lanes, single pass).
-    pub same_group_coissues: u64,
-    /// Secondary issues dispatched to a different free SIMD group.
-    pub other_group_coissues: u64,
-    /// Instruction-buffer entries squashed because the warp-split state
-    /// changed under them (redundant fetch cost of desynchronisation).
-    pub fetch_squashes: u64,
-    /// Primary picks squashed because the cascaded secondary scheduler had
-    /// already issued the same instruction (paper §4, conflict avoidance).
-    pub scheduler_conflicts: u64,
-    /// Cycles a secondary warp-split spent suspended by a reconvergence
-    /// constraint (§3.3).
-    pub constraint_suspensions: u64,
-    /// SWI mask-lookup probes performed.
-    pub lookup_probes: u64,
-    /// SWI lookups that found a co-issuable instruction.
-    pub lookup_hits: u64,
-    /// Memory transactions issued by the LSU (after coalescing).
-    pub lsu_transactions: u64,
-    /// Memory instructions that needed replay (more than one transaction).
-    pub lsu_replays: u64,
-    /// Cycles with zero instructions issued.
-    pub idle_cycles: u64,
-    /// Block barrier releases.
-    pub barrier_releases: u64,
-    /// Thread blocks completed.
-    pub blocks_completed: u64,
-    /// High-water PDOM stack depth across warps (baseline).
-    pub max_stack_depth: usize,
-    /// Aggregated frontier-heap statistics across warps.
-    pub heap: HeapStats,
-    /// L1 statistics (copied at teardown).
-    pub l1: CacheStats,
-    /// DRAM traffic issued by this SM (counted at enqueue).
-    pub dram: DramStats,
-    /// Load transactions that queued behind the DRAM channel (grant start
-    /// later than issue) — the per-SM face of bandwidth contention.
-    pub dram_queued_loads: u64,
-    /// Total cycles this SM's load transactions spent queued behind the
-    /// channel.
-    pub dram_queue_delay: u64,
-    /// Worst single-load queue delay observed.
-    pub dram_max_queue_delay: u64,
-    /// Same-line misses merged into an already in-flight MSHR transaction
-    /// (each merge is a DRAM request the MSHR file absorbed).
-    pub mshr_merges: u64,
-    /// Misses that found the MSHR file full and fell through to their own
-    /// DRAM request (0 when MSHRs are disabled).
-    pub mshr_bypasses: u64,
-    /// Superblock runs entered (an issue grant landed on a fused region's
-    /// first instruction).
-    pub superblock_enters: u64,
-    /// Issue grants executed through the superblock fused path (includes
-    /// the entering grant of each run).
-    pub superblock_covered: u64,
-    /// Superblock runs abandoned because a grant deviated from the
-    /// expected pc/mask (divergence, merges, context swaps).
-    pub superblock_aborts: u64,
+warpweave_mem::counter_table! {
+    /// Counters collected over one kernel execution on one SM — the counter
+    /// reference: each row below is one column of a checkpoint `s:` section
+    /// and of a `BENCH_golden.json` `counters` object, in this order.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct Stats {
+        /// Cycles simulated (the makespan once SMs are merged in parallel,
+        /// so [`Stats::ipc`] reads as whole-machine throughput per cycle).
+        cycles: u64 = makespan,
+        /// Thread-instructions committed (Σ active-mask population per issued
+        /// instruction) — the numerator of the paper's IPC metric.
+        thread_instructions: u64 = sum,
+        /// Warp-level instructions issued.
+        warp_instructions: u64 = sum,
+        /// Primary-slot issues.
+        primary_issues: u64 = sum,
+        /// Secondary-slot issues (SBI/SWI co-issues).
+        secondary_issues: u64 = sum,
+        /// Secondary issues that shared the primary's SIMD group (disjoint
+        /// lanes, single pass).
+        same_group_coissues: u64 = sum,
+        /// Secondary issues dispatched to a different free SIMD group.
+        other_group_coissues: u64 = sum,
+        /// Instruction-buffer entries squashed because the warp-split state
+        /// changed under them (redundant fetch cost of desynchronisation).
+        fetch_squashes: u64 = sum,
+        /// Primary picks squashed because the cascaded secondary scheduler had
+        /// already issued the same instruction (paper §4, conflict avoidance).
+        scheduler_conflicts: u64 = sum,
+        /// Cycles a secondary warp-split spent suspended by a reconvergence
+        /// constraint (§3.3).
+        constraint_suspensions: u64 = sum,
+        /// SWI mask-lookup probes performed.
+        lookup_probes: u64 = sum,
+        /// SWI lookups that found a co-issuable instruction.
+        lookup_hits: u64 = sum,
+        /// Memory transactions issued by the LSU (after coalescing).
+        lsu_transactions: u64 = sum,
+        /// Memory instructions that needed replay (more than one transaction).
+        lsu_replays: u64 = sum,
+        /// Cycles with zero instructions issued.
+        idle_cycles: u64 = sum,
+        /// Block barrier releases.
+        barrier_releases: u64 = sum,
+        /// Thread blocks completed.
+        blocks_completed: u64 = sum,
+        /// High-water PDOM stack depth across warps (baseline).
+        max_stack_depth: usize = max,
+        /// Aggregated frontier-heap statistics across warps.
+        heap: HeapStats = nested,
+        /// L1 statistics (copied at teardown).
+        l1: CacheStats = nested,
+        /// DRAM traffic issued by this SM (counted at enqueue).
+        dram: DramStats = nested,
+        /// Load transactions that queued behind the DRAM channel (grant start
+        /// later than issue) — the per-SM face of bandwidth contention.
+        dram_queued_loads: u64 = sum,
+        /// Total cycles this SM's load transactions spent queued behind the
+        /// channel.
+        dram_queue_delay: u64 = sum,
+        /// Worst single-load queue delay observed.
+        dram_max_queue_delay: u64 = max,
+        /// Same-line misses merged into an already in-flight MSHR transaction
+        /// (each merge is a DRAM request the MSHR file absorbed).
+        mshr_merges: u64 = sum,
+        /// Misses that found the MSHR file full and fell through to their own
+        /// DRAM request (0 when MSHRs are disabled).
+        mshr_bypasses: u64 = sum,
+        /// Superblock runs entered (an issue grant landed on a fused region's
+        /// first instruction).
+        superblock_enters: u64 = sum,
+        /// Issue grants executed through the superblock fused path (includes
+        /// the entering grant of each run).
+        superblock_covered: u64 = sum,
+        /// Superblock runs abandoned because a grant deviated from the
+        /// expected pc/mask (divergence, merges, context swaps).
+        superblock_aborts: u64 = sum,
+    }
 }
 
 impl Stats {
@@ -128,226 +136,6 @@ impl Stats {
             self.dram_queue_delay as f64 / self.dram.read_transfers as f64
         }
     }
-
-    /// The canonical `(field name, value)` enumeration of every counter, in
-    /// a fixed order — the single source of truth the checkpoint codec
-    /// ([`crate::checkpoint`]) serializes. `usize` high-water marks are
-    /// widened to `u64` (lossless on every supported host).
-    ///
-    /// The exhaustive destructuring below is deliberate: adding a field to
-    /// [`Stats`] (or any nested stats struct) breaks this function's
-    /// compilation, forcing the author to extend the codec and bump
-    /// [`crate::checkpoint::CHECKPOINT_VERSION`] in the same change.
-    pub fn to_fields(&self) -> Vec<(&'static str, u64)> {
-        let Stats {
-            cycles,
-            thread_instructions,
-            warp_instructions,
-            primary_issues,
-            secondary_issues,
-            same_group_coissues,
-            other_group_coissues,
-            fetch_squashes,
-            scheduler_conflicts,
-            constraint_suspensions,
-            lookup_probes,
-            lookup_hits,
-            lsu_transactions,
-            lsu_replays,
-            idle_cycles,
-            barrier_releases,
-            blocks_completed,
-            max_stack_depth,
-            heap:
-                HeapStats {
-                    max_live_splits,
-                    spills,
-                    degraded_inserts,
-                    merges,
-                },
-            l1:
-                CacheStats {
-                    load_hits,
-                    load_misses,
-                    stores,
-                },
-            dram:
-                DramStats {
-                    read_transfers,
-                    write_transfers,
-                },
-            dram_queued_loads,
-            dram_queue_delay,
-            dram_max_queue_delay,
-            mshr_merges,
-            mshr_bypasses,
-            superblock_enters,
-            superblock_covered,
-            superblock_aborts,
-        } = self.clone();
-        vec![
-            ("cycles", cycles),
-            ("thread_instructions", thread_instructions),
-            ("warp_instructions", warp_instructions),
-            ("primary_issues", primary_issues),
-            ("secondary_issues", secondary_issues),
-            ("same_group_coissues", same_group_coissues),
-            ("other_group_coissues", other_group_coissues),
-            ("fetch_squashes", fetch_squashes),
-            ("scheduler_conflicts", scheduler_conflicts),
-            ("constraint_suspensions", constraint_suspensions),
-            ("lookup_probes", lookup_probes),
-            ("lookup_hits", lookup_hits),
-            ("lsu_transactions", lsu_transactions),
-            ("lsu_replays", lsu_replays),
-            ("idle_cycles", idle_cycles),
-            ("barrier_releases", barrier_releases),
-            ("blocks_completed", blocks_completed),
-            ("max_stack_depth", max_stack_depth as u64),
-            ("heap_max_live_splits", max_live_splits as u64),
-            ("heap_spills", spills),
-            ("heap_degraded_inserts", degraded_inserts),
-            ("heap_merges", merges),
-            ("l1_load_hits", load_hits),
-            ("l1_load_misses", load_misses),
-            ("l1_stores", stores),
-            ("dram_read_transfers", read_transfers),
-            ("dram_write_transfers", write_transfers),
-            ("dram_queued_loads", dram_queued_loads),
-            ("dram_queue_delay", dram_queue_delay),
-            ("dram_max_queue_delay", dram_max_queue_delay),
-            ("mshr_merges", mshr_merges),
-            ("mshr_bypasses", mshr_bypasses),
-            ("superblock_enters", superblock_enters),
-            ("superblock_covered", superblock_covered),
-            ("superblock_aborts", superblock_aborts),
-        ]
-    }
-
-    /// Rebuilds a [`Stats`] from the field list [`Stats::to_fields`]
-    /// produced. Strict by design: the fields must appear in exactly the
-    /// canonical order with no extras and no omissions, so a checkpoint
-    /// written by a different struct layout is rejected instead of being
-    /// half-applied.
-    ///
-    /// # Errors
-    /// A description of the first mismatch (wrong count, wrong name in a
-    /// slot, or a value that does not fit the target field's width).
-    pub fn from_fields(fields: &[(&str, u64)]) -> Result<Stats, String> {
-        let mut stats = Stats::default();
-        let expected = stats.to_fields();
-        if fields.len() != expected.len() {
-            return Err(format!(
-                "expected {} stats fields, got {}",
-                expected.len(),
-                fields.len()
-            ));
-        }
-        for (&(name, value), &(want, _)) in fields.iter().zip(&expected) {
-            if name != want {
-                return Err(format!("expected stats field `{want}`, found `{name}`"));
-            }
-            stats.set_field(name, value)?;
-        }
-        Ok(stats)
-    }
-
-    /// Assigns one canonical field by name (the write half of the codec).
-    fn set_field(&mut self, name: &str, value: u64) -> Result<(), String> {
-        let narrow = |v: u64| {
-            usize::try_from(v).map_err(|_| format!("stats field `{name}` value {v} exceeds usize"))
-        };
-        match name {
-            "cycles" => self.cycles = value,
-            "thread_instructions" => self.thread_instructions = value,
-            "warp_instructions" => self.warp_instructions = value,
-            "primary_issues" => self.primary_issues = value,
-            "secondary_issues" => self.secondary_issues = value,
-            "same_group_coissues" => self.same_group_coissues = value,
-            "other_group_coissues" => self.other_group_coissues = value,
-            "fetch_squashes" => self.fetch_squashes = value,
-            "scheduler_conflicts" => self.scheduler_conflicts = value,
-            "constraint_suspensions" => self.constraint_suspensions = value,
-            "lookup_probes" => self.lookup_probes = value,
-            "lookup_hits" => self.lookup_hits = value,
-            "lsu_transactions" => self.lsu_transactions = value,
-            "lsu_replays" => self.lsu_replays = value,
-            "idle_cycles" => self.idle_cycles = value,
-            "barrier_releases" => self.barrier_releases = value,
-            "blocks_completed" => self.blocks_completed = value,
-            "max_stack_depth" => self.max_stack_depth = narrow(value)?,
-            "heap_max_live_splits" => self.heap.max_live_splits = narrow(value)?,
-            "heap_spills" => self.heap.spills = value,
-            "heap_degraded_inserts" => self.heap.degraded_inserts = value,
-            "heap_merges" => self.heap.merges = value,
-            "l1_load_hits" => self.l1.load_hits = value,
-            "l1_load_misses" => self.l1.load_misses = value,
-            "l1_stores" => self.l1.stores = value,
-            "dram_read_transfers" => self.dram.read_transfers = value,
-            "dram_write_transfers" => self.dram.write_transfers = value,
-            "dram_queued_loads" => self.dram_queued_loads = value,
-            "dram_queue_delay" => self.dram_queue_delay = value,
-            "dram_max_queue_delay" => self.dram_max_queue_delay = value,
-            "mshr_merges" => self.mshr_merges = value,
-            "mshr_bypasses" => self.mshr_bypasses = value,
-            "superblock_enters" => self.superblock_enters = value,
-            "superblock_covered" => self.superblock_covered = value,
-            "superblock_aborts" => self.superblock_aborts = value,
-            other => return Err(format!("unknown stats field `{other}`")),
-        }
-        Ok(())
-    }
-
-    /// Folds the statistics of a subsequent launch into this one (summing
-    /// counters, taking the maximum of high-water marks) — used by
-    /// multi-launch workloads such as BFS.
-    pub fn accumulate(&mut self, other: &Stats) {
-        self.cycles += other.cycles;
-        self.thread_instructions += other.thread_instructions;
-        self.warp_instructions += other.warp_instructions;
-        self.primary_issues += other.primary_issues;
-        self.secondary_issues += other.secondary_issues;
-        self.same_group_coissues += other.same_group_coissues;
-        self.other_group_coissues += other.other_group_coissues;
-        self.fetch_squashes += other.fetch_squashes;
-        self.scheduler_conflicts += other.scheduler_conflicts;
-        self.constraint_suspensions += other.constraint_suspensions;
-        self.lookup_probes += other.lookup_probes;
-        self.lookup_hits += other.lookup_hits;
-        self.lsu_transactions += other.lsu_transactions;
-        self.lsu_replays += other.lsu_replays;
-        self.idle_cycles += other.idle_cycles;
-        self.barrier_releases += other.barrier_releases;
-        self.blocks_completed += other.blocks_completed;
-        self.max_stack_depth = self.max_stack_depth.max(other.max_stack_depth);
-        self.heap.max_live_splits = self.heap.max_live_splits.max(other.heap.max_live_splits);
-        self.heap.spills += other.heap.spills;
-        self.heap.degraded_inserts += other.heap.degraded_inserts;
-        self.heap.merges += other.heap.merges;
-        self.l1.load_hits += other.l1.load_hits;
-        self.l1.load_misses += other.l1.load_misses;
-        self.l1.stores += other.l1.stores;
-        self.dram.read_transfers += other.dram.read_transfers;
-        self.dram.write_transfers += other.dram.write_transfers;
-        self.dram_queued_loads += other.dram_queued_loads;
-        self.dram_queue_delay += other.dram_queue_delay;
-        self.dram_max_queue_delay = self.dram_max_queue_delay.max(other.dram_max_queue_delay);
-        self.mshr_merges += other.mshr_merges;
-        self.mshr_bypasses += other.mshr_bypasses;
-        self.superblock_enters += other.superblock_enters;
-        self.superblock_covered += other.superblock_covered;
-        self.superblock_aborts += other.superblock_aborts;
-    }
-
-    /// Folds the statistics of an SM that ran *concurrently* with this one
-    /// into an aggregate: counters are summed as in [`Stats::accumulate`],
-    /// but `cycles` becomes the makespan (maximum), so [`Stats::ipc`] on the
-    /// merged value reads as whole-machine throughput per cycle.
-    pub fn merge_parallel(&mut self, other: &Stats) {
-        let my_cycles = self.cycles;
-        self.accumulate(other);
-        self.cycles = my_cycles.max(other.cycles);
-    }
 }
 
 #[cfg(test)]
@@ -368,13 +156,11 @@ mod tests {
 
     #[test]
     fn field_codec_round_trips() {
-        let mut s = Stats::default();
         // Give every field a distinct value so a swapped assignment shows.
-        for (i, (name, _)) in Stats::default().to_fields().into_iter().enumerate() {
-            s.set_field(name, 1000 + i as u64).unwrap();
-        }
-        let fields = s.to_fields();
-        assert_eq!(Stats::from_fields(&fields).unwrap(), s);
+        let fields: Vec<(&str, u64)> = Stats::FIELD_NAMES.into_iter().zip(1000..).collect();
+        let s = Stats::from_fields(&fields).unwrap();
+        assert_eq!((s.cycles, s.thread_instructions), (1000, 1001));
+        assert_eq!(s.to_fields(), fields);
     }
 
     #[test]

@@ -90,15 +90,17 @@ pub enum AccessKind {
     Miss,
 }
 
-/// Hit/miss statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Load accesses that hit.
-    pub load_hits: u64,
-    /// Load accesses that missed.
-    pub load_misses: u64,
-    /// Store accesses (write-through; hit/miss does not change traffic).
-    pub stores: u64,
+crate::counter_table! {
+    /// Hit/miss statistics of the L1 (serialised as `l1_*`).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CacheStats, prefix "l1_" {
+        /// Load accesses that hit.
+        load_hits: u64 = sum,
+        /// Load accesses that missed.
+        load_misses: u64 = sum,
+        /// Store accesses (write-through; hit/miss does not change traffic).
+        stores: u64 = sum,
+    }
 }
 
 impl CacheStats {

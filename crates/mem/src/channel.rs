@@ -62,32 +62,37 @@ pub struct MemGrant {
     pub is_write: bool,
 }
 
-/// Traffic and contention counters of one channel.
-///
-/// All fields are integers so aggregate [`ChannelStats`] stay `Eq`-comparable
-/// in the determinism tests; derived ratios ([`ChannelStats::utilization`],
-/// [`ChannelStats::avg_queue_delay`]) are computed on demand.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChannelStats {
-    /// Load (fill) transfers granted.
-    pub read_transfers: u64,
-    /// Write-through transfers granted.
-    pub write_transfers: u64,
-    /// Total bytes moved.
-    pub bytes_transferred: u64,
-    /// Requests that found the channel busy (queue_delay > 0).
-    pub queued_requests: u64,
-    /// Total cycles requests spent queued behind earlier transfers.
-    pub queue_delay_cycles: u64,
-    /// Worst single-request queue delay.
-    pub max_queue_delay: u64,
-    /// Load fills intercepted by the shared L2 (never reached a channel).
-    pub l2_hits: u64,
-    /// Load fills that missed the shared L2 and went off-chip.
-    pub l2_misses: u64,
-    /// CIAO-style interference counter: L2 evictions where the victim
-    /// line was last filled by a *different* SM than the evictor.
-    pub l2_cross_sm_evictions: u64,
+crate::counter_table! {
+    /// Traffic and contention counters of one channel, or — summed by the
+    /// machine — of the whole memory side: every channel plus the shared
+    /// L2, which reports its counters as the `l2_*` rows.
+    ///
+    /// All fields are integers so aggregate [`ChannelStats`] stay
+    /// `Eq`-comparable in the determinism tests; derived ratios
+    /// ([`ChannelStats::utilization`], [`ChannelStats::avg_queue_delay`])
+    /// are computed on demand.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ChannelStats {
+        /// Load (fill) transfers granted.
+        read_transfers: u64 = sum,
+        /// Write-through transfers granted.
+        write_transfers: u64 = sum,
+        /// Total bytes moved.
+        bytes_transferred: u64 = sum,
+        /// Requests that found the channel busy (queue_delay > 0).
+        queued_requests: u64 = sum,
+        /// Total cycles requests spent queued behind earlier transfers.
+        queue_delay_cycles: u64 = sum,
+        /// Worst single-request queue delay.
+        max_queue_delay: u64 = max,
+        /// Load fills intercepted by the shared L2 (never reached a channel).
+        l2_hits: u64 = sum,
+        /// Load fills that missed the shared L2 and went off-chip.
+        l2_misses: u64 = sum,
+        /// CIAO-style interference counter: L2 evictions where the victim
+        /// line was last filled by a *different* SM than the evictor.
+        l2_cross_sm_evictions: u64 = sum,
+    }
 }
 
 impl ChannelStats {
@@ -114,85 +119,6 @@ impl ChannelStats {
         } else {
             self.queue_delay_cycles as f64 / n as f64
         }
-    }
-
-    /// The canonical `(field name, value)` enumeration of every counter, in
-    /// a fixed order — what the checkpoint codec in `warpweave-core`
-    /// serializes. The exhaustive destructuring makes adding a field here a
-    /// compile error until the codec (and its format version) follow.
-    pub fn to_fields(&self) -> Vec<(&'static str, u64)> {
-        let ChannelStats {
-            read_transfers,
-            write_transfers,
-            bytes_transferred,
-            queued_requests,
-            queue_delay_cycles,
-            max_queue_delay,
-            l2_hits,
-            l2_misses,
-            l2_cross_sm_evictions,
-        } = *self;
-        vec![
-            ("read_transfers", read_transfers),
-            ("write_transfers", write_transfers),
-            ("bytes_transferred", bytes_transferred),
-            ("queued_requests", queued_requests),
-            ("queue_delay_cycles", queue_delay_cycles),
-            ("max_queue_delay", max_queue_delay),
-            ("l2_hits", l2_hits),
-            ("l2_misses", l2_misses),
-            ("l2_cross_sm_evictions", l2_cross_sm_evictions),
-        ]
-    }
-
-    /// Rebuilds a [`ChannelStats`] from a [`ChannelStats::to_fields`] list.
-    /// Strict: fields must appear in exactly the canonical order, with no
-    /// extras and no omissions.
-    ///
-    /// # Errors
-    /// A description of the first mismatch (wrong count or wrong name).
-    pub fn from_fields(fields: &[(&str, u64)]) -> Result<ChannelStats, String> {
-        let mut stats = ChannelStats::default();
-        let expected = stats.to_fields();
-        if fields.len() != expected.len() {
-            return Err(format!(
-                "expected {} channel fields, got {}",
-                expected.len(),
-                fields.len()
-            ));
-        }
-        for (&(name, value), &(want, _)) in fields.iter().zip(&expected) {
-            if name != want {
-                return Err(format!("expected channel field `{want}`, found `{name}`"));
-            }
-            match name {
-                "read_transfers" => stats.read_transfers = value,
-                "write_transfers" => stats.write_transfers = value,
-                "bytes_transferred" => stats.bytes_transferred = value,
-                "queued_requests" => stats.queued_requests = value,
-                "queue_delay_cycles" => stats.queue_delay_cycles = value,
-                "max_queue_delay" => stats.max_queue_delay = value,
-                "l2_hits" => stats.l2_hits = value,
-                "l2_misses" => stats.l2_misses = value,
-                "l2_cross_sm_evictions" => stats.l2_cross_sm_evictions = value,
-                other => return Err(format!("unknown channel field `{other}`")),
-            }
-        }
-        Ok(stats)
-    }
-
-    /// Folds another channel's counters into this one (sums counters, takes
-    /// the maximum of high-water marks) — used when launches accumulate.
-    pub fn accumulate(&mut self, other: &ChannelStats) {
-        self.read_transfers += other.read_transfers;
-        self.write_transfers += other.write_transfers;
-        self.bytes_transferred += other.bytes_transferred;
-        self.queued_requests += other.queued_requests;
-        self.queue_delay_cycles += other.queue_delay_cycles;
-        self.max_queue_delay = self.max_queue_delay.max(other.max_queue_delay);
-        self.l2_hits += other.l2_hits;
-        self.l2_misses += other.l2_misses;
-        self.l2_cross_sm_evictions += other.l2_cross_sm_evictions;
     }
 }
 
@@ -363,22 +289,12 @@ mod tests {
 
     #[test]
     fn channel_field_codec_round_trips() {
-        let stats = ChannelStats {
-            read_transfers: 1,
-            write_transfers: 2,
-            bytes_transferred: 3,
-            queued_requests: 4,
-            queue_delay_cycles: 5,
-            max_queue_delay: 6,
-            l2_hits: 7,
-            l2_misses: 8,
-            l2_cross_sm_evictions: 9,
-        };
-        assert_eq!(
-            ChannelStats::from_fields(&stats.to_fields()).unwrap(),
-            stats
-        );
-        let mut bad = stats.to_fields();
+        // A distinct value per counter, so a swapped assignment shows.
+        let fields: Vec<(&str, u64)> = ChannelStats::FIELD_NAMES.into_iter().zip(1..).collect();
+        let stats = ChannelStats::from_fields(&fields).unwrap();
+        assert_eq!((stats.read_transfers, stats.write_transfers), (1, 2));
+        assert_eq!(stats.to_fields(), fields);
+        let mut bad = fields.clone();
         bad.swap(0, 1);
         assert!(ChannelStats::from_fields(&bad).is_err());
         assert!(ChannelStats::from_fields(&bad[..2]).is_err());

@@ -77,13 +77,15 @@ impl DramConfig {
     }
 }
 
-/// Traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DramStats {
-    /// 128-byte read transfers (L1 fills).
-    pub read_transfers: u64,
-    /// 128-byte write transfers (write-through stores).
-    pub write_transfers: u64,
+crate::counter_table! {
+    /// Traffic counters (serialised as `dram_*`).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct DramStats, prefix "dram_" {
+        /// 128-byte read transfers (L1 fills).
+        read_transfers: u64 = sum,
+        /// 128-byte write transfers (write-through stores).
+        write_transfers: u64 = sum,
+    }
 }
 
 impl DramStats {

@@ -46,6 +46,7 @@
 pub mod cache;
 pub mod channel;
 pub mod coalesce;
+pub mod counters;
 pub mod dram;
 pub mod event;
 pub mod l2;
@@ -60,6 +61,6 @@ pub use coalesce::{
 };
 pub use dram::{Dram, DramConfig, DramStats};
 pub use event::{CalendarQueue, MemEvent, MemEventQueue};
-pub use l2::{L2Stats, SharedL2};
+pub use l2::SharedL2;
 pub use mshr::{MshrFile, MshrLookup};
 pub use space::{Memory, SharedMem};
