@@ -1,8 +1,10 @@
-//! Optimisations are behaviour-invariant: the two engine switches that
-//! exist — the superblock trace engine and the idle fast-forward — change
-//! how a cycle is computed, never what it computes. Every job of a grid
-//! run with a switch off must equal its default run on every counter
-//! except the three that count the superblock engine's own work.
+//! Optimisations are behaviour-invariant: the idle fast-forward changes how
+//! a cycle is computed, never what it computes — every job of a grid run
+//! with it off must equal its default run on every counter. The second
+//! switch, `SmConfig::with_superblocks`, is an inert shim since the trace
+//! engine left the issue path (kept because the frozen `benchmark/` crate
+//! names it): on or off, whole `Stats` are equal and the three
+//! `superblock_*` counters read 0.
 //!
 //! The quick grid (17 jobs) runs in the default suite; the 112-job golden
 //! grid is `#[ignore]`d and run by CI's `golden` job in release.
@@ -31,31 +33,30 @@ fn run_with(jobs: &[GridJob], switch: Switch) -> Vec<CellRecord> {
     })
 }
 
-/// The counters a switch may not move: all of them but the superblock
-/// engine's own bookkeeping.
-fn pinned(record: &CellRecord) -> Vec<(&'static str, u64)> {
-    let mut fields = record.stats.to_fields();
-    fields.retain(|(name, _)| !name.starts_with("superblock_"));
-    fields
-}
-
 fn assert_switches_are_invisible(full: bool) {
     let jobs = grid_jobs(&figure7_configs(), &sweep_workloads(full));
     let default = run_with(&jobs, |cfg| cfg);
-    let switches: [(&str, Switch); 2] = [
+    let switches: [(&str, Switch); 3] = [
+        ("superblocks on", |cfg| cfg.with_superblocks(true)),
         ("superblocks off", |cfg| cfg.with_superblocks(false)),
         ("fast-forward off", |cfg| cfg.with_fast_forward(false)),
     ];
     for (label, switch) in switches {
         let switched = run_with(&jobs, switch);
         for ((job, a), b) in jobs.iter().zip(&default).zip(&switched) {
-            assert_eq!(pinned(a), pinned(b), "{}: {label}", job.key);
+            assert_eq!(a.stats, b.stats, "{}: {label}", job.key);
             assert_eq!(a.channel, b.channel, "{}: {label} (channel)", job.key);
         }
     }
-    // The exemption is exactly three counters wide.
-    let exempt = default[0].stats.to_fields().len() - pinned(&default[0]).len();
-    assert_eq!(exempt, 3, "superblock_* counters");
+    for (job, record) in jobs.iter().zip(&default) {
+        let s = &record.stats;
+        let engine = [
+            s.superblock_enters,
+            s.superblock_covered,
+            s.superblock_aborts,
+        ];
+        assert_eq!(engine, [0; 3], "{}: superblock_* counters", job.key);
+    }
 }
 
 #[test]
@@ -64,7 +65,7 @@ fn quick_grid_is_invariant_under_both_switches() {
 }
 
 #[test]
-#[ignore = "112 jobs x 3 runs: seconds in release, minutes in a dev build (CI golden job)"]
+#[ignore = "112 jobs x 4 runs: seconds in release, minutes in a dev build (CI golden job)"]
 fn golden_grid_is_invariant_under_both_switches() {
     assert_switches_are_invisible(true);
 }

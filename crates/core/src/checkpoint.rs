@@ -18,12 +18,12 @@
 //!   line, quarantines the damaged tail as a `.quarantine` sidecar, and
 //!   lets the sweep resume from the intact prefix.
 //!
-//! # File format (`CHECKPOINT_VERSION` 3)
+//! # File format (`CHECKPOINT_VERSION` 4)
 //!
 //! Line-oriented UTF-8. The first line is the header:
 //!
 //! ```text
-//! warpweave-sweep-checkpoint v3 grid=<16 hex digits>
+//! warpweave-sweep-checkpoint v4 grid=<16 hex digits>
 //! ```
 //!
 //! Every subsequent line is one completed cell:
@@ -60,7 +60,7 @@ use crate::stats::Stats;
 
 /// Current checkpoint file-format version (see the module docs for the
 /// rules that force a bump).
-pub const CHECKPOINT_VERSION: u32 = 3;
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// The header magic of a checkpoint file.
 const MAGIC: &str = "warpweave-sweep-checkpoint";
@@ -618,16 +618,17 @@ mod tests {
         ];
         assert_eq!(
             (CHECKPOINT_VERSION, names.map(|n| fnv1a(n.as_bytes()))),
-            (3, [0xda25_d408_55b5_59bc, 0x93d5_d5cf_b01b_d694]),
+            (4, [0xda25_d408_55b5_59bc, 0x93d5_d5cf_b01b_d694]),
             "the counter tables changed the serialised format: bump CHECKPOINT_VERSION, \
-             update this pin (and the v3 literal below) and re-record the golden file \
+             update this pin (and the literal line below) and re-record the golden file \
              (`bench_sweep --record-golden`) in the same change"
         );
     }
 
-    /// A probe line written by the last commit that carried the hand-written
-    /// codecs (both sections, L2 counters non-zero).
-    const V3_PROBE_LINE: &str = "\
+    /// A probe line as the v4 format writes it (both sections, L2 counters
+    /// non-zero; the `superblock_*` rows read 0 since the trace engine left
+    /// the issue path — the change of value that made v4).
+    const V4_PROBE_LINE: &str = "\
         cell|machine/MatrixMul/4sm/shared+2ch+mshr32+l2|s:cycles=1719,\
         thread_instructions=137216,warp_instructions=2144,primary_issues=559,\
         secondary_issues=1585,same_group_coissues=0,other_group_coissues=1585,\
@@ -637,22 +638,22 @@ mod tests {
         heap_max_live_splits=1,heap_spills=0,heap_degraded_inserts=0,heap_merges=0,\
         l1_load_hits=64,l1_load_misses=192,l1_stores=64,dram_read_transfers=192,\
         dram_write_transfers=64,dram_queued_loads=60,dram_queue_delay=7198,\
-        dram_max_queue_delay=275,mshr_merges=0,mshr_bypasses=0,superblock_enters=80,\
-        superblock_covered=2064,superblock_aborts=0|c:read_transfers=64,write_transfers=64,\
+        dram_max_queue_delay=275,mshr_merges=0,mshr_bypasses=0,superblock_enters=0,\
+        superblock_covered=0,superblock_aborts=0|c:read_transfers=64,write_transfers=64,\
         bytes_transferred=16384,queued_requests=120,queue_delay_cycles=12960,\
         max_queue_delay=275,l2_hits=128,l2_misses=64,\
-        l2_cross_sm_evictions=0|#087a4f0de5a0845e";
+        l2_cross_sm_evictions=0|#c8639f51d1d4e5d6";
 
     #[test]
-    fn literal_v3_line_decodes_and_re_encodes_to_the_same_bytes() {
-        let (key, record) = decode_cell(V3_PROBE_LINE).unwrap();
+    fn literal_v4_line_decodes_and_re_encodes_to_the_same_bytes() {
+        let (key, record) = decode_cell(V4_PROBE_LINE).unwrap();
         assert_eq!(key, "machine/MatrixMul/4sm/shared+2ch+mshr32+l2");
         assert_eq!(
             (record.stats.cycles, record.stats.heap.max_live_splits),
             (1719, 1)
         );
         assert_eq!(record.channel.unwrap().l2_hits, 128);
-        assert_eq!(encode_cell(&key, &record), V3_PROBE_LINE);
+        assert_eq!(encode_cell(&key, &record), V4_PROBE_LINE);
     }
 
     #[test]

@@ -172,11 +172,13 @@ pub struct SmConfig {
     /// Whether [`SmConfig::dram`] bandwidth is private per SM or one
     /// machine-shared pool (see [`MemModel`]).
     pub mem_model: MemModel,
-    /// Execute straight-line regions through the superblock trace engine
-    /// (pre-resolved operands, in-place register rows). Functionally and
-    /// timing bit-identical to the per-instruction interpreter — this knob
-    /// exists for differential testing and perf attribution, not as a
-    /// fidelity trade-off.
+    /// Inert. It used to route straight-line regions through the superblock
+    /// trace engine; the pipeline now has one execute path
+    /// (`exec::execute_warp`) because the engine cost host time on the
+    /// divergent kernels (`benchmark/`'s `core.superblock_gain` < 1), and
+    /// nothing reads this field. It and [`SmConfig::with_superblocks`]
+    /// remain only because the frozen `benchmark/` crate names them; they
+    /// go with the rest of the engine (ROADMAP item 3).
     pub superblocks: bool,
     /// Seed for the secondary scheduler's pseudo-random tie-breaking.
     pub seed: u64,
@@ -411,7 +413,8 @@ impl SmConfig {
         self
     }
 
-    /// Enables/disables the superblock trace engine (builder style).
+    /// Sets the inert [`SmConfig::superblocks`] shim (builder style): no
+    /// simulated or host-side behaviour depends on it.
     pub fn with_superblocks(mut self, on: bool) -> SmConfig {
         self.superblocks = on;
         self

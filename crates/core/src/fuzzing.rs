@@ -6,9 +6,10 @@
 //! 1. **Differential** ([`check_differential`]) — every instruction of the
 //!    generated kernel, driven with random issue masks over random register
 //!    state, must be bit-identical between the scalar `execute_thread`
-//!    reference, the SoA [`execute_warp`] path *and* the superblock trace
-//!    engine ([`execute_fused`] wherever a superblock covers the pc, with
-//!    the pipeline's interpreter fallback elsewhere) — the same
+//!    reference, the SoA [`execute_warp`] path the pipeline issues
+//!    through, *and* the library's fused kernels ([`execute_fused`]
+//!    wherever a superblock covers the pc, `execute_warp` elsewhere — off
+//!    the issue path, but kept correct until it is deleted) — the same
 //!    methodology as `tests/exec_differential.rs`, but over real lowered
 //!    programs instead of free-floating instruction encodings.
 //! 2. **Policy sweep** ([`check_policies`]) — every policy in the global
@@ -183,8 +184,7 @@ fn state_mismatch(rf: &WarpRegFile, regs: &[ThreadRegs], width: usize) -> Option
 }
 
 /// Per-pc fused-op lookup for the superblock band: `Some(fop)` where a
-/// superblock covers the pc, `None` (interpreter fallback) elsewhere —
-/// the same coverage decision the pipeline makes per issue grant.
+/// superblock covers the pc, `None` (interpreter fallback) elsewhere.
 fn fused_coverage(program: &Program) -> Vec<Option<FusedOp>> {
     let set = SuperblockSet::build(program);
     let mut map: Vec<Option<FusedOp>> = vec![None; program.instructions().len()];
@@ -294,7 +294,7 @@ fn differential_width(
 
 /// Differential target: the kernel must be bit-identical between the
 /// scalar `execute_thread` reference, the SoA [`execute_warp`] path and
-/// the superblock engine ([`execute_fused`] on covered pcs, interpreter
+/// the fused kernels ([`execute_fused`] on covered pcs, interpreter
 /// fallback elsewhere) at warp widths 4, 32 and 64.
 ///
 /// # Errors

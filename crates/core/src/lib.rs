@@ -78,6 +78,8 @@ pub use lane::{LaneShuffle, LaneTable};
 pub use launch::{Launch, WarpInfo};
 pub use machine::{Machine, MachineStats, MemJournal};
 pub use mask::Mask;
+#[cfg(debug_assertions)]
+pub use pipeline::EventAudit;
 pub use pipeline::{SimError, Sm, WarpDiagnosis};
 pub use policy::{
     Dispatch, IssueCtx, IssuePolicy, Pick, PolicyInfo, PolicyRegistry, Ready, SchedOrder,

@@ -147,30 +147,42 @@ pub fn shared_passes(accesses: &[(usize, u32)]) -> u64 {
     }
     let mut total = 0u64;
     // Process in 32-lane waves. Lanes are unique (see contract), so a
-    // wave holds at most 32 accesses — a stack buffer and, for a wave
-    // with a bank conflict or a broadcast, one sort replace the per-bank
-    // filter passes (hot path: every shared-memory instruction lands
-    // here), with identical pass counts for the word-aligned addresses
-    // the pipeline emits.
+    // wave holds at most 32 accesses — a stack buffer and, only for a wave
+    // where some bank is asked for two distinct words, one sort replace
+    // the per-bank filter passes (hot path: every shared-memory
+    // instruction lands here), with identical pass counts for the
+    // word-aligned addresses the pipeline emits.
     let max_lane = accesses.iter().map(|&(l, _)| l).max().unwrap_or(0);
     for wave in 0..=(max_lane / 32) {
         let mut words = [0u32; 32];
         let mut n = 0;
+        // The first word each bank was asked for; `banks` marks the banks
+        // asked at all.
+        let mut first = [0u32; 32];
         let mut banks = 0u32;
+        let mut conflict = false;
         for &(l, a) in accesses {
             if l / 32 == wave {
                 debug_assert!(n < 32, "duplicate lanes in shared access list");
-                words[n] = a / 4;
-                banks |= 1 << (a / 4 % 32);
+                let word = a / 4;
+                let bank = (word % 32) as usize;
+                if banks >> bank & 1 == 0 {
+                    first[bank] = word;
+                    banks |= 1 << bank;
+                } else {
+                    conflict |= first[bank] != word;
+                }
+                words[n] = word;
                 n += 1;
             }
         }
         if n == 0 {
             continue;
         }
-        // Every access in a bank of its own (the common, conflict-free
-        // wave): one pass, nothing to sort.
-        if banks.count_ones() as usize == n {
+        // Every bank saw one distinct word — a lane each (the common,
+        // conflict-free wave) or the same word broadcast to several: one
+        // pass, nothing to sort.
+        if !conflict {
             total += 1;
             continue;
         }

@@ -55,6 +55,7 @@
 //! counts.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use warpweave_isa::Program;
@@ -117,6 +118,35 @@ impl LivelockDetector {
     }
 }
 
+/// The journal's hasher: one multiply per word address instead of the
+/// default SipHash, which every stored word of a machine run paid for.
+/// Addresses come from the simulated kernel, not from outside the process,
+/// so there is no collision attack to defend against; folding the
+/// product's high half down keeps the table's low index bits spread for
+/// the 4-byte-aligned keys.
+#[derive(Debug, Clone, Copy, Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(self.0 as u32 ^ u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, addr: u32) {
+        let h = u64::from(addr).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ h >> 32;
+    }
+}
+
+/// Word address → value (or summed delta).
+type AddrMap = HashMap<u32, u32, BuildHasherDefault<AddrHasher>>;
+
 /// Global-memory side effects of one SM over one launch, recorded so a
 /// [`Machine`] can merge shards deterministically.
 ///
@@ -125,8 +155,8 @@ impl LivelockDetector {
 /// is order-independent for atomics).
 #[derive(Debug, Clone, Default)]
 pub struct MemJournal {
-    stores: HashMap<u32, u32>,
-    atomic_deltas: HashMap<u32, u32>,
+    stores: AddrMap,
+    atomic_deltas: AddrMap,
 }
 
 impl MemJournal {
@@ -158,8 +188,13 @@ impl MemJournal {
     /// races deterministically), then the atomic deltas summed across all
     /// journals (commutative, hence order-independent). This is the single
     /// authoritative merge used by [`Machine::run`].
+    ///
+    /// The result does not depend on the iteration order *within* a
+    /// journal, so neither on the maps' hasher: a journal holds one value
+    /// per distinct address, and writes to distinct words commute, as do
+    /// the wrapping sums of the deltas.
     pub fn commit_all<'a>(journals: impl IntoIterator<Item = &'a MemJournal>, mem: &mut Memory) {
-        let mut summed_deltas: HashMap<u32, u32> = HashMap::new();
+        let mut summed_deltas = AddrMap::default();
         for journal in journals {
             for (&addr, &value) in &journal.stores {
                 mem.write_u32(addr, value);

@@ -13,14 +13,16 @@
 //! [`crate::policy::IssueCtx`] view; the pipeline itself carries no
 //! policy-specific issue logic.
 
-use std::cell::Cell;
+#[cfg(debug_assertions)]
+mod check;
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use warpweave_isa::{Instruction, Op, Pc, Program, SuperblockSet, UnitClass};
+use warpweave_isa::{Instruction, Op, Pc, Program, UnitClass};
 use warpweave_mem::{
     atomic_transactions_into, coalesce_into, Cache, CalendarQueue, MemGrant, MemRequest, Memory,
     MshrFile, SharedDramChannel, SharedMem, TxScratch,
@@ -41,8 +43,10 @@ use crate::policy::{Dispatch, IssueCtx, IssuePolicy, Pick, PolicyRegistry, Ready
 use crate::regfile::WarpRegFile;
 use crate::scoreboard::{SbToken, Scoreboard};
 use crate::stats::Stats;
-use crate::superblock::execute_fused;
 use crate::trace::{IssueSlot, TraceEvent};
+
+#[cfg(debug_assertions)]
+pub use check::EventAudit;
 
 /// One alive warp's stall snapshot: what it is executing, how deep its
 /// divergence state is, and what it is blocked on. The deadlock watchdog
@@ -227,26 +231,25 @@ impl PcMeta {
     }
 }
 
-/// One issue slot's superblock run: the context is replaying a fused
-/// region and the next covered grant is expected at `next` with `mask`.
-/// Inactive when `next >= end` (the all-zero default).
-///
-/// A run is pure bookkeeping — covered instructions still execute one per
-/// issue grant — so aborting it (context moved, mask changed under a
-/// merge, block reassigned) costs nothing beyond falling back to the
-/// interpreter for that grant.
-#[derive(Debug, Clone, Copy, Default)]
-struct SbRun {
-    /// Superblock index in the program's [`SuperblockSet`].
-    index: u32,
-    /// First pc of the superblock (op index = `next - start`).
-    start: u32,
-    /// Next covered pc.
-    next: u32,
-    /// One past the superblock's last pc.
-    end: u32,
-    /// The mask the run entered with; a deviating grant aborts.
-    mask: Mask,
+/// Why a `(warp, slot)` holds no ready instruction: the first check of
+/// [`Sm::ready_check_slow`] that failed, in its order. Which event can
+/// clear a stall follows from its reason — a retired scoreboard entry only
+/// [`StallReason::Scoreboard`] and [`StallReason::ScoreboardFull`], a fetch
+/// fill only [`StallReason::IbufEmpty`], a context move any of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StallReason {
+    /// No divergence context feeds the slot (dead warp, no secondary split).
+    NoContext,
+    /// The slot's context waits at a block barrier.
+    AtBarrier,
+    /// An SBI reconvergence constraint parks the secondary split (§3.3).
+    Constraint,
+    /// No buffered instruction at the context's pc (empty or stale entry).
+    IbufEmpty,
+    /// An in-flight instruction writes a register or predicate it touches.
+    Scoreboard,
+    /// It needs a scoreboard entry and every entry is occupied.
+    ScoreboardFull,
 }
 
 // Cache-line aligned so every warp's hot fields sit at the same line
@@ -269,9 +272,6 @@ struct Warp {
     /// Thread-space mask of threads that exist in this warp (partial last
     /// warp of a block).
     populated: Mask,
-    /// Per-slot superblock replay state (slot 0 = primary context, slot 1
-    /// = the SBI secondary).
-    sb_run: [SbRun; 2],
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -367,16 +367,16 @@ pub struct Sm {
     warps: Vec<Warp>,
     /// The readiness of every `(warp, slot)`, as two warp bitsets per slot
     /// with `ready_now ⊆ ready_cand`. Bit `w` of `ready_cand[slot]` clear:
-    /// *blocked* — the last evaluation failed and no event has touched the
-    /// warp since, so `ready_check(w, slot)` is `None` and a scan skips the
-    /// warp at no cost. Set with the `ready_now` bit clear: *woken* — an
-    /// event may have changed the outcome and the next check re-evaluates.
+    /// *blocked* for the reason in `stall` — no event that can clear that
+    /// reason has happened since, so `ready_check(w, slot)` is `None` and a
+    /// scan skips the slot at no cost. Set with the `ready_now` bit clear:
+    /// *woken* — such an event happened and the next check re-evaluates.
     /// Both set: *eligible*, with the exact record in `ready`. Both
-    /// settled states are stable under pure clock advance; only
-    /// [`Sm::wake_warp`] (set `ready_cand`, clear `ready_now`) and the
-    /// evaluation in [`Sm::ready_check_nogroup`] (clear `ready_cand` on
-    /// failure, set `ready_now` on success) move a warp between them.
-    /// `Cell` keeps the check `&self`.
+    /// settled states are stable under pure clock advance; only the three
+    /// events — [`Sm::rearm_warp`] (a context move), [`Sm::retired`] and a
+    /// fetch fill — and the evaluation in [`Sm::ready_check_nogroup`]
+    /// (clear `ready_cand` on failure, set `ready_now` on success) move a
+    /// slot between them. `Cell` keeps the check `&self`.
     ready_cand: [Cell<u64>; 2],
     /// See `ready_cand`.
     ready_now: [Cell<u64>; 2],
@@ -385,30 +385,41 @@ pub struct Sm {
     /// [`Warp`]) so the schedulers' scans stay inside a few hot cache
     /// lines and never touch the big per-warp records.
     ready: Vec<[Cell<Ready>; 2]>,
+    /// Why `(warp, slot)` is blocked, valid exactly while the matching
+    /// `ready_cand` bit is clear — the mirror of `ready` under `ready_now`.
+    stall: Vec<[Cell<StallReason>; 2]>,
     /// `ready_now[slot]` partitioned by the unit class of each eligible
     /// warp's instruction (`[slot][UnitClass as usize]`), so a scan ORs the
     /// sets of the port-free classes instead of reading a record per warp.
     /// Written where `ready_now` is: the successful evaluation sets the
-    /// warp's bit in its class, [`Sm::wake_warp`] clears it in all four.
+    /// warp's bit in its class, [`Sm::rearm_warp`] clears it in all four.
     ready_class: [[Cell<u64>; 4]; 2],
     /// Bit `w` set ⇔ warp `w`'s secondary slot is parked by an SBI
-    /// reconvergence constraint (§3.3). Re-derived whenever slot 1 is
-    /// re-evaluated, so it is exact for every warp whose slot 1 is
-    /// settled (everything it reads changes only at [`Sm::wake_warp`]
-    /// events).
-    suspended: Cell<u64>,
+    /// reconvergence constraint (§3.3) — slot 1 is blocked on
+    /// [`StallReason::Constraint`]. The condition reads divergence contexts
+    /// only, so [`Sm::rearm_warp`] keeps it exact at all times.
+    suspended: u64,
     /// The SWI lookup's associativity sets (fig. 9) as warp bitmasks,
     /// indexed by `warp % sets`.
     lookup_sets: Vec<u64>,
-    /// Bit `w` set ⇔ warp `w`'s divergence contexts may have moved (or
-    /// its ibuf been written) since `validate_ibufs` last ran for it.
-    /// Clean warps are fixed points of the re-association pass; the pass
-    /// walks only set bits instead of touching every `Warp`.
+    /// Bit `w` set ⇔ a context of warp `w` moved away from an entry the
+    /// warp still buffers since `validate_ibufs` last ran for it (or a
+    /// policy reserves one of its entries). [`Sm::rearm_warp`] decides it at
+    /// every context move; clean warps are fixed points of the
+    /// re-association pass, which walks only set bits. A fetch fill is
+    /// tagged with its own context's pc and keeps a clean warp clean.
     ctx_dirty: u64,
-    /// Bit `w` of `[slot]` set ⇔ warp `w` is alive with `ibuf[slot]`
-    /// empty — the fetch channels' candidate set. Maintained by
-    /// [`Sm::update_fetchable`] at every ibuf/liveness writer.
+    /// Bit `w` of `[slot]` set ⇔ a context feeds warp `w`'s `slot` and
+    /// `ibuf[slot]` is empty — exactly the warps a fetch channel can fill.
+    /// Re-derived by [`Sm::rearm_warp`]; a fill clears its own bit.
     fetchable: [u64; 2],
+    /// Block slots whose barrier or retirement condition may have changed
+    /// since [`Sm::block_events`] last looked: an issue moved
+    /// `barrier_arrived` or `alive_threads`, or a finished block's
+    /// scoreboard entry retired.
+    block_flags: u64,
+    /// Block slots currently running a block.
+    active_blocks: usize,
     blocks: Vec<BlockSlot>,
     /// Index of the next entry of `block_ids` to assign to a free slot.
     next_block: u32,
@@ -453,12 +464,10 @@ pub struct Sm {
     /// warp has cold contexts (see [`FrontierHeap::apply_pair_with`]).
     /// Here rather than in the heap so the per-warp record stays small.
     frontier_scratch: Vec<Ctx>,
-    /// Superblock fusion plan for `program`, built once at construction
-    /// when [`SmConfig::superblocks`] is set. `None` disables the fused
-    /// issue path entirely.
-    sb: Option<SuperblockSet>,
     /// Per-pc pre-decoded issue metadata, parallel to `program`.
     pc_meta: Vec<PcMeta>,
+    #[cfg(debug_assertions)]
+    audit: Cell<EventAudit>,
 }
 
 /// Cycles without any issue or writeback before the deadlock watchdog fires.
@@ -539,7 +548,6 @@ impl Sm {
                 ibuf: [None, None],
                 exited: Mask::EMPTY,
                 populated: Mask::EMPTY,
-                sb_run: [SbRun::default(); 2],
             })
             .collect();
         let l1 = Cache::new(cfg.l1);
@@ -550,10 +558,7 @@ impl Sm {
             .ok_or_else(|| format!("unknown issue policy '{}'", cfg.policy))?
             .build(&cfg);
         let lane_table = cfg.lane_shuffle.table(cfg.warp_width, cfg.num_warps);
-        let sb = cfg.superblocks.then(|| SuperblockSet::build(&program));
         let pc_meta = program.instructions().iter().map(PcMeta::of).collect();
-        // `validate` bounds the pool at 64, the width of every warp set.
-        let all_warps = u64::MAX >> (64 - cfg.num_warps);
         let sets = cfg.swi_assoc.num_sets(cfg.num_warps);
         // Placeholder: a record is read only under its `ready_now` bit.
         let unset = Ready {
@@ -580,13 +585,18 @@ impl Sm {
             external_mem: false,
             finalized: false,
             cycle: 0,
-            ready_cand: [Cell::new(all_warps), Cell::new(all_warps)],
-            ready_now: [Cell::new(0), Cell::new(0)],
+            // No warp holds a block yet: every slot is blocked on
+            // `NoContext` until `assign_block` re-arms it.
+            ready_cand: Default::default(),
+            ready_now: Default::default(),
             ready_class: Default::default(),
             ready: (0..cfg.num_warps)
                 .map(|_| [Cell::new(unset), Cell::new(unset)])
                 .collect(),
-            suspended: Cell::new(0),
+            stall: (0..cfg.num_warps)
+                .map(|_| [(); 2].map(|()| Cell::new(StallReason::NoContext)))
+                .collect(),
+            suspended: 0,
             lookup_sets: (0..sets)
                 .map(|s| {
                     (s..cfg.num_warps)
@@ -594,8 +604,12 @@ impl Sm {
                         .fold(0, |m, w| m | 1u64 << w)
                 })
                 .collect(),
-            ctx_dirty: all_warps,
+            ctx_dirty: 0,
             fetchable: [0, 0],
+            // `validate` bounds the pool — hence the block slots — at 64,
+            // the width of every warp and block set. Flagged: all free.
+            block_flags: u64::MAX >> (64 - num_slots),
+            active_blocks: 0,
             warps,
             blocks,
             next_block: 0,
@@ -621,11 +635,12 @@ impl Sm {
             tx_scratch: TxScratch::default(),
             plan_scratch: GlobalPlan::default(),
             frontier_scratch: Vec::new(),
-            sb,
             pc_meta,
             cfg,
+            #[cfg(debug_assertions)]
+            audit: Cell::default(),
         };
-        sm.refill_blocks();
+        sm.block_events();
         Ok(sm)
     }
 
@@ -719,7 +734,7 @@ impl Sm {
 
     /// True when every assigned block has completed.
     pub fn is_done(&self) -> bool {
-        self.next_block as usize >= self.block_ids.len() && self.blocks.iter().all(|b| !b.active)
+        self.next_block as usize >= self.block_ids.len() && self.active_blocks == 0
     }
 
     /// Runs until the kernel finishes or `max_cycles` elapse; returns the
@@ -800,6 +815,8 @@ impl Sm {
         self.cycle += 1;
         self.process_writebacks();
         self.validate_ibufs();
+        #[cfg(debug_assertions)]
+        self.assert_event_state();
         // The policy is taken out for the call so it can borrow the SM
         // mutably through the `IssueCtx` view; it is always restored.
         let mut policy = self.policy.take().expect("policy present outside issue");
@@ -810,8 +827,7 @@ impl Sm {
         } else {
             self.last_progress = self.cycle;
         }
-        self.release_barriers();
-        self.refill_blocks();
+        self.block_events();
         let fetched = self.fetch();
         // Idle fast-forward: if this whole cycle did nothing (no writeback,
         // no issue, no barrier/block event, no fetch) and the front-end
@@ -1030,7 +1046,7 @@ impl Sm {
         let mut progressed = false;
         while let Some((_, wb)) = self.pending_wb.pop_ready(now) {
             self.warps[wb.warp].scoreboard.retire(wb.token);
-            self.wake_warp(wb.warp);
+            self.retired(wb.warp);
             progressed = true;
         }
         if progressed {
@@ -1132,52 +1148,59 @@ impl Sm {
     /// squashes entries whose split moved under them (the redundant-fetch
     /// cost of desynchronisation).
     fn validate_ibufs(&mut self) {
-        // Contexts move only at issue, barrier release and block
-        // (re)launch, and fetch is the only other ibuf writer; all of
-        // those mark the warp in `ctx_dirty`, so a clean warp is already
-        // a fixed point of this re-association — the pass walks the set
-        // bits and never touches a clean `Warp` at all.
-        let mut dirty = self.ctx_dirty;
-        self.ctx_dirty = 0;
+        // `rearm_warp` marks a warp in `ctx_dirty` when a context moved
+        // away from an entry it buffers; a clean warp is already a fixed
+        // point of this re-association, so the pass walks the set bits and
+        // never touches a clean `Warp` at all.
+        let mut dirty = std::mem::take(&mut self.ctx_dirty);
         while dirty != 0 {
             let w = dirty.trailing_zeros() as usize;
             dirty &= dirty - 1;
-            if self.warps[w].ibuf.iter().all(Option::is_none) {
+            #[cfg(debug_assertions)]
+            self.audit(|a| a.validations += 1);
+            let before = self.warps[w].ibuf;
+            if before.iter().all(Option::is_none) {
                 continue;
             }
-            let before = self.warps[w].ibuf;
             // A policy-reserved entry (the SWI cascade's pending primary)
-            // is validated at issue instead. Fixed two-slot pool — this
-            // runs per warp per cycle, so it must not allocate.
+            // is validated at issue instead.
             let reserved = self.policy().reserved_slot(w);
-            let mut pool: [Option<IbufEntry>; 2] = [None, None];
-            for (slot, entry) in pool.iter_mut().enumerate() {
-                if reserved == Some(slot) {
-                    continue;
-                }
-                *entry = self.warps[w].ibuf[slot].take();
+            let (after, squashed) = self.reassociated(w, reserved);
+            self.stats.fetch_squashes += squashed;
+            if after != before {
+                self.warps[w].ibuf = after;
+                self.rearm_warp(w);
+                #[cfg(debug_assertions)]
+                self.audit(|a| a.changed_validations += 1);
             }
-            for slot in 0..2 {
-                if reserved == Some(slot) {
-                    continue;
-                }
-                if let Some((pc, _, _)) = self.ctx(w, slot) {
-                    if let Some(i) = pool.iter().position(|e| e.is_some_and(|e| e.pc == pc)) {
-                        self.warps[w].ibuf[slot] = pool[i].take();
-                    }
-                }
-            }
-            self.stats.fetch_squashes += pool.iter().flatten().count() as u64;
-            if self.warps[w].ibuf != before {
-                self.wake_warp(w);
-            }
-            self.update_fetchable(w);
-            // A reserved slot was skipped above, so the warp is not yet a
-            // fixed point — keep it marked and revisit next cycle.
+            // A reserved slot was skipped, so the warp is not yet a fixed
+            // point — keep it marked and revisit next cycle.
             if reserved.is_some() {
                 self.ctx_dirty |= 1u64 << w;
             }
         }
+    }
+
+    /// Warp `w`'s ibuf as re-association leaves it — every entry outside
+    /// the `reserved` slot handed to the slot whose context sits at its pc
+    /// — and the number of entries no context claims (squashed). A fixed
+    /// two-slot pool: this runs per dirty warp per cycle, so it must not
+    /// allocate.
+    fn reassociated(&self, w: usize, reserved: Option<usize>) -> ([Option<IbufEntry>; 2], u64) {
+        let mut ibuf = self.warps[w].ibuf;
+        let mut pool: [Option<IbufEntry>; 2] = [None, None];
+        let free = |slot: &usize| reserved != Some(*slot);
+        for slot in (0..2).filter(free) {
+            pool[slot] = ibuf[slot].take();
+        }
+        for slot in (0..2).filter(free) {
+            if let Some((pc, _, _)) = self.ctx(w, slot) {
+                if let Some(i) = pool.iter().position(|e| e.is_some_and(|e| e.pc == pc)) {
+                    ibuf[slot] = pool[i].take();
+                }
+            }
+        }
+        (ibuf, pool.iter().flatten().count() as u64)
     }
 
     /// Checks whether `(w, slot)` holds a ready instruction whose execution
@@ -1196,11 +1219,10 @@ impl Sm {
     /// SWI cascade to *hold* a pending primary while its port drains).
     ///
     /// Evaluated once per waking event: both outcomes are stable until an
-    /// event touches the warp, so an eligible warp answers from its record
-    /// and a blocked one from its clear `ready_cand` bit; only a woken warp
-    /// runs [`Sm::ready_check_slow`]. [`Sm::wake_warp`] marks the warp at
-    /// each event that can change the outcome, so this is
-    /// behaviour-invariant.
+    /// event that can change them, so an eligible slot answers from its
+    /// record and a blocked one from its clear `ready_cand` bit; only a
+    /// woken slot runs [`Sm::ready_check_slow`], and a failure leaves its
+    /// reason in `stall` for the events to consult.
     pub(crate) fn ready_check_nogroup(&self, w: usize, slot: usize) -> Option<Ready> {
         let bit = 1u64 << w;
         if self.ready_now[slot].get() & bit != 0 {
@@ -1209,36 +1231,93 @@ impl Sm {
         if self.ready_cand[slot].get() & bit == 0 {
             return None;
         }
-        if slot == 1 {
-            let parked = u64::from(self.sync_parked(w)) << w;
-            self.suspended.set(self.suspended.get() & !bit | parked);
-        }
-        let ready = self.ready_check_slow(w, slot);
-        match ready {
-            Some(r) => {
+        #[cfg(debug_assertions)]
+        self.audit(|a| a.evaluations += 1);
+        match self.ready_check_slow(w, slot) {
+            Ok(r) => {
                 self.ready[w][slot].set(r);
                 self.ready_now[slot].set(self.ready_now[slot].get() | bit);
                 let class = &self.ready_class[slot][r.unit as usize];
                 class.set(class.get() | bit);
+                Some(r)
             }
-            None => self.ready_cand[slot].set(self.ready_cand[slot].get() & !bit),
+            Err(reason) => {
+                self.stall[w][slot].set(reason);
+                self.ready_cand[slot].set(self.ready_cand[slot].get() & !bit);
+                None
+            }
         }
-        ready
     }
 
-    /// Marks warp `w` woken so the next scan re-evaluates it. Must be
-    /// called whenever state feeding [`Sm::ready_check_slow`] changes:
-    /// issue (divergence / ibuf / scoreboard), fetch fill, writeback
-    /// retirement, barrier release, block launch or teardown, and ibuf
-    /// re-association.
-    fn wake_warp(&self, w: usize) {
+    /// The context-move event: warp `w`'s divergence contexts, liveness or
+    /// buffered entries changed — an issue, a barrier release, a block
+    /// launch or teardown, a re-association that moved an entry. Walks the
+    /// two hot contexts once and re-derives everything kept per warp from
+    /// them: `fetchable`, `suspended`, whether re-association is due, and
+    /// both slots' readiness. A slot the context-and-buffer checks already
+    /// fail (the one an issue just emptied, a missing secondary) is written
+    /// blocked with its reason on the spot; only a slot that gets as far as
+    /// the scoreboard is left woken for the next scan.
+    fn rearm_warp(&mut self, w: usize) {
+        let bit = 1u64 << w;
+        let ctxs = [self.ctx(w, 0), self.ctx(w, 1)];
+        let pcs = ctxs.map(|c| c.map(|(pc, _, _)| pc));
+        let ibuf = self.warps[w].ibuf;
+        for slot in 0..2 {
+            let front = self.front_check(w, slot, ctxs[slot], || pcs[0]).err();
+            if *self.ready_now[slot].get_mut() & bit != 0 {
+                *self.ready_now[slot].get_mut() &= !bit;
+                for class in &mut self.ready_class[slot] {
+                    *class.get_mut() &= !bit;
+                }
+            }
+            let cand = self.ready_cand[slot].get_mut();
+            match front {
+                Some(reason) => {
+                    *self.stall[w][slot].get_mut() = reason;
+                    *cand &= !bit;
+                }
+                None => *cand |= bit,
+            }
+            let fetch = pcs[slot].is_some() && ibuf[slot].is_none();
+            self.fetchable[slot] = self.fetchable[slot] & !bit | u64::from(fetch) << w;
+            if slot == 1 {
+                let parked = front == Some(StallReason::Constraint);
+                self.suspended = self.suspended & !bit | u64::from(parked) << w;
+            }
+        }
+        // Re-association is a no-op while every buffered entry sits in the
+        // slot whose context is at its pc and the primary context would not
+        // claim the secondary's (twin pcs, one of them at a barrier).
+        let placed = |slot: usize| ibuf[slot].is_none_or(|e| Some(e.pc) == pcs[slot]);
+        let claimed = ibuf[0].is_none() && ibuf[1].is_some_and(|e| Some(e.pc) == pcs[0]);
+        if !(placed(0) && placed(1)) || claimed {
+            self.ctx_dirty |= bit;
+        }
+        #[cfg(debug_assertions)]
+        self.assert_clean_warp_is_fixed_point(w);
+    }
+
+    /// The retire event: a scoreboard entry of warp `w` was freed. That can
+    /// only turn `depends_masks` false and `has_free` true, so it re-arms
+    /// exactly the slots stalled on the scoreboard — an eligible record
+    /// carries nothing the scoreboard feeds and stands — and flags the
+    /// warp's block if it is finished and waiting to drain.
+    fn retired(&mut self, w: usize) {
         let bit = 1u64 << w;
         for slot in 0..2 {
-            self.ready_cand[slot].set(self.ready_cand[slot].get() | bit);
-            self.ready_now[slot].set(self.ready_now[slot].get() & !bit);
-            for class in &self.ready_class[slot] {
-                class.set(class.get() & !bit);
+            // A reason is stale under a set `ready_cand` bit, where
+            // setting the bit again changes nothing.
+            if matches!(
+                self.stall[w][slot].get(),
+                StallReason::Scoreboard | StallReason::ScoreboardFull
+            ) {
+                *self.ready_cand[slot].get_mut() |= bit;
             }
+        }
+        let b = self.warps[w].block_slot;
+        if self.blocks[b].alive_threads == 0 {
+            self.block_flags |= 1 << b;
         }
     }
 
@@ -1248,13 +1327,18 @@ impl Sm {
     ///
     /// *Settle, then OR the free classes' sets.* A clear `ready_cand` bit
     /// is a guarantee of not-ready and a set `ready_now` bit an evaluated
-    /// success, so only the candidates in between — warps some event woke
+    /// success, so only the candidates in between — slots some event woke
     /// since the last scan — run the check itself; the eligible warps are
     /// already sorted by unit class in `ready_class`, so the answer is the
     /// union of the wanted port-free classes' sets — no per-warp read at
     /// all. A blocked warp costs nothing per cycle.
     pub(crate) fn ready_set(&self, slot: usize, among: u64, classes: u8) -> u64 {
-        self.settle(slot, among);
+        let mut woken = self.ready_cand[slot].get() & among & !self.ready_now[slot].get();
+        while woken != 0 {
+            let w = woken.trailing_zeros() as usize;
+            woken &= woken - 1;
+            let _ = self.ready_check_nogroup(w, slot);
+        }
         // Control needs no port, so it is always free.
         let free =
             classes & (self.groups.free_class_mask(self.cycle) | 1 << UnitClass::Control as u8);
@@ -1267,17 +1351,6 @@ impl Sm {
         set & among
     }
 
-    /// Re-evaluates the woken warps of `among` on slot `slot`, after which
-    /// `ready_now` (and, for slot 1, `suspended`) is exact for all of them.
-    fn settle(&self, slot: usize, among: u64) {
-        let mut unknown = self.ready_cand[slot].get() & among & !self.ready_now[slot].get();
-        while unknown != 0 {
-            let w = unknown.trailing_zeros() as usize;
-            unknown &= unknown - 1;
-            let _ = self.ready_check_nogroup(w, slot);
-        }
-    }
-
     /// The evaluated `Ready` of `(w, slot)` — only meaningful for warps
     /// [`Sm::ready_set`] just returned.
     pub(crate) fn ready_info(&self, w: usize, slot: usize) -> Ready {
@@ -1286,62 +1359,27 @@ impl Sm {
     }
 
     /// Warps whose secondary slot an SBI reconvergence constraint parks
-    /// (§3.3), after settling slot 1 so the maintained set is exact.
+    /// (§3.3) — maintained at context moves, so reading it costs nothing.
     pub(crate) fn suspended_warps(&self) -> u64 {
-        self.settle(1, u64::MAX);
-        self.suspended.get()
+        self.suspended
     }
 
-    /// [`Sm::ready_check`] recomputed from the architectural state alone —
-    /// no records, no candidate sets. The debug cross-check's reference.
-    #[cfg(debug_assertions)]
-    pub(crate) fn ready_check_reference(&self, w: usize, slot: usize) -> Option<Ready> {
-        let r = self.ready_check_slow(w, slot)?;
-        (r.unit == UnitClass::Control || self.groups.find_free(r.unit, self.cycle).is_some())
-            .then_some(r)
-    }
-
-    /// `(ready_cand, ready_now, ready_class)` of `slot`, for the debug
-    /// cross-check of the encoding's structural invariants (`ready_now ⊆
-    /// ready_cand`; the class sets partition `ready_now`).
-    #[cfg(debug_assertions)]
-    pub(crate) fn readiness_sets(&self, slot: usize) -> (u64, u64, [u64; 4]) {
-        (
-            self.ready_cand[slot].get(),
-            self.ready_now[slot].get(),
-            std::array::from_fn(|c| self.ready_class[slot][c].get()),
-        )
-    }
-
-    /// Re-derives warp `w`'s fetch-candidate bits from its liveness and
-    /// ibuf occupancy. Must be called after any write to either.
-    fn update_fetchable(&mut self, w: usize) {
-        let bit = 1u64 << w;
-        let warp = &self.warps[w];
-        for slot in 0..2 {
-            if warp.alive && warp.ibuf[slot].is_none() {
-                self.fetchable[slot] |= bit;
-            } else {
-                self.fetchable[slot] &= !bit;
-            }
-        }
-    }
-
-    /// The uncached evaluation behind [`Sm::ready_check_nogroup`]. Every
-    /// failure lasts until an event wakes the warp: none clears by the
-    /// clock alone.
-    fn ready_check_slow(&self, w: usize, slot: usize) -> Option<Ready> {
-        let warp = &self.warps[w];
-        let (pc, mask, at_barrier) = self.ctx(w, slot)?;
+    /// The context-and-buffer half of the readiness evaluation: the checks
+    /// only a context move or a fetch fill can change. `ctx` is the context
+    /// feeding `(w, slot)`; `cpc1` looks up the primary context's pc and is
+    /// called for a secondary at a SYNC only. Passes on the context's pc
+    /// and mask, its buffered entry and its instruction's metadata.
+    fn front_check(
+        &self,
+        w: usize,
+        slot: usize,
+        ctx: Option<(Pc, Mask, bool)>,
+        cpc1: impl FnOnce() -> Option<Pc>,
+    ) -> Result<(Pc, Mask, IbufEntry, PcMeta), StallReason> {
+        let (pc, mask, at_barrier) = ctx.ok_or(StallReason::NoContext)?;
         if at_barrier {
-            return None;
+            return Err(StallReason::AtBarrier);
         }
-        // No "fetched this cycle" test: an entry is never evaluated in its
-        // fetch cycle. Readiness is evaluated only through an `IssueCtx`,
-        // which exists inside `policy.issue` — before `fetch` in
-        // `step_capped` — and inside `account_idle_skip`, reached only when
-        // this cycle's `fetch` filled nothing.
-        let entry = warp.ibuf[slot].filter(|e| e.pc == pc)?;
         // The pre-decoded metadata covers every check below, so the hot
         // per-cycle path never loads the full `Instruction` record.
         let meta = self.pc_meta[pc.index()];
@@ -1351,24 +1389,36 @@ impl Sm {
         // them. (The paper's (PCdiv, PCrec) window with PCdiv = the
         // immediate dominator's last instruction degenerates for loop-exit
         // joins, whose immediate dominator is the loop-back block itself,
-        // so loop-carried run-ahead would never suspend.)
-        if slot == 1 && self.cfg.sbi_constraints && meta.is_sync {
-            if let Some((cpc1, _, _)) = self.ctx(w, 0) {
-                if cpc1 < pc {
-                    return None;
-                }
-            }
+        // so loop-carried run-ahead would never suspend.) Tested before the
+        // buffer so that it reads contexts only: parked is parked whether
+        // or not the SYNC has been fetched.
+        if slot == 1 && self.cfg.sbi_constraints && meta.is_sync && cpc1().is_some_and(|p| p < pc) {
+            return Err(StallReason::Constraint);
         }
-        if warp
-            .scoreboard
-            .depends_masks(meta.regs, meta.preds, mask, slot)
-        {
-            return None;
+        // No "fetched this cycle" test: an entry is never evaluated in its
+        // fetch cycle. Readiness is evaluated only through an `IssueCtx`,
+        // which exists inside `policy.issue` — before `fetch` in
+        // `step_capped` — and inside `account_idle_skip`, reached only when
+        // this cycle's `fetch` filled nothing.
+        let entry = self.warps[w].ibuf[slot].filter(|e| e.pc == pc);
+        Ok((pc, mask, entry.ok_or(StallReason::IbufEmpty)?, meta))
+    }
+
+    /// The uncached evaluation behind [`Sm::ready_check_nogroup`], and the
+    /// reference the debug cross-checks derive from. Every failure lasts
+    /// until one of the three events re-arms the slot: none clears by the
+    /// clock alone.
+    fn ready_check_slow(&self, w: usize, slot: usize) -> Result<Ready, StallReason> {
+        let cpc1 = || self.ctx(w, 0).map(|(pc, _, _)| pc);
+        let (pc, mask, entry, meta) = self.front_check(w, slot, self.ctx(w, slot), cpc1)?;
+        let scoreboard = &self.warps[w].scoreboard;
+        if scoreboard.depends_masks(meta.regs, meta.preds, mask, slot) {
+            return Err(StallReason::Scoreboard);
         }
-        if meta.writes && !warp.scoreboard.has_free() {
-            return None;
+        if meta.writes && !scoreboard.has_free() {
+            return Err(StallReason::ScoreboardFull);
         }
-        Some(Ready {
+        Ok(Ready {
             warp: w,
             slot,
             pc,
@@ -1377,23 +1427,6 @@ impl Sm {
             unit: meta.unit,
             seq: entry.seq,
         })
-    }
-
-    /// True if warp `w`'s secondary slot is currently parked by an SBI
-    /// reconvergence constraint (§3.3) — which implies its slot 1 is not
-    /// ready: every earlier exit of [`Sm::ready_check_slow`] is a failure
-    /// too.
-    pub(crate) fn sync_parked(&self, w: usize) -> bool {
-        if !self.cfg.sbi_constraints {
-            return false;
-        }
-        let Some((pc, _, at_barrier)) = self.ctx(w, 1) else {
-            return false;
-        };
-        if at_barrier || !self.pc_meta[pc.index()].is_sync {
-            return false;
-        }
-        matches!(self.ctx(w, 0), Some((cpc1, _, _)) if cpc1 < pc)
     }
 
     // --- the narrow policy-facing queries (see `crate::policy::IssueCtx`) ------
@@ -1476,7 +1509,7 @@ impl Sm {
         for pick in picks {
             let r = pick.ready;
             let instr = &program[r.pc];
-            let (taken, accesses) = self.execute_pick(w, r.slot, instr, r.pc, r.mask);
+            let (taken, accesses) = self.execute_functional(w, instr, r.mask);
             let transition = self.transition_for(instr, r.pc, r.mask, taken);
             transitions[r.slot] = Some(transition);
 
@@ -1528,6 +1561,7 @@ impl Sm {
                 Transition::Barrier(_) => {
                     let slot = self.warps[w].block_slot;
                     self.blocks[slot].barrier_arrived += r.mask.count();
+                    self.block_flags |= 1 << slot;
                 }
                 _ => {}
             }
@@ -1590,11 +1624,8 @@ impl Sm {
         if !self.external_mem && !self.mem_outbox.is_empty() {
             self.drain_local_grants();
         }
-        // Divergence, ibuf and scoreboard state all moved: re-evaluate
-        // readiness and re-associate the warp's buffered entries.
-        self.wake_warp(w);
-        self.ctx_dirty |= 1u64 << w;
-        self.update_fetchable(w);
+        // Divergence, ibuf and scoreboard state all moved.
+        self.rearm_warp(w);
     }
 
     /// Registers a scoreboard entry's retirement: either a timed writeback
@@ -1630,102 +1661,6 @@ impl Sm {
         }
     }
 
-    /// Functional execution of one issue grant: through the superblock
-    /// fused path when the grant continues (or enters) the slot's active
-    /// superblock run, falling back to the interpreter otherwise.
-    ///
-    /// Covered instructions still execute exactly one per grant, so the
-    /// fused path changes *how* an instruction's semantics are computed
-    /// (pre-resolved operands, in-place rows), never *when* — timing,
-    /// transitions and memory effects are charged per original
-    /// instruction, identically to the interpreter path.
-    fn execute_pick(
-        &mut self,
-        w: usize,
-        slot: usize,
-        instr: &Instruction,
-        pc: Pc,
-        mask: Mask,
-    ) -> (Mask, Vec<(usize, u32, u32)>) {
-        if self.sb.is_some() {
-            if let Some(loc) = self.superblock_advance(w, slot, pc, mask) {
-                return self.execute_covered(w, loc, instr, mask);
-            }
-        }
-        self.execute_functional(w, instr, mask)
-    }
-
-    /// Advances slot `slot`'s superblock run for a grant at `pc` with
-    /// `mask`. Returns `Some((superblock index, op index))` when the grant
-    /// is covered — either the next instruction of the active run or the
-    /// entry of a new superblock — and `None` (interpreter fallback) when
-    /// it deviates. A deviating grant while a run is active (the context
-    /// branched away, or its mask changed under divergence or a merge)
-    /// aborts the run; since runs execute nothing ahead of the grant,
-    /// aborting is free.
-    fn superblock_advance(
-        &mut self,
-        w: usize,
-        slot: usize,
-        pc: Pc,
-        mask: Mask,
-    ) -> Option<(u32, u32)> {
-        let set = self.sb.as_ref()?;
-        let run = &mut self.warps[w].sb_run[slot];
-        if run.next < run.end {
-            if pc.index() as u32 == run.next && mask == run.mask {
-                let op = run.next - run.start;
-                run.next += 1;
-                self.stats.superblock_covered += 1;
-                return Some((run.index, op));
-            }
-            *run = SbRun::default();
-            self.stats.superblock_aborts += 1;
-        }
-        let index = set.entry_index_at(pc)?;
-        let sb = &set.superblocks()[index as usize];
-        *run = SbRun {
-            index,
-            start: pc.index() as u32,
-            next: pc.index() as u32 + 1,
-            end: sb.end.index() as u32,
-            mask,
-        };
-        self.stats.superblock_enters += 1;
-        self.stats.superblock_covered += 1;
-        Some((index, 0))
-    }
-
-    /// Executes a covered grant through [`execute_fused`] and applies its
-    /// memory effects through the same code path as the interpreter.
-    fn execute_covered(
-        &mut self,
-        w: usize,
-        loc: (u32, u32),
-        instr: &Instruction,
-        mask: Mask,
-    ) -> (Mask, Vec<(usize, u32, u32)>) {
-        let mut accesses = std::mem::take(&mut self.access_scratch);
-        let taken = {
-            let set = self.sb.as_ref().expect("covered grant has a plan");
-            let fop = &set.superblocks()[loc.0 as usize].ops[loc.1 as usize];
-            debug_assert_eq!(fop.op, instr.op, "fused op tracks the program");
-            let params = &self.params;
-            let warp = &mut self.warps[w];
-            let active = mask & warp.populated;
-            execute_fused(
-                fop,
-                &mut warp.regs,
-                &warp.info,
-                params,
-                active,
-                &mut accesses,
-            )
-        };
-        self.apply_memory_effects(w, instr, &accesses);
-        (taken, accesses)
-    }
-
     /// Functional execution of `instr` for the threads in `mask`: runs the
     /// warp-level SoA execute path ([`execute_warp`]), performs the memory
     /// reads/writes it reported, and returns the taken mask (branches)
@@ -1758,9 +1693,7 @@ impl Sm {
     }
 
     /// Memory side effects of one executed instruction (loads read,
-    /// stores/atomics write), applied from its access list. Shared by the
-    /// interpreter and superblock paths so their journal and memory state
-    /// are bit-identical by construction.
+    /// stores/atomics write), applied from its access list.
     fn apply_memory_effects(
         &mut self,
         w: usize,
@@ -1988,59 +1921,70 @@ impl Sm {
         let newly = mask - warp.exited;
         warp.exited |= mask;
         let slot = warp.block_slot;
-        // `alive` stays true until the scoreboard drains (`refill_blocks`).
+        // `alive` stays true until the scoreboard drains (`refill_block`).
         self.blocks[slot].alive_threads -= newly.count();
+        self.block_flags |= 1 << slot;
     }
 
-    fn release_barriers(&mut self) {
-        for b in 0..self.blocks.len() {
-            let blk = self.blocks[b];
-            if !blk.active || blk.barrier_arrived == 0 {
-                continue;
-            }
-            if blk.barrier_arrived >= blk.alive_threads {
-                for w in blk.first_warp..blk.first_warp + blk.num_warps {
-                    match &mut self.warps[w].div {
-                        Divergence::Stack(s) => s.release_barrier(),
-                        Divergence::Frontier(h) => h.release_barrier(),
-                    }
-                    self.wake_warp(w);
-                    self.ctx_dirty |= 1u64 << w;
-                }
-                self.blocks[b].barrier_arrived = 0;
-                self.stats.barrier_releases += 1;
-                self.last_progress = self.cycle;
-            }
+    /// Barrier releases, block retirements and launches for the block
+    /// slots an event flagged since the last call — in ascending order, so
+    /// fresh blocks land in the lowest free slot first. An unflagged slot's
+    /// conditions cannot have changed, and it is not visited.
+    fn block_events(&mut self) {
+        let mut flagged = std::mem::take(&mut self.block_flags);
+        while flagged != 0 {
+            let b = flagged.trailing_zeros() as usize;
+            flagged &= flagged - 1;
+            #[cfg(debug_assertions)]
+            self.audit(|a| a.block_visits += 2);
+            self.release_barrier(b);
+            self.refill_block(b);
         }
     }
 
-    /// Retires finished blocks and assigns fresh blocks to free slots.
-    fn refill_blocks(&mut self) {
-        for b in 0..self.blocks.len() {
-            let blk = self.blocks[b];
-            if blk.active && blk.alive_threads == 0 {
-                // Wait for the warps' scoreboards to drain before recycling.
-                let drained = (blk.first_warp..blk.first_warp + blk.num_warps)
-                    .all(|w| self.warps[w].scoreboard.in_flight() == 0);
-                if drained {
-                    self.blocks[b].active = false;
-                    for w in blk.first_warp..blk.first_warp + blk.num_warps {
-                        self.warps[w].alive = false;
-                        self.warps[w].ibuf = [None, None];
-                        self.wake_warp(w);
-                        self.ctx_dirty |= 1u64 << w;
-                        self.update_fetchable(w);
-                    }
-                    self.stats.blocks_completed += 1;
-                    self.last_progress = self.cycle;
-                }
+    /// Releases block slot `b`'s barrier once every live thread arrived.
+    fn release_barrier(&mut self, b: usize) {
+        let blk = self.blocks[b];
+        if !blk.active || blk.barrier_arrived == 0 || blk.barrier_arrived < blk.alive_threads {
+            return;
+        }
+        for w in blk.first_warp..blk.first_warp + blk.num_warps {
+            match &mut self.warps[w].div {
+                Divergence::Stack(s) => s.release_barrier(),
+                Divergence::Frontier(h) => h.release_barrier(),
             }
-            if !self.blocks[b].active && (self.next_block as usize) < self.block_ids.len() {
-                let block_id = self.block_ids[self.next_block as usize];
-                self.next_block += 1;
-                self.assign_block(b, block_id);
-                self.last_progress = self.cycle;
+            self.rearm_warp(w);
+        }
+        self.blocks[b].barrier_arrived = 0;
+        self.stats.barrier_releases += 1;
+        self.last_progress = self.cycle;
+    }
+
+    /// Retires block slot `b`'s block if it finished and drained, then
+    /// assigns the next pending block to the slot if it is free.
+    fn refill_block(&mut self, b: usize) {
+        let blk = self.blocks[b];
+        // Wait for the warps' scoreboards to drain before recycling.
+        if blk.active
+            && blk.alive_threads == 0
+            && (blk.first_warp..blk.first_warp + blk.num_warps)
+                .all(|w| self.warps[w].scoreboard.in_flight() == 0)
+        {
+            self.blocks[b].active = false;
+            self.active_blocks -= 1;
+            for w in blk.first_warp..blk.first_warp + blk.num_warps {
+                self.warps[w].alive = false;
+                self.warps[w].ibuf = [None, None];
+                self.rearm_warp(w);
             }
+            self.stats.blocks_completed += 1;
+            self.last_progress = self.cycle;
+        }
+        if !self.blocks[b].active && (self.next_block as usize) < self.block_ids.len() {
+            let block_id = self.block_ids[self.next_block as usize];
+            self.next_block += 1;
+            self.assign_block(b, block_id);
+            self.last_progress = self.cycle;
         }
     }
 
@@ -2052,6 +1996,7 @@ impl Sm {
         blk.barrier_arrived = 0;
         let first = blk.first_warp;
         let nwarps = blk.num_warps;
+        self.active_blocks += 1;
         self.shared[slot].clear();
         let width = self.cfg.warp_width;
         for wi in 0..nwarps {
@@ -2078,12 +2023,10 @@ impl Sm {
                 width,
                 self.cfg.num_warps,
             );
-            // `refill_blocks` recycles a slot only once its scoreboards
+            // `refill_block` recycles a slot only once its scoreboards
             // have drained, so the (empty) table is reused as it stands.
             debug_assert_eq!(warp.scoreboard.in_flight(), 0);
             warp.ibuf = [None, None];
-            warp.sb_run = [SbRun::default(); 2];
-            self.ctx_dirty |= 1u64 << w;
             // Restart the divergence state in place (a relaunch allocates
             // nothing); only a warp's first launch under the frontier model
             // replaces the construction-time placeholder.
@@ -2094,8 +2037,7 @@ impl Sm {
                     *div = Divergence::Frontier(FrontierHeap::new(populated));
                 }
             }
-            self.wake_warp(w);
-            self.update_fetchable(w);
+            self.rearm_warp(w);
         }
     }
 
@@ -2115,46 +2057,60 @@ impl Sm {
         let nw = self.cfg.num_warps;
         let channels = self.policy().fetch_channels();
         for (ch, prefs) in channels.into_iter().enumerate() {
-            let mut advanced = false;
-            'pref: for &(parity, slot) in prefs {
-                // Alive warps with an empty buffer entry, straight off the
-                // maintained candidate mask — the round-robin scan visits
-                // only those instead of probing all `nw` warps' ibufs.
-                let mut cands = self.fetchable[slot];
-                if let Some(p) = parity {
-                    cands &= if p == 0 { EVEN } else { !EVEN };
-                }
-                let rr = self.fetch_rr[ch];
-                while cands != 0 {
-                    // First candidate at or after the round-robin pointer,
-                    // wrapping — identical pick order to the linear scan.
-                    let ahead = cands & !((1u64 << rr) - 1);
-                    let w = if ahead != 0 {
-                        ahead.trailing_zeros() as usize
-                    } else {
-                        cands.trailing_zeros() as usize
+            let rr = self.fetch_rr[ch];
+            // `fetchable` is exact, so the channel's pick is the first
+            // preference with a candidate at all, and of those the first at
+            // or after the round-robin pointer, wrapping — the linear
+            // scan's order with no probe that can miss.
+            let pick = prefs.iter().find_map(|&(parity, slot)| {
+                let cands = self.fetchable[slot]
+                    & match parity {
+                        None => !0,
+                        Some(0) => EVEN,
+                        Some(_) => !EVEN,
                     };
-                    cands &= !(1u64 << w);
-                    let Some((pc, _, _)) = self.ctx(w, slot) else {
-                        continue;
-                    };
-                    self.warps[w].ibuf[slot] = Some(IbufEntry {
-                        pc,
-                        seq: self.next_seq,
-                    });
-                    self.next_seq += 1;
-                    self.wake_warp(w);
-                    self.ctx_dirty |= 1u64 << w;
-                    self.update_fetchable(w);
-                    self.fetch_rr[ch] = (w + 1) % nw;
-                    advanced = true;
-                    any = true;
-                    break 'pref;
-                }
+                let ahead = cands & !((1u64 << rr) - 1);
+                let first = if ahead != 0 { ahead } else { cands };
+                (cands != 0).then(|| (first.trailing_zeros() as usize, slot))
+            });
+            let Some((w, slot)) = pick else {
+                self.fetch_rr[ch] = (rr + 1) % nw;
+                continue;
+            };
+            #[cfg(debug_assertions)]
+            self.audit(|a| {
+                a.fetch_probes += 1;
+                a.fetch_fills += 1;
+            });
+            let (pc, _, _) = self.ctx(w, slot).expect("a fetchable slot has a context");
+            self.warps[w].ibuf[slot] = Some(IbufEntry {
+                pc,
+                seq: self.next_seq,
+            });
+            self.next_seq += 1;
+            // The fill event. An empty slot is blocked, and the fill can
+            // clear that only if the buffer was all it waited for; the
+            // other slot reads nothing the fill wrote.
+            let bit = 1u64 << w;
+            self.fetchable[slot] &= !bit;
+            debug_assert_eq!(self.ready_cand[slot].get() & bit, 0, "empty yet armed");
+            if self.stall[w][slot].get() == StallReason::IbufEmpty {
+                *self.ready_cand[slot].get_mut() |= bit;
             }
-            if !advanced {
-                self.fetch_rr[ch] = (self.fetch_rr[ch] + 1) % nw;
+            // Tagged with its own context's pc, the entry leaves a clean
+            // warp a fixed point of re-association — unless the primary
+            // context sits at the same pc with nothing buffered (one of the
+            // pair parked at a barrier), which would claim it.
+            if slot == 1
+                && self.warps[w].ibuf[0].is_none()
+                && self.ctx(w, 0).is_some_and(|(pc0, _, _)| pc0 == pc)
+            {
+                self.ctx_dirty |= bit;
             }
+            #[cfg(debug_assertions)]
+            self.assert_clean_warp_is_fixed_point(w);
+            self.fetch_rr[ch] = (w + 1) % nw;
+            any = true;
         }
         any
     }

@@ -1,0 +1,128 @@
+//! Debug-build checkers of the event-driven issue loop — compiled only
+//! under `cfg(debug_assertions)`: checkers, not knobs.
+//!
+//! [`Sm::assert_event_state`] holds every set and record the events
+//! maintain against its derivation from the architectural state alone, and
+//! [`EventAudit`] counts the bookkeeping the loop actually did, so a test
+//! can say how much of it an event caused.
+
+use std::cell::Cell;
+
+use warpweave_isa::UnitClass;
+
+use super::Sm;
+use crate::policy::Ready;
+
+/// Per-cycle bookkeeping done so far, by kind ([`Sm::event_audit`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct EventAudit {
+    /// Uncached readiness evaluations (a woken slot re-running the check).
+    pub evaluations: u64,
+    /// Warps a fetch channel looked at to find one it could fill.
+    pub fetch_probes: u64,
+    /// Instruction-buffer entries filled.
+    pub fetch_fills: u64,
+    /// Warps the ibuf re-association pass visited.
+    pub validations: u64,
+    /// Of those, the ones whose entries it moved or squashed.
+    pub changed_validations: u64,
+    /// Block-slot checks (barrier release, retire-and-refill) made.
+    pub block_visits: u64,
+}
+
+impl Sm {
+    /// The event audit so far (debug builds only).
+    pub fn event_audit(&self) -> EventAudit {
+        self.audit.get()
+    }
+
+    /// Applies `count` to the audit.
+    pub(super) fn audit(&self, count: impl FnOnce(&mut EventAudit)) {
+        let mut audit = self.audit.get();
+        count(&mut audit);
+        self.audit.set(audit);
+    }
+
+    /// [`Sm::ready_check`] recomputed from the architectural state alone —
+    /// no records, no candidate sets. The scan cross-check's reference.
+    pub(crate) fn ready_check_reference(&self, w: usize, slot: usize) -> Option<Ready> {
+        let r = self.ready_check_slow(w, slot).ok()?;
+        (r.unit == UnitClass::Control || self.groups.find_free(r.unit, self.cycle).is_some())
+            .then_some(r)
+    }
+
+    /// Asserts, for both slots, that the readiness encoding is well-formed
+    /// (`ready_now ⊆ ready_cand`; the class sets partition `ready_now`),
+    /// that every blocked slot holds the reason and every eligible slot the
+    /// record a fresh evaluation gives, that `fetchable` is the from-state
+    /// set, and that `suspended` is the per-warp fold of the §3.3 parking
+    /// condition — none of it settled first. Run once per stepped cycle,
+    /// just before the policy issues: everything every event of the last
+    /// cycle left behind is in view.
+    pub(super) fn assert_event_state(&self) {
+        let warps = 0..self.warps.len();
+        for slot in 0..2 {
+            let (cand, now) = (self.ready_cand[slot].get(), self.ready_now[slot].get());
+            assert_eq!(now & !cand, 0, "slot {slot}: ready_now outside ready_cand");
+            // Their union is `ready_now` and — bits counted — no warp sits
+            // in two of them.
+            let by_class = self.ready_class[slot].each_ref().map(Cell::get);
+            let union = by_class.iter().fold(0, |u, c| u | c);
+            let bits: u32 = by_class.iter().map(|c| c.count_ones()).sum();
+            assert_eq!(union, now, "slot {slot}: class sets do not cover ready_now");
+            assert_eq!(bits, now.count_ones(), "slot {slot}: class sets overlap");
+            let mut fetchable = 0;
+            for w in warps.clone() {
+                let fresh = self.ready_check_slow(w, slot);
+                if cand >> w & 1 == 0 {
+                    let held = self.stall[w][slot].get();
+                    assert_eq!(
+                        fresh.err(),
+                        Some(held),
+                        "warp {w} slot {slot}: stall reason"
+                    );
+                }
+                if now >> w & 1 != 0 {
+                    let held = self.ready[w][slot].get();
+                    assert_eq!(fresh.ok(), Some(held), "warp {w} slot {slot}: stale record");
+                }
+                let wants = self.ctx(w, slot).is_some() && self.warps[w].ibuf[slot].is_none();
+                fetchable |= u64::from(wants) << w;
+            }
+            assert_eq!(
+                self.fetchable[slot], fetchable,
+                "slot {slot}: fetch set drifted"
+            );
+        }
+        let parked = warps
+            .filter(|&w| self.sync_parked(w))
+            .fold(0, |m, w| m | 1u64 << w);
+        assert_eq!(self.suspended, parked, "maintained suspension set drifted");
+    }
+
+    /// True if warp `w`'s secondary split is parked by an SBI
+    /// reconvergence constraint (§3.3), from its contexts alone.
+    fn sync_parked(&self, w: usize) -> bool {
+        if !self.cfg.sbi_constraints {
+            return false;
+        }
+        let Some((pc, _, at_barrier)) = self.ctx(w, 1) else {
+            return false;
+        };
+        if at_barrier || !self.pc_meta[pc.index()].is_sync {
+            return false;
+        }
+        matches!(self.ctx(w, 0), Some((cpc1, _, _)) if cpc1 < pc)
+    }
+
+    /// Asserts that warp `w`, if it is outside `ctx_dirty`, is a fixed point
+    /// of the ibuf re-association pass (nothing moves, nothing is squashed;
+    /// with no slot reserved, which implies it with one) — called where an
+    /// event touches a warp's contexts or entries and may leave it clean.
+    pub(super) fn assert_clean_warp_is_fixed_point(&self, w: usize) {
+        if self.ctx_dirty >> w & 1 == 0 {
+            let fixed = (self.warps[w].ibuf, 0);
+            assert_eq!(self.reassociated(w, None), fixed, "clean warp {w}");
+        }
+    }
+}

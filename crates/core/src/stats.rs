@@ -75,14 +75,13 @@ warpweave_mem::counter_table! {
         /// Misses that found the MSHR file full and fell through to their own
         /// DRAM request (0 when MSHRs are disabled).
         mshr_bypasses: u64 = sum,
-        /// Superblock runs entered (an issue grant landed on a fused region's
-        /// first instruction).
+        /// Always 0: the superblock trace engine left the issue path. The
+        /// row (and the two below) stays only because the frozen
+        /// `benchmark/` crate reads it; ROADMAP item 3 deletes all three.
         superblock_enters: u64 = sum,
-        /// Issue grants executed through the superblock fused path (includes
-        /// the entering grant of each run).
+        /// Always 0 (see `superblock_enters`).
         superblock_covered: u64 = sum,
-        /// Superblock runs abandoned because a grant deviated from the
-        /// expected pc/mask (divergence, merges, context swaps).
+        /// Always 0 (see `superblock_enters`).
         superblock_aborts: u64 = sum,
     }
 }

@@ -15,14 +15,14 @@
 //! compute loop carries no per-lane branches for the autovectoriser to
 //! trip over.
 //!
-//! **Timing-identity contract:** this module never executes ahead. The
-//! pipeline calls [`execute_fused`] once per issue grant, for exactly the
-//! instruction the grant would have interpreted; cycles, ports, scoreboard
-//! entries and memory transactions are still charged per original
-//! instruction by the unchanged timing model. A covered grant is therefore
-//! bit-exact *and* cycle-exact with the interpreter, and falling back to
-//! [`execute_warp`](crate::exec::execute_warp) mid-superblock is always
-//! safe because no state was touched early.
+//! **Status: library code, off the issue path.** The pipeline issued
+//! covered grants through [`execute_fused`] until the benchmark showed the
+//! second execute path cost host time on the divergent kernels
+//! (`core.superblock_gain` 0.83–0.91); `Sm` now executes every grant with
+//! [`execute_warp`](crate::exec::execute_warp). The function stays,
+//! bit-exact against both other execute functions
+//! (`tests/exec_differential.rs`, `fuzzing::check_differential`), until
+//! the frozen `benchmark/` crate stops naming it (ROADMAP item 3).
 
 use warpweave_isa::{FusedOp, FusedSrc, Op, SpecialReg};
 

@@ -161,3 +161,35 @@ fn frontier_and_stack_commit_identical_work() {
     // streams.
     assert_eq!(base.thread_instructions, sbi.thread_instructions);
 }
+
+/// Half of every warp skips a barrier, so until it releases the two hot
+/// contexts sit at one pc — the parked arrivals in front, the run-ahead
+/// skippers behind — and an entry fetched for the second is one the first
+/// would claim. Only SBI+SWI gets through such a kernel (its secondary
+/// scheduler issues from CPC2 on its own; every primary-led front-end
+/// deadlocks on it, as it always has). Fetch must still hand such a warp to
+/// the re-association pass — debug builds assert that every warp it does
+/// not is a fixed point of that pass — and what the pass then does is
+/// behaviour: counters pinned from the commit before fetch stopped marking
+/// every filled warp (f1f3fa4).
+#[test]
+fn twin_contexts_at_a_barrier_keep_their_entries_apart() {
+    let mut k = KernelBuilder::new("skipbar");
+    k.and_(r(0), SpecialReg::Tid, 1i32);
+    k.isetp(p(0), CmpOp::Eq, r(0), 0i32);
+    k.mov(r(2), 1i32);
+    k.imad(r(3), r(2), 3i32, 7i32);
+    k.bra_if(p(0), "skip");
+    k.bar();
+    k.label("skip");
+    for _ in 0..6 {
+        k.imad(r(2), r(2), 5i32, 11i32);
+    }
+    k.exit();
+    let s = run(SmConfig::sbi_swi(), k.build().expect("assembles"), 8, 512);
+    assert_eq!(
+        (s.cycles, s.fetch_squashes, s.secondary_issues),
+        (1198, 0, 724),
+        "(cycles, fetch_squashes, secondary_issues)"
+    );
+}

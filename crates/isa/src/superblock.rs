@@ -24,7 +24,9 @@
 //! The timing model is untouched by design: a superblock never changes
 //! *when* an instruction executes, only *how* its operands are resolved
 //! (see `warpweave-core`'s `superblock` module for the execution
-//! contract).
+//! contract — and for the module's status: the simulator's pipeline no
+//! longer builds or runs superblocks; this IR is library code awaiting
+//! deletion with ROADMAP item 3).
 
 use crate::cfg::{build_cfg, Cfg};
 use crate::instr::{Guard, Instruction, Operand};

@@ -1,8 +1,8 @@
 //! Replays every committed fuzz reproducer under `tests/corpus/` through
 //! all three fuzz harnesses (differential, policy sweep, determinism).
-//! The differential harness itself compares three execute paths — scalar
-//! reference, SoA interpreter and the superblock trace engine — so every
-//! corpus kernel also pins fused execution bit-exact.
+//! The differential harness itself compares three execute functions —
+//! scalar reference, SoA interpreter and the library's fused kernels — so
+//! every corpus kernel also pins `execute_fused` bit-exact where it fuses.
 //!
 //! The corpus is the fuzzer's regression memory: when CI shrinks a
 //! failing kernel, the minimised `.wwasm` file gets committed here and
@@ -13,7 +13,6 @@
 
 use warpweave_core::fuzzing::replay_reproducer;
 use warpweave_isa::fuzz::Reproducer;
-use warpweave_isa::SuperblockSet;
 
 fn corpus_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -49,27 +48,6 @@ fn every_corpus_kernel_passes_all_three_harnesses() {
         );
     }
     println!("replayed {} corpus kernels clean", paths.len());
-}
-
-#[test]
-fn corpus_exercises_the_superblock_engine() {
-    // The differential harness only tests fused execution where kernels
-    // actually fuse; pin that the committed corpus contains covered
-    // regions so the superblock band never goes silently vacuous.
-    let mut covered = 0usize;
-    for entry in std::fs::read_dir(corpus_dir()).unwrap() {
-        let path = entry.unwrap().path();
-        if path.extension().is_none_or(|x| x != "wwasm") {
-            continue;
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        let rep = Reproducer::from_text(&text).unwrap();
-        covered += SuperblockSet::build(&rep.program).covered_instructions();
-    }
-    assert!(
-        covered > 0,
-        "no corpus kernel has any superblock-covered instruction"
-    );
 }
 
 #[test]

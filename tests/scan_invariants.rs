@@ -118,3 +118,106 @@ fn sixty_four_warp_pool_runs_every_front_end() {
         assert_eq!(traced.top_warp, 63, "{} never reached warp 63", cfg.name);
     }
 }
+
+/// The issue loop does work only where an event caused it. Debug builds
+/// count the per-cycle bookkeeping by kind (`Sm::event_audit`); this holds
+/// the counts of the three pinned cells, per issued warp-instruction,
+/// against the parent commit's (f1f3fa4, counted by a scratch build with
+/// the same counters): a fetch channel finds its warp without probing,
+/// re-association runs only where it can change something, and the SBI
+/// front-ends re-evaluate readiness at least 35 % less often.
+#[cfg(debug_assertions)]
+#[test]
+fn bookkeeping_follows_events() {
+    use warpweave::core::EventAudit;
+
+    let parent = |counts: [u64; 6]| EventAudit {
+        evaluations: counts[0],
+        fetch_probes: counts[1],
+        fetch_fills: counts[2],
+        validations: counts[3],
+        changed_validations: counts[4],
+        block_visits: counts[5],
+    };
+    let cells = [
+        (
+            SmConfig::swi(),
+            "SortingNetworks",
+            parent([21_809, 12_595, 12_468, 13_071, 0, 102_028]),
+        ),
+        (
+            SmConfig::sbi_swi(),
+            "BFS",
+            parent([14_576, 67_939, 3_969, 4_185, 39, 51_196]),
+        ),
+        (
+            SmConfig::sbi(),
+            "Mandelbrot",
+            parent([38_590, 40_226, 10_499, 10_584, 32, 72_036]),
+        ),
+    ];
+    for (cfg, workload, parent) in cells {
+        let prepared = by_name(workload).expect("registered").prepare(Scale::Test);
+        let mut mem = Memory::new();
+        for (addr, words) in &prepared.inputs {
+            mem.write_words(*addr, words);
+        }
+        let (mut change, mut issued) = (EventAudit::default(), 0);
+        for launch in prepared.launches {
+            let mut sm = Sm::new(cfg.clone(), launch).expect("valid launch");
+            sm.set_memory(mem);
+            let stats = sm.run(MAX_CYCLES_PER_LAUNCH).expect("kernel completes");
+            issued += stats.warp_instructions;
+            let a = sm.event_audit();
+            change.evaluations += a.evaluations;
+            change.fetch_probes += a.fetch_probes;
+            change.fetch_fills += a.fetch_fills;
+            change.validations += a.validations;
+            change.changed_validations += a.changed_validations;
+            change.block_visits += a.block_visits;
+            mem = sm.into_memory();
+        }
+        // One audit as the rows of the report.
+        let rows = |a: &EventAudit| {
+            let per_issue = |n: u64| n as f64 / issued as f64;
+            [
+                ("evaluations", per_issue(a.evaluations)),
+                (
+                    "fetch probes per fill",
+                    a.fetch_probes as f64 / a.fetch_fills as f64,
+                ),
+                ("validations", per_issue(a.validations)),
+                (
+                    "no-op validations",
+                    per_issue(a.validations - a.changed_validations),
+                ),
+                ("block-slot checks", per_issue(a.block_visits)),
+            ]
+        };
+        println!(
+            "{workload} on {} ({issued} warp-instructions), per issue:",
+            cfg.name
+        );
+        for ((name, p), (_, c)) in rows(&parent).into_iter().zip(rows(&change)) {
+            println!("  {name:<22} parent {p:7.3}  change {c:7.3}");
+        }
+        let [(_, evals_before), ..] = rows(&parent);
+        let [(_, evals), (_, probes), _, (_, noops), _] = rows(&change);
+        assert_eq!(
+            change.fetch_fills, parent.fetch_fills,
+            "{workload}: fills are behaviour"
+        );
+        assert!(
+            probes <= 1.1,
+            "{workload}: {probes:.3} fetch probes per fill"
+        );
+        assert!(
+            noops <= 0.2,
+            "{workload}: {noops:.3} no-op validations per issue"
+        );
+        assert!(
+            cfg.name == "SWI" || evals <= 0.65 * evals_before,
+            "{workload}: {evals:.3} evaluations per issue, parent {evals_before:.3}"
+        );
+    }
+}
