@@ -4,6 +4,7 @@ use warpweave_mem::{CacheConfig, DramConfig};
 
 use crate::lane::LaneShuffle;
 use crate::policy::{PolicyRegistry, SchedOrder};
+use crate::rng::TieBreakRng;
 
 /// How intra-warp divergence is tracked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -148,12 +149,13 @@ pub struct SmConfig {
     pub model_sideband_sorter: bool,
     /// Skip over provably-idle stretches by jumping the clock to the next
     /// writeback / port-release event instead of ticking cycle-by-cycle.
-    /// Bit-identical to exhaustive ticking at test scale
-    /// (`fast_forward_is_exact`, and every job of the golden grid in
-    /// `switch_invariance.rs`) but not at bench scale, where runs drift by
-    /// a few cycles (`benchmark/README.md` finding 1; ROADMAP item 6a′
-    /// tracks the fix). Disable it to trace cycle by cycle, or to rule the
-    /// skip out of a discrepancy.
+    /// A jump needs a cycle in which nothing issued, fetched or retired
+    /// *and* the policy reports no cascade state
+    /// ([`crate::IssuePolicy::carries_pick`]); it never crosses a machine's
+    /// epoch barrier. Bit-identical to exhaustive ticking at every scale
+    /// the repository runs (`fast_forward_is_exact`,
+    /// `switch_invariance.rs`; debug builds re-check every jump). Disable
+    /// it to trace cycle by cycle.
     pub fast_forward: bool,
     /// Back-end SIMD groups.
     pub groups: Vec<GroupConfig>,
@@ -442,11 +444,9 @@ impl SmConfig {
     /// fully deterministic. SM 0 keeps the base seed, so a 1-SM machine
     /// reproduces a standalone [`crate::Sm`] bit-for-bit.
     pub fn for_sm(&self, sm_id: usize) -> SmConfig {
-        use rand::rngs::SmallRng;
-        use rand::{RngCore, SeedableRng};
         let mut cfg = self.clone();
         if sm_id > 0 {
-            cfg.seed = SmallRng::seed_from_u64(cfg.seed.wrapping_add(sm_id as u64)).next_u64();
+            cfg.seed = TieBreakRng::new(cfg.seed.wrapping_add(sm_id as u64)).next_u64();
         }
         cfg
     }

@@ -31,8 +31,8 @@ use crate::exec::{execute_thread, execute_warp, guard_passes, ThreadRegs};
 use crate::superblock::execute_fused;
 use crate::{Launch, Machine, Mask, MemModel, PolicyRegistry, Sm, SmConfig, WarpInfo, WarpRegFile};
 use warpweave_isa::fuzz::{
-    self, launch_params, FuzzProfile, KernelPlan, Reproducer, ATOM_BASE, INPUT_BASE, REGION_WORDS,
-    STORE_BASE,
+    self, launch_params, splitmix64, FuzzProfile, KernelPlan, Reproducer, ATOM_BASE, INPUT_BASE,
+    REGION_WORDS, STORE_BASE,
 };
 use warpweave_isa::{FusedOp, Instruction, Program, SuperblockSet, NUM_PREDS, NUM_REGS};
 use warpweave_mem::Memory;
@@ -118,15 +118,6 @@ pub struct CaseOutcome {
     pub policy_ipcs: Vec<(String, f64)>,
 }
 
-/// SplitMix64 — drives all harness-side randomness (masks, initial state).
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The scalar reference: guard check, execute, commit, in ascending thread
 /// order, skipping unpopulated threads.
 fn scalar_step(
@@ -207,7 +198,7 @@ fn differential_width(
 ) -> Result<(), String> {
     let full = Mask::full(width);
     let mut entropy = state_seed ^ 0xd1ff_e2e4_7a11_ce55;
-    let populated = Mask::from_bits(splitmix(&mut entropy) | 1) & full;
+    let populated = Mask::from_bits(splitmix64(&mut entropy) | 1) & full;
     let shuffle = crate::LaneShuffle::ALL[(state_seed % 5) as usize];
 
     let mut info = WarpInfo::new(width);
@@ -231,13 +222,13 @@ fn differential_width(
     let mut s = state_seed;
     for t in 0..width {
         for ri in 0..NUM_REGS {
-            let v = splitmix(&mut s) as u32;
+            let v = splitmix64(&mut s) as u32;
             rf.set_reg(t, ri, v);
             rf_sb.set_reg(t, ri, v);
             regs[t].set_reg(ri, v);
         }
         for pi in 0..NUM_PREDS {
-            let v = splitmix(&mut s) & 1 == 1;
+            let v = splitmix64(&mut s) & 1 == 1;
             rf.set_pred(t, pi, v);
             rf_sb.set_pred(t, pi, v);
             regs[t].set_pred(pi, v);
@@ -248,7 +239,7 @@ fn differential_width(
     let mut sb_accesses: Vec<(usize, u32, u32)> = Vec::new();
     for (n, instr) in program.instructions().iter().enumerate() {
         // A fresh (possibly partial) issue mask per instruction.
-        let mask = Mask::from_bits(splitmix(&mut entropy)) & full;
+        let mask = Mask::from_bits(splitmix64(&mut entropy)) & full;
         let active = mask & populated;
 
         let soa_taken = execute_warp(instr, &mut rf, &info, params, active, &mut soa_accesses);

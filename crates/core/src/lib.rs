@@ -58,6 +58,7 @@ pub mod mask;
 pub mod pipeline;
 pub mod policy;
 pub mod regfile;
+pub mod rng;
 pub mod scoreboard;
 pub mod stats;
 pub mod superblock;

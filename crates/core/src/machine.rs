@@ -49,10 +49,13 @@
 //! [`DramConfig::channel_of`](warpweave_mem::DramConfig::channel_of) and
 //! arbitrates each channel independently — the per-channel rotation is
 //! de-phased by the channel index. Grants return before the next epoch.
-//! Because the epoch is never longer than the DRAM latency, a transaction
-//! issued inside epoch *k* cannot complete before the barrier that grants
-//! it — the co-simulation is exact, and bit-identical across host thread
-//! counts.
+//! Barriers fall every [`SmConfig::mem_epoch_cycles`] cycles whatever the
+//! SMs do — an idle SM fast-forwards *to* its barrier, never across it —
+//! so the epoch index a batch is ranked by means the same cycle window in
+//! every run. Because the epoch is never longer than the DRAM latency, a
+//! transaction issued inside epoch *k* cannot complete before the barrier
+//! that grants it — the co-simulation is exact, and bit-identical across
+//! host thread counts.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -70,15 +73,12 @@ use crate::pipeline::{SimError, Sm};
 use crate::stats::Stats;
 use crate::sweep::SweepRunner;
 
-/// Outcome of one SM shard's simulation: `(sm_id, stats + journal, or the
-/// failure the shard hit)`.
-type ShardOutcome = (usize, Result<(Stats, MemJournal), SimError>);
-
 /// Epochs of total silence — no SM progress, no new requests, no pending
 /// channel completions — before [`Machine::run_shared`] declares an epoch
-/// livelock. Epochs are at least one DRAM latency wide, so this fires
-/// well before the per-SM watchdog's 100k-cycle stall threshold and can
-/// report cross-SM state the SM-local watchdog cannot see.
+/// livelock. Epochs are [`SmConfig::mem_epoch_cycles`] wide (at most 256
+/// cycles), so this fires well before the per-SM watchdog's 100k-cycle
+/// stall threshold and can report cross-SM state the SM-local watchdog
+/// cannot see.
 const LIVELOCK_EPOCHS: u32 = 128;
 
 /// The epoch-livelock state machine of [`Machine::run_shared`], factored
@@ -278,7 +278,7 @@ impl MachineStats {
 pub struct Machine {
     cfg: SmConfig,
     num_sms: usize,
-    threads: Option<usize>,
+    runner: SweepRunner,
     program: Arc<Program>,
     grid_blocks: u32,
     block_threads: u32,
@@ -310,7 +310,7 @@ impl Machine {
         Ok(Machine {
             cfg,
             num_sms,
-            threads: None,
+            runner: SweepRunner::new(),
             program: Arc::new(launch.program),
             grid_blocks: launch.grid_blocks,
             block_threads: launch.block_threads,
@@ -321,10 +321,11 @@ impl Machine {
     }
 
     /// Caps the host threads used to simulate SMs (builder style). The
-    /// default is one thread per available core. Results never depend on
-    /// this setting — only wall-clock time does.
+    /// default is [`SweepRunner::new`]'s: one thread per available core,
+    /// or the caller's own when the machine is itself a sweep job. Results
+    /// never depend on this setting — only wall-clock time does.
     pub fn with_threads(mut self, n: usize) -> Machine {
-        self.threads = Some(n);
+        self.runner = SweepRunner::with_threads(n);
         self
     }
 
@@ -383,25 +384,40 @@ impl Machine {
         }
     }
 
-    /// The non-empty shards of the grid, in SM-id order.
-    fn nonempty_shards(&self) -> Vec<(usize, Vec<u32>)> {
+    /// One SM per non-empty shard of the grid, in SM-id order: seeded for
+    /// its id, holding a snapshot of global memory, journaling its stores.
+    fn build_sms(&self) -> Result<Vec<Sm>, SimError> {
         (0..self.num_sms)
-            .map(|sm| (sm, self.shard(sm)))
+            .map(|sm_id| (sm_id, self.shard(sm_id)))
             .filter(|(_, blocks)| !blocks.is_empty())
+            .map(|(sm_id, blocks)| {
+                let mut sm = Sm::for_blocks(
+                    self.cfg.for_sm(sm_id),
+                    Arc::clone(&self.program),
+                    self.grid_blocks,
+                    self.block_threads,
+                    self.params.clone(),
+                    blocks,
+                )
+                .map_err(|e| SimError::Setup {
+                    detail: format!("SM {sm_id} setup: {e}"),
+                })?;
+                sm.set_sm_id(sm_id as u32);
+                sm.set_memory(self.mem.clone());
+                sm.enable_mem_journal();
+                Ok(sm)
+            })
             .collect()
     }
 
-    /// Folds per-SM outcomes into `self.stats`/`self.mem` in SM-id order.
-    fn merge_shards(
-        &mut self,
-        outcomes: Vec<(usize, Stats, MemJournal)>,
-        channel: ChannelStats,
-    ) -> &MachineStats {
+    /// Folds the finished SMs' statistics and journals into
+    /// `self.stats`/`self.mem`, in SM-id order.
+    fn merge_shards(&mut self, sms: &mut [Sm], channel: ChannelStats) -> &MachineStats {
         let mut per_sm = vec![Stats::default(); self.num_sms];
-        let mut journals: Vec<MemJournal> = Vec::with_capacity(outcomes.len());
-        for (sm_id, stats, journal) in outcomes {
-            per_sm[sm_id] = stats;
-            journals.push(journal);
+        let mut journals: Vec<MemJournal> = Vec::with_capacity(sms.len());
+        for sm in sms {
+            per_sm[sm.sm_id() as usize] = sm.stats().clone();
+            journals.push(sm.take_mem_journal().expect("journal was enabled"));
         }
         MemJournal::commit_all(&journals, &mut self.mem);
         let mut total = Stats::default();
@@ -418,80 +434,23 @@ impl Machine {
 
     /// Private-channel mode: every shard runs to completion on its own.
     fn run_private(&mut self, max_cycles: u64) -> Result<&MachineStats, SimError> {
-        let shards = self.nonempty_shards();
-        let runner = match self.threads {
-            Some(n) => SweepRunner::with_threads(n),
-            None => SweepRunner::new(),
-        };
-        let cfg = &self.cfg;
-        let program = &self.program;
-        let base_mem = &self.mem;
-        let (grid, threads, params) = (self.grid_blocks, self.block_threads, &self.params);
-        let results: Vec<ShardOutcome> = runner.run(&shards, |(sm_id, blocks)| {
-            let outcome = (|| {
-                let mut sm = Sm::for_blocks(
-                    cfg.for_sm(*sm_id),
-                    Arc::clone(program),
-                    grid,
-                    threads,
-                    params.clone(),
-                    blocks.clone(),
-                )
-                .map_err(|e| SimError::Setup {
-                    detail: format!("SM {sm_id} setup: {e}"),
-                })?;
-                sm.set_sm_id(*sm_id as u32);
-                sm.set_memory(base_mem.clone());
-                sm.enable_mem_journal();
-                let stats = sm.run(max_cycles)?.clone();
-                let journal = sm.take_mem_journal().expect("journal was enabled");
-                Ok((stats, journal))
-            })();
-            (*sm_id, outcome)
-        });
-
-        // Merge in SM-id order (the runner already preserves input order;
-        // the sort is a belt-and-braces guarantee of the contract).
-        let mut results = results;
-        results.sort_by_key(|(sm_id, _)| *sm_id);
-
-        let mut outcomes = Vec::with_capacity(results.len());
-        for (sm_id, outcome) in results {
-            let (stats, journal) = outcome?;
-            outcomes.push((sm_id, stats, journal));
+        let mut sms = self.build_sms()?;
+        let ran = self
+            .runner
+            .run_mut(&mut sms, |sm| sm.run(max_cycles).map(drop));
+        for outcome in ran {
+            outcome?; // first error in SM-id order
         }
-        Ok(self.merge_shards(outcomes, ChannelStats::default()))
+        Ok(self.merge_shards(&mut sms, ChannelStats::default()))
     }
 
     /// Shared-channel mode: epoch-barriered co-simulation around one
     /// arbitrated bandwidth pool (see the module docs for the contract).
     fn run_shared(&mut self, max_cycles: u64) -> Result<&MachineStats, SimError> {
-        let mut ids: Vec<usize> = Vec::new();
-        let mut sms: Vec<Sm> = Vec::new();
-        for (sm_id, blocks) in self.nonempty_shards() {
-            let mut sm = Sm::for_blocks(
-                self.cfg.for_sm(sm_id),
-                Arc::clone(&self.program),
-                self.grid_blocks,
-                self.block_threads,
-                self.params.clone(),
-                blocks,
-            )
-            .map_err(|e| SimError::Setup {
-                detail: format!("SM {sm_id} setup: {e}"),
-            })?;
-            sm.set_sm_id(sm_id as u32);
+        let mut sms = self.build_sms()?;
+        for sm in &mut sms {
             sm.attach_shared_channel();
-            sm.set_memory(self.mem.clone());
-            sm.enable_mem_journal();
-            ids.push(sm_id);
-            sms.push(sm);
         }
-
-        let runner = match self.threads {
-            Some(n) => SweepRunner::with_threads(n),
-            None => SweepRunner::new(),
-        };
         let num_channels = self.cfg.dram.num_channels.max(1) as usize;
         let mut channels: Vec<SharedDramChannel> = (0..num_channels)
             .map(|_| SharedDramChannel::new(self.cfg.dram))
@@ -505,7 +464,9 @@ impl Machine {
         loop {
             // Parallel phase: every SM advances to the barrier (or to
             // completion) on its own worker thread.
-            let stepped = runner.run_mut(&mut sms, |sm| sm.run_until(epoch_end, max_cycles));
+            let stepped = self
+                .runner
+                .run_mut(&mut sms, |sm| sm.run_until(epoch_end, max_cycles));
             for outcome in stepped {
                 outcome?; // first error in SM-id order
             }
@@ -554,8 +515,8 @@ impl Machine {
                     ));
                 }
                 for grant in grants {
-                    let idx = ids
-                        .binary_search(&(grant.sm_id as usize))
+                    let idx = sms
+                        .binary_search_by_key(&grant.sm_id, Sm::sm_id)
                         .expect("grant routed to a known SM");
                     sms[idx].deliver_mem_grants(std::slice::from_ref(&grant));
                 }
@@ -564,43 +525,23 @@ impl Machine {
                 break;
             }
             epoch += 1;
-            // Machine-level idle fast-forward: when every active SM has
-            // already jumped past the next barrier (nothing in flight to
-            // arbitrate in between), move the barrier to the first cycle
-            // any of them can act again instead of ticking empty epochs.
-            let min_active = sms
-                .iter()
-                .filter(|sm| !sm.is_done())
-                .map(Sm::cycle)
-                .min()
-                .unwrap_or(epoch_end);
             // Epoch-livelock watchdog: epochs keep ticking but no SM
             // progresses, no requests arrive and the channel holds no
             // undelivered completion — cross-SM silence the per-SM
             // watchdog would only report 100k cycles later, without the
-            // machine-wide view.
+            // machine-wide view. (Every SM still running stands at the
+            // barrier exactly: `Sm::run_until` never crosses it.)
             let progress_sum: u64 = sms.iter().map(Sm::last_progress_cycle).sum();
             for channel in &mut channels {
-                channel.retire_completions_before(min_active);
+                channel.retire_completions_before(epoch_end);
             }
-            let mem_pending = channels
-                .iter()
-                .any(|ch| ch.next_completion_at_or_after(min_active).is_some());
+            let mem_pending = channels.iter().any(|ch| ch.outstanding_transfers() > 0);
             if livelock.observe(progress_sum, had_traffic, mem_pending) {
                 return Err(Self::livelock_error(&sms, epoch, &channels));
             }
-            epoch_end = (epoch_end + epoch_len).max(min_active.saturating_add(1));
+            epoch_end += epoch_len;
         }
 
-        let outcomes = ids
-            .iter()
-            .zip(&mut sms)
-            .map(|(&sm_id, sm)| {
-                let stats = sm.stats().clone();
-                let journal = sm.take_mem_journal().expect("journal was enabled");
-                (sm_id, stats, journal)
-            })
-            .collect();
         let mut channel_total = ChannelStats::default();
         for channel in &channels {
             channel_total.accumulate(&channel.stats());
@@ -608,7 +549,7 @@ impl Machine {
         if let Some(l2) = &l2 {
             channel_total.accumulate(&l2.stats());
         }
-        Ok(self.merge_shards(outcomes, channel_total))
+        Ok(self.merge_shards(&mut sms, channel_total))
     }
 
     /// The [`SimError::Deadlock`] reported when the epoch-livelock

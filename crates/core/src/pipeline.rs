@@ -19,9 +19,6 @@ mod check;
 use std::cell::Cell;
 use std::sync::Arc;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
 use warpweave_isa::{Instruction, Op, Pc, Program, UnitClass};
 use warpweave_mem::{
     atomic_transactions_into, coalesce_into, Cache, CalendarQueue, MemGrant, MemRequest, Memory,
@@ -41,6 +38,7 @@ use crate::machine::MemJournal;
 use crate::mask::Mask;
 use crate::policy::{Dispatch, IssueCtx, IssuePolicy, Pick, PolicyRegistry, Ready};
 use crate::regfile::WarpRegFile;
+use crate::rng::TieBreakRng;
 use crate::scoreboard::{SbToken, Scoreboard};
 use crate::stats::Stats;
 use crate::trace::{IssueSlot, TraceEvent};
@@ -442,7 +440,7 @@ pub struct Sm {
     policy: Option<Box<dyn IssuePolicy>>,
     /// Per-warp XOR keys of the configured [`crate::lane::LaneShuffle`].
     lane_table: LaneTable,
-    rng: SmallRng,
+    rng: TieBreakRng,
     stats: Stats,
     trace: Option<Vec<TraceEvent>>,
     fetch_rr: [usize; 2],
@@ -624,7 +622,7 @@ impl Sm {
             pending_wb: CalendarQueue::with_capacity(cfg.num_warps * cfg.scoreboard_entries * 2),
             policy: Some(policy),
             lane_table,
-            rng: SmallRng::seed_from_u64(seed),
+            rng: TieBreakRng::new(seed),
             stats: Stats::default(),
             trace: None,
             fetch_rr: [0, 0],
@@ -744,35 +742,28 @@ impl Sm {
     /// [`SimError::Deadlock`] if the watchdog detects no forward progress;
     /// [`SimError::CyclesExhausted`] if the budget runs out.
     pub fn run(&mut self, max_cycles: u64) -> Result<&Stats, SimError> {
-        // One refcount bump per call buys every issue event below borrowed
-        // access to the decoded instructions.
-        let program = Arc::clone(&self.program);
-        while !self.is_done() {
-            if self.cycle >= max_cycles {
-                return Err(self.cycles_exhausted(max_cycles));
-            }
-            self.step_capped(&program, None)?;
-        }
-        self.finalize_stats();
+        // A standalone SM's barrier never comes.
+        self.run_until(u64::MAX, max_cycles)?;
         Ok(&self.stats)
     }
 
     /// Runs until the kernel finishes or the clock reaches `limit`
     /// (an epoch barrier of the shared-channel machine), whichever comes
-    /// first; returns whether the SM is done. The idle fast-forward may
-    /// overshoot `limit` when the SM provably cannot issue memory traffic
-    /// before its next event — the machine's epoch merge stays exact
-    /// because an overshooting SM's request window is empty.
+    /// first; returns whether the SM is done. An SM that is not done
+    /// stops at `limit` exactly — the idle fast-forward never crosses it —
+    /// so every SM of a machine sees the same sequence of barriers.
     ///
     /// # Errors
     /// As [`Sm::run`], with `budget` as the cycle budget.
     pub fn run_until(&mut self, limit: u64, budget: u64) -> Result<bool, SimError> {
+        // One refcount bump per call buys every issue event below borrowed
+        // access to the decoded instructions.
         let program = Arc::clone(&self.program);
         while !self.is_done() && self.cycle < limit {
             if self.cycle >= budget {
                 return Err(self.cycles_exhausted(budget));
             }
-            self.step_capped(&program, Some(limit))?;
+            self.step_capped(&program, limit)?;
         }
         let done = self.is_done();
         if done {
@@ -804,14 +795,14 @@ impl Sm {
     /// [`SimError::Deadlock`] from the watchdog.
     pub fn step(&mut self) -> Result<(), SimError> {
         let program = Arc::clone(&self.program);
-        self.step_capped(&program, None)
+        self.step_capped(&program, u64::MAX)
     }
 
-    /// [`Sm::step`] with an optional fast-forward cap — the epoch barrier
-    /// a machine-driven SM must not jump past while it waits on grants.
-    /// `program` is the caller's borrow of `self.program`, held across the
-    /// call so the issue path never touches the refcount.
-    fn step_capped(&mut self, program: &Program, cap: Option<u64>) -> Result<(), SimError> {
+    /// One cycle of the pipeline proper — writebacks, ibuf re-association,
+    /// issue, block events, fetch, in that order; returns whether anything
+    /// was fetched. `last_progress` tells whether anything else happened.
+    #[inline]
+    fn tick(&mut self, program: &Program) -> bool {
         self.cycle += 1;
         self.process_writebacks();
         self.validate_ibufs();
@@ -828,17 +819,26 @@ impl Sm {
             self.last_progress = self.cycle;
         }
         self.block_events();
-        let fetched = self.fetch();
+        self.fetch()
+    }
+
+    /// [`Sm::step`] capped at the cycle the idle fast-forward must not
+    /// cross: a machine's next epoch barrier, `u64::MAX` for an SM alone.
+    /// `program` is the caller's borrow of `self.program`, held across the
+    /// call so the issue path never touches the refcount.
+    fn step_capped(&mut self, program: &Program, limit: u64) -> Result<(), SimError> {
+        let fetched = self.tick(program);
         // Idle fast-forward: if this whole cycle did nothing (no writeback,
         // no issue, no barrier/block event, no fetch) and the front-end
-        // carries no pick between cycles, the machine state is frozen until
-        // the next timed event — jump straight to it instead of ticking.
+        // reports no cascade state (a held pick, or a bubble the next cycle
+        // fills), the machine state is frozen until the next timed event —
+        // jump straight to it instead of ticking.
         if self.cfg.fast_forward
             && !fetched
             && self.last_progress < self.cycle
             && !self.policy().carries_pick()
         {
-            self.fast_forward_idle(program, cap);
+            self.fast_forward_idle(program, limit);
         }
         if self.cycle - self.last_progress > WATCHDOG_CYCLES {
             return Err(SimError::Deadlock {
@@ -865,37 +865,32 @@ impl Sm {
     }
 
     /// Jumps the clock to one cycle before the next event that can unfreeze
-    /// the machine: the earliest pending writeback, issue-port release or —
-    /// for a machine-driven SM with outstanding memory traffic — the epoch
-    /// barrier at which its grants arrive. Exact with respect to
+    /// the machine — the earliest pending writeback or issue-port release —
+    /// and never past `limit`, a machine-driven SM's epoch barrier: grants
+    /// arrive there, and the machine ranks a batch of requests by the epoch
+    /// it was drained in, so an SM that crossed a barrier would move every
+    /// later one and change the arbitration. Exact with respect to
     /// cycle-by-cycle simulation — every skipped cycle would have issued
     /// nothing, fetched nothing and retired nothing, so only `cycle`,
     /// `idle_cycles` and the fetch round-robin pointers (which rotate
-    /// 1/cycle while no warp is fetchable) need advancing.
-    fn fast_forward_idle(&mut self, program: &Program, cap: Option<u64>) {
+    /// 1/cycle while no warp is fetchable) need advancing. Debug builds
+    /// hold the jump to that: they tick through the window first.
+    fn fast_forward_idle(&mut self, program: &Program, limit: u64) {
         let now = self.cycle;
         let mut next_event = self.pending_wb.next_ready_cycle().unwrap_or(u64::MAX);
         if let Some(t) = self.groups.next_release_after(now) {
             next_event = next_event.min(t);
         }
-        if let Some(limit) = cap {
-            // Waiting on an arbitration grant (or holding undelivered
-            // write traffic): the next relevant event is the barrier.
-            if !self.pending_mem.is_empty() || !self.mem_outbox.is_empty() {
-                next_event = next_event.min(limit);
-            }
-        }
-        let target = if next_event == u64::MAX {
+        if next_event == u64::MAX {
             // Nothing in flight at all: this is a deadlock — jump to where
-            // the watchdog fires so it is reported without 100k idle ticks
-            // (never past the machine's barrier, which may deliver work).
-            let watchdog = self.last_progress + WATCHDOG_CYCLES + 1;
-            cap.map_or(watchdog, |limit| watchdog.min(limit))
-        } else {
-            next_event
-        };
+            // the watchdog fires so it is reported without 100k idle ticks.
+            next_event = self.last_progress + WATCHDOG_CYCLES + 1;
+        }
+        let target = next_event.min(limit);
         if target > now + 1 {
             let skipped = target - now - 1;
+            #[cfg(debug_assertions)]
+            let ticked = self.tick_through_idle_window(program, skipped);
             self.cycle += skipped;
             self.stats.idle_cycles += skipped;
             let nw = self.cfg.num_warps as u64;
@@ -908,6 +903,12 @@ impl Sm {
             let mut policy = self.policy.take().expect("policy present outside issue");
             policy.account_idle_skip(&mut IssueCtx { sm: self, program }, skipped);
             self.policy = Some(policy);
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                (self.cycle, &self.stats, self.fetch_rr),
+                (ticked.0, &ticked.1, ticked.2),
+                "the jump over {skipped} idle cycles from cycle {now} is not what ticking computes"
+            );
         }
     }
 
@@ -1448,7 +1449,7 @@ impl Sm {
 
     /// A pseudo-random index below `n` from the seeded tie-breaking RNG.
     pub(crate) fn rand_below(&mut self, n: usize) -> usize {
-        self.rng.gen_range(0..n)
+        self.rng.below(n)
     }
 
     // --- back-end resource planning (policy-facing port queries) ---------------

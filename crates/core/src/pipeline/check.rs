@@ -2,16 +2,18 @@
 //! under `cfg(debug_assertions)`: checkers, not knobs.
 //!
 //! [`Sm::assert_event_state`] holds every set and record the events
-//! maintain against its derivation from the architectural state alone, and
-//! [`EventAudit`] counts the bookkeeping the loop actually did, so a test
-//! can say how much of it an event caused.
+//! maintain against its derivation from the architectural state alone,
+//! [`Sm::tick_through_idle_window`] holds every idle fast-forward against
+//! the cycles it skips, and [`EventAudit`] counts the bookkeeping the loop
+//! actually did, so a test can say how much of it an event caused.
 
 use std::cell::Cell;
 
-use warpweave_isa::UnitClass;
+use warpweave_isa::{Program, UnitClass};
 
 use super::Sm;
 use crate::policy::Ready;
+use crate::stats::Stats;
 
 /// Per-cycle bookkeeping done so far, by kind ([`Sm::event_audit`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -49,6 +51,34 @@ impl Sm {
         let r = self.ready_check_slow(w, slot).ok()?;
         (r.unit == UnitClass::Control || self.groups.find_free(r.unit, self.cycle).is_some())
             .then_some(r)
+    }
+
+    /// The idle fast-forward's reference: ticks through the `skipped`
+    /// cycles the jump is about to cross, asserting that none of them
+    /// issues, fetches or retires anything, and returns the `(cycle, stats,
+    /// fetch pointers)` ticking arrives at — with the clock, the counters,
+    /// the pointers and the audit put back, so the jump then starts from
+    /// the same state and can be held to the result.
+    pub(super) fn tick_through_idle_window(
+        &mut self,
+        program: &Program,
+        skipped: u64,
+    ) -> (u64, Stats, [usize; 2]) {
+        let before = (self.cycle, self.stats.clone(), self.fetch_rr);
+        let (audit, progress) = (self.audit.get(), self.last_progress);
+        for _ in 0..skipped {
+            let fetched = self.tick(program);
+            assert!(
+                !fetched && self.last_progress == progress,
+                "fast-forward from cycle {} would skip cycle {}, which is not idle",
+                before.0,
+                self.cycle
+            );
+        }
+        let ticked = (self.cycle, self.stats.clone(), self.fetch_rr);
+        (self.cycle, self.stats, self.fetch_rr) = before;
+        self.audit.set(audit);
+        ticked
     }
 
     /// Asserts, for both slots, that the readiness encoding is well-formed

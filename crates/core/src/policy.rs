@@ -181,8 +181,13 @@ pub trait IssuePolicy: std::fmt::Debug + Send {
         None
     }
 
-    /// True while the policy carries a pick between cycles (blocks the
-    /// idle fast-forward: the machine state is not frozen).
+    /// True while the policy holds cascade state that makes the next
+    /// cycle differ from this one although the SM's state is frozen: a
+    /// pick carried between cycles, and equally the cycle in which a
+    /// carried pick was dropped without issuing (SWI's bubble — the next
+    /// cycle's scheduler runs in a mode this one did not). Blocks the idle
+    /// fast-forward, for which "nothing issued" must imply "nothing is
+    /// issuable until the next timed event".
     fn carries_pick(&self) -> bool {
         false
     }

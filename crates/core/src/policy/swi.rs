@@ -31,6 +31,11 @@ pub struct SwiPolicy {
     /// Ibuf slots fetched per warp: 1 solo, 2 when combined with SBI.
     slots: usize,
     pending: Option<PendingPrimary>,
+    /// The pending primary evaporated this cycle: nothing issued, yet the
+    /// next cycle is not a repeat of this one — with no primary pending the
+    /// secondary scheduler picks solo, over instructions this cycle's
+    /// cascade never looked at.
+    bubble: bool,
     /// Warp of the last committed primary (GTO's greedy handle).
     last: Option<usize>,
 }
@@ -53,6 +58,7 @@ impl SwiPolicy {
             order,
             slots: 1,
             pending: None,
+            bubble: false,
             last: None,
         }
     }
@@ -63,6 +69,7 @@ impl SwiPolicy {
             order,
             slots: 2,
             pending: None,
+            bubble: false,
             last: None,
         }
     }
@@ -211,6 +218,7 @@ impl IssuePolicy for SwiPolicy {
         }
 
         let mut issued = 0;
+        self.bubble = false;
         let pending = self.pending.take();
         let mut secondary_issued: Option<(usize, usize)> = None; // (warp, slot)
         match pending {
@@ -256,8 +264,10 @@ impl IssuePolicy for SwiPolicy {
                         self.pending = Some(pp);
                         return 0;
                     }
+                } else {
+                    // Pick evaporated — bubble.
+                    self.bubble = true;
                 }
-                // else: pick evaporated — bubble.
             }
             None => {
                 // No pending primary (start-up or after a conflict): the
@@ -309,6 +319,6 @@ impl IssuePolicy for SwiPolicy {
     }
 
     fn carries_pick(&self) -> bool {
-        self.pending.is_some()
+        self.pending.is_some() || self.bubble
     }
 }

@@ -7,11 +7,34 @@
 //! results in job order regardless of how many worker threads execute
 //! them.
 
+use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
-use rayon::prelude::*;
-use rayon::{ThreadPool, ThreadPoolBuilder};
+thread_local! {
+    /// True while this thread executes a runner's jobs: a spawned worker
+    /// for its whole life, the calling thread for the length of a batch it
+    /// runs inline.
+    static IN_BATCH: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as inside a batch until dropped (also on
+/// unwind, so a panicking job cannot leave the caller's thread marked).
+struct BatchScope(bool);
+
+impl BatchScope {
+    fn enter() -> BatchScope {
+        BatchScope(IN_BATCH.replace(true))
+    }
+}
+
+impl Drop for BatchScope {
+    fn drop(&mut self) {
+        IN_BATCH.set(self.0);
+    }
+}
 
 /// Why one isolated job failed (after its retry budget was spent).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,6 +79,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// A parallel job runner with an optional thread cap.
 ///
+/// The ordered parallel map behind it is part of the determinism contract
+/// and owned here: scoped workers pull job indices off one atomic cursor
+/// and write each result into that job's own slot, so the output order is
+/// the input order whatever the worker count or the host's scheduling.
+///
 /// # Examples
 /// ```
 /// use warpweave_core::SweepRunner;
@@ -66,31 +94,38 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// ```
 #[derive(Debug, Default)]
 pub struct SweepRunner {
-    pool: Option<ThreadPool>,
+    cap: Option<usize>,
 }
 
 impl SweepRunner {
-    /// A runner using the ambient thread budget (all available cores, or
-    /// whatever rayon pool the caller installed).
+    /// An uncapped runner: one worker per available core — or, when used
+    /// from inside another runner's job (a [`crate::Machine`] simulated by
+    /// a sweep cell), none at all: the batch runs inline on the worker it
+    /// was called from, whose runner already spent the thread budget.
     pub fn new() -> SweepRunner {
-        SweepRunner { pool: None }
+        SweepRunner { cap: None }
     }
 
-    /// A runner capped at `threads` workers. `run` results are identical
-    /// for every cap — only wall-clock time changes.
+    /// A runner capped at `threads` workers, honoured wherever it is used.
+    /// `run` results are identical for every cap — only wall-clock time
+    /// changes.
     pub fn with_threads(threads: usize) -> SweepRunner {
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(threads.max(1))
-            .build()
-            .expect("thread pool construction cannot fail");
-        SweepRunner { pool: Some(pool) }
+        SweepRunner {
+            cap: Some(threads.max(1)),
+        }
     }
 
-    /// The worker budget `run` will use.
+    /// The worker budget `run` will use on this thread.
     pub fn threads(&self) -> usize {
-        match &self.pool {
-            Some(pool) => pool.current_num_threads(),
-            None => rayon::current_num_threads(),
+        match self.cap {
+            Some(n) => n,
+            None if IN_BATCH.get() => 1,
+            None => {
+                // Asked once: the query reads cgroup files (~16 µs), and a
+                // machine asks before every epoch.
+                static CORES: OnceLock<usize> = OnceLock::new();
+                *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+            }
         }
     }
 
@@ -105,11 +140,36 @@ impl SweepRunner {
         R: Send,
         F: Fn(&J) -> R + Sync + Send,
     {
-        let map = || jobs.par_iter().map(&f).collect();
-        match &self.pool {
-            Some(pool) => pool.install(map),
-            None => map(),
+        let workers = self.threads().min(jobs.len());
+        if workers <= 1 {
+            let _batch = BatchScope::enter();
+            return jobs.iter().map(f).collect();
         }
+        let cursor = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<R>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    let _batch = BatchScope::enter();
+                    loop {
+                        // Relaxed: the cursor only hands out indices; the
+                        // scope's join publishes the slots.
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(job) = jobs.get(i) else { return };
+                        let result = f(job);
+                        *slots[i].lock().expect("no job panics holding its slot") = Some(result);
+                    }
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("no job panics holding its slot")
+                    .expect("the scope joined, so every job ran")
+            })
+            .collect()
     }
 
     /// Fault-isolated parallel map: each job attempt runs under
@@ -185,8 +245,7 @@ impl SweepRunner {
         R: Send,
         F: Fn(&mut J) -> R + Sync + Send,
     {
-        let cells: Vec<std::sync::Mutex<&mut J>> =
-            jobs.iter_mut().map(std::sync::Mutex::new).collect();
+        let cells: Vec<Mutex<&mut J>> = jobs.iter_mut().map(Mutex::new).collect();
         // Poison-tolerant: a panic elsewhere in the batch must not turn
         // into a second, spurious mutex abort here.
         self.run(&cells, |cell| {
@@ -235,6 +294,26 @@ mod tests {
     fn reports_thread_budget() {
         assert_eq!(SweepRunner::with_threads(3).threads(), 3);
         assert!(SweepRunner::new().threads() >= 1);
+    }
+
+    #[test]
+    fn nested_uncapped_runner_runs_inline_and_an_explicit_cap_is_honoured() {
+        let seen = SweepRunner::with_threads(2).run(&[(); 4], |()| {
+            let worker = std::thread::current().id();
+            let nested = SweepRunner::new();
+            let ran_on = nested.run(&[(); 8], |()| std::thread::current().id());
+            (
+                nested.threads(),
+                ran_on.iter().all(|&id| id == worker),
+                SweepRunner::with_threads(3).threads(),
+            )
+        });
+        assert_eq!(seen, [(1, true, 3); 4]);
+        // A one-worker batch runs on the caller and is a batch all the
+        // same — for its duration only.
+        let inline = SweepRunner::with_threads(1).run(&[()], |()| SweepRunner::new().threads());
+        assert_eq!(inline, [1]);
+        assert!(!IN_BATCH.get());
     }
 
     #[test]

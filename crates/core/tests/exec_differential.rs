@@ -18,6 +18,7 @@
 use proptest::prelude::*;
 use warpweave_core::exec::{execute_thread, execute_warp, guard_passes, ThreadRegs};
 use warpweave_core::{execute_fused, LaneShuffle, Mask, WarpInfo, WarpRegFile};
+use warpweave_isa::fuzz::splitmix64;
 use warpweave_isa::superblock::build_superblocks;
 use warpweave_isa::{
     p, r, CmpOp, FusedOp, Guard, Instruction, Op, Operand, Pc, SpecialReg, NUM_PREDS, NUM_REGS,
@@ -185,15 +186,6 @@ fn decode_instruction(a: u64, b: u64) -> Instruction {
     i
 }
 
-/// SplitMix64 — seeds both register-state representations identically.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The scalar reference: the exact per-thread loop the pipeline ran before
 /// the SoA refactor — guard check, execute, commit, in ascending thread
 /// order, skipping unpopulated threads.
@@ -297,13 +289,13 @@ fn run_differential(width: usize, seq: &[(u64, u64)], state_seed: u64, mask_bits
     let mut s = state_seed;
     for t in 0..width {
         for ri in 0..NUM_REGS {
-            let v = splitmix(&mut s) as u32;
+            let v = splitmix64(&mut s) as u32;
             rf.set_reg(t, ri, v);
             rf_sb.set_reg(t, ri, v);
             regs[t].set_reg(ri, v);
         }
         for pi in 0..NUM_PREDS {
-            let v = splitmix(&mut s) & 1 == 1;
+            let v = splitmix64(&mut s) & 1 == 1;
             rf.set_pred(t, pi, v);
             rf_sb.set_pred(t, pi, v);
             regs[t].set_pred(pi, v);
@@ -315,7 +307,7 @@ fn run_differential(width: usize, seq: &[(u64, u64)], state_seed: u64, mask_bits
     let mut mask_entropy = state_seed ^ 0x5eed;
     for (n, instr) in instrs.iter().enumerate() {
         // A fresh (possibly partial) issue mask per instruction.
-        let mask = Mask::from_bits(splitmix(&mut mask_entropy)) & full;
+        let mask = Mask::from_bits(splitmix64(&mut mask_entropy)) & full;
         let active = mask & populated;
 
         let soa_taken = execute_warp(instr, &mut rf, &info, &PARAMS, active, &mut soa_accesses);
@@ -412,7 +404,7 @@ fn barrier_exit_inert_and_atomic_access_parity() {
     let mut regs: Vec<ThreadRegs> = (0..width).map(|_| ThreadRegs::new()).collect();
     for t in 0..width {
         for ri in 0..GEN_REGS as usize {
-            let v = splitmix(&mut state) as u32;
+            let v = splitmix64(&mut state) as u32;
             rf.set_reg(t, ri, v);
             regs[t].set_reg(ri, v);
         }

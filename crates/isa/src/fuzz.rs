@@ -81,11 +81,15 @@ pub fn launch_params(seed: u64) -> Vec<u32> {
 /// The deterministic contents preloaded at [`INPUT_BASE`] before a run.
 pub fn input_words(seed: u64) -> Vec<u32> {
     let mut s = seed ^ 0xa5a5_5a5a_1234_9876;
-    (0..REGION_WORDS).map(|_| splitmix(&mut s) as u32).collect()
+    (0..REGION_WORDS)
+        .map(|_| splitmix64(&mut s) as u32)
+        .collect()
 }
 
-/// SplitMix64 step — the only randomness source in this module.
-fn splitmix(state: &mut u64) -> u64 {
+/// SplitMix64 step — the only randomness source in this module, and the
+/// workspace's one copy of the function: `warpweave-core` seeds its
+/// tie-break stream and its fuzz harnesses' register state from it.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -105,7 +109,7 @@ impl FuzzRng {
 
     /// Next raw 64-bit word.
     pub fn next_u64(&mut self) -> u64 {
-        splitmix(&mut self.0)
+        splitmix64(&mut self.0)
     }
 
     /// Uniform value in `0..n` (`n > 0`).

@@ -177,8 +177,8 @@ pub struct SharedDramChannel {
     /// Fractional cycle at which the channel next becomes free.
     free: f64,
     stats: ChannelStats,
-    /// Completions granted but not yet in the past — the machine queries
-    /// this to fast-forward idle epochs to the next memory event.
+    /// Completions granted but not yet retired as past — what the
+    /// machine's livelock watchdog asks about: traffic still in flight.
     inflight: MemEventQueue<()>,
 }
 
@@ -255,20 +255,12 @@ impl SharedDramChannel {
         requests.iter().map(|r| self.grant(r)).collect()
     }
 
-    /// The earliest granted completion at or after `now` — lets a driver
-    /// fast-forward idle stretches to the next memory event. A pure peek:
-    /// repeated calls return the same answer and never change subsequent
-    /// grant results (past completions are pruned lazily on every
-    /// [`SharedDramChannel::grant`], or explicitly via
-    /// [`SharedDramChannel::retire_completions_before`]).
-    pub fn next_completion_at_or_after(&self, now: u64) -> Option<u64> {
-        self.inflight.next_ready_at_or_after(now)
-    }
-
     /// Discards granted completions strictly before `now` so
     /// [`SharedDramChannel::outstanding_transfers`] stays a tight bound on
-    /// work still in flight. Callers with a monotonic clock (the machine's
-    /// epoch loop) invoke this deliberately; the peek above never does.
+    /// work still in flight (they are also pruned lazily on every
+    /// [`SharedDramChannel::grant`]). Never changes a later grant. Callers
+    /// with a monotonic clock (the machine's epoch loop) invoke it at each
+    /// barrier.
     pub fn retire_completions_before(&mut self, now: u64) {
         while self.inflight.pop_ready(now.saturating_sub(1)).is_some() {}
     }
@@ -354,30 +346,17 @@ mod tests {
     }
 
     #[test]
-    fn next_completion_tracks_inflight() {
+    fn retiring_discards_past_completions_only() {
         let mut ch = SharedDramChannel::new(DramConfig::paper());
-        assert_eq!(ch.next_completion_at_or_after(0), None);
-        ch.grant(&read(0, 0, 0));
-        ch.grant(&read(0, 0, 1));
-        assert_eq!(ch.next_completion_at_or_after(0), Some(330));
-        assert_eq!(ch.next_completion_at_or_after(331), Some(342));
-        assert_eq!(ch.next_completion_at_or_after(400), None);
-    }
-
-    #[test]
-    fn peek_is_non_destructive() {
-        let mut ch = SharedDramChannel::new(DramConfig::paper());
-        ch.grant(&read(0, 0, 0));
-        ch.grant(&read(0, 0, 1));
+        ch.grant(&read(0, 0, 0)); // completes at 330
+        ch.grant(&read(0, 0, 1)); // completes at 342
         assert_eq!(ch.outstanding_transfers(), 2);
-        // Peeking past the first completion must not discard it.
-        assert_eq!(ch.next_completion_at_or_after(331), Some(342));
-        assert_eq!(ch.outstanding_transfers(), 2);
-        assert_eq!(ch.next_completion_at_or_after(0), Some(330));
-        // Retiring is the explicit, separate operation.
+        ch.retire_completions_before(330);
+        assert_eq!(ch.outstanding_transfers(), 2, "330 is not before 330");
         ch.retire_completions_before(331);
         assert_eq!(ch.outstanding_transfers(), 1);
-        assert_eq!(ch.next_completion_at_or_after(0), Some(342));
+        ch.retire_completions_before(343);
+        assert_eq!(ch.outstanding_transfers(), 0);
     }
 
     #[test]

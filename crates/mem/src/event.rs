@@ -102,17 +102,6 @@ impl<T> MemEventQueue<T> {
         self.heap.peek().map(|Reverse(e)| e.ready_cycle)
     }
 
-    /// The earliest queued fire cycle at or after `now`, if any — a pure
-    /// read: the queue is not modified. Events before `now` are skipped,
-    /// not removed (O(len) scan; the queue is bounded by outstanding work).
-    pub fn next_ready_at_or_after(&self, now: u64) -> Option<u64> {
-        self.heap
-            .iter()
-            .map(|Reverse(e)| e.ready_cycle)
-            .filter(|&c| c >= now)
-            .min()
-    }
-
     /// Pops the minimum event if it fires at or before `now`.
     pub fn pop_ready(&mut self, now: u64) -> Option<MemEvent<T>> {
         if self.next_ready_cycle()? <= now {

@@ -3,7 +3,7 @@
 //! The memory hierarchy for the warpweave SIMT simulator: a sparse flat
 //! [`Memory`] backing store, the 128-byte [`coalesce()`]r with atomic replay
 //! scheduling, a set-associative tag-only L1 [`Cache`], a
-//! throughput/latency-limited private [`Dram`] channel, and the
+//! throughput/latency-limited [`Dram`] reference channel, and the
 //! event-driven shared-bandwidth subsystem — a deterministic
 //! [`MemEventQueue`] (with the O(1) [`CalendarQueue`] an SM's writebacks
 //! use built over it) and the [`SharedDramChannel`] that arbitrates one
@@ -12,14 +12,17 @@
 //! Parameters default to the paper's table 2: 48 K 6-way 128 B L1 at 3
 //! cycles; 10 GB/s, 330 ns memory for one SM.
 //!
-//! Two off-chip models coexist:
+//! One off-chip model runs simulations, a second is its reference:
 //!
-//! * [`Dram`] — the original inline model: one private channel per SM,
-//!   completion time computed at the moment of the request.
-//! * [`SharedDramChannel`] — the machine-level model: SMs enqueue
-//!   [`MemRequest`]s and receive [`MemGrant`]s from a deterministic
+//! * [`SharedDramChannel`] — what every SM uses: its own private channel
+//!   granted inline, or, on a shared-channel machine, the pool SMs enqueue
+//!   [`MemRequest`]s into and receive [`MemGrant`]s from by a deterministic
 //!   per-epoch arbitration ordered by `(issue_cycle, rotating SM priority,
 //!   sequence number)`; see [`channel`] for the contract.
+//! * [`Dram`] — the original inline model (completion time computed at the
+//!   moment of the request). No simulator path constructs it any more; it
+//!   stays as the arithmetic a one-SM channel schedule is held to
+//!   (`tests/channel_properties.rs`).
 //!
 //! # Examples
 //! ```

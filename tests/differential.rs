@@ -3,9 +3,7 @@
 //! Warp64, SBI, SWI, SBI+SWI) — the strongest cross-cutting correctness
 //! property of the simulator.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
+use warpweave::core::rng::TieBreakRng;
 use warpweave::core::{Launch, Sm, SmConfig};
 use warpweave::isa::{p, r, CmpOp, KernelBuilder, Operand, Program, SpecialReg};
 
@@ -15,7 +13,7 @@ const OUT: u32 = 0x40_0000;
 /// if/else nests and bounded data-dependent loops, finishing with a store
 /// of the working registers.
 fn random_program(seed: u64) -> Program {
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = TieBreakRng::new(seed);
     let mut k = KernelBuilder::new(format!("fuzz{seed}"));
     let mut label = 0usize;
     // r0 = gtid; r1 = &out[gtid]; r8..r12 = working registers seeded from tid.
@@ -37,26 +35,26 @@ fn random_program(seed: u64) -> Program {
     k.build().expect("random program assembles")
 }
 
-fn gen_block(k: &mut KernelBuilder, rng: &mut SmallRng, depth: usize, label: &mut usize) {
-    let stmts = rng.gen_range(2..5);
+fn gen_block(k: &mut KernelBuilder, rng: &mut TieBreakRng, depth: usize, label: &mut usize) {
+    let stmts = 2 + rng.below(3);
     for _ in 0..stmts {
-        let wr = |rng: &mut SmallRng| r(8 + rng.gen_range(0..5u8));
-        match rng.gen_range(0..if depth < 3 { 10 } else { 6 }) {
+        let wr = |rng: &mut TieBreakRng| r(8 + rng.below(5) as u8);
+        match rng.below(if depth < 3 { 10 } else { 6 }) {
             0..=3 => {
                 // ALU statement.
                 let (d, a, b) = (wr(rng), wr(rng), wr(rng));
-                match rng.gen_range(0..5) {
+                match rng.below(5) {
                     0 => k.iadd(d, a, b),
                     1 => k.imul(d, a, b),
                     2 => k.xor(d, a, b),
-                    3 => k.imad(d, a, b, rng.gen_range(-9..9)),
-                    _ => k.shr(d, a, rng.gen_range(0..5)),
+                    3 => k.imad(d, a, b, rng.below(18) as i32 - 9),
+                    _ => k.shr(d, a, rng.below(5) as i32),
                 };
             }
             4 | 5 => {
                 // Predicated statement (no branch).
                 let c = wr(rng);
-                k.isetp(p(0), CmpOp::Gt, c, rng.gen_range(-100..100));
+                k.isetp(p(0), CmpOp::Gt, c, rng.below(200) as i32 - 100);
                 let (d, a) = (wr(rng), wr(rng));
                 k.guard_t(p(0)).iadd(d, a, 1i32);
             }
@@ -65,7 +63,7 @@ fn gen_block(k: &mut KernelBuilder, rng: &mut SmallRng, depth: usize, label: &mu
                 let id = *label;
                 *label += 1;
                 let c = wr(rng);
-                k.and_(r(3), c, 1 << rng.gen_range(0..4));
+                k.and_(r(3), c, 1 << rng.below(4));
                 k.isetp(p(1), CmpOp::Eq, r(3), 0i32);
                 k.bra_if(p(1), format!("else{id}"));
                 gen_block(k, rng, depth + 1, label);
