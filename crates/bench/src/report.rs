@@ -352,11 +352,33 @@ pub fn parse_golden_cells(text: &str) -> Result<Vec<(String, CellRecord)>, Strin
     cells.collect()
 }
 
+/// What moved on drifted golden line `line_no`: one `key: counter old →
+/// new` line per counter that differs, when both sides decode
+/// ([`parse_golden_cells`]) to the same cell — a note saying so otherwise.
+fn counter_drift(line_no: usize, committed: &str, current: &str) -> String {
+    let decode = |line| match parse_golden_cells(line).as_deref() {
+        Ok([(key, record)]) => {
+            let mut fields = record.stats.to_fields();
+            fields.extend(record.channel.iter().flat_map(ChannelStats::to_fields));
+            Some((key.clone(), fields))
+        }
+        _ => None,
+    };
+    match (decode(committed), decode(current)) {
+        (Some((key, old)), Some((same, new))) if key == same => std::iter::zip(old, new)
+            .filter(|(old, new)| old != new)
+            .map(|((name, old), (_, new))| format!("{key}: {name} {old} → {new}\n"))
+            .collect(),
+        _ => format!("line {line_no}: not one cell on both sides, counters not compared\n"),
+    }
+}
+
 /// Diffs a freshly rendered golden baseline against the committed one,
 /// line by line, with a tolerance of exactly zero. Returns `Ok(())` on
 /// byte identity; otherwise a human-readable report naming every drifted
-/// line (`- committed` / `+ current`), which the CI job uploads as its
-/// failure artifact.
+/// line (`- committed` / `+ current`) and then, per drifted cell, the
+/// counters that moved (`key: counter old → new`), which the CI job
+/// uploads as its failure artifact.
 ///
 /// # Errors
 /// The diff report.
@@ -371,6 +393,7 @@ pub fn check_golden(committed: &str, current: &str) -> Result<(), String> {
          so any drift is a real behaviour change; re-record with --record-golden\n\
          if it is intentional):\n",
     );
+    let mut counters = String::from("drifted counters:\n");
     let mut drifted = 0usize;
     for i in 0..a.len().max(b.len()) {
         match (a.get(i), b.get(i)) {
@@ -385,6 +408,11 @@ pub fn check_golden(committed: &str, current: &str) -> Result<(), String> {
                     if let Some(y) = y {
                         report.push_str(&format!("+ {y}\n"));
                     }
+                    counters.push_str(&counter_drift(
+                        i + 1,
+                        x.copied().unwrap_or(""),
+                        y.copied().unwrap_or(""),
+                    ));
                 }
             }
         }
@@ -392,6 +420,7 @@ pub fn check_golden(committed: &str, current: &str) -> Result<(), String> {
     if drifted > 64 {
         report.push_str(&format!("... and {} more drifted lines\n", drifted - 64));
     }
+    report.push_str(&counters);
     report.push_str(&format!("{drifted} drifted line(s) in total\n"));
     Err(report)
 }
@@ -409,6 +438,21 @@ mod tests {
         assert!(report.contains("- l2"), "{report}");
         assert!(report.contains("+ l2 drifted"), "{report}");
         assert!(report.contains("1 drifted line(s)"), "{report}");
+        assert!(report.contains("line 2: not one cell"), "{report}");
+        // A drifted cell line also names the counters that moved.
+        let parked = Stats {
+            constraint_suspensions: 13861,
+            ..Stats::default()
+        };
+        let cell = |stats| golden_cell("3DFD/SBI+SWI", stats, None).text(None);
+        let (old, new) = (cell(&Stats::default()), cell(&parked));
+        let report = check_golden(&old, &new).unwrap_err();
+        let named: Vec<&str> = report.lines().filter(|l| l.contains('→')).collect();
+        assert_eq!(
+            named,
+            ["3DFD/SBI+SWI: constraint_suspensions 0 → 13861"],
+            "{report}"
+        );
     }
 
     #[test]

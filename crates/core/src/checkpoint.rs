@@ -18,12 +18,12 @@
 //!   line, quarantines the damaged tail as a `.quarantine` sidecar, and
 //!   lets the sweep resume from the intact prefix.
 //!
-//! # File format (`CHECKPOINT_VERSION` 4)
+//! # File format (`CHECKPOINT_VERSION` 5)
 //!
 //! Line-oriented UTF-8. The first line is the header:
 //!
 //! ```text
-//! warpweave-sweep-checkpoint v4 grid=<16 hex digits>
+//! warpweave-sweep-checkpoint v5 grid=<16 hex digits>
 //! ```
 //!
 //! Every subsequent line is one completed cell:
@@ -37,9 +37,10 @@
 //! the trailer is the FNV-1a 64 checksum of everything before the `|#`.
 //! A crash mid-append leaves a torn final line; the checksum catches it.
 //!
-//! **Versioning rule:** any change to the field lists, the line grammar or
-//! the checksum must bump [`CHECKPOINT_VERSION`] — old files then fail the
-//! header check cleanly instead of decoding garbage. The field lists are
+//! **Versioning rule:** any change to the field lists, the line grammar,
+//! the checksum or what a counter counts must bump [`CHECKPOINT_VERSION`]
+//! — old files then fail the header check cleanly instead of decoding
+//! garbage or mixing old values into a new grid. The field lists are
 //! the rows of the two counter tables ([`Stats::FIELD_NAMES`],
 //! [`ChannelStats::FIELD_NAMES`]; a counter cannot exist outside its
 //! table), and `format_is_pinned_to_the_version` below holds a digest of
@@ -60,7 +61,7 @@ use crate::stats::Stats;
 
 /// Current checkpoint file-format version (see the module docs for the
 /// rules that force a bump).
-pub const CHECKPOINT_VERSION: u32 = 4;
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// The header magic of a checkpoint file.
 const MAGIC: &str = "warpweave-sweep-checkpoint";
@@ -618,17 +619,18 @@ mod tests {
         ];
         assert_eq!(
             (CHECKPOINT_VERSION, names.map(|n| fnv1a(n.as_bytes()))),
-            (4, [0xda25_d408_55b5_59bc, 0x93d5_d5cf_b01b_d694]),
+            (5, [0xda25_d408_55b5_59bc, 0x93d5_d5cf_b01b_d694]),
             "the counter tables changed the serialised format: bump CHECKPOINT_VERSION, \
              update this pin (and the literal line below) and re-record the golden file \
              (`bench_sweep --record-golden`) in the same change"
         );
     }
 
-    /// A probe line as the v4 format writes it (both sections, L2 counters
-    /// non-zero; the `superblock_*` rows read 0 since the trace engine left
-    /// the issue path — the change of value that made v4).
-    const V4_PROBE_LINE: &str = "\
+    /// A probe line as the v5 format writes it (both sections, L2 counters
+    /// non-zero). v4's bytes: the change of value that made v5 —
+    /// `constraint_suspensions` counts parked secondaries under every
+    /// policy — leaves a cell that parks nothing alone.
+    const V5_PROBE_LINE: &str = "\
         cell|machine/MatrixMul/4sm/shared+2ch+mshr32+l2|s:cycles=1719,\
         thread_instructions=137216,warp_instructions=2144,primary_issues=559,\
         secondary_issues=1585,same_group_coissues=0,other_group_coissues=1585,\
@@ -645,15 +647,15 @@ mod tests {
         l2_cross_sm_evictions=0|#c8639f51d1d4e5d6";
 
     #[test]
-    fn literal_v4_line_decodes_and_re_encodes_to_the_same_bytes() {
-        let (key, record) = decode_cell(V4_PROBE_LINE).unwrap();
+    fn literal_v5_line_decodes_and_re_encodes_to_the_same_bytes() {
+        let (key, record) = decode_cell(V5_PROBE_LINE).unwrap();
         assert_eq!(key, "machine/MatrixMul/4sm/shared+2ch+mshr32+l2");
         assert_eq!(
             (record.stats.cycles, record.stats.heap.max_live_splits),
             (1719, 1)
         );
         assert_eq!(record.channel.unwrap().l2_hits, 128);
-        assert_eq!(encode_cell(&key, &record), V4_PROBE_LINE);
+        assert_eq!(encode_cell(&key, &record), V5_PROBE_LINE);
     }
 
     #[test]

@@ -150,12 +150,12 @@ pub struct SmConfig {
     /// Skip over provably-idle stretches by jumping the clock to the next
     /// writeback / port-release event instead of ticking cycle-by-cycle.
     /// A jump needs a cycle in which nothing issued, fetched or retired
-    /// *and* the policy reports no cascade state
-    /// ([`crate::IssuePolicy::carries_pick`]); it never crosses a machine's
-    /// epoch barrier. Bit-identical to exhaustive ticking at every scale
-    /// the repository runs (`fast_forward_is_exact`,
-    /// `switch_invariance.rs`; debug builds re-check every jump). Disable
-    /// it to trace cycle by cycle.
+    /// *and* no `(warp, slot)` is eligible with a free port — a property
+    /// of the SM alone, whatever state the policy carries between cycles;
+    /// it never crosses a machine's epoch barrier. Bit-identical to
+    /// exhaustive ticking at every scale the repository runs
+    /// (`fast_forward_is_exact`, `switch_invariance.rs`; debug builds
+    /// re-check every jump). Disable it to trace cycle by cycle.
     pub fast_forward: bool,
     /// Back-end SIMD groups.
     pub groups: Vec<GroupConfig>,

@@ -312,29 +312,6 @@ impl FrontierHeap {
         }
         update
     }
-
-    /// Removes exited threads from every context (used when threads exit
-    /// from a split that is being dismantled externally, e.g. kernel
-    /// teardown in tests). Normal exits flow through
-    /// [`Transition::Exit`].
-    pub fn exit_mask(&mut self, m: Mask) {
-        for c in self.hct.iter_mut().flatten() {
-            c.mask = c.mask - m;
-        }
-        for c in &mut self.cct {
-            c.mask = c.mask - m;
-        }
-        self.cct.retain(|c| !c.mask.is_empty());
-        let mut live: Vec<Ctx> = self
-            .hct
-            .iter()
-            .flatten()
-            .copied()
-            .filter(|c| !c.mask.is_empty())
-            .collect();
-        self.promote_cct_heads(&mut live);
-        self.resort(&mut live, true);
-    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //!   the differential test suite can check `execute_warp` lane-by-lane
 //!   against an independent, obviously-sequential implementation.
 
-use warpweave_isa::{CmpOp, Instruction, Op, Operand, SpecialReg, NUM_PREDS, NUM_REGS};
+use warpweave_isa::{Instruction, Op, Operand, SpecialReg, NUM_PREDS, NUM_REGS};
 
 use crate::launch::WarpInfo;
 use crate::mask::Mask;
@@ -513,16 +513,10 @@ pub fn execute_warp(
     Mask::EMPTY
 }
 
-/// Convenience: evaluates a comparison the way `ISetP` would (used by
-/// tests).
-pub fn compare_i32(cmp: CmpOp, a: i32, b: i32) -> bool {
-    cmp.eval_i32(a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warpweave_isa::{p, r, Guard, KernelBuilder};
+    use warpweave_isa::{p, r, CmpOp, Guard, KernelBuilder};
 
     fn setup() -> (ThreadRegs, ThreadInfo) {
         let mut regs = ThreadRegs::new();

@@ -808,6 +808,8 @@ impl Sm {
         self.validate_ibufs();
         #[cfg(debug_assertions)]
         self.assert_event_state();
+        // §5.1: one per parked secondary per cycle, whatever the policy.
+        self.stats.constraint_suspensions += u64::from(self.suspended.count_ones());
         // The policy is taken out for the call so it can borrow the SM
         // mutably through the `IssueCtx` view; it is always restored.
         let mut policy = self.policy.take().expect("policy present outside issue");
@@ -829,16 +831,16 @@ impl Sm {
     fn step_capped(&mut self, program: &Program, limit: u64) -> Result<(), SimError> {
         let fetched = self.tick(program);
         // Idle fast-forward: if this whole cycle did nothing (no writeback,
-        // no issue, no barrier/block event, no fetch) and the front-end
-        // reports no cascade state (a held pick, or a bubble the next cycle
-        // fills), the machine state is frozen until the next timed event —
-        // jump straight to it instead of ticking.
+        // no issue, no barrier/block event, no fetch) and nothing is
+        // eligible with a free port — all a policy can ever commit, whatever
+        // it carries between cycles — the machine state is frozen until the
+        // next timed event: jump straight to it instead of ticking.
         if self.cfg.fast_forward
             && !fetched
             && self.last_progress < self.cycle
-            && !self.policy().carries_pick()
+            && (0..2).all(|slot| self.ready_set(slot, !0, !0) == 0)
         {
-            self.fast_forward_idle(program, limit);
+            self.fast_forward_idle(limit);
         }
         if self.cycle - self.last_progress > WATCHDOG_CYCLES {
             return Err(SimError::Deadlock {
@@ -871,11 +873,11 @@ impl Sm {
     /// it was drained in, so an SM that crossed a barrier would move every
     /// later one and change the arbitration. Exact with respect to
     /// cycle-by-cycle simulation — every skipped cycle would have issued
-    /// nothing, fetched nothing and retired nothing, so only `cycle`,
-    /// `idle_cycles` and the fetch round-robin pointers (which rotate
+    /// nothing, fetched nothing and retired nothing, so only `cycle`, the
+    /// per-cycle counters and the fetch round-robin pointers (which rotate
     /// 1/cycle while no warp is fetchable) need advancing. Debug builds
     /// hold the jump to that: they tick through the window first.
-    fn fast_forward_idle(&mut self, program: &Program, limit: u64) {
+    fn fast_forward_idle(&mut self, limit: u64) {
         let now = self.cycle;
         let mut next_event = self.pending_wb.next_ready_cycle().unwrap_or(u64::MAX);
         if let Some(t) = self.groups.next_release_after(now) {
@@ -890,19 +892,14 @@ impl Sm {
         if target > now + 1 {
             let skipped = target - now - 1;
             #[cfg(debug_assertions)]
-            let ticked = self.tick_through_idle_window(program, skipped);
+            let ticked = self.tick_through_idle_window(&Arc::clone(&self.program), skipped);
             self.cycle += skipped;
             self.stats.idle_cycles += skipped;
+            self.stats.constraint_suspensions += skipped * u64::from(self.suspended.count_ones());
             let nw = self.cfg.num_warps as u64;
             for rr in &mut self.fetch_rr {
                 *rr = ((*rr as u64 + skipped) % nw) as usize;
             }
-            // Policies that count a per-cycle condition even on idle
-            // cycles (SBI's parked secondaries) replicate it for the
-            // skipped window so fast-forwarding stays statistics-exact.
-            let mut policy = self.policy.take().expect("policy present outside issue");
-            policy.account_idle_skip(&mut IssueCtx { sm: self, program }, skipped);
-            self.policy = Some(policy);
             #[cfg(debug_assertions)]
             assert_eq!(
                 (self.cycle, &self.stats, self.fetch_rr),
@@ -1359,12 +1356,6 @@ impl Sm {
         self.ready[w][slot].get()
     }
 
-    /// Warps whose secondary slot an SBI reconvergence constraint parks
-    /// (§3.3) — maintained at context moves, so reading it costs nothing.
-    pub(crate) fn suspended_warps(&self) -> u64 {
-        self.suspended
-    }
-
     /// The context-and-buffer half of the readiness evaluation: the checks
     /// only a context move or a fetch fill can change. `ctx` is the context
     /// feeding `(w, slot)`; `cpc1` looks up the primary context's pc and is
@@ -1397,10 +1388,9 @@ impl Sm {
             return Err(StallReason::Constraint);
         }
         // No "fetched this cycle" test: an entry is never evaluated in its
-        // fetch cycle. Readiness is evaluated only through an `IssueCtx`,
-        // which exists inside `policy.issue` — before `fetch` in
-        // `step_capped` — and inside `account_idle_skip`, reached only when
-        // this cycle's `fetch` filled nothing.
+        // fetch cycle. Readiness is evaluated inside `policy.issue` — before
+        // `fetch` in `tick` — and by `step_capped`'s idle probe, reached
+        // only when this cycle's `fetch` filled nothing.
         let entry = self.warps[w].ibuf[slot].filter(|e| e.pc == pc);
         Ok((pc, mask, entry.ok_or(StallReason::IbufEmpty)?, meta))
     }

@@ -22,6 +22,11 @@
 //! squashed); the SWI cascade's pending-primary revalidation shows the
 //! pattern.
 //!
+//! State carried between cycles needs no hook: the SM's clock (idle
+//! fast-forward, per-cycle counters) asks a policy nothing — it can only
+//! ever commit an eligible, port-free instruction, and the SM jumps only
+//! when there is none (`tests/custom_policy.rs` runs a delayed issuer).
+//!
 //! # How to scan
 //!
 //! Never probe `0..num_warps` with [`IssueCtx::ready_check`] every cycle:
@@ -180,25 +185,6 @@ pub trait IssuePolicy: std::fmt::Debug + Send {
         let _ = warp;
         None
     }
-
-    /// True while the policy holds cascade state that makes the next
-    /// cycle differ from this one although the SM's state is frozen: a
-    /// pick carried between cycles, and equally the cycle in which a
-    /// carried pick was dropped without issuing (SWI's bubble — the next
-    /// cycle's scheduler runs in a mode this one did not). Blocks the idle
-    /// fast-forward, for which "nothing issued" must imply "nothing is
-    /// issuable until the next timed event".
-    fn carries_pick(&self) -> bool {
-        false
-    }
-
-    /// Statistics hook for the idle fast-forward: `skipped` cycles were
-    /// provably issue-free and are being jumped over; policies that count
-    /// a per-cycle condition (SBI's parked secondaries) replicate it here
-    /// so fast-forwarding stays statistics-exact.
-    fn account_idle_skip(&mut self, ctx: &mut IssueCtx<'_>, skipped: u64) {
-        let _ = (ctx, skipped);
-    }
 }
 
 /// The narrow, policy-facing view of one [`Sm`].
@@ -285,15 +271,6 @@ impl IssueCtx<'_> {
             .iter()
             .min_by_key(|&w| self.ready_info(w, slot).seq)?;
         Some(self.ready_info(w, slot))
-    }
-
-    /// Counts `cycles` cycles of SBI constraint suspensions — one per
-    /// parked secondary per cycle (§3.3; §5.1 statistics). The parked set
-    /// is kept exact at context moves, the only events that can change it
-    /// (every scan's debug cross-check re-derives it per warp).
-    pub fn count_constraint_suspensions(&mut self, cycles: u64) {
-        let parked = self.sm.suspended_warps().count_ones() as u64;
-        self.sm.stats_mut().constraint_suspensions += cycles * parked;
     }
 
     /// Counts one SWI mask-lookup probe.

@@ -14,7 +14,6 @@ use super::{FetchChannels, FetchPref, IssueCtx, IssuePolicy, Pick, SchedOrder};
 /// falls back to the oldest ready instruction of another warp for a
 /// *different* free SIMD group (conventional multiple-issue — full masks
 /// cannot share lanes). Both picks are [`IssueCtx::oldest_ready`] scans,
-/// and the §3.3 constraint-suspension statistic reads a maintained set,
 /// so a cycle's cost follows the warps that woke, not the pool size.
 #[derive(Debug, Default)]
 pub struct SbiPolicy {
@@ -38,7 +37,6 @@ impl SbiPolicy {
 
 impl IssuePolicy for SbiPolicy {
     fn issue(&mut self, ctx: &mut IssueCtx<'_>) -> usize {
-        ctx.count_constraint_suspensions(1);
         // Greedy handle first (GTO only), else the oldest ready primary.
         let mut best = None;
         if self.order == SchedOrder::GreedyThenOldest {
@@ -101,14 +99,5 @@ impl IssuePolicy for SbiPolicy {
 
     fn fetch_channels(&self) -> FetchChannels {
         CHANNELS
-    }
-
-    fn account_idle_skip(&mut self, ctx: &mut IssueCtx<'_>, skipped: u64) {
-        // `issue` counts parked secondaries once per cycle even when
-        // nothing issues; replicate that for the skipped cycles so the
-        // statistic is exact (the suspension set is frozen with the rest
-        // of the state — no group frees and no writeback lands inside the
-        // skipped window by construction).
-        ctx.count_constraint_suspensions(skipped);
     }
 }

@@ -31,11 +31,6 @@ pub struct SwiPolicy {
     /// Ibuf slots fetched per warp: 1 solo, 2 when combined with SBI.
     slots: usize,
     pending: Option<PendingPrimary>,
-    /// The pending primary evaporated this cycle: nothing issued, yet the
-    /// next cycle is not a repeat of this one — with no primary pending the
-    /// secondary scheduler picks solo, over instructions this cycle's
-    /// cascade never looked at.
-    bubble: bool,
     /// Warp of the last committed primary (GTO's greedy handle).
     last: Option<usize>,
 }
@@ -58,7 +53,6 @@ impl SwiPolicy {
             order,
             slots: 1,
             pending: None,
-            bubble: false,
             last: None,
         }
     }
@@ -69,7 +63,6 @@ impl SwiPolicy {
             order,
             slots: 2,
             pending: None,
-            bubble: false,
             last: None,
         }
     }
@@ -218,7 +211,6 @@ impl IssuePolicy for SwiPolicy {
         }
 
         let mut issued = 0;
-        self.bubble = false;
         let pending = self.pending.take();
         let mut secondary_issued: Option<(usize, usize)> = None; // (warp, slot)
         match pending {
@@ -264,10 +256,8 @@ impl IssuePolicy for SwiPolicy {
                         self.pending = Some(pp);
                         return 0;
                     }
-                } else {
-                    // Pick evaporated — bubble.
-                    self.bubble = true;
                 }
+                // else: pick evaporated — bubble.
             }
             None => {
                 // No pending primary (start-up or after a conflict): the
@@ -316,9 +306,5 @@ impl IssuePolicy for SwiPolicy {
 
     fn reserved_slot(&self, warp: usize) -> Option<usize> {
         self.pending.filter(|pp| pp.warp == warp).map(|pp| pp.slot)
-    }
-
-    fn carries_pick(&self) -> bool {
-        self.pending.is_some() || self.bubble
     }
 }

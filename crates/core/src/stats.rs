@@ -37,7 +37,8 @@ warpweave_mem::counter_table! {
         /// already issued the same instruction (paper §4, conflict avoidance).
         scheduler_conflicts: u64 = sum,
         /// Cycles a secondary warp-split spent suspended by a reconvergence
-        /// constraint (§3.3).
+        /// constraint (§3.3), under any policy: `SmConfig::sbi_constraints`
+        /// is the machine's, and the SM counts it.
         constraint_suspensions: u64 = sum,
         /// SWI mask-lookup probes performed.
         lookup_probes: u64 = sum,

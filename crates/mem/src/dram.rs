@@ -40,12 +40,6 @@ impl DramConfig {
         }
     }
 
-    /// Same timing, `n` address-interleaved channels.
-    pub fn with_channels(mut self, n: u32) -> Self {
-        self.num_channels = n;
-        self
-    }
-
     /// The channel a block-aligned address maps to.
     pub fn channel_of(&self, addr: u32) -> u32 {
         let n = self.num_channels.max(1);

@@ -3,8 +3,23 @@
 # missing from README.md's policy table. The registry is the source of
 # truth (`bench_sweep --list-frontends` prints it); the README must name
 # every entry in backticks, which is exactly how the table renders them.
+# Also fails if ARCHITECTURE.md's fenced copy of `pub trait IssuePolicy`
+# does not list the methods the trait in crates/core/src/policy.rs declares.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# The `fn` names between `pub trait IssuePolicy` and its closing brace.
+trait_fns() {
+    sed -n '/^pub trait IssuePolicy/,/^}/p' "$1" | sed -n 's/^ *fn \([a-z_]*\).*/\1/p'
+}
+code="$(trait_fns crates/core/src/policy.rs)"
+docs="$(trait_fns ARCHITECTURE.md)"
+if [ -z "$code" ] || [ "$code" != "$docs" ]; then
+    echo "ARCHITECTURE.md's IssuePolicy block does not match crates/core/src/policy.rs" >&2
+    echo "(< the trait, > the copy):" >&2
+    diff <(echo "$code") <(echo "$docs") >&2 || true
+    exit 1
+fi
 
 names="$(cargo run --release -q -p warpweave-bench --bin bench_sweep -- --list-frontends)"
 if [ -z "$names" ]; then
