@@ -4,6 +4,8 @@
 //! evaluation (§5). One binary per figure/table (see `src/bin/`), all built
 //! on one canonical job list ([`grid_jobs`]) and one driver ([`run_grid`]).
 
+#![forbid(unsafe_code)]
+
 pub mod grid;
 pub mod harness;
 pub mod report;

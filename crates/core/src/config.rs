@@ -176,7 +176,7 @@ pub struct SmConfig {
     pub mem_model: MemModel,
     /// Inert. It used to route straight-line regions through the superblock
     /// trace engine; the pipeline now has one execute path
-    /// (`exec::execute_warp`) because the engine cost host time on the
+    /// (`exec::execute_rows`) because the engine cost host time on the
     /// divergent kernels (`benchmark/`'s `core.superblock_gain` < 1), and
     /// nothing reads this field. It and [`SmConfig::with_superblocks`]
     /// remain only because the frozen `benchmark/` crate names them; they

@@ -4,17 +4,21 @@
 //! timing separately. Two implementations of the same architectural
 //! semantics live here:
 //!
-//! * [`execute_warp`] — the **hot path**: matches the opcode once per warp,
+//! * [`execute_rows`] — the **hot path**: matches the opcode once per warp,
 //!   hoists operand resolution (immediates, params, warp-uniform specials)
 //!   out of the lane loop, evaluates guards as one mask AND/ANDN against
 //!   the [`WarpRegFile`] predicate bitmasks,
-//!   and runs tight per-op lane loops over contiguous register rows.
+//!   and runs tight per-op lane loops over contiguous register rows. A
+//!   memory instruction's accesses come back as lane rows in the caller's
+//!   [`LaneScratch`] ([`MemRows`]); [`execute_warp`] is the same call with
+//!   the rows listed as `(thread, address, data)` triples.
 //! * [`execute_thread`] (with [`ThreadRegs`], [`operand_value`],
 //!   [`guard_passes`]) — the **scalar reference path**, retained only so
 //!   the differential test suite can check `execute_warp` lane-by-lane
 //!   against an independent, obviously-sequential implementation.
 
 use warpweave_isa::{Instruction, Op, Operand, SpecialReg, NUM_PREDS, NUM_REGS};
+use warpweave_mem::LaneRow;
 
 use crate::launch::WarpInfo;
 use crate::mask::Mask;
@@ -238,9 +242,57 @@ pub fn execute_thread(
 
 // --- warp-level execute path ------------------------------------------------
 
-/// Per-operand scratch row: one resolved 32-bit value per lane. Sized for
-/// the widest warp so resolution never allocates.
-type LaneBuf = [u32; 64];
+/// The lane rows one issue event works in, sized for the widest warp and
+/// held by the caller (one per SM) so that an instruction neither
+/// allocates nor zero-fills them: the three resolved operand rows, and the
+/// address row of the last memory instruction.
+#[derive(Debug)]
+pub struct LaneScratch {
+    /// One resolved 32-bit value per lane for each present source; only
+    /// `..width` of a row is ever written or read.
+    ops: [LaneRow; 3],
+    /// The threads that executed the last instruction if it was a memory
+    /// instruction, empty otherwise.
+    mem_mask: Mask,
+    addr: LaneRow,
+}
+
+impl Default for LaneScratch {
+    fn default() -> Self {
+        LaneScratch {
+            ops: [[0; 64]; 3],
+            mem_mask: Mask::EMPTY,
+            addr: [0; 64],
+        }
+    }
+}
+
+/// The accesses of one executed memory instruction: thread `t` accesses
+/// iff `mask` holds `t`, at `addr[t]`, storing or adding `data[t]` (the
+/// second operand row — meaningless for a load). Entries of threads
+/// outside `mask` are stale. Walking `mask` from bit 0 is the
+/// ascending-thread order every consumer's tie rules are defined over.
+#[derive(Debug, Clone, Copy)]
+pub struct MemRows<'a> {
+    /// The executing threads.
+    pub mask: Mask,
+    /// Effective address per thread.
+    pub addr: &'a LaneRow,
+    /// Store / atomic operand per thread.
+    pub data: &'a LaneRow,
+}
+
+impl LaneScratch {
+    /// The accesses [`execute_rows`] last left here (an empty mask after
+    /// anything but a memory instruction).
+    pub fn mem_rows(&self) -> MemRows<'_> {
+        MemRows {
+            mask: self.mem_mask,
+            addr: &self.addr,
+            data: &self.ops[1],
+        }
+    }
+}
 
 /// Resolves one operand for every lane of the warp into `buf[..width]`:
 /// register operands copy a contiguous [`WarpRegFile`] row, immediates and
@@ -252,7 +304,7 @@ fn resolve_operand(
     rf: &WarpRegFile,
     info: &WarpInfo,
     params: &[u32],
-    buf: &mut LaneBuf,
+    buf: &mut LaneRow,
 ) {
     let width = rf.width();
     match op {
@@ -279,7 +331,7 @@ fn resolve_operand(
 fn apply1(
     rf: &mut WarpRegFile,
     d: usize,
-    a: &LaneBuf,
+    a: &LaneRow,
     exec: Mask,
     full: bool,
     f: impl Fn(u32) -> u32,
@@ -301,8 +353,8 @@ fn apply1(
 fn apply2(
     rf: &mut WarpRegFile,
     d: usize,
-    a: &LaneBuf,
-    b: &LaneBuf,
+    a: &LaneRow,
+    b: &LaneRow,
     exec: Mask,
     full: bool,
     f: impl Fn(u32, u32) -> u32,
@@ -325,9 +377,9 @@ fn apply2(
 fn apply3(
     rf: &mut WarpRegFile,
     d: usize,
-    a: &LaneBuf,
-    b: &LaneBuf,
-    c: &LaneBuf,
+    a: &LaneRow,
+    b: &LaneRow,
+    c: &LaneRow,
     exec: Mask,
     full: bool,
     f: impl Fn(u32, u32, u32) -> u32,
@@ -374,26 +426,26 @@ pub(crate) fn f3(f: impl Fn(f32, f32, f32) -> f32) -> impl Fn(u32, u32, u32) -> 
 ///
 /// `active` is the issue mask already restricted to populated threads; the
 /// guard is folded in here as a single bitmask operation. Memory
-/// operations do **not** touch memory: each executing lane appends its
-/// `(thread, effective address, store data)` triple to `accesses` in
-/// ascending thread order — exactly the order the scalar loop produced —
-/// and the caller (the LSU/pipeline) applies the effects. `accesses` is a
-/// caller-owned scratch buffer (cleared here) so the hot path never
-/// allocates. Returns the taken mask: the executing lanes for `Bra`,
-/// empty otherwise.
+/// operations do **not** touch memory: they leave their accesses in
+/// `scratch` ([`LaneScratch::mem_rows`]) — the executing mask, the address
+/// row `(base[t] + offset) & addr_align` computed over the whole row, and
+/// the data operand row — and the caller (the LSU/pipeline, which passes
+/// `!3`: it moves aligned words) applies the effects. Returns the taken
+/// mask: the executing lanes for `Bra`, empty otherwise.
 ///
 /// Architecturally equivalent to running [`guard_passes`] +
 /// [`execute_thread`] per lane and committing each outcome — the property
 /// the `exec_differential` proptest suite pins down bit-for-bit.
-pub fn execute_warp(
+pub fn execute_rows(
     instr: &Instruction,
     rf: &mut WarpRegFile,
     info: &WarpInfo,
     params: &[u32],
     active: Mask,
-    accesses: &mut Vec<(usize, u32, u32)>,
+    addr_align: u32,
+    scratch: &mut LaneScratch,
 ) -> Mask {
-    accesses.clear();
+    scratch.mem_mask = Mask::EMPTY;
     let width = rf.width();
     // Guard evaluation: one AND (`@p`) or ANDN (`@!p`) against the
     // predicate bitmask, instead of `width` boolean loads.
@@ -406,14 +458,14 @@ pub fn execute_warp(
     // Operand resolution, hoisted out of the lane loop: every present
     // source becomes one contiguous scratch row (register rows are
     // snapshots, so a destination aliasing a source is hazard-free and all
-    // lanes read pre-instruction state).
-    let mut bufs = [[0u32; 64]; 3];
-    for (s, buf) in instr.srcs.iter().zip(bufs.iter_mut()) {
+    // lanes read pre-instruction state). Rows of absent sources keep
+    // whatever an earlier instruction left; no arm reads them.
+    for (s, buf) in instr.srcs.iter().zip(scratch.ops.iter_mut()) {
         if let Some(op) = s {
             resolve_operand(*op, rf, info, params, buf);
         }
     }
-    let [a, b, c] = &bufs;
+    let [a, b, c] = &scratch.ops;
     let d = || instr.dst.expect("validated dst").index();
 
     match instr.op {
@@ -495,22 +547,43 @@ pub fn execute_warp(
         Op::Cos => apply1(rf, d(), a, exec, full, f1(f32::cos)),
         Op::Ex2 => apply1(rf, d(), a, exec, full, f1(f32::exp2)),
         Op::Lg2 => apply1(rf, d(), a, exec, full, f1(f32::log2)),
-        Op::Ld => {
+        Op::Ld | Op::St | Op::AtomAdd => {
+            // The whole row, not the executing lanes: straight-line
+            // arithmetic the compiler vectorises. The data row is `b` as
+            // resolved above.
             let off = instr.offset as u32;
-            for t in exec.iter() {
-                accesses.push((t, a[t].wrapping_add(off), 0));
+            for (o, &base) in scratch.addr[..width].iter_mut().zip(&a[..width]) {
+                *o = base.wrapping_add(off) & addr_align;
             }
-        }
-        Op::St | Op::AtomAdd => {
-            let off = instr.offset as u32;
-            for t in exec.iter() {
-                accesses.push((t, a[t].wrapping_add(off), b[t]));
-            }
+            scratch.mem_mask = exec;
         }
         Op::Bra => return exec, // caller gates on guard
         Op::Sync | Op::Bar | Op::Exit | Op::Nop => {}
     }
     Mask::EMPTY
+}
+
+/// [`execute_rows`] with the accesses of a memory instruction listed as
+/// `(thread, effective byte address, store data)` triples in ascending
+/// thread order (data 0 for loads) — the form the differential suites
+/// compare with the scalar reference and with
+/// [`execute_fused`](crate::superblock::execute_fused). `accesses` is
+/// cleared first. Off the issue path: the pipeline reads the rows.
+pub fn execute_warp(
+    instr: &Instruction,
+    rf: &mut WarpRegFile,
+    info: &WarpInfo,
+    params: &[u32],
+    active: Mask,
+    accesses: &mut Vec<(usize, u32, u32)>,
+) -> Mask {
+    // Fresh, so a load's absent data operand lists as zeros.
+    let mut scratch = LaneScratch::default();
+    let taken = execute_rows(instr, rf, info, params, active, !0, &mut scratch);
+    let rows = scratch.mem_rows();
+    accesses.clear();
+    accesses.extend(rows.mask.iter().map(|t| (t, rows.addr[t], rows.data[t])));
+    taken
 }
 
 #[cfg(test)]

@@ -6,8 +6,9 @@
 //! 1. **Differential** ([`check_differential`]) — every instruction of the
 //!    generated kernel, driven with random issue masks over random register
 //!    state, must be bit-identical between the scalar `execute_thread`
-//!    reference, the SoA [`execute_warp`] path the pipeline issues
-//!    through, *and* the library's fused kernels ([`execute_fused`]
+//!    reference, the SoA [`execute_warp`] path (the pipeline's
+//!    `execute_rows`, its access rows listed), *and* the library's fused
+//!    kernels ([`execute_fused`]
 //!    wherever a superblock covers the pc, `execute_warp` elsewhere — off
 //!    the issue path, but kept correct until it is deleted) — the same
 //!    methodology as `tests/exec_differential.rs`, but over real lowered

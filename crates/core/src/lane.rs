@@ -75,7 +75,7 @@ impl LaneShuffle {
     /// Writes the thread→lane mapping of warp `wid` into `out` (index =
     /// thread-in-warp, value = physical lane), reusing the allocation.
     /// This is the SoA row the launch path seeds into
-    /// [`crate::launch::WarpInfo`] and `execute_warp` reads when it
+    /// [`crate::launch::WarpInfo`] and `execute_rows` reads when it
     /// materialises the `laneid` special register.
     pub fn fill_lanes(self, out: &mut Vec<u32>, wid: usize, width: usize, num_warps: usize) {
         out.clear();

@@ -8,8 +8,15 @@
 //! issue slots the pipeline enqueues on the (private or machine-shared)
 //! DRAM channel. The warp then blocks on its scoreboard entry until every
 //! outstanding transaction's grant arrives.
+//!
+//! Shared-memory accesses cost passes, counted from the instruction's lane
+//! rows (the executing [`Mask`] and one word-aligned address per lane):
+//! [`waves_touched`] where the access's shape rules conflicts out,
+//! [`shared_passes`] — a branch-free walk per 32-lane wave — otherwise.
 
-use warpweave_mem::{AccessKind, Cache, MshrFile, MshrLookup, Transaction};
+use warpweave_mem::{AccessKind, Cache, LaneRow, MshrFile, MshrLookup, Transaction};
+
+use crate::mask::Mask;
 
 /// The LSU's plan for one global-memory instruction.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -130,66 +137,59 @@ pub fn plan_global_into(
     }
 }
 
+/// Number of 32-lane waves `mask` touches: the shared-memory pass count of
+/// an access whose every wave is conflict-free by shape — one word
+/// (a broadcast) or a dense run (consecutive words, so distinct banks).
+pub fn waves_touched(mask: Mask) -> u64 {
+    let bits = mask.bits();
+    (bits as u32 != 0) as u64 + (bits >> 32 != 0) as u64
+}
+
 /// Shared-memory access cost in passes: per 32-lane wave, lanes hitting
 /// distinct banks proceed together; lanes hitting different words in the
 /// same bank serialise (Fermi-style 32-bank scratchpad; broadcast of the
-/// same word is free).
+/// same word is free). An access no thread executes still takes one pass.
 ///
-/// Contract: `accesses` holds at most one entry per lane (the pipeline
-/// emits one access per executing thread) and addresses are expected
-/// word-aligned — the caller masks with `& !3`, and conflicts are
-/// counted at word granularity (two byte addresses inside one word are
-/// one broadcast, exactly the banked-SRAM behaviour). A wave with more
-/// than 32 entries (duplicate lanes) panics.
-pub fn shared_passes(accesses: &[(usize, u32)]) -> u64 {
-    if accesses.is_empty() {
-        return 1;
-    }
+/// `addr` holds word-aligned byte addresses (the pipeline's rows are), and
+/// conflicts are counted at word granularity. This is the walk that
+/// assumes nothing about the row; the pipeline answers
+/// [`AccessShape::OneWord`](warpweave_mem::AccessShape) and `DenseRun`
+/// accesses with [`waves_touched`] instead.
+pub fn shared_passes(mask: Mask, addr: &LaneRow) -> u64 {
     let mut total = 0u64;
-    // Process in 32-lane waves. Lanes are unique (see contract), so a
-    // wave holds at most 32 accesses — a stack buffer and, only for a wave
-    // where some bank is asked for two distinct words, one sort replace
-    // the per-bank filter passes (hot path: every shared-memory
-    // instruction lands here), with identical pass counts for the
-    // word-aligned addresses the pipeline emits.
-    let max_lane = accesses.iter().map(|&(l, _)| l).max().unwrap_or(0);
-    for wave in 0..=(max_lane / 32) {
-        let mut words = [0u32; 32];
-        let mut n = 0;
-        // The first word each bank was asked for; `banks` marks the banks
-        // asked at all.
-        let mut first = [0u32; 32];
-        let mut banks = 0u32;
-        let mut conflict = false;
-        for &(l, a) in accesses {
-            if l / 32 == wave {
-                debug_assert!(n < 32, "duplicate lanes in shared access list");
-                let word = a / 4;
-                let bank = (word % 32) as usize;
-                if banks >> bank & 1 == 0 {
-                    first[bank] = word;
-                    banks |= 1 << bank;
-                } else {
-                    conflict |= first[bank] != word;
-                }
-                words[n] = word;
-                n += 1;
-            }
-        }
-        if n == 0 {
+    for wave in 0..2 {
+        let lanes = (mask.bits() >> (32 * wave)) as u32;
+        if lanes == 0 {
             continue;
         }
-        // Every bank saw one distinct word — a lane each (the common,
-        // conflict-free wave) or the same word broadcast to several: one
-        // pass, nothing to sort.
+        // The wave's words, a lane that does not access standing in with
+        // the first accessing lane's word — a broadcast costs nothing, so
+        // the loops below need no mask and no branch.
+        let addr = &addr[32 * wave..32 * wave + 32];
+        let first = addr[lanes.trailing_zeros() as usize];
+        let mut words = [0u32; 32];
+        for (l, w) in words.iter_mut().enumerate() {
+            *w = (if lanes >> l & 1 == 1 { addr[l] } else { first }) >> 2;
+        }
+        // Every lane drops its word into its bank's slot, the last writer
+        // staying; a lane that then finds another word there shares its
+        // bank with a different word. No lane does in the common wave —
+        // one pass, a lane each or one word broadcast to several.
+        let mut slot = [0u32; 32];
+        for &w in &words {
+            slot[(w & 31) as usize] = w;
+        }
+        let mut conflict = false;
+        for &w in &words {
+            conflict |= slot[(w & 31) as usize] != w;
+        }
         if !conflict {
             total += 1;
             continue;
         }
-        let words = &mut words[..n];
+        // Distinct words per bank; the wave's cost is the worst bank
+        // (broadcast of one word counts once).
         words.sort_unstable();
-        // Distinct words per bank (word % 32); the wave's cost is the
-        // worst bank (broadcast of one word counts once).
         let mut per_bank = [0u64; 32];
         let mut worst = 1u64;
         let mut prev = None;
@@ -222,7 +222,7 @@ mod tests {
     fn tx(block: u32) -> Transaction {
         Transaction {
             block_addr: block,
-            lanes: vec![0],
+            lanes: 1,
         }
     }
 
@@ -351,31 +351,44 @@ mod tests {
         assert_eq!(p.mshr_merges, 0);
     }
 
+    /// Every lane of a `width`-wide warp at `word(lane)`.
+    fn passes(width: usize, word: impl Fn(usize) -> u32) -> u64 {
+        let mut addr = [0u32; 64];
+        for (l, a) in addr.iter_mut().enumerate() {
+            *a = 4 * word(l);
+        }
+        shared_passes(Mask::full(width), &addr)
+    }
+
     #[test]
     fn shared_conflict_free() {
         // 32 lanes, consecutive words: one pass.
-        let acc: Vec<(usize, u32)> = (0..32).map(|l| (l, l as u32 * 4)).collect();
-        assert_eq!(shared_passes(&acc), 1);
+        assert_eq!(passes(32, |l| l as u32), 1);
     }
 
     #[test]
     fn shared_two_way_conflict() {
         // Stride 2 words: lanes pair up on 16 banks, 2 distinct words each.
-        let acc: Vec<(usize, u32)> = (0..32).map(|l| (l, l as u32 * 8)).collect();
-        assert_eq!(shared_passes(&acc), 2);
+        assert_eq!(passes(32, |l| 2 * l as u32), 2);
     }
 
     #[test]
     fn shared_broadcast_is_free() {
         // Everyone reads word 0: same word, one pass.
-        let acc: Vec<(usize, u32)> = (0..32).map(|l| (l, 0)).collect();
-        assert_eq!(shared_passes(&acc), 1);
+        assert_eq!(passes(32, |_| 0), 1);
     }
 
     #[test]
     fn shared_two_waves() {
         // 64 lanes conflict-free = 2 waves.
-        let acc: Vec<(usize, u32)> = (0..64).map(|l| (l, l as u32 * 4)).collect();
-        assert_eq!(shared_passes(&acc), 2);
+        assert_eq!(passes(64, |l| l as u32), 2);
+        assert_eq!(waves_touched(Mask::full(64)), 2);
+        assert_eq!(waves_touched(Mask::single(40)), 1);
+        assert_eq!(waves_touched(Mask::EMPTY), 0);
+    }
+
+    #[test]
+    fn shared_empty_mask_is_one_pass() {
+        assert_eq!(shared_passes(Mask::EMPTY, &[0; 64]), 1);
     }
 }

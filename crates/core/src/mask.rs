@@ -93,6 +93,16 @@ impl Mask {
         self.0 & other.0 != 0
     }
 
+    /// The lowest and highest set bit, `None` for the empty mask.
+    pub fn span(self) -> Option<(usize, usize)> {
+        (self.0 != 0).then(|| {
+            (
+                self.0.trailing_zeros() as usize,
+                63 - self.0.leading_zeros() as usize,
+            )
+        })
+    }
+
     /// Iterator over set bit indices, ascending.
     pub fn iter(self) -> impl Iterator<Item = usize> {
         let mut bits = self.0;

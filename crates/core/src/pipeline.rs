@@ -19,21 +19,21 @@ mod check;
 use std::cell::Cell;
 use std::sync::Arc;
 
-use warpweave_isa::{Instruction, Op, Pc, Program, UnitClass};
+use warpweave_isa::{Instruction, MemSpace, Op, Pc, Program, UnitClass};
 use warpweave_mem::{
-    atomic_transactions_into, coalesce_into, Cache, CalendarQueue, MemGrant, MemRequest, Memory,
-    MshrFile, SharedDramChannel, SharedMem, TxScratch,
+    atomic_transactions_rows, coalesce_rows, AccessShape, Cache, CalendarQueue, MemGrant,
+    MemRequest, Memory, MshrFile, SharedDramChannel, SharedMem, TxScratch,
 };
 
 use crate::config::{DivergenceModel, ScoreboardMode, SmConfig};
 use crate::divergence::frontier::{Ctx, FrontierHeap};
 use crate::divergence::stack::PdomStack;
 use crate::divergence::Transition;
-use crate::exec::execute_warp;
+use crate::exec::{execute_rows, LaneScratch, MemRows};
 use crate::groups::ExecGroups;
 use crate::lane::LaneTable;
 use crate::launch::{Launch, WarpInfo};
-use crate::lsu::{plan_global_into, shared_passes, GlobalPlan};
+use crate::lsu::{plan_global_into, shared_passes, waves_touched, GlobalPlan};
 use crate::machine::MemJournal;
 use crate::mask::Mask;
 use crate::policy::{Dispatch, IssueCtx, IssuePolicy, Pick, PolicyRegistry, Ready};
@@ -446,15 +446,12 @@ pub struct Sm {
     fetch_rr: [usize; 2],
     next_seq: u64,
     last_progress: u64,
-    /// Persistent access-list scratch `(thread, addr, data)` — reused by
-    /// every issued instruction instead of a per-issue allocation.
-    access_scratch: Vec<(usize, u32, u32)>,
-    /// Persistent word-aligned `(thread, addr)` scratch for the LSU
-    /// coalescer.
-    addr_scratch: Vec<(usize, u32)>,
-    /// Persistent transaction arena for the coalescer — per-transaction
-    /// lane lists keep their capacity across issue events.
+    /// Persistent transaction list for the coalescer.
     tx_scratch: TxScratch,
+    /// The generic walk's transactions, which every shape shortcut of
+    /// [`Sm::time_pick`] is held to.
+    #[cfg(debug_assertions)]
+    tx_check: TxScratch,
     /// Persistent LSU plan for [`crate::lsu::plan_global_into`] — its
     /// request/merge vectors keep their capacity across issue events.
     plan_scratch: GlobalPlan,
@@ -466,6 +463,11 @@ pub struct Sm {
     pc_meta: Vec<PcMeta>,
     #[cfg(debug_assertions)]
     audit: Cell<EventAudit>,
+    /// The lane rows the issued instruction executes in: its operand rows
+    /// and, for a memory instruction, the access rows `apply_memory_effects`
+    /// and `time_pick` read. Boxed: 1 KB inline would push the scheduler's
+    /// hot words apart.
+    lanes: Box<LaneScratch>,
 }
 
 /// Cycles without any issue or writeback before the deadlock watchdog fires.
@@ -628,15 +630,16 @@ impl Sm {
             fetch_rr: [0, 0],
             next_seq: 0,
             last_progress: 0,
-            access_scratch: Vec::new(),
-            addr_scratch: Vec::new(),
             tx_scratch: TxScratch::default(),
+            #[cfg(debug_assertions)]
+            tx_check: TxScratch::default(),
             plan_scratch: GlobalPlan::default(),
             frontier_scratch: Vec::new(),
             pc_meta,
             cfg,
             #[cfg(debug_assertions)]
             audit: Cell::default(),
+            lanes: Box::default(),
         };
         sm.block_events();
         Ok(sm)
@@ -1500,14 +1503,13 @@ impl Sm {
         for pick in picks {
             let r = pick.ready;
             let instr = &program[r.pc];
-            let (taken, accesses) = self.execute_functional(w, instr, r.mask);
+            let (taken, shape) = self.execute_functional(w, instr, r.mask);
             let transition = self.transition_for(instr, r.pc, r.mask, taken);
             transitions[r.slot] = Some(transition);
 
-            // Back-end timing, then hand the scratch buffer back for the
-            // next issue event.
-            let wb_time = self.time_pick(instr, &accesses, pick.dispatch);
-            self.access_scratch = accesses;
+            // Back-end timing (a memory instruction's rows are still in
+            // `self.lanes`).
+            let wb_time = self.time_pick(instr, shape, pick.dispatch);
 
             // Statistics & trace.
             self.stats.warp_instructions += 1;
@@ -1653,104 +1655,155 @@ impl Sm {
     }
 
     /// Functional execution of `instr` for the threads in `mask`: runs the
-    /// warp-level SoA execute path ([`execute_warp`]), performs the memory
-    /// reads/writes it reported, and returns the taken mask (branches)
-    /// plus the access list `(thread, addr, data)`.
-    ///
-    /// The access list is the SM's persistent scratch buffer, moved out to
-    /// satisfy the borrow checker — the caller returns it via
-    /// `self.access_scratch = accesses` once timing is done, so no issue
-    /// event allocates.
+    /// warp-level SoA execute path ([`execute_rows`]) in the SM's lane
+    /// scratch and, for a memory instruction, classifies the access rows it
+    /// left there and performs their reads/writes. Returns the taken mask
+    /// (branches) and the shape (`Other` for anything but memory).
     fn execute_functional(
         &mut self,
         w: usize,
         instr: &Instruction,
         mask: Mask,
-    ) -> (Mask, Vec<(usize, u32, u32)>) {
-        let mut accesses = std::mem::take(&mut self.access_scratch);
-        let params = &self.params;
+    ) -> (Mask, AccessShape) {
         let warp = &mut self.warps[w];
         let active = mask & warp.populated;
-        let taken = execute_warp(
+        // `!3`: the memory system moves aligned words.
+        let taken = execute_rows(
             instr,
             &mut warp.regs,
             &warp.info,
-            params,
+            &self.params,
             active,
-            &mut accesses,
+            !3,
+            &mut self.lanes,
         );
-        self.apply_memory_effects(w, instr, &accesses);
-        (taken, accesses)
+        if instr.op.unit() != UnitClass::Lsu {
+            return (taken, AccessShape::Other);
+        }
+        let rows = self.lanes.mem_rows();
+        let shape = AccessShape::of(rows.mask.bits(), rows.addr);
+        self.apply_memory_effects(w, instr, shape);
+        (taken, shape)
     }
 
     /// Memory side effects of one executed instruction (loads read,
-    /// stores/atomics write), applied from its access list.
-    fn apply_memory_effects(
-        &mut self,
-        w: usize,
-        instr: &Instruction,
-        accesses: &[(usize, u32, u32)],
-    ) {
-        let block_slot = self.warps[w].block_slot;
+    /// stores/atomics write), applied from its access rows in ascending
+    /// thread order — a word's last writer is its highest thread.
+    ///
+    /// Loads and stores of one word, and of a dense run whose words one
+    /// slice holds (a global page; all of shared memory), move without a
+    /// walk over the lanes. Debug builds walk first all the same, and the
+    /// shortcut then asserts that every word it writes is already there.
+    fn apply_memory_effects(&mut self, w: usize, instr: &Instruction, shape: AccessShape) {
+        let MemRows { mask, addr, data } = self.lanes.mem_rows();
+        let Some((lo, hi)) = mask.span() else {
+            return;
+        };
+        let global = instr.space == MemSpace::Global;
+        let shared = &mut self.shared[self.warps[w].block_slot];
+        // The threads whose words the shortcut moves as one slice: the
+        // whole run, or one word's last writer.
+        let sliced = match shape {
+            AccessShape::OneWord => Some(hi..hi + 1),
+            AccessShape::DenseRun if !global || addr[lo] >> 12 == addr[hi] >> 12 => {
+                Some(lo..hi + 1)
+            }
+            _ => None,
+        };
+        let walk = sliced.is_none() || cfg!(debug_assertions);
         match instr.op {
             Op::Ld => {
                 let d = instr.dst.expect("load has dst").index();
                 let row = self.warps[w].regs.row_mut(d);
-                match instr.space {
-                    warpweave_isa::MemSpace::Global => {
-                        // Warp loads are mostly uniform or unit-stride, so
-                        // cache the current page across lanes — one table
-                        // walk per page transition instead of per lane.
-                        let mem = &self.mem;
-                        let mut key = u32::MAX; // page id of `page`
-                        let mut page: Option<&[u32]> = None;
-                        for &(t, addr, _) in accesses {
-                            let a = addr & !3;
-                            if a >> 12 != key {
-                                key = a >> 12;
-                                page = mem.page(a);
-                            }
-                            row[t] = page.map_or(0, |p| p[Memory::page_word(a)]);
+                if walk && global {
+                    // Neighbouring lanes mostly share a page: one table
+                    // walk per page transition instead of per lane.
+                    let mut key = u32::MAX; // page id of `page`
+                    let mut page: Option<&[u32]> = None;
+                    for t in mask.iter() {
+                        let a = addr[t];
+                        if a >> 12 != key {
+                            key = a >> 12;
+                            page = self.mem.page(a);
                         }
+                        row[t] = page.map_or(0, |p| p[Memory::page_word(a)]);
                     }
-                    warpweave_isa::MemSpace::Shared => {
-                        let words = self.shared[block_slot].words();
-                        for &(t, addr, _) in accesses {
-                            let wi = ((addr & !3) >> 2) as usize;
-                            row[t] = words.get(wi).copied().unwrap_or(0);
+                } else if walk {
+                    let words = shared.words();
+                    for t in mask.iter() {
+                        row[t] = words.get((addr[t] >> 2) as usize).copied().unwrap_or(0);
+                    }
+                }
+                if let Some(run) = sliced {
+                    // The resident words from the slice's address on, as
+                    // far as they go; what is missing reads 0.
+                    let from = addr[run.start];
+                    let src = if global {
+                        let page = self.mem.page(from);
+                        page.map_or(&[][..], |p| &p[Memory::page_word(from)..])
+                    } else {
+                        shared.words().get((from >> 2) as usize..).unwrap_or(&[])
+                    };
+                    if shape == AccessShape::OneWord {
+                        let v = src.first().copied().unwrap_or(0);
+                        for t in mask.iter() {
+                            debug_assert_eq!(row[t], v, "one-word load vs the lane walk");
+                            row[t] = v;
                         }
+                    } else {
+                        let dst = &mut row[run];
+                        let n = dst.len().min(src.len());
+                        debug_assert!(
+                            dst[..n] == src[..n] && dst[n..].iter().all(|&v| v == 0),
+                            "dense-run load vs the lane walk"
+                        );
+                        dst[..n].copy_from_slice(&src[..n]);
+                        dst[n..].fill(0);
                     }
                 }
             }
             Op::St => {
-                for &(_, addr, data) in accesses {
-                    match instr.space {
-                        warpweave_isa::MemSpace::Global => {
-                            self.mem.write_u32(addr & !3, data);
-                            if let Some(j) = &mut self.journal {
-                                j.record_store(addr & !3, data);
-                            }
+                if walk {
+                    for t in mask.iter() {
+                        if global {
+                            self.mem.write_u32(addr[t], data[t]);
+                        } else {
+                            shared.write_u32(addr[t], data[t]);
                         }
-                        warpweave_isa::MemSpace::Shared => {
-                            self.shared[block_slot].write_u32(addr & !3, data)
+                    }
+                }
+                if let Some(run) = sliced.clone() {
+                    let (from, src) = (addr[run.start], &data[run]);
+                    let dst = if global {
+                        let at = Memory::page_word(from);
+                        &mut self.mem.page_mut(from)[at..at + src.len()]
+                    } else {
+                        shared.run_mut(from, src.len())
+                    };
+                    debug_assert!(dst == src, "{shape:?} store vs the lane walk");
+                    dst.copy_from_slice(src);
+                }
+                if let (true, Some(j)) = (global, &mut self.journal) {
+                    // The journal keeps one value per word: the same map
+                    // from every writer in order as from the last alone.
+                    for t in sliced.unwrap_or(lo..hi + 1) {
+                        if mask.get(t) {
+                            j.record_store(addr[t], data[t]);
                         }
                     }
                 }
             }
             Op::AtomAdd => {
-                for &(_, addr, data) in accesses {
-                    match instr.space {
-                        warpweave_isa::MemSpace::Global => {
-                            let old = self.mem.read_u32(addr & !3);
-                            self.mem.write_u32(addr & !3, old.wrapping_add(data));
-                            if let Some(j) = &mut self.journal {
-                                j.record_atomic_add(addr & !3, data);
-                            }
+                for t in mask.iter() {
+                    if global {
+                        let old = self.mem.read_u32(addr[t]);
+                        self.mem.write_u32(addr[t], old.wrapping_add(data[t]));
+                        if let Some(j) = &mut self.journal {
+                            j.record_atomic_add(addr[t], data[t]);
                         }
-                        warpweave_isa::MemSpace::Shared => {
-                            let old = self.shared[block_slot].read_u32(addr & !3);
-                            self.shared[block_slot].write_u32(addr & !3, old.wrapping_add(data));
-                        }
+                    } else {
+                        let old = shared.read_u32(addr[t]);
+                        shared.write_u32(addr[t], old.wrapping_add(data[t]));
                     }
                 }
             }
@@ -1779,7 +1832,7 @@ impl Sm {
     fn time_pick(
         &mut self,
         instr: &Instruction,
-        accesses: &[(usize, u32, u32)],
+        shape: AccessShape,
         dispatch: Dispatch,
     ) -> WbTiming {
         let now = self.cycle;
@@ -1801,18 +1854,15 @@ impl Sm {
                     WbTiming::At(last + lat)
                 }
                 UnitClass::Lsu => {
-                    let mut addr_list = std::mem::take(&mut self.addr_scratch);
-                    addr_list.clear();
-                    addr_list.extend(accesses.iter().map(|&(t, a, _)| (t, a & !3)));
-                    // The transaction arena is moved out for the borrow
-                    // and handed back below — per-transaction lane lists
-                    // keep their capacity across issue events.
+                    let MemRows { mask, addr, .. } = self.lanes.mem_rows();
+                    let lanes = mask.bits();
+                    // Moved out for the borrow and handed back below.
                     let mut txs = std::mem::take(&mut self.tx_scratch);
                     let mut plan = std::mem::take(&mut self.plan_scratch);
                     let waves = self.groups.waves(g, width);
                     let (port, timing) = match (instr.space, instr.op) {
-                        (warpweave_isa::MemSpace::Global, Op::AtomAdd) => {
-                            atomic_transactions_into(&addr_list, &mut txs);
+                        (MemSpace::Global, Op::AtomAdd) => {
+                            atomic_transactions_rows(lanes, addr, &mut txs);
                             self.stats.lsu_transactions += txs.len() as u64;
                             if txs.len() > 1 {
                                 self.stats.lsu_replays += 1;
@@ -1830,8 +1880,17 @@ impl Sm {
                             self.enqueue_dram(&plan.dram_requests);
                             (plan.port_cycles, WbTiming::At(now + 1 + delivery))
                         }
-                        (warpweave_isa::MemSpace::Global, op) => {
-                            coalesce_into(&addr_list, &mut txs);
+                        (MemSpace::Global, op) => {
+                            coalesce_rows(lanes, addr, shape, &mut txs);
+                            #[cfg(debug_assertions)]
+                            {
+                                coalesce_rows(lanes, addr, AccessShape::Other, &mut self.tx_check);
+                                assert_eq!(
+                                    txs.txs(),
+                                    self.tx_check.txs(),
+                                    "{shape:?} blocks vs the lane walk"
+                                );
+                            }
                             self.stats.lsu_transactions += txs.len() as u64;
                             if txs.len() > 1 {
                                 self.stats.lsu_replays += 1;
@@ -1874,16 +1933,27 @@ impl Sm {
                                 )
                             }
                         }
-                        (warpweave_isa::MemSpace::Shared, Op::AtomAdd) => {
-                            atomic_transactions_into(&addr_list, &mut txs);
+                        (MemSpace::Shared, Op::AtomAdd) => {
+                            atomic_transactions_rows(lanes, addr, &mut txs);
                             self.stats.lsu_transactions += txs.len() as u64;
                             (
                                 txs.len().max(1) as u64,
                                 WbTiming::At(now + self.cfg.shared_latency as u64 + delivery),
                             )
                         }
-                        (warpweave_isa::MemSpace::Shared, _) => {
-                            let passes = shared_passes(&addr_list);
+                        (MemSpace::Shared, _) => {
+                            // Conflict-free by shape: a broadcast, or
+                            // consecutive words on distinct banks.
+                            let passes = if shape == AccessShape::Other {
+                                shared_passes(mask, addr)
+                            } else {
+                                waves_touched(mask)
+                            };
+                            debug_assert_eq!(
+                                passes,
+                                shared_passes(mask, addr),
+                                "{shape:?} passes vs the lane walk"
+                            );
                             self.stats.lsu_transactions += passes;
                             if passes > 1 {
                                 self.stats.lsu_replays += 1;
@@ -1897,7 +1967,6 @@ impl Sm {
                         }
                     };
                     self.groups.occupy(g, now, port.max(waves));
-                    self.addr_scratch = addr_list;
                     self.tx_scratch = txs;
                     self.plan_scratch = plan;
                     timing

@@ -24,7 +24,7 @@
 //!
 //! The scalar per-thread path in [`crate::exec`] is retained purely as the
 //! differential-test reference; the pipeline executes through
-//! [`crate::exec::execute_warp`] on this layout.
+//! [`crate::exec::execute_rows`] on this layout.
 
 use warpweave_isa::{Guard, NUM_PREDS, NUM_REGS};
 

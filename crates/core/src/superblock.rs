@@ -19,7 +19,7 @@
 //! covered grants through [`execute_fused`] until the benchmark showed the
 //! second execute path cost host time on the divergent kernels
 //! (`core.superblock_gain` 0.83–0.91); `Sm` now executes every grant with
-//! [`execute_warp`](crate::exec::execute_warp). The function stays,
+//! [`execute_rows`](crate::exec::execute_rows). The function stays,
 //! bit-exact against both other execute functions
 //! (`tests/exec_differential.rs`, `fuzzing::check_differential`), until
 //! the frozen `benchmark/` crate stops naming it (ROADMAP item 3).

@@ -16,7 +16,9 @@
 //! bit-identical to the scalar reference after every instruction.
 
 use proptest::prelude::*;
-use warpweave_core::exec::{execute_thread, execute_warp, guard_passes, ThreadRegs};
+use warpweave_core::exec::{
+    execute_rows, execute_thread, execute_warp, guard_passes, LaneScratch, ThreadRegs,
+};
 use warpweave_core::{execute_fused, LaneShuffle, Mask, WarpInfo, WarpRegFile};
 use warpweave_isa::fuzz::splitmix64;
 use warpweave_isa::superblock::build_superblocks;
@@ -301,6 +303,11 @@ fn run_differential(width: usize, seq: &[(u64, u64)], state_seed: u64, mask_bits
             regs[t].set_pred(pi, v);
         }
     }
+    // The pipeline's form of the SoA path: one scratch kept across the
+    // whole sequence (rows carry whatever earlier instructions left),
+    // word-aligned addresses, the rows read directly.
+    let mut rf_rows = rf.clone();
+    let mut scratch = LaneScratch::default();
 
     let mut soa_accesses: Vec<(usize, u32, u32)> = Vec::new();
     let mut sb_accesses: Vec<(usize, u32, u32)> = Vec::new();
@@ -327,6 +334,27 @@ fn run_differential(width: usize, seq: &[(u64, u64)], state_seed: u64, mask_bits
         );
         assert_state_eq(&rf, &regs, width, &ctx);
         assert_state_eq(&rf_sb, &regs, width, &format!("{ctx} (superblock)"));
+
+        let rows_taken = execute_rows(
+            instr,
+            &mut rf_rows,
+            &info,
+            &PARAMS,
+            active,
+            !3,
+            &mut scratch,
+        );
+        assert_eq!(rows_taken, ref_taken, "{ctx}: rows taken mask diverged");
+        let rows = scratch.mem_rows();
+        let ref_mask: Mask = ref_accesses.iter().map(|&(t, ..)| t).collect();
+        assert_eq!(rows.mask, ref_mask, "{ctx}: access mask diverged");
+        for &(t, addr, data) in &ref_accesses {
+            assert_eq!(rows.addr[t], addr & !3, "{ctx}: address row, lane {t}");
+            if instr.op != Op::Ld {
+                assert_eq!(rows.data[t], data, "{ctx}: data row, lane {t}");
+            }
+        }
+        assert_state_eq(&rf_rows, &regs, width, &format!("{ctx} (rows)"));
     }
 }
 

@@ -1,16 +1,19 @@
 //! Direct coverage of `lsu::plan_global` edge cases that workloads only
 //! exercise indirectly: unaligned accesses, cross-line straddles,
 //! fully-masked-off warps, and replay trains under a zero-capacity epoch
-//! (a channel so slow the whole epoch grants nothing on time).
+//! (a channel so slow the whole epoch grants nothing on time) — and the
+//! shared-memory pass count of an access's lane rows against its
+//! definition.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use warpweave_core::lsu::{plan_global, shared_passes};
+use warpweave_core::lsu::{plan_global, shared_passes, waves_touched};
+use warpweave_core::Mask;
 use warpweave_mem::{
-    coalesce, Cache, CacheConfig, DramConfig, MemRequest, MshrFile, SharedDramChannel, Transaction,
-    BLOCK_BYTES,
+    coalesce, AccessShape, Cache, CacheConfig, DramConfig, MemRequest, MshrFile, SharedDramChannel,
+    Transaction, BLOCK_BYTES,
 };
 
 fn l1() -> Cache {
@@ -71,9 +74,9 @@ fn unaligned_accesses_coalesce_by_containing_block() {
     let txs = coalesce(&[(0, 1), (1, 5), (2, 127), (3, 129)]);
     assert_eq!(txs.len(), 2);
     assert_eq!(txs[0].block_addr, 0);
-    assert_eq!(txs[0].lanes, vec![0, 1, 2]);
+    assert_eq!(txs[0].lanes, 0b0111);
     assert_eq!(txs[1].block_addr, BLOCK_BYTES);
-    assert_eq!(txs[1].lanes, vec![3]);
+    assert_eq!(txs[1].lanes, 0b1000);
 
     // Cold cache: both blocks miss, one replay slot each, in port order.
     let mut l1 = l1();
@@ -96,8 +99,8 @@ fn cross_line_straddle_replays_once_per_line() {
     assert_eq!(txs[0].block_addr, 0);
     assert_eq!(txs[1].block_addr, BLOCK_BYTES);
     // Lanes 0..6 (addresses 100..127) stay in line 0; 7.. straddle over.
-    assert_eq!(txs[0].lanes, (0..7).collect::<Vec<_>>());
-    assert_eq!(txs[1].lanes, (7..32).collect::<Vec<_>>());
+    assert_eq!(txs[0].lanes, 0x0000_007f);
+    assert_eq!(txs[1].lanes, 0xffff_ff80);
 
     // Warm both lines: the straddle costs one replay but stays inline.
     let mut l1 = l1();
@@ -126,7 +129,7 @@ fn replay_train_under_a_zero_capacity_epoch_serialises_cleanly() {
     let txs: Vec<Transaction> = (0..4)
         .map(|b| Transaction {
             block_addr: b * BLOCK_BYTES,
-            lanes: vec![b as usize],
+            lanes: 1 << b,
         })
         .collect();
     let plan = plan(&mut l1, 0, &txs, false);
@@ -191,32 +194,50 @@ fn shared_passes_reference(accesses: &[(usize, u32)]) -> u64 {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The conflict-free fast path (one OR per lane, no sort) returns the
-    /// pass count of the sorted path on every access pattern: strided
-    /// (conflict-free at odd strides, 2-/4-/…-way conflicts at even ones),
-    /// broadcast-heavy, and scattered.
+    /// The row walk (a slot per bank, then one read-back per lane; a sort
+    /// only for a wave that conflicts) returns the pass count of the
+    /// definition on every access pattern — one word, dense runs, the 2-D
+    /// tile's two 16-lane runs per wave, strided (conflict-free at odd
+    /// strides, 2-/4-/…-way conflicts at even ones), broadcast-heavy and
+    /// scattered — under full, empty, holed and tail masks at widths 4, 32
+    /// and 64; and where the shape says one word or a dense run, the O(1)
+    /// answer the pipeline uses instead is the same number.
     #[test]
-    fn shared_passes_fast_path_counts_like_the_sorted_one(
-        lanes in any::<u64>(),
+    fn shared_passes_rows_count_like_the_definition(
+        bits in any::<u64>(),
+        set in 0u8..4,
+        width in 0usize..3,
         stride in 0u32..34,
         base in 0u32..64,
         scatter in proptest::collection::vec(0u32..4096, 64..65),
-        mode in 0u8..3,
+        mode in 0u8..4,
     ) {
-        let accesses: Vec<(usize, u32)> = (0..64usize)
-            .filter(|l| lanes >> l & 1 != 0)
-            .map(|l| {
-                let word = match mode {
-                    0 => base + l as u32 * stride,
-                    // Few distinct words: broadcasts and same-bank pairs.
-                    1 => base + scatter[l] % 5 * stride,
-                    _ => scatter[l],
-                };
-                (l, word * 4)
-            })
-            .collect();
-        prop_assert_eq!(shared_passes(&accesses), shared_passes_reference(&accesses));
+        let full = Mask::full([4, 32, 64][width]);
+        let mask = full & Mask::from_bits(match set {
+            0 => u64::MAX,
+            1 => 0,
+            2 => u64::MAX << (bits % 64),
+            _ => bits,
+        });
+        let mut addr = [0xdead_beef_u32; 64];
+        for (l, a) in addr.iter_mut().enumerate() {
+            let word = match mode {
+                0 => base + l as u32 * stride,
+                // Few distinct words: broadcasts and same-bank pairs.
+                1 => base + scatter[l] % 5 * stride,
+                // Rows of a 16-wide tile, `stride` words of padding apart.
+                2 => base + (l as u32 / 16) * (16 + stride) + l as u32 % 16,
+                _ => scatter[l],
+            };
+            *a = word * 4;
+        }
+        let list: Vec<(usize, u32)> = mask.iter().map(|l| (l, addr[l])).collect();
+        let passes = shared_passes(mask, &addr);
+        prop_assert_eq!(passes, shared_passes_reference(&list));
+        if AccessShape::of(mask.bits(), &addr) != AccessShape::Other {
+            prop_assert_eq!(waves_touched(mask), passes);
+        }
     }
 }

@@ -369,3 +369,143 @@ fn atomics_are_exact() {
         }
     }
 }
+
+// --- memory effects in thread order -----------------------------------------
+
+/// Commits one SM's journal into an empty memory: what it recorded.
+fn journaled(sm: &mut Sm) -> warpweave_mem::Memory {
+    let journal = sm.take_mem_journal().expect("journal was enabled");
+    let mut mem = warpweave_mem::Memory::new();
+    warpweave_core::MemJournal::commit_all([&journal], &mut mem);
+    mem
+}
+
+/// Threads 1, 3, 17 and 19 of one warp store different values to one word:
+/// the highest thread's value is what memory, the journal and a later
+/// shared-memory load see — the mask walk from bit 0 is what orders them.
+#[test]
+fn a_words_last_writer_is_the_highest_thread() {
+    let mut k = KernelBuilder::new("last_writer");
+    k.mov(r(0), SpecialReg::Tid);
+    k.and_(r(1), r(0), 13i32);
+    k.isetp(p(0), CmpOp::Eq, r(1), 1i32);
+    k.iadd(r(2), r(0), 100i32);
+    k.mov(r(3), warpweave_isa::Operand::Param(0));
+    k.guard_t(p(0)).st(r(3), 0, r(2));
+    k.mov(r(4), 64i32);
+    k.guard_t(p(0)).st_shared(r(4), 0, r(2));
+    k.bar();
+    k.ld_shared(r(5), r(4), 0);
+    k.shl(r(6), r(0), 2i32);
+    k.iadd(r(6), warpweave_isa::Operand::Param(1), r(6));
+    k.st(r(6), 0, r(5));
+    k.exit();
+    let prog = k.build().unwrap();
+    for cfg in all_configs() {
+        let name = cfg.name.clone();
+        let launch = Launch::new(prog.clone(), 1, 32).with_params(vec![A, C]);
+        let mut sm = Sm::new(cfg, launch).unwrap();
+        sm.enable_mem_journal();
+        sm.run(1_000_000).unwrap();
+        assert_eq!(sm.memory().read_u32(A), 119, "{name}: global word");
+        assert_eq!(
+            sm.memory().read_words(C, 32),
+            vec![119; 32],
+            "{name}: shared word, as every thread read it back"
+        );
+        let journal = journaled(&mut sm);
+        assert_eq!(journal.read_u32(A), 119, "{name}: journal");
+        assert_eq!(journal.read_words(C, 32), vec![119; 32], "{name}: journal");
+    }
+}
+
+/// Dense-run loads and stores that straddle a 4 KiB page, reach into a page
+/// nothing ever wrote, and read shared memory past its grown end: missing
+/// words read 0 (over whatever the register held), present ones arrive in
+/// lane order.
+#[test]
+fn dense_runs_cross_pages_and_unwritten_memory_reads_zero() {
+    const IN: u32 = 0x0002_0000 - 4 * 10; // threads 0..10 in a written page
+    const OUT: u32 = 0x0007_0000 - 4 * 50; // threads 50.. in the next page
+    const BLANK: u32 = 0x0040_0000; // a page of its own, never written
+    let mut k = KernelBuilder::new("page_straddle");
+    k.mov(r(0), SpecialReg::Tid);
+    k.shl(r(1), r(0), 2i32);
+    k.iadd(r(2), warpweave_isa::Operand::Param(0), r(1));
+    k.iadd(r(3), warpweave_isa::Operand::Param(1), r(1));
+    k.iadd(r(4), warpweave_isa::Operand::Param(2), r(1));
+    k.mov(r(5), 77i32);
+    k.mov(r(6), 77i32);
+    k.mov(r(7), 77i32);
+    k.ld(r(5), r(2), 0); // straddles into an unwritten page
+    k.ld(r(6), r(4), 0); // inside an unwritten page
+    k.ld_shared(r(7), r(1), 0x4000); // past the end of the shared space
+    k.iadd(r(8), r(5), r(6));
+    k.iadd(r(8), r(8), r(7));
+    k.st_shared(r(1), 0x100, r(8)); // grows the space by a dense run
+    k.ld_shared(r(9), r(1), 0x100);
+    k.st(r(3), 0, r(9)); // straddles a page boundary
+    k.exit();
+    let prog = k.build().unwrap();
+    for cfg in all_configs() {
+        let name = cfg.name.clone();
+        let launch = Launch::new(prog.clone(), 1, 64).with_params(vec![IN, OUT, BLANK]);
+        let mut sm = Sm::new(cfg, launch).unwrap();
+        for i in 0..10 {
+            sm.memory_mut().write_u32(IN + 4 * i, 1000 + i);
+        }
+        sm.run(1_000_000).unwrap();
+        let expect: Vec<u32> = (0..64).map(|t| if t < 10 { 1000 + t } else { 0 }).collect();
+        assert_eq!(sm.memory().read_words(OUT, 64), expect, "{name}");
+        assert_eq!(sm.memory().read_u32(OUT - 4), 0, "{name}: nothing before");
+        assert_eq!(
+            sm.memory().read_u32(OUT + 4 * 64),
+            0,
+            "{name}: nothing after"
+        );
+    }
+}
+
+/// A memory instruction whose guard turns every lane off touches nothing
+/// and plans nothing: a global load adds no transaction, a shared load its
+/// one (empty) pass, neither a replay, and the destination keeps its value.
+#[test]
+fn fully_guarded_off_memory_instructions_plan_nothing() {
+    let build = |shared: bool| {
+        let mut k = KernelBuilder::new("guarded_off");
+        k.mov(r(0), SpecialReg::Tid);
+        k.shl(r(1), r(0), 2i32);
+        k.iadd(r(2), warpweave_isa::Operand::Param(0), r(1));
+        k.isetp(p(0), CmpOp::Lt, r(0), 0i32); // no thread
+        k.mov(r(3), 55i32);
+        if shared {
+            k.guard_t(p(0)).ld_shared(r(3), r(1), 0);
+            k.guard_t(p(0)).st_shared(r(1), 0, r(0));
+        } else {
+            k.guard_t(p(0)).ld(r(3), r(2), 0);
+            k.guard_t(p(0)).st(r(2), 0, r(0));
+        }
+        k.st(r(2), 0x1000, r(3));
+        k.exit();
+        k.build().unwrap()
+    };
+    for cfg in all_configs() {
+        let name = cfg.name.clone();
+        let mut lsu = Vec::new();
+        for shared in [false, true] {
+            let launch = Launch::new(build(shared), 1, 32).with_params(vec![A]);
+            let mut sm = Sm::new(cfg.clone(), launch).unwrap();
+            let stats = sm.run(1_000_000).unwrap().clone();
+            assert_eq!(sm.memory().read_words(A, 32), vec![0; 32], "{name}");
+            assert_eq!(
+                sm.memory().read_words(A + 0x1000, 32),
+                vec![55; 32],
+                "{name}"
+            );
+            lsu.push((stats.lsu_transactions, stats.lsu_replays));
+        }
+        // The final store is one 128-byte block; the two guarded-off shared
+        // instructions add a pass each.
+        assert_eq!(lsu, vec![(1, 0), (3, 0)], "{name}");
+    }
+}

@@ -14,6 +14,8 @@
 //! println!("{}", area::format_table4(&p, &area::AreaCoefficients::default()));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod area;
 pub mod storage;
 

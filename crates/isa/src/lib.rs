@@ -37,6 +37,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod asm;
 pub mod cfg;
 pub mod fuzz;

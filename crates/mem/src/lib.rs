@@ -44,6 +44,7 @@
 //! assert_eq!(done_at, 330); // cold miss
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;
@@ -59,8 +60,8 @@ pub mod space;
 pub use cache::{AccessKind, Cache, CacheConfig, CacheStats};
 pub use channel::{sort_epoch_order, ChannelStats, MemGrant, MemRequest, SharedDramChannel};
 pub use coalesce::{
-    atomic_transactions, atomic_transactions_into, coalesce, coalesce_into, Transaction, TxScratch,
-    BLOCK_BYTES,
+    atomic_transactions, atomic_transactions_into, atomic_transactions_rows, coalesce,
+    coalesce_into, coalesce_rows, AccessShape, LaneRow, Transaction, TxScratch, BLOCK_BYTES,
 };
 pub use dram::{Dram, DramConfig, DramStats};
 pub use event::{CalendarQueue, MemEvent, MemEventQueue};

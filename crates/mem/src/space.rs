@@ -38,23 +38,13 @@ impl Memory {
         Memory::default()
     }
 
-    /// Splits an aligned byte address into (directory, page, word) indices.
-    fn split(addr: u32) -> (usize, usize, usize) {
-        assert!(addr.is_multiple_of(4), "unaligned access at 0x{addr:x}");
-        let w = (addr >> 2) as usize;
-        (w >> 20, (w >> 10) & (DIR_SPAN - 1), w & (PAGE_WORDS - 1))
-    }
-
     /// Reads the aligned 32-bit word at `addr`.
     ///
     /// # Panics
     /// Panics if `addr` is not 4-byte aligned.
     pub fn read_u32(&self, addr: u32) -> u32 {
-        let (di, pi, wi) = Self::split(addr);
-        match self.dirs.get(di) {
-            Some(Some(dir)) => dir[pi].as_ref().map_or(0, |p| p[wi]),
-            _ => 0,
-        }
+        assert!(addr.is_multiple_of(4), "unaligned access at 0x{addr:x}");
+        self.page(addr).map_or(0, |p| p[Self::page_word(addr)])
     }
 
     /// Writes the aligned 32-bit word at `addr`.
@@ -62,12 +52,21 @@ impl Memory {
     /// # Panics
     /// Panics if `addr` is not 4-byte aligned.
     pub fn write_u32(&mut self, addr: u32, value: u32) {
-        let (di, pi, wi) = Self::split(addr);
+        assert!(addr.is_multiple_of(4), "unaligned access at 0x{addr:x}");
+        self.page_mut(addr)[Self::page_word(addr)] = value;
+    }
+
+    /// The 4 KiB page containing `addr` as 1024 writable words, created
+    /// zero-filled if nothing was written there yet. Index it with
+    /// [`Memory::page_word`]; a run of consecutive words inside one page is
+    /// one table walk and one slice copy.
+    pub fn page_mut(&mut self, addr: u32) -> &mut [u32] {
+        let w = (addr >> 2) as usize;
         if self.dirs.is_empty() {
             self.dirs.resize(DIR_SLOTS, None);
         }
-        let dir = self.dirs[di].get_or_insert_with(|| Box::new([const { None }; DIR_SPAN]));
-        dir[pi].get_or_insert_with(|| Box::new([0; PAGE_WORDS]))[wi] = value;
+        let dir = self.dirs[w >> 20].get_or_insert_with(|| Box::new([const { None }; DIR_SPAN]));
+        &mut dir[(w >> 10) & (DIR_SPAN - 1)].get_or_insert_with(|| Box::new([0; PAGE_WORDS]))[..]
     }
 
     /// Read-only view of the resident 4 KiB page containing `addr`
@@ -107,27 +106,57 @@ impl Memory {
         self.write_u32(addr, value as u32);
     }
 
-    /// Bulk-writes consecutive words starting at `addr`.
-    pub fn write_words(&mut self, addr: u32, words: &[u32]) {
-        for (i, &w) in words.iter().enumerate() {
-            self.write_u32(addr + 4 * i as u32, w);
+    /// Checks that `n` words starting at aligned `addr` end inside the
+    /// 32-bit address space.
+    fn check_range(addr: u32, n: usize) {
+        assert!(addr.is_multiple_of(4), "unaligned access at 0x{addr:x}");
+        assert!(
+            n as u64 <= (1u64 << 30) - (addr >> 2) as u64,
+            "{n} words at 0x{addr:x} run past the end of the address space"
+        );
+    }
+
+    /// Writes `to_word(item)` for each item to consecutive words starting
+    /// at `addr`: one table walk and one slice loop per 4 KiB page.
+    fn write_run<T: Copy>(&mut self, addr: u32, mut items: &[T], to_word: impl Fn(T) -> u32) {
+        Self::check_range(addr, items.len());
+        let mut word = addr >> 2; // the range check keeps this below 2^30
+        while !items.is_empty() {
+            let at = word as usize & (PAGE_WORDS - 1);
+            let (now, later) = items.split_at(items.len().min(PAGE_WORDS - at));
+            let page = &mut self.page_mut(word << 2)[at..at + now.len()];
+            for (o, &item) in page.iter_mut().zip(now) {
+                *o = to_word(item);
+            }
+            word += now.len() as u32;
+            items = later;
         }
     }
 
-    /// Bulk-writes consecutive `f32` values starting at `addr`.
+    /// Bulk-writes consecutive words starting at `addr`.
+    ///
+    /// # Panics
+    /// Panics if `addr` is not 4-byte aligned, or if the range would run
+    /// past `0xFFFF_FFFC` — a range never wraps to address 0 (the same
+    /// holds for the other bulk helpers).
+    pub fn write_words(&mut self, addr: u32, words: &[u32]) {
+        self.write_run(addr, words, |w| w);
+    }
+
+    /// Bulk-writes consecutive `f32` values (bit-cast) starting at `addr`.
     pub fn write_f32s(&mut self, addr: u32, values: &[f32]) {
-        for (i, &v) in values.iter().enumerate() {
-            self.write_f32(addr + 4 * i as u32, v);
-        }
+        self.write_run(addr, values, f32::to_bits);
     }
 
     /// Bulk-reads `n` consecutive words starting at `addr`.
     pub fn read_words(&self, addr: u32, n: usize) -> Vec<u32> {
+        Self::check_range(addr, n);
         (0..n).map(|i| self.read_u32(addr + 4 * i as u32)).collect()
     }
 
     /// Bulk-reads `n` consecutive `f32` values starting at `addr`.
     pub fn read_f32s(&self, addr: u32, n: usize) -> Vec<f32> {
+        Self::check_range(addr, n);
         (0..n).map(|i| self.read_f32(addr + 4 * i as u32)).collect()
     }
 
@@ -188,13 +217,22 @@ impl SharedMem {
     /// # Panics
     /// Panics if `addr` is not 4-byte aligned.
     pub fn write_u32(&mut self, addr: u32, value: u32) {
+        self.run_mut(addr, 1)[0] = value;
+    }
+
+    /// The `n` consecutive words starting at aligned `addr`, writable; the
+    /// store grows (zero-filled) to cover them.
+    ///
+    /// # Panics
+    /// Panics if `addr` is not 4-byte aligned.
+    pub fn run_mut(&mut self, addr: u32, n: usize) -> &mut [u32] {
         let i = Self::idx(addr);
-        if i >= self.words.len() {
+        if i + n > self.words.len() {
             // Grow in 1 KiB steps so unit-stride fills don't re-resize
             // per word.
-            self.words.resize((i + 1).next_multiple_of(256), 0);
+            self.words.resize((i + n).next_multiple_of(256), 0);
         }
-        self.words[i] = value;
+        &mut self.words[i..i + n]
     }
 
     /// The resident words as one flat slice (word `i` is byte address
@@ -268,6 +306,53 @@ mod tests {
     #[should_panic]
     fn unaligned_read_panics() {
         Memory::new().read_u32(2);
+    }
+
+    #[test]
+    fn bulk_writes_cross_pages_and_end_at_the_last_word() {
+        // Three pages from the middle of one: same words as the per-word
+        // loop, and only the touched pages become resident.
+        let words: Vec<u32> = (0..2500).map(|i| i ^ 0xbeef).collect();
+        let mut bulk = Memory::new();
+        bulk.write_words(0x0040_0f00, &words);
+        let mut single = Memory::new();
+        for (i, &w) in words.iter().enumerate() {
+            single.write_u32(0x0040_0f00 + 4 * i as u32, w);
+        }
+        assert_eq!(bulk.resident_pages(), single.resident_pages());
+        assert_eq!(
+            bulk.read_words(0x0040_0e00, 2700),
+            single.read_words(0x0040_0e00, 2700)
+        );
+        bulk.write_words(0x0040_0f00, &[]);
+
+        // A range may end at the last word of the address space...
+        let mut m = Memory::new();
+        m.write_f32s(0xffff_fff8, &[1.5, 2.5]);
+        assert_eq!(m.read_f32s(0xffff_fff8, 2), vec![1.5, 2.5]);
+        assert_eq!(m.read_u32(0), 0, "nothing wrapped to address 0");
+    }
+
+    #[test]
+    #[should_panic(expected = "run past the end of the address space")]
+    fn bulk_write_past_the_last_word_panics() {
+        // ... but never wrap past it, in any build profile.
+        Memory::new().write_words(0xffff_fff8, &[1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "run past the end of the address space")]
+    fn bulk_read_past_the_last_word_panics() {
+        Memory::new().read_words(0xffff_fffc, 2);
+    }
+
+    #[test]
+    fn shared_run_grows_to_cover() {
+        let mut m = SharedMem::new();
+        m.run_mut(0x3fc, 3).copy_from_slice(&[7, 8, 9]);
+        assert_eq!((m.read_u32(0x3fc), m.read_u32(0x404)), (7, 9));
+        assert_eq!(m.read_u32(0x408), 0);
+        assert!(m.run_mut(0x10, 0).is_empty());
     }
 
     #[test]

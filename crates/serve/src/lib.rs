@@ -20,6 +20,8 @@
 //! connection, a shared worker pool for simulation, mutex-and-condvar
 //! coordination in the cache.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod client;
 pub mod protocol;

@@ -30,6 +30,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod runner;
 pub mod util;
 

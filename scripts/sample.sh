@@ -9,7 +9,9 @@
 # `backtrace()`; everything is dumped at exit), runs the workload under it
 # and prints, per function, its share of samples as the innermost frame
 # (self) and anywhere on the stack (inclusive), inlined frames resolved
-# through `addr2line -f -i`. Needs only `cc`, `addr2line` and `python3`.
+# through `addr2line -f -i`; a sample that lands outside the binary (libc
+# `memset` / `memcpy`, libm) is listed under its first in-binary caller as
+# `[outside] <- caller`. Needs only `cc`, `addr2line` and `python3`.
 # It is what ROADMAP item 4's attribution tables come from until committed
 # spans exist; the numbers are shares of CPU samples, not a ledger — compare
 # two commits with scripts/ledger.sh.
@@ -135,8 +137,16 @@ for line in out:  # per address: its line, then (function, file:line) per inlini
             cur.append(line)
         is_function = not is_function
 self_n, incl_n = collections.Counter(), collections.Counter()
+OUTSIDE = "[outside the binary]"  # libc memset / memcpy, libm, the kernel's vdso
 for fr in frames:
-    chain = [n for a in fr for n in names.get(linked(a), ["[outside the binary]"])]
+    per_frame = [names.get(linked(a), [OUTSIDE]) for a in fr]
+    chain = [n for names_at in per_frame for n in names_at]
+    # A sample outside is its caller's cost: name the physical function of
+    # the first in-binary frame (inlined frames around a libc call carry
+    # whatever line the optimiser left there).
+    caller = next((names_at[-1] for names_at in per_frame if names_at[0] != OUTSIDE), None)
+    if chain[0] == OUTSIDE and caller:
+        chain[0] = f"[outside] <- {caller}"
     self_n[chain[0]] += 1
     incl_n.update(set(chain))
 total = len(frames) or 1

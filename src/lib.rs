@@ -32,6 +32,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use warpweave_bench as bench;
 pub use warpweave_core as core;
 pub use warpweave_hwcost as hwcost;

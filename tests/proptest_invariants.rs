@@ -88,12 +88,12 @@ proptest! {
         let accesses: Vec<(usize, u32)> =
             addrs.iter().enumerate().map(|(l, &a)| (l, a & !3)).collect();
         let txs = coalesce(&accesses);
-        let total: usize = txs.iter().map(|t| t.lanes.len()).sum();
-        prop_assert_eq!(total, accesses.len());
+        let total: u32 = txs.iter().map(|t| t.lanes.count_ones()).sum();
+        prop_assert_eq!(total as usize, accesses.len());
         prop_assert!(txs.len() <= accesses.len());
         for t in &txs {
             prop_assert_eq!(t.block_addr % 128, 0);
-            for &l in &t.lanes {
+            for l in Mask::from_bits(t.lanes).iter() {
                 prop_assert_eq!(accesses[l].1 & !127, t.block_addr);
             }
         }
