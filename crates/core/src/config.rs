@@ -1,5 +1,6 @@
 //! Simulator configuration and the paper's architecture presets (table 2).
 
+use warpweave_isa::UnitClass;
 use warpweave_mem::{CacheConfig, DramConfig};
 
 use crate::lane::LaneShuffle;
@@ -511,8 +512,23 @@ impl SmConfig {
         if self.scoreboard_entries == 0 {
             return Err("scoreboard needs at least one entry".into());
         }
-        if self.groups.is_empty() {
-            return Err("at least one execution group required".into());
+        // A back-end that cannot issue: a zero-wide group divides by zero
+        // on its first instruction, an unserved class idles into the
+        // watchdog on its first, and control takes no port at all.
+        for (i, g) in self.groups.iter().enumerate() {
+            if g.width == 0 {
+                return Err(format!("execution group {i} ({:?}) has no lanes", g.class));
+            }
+            if g.class == UnitClass::Control {
+                return Err(format!(
+                    "execution group {i} serves Control, which needs no port"
+                ));
+            }
+        }
+        for class in [UnitClass::Mad, UnitClass::Sfu, UnitClass::Lsu] {
+            if !self.groups.iter().any(|g| g.class == class) {
+                return Err(format!("no execution group serves {class:?}"));
+            }
         }
         self.l1
             .validate()
@@ -621,6 +637,23 @@ mod tests {
         let mut c = SmConfig::baseline();
         c.warp_width = 48;
         assert!(c.validate().is_err());
+
+        // Back-ends that cannot issue, each refused by name.
+        let mut c = SmConfig::baseline();
+        c.groups[1].width = 0;
+        assert_eq!(
+            c.validate().unwrap_err(),
+            "execution group 1 (Mad) has no lanes"
+        );
+
+        let mut c = SmConfig::sbi();
+        c.groups.retain(|g| g.class != UnitClass::Lsu);
+        assert_eq!(c.validate().unwrap_err(), "no execution group serves Lsu");
+
+        let mut c = SmConfig::sbi();
+        c.groups[0].class = UnitClass::Control;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("group 0 serves Control"), "{err}");
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub use machine::{Machine, MachineStats, MemJournal};
 pub use mask::Mask;
 #[cfg(debug_assertions)]
 pub use pipeline::EventAudit;
-pub use pipeline::{SimError, Sm, WarpDiagnosis};
+pub use pipeline::{SimError, SlotState, Sm, WarpDiagnosis};
 pub use policy::{
     Dispatch, IssueCtx, IssuePolicy, Pick, PolicyInfo, PolicyRegistry, Ready, SchedOrder,
 };

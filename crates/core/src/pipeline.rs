@@ -46,23 +46,22 @@ use crate::trace::{IssueSlot, TraceEvent};
 #[cfg(debug_assertions)]
 pub use check::EventAudit;
 
-/// One alive warp's stall snapshot: what it is executing, how deep its
-/// divergence state is, and what it is blocked on. The deadlock watchdog
-/// embeds one per alive warp in [`SimError::Deadlock`], so a hang is
-/// diagnosable from the error alone — no re-run under a tracer needed.
+/// One alive warp's stall snapshot: where its two slots stand and why, how
+/// deep its divergence state is, what it has in flight. The deadlock
+/// watchdog embeds one per alive warp in [`SimError::Deadlock`], so a hang
+/// is diagnosable from the error alone — no re-run under a tracer needed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WarpDiagnosis {
     /// SM owning the warp.
     pub sm: u32,
     /// Warp index within its SM.
     pub warp: usize,
-    /// Current pc of the warp's schedulable context, when one exists.
-    pub pc: Option<u32>,
+    /// Per slot (0 = primary split, 1 = secondary): the pc of the context
+    /// feeding it, when one exists, and the slot's settled [`SlotState`].
+    pub slots: [(Option<u32>, SlotState); 2],
     /// Divergence depth: reconvergence-stack depth (stack model) or live
     /// splits (frontier model).
     pub divergence_depth: usize,
-    /// True when the current context is parked at a block barrier.
-    pub at_barrier: bool,
     /// Occupied scoreboard entries the warp's dependants stall on.
     pub scoreboard_in_flight: usize,
     /// Destination registers of those in-flight entries.
@@ -73,15 +72,15 @@ pub struct WarpDiagnosis {
 
 impl std::fmt::Display for WarpDiagnosis {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "sm{} w{}:", self.sm, self.warp)?;
+        for (slot, (pc, state)) in self.slots.iter().enumerate() {
+            let pc = pc.map_or_else(|| "-".to_string(), |pc| pc.to_string());
+            write!(f, " slot {slot} pc {pc} {state},")?;
+        }
         write!(
             f,
-            "sm{} w{}: pc {}, div depth {}, at_barrier {}, sb in-flight {} (dst regs {:?}), pending grants {}",
-            self.sm,
-            self.warp,
-            self.pc
-                .map_or_else(|| "-".to_string(), |pc| pc.to_string()),
+            " div depth {}, sb in-flight {} (dst regs {:?}), pending grants {}",
             self.divergence_depth,
-            self.at_barrier,
             self.scoreboard_in_flight,
             self.blocked_dst_regs,
             self.pending_grants
@@ -106,8 +105,8 @@ pub enum SimError {
         last_progress: u64,
         /// Name of the kernel that hung.
         kernel: String,
-        /// Free-form diagnostic detail (divergence-state dump, or the
-        /// machine's epoch-livelock summary).
+        /// The census: per slot, how many warps stand in each non-empty
+        /// [`SlotState`] (or the machine's epoch-livelock summary).
         detail: String,
         /// Structured stall snapshot of every alive warp.
         warps: Vec<WarpDiagnosis>,
@@ -229,13 +228,14 @@ impl PcMeta {
     }
 }
 
-/// Why a `(warp, slot)` holds no ready instruction: the first check of
-/// [`Sm::ready_check_slow`] that failed, in its order. Which event can
-/// clear a stall follows from its reason — a retired scoreboard entry only
-/// [`StallReason::Scoreboard`] and [`StallReason::ScoreboardFull`], a fetch
-/// fill only [`StallReason::IbufEmpty`], a context move any of them.
+/// Where a `(warp, slot)` stands: blocked — on the first check of the
+/// readiness evaluation that failed, in its order — woken, or eligible.
+/// Which event wakes a blocked slot follows from its reason: a retired
+/// scoreboard entry only [`SlotState::Scoreboard`] and
+/// [`SlotState::ScoreboardFull`], a fetch fill only [`SlotState::IbufEmpty`],
+/// a context move any of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StallReason {
+pub enum SlotState {
     /// No divergence context feeds the slot (dead warp, no secondary split).
     NoContext,
     /// The slot's context waits at a block barrier.
@@ -248,6 +248,52 @@ pub(crate) enum StallReason {
     Scoreboard,
     /// It needs a scoreboard entry and every entry is occupied.
     ScoreboardFull,
+    /// An event that can clear its reason happened; the next check
+    /// re-evaluates.
+    Woken,
+    /// Eligible — holds a ready instruction, port free or not — for
+    /// [`UnitClass::Mad`]; the next three likewise, in `UnitClass` order.
+    EligibleMad,
+    /// Eligible for [`UnitClass::Sfu`].
+    EligibleSfu,
+    /// Eligible for [`UnitClass::Lsu`].
+    EligibleLsu,
+    /// Eligible [`UnitClass::Control`] instruction (it needs no port).
+    EligibleControl,
+}
+
+impl SlotState {
+    /// Every state, at its discriminant.
+    const ALL: [SlotState; 11] = [
+        SlotState::NoContext,
+        SlotState::AtBarrier,
+        SlotState::Constraint,
+        SlotState::IbufEmpty,
+        SlotState::Scoreboard,
+        SlotState::ScoreboardFull,
+        SlotState::Woken,
+        SlotState::EligibleMad,
+        SlotState::EligibleSfu,
+        SlotState::EligibleLsu,
+        SlotState::EligibleControl,
+    ];
+
+    /// The eligible state of an instruction of class `unit`.
+    pub fn eligible(unit: UnitClass) -> SlotState {
+        SlotState::ALL[SlotState::EligibleMad as usize + unit as usize]
+    }
+
+    /// The state an evaluation's outcome settles its slot in.
+    fn of(outcome: &Result<Ready, SlotState>) -> SlotState {
+        outcome.map_or_else(|reason| reason, |r| SlotState::eligible(r.unit))
+    }
+}
+
+/// The variant's name, as the documentation spells it.
+impl std::fmt::Display for SlotState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{self:?}")
+    }
 }
 
 // Cache-line aligned so every warp's hot fields sit at the same line
@@ -363,40 +409,22 @@ pub struct Sm {
     finalized: bool,
     cycle: u64,
     warps: Vec<Warp>,
-    /// The readiness of every `(warp, slot)`, as two warp bitsets per slot
-    /// with `ready_now ⊆ ready_cand`. Bit `w` of `ready_cand[slot]` clear:
-    /// *blocked* for the reason in `stall` — no event that can clear that
+    /// Where every `(warp, slot)` stands: one warp set per [`SlotState`]
+    /// per slot (`[slot][state as usize]`); per slot the eleven sets
+    /// partition the pool. In a reason's set no event that can clear the
     /// reason has happened since, so `ready_check(w, slot)` is `None` and a
-    /// scan skips the slot at no cost. Set with the `ready_now` bit clear:
-    /// *woken* — such an event happened and the next check re-evaluates.
-    /// Both set: *eligible*, with the exact record in `ready`. Both
-    /// settled states are stable under pure clock advance; only the three
-    /// events — [`Sm::rearm_warp`] (a context move), [`Sm::retired`] and a
-    /// fetch fill — and the evaluation in [`Sm::ready_check_nogroup`]
-    /// (clear `ready_cand` on failure, set `ready_now` on success) move a
-    /// slot between them. `Cell` keeps the check `&self`.
-    ready_cand: [Cell<u64>; 2],
-    /// See `ready_cand`.
-    ready_now: [Cell<u64>; 2],
+    /// scan skips the slot at no cost; in an eligible set the exact record
+    /// is in `ready`. Both are stable under pure clock advance: only the
+    /// three events — [`Sm::rearm_warp`] (a context move), [`Sm::retired`]
+    /// and a fetch fill — and the evaluation in
+    /// [`Sm::ready_check_nogroup`] move a warp between sets. `Cell` keeps
+    /// the check `&self`.
+    states: [[Cell<u64>; SlotState::ALL.len()]; 2],
     /// The evaluated [`Ready`] per `(warp, slot)`, valid exactly while the
-    /// matching `ready_now` bit is set. A dense side array (not in
-    /// [`Warp`]) so the schedulers' scans stay inside a few hot cache
-    /// lines and never touch the big per-warp records.
+    /// warp is in an eligible set — the one its `unit` names. A dense side
+    /// array (not in [`Warp`]) so the schedulers' scans stay inside a few
+    /// hot cache lines and never touch the big per-warp records.
     ready: Vec<[Cell<Ready>; 2]>,
-    /// Why `(warp, slot)` is blocked, valid exactly while the matching
-    /// `ready_cand` bit is clear — the mirror of `ready` under `ready_now`.
-    stall: Vec<[Cell<StallReason>; 2]>,
-    /// `ready_now[slot]` partitioned by the unit class of each eligible
-    /// warp's instruction (`[slot][UnitClass as usize]`), so a scan ORs the
-    /// sets of the port-free classes instead of reading a record per warp.
-    /// Written where `ready_now` is: the successful evaluation sets the
-    /// warp's bit in its class, [`Sm::rearm_warp`] clears it in all four.
-    ready_class: [[Cell<u64>; 4]; 2],
-    /// Bit `w` set ⇔ warp `w`'s secondary slot is parked by an SBI
-    /// reconvergence constraint (§3.3) — slot 1 is blocked on
-    /// [`StallReason::Constraint`]. The condition reads divergence contexts
-    /// only, so [`Sm::rearm_warp`] keeps it exact at all times.
-    suspended: u64,
     /// The SWI lookup's associativity sets (fig. 9) as warp bitmasks,
     /// indexed by `warp % sets`.
     lookup_sets: Vec<u64>,
@@ -560,7 +588,7 @@ impl Sm {
         let lane_table = cfg.lane_shuffle.table(cfg.warp_width, cfg.num_warps);
         let pc_meta = program.instructions().iter().map(PcMeta::of).collect();
         let sets = cfg.swi_assoc.num_sets(cfg.num_warps);
-        // Placeholder: a record is read only under its `ready_now` bit.
+        // Placeholder: a record is read only for a warp in an eligible set.
         let unset = Ready {
             warp: 0,
             slot: 0,
@@ -585,18 +613,10 @@ impl Sm {
             external_mem: false,
             finalized: false,
             cycle: 0,
-            // No warp holds a block yet: every slot is blocked on
-            // `NoContext` until `assign_block` re-arms it.
-            ready_cand: Default::default(),
-            ready_now: Default::default(),
-            ready_class: Default::default(),
+            states: Default::default(),
             ready: (0..cfg.num_warps)
                 .map(|_| [Cell::new(unset), Cell::new(unset)])
                 .collect(),
-            stall: (0..cfg.num_warps)
-                .map(|_| [(); 2].map(|()| Cell::new(StallReason::NoContext)))
-                .collect(),
-            suspended: 0,
             lookup_sets: (0..sets)
                 .map(|s| {
                     (s..cfg.num_warps)
@@ -641,6 +661,8 @@ impl Sm {
             audit: Cell::default(),
             lanes: Box::default(),
         };
+        // No warp holds a block yet: every slot goes to `NoContext`.
+        (0..sm.cfg.num_warps).for_each(|w| sm.rearm_warp(w));
         sm.block_events();
         Ok(sm)
     }
@@ -812,7 +834,7 @@ impl Sm {
         #[cfg(debug_assertions)]
         self.assert_event_state();
         // §5.1: one per parked secondary per cycle, whatever the policy.
-        self.stats.constraint_suspensions += u64::from(self.suspended.count_ones());
+        self.stats.constraint_suspensions += self.parked();
         // The policy is taken out for the call so it can borrow the SM
         // mutably through the `IssueCtx` view; it is always restored.
         let mut policy = self.policy.take().expect("policy present outside issue");
@@ -850,7 +872,7 @@ impl Sm {
                 cycle: self.cycle,
                 last_progress: self.last_progress,
                 kernel: self.program.name().to_string(),
-                detail: self.deadlock_detail(),
+                detail: self.census(),
                 warps: self.warp_diagnosis(),
             });
         }
@@ -898,7 +920,7 @@ impl Sm {
             let ticked = self.tick_through_idle_window(&Arc::clone(&self.program), skipped);
             self.cycle += skipped;
             self.stats.idle_cycles += skipped;
-            self.stats.constraint_suspensions += skipped * u64::from(self.suspended.count_ones());
+            self.stats.constraint_suspensions += skipped * self.parked();
             let nw = self.cfg.num_warps as u64;
             for rr in &mut self.fetch_rr {
                 *rr = ((*rr as u64 + skipped) % nw) as usize;
@@ -944,62 +966,56 @@ impl Sm {
             .iter()
             .enumerate()
             .filter(|(_, w)| w.alive)
-            .map(|(i, w)| {
-                let (pc, at_barrier, depth) = match &w.div {
-                    Divergence::Stack(s) => {
-                        (s.current().map(|(pc, _)| pc.0), s.at_barrier(), s.depth())
-                    }
-                    Divergence::Frontier(h) => (
-                        h.primary().map(|c| c.pc.0),
-                        h.primary().is_some_and(|c| c.at_barrier),
-                        h.live_splits(),
-                    ),
-                };
-                WarpDiagnosis {
-                    sm: self.sm_id,
-                    warp: i,
-                    pc,
-                    divergence_depth: depth,
-                    at_barrier,
-                    scoreboard_in_flight: w.scoreboard.in_flight(),
-                    blocked_dst_regs: w.scoreboard.in_flight_dsts(),
-                    pending_grants: self
-                        .pending_mem
-                        .iter()
-                        .filter(|op| op.warp == i)
-                        .map(|op| op.remaining)
-                        .sum(),
-                }
+            .map(|(i, w)| WarpDiagnosis {
+                sm: self.sm_id,
+                warp: i,
+                slots: [0, 1].map(|slot| {
+                    // Settled: a woken slot is evaluated first.
+                    let _ = self.ready_check_nogroup(i, slot);
+                    let pc = self.ctx(i, slot).map(|(pc, _, _)| pc.0);
+                    (pc, self.state_of(i, slot))
+                }),
+                divergence_depth: match &w.div {
+                    Divergence::Stack(s) => s.depth(),
+                    Divergence::Frontier(h) => h.live_splits(),
+                },
+                scoreboard_in_flight: w.scoreboard.in_flight(),
+                blocked_dst_regs: w.scoreboard.in_flight_dsts(),
+                pending_grants: self
+                    .pending_mem
+                    .iter()
+                    .filter(|op| op.warp == i)
+                    .map(|op| op.remaining)
+                    .sum(),
             })
             .collect()
     }
 
-    fn deadlock_detail(&self) -> String {
-        let mut s = String::new();
-        for (i, w) in self.warps.iter().enumerate() {
-            if !w.alive {
-                continue;
-            }
-            match &w.div {
-                Divergence::Stack(st) => {
-                    s.push_str(&format!(
-                        "w{i}: stack depth {} cur {:?} barrier {}\n",
-                        st.depth(),
-                        st.current(),
-                        st.at_barrier()
-                    ));
-                }
-                Divergence::Frontier(h) => {
-                    s.push_str(&format!(
-                        "w{i}: splits {} cpc1 {:?} cpc2 {:?}\n",
-                        h.live_splits(),
-                        h.primary().map(|c| (c.pc, c.at_barrier)),
-                        h.secondary().map(|c| (c.pc, c.at_barrier)),
-                    ));
-                }
-            }
-        }
-        s
+    /// The state whose set holds `(w, slot)`.
+    fn state_of(&self, w: usize, slot: usize) -> SlotState {
+        let holds = |state: &&SlotState| self.warps_in(slot, **state).get() >> w & 1 != 0;
+        *SlotState::ALL
+            .iter()
+            .find(holds)
+            .expect("sets partition the pool")
+    }
+
+    /// Per slot, the warps in each non-empty state, the woken evaluated.
+    fn census(&self) -> String {
+        let line = |slot: usize| {
+            let _ = self.ready_set(slot, !0, !0);
+            let count = |s: &SlotState| (self.warps_in(slot, *s).get().count_ones(), *s);
+            let held = SlotState::ALL.iter().map(count).filter(|(n, _)| *n != 0);
+            let held: Vec<String> = held.map(|(n, s)| format!("{n} {s}")).collect();
+            format!("slot {slot}: {}", held.join(", "))
+        };
+        format!("{}; {}", line(0), line(1))
+    }
+
+    /// Secondary splits an SBI reconvergence constraint parks (§3.3): read
+    /// off contexts alone by [`Sm::rearm_warp`], so exact between events.
+    fn parked(&self) -> u64 {
+        u64::from(self.warps_in(1, SlotState::Constraint).get().count_ones())
     }
 
     // --- divergence-state accessors -------------------------------------------
@@ -1088,8 +1104,7 @@ impl Sm {
 
     /// Grants every outbox transaction against the SM's private channel
     /// (the non-machine-driven mode): arbitration degenerates to
-    /// issue-order service, reproducing the historical inline-latency
-    /// timings bit-for-bit.
+    /// issue-order service.
     fn drain_local_grants(&mut self) {
         // Take/put-back (rather than consume) so the outbox keeps its
         // allocation across issue events.
@@ -1219,73 +1234,61 @@ impl Sm {
     /// [`Sm::ready_check`] without the free-group requirement (used by the
     /// SWI cascade to *hold* a pending primary while its port drains).
     ///
-    /// Evaluated once per waking event: both outcomes are stable until an
-    /// event that can change them, so an eligible slot answers from its
-    /// record and a blocked one from its clear `ready_cand` bit; only a
-    /// woken slot runs [`Sm::ready_check_slow`], and a failure leaves its
-    /// reason in `stall` for the events to consult.
+    /// Evaluated once per waking event: an eligible slot answers from its
+    /// record and a blocked one from not being in `Woken`; only a woken
+    /// slot runs [`Sm::ready_check_slow`], which moves it to the set of the
+    /// reason it failed for or of the class it is eligible in.
     pub(crate) fn ready_check_nogroup(&self, w: usize, slot: usize) -> Option<Ready> {
         let bit = 1u64 << w;
-        if self.ready_now[slot].get() & bit != 0 {
-            return Some(self.ready[w][slot].get());
+        // An eligible warp's record is valid and names its set; any other
+        // warp is in no eligible set, whichever a stale record points at.
+        let held = self.ready[w][slot].get();
+        if self.warps_in(slot, SlotState::eligible(held.unit)).get() & bit != 0 {
+            return Some(held);
         }
-        if self.ready_cand[slot].get() & bit == 0 {
+        let woken = self.warps_in(slot, SlotState::Woken);
+        if woken.get() & bit == 0 {
             return None;
         }
         #[cfg(debug_assertions)]
         self.audit(|a| a.evaluations += 1);
-        match self.ready_check_slow(w, slot) {
-            Ok(r) => {
-                self.ready[w][slot].set(r);
-                self.ready_now[slot].set(self.ready_now[slot].get() | bit);
-                let class = &self.ready_class[slot][r.unit as usize];
-                class.set(class.get() | bit);
-                Some(r)
-            }
-            Err(reason) => {
-                self.stall[w][slot].set(reason);
-                self.ready_cand[slot].set(self.ready_cand[slot].get() & !bit);
-                None
-            }
-        }
+        let outcome = self.ready_check_slow(w, slot);
+        woken.set(woken.get() & !bit);
+        let settled = self.warps_in(slot, SlotState::of(&outcome));
+        settled.set(settled.get() | bit);
+        outcome.ok().inspect(|&r| self.ready[w][slot].set(r))
+    }
+
+    /// The set of warps whose `slot` stands in `state`.
+    fn warps_in(&self, slot: usize, state: SlotState) -> &Cell<u64> {
+        &self.states[slot][state as usize]
     }
 
     /// The context-move event: warp `w`'s divergence contexts, liveness or
     /// buffered entries changed — an issue, a barrier release, a block
     /// launch or teardown, a re-association that moved an entry. Walks the
-    /// two hot contexts once and re-derives everything kept per warp from
-    /// them: `fetchable`, `suspended`, whether re-association is due, and
-    /// both slots' readiness. A slot the context-and-buffer checks already
-    /// fail (the one an issue just emptied, a missing secondary) is written
-    /// blocked with its reason on the spot; only a slot that gets as far as
-    /// the scoreboard is left woken for the next scan.
+    /// two hot contexts once and re-derives from them `fetchable`, whether
+    /// re-association is due, and where both slots stand: one the
+    /// context-and-buffer checks fail (just emptied by an issue, a missing
+    /// or parked secondary) goes to its reason's set on the spot, one that
+    /// gets as far as the scoreboard to `Woken` for the next scan.
     fn rearm_warp(&mut self, w: usize) {
         let bit = 1u64 << w;
         let ctxs = [self.ctx(w, 0), self.ctx(w, 1)];
         let pcs = ctxs.map(|c| c.map(|(pc, _, _)| pc));
         let ibuf = self.warps[w].ibuf;
         for slot in 0..2 {
-            let front = self.front_check(w, slot, ctxs[slot], || pcs[0]).err();
-            if *self.ready_now[slot].get_mut() & bit != 0 {
-                *self.ready_now[slot].get_mut() &= !bit;
-                for class in &mut self.ready_class[slot] {
-                    *class.get_mut() &= !bit;
-                }
+            let state = match self.front_check(w, slot, ctxs[slot], || pcs[0]) {
+                Err(reason) => reason,
+                Ok(_) => SlotState::Woken,
+            };
+            for set in &self.states[slot] {
+                set.set(set.get() & !bit);
             }
-            let cand = self.ready_cand[slot].get_mut();
-            match front {
-                Some(reason) => {
-                    *self.stall[w][slot].get_mut() = reason;
-                    *cand &= !bit;
-                }
-                None => *cand |= bit,
-            }
+            let set = self.warps_in(slot, state);
+            set.set(set.get() | bit);
             let fetch = pcs[slot].is_some() && ibuf[slot].is_none();
             self.fetchable[slot] = self.fetchable[slot] & !bit | u64::from(fetch) << w;
-            if slot == 1 {
-                let parked = front == Some(StallReason::Constraint);
-                self.suspended = self.suspended & !bit | u64::from(parked) << w;
-            }
         }
         // Re-association is a no-op while every buffered entry sits in the
         // slot whose context is at its pc and the primary context would not
@@ -1300,21 +1303,18 @@ impl Sm {
     }
 
     /// The retire event: a scoreboard entry of warp `w` was freed. That can
-    /// only turn `depends_masks` false and `has_free` true, so it re-arms
-    /// exactly the slots stalled on the scoreboard — an eligible record
-    /// carries nothing the scoreboard feeds and stands — and flags the
-    /// warp's block if it is finished and waiting to drain.
+    /// only turn `depends_masks` false and `has_free` true, so it wakes the
+    /// slots blocked on the scoreboard — an eligible record carries nothing
+    /// of it and stands — and flags the warp's block if it waits to drain.
     fn retired(&mut self, w: usize) {
         let bit = 1u64 << w;
         for slot in 0..2 {
-            // A reason is stale under a set `ready_cand` bit, where
-            // setting the bit again changes nothing.
-            if matches!(
-                self.stall[w][slot].get(),
-                StallReason::Scoreboard | StallReason::ScoreboardFull
-            ) {
-                *self.ready_cand[slot].get_mut() |= bit;
-            }
+            let on = self.warps_in(slot, SlotState::Scoreboard);
+            let full = self.warps_in(slot, SlotState::ScoreboardFull);
+            let woken = self.warps_in(slot, SlotState::Woken);
+            woken.set(woken.get() | (on.get() | full.get()) & bit);
+            on.set(on.get() & !bit);
+            full.set(full.get() & !bit);
         }
         let b = self.warps[w].block_slot;
         if self.blocks[b].alive_threads == 0 {
@@ -1326,15 +1326,13 @@ impl Sm {
     /// `among` for which `ready_check(w, slot)` returns an instruction of a
     /// unit class in `classes` (a bitmask over `UnitClass as u8`).
     ///
-    /// *Settle, then OR the free classes' sets.* A clear `ready_cand` bit
-    /// is a guarantee of not-ready and a set `ready_now` bit an evaluated
-    /// success, so only the candidates in between — slots some event woke
-    /// since the last scan — run the check itself; the eligible warps are
-    /// already sorted by unit class in `ready_class`, so the answer is the
-    /// union of the wanted port-free classes' sets — no per-warp read at
-    /// all. A blocked warp costs nothing per cycle.
+    /// *Settle, then OR the free classes' sets.* Only the warps in `Woken`
+    /// — slots some event re-armed since the last scan — run the check
+    /// itself; the eligible warps already stand sorted by unit class, so
+    /// the answer is the union of the wanted port-free classes' sets — no
+    /// per-warp read at all. A blocked warp costs nothing per cycle.
     pub(crate) fn ready_set(&self, slot: usize, among: u64, classes: u8) -> u64 {
-        let mut woken = self.ready_cand[slot].get() & among & !self.ready_now[slot].get();
+        let mut woken = self.warps_in(slot, SlotState::Woken).get() & among;
         while woken != 0 {
             let w = woken.trailing_zeros() as usize;
             woken &= woken - 1;
@@ -1344,7 +1342,8 @@ impl Sm {
         let free =
             classes & (self.groups.free_class_mask(self.cycle) | 1 << UnitClass::Control as u8);
         let mut set = 0;
-        for (class, warps) in self.ready_class[slot].iter().enumerate() {
+        let eligible = &self.states[slot][SlotState::EligibleMad as usize..];
+        for (class, warps) in eligible.iter().enumerate() {
             if free >> class & 1 != 0 {
                 set |= warps.get();
             }
@@ -1355,8 +1354,9 @@ impl Sm {
     /// The evaluated `Ready` of `(w, slot)` — only meaningful for warps
     /// [`Sm::ready_set`] just returned.
     pub(crate) fn ready_info(&self, w: usize, slot: usize) -> Ready {
-        debug_assert!(self.ready_now[slot].get() >> w & 1 != 0);
-        self.ready[w][slot].get()
+        let r = self.ready[w][slot].get();
+        debug_assert!(self.warps_in(slot, SlotState::eligible(r.unit)).get() >> w & 1 != 0);
+        r
     }
 
     /// The context-and-buffer half of the readiness evaluation: the checks
@@ -1370,10 +1370,10 @@ impl Sm {
         slot: usize,
         ctx: Option<(Pc, Mask, bool)>,
         cpc1: impl FnOnce() -> Option<Pc>,
-    ) -> Result<(Pc, Mask, IbufEntry, PcMeta), StallReason> {
-        let (pc, mask, at_barrier) = ctx.ok_or(StallReason::NoContext)?;
+    ) -> Result<(Pc, Mask, IbufEntry, PcMeta), SlotState> {
+        let (pc, mask, at_barrier) = ctx.ok_or(SlotState::NoContext)?;
         if at_barrier {
-            return Err(StallReason::AtBarrier);
+            return Err(SlotState::AtBarrier);
         }
         // The pre-decoded metadata covers every check below, so the hot
         // per-cycle path never loads the full `Instruction` record.
@@ -1388,29 +1388,29 @@ impl Sm {
         // buffer so that it reads contexts only: parked is parked whether
         // or not the SYNC has been fetched.
         if slot == 1 && self.cfg.sbi_constraints && meta.is_sync && cpc1().is_some_and(|p| p < pc) {
-            return Err(StallReason::Constraint);
+            return Err(SlotState::Constraint);
         }
         // No "fetched this cycle" test: an entry is never evaluated in its
         // fetch cycle. Readiness is evaluated inside `policy.issue` — before
         // `fetch` in `tick` — and by `step_capped`'s idle probe, reached
         // only when this cycle's `fetch` filled nothing.
         let entry = self.warps[w].ibuf[slot].filter(|e| e.pc == pc);
-        Ok((pc, mask, entry.ok_or(StallReason::IbufEmpty)?, meta))
+        Ok((pc, mask, entry.ok_or(SlotState::IbufEmpty)?, meta))
     }
 
     /// The uncached evaluation behind [`Sm::ready_check_nogroup`], and the
     /// reference the debug cross-checks derive from. Every failure lasts
     /// until one of the three events re-arms the slot: none clears by the
     /// clock alone.
-    fn ready_check_slow(&self, w: usize, slot: usize) -> Result<Ready, StallReason> {
+    fn ready_check_slow(&self, w: usize, slot: usize) -> Result<Ready, SlotState> {
         let cpc1 = || self.ctx(w, 0).map(|(pc, _, _)| pc);
         let (pc, mask, entry, meta) = self.front_check(w, slot, self.ctx(w, slot), cpc1)?;
         let scoreboard = &self.warps[w].scoreboard;
         if scoreboard.depends_masks(meta.regs, meta.preds, mask, slot) {
-            return Err(StallReason::Scoreboard);
+            return Err(SlotState::Scoreboard);
         }
         if meta.writes && !scoreboard.has_free() {
-            return Err(StallReason::ScoreboardFull);
+            return Err(SlotState::ScoreboardFull);
         }
         Ok(Ready {
             warp: w,
@@ -1611,9 +1611,8 @@ impl Sm {
                 .on_event(&before, &after, new_entry);
         }
         // Private-channel mode: arbitration degenerates to issue order, so
-        // grant this event's transactions on the spot (the historical
-        // inline-latency timing). Machine-driven SMs leave the outbox for
-        // the epoch barrier instead.
+        // grant this event's transactions on the spot. Machine-driven SMs
+        // leave the outbox for the epoch barrier instead.
         if !self.external_mem && !self.mem_outbox.is_empty() {
             self.drain_local_grants();
         }
@@ -2148,15 +2147,15 @@ impl Sm {
                 seq: self.next_seq,
             });
             self.next_seq += 1;
-            // The fill event. An empty slot is blocked, and the fill can
-            // clear that only if the buffer was all it waited for; the
-            // other slot reads nothing the fill wrote.
+            // The fill event: it wakes the slot only if the buffer was all
+            // it waited for; the other slot reads nothing the fill wrote.
             let bit = 1u64 << w;
             self.fetchable[slot] &= !bit;
-            debug_assert_eq!(self.ready_cand[slot].get() & bit, 0, "empty yet armed");
-            if self.stall[w][slot].get() == StallReason::IbufEmpty {
-                *self.ready_cand[slot].get_mut() |= bit;
-            }
+            let empty = self.warps_in(slot, SlotState::IbufEmpty);
+            let woken = self.warps_in(slot, SlotState::Woken);
+            debug_assert_eq!(woken.get() & bit, 0, "empty yet woken");
+            woken.set(woken.get() | empty.get() & bit);
+            empty.set(empty.get() & !bit);
             // Tagged with its own context's pc, the entry leaves a clean
             // warp a fixed point of re-association — unless the primary
             // context sits at the same pc with nothing buffered (one of the

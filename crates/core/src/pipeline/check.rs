@@ -11,7 +11,7 @@ use std::cell::Cell;
 
 use warpweave_isa::{Program, UnitClass};
 
-use super::Sm;
+use super::{SlotState, Sm};
 use crate::policy::Ready;
 use crate::stats::Stats;
 
@@ -81,40 +81,36 @@ impl Sm {
         ticked
     }
 
-    /// Asserts, for both slots, that the readiness encoding is well-formed
-    /// (`ready_now ⊆ ready_cand`; the class sets partition `ready_now`),
-    /// that every blocked slot holds the reason and every eligible slot the
-    /// record a fresh evaluation gives, that `fetchable` is the from-state
-    /// set, and that `suspended` is the per-warp fold of the §3.3 parking
-    /// condition — none of it settled first. Run once per stepped cycle,
-    /// just before the policy issues: everything every event of the last
-    /// cycle left behind is in view.
+    /// Asserts, for both slots, that the state sets partition the pool, that
+    /// every warp outside `Woken` sits in the set a fresh evaluation puts it
+    /// in (with its record, if eligible), that `fetchable` is the from-state
+    /// set, and that slot 1's `Constraint` set is the per-warp fold of the
+    /// §3.3 parking condition — none of it settled first. Run once per
+    /// stepped cycle, just before the policy issues: everything every event
+    /// of the last cycle left behind is in view.
     pub(super) fn assert_event_state(&self) {
         let warps = 0..self.warps.len();
+        let pool = u64::MAX >> (64 - warps.len());
         for slot in 0..2 {
-            let (cand, now) = (self.ready_cand[slot].get(), self.ready_now[slot].get());
-            assert_eq!(now & !cand, 0, "slot {slot}: ready_now outside ready_cand");
-            // Their union is `ready_now` and — bits counted — no warp sits
-            // in two of them.
-            let by_class = self.ready_class[slot].each_ref().map(Cell::get);
-            let union = by_class.iter().fold(0, |u, c| u | c);
-            let bits: u32 = by_class.iter().map(|c| c.count_ones()).sum();
-            assert_eq!(union, now, "slot {slot}: class sets do not cover ready_now");
-            assert_eq!(bits, now.count_ones(), "slot {slot}: class sets overlap");
+            let sets = self.states[slot].each_ref().map(Cell::get);
+            let union = sets.iter().fold(0, |u, s| u | s);
+            let bits: u32 = sets.iter().map(|s| s.count_ones()).sum();
+            assert_eq!(
+                (union, bits),
+                (pool, pool.count_ones()),
+                "slot {slot}: a warp in two sets, or in none"
+            );
             let mut fetchable = 0;
             for w in warps.clone() {
-                let fresh = self.ready_check_slow(w, slot);
-                if cand >> w & 1 == 0 {
-                    let held = self.stall[w][slot].get();
+                let held = self.state_of(w, slot);
+                if held != SlotState::Woken {
+                    let fresh = self.ready_check_slow(w, slot);
+                    // Settled, so answered from the sets and the record.
                     assert_eq!(
-                        fresh.err(),
-                        Some(held),
-                        "warp {w} slot {slot}: stall reason"
+                        (held, self.ready_check_nogroup(w, slot)),
+                        (SlotState::of(&fresh), fresh.ok()),
+                        "warp {w} slot {slot}: settled state and record"
                     );
-                }
-                if now >> w & 1 != 0 {
-                    let held = self.ready[w][slot].get();
-                    assert_eq!(fresh.ok(), Some(held), "warp {w} slot {slot}: stale record");
                 }
                 let wants = self.ctx(w, slot).is_some() && self.warps[w].ibuf[slot].is_none();
                 fetchable |= u64::from(wants) << w;
@@ -127,7 +123,8 @@ impl Sm {
         let parked = warps
             .filter(|&w| self.sync_parked(w))
             .fold(0, |m, w| m | 1u64 << w);
-        assert_eq!(self.suspended, parked, "maintained suspension set drifted");
+        let held = self.warps_in(1, SlotState::Constraint).get();
+        assert_eq!(held, parked, "a parked secondary outside `Constraint`");
     }
 
     /// True if warp `w`'s secondary split is parked by an SBI

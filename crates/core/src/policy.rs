@@ -31,31 +31,31 @@
 //!
 //! Never probe `0..num_warps` with [`IssueCtx::ready_check`] every cycle:
 //! most warps are blocked most of the time, and the SM already knows
-//! which — and why. Every blocked `(warp, slot)` carries the reason its
-//! last evaluation failed (no context, at a barrier, parked by an SBI
+//! which — and why. Every `(warp, slot)` stands in exactly one
+//! [`crate::SlotState`], and the SM keeps one warp set per state: six
+//! reasons a slot is blocked (no context, at a barrier, parked by an SBI
 //! constraint, nothing buffered, a scoreboard dependency, scoreboard
-//! full), and each of the three events that can change readiness re-arms
-//! only the slots whose reason it can clear: a fetch fill the slot it
-//! filled, a retired scoreboard entry the slots stalled on the scoreboard
-//! (an eligible slot's record stands — nothing in it comes from the
-//! scoreboard), a context move (issue, barrier release, block launch or
-//! teardown, a re-associated entry) the warp — and even then a slot with
-//! no context or no buffered entry is written blocked on the spot, not
-//! evaluated to find that out.
+//! full), woken, and eligible by unit class. Each of the three events that
+//! can change readiness wakes only the slots whose reason it can clear: a
+//! fetch fill the slot it filled, a retired scoreboard entry the slots
+//! blocked on the scoreboard (an eligible slot's record stands — nothing in
+//! it comes from the scoreboard), a context move (issue, barrier release,
+//! block launch or teardown, a re-associated entry) the warp — and even
+//! then a slot with no context or no buffered entry goes straight to that
+//! reason's set, not evaluated to find that out.
 //! [`IssueCtx::ready_set`]`(slot, among, classes)` returns the ready,
-//! port-free warps of a warp bitmask in one call — it re-runs the check
-//! only for slots an event re-armed since the last scan and answers the
-//! rest by OR-ing the ready bitsets of the port-free unit classes, reading
-//! no per-warp record at all. Walk its set bits (ascending warp order) and
-//! read each candidate's full [`Ready`] — age, unit class, thread and lane
-//! masks — from [`IssueCtx::ready_info`]: the evaluation's record *is* the
-//! pick, no second lookup.
+//! port-free warps of a warp bitmask in one call — it evaluates only the
+//! woken slots and answers the rest by OR-ing the eligible sets of the
+//! port-free unit classes, reading no per-warp record at all. Walk its set
+//! bits (ascending warp order) and read each candidate's full [`Ready`] —
+//! age, unit class, thread and lane masks — from [`IssueCtx::ready_info`]:
+//! the evaluation's record *is* the pick, no second lookup.
 //! [`IssueCtx::oldest_ready`] is the oldest-first pick built that way,
 //! and what every built-in scheduler calls. Restrict a scan with `among`
 //! (a pool, a lookup set, "not this warp") and `classes` rather than
 //! filtering afterwards. Debug builds check every `ready_set` result
 //! against a cache-free reference fold over all warps — and, once a cycle,
-//! every stall reason, record, fetch candidate and parked secondary the SM
+//! every settled state, record, fetch candidate and parked secondary the SM
 //! maintains against its derivation from the architectural state — so a
 //! policy written this way is cross-checked by its own tests.
 //!
@@ -242,8 +242,8 @@ impl IssueCtx<'_> {
         let set = self.sm.ready_set(slot, among, classes);
         // The invariants' test: the set equals the reference fold of the
         // cache-free ready check over every warp. (What the events maintain
-        // — stall reasons, records, fetch and suspension sets — is held to
-        // its from-state derivation once a cycle, in `Sm::step_capped`.)
+        // — the state sets, records and fetch sets — is held to its
+        // from-state derivation once a cycle, in `Sm::tick`.)
         #[cfg(debug_assertions)]
         {
             let reference = (0..self.num_warps())

@@ -2,7 +2,7 @@
 //! co-issue, reconvergence-constraint suspension, SWI lookup statistics,
 //! run-ahead accounting and peak-IPC ceilings.
 
-use warpweave_core::{LaneShuffle, Launch, Sm, SmConfig, Stats};
+use warpweave_core::{LaneShuffle, Launch, SimError, SlotState, Sm, SmConfig, Stats};
 use warpweave_isa::{p, r, CmpOp, KernelBuilder, Program, SpecialReg};
 
 fn run(cfg: SmConfig, prog: Program, blocks: u32, threads: u32) -> Stats {
@@ -174,15 +174,8 @@ fn frontier_and_stack_commit_identical_work() {
 /// Half of every warp skips a barrier, so until it releases the two hot
 /// contexts sit at one pc — the parked arrivals in front, the run-ahead
 /// skippers behind — and an entry fetched for the second is one the first
-/// would claim. Only SBI+SWI gets through such a kernel (its secondary
-/// scheduler issues from CPC2 on its own; every primary-led front-end
-/// deadlocks on it, as it always has). Fetch must still hand such a warp to
-/// the re-association pass — debug builds assert that every warp it does
-/// not is a fixed point of that pass — and what the pass then does is
-/// behaviour: counters pinned from the commit before fetch stopped marking
-/// every filled warp (f1f3fa4).
-#[test]
-fn twin_contexts_at_a_barrier_keep_their_entries_apart() {
+/// would claim. 8 blocks × 512 threads of it make every pool full.
+fn skip_barrier() -> Program {
     let mut k = KernelBuilder::new("skipbar");
     k.and_(r(0), SpecialReg::Tid, 1i32);
     k.isetp(p(0), CmpOp::Eq, r(0), 0i32);
@@ -195,10 +188,54 @@ fn twin_contexts_at_a_barrier_keep_their_entries_apart() {
         k.imad(r(2), r(2), 5i32, 11i32);
     }
     k.exit();
-    let s = run(SmConfig::sbi_swi(), k.build().expect("assembles"), 8, 512);
+    k.build().expect("assembles")
+}
+
+/// Only SBI+SWI gets through [`skip_barrier`] (its secondary scheduler
+/// issues from CPC2 on its own; every primary-led front-end deadlocks on
+/// it). Fetch must still hand such a warp to the re-association pass —
+/// debug builds assert that every warp it does not is a fixed point of that
+/// pass — and what the pass then does is behaviour: counters pinned from the
+/// commit before fetch stopped marking every filled warp (f1f3fa4).
+#[test]
+fn twin_contexts_at_a_barrier_keep_their_entries_apart() {
+    let s = run(SmConfig::sbi_swi(), skip_barrier(), 8, 512);
     assert_eq!(
         (s.cycles, s.fetch_squashes, s.secondary_issues),
         (1198, 0, 724),
         "(cycles, fetch_squashes, secondary_issues)"
     );
+}
+
+/// The watchdog's report on [`skip_barrier`] under each primary-led
+/// front-end, with the idle fast-forward on and off: when it fires, and
+/// where the SM says every live warp's two slots stand. Slot 0 waits at the
+/// barrier everywhere; slot 1 has no context on a stack, has a context no
+/// channel fetches for under Warp64 and SWI, and under SBI holds the SYNC at
+/// the join ready to issue — eligible, but the policy's secondary only ever
+/// rides a primary.
+#[test]
+fn primary_led_front_ends_report_why_a_skipped_barrier_hangs() {
+    let cases = [
+        (SmConfig::baseline(), 100_098, SlotState::NoContext),
+        (SmConfig::warp64(), 100_075, SlotState::IbufEmpty),
+        (SmConfig::sbi(), 100_083, SlotState::EligibleControl),
+        (SmConfig::swi(), 100_077, SlotState::IbufEmpty),
+    ];
+    for (cfg, at, secondary) in cases {
+        for fast_forward in [true, false] {
+            let cfg = cfg.clone().with_fast_forward(fast_forward);
+            let name = format!("{} (fast_forward {fast_forward})", cfg.policy);
+            let mut sm = Sm::new(cfg, Launch::new(skip_barrier(), 8, 512)).expect("valid config");
+            let Err(SimError::Deadlock { cycle, warps, .. }) = sm.run(20_000_000) else {
+                panic!("{name}: no deadlock");
+            };
+            assert_eq!(cycle, at, "{name}");
+            assert!(!warps.is_empty(), "{name}: no live warp diagnosed");
+            for w in &warps {
+                let states = w.slots.map(|(_, state)| state);
+                assert_eq!(states, [SlotState::AtBarrier, secondary], "{name}: {w}");
+            }
+        }
+    }
 }

@@ -28,8 +28,9 @@
 //! [`crate::Dram`] model, so a single-SM machine on the shared channel
 //! reproduces the inline-latency timings exactly.
 
+use std::collections::VecDeque;
+
 use crate::dram::DramConfig;
-use crate::event::MemEventQueue;
 
 /// One off-chip transaction awaiting a grant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,11 +132,10 @@ impl ChannelStats {
 /// rather than by `sm_id % num_sms` keeps the rotation fair when the
 /// participant set is non-contiguous — e.g. when channels shard requests
 /// by address — instead of collapsing several SMs onto one rank; for
-/// contiguous ids `0..num_sms` the order is identical to the historical
-/// id-based rotation. The order depends only on the *set* of requests
-/// (plus `epoch` and `num_sms`), which is what makes every consumer —
-/// channel arbitration, the shared-L2 probe pass — deterministic under
-/// any polling order.
+/// contiguous ids `0..num_sms` it is the rotation by id. The order depends
+/// only on the *set* of requests (plus `epoch` and `num_sms`), which is
+/// what makes every consumer — channel arbitration, the shared-L2 probe
+/// pass — deterministic under any polling order.
 pub fn sort_epoch_order(epoch: u64, num_sms: u32, requests: &mut [MemRequest]) {
     let n = num_sms.max(1);
     let holder = (epoch % n as u64) as u32;
@@ -177,9 +177,10 @@ pub struct SharedDramChannel {
     /// Fractional cycle at which the channel next becomes free.
     free: f64,
     stats: ChannelStats,
-    /// Completions granted but not yet retired as past — what the
-    /// machine's livelock watchdog asks about: traffic still in flight.
-    inflight: MemEventQueue<()>,
+    /// Ready cycles of completions granted but not yet retired as past —
+    /// the traffic the machine's livelock watchdog asks about — in grant
+    /// order, hence non-decreasing: `free` only grows.
+    inflight: VecDeque<u64>,
 }
 
 impl SharedDramChannel {
@@ -189,7 +190,7 @@ impl SharedDramChannel {
             cfg,
             free: 0.0,
             stats: ChannelStats::default(),
-            inflight: MemEventQueue::new(),
+            inflight: VecDeque::new(),
         }
     }
 
@@ -208,12 +209,8 @@ impl SharedDramChannel {
     pub fn grant(&mut self, req: &MemRequest) -> MemGrant {
         // Issue cycles are non-decreasing across epochs, so completions
         // before this request's issue can never be queried again — drain
-        // them to keep the in-flight heap bounded by true outstanding work.
-        while self
-            .inflight
-            .pop_ready(req.issue_cycle.saturating_sub(1))
-            .is_some()
-        {}
+        // them to keep the in-flight queue bounded by true outstanding work.
+        self.retire_completions_before(req.issue_cycle);
         let start = self.free.max(req.issue_cycle as f64);
         self.free = start + self.cfg.transfer_bytes as f64 / self.cfg.bytes_per_cycle;
         let start_cycle = start as u64;
@@ -230,7 +227,8 @@ impl SharedDramChannel {
         }
         self.stats.queue_delay_cycles += queue_delay;
         self.stats.max_queue_delay = self.stats.max_queue_delay.max(queue_delay);
-        self.inflight.push(ready_cycle, req.sm_id, req.seq, ());
+        debug_assert!(self.inflight.back().is_none_or(|&last| last <= ready_cycle));
+        self.inflight.push_back(ready_cycle);
         MemGrant {
             sm_id: req.sm_id,
             seq: req.seq,
@@ -262,7 +260,8 @@ impl SharedDramChannel {
     /// with a monotonic clock (the machine's epoch loop) invoke it at each
     /// barrier.
     pub fn retire_completions_before(&mut self, now: u64) {
-        while self.inflight.pop_ready(now.saturating_sub(1)).is_some() {}
+        let past = self.inflight.partition_point(|&ready| ready < now);
+        self.inflight.drain(..past);
     }
 
     /// Number of granted completions not yet pruned as past — a cheap
@@ -361,9 +360,9 @@ mod tests {
 
     #[test]
     fn rotation_ranks_by_position_for_non_contiguous_ids() {
-        // Participants {1, 5}: the historical `sm % n` rank with n = 2
-        // mapped both to odd ranks (1 % 2 == 5 % 2), collapsing the
-        // rotation. Position ranking keeps them distinct and rotates.
+        // Participants {1, 5}: a `sm % n` rank with n = 2 maps both to odd
+        // ranks (1 % 2 == 5 % 2), collapsing the rotation. Position
+        // ranking keeps them distinct and rotates.
         let cfg = DramConfig::paper();
         let mut ch = SharedDramChannel::new(cfg);
         let g0 = ch.arbitrate_epoch(0, 8, vec![read(0, 5, 0), read(0, 1, 0)]);

@@ -90,6 +90,29 @@ proptest! {
     }
 
     #[test]
+    fn completions_leave_in_grant_order(
+        raw in proptest::collection::vec((0u64..2048, 0u32..NUM_SMS, any::<bool>()), 1..48),
+        t in 0u64..4096,
+    ) {
+        // Requests granted one by one in list order — issue cycles in any
+        // order, as across channels' epochs — still complete in grant
+        // order, which is what lets the in-flight record be a queue.
+        let mut ch = SharedDramChannel::new(DramConfig::paper());
+        let reqs = batch(&raw);
+        let grants: Vec<MemGrant> = reqs.iter().map(|r| ch.grant(r)).collect();
+        for pair in grants.windows(2) {
+            prop_assert!(pair[0].ready_cycle <= pair[1].ready_cycle);
+        }
+        // Every grant also prunes what completed before its issue cycle,
+        // so the count is of completions at or after the latest of those
+        // and `t`.
+        ch.retire_completions_before(t);
+        let from = reqs.iter().map(|r| r.issue_cycle).fold(t, u64::max);
+        let outstanding = grants.iter().filter(|g| g.ready_cycle >= from).count();
+        prop_assert_eq!(ch.outstanding_transfers(), outstanding);
+    }
+
+    #[test]
     fn single_sm_schedule_matches_private_dram(
         raw in proptest::collection::vec((0u64..64, 0u32..1, any::<bool>()), 1..32),
     ) {

@@ -4,7 +4,9 @@
 # truth (`bench_sweep --list-frontends` prints it); the README must name
 # every entry in backticks, which is exactly how the table renders them.
 # Also fails if ARCHITECTURE.md's fenced copy of `pub trait IssuePolicy`
-# does not list the methods the trait in crates/core/src/policy.rs declares.
+# does not list the methods the trait in crates/core/src/policy.rs declares,
+# or if its "Scheduler hot path" section does not name, in backticks, every
+# variant of `SlotState` in crates/core/src/pipeline.rs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,6 +22,22 @@ if [ -z "$code" ] || [ "$code" != "$docs" ]; then
     diff <(echo "$code") <(echo "$docs") >&2 || true
     exit 1
 fi
+
+# The variant names between `pub enum SlotState` and its closing brace,
+# against the section from its heading to the next `## `.
+states="$(sed -n '/^pub enum SlotState/,/^}/p' crates/core/src/pipeline.rs \
+    | sed -n 's/^    \([A-Z][A-Za-z]*\).*/\1/p')"
+section="$(sed -n '/^## Scheduler hot path/,/^## /p' ARCHITECTURE.md)"
+if [ -z "$states" ] || [ -z "$section" ]; then
+    echo "no SlotState variants or no \"Scheduler hot path\" section found" >&2
+    exit 1
+fi
+for state in $states; do
+    if ! grep -qF "\`$state\`" <<<"$section"; then
+        echo "ARCHITECTURE.md's \"Scheduler hot path\" does not name SlotState::$state" >&2
+        exit 1
+    fi
+done
 
 names="$(cargo run --release -q -p warpweave-bench --bin bench_sweep -- --list-frontends)"
 if [ -z "$names" ]; then
