@@ -77,7 +77,7 @@ use warpweave_bench::report::{
 use warpweave_bench::shard::{matrix_from_store, merge_checkpoints, ShardSpec};
 use warpweave_core::checkpoint::SweepCheckpoint;
 use warpweave_core::faultinject::{FaultPlan, FAULTS_ENV};
-use warpweave_core::{PolicyRegistry, SweepRunner};
+use warpweave_core::{PolicyRegistry, SmConfig, SweepRunner};
 use warpweave_workloads::Scale;
 
 /// Writes `contents` to `path`, reporting I/O failure on stderr instead
@@ -253,7 +253,7 @@ fn main() -> ExitCode {
     let configs: Vec<_> = match arg_value(&args, "--frontend") {
         Some(names) => names
             .split(',')
-            .map(|n| grid::frontend_config(n.trim()).unwrap_or_else(|e| panic!("--frontend: {e}")))
+            .map(|n| SmConfig::with_policy(n.trim()).unwrap_or_else(|e| panic!("--frontend: {e}")))
             .collect(),
         None => grid::figure7_configs(),
     };

@@ -16,7 +16,7 @@
 
 use warpweave_bench::grid;
 use warpweave_bench::harness::{format_bandwidth_table, format_ipc_table, run_matrix_figure};
-use warpweave_core::SweepRunner;
+use warpweave_core::{SmConfig, SweepRunner};
 use warpweave_workloads::Scale;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
     let configs = match warpweave_bench::arg_value(&args, "--frontend") {
         Some(names) => names
             .split(',')
-            .map(|n| grid::frontend_config(n.trim()).unwrap_or_else(|e| panic!("--frontend: {e}")))
+            .map(|n| SmConfig::with_policy(n.trim()).unwrap_or_else(|e| panic!("--frontend: {e}")))
             .collect(),
         None => grid::figure7_configs(),
     };

@@ -22,25 +22,10 @@ use warpweave_workloads::{
 
 use crate::harness::{cell_key, CellFailure};
 
-/// The fig. 7 front-end set — the columns of the sweep and of the golden
-/// baseline's single-SM grid. Constructed through the policy registry
-/// ([`SmConfig::with_policy`]), so the golden baseline exercises the
-/// registry path end to end; `registry_path_matches_constructors` below
-/// pins it equal to [`SmConfig::figure7_set`].
+/// The fig. 7 front-end set: [`SmConfig::figure7_set`], under the name
+/// the frozen `benchmark/` crate calls it by.
 pub fn figure7_configs() -> Vec<SmConfig> {
-    ["Baseline", "SBI", "SWI", "SBI+SWI", "Warp64"]
-        .iter()
-        .map(|n| SmConfig::with_policy(n).expect("figure-7 policy registered"))
-        .collect()
-}
-
-/// Resolves a `--frontend` CLI value to its registry preset, with a
-/// CLI-friendly error.
-///
-/// # Errors
-/// Unknown policy names (the message lists what is registered).
-pub fn frontend_config(name: &str) -> Result<SmConfig, String> {
-    SmConfig::with_policy(name)
+    SmConfig::figure7_set()
 }
 
 /// The fig. 8(a) constraint study: SBI and SBI+SWI, constraints off/on.
@@ -352,19 +337,10 @@ mod tests {
     }
 
     #[test]
-    fn registry_path_matches_constructors() {
-        // The registry-constructed fig. 7 grid must be the constructor
-        // grid — same labels in the same order (the golden baseline's
-        // cell keys depend on it).
-        let via_registry: Vec<String> = figure7_configs().iter().map(|c| c.name.clone()).collect();
-        let via_ctor: Vec<String> = SmConfig::figure7_set()
-            .iter()
-            .map(|c| c.name.clone())
-            .collect();
-        assert_eq!(via_registry, via_ctor);
-        assert!(frontend_config("GreedyThenOldest").is_ok());
-        assert!(frontend_config("gto").is_ok());
-        assert!(frontend_config("bogus").is_err());
+    fn figure7_labels_key_the_golden_cells() {
+        // The golden baseline's cell keys are these labels, in this order.
+        let labels: Vec<String> = figure7_configs().into_iter().map(|c| c.name).collect();
+        assert_eq!(labels, ["Baseline", "SBI", "SWI", "SBI+SWI", "Warp64"]);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   and the golden parser that reads them back loses nothing: parse →
 //!   render reproduces the committed file byte for byte;
 //! * the net-new `GreedyThenOldest` policy is selectable from the
-//!   registry, differs from the baseline order, and is bit-identical
-//!   across 1 and 8 host threads on a multi-SM machine.
+//!   registry, differs from the baseline order, is bit-identical across 1
+//!   and 8 host threads on a multi-SM machine, and has every counter of
+//!   three runs pinned (no golden cell runs it).
 
 use warpweave_bench::grid::{
     figure7_configs, grid_id, grid_jobs, quick_workloads, sweep_workloads,
@@ -22,7 +23,7 @@ use warpweave_bench::{
     matrix_from_store, parse_golden_cells, probes_from_store, render_golden_json,
 };
 use warpweave_core::checkpoint::{CellRecord, SweepCheckpoint};
-use warpweave_core::{Launch, Machine, MachineStats, PolicyRegistry, SchedOrder, SmConfig};
+use warpweave_core::{Launch, Machine, MachineStats, PolicyRegistry, SmConfig};
 use warpweave_isa::{p, r, CmpOp, KernelBuilder, Operand, Program, SpecialReg};
 use warpweave_workloads::Scale;
 
@@ -189,6 +190,80 @@ fn greedy_then_oldest_is_deterministic_across_host_threads() {
     assert!(reference.total.thread_instructions > 0);
 }
 
+/// Every counter of `stats` as one `name=value,…` line.
+fn field_line(stats: &warpweave_core::Stats) -> String {
+    stats
+        .to_fields()
+        .iter()
+        .map(|(name, value)| format!("{name}={value}"))
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+#[test]
+fn greedy_then_oldest_counters_are_pinned() {
+    // No golden cell runs GTO, so these lines are its only record: every
+    // counter of the collatz kernel on one SM and of the quick grid's two
+    // workloads at test scale, recorded at the commit where every policy
+    // still carried a scheduling order.
+    let launch = Launch::new(collatz_program(), 6, 256).with_params(vec![OUT]);
+    let mut sm = warpweave_core::Sm::new(SmConfig::greedy_then_oldest(), launch).expect("builds");
+    let stats = sm.run(50_000_000).expect("runs");
+    let mut got = vec![("collatz".to_string(), field_line(stats))];
+    for job in grid_jobs(&[SmConfig::greedy_then_oldest()], &quick_workloads()) {
+        if !job.is_probe() {
+            let record = job.run(Scale::Test, true).expect("verified run");
+            got.push((job.key, field_line(&record.stats)));
+        }
+    }
+    let want = [
+        (
+            "collatz",
+            "cycles=28674,thread_instructions=365930,warp_instructions=56214,\
+             primary_issues=56214,secondary_issues=0,same_group_coissues=0,\
+             other_group_coissues=0,fetch_squashes=0,scheduler_conflicts=0,\
+             constraint_suspensions=0,lookup_probes=0,lookup_hits=0,lsu_transactions=48,\
+             lsu_replays=0,idle_cycles=100,barrier_releases=0,blocks_completed=6,\
+             max_stack_depth=4,heap_max_live_splits=0,heap_spills=0,heap_degraded_inserts=0,\
+             heap_merges=0,l1_load_hits=0,l1_load_misses=0,l1_stores=48,\
+             dram_read_transfers=0,dram_write_transfers=48,dram_queued_loads=0,\
+             dram_queue_delay=0,dram_max_queue_delay=0,mshr_merges=0,mshr_bypasses=0,\
+             superblock_enters=0,superblock_covered=0,superblock_aborts=0",
+        ),
+        (
+            "MatrixMul/GreedyThenOldest",
+            "cycles=3217,thread_instructions=137216,warp_instructions=4288,\
+             primary_issues=4288,secondary_issues=0,same_group_coissues=0,\
+             other_group_coissues=0,fetch_squashes=0,scheduler_conflicts=0,\
+             constraint_suspensions=0,lookup_probes=0,lookup_hits=0,lsu_transactions=2496,\
+             lsu_replays=160,idle_cycles=417,barrier_releases=16,blocks_completed=4,\
+             max_stack_depth=1,heap_max_live_splits=0,heap_spills=0,heap_degraded_inserts=0,\
+             heap_merges=0,l1_load_hits=192,l1_load_misses=64,l1_stores=64,\
+             dram_read_transfers=64,dram_write_transfers=64,dram_queued_loads=63,\
+             dram_queue_delay=16188,dram_max_queue_delay=487,mshr_merges=0,mshr_bypasses=0,\
+             superblock_enters=0,superblock_covered=0,superblock_aborts=0",
+        ),
+        (
+            "SortingNetworks/GreedyThenOldest",
+            "cycles=14433,thread_instructions=753646,warp_instructions=24866,\
+             primary_issues=24866,secondary_issues=0,same_group_coissues=0,\
+             other_group_coissues=0,fetch_squashes=0,scheduler_conflicts=0,\
+             constraint_suspensions=0,lookup_probes=0,lookup_hits=0,lsu_transactions=10174,\
+             lsu_replays=4284,idle_cycles=888,barrier_releases=184,blocks_completed=4,\
+             max_stack_depth=2,heap_max_live_splits=0,heap_spills=0,heap_degraded_inserts=0,\
+             heap_merges=0,l1_load_hits=0,l1_load_misses=64,l1_stores=64,\
+             dram_read_transfers=64,dram_write_transfers=64,dram_queued_loads=63,\
+             dram_queue_delay=23759,dram_max_queue_delay=743,mshr_merges=0,mshr_bypasses=0,\
+             superblock_enters=0,superblock_covered=0,superblock_aborts=0",
+        ),
+    ];
+    let want: Vec<(String, String)> = want
+        .iter()
+        .map(|&(key, line)| (key.to_string(), line.to_string()))
+        .collect();
+    assert_eq!(got, want);
+}
+
 #[test]
 fn greedy_then_oldest_changes_the_schedule_but_not_the_result() {
     // GTO is the same machine as the baseline with a different walk
@@ -217,8 +292,4 @@ fn greedy_then_oldest_changes_the_schedule_but_not_the_result() {
         (base_stats.cycles, base_stats.idle_cycles),
         "GTO should produce a different schedule on an imbalanced kernel"
     );
-    // The order parameter composes onto non-baseline policies too.
-    let (swi_stats, swi_mem) = run(SmConfig::swi().with_sched_order(SchedOrder::GreedyThenOldest));
-    assert_eq!(swi_mem, base_mem);
-    assert!(swi_stats.thread_instructions > 0);
 }

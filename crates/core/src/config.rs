@@ -4,7 +4,7 @@ use warpweave_isa::UnitClass;
 use warpweave_mem::{CacheConfig, DramConfig};
 
 use crate::lane::LaneShuffle;
-use crate::policy::{PolicyRegistry, SchedOrder};
+use crate::policy::PolicyRegistry;
 use crate::rng::TieBreakRng;
 
 /// How intra-warp divergence is tracked.
@@ -42,14 +42,6 @@ pub enum Associativity {
 }
 
 impl Associativity {
-    /// Number of candidate entries searched per lookup given the pool size.
-    pub fn candidates(self, num_warps: usize) -> usize {
-        match self {
-            Associativity::Full => num_warps.saturating_sub(1),
-            Associativity::Ways(k) => k.min(num_warps.saturating_sub(1)),
-        }
-    }
-
     /// Number of sets the warp pool is partitioned into.
     pub fn num_sets(self, num_warps: usize) -> usize {
         match self {
@@ -107,9 +99,14 @@ pub struct GroupConfig {
 /// Full SM configuration. Build one with the presets ([`SmConfig::baseline`]
 /// etc.) and adjust fields as needed.
 ///
-/// Two table-2 values are modelled by a mechanism, not by a field. The
-/// scheduler latency (1 cycle; 2 for SWI's cascade) is the SWI policy's
-/// pending primary: picked one cycle, issued the next ([`crate::policy`]).
+/// A field is an axis some preset, figure or probe sets. What every
+/// configuration shares is a constant of the pipeline: table 2's 8-cycle
+/// execution latency, 6-entry scoreboard and L1
+/// ([`CacheConfig::paper_l1`]), and a 10-cycle shared-memory latency.
+///
+/// Two more table-2 values are modelled by a mechanism. The scheduler
+/// latency (1 cycle; 2 for SWI's cascade) is the SWI policy's pending
+/// primary: picked one cycle, issued the next ([`crate::policy`]).
 /// §5.2's 8-entry Cold Context Table is unbounded in
 /// [`crate::FrontierHeap`]; the `heap_max_live_splits` counter reports how
 /// many entries a run needed.
@@ -124,9 +121,6 @@ pub struct SmConfig {
     /// Issue-policy registry name (see [`PolicyRegistry`]); resolved to a
     /// boxed [`crate::policy::IssuePolicy`] at SM construction.
     pub policy: String,
-    /// Scheduling order the policy walks its primary candidates in —
-    /// composable across every registered policy.
-    pub sched_order: SchedOrder,
     /// Divergence tracking structure.
     pub divergence: DivergenceModel,
     /// Apply SBI reconvergence constraints (`SYNC` suspension, §3.3).
@@ -137,14 +131,8 @@ pub struct SmConfig {
     pub swi_assoc: Associativity,
     /// Dependence-tracking scheme.
     pub scoreboard_mode: ScoreboardMode,
-    /// In-flight instructions tracked per warp (table 2: 6).
-    pub scoreboard_entries: usize,
     /// Instruction delivery latency (0 baseline; 1 for SBI/SWI — table 2).
     pub delivery_latency: u32,
-    /// Execution latency in cycles (table 2: 8).
-    pub exec_latency: u32,
-    /// Shared-memory access latency in cycles.
-    pub shared_latency: u32,
     /// Model the sideband CCT sorter's walk time (degrades to stack order
     /// under pressure, §3.4). `false` keeps the CCT ideally sorted.
     pub model_sideband_sorter: bool,
@@ -160,11 +148,10 @@ pub struct SmConfig {
     pub fast_forward: bool,
     /// Back-end SIMD groups.
     pub groups: Vec<GroupConfig>,
-    /// L1 data cache geometry/timing.
-    pub l1: CacheConfig,
-    /// Per-SM miss-status holding registers: same-line misses merge onto
-    /// one in-flight transaction instead of multiplying DRAM traffic.
-    /// 0 (the default) disables merging — the historical model.
+    /// Per-SM miss-status holding registers: a miss to a line evicted
+    /// while its fill is in flight merges onto that fill instead of
+    /// multiplying DRAM traffic (a load of a line still in the L1 is a
+    /// hit, fill or no fill). 0 (the default) disables merging.
     pub mshr_entries: u32,
     /// Optional machine-shared L2 between the L1s and the DRAM channels
     /// (shared-channel machines only). `None` (the default) goes straight
@@ -197,16 +184,12 @@ impl SmConfig {
             num_warps: 16,
             warp_width: 64,
             policy: policy.to_string(),
-            sched_order: SchedOrder::OldestFirst,
             divergence: DivergenceModel::Frontier,
             sbi_constraints: false,
             lane_shuffle: LaneShuffle::Identity,
             swi_assoc: Associativity::Full,
             scoreboard_mode: ScoreboardMode::WarpLevel,
-            scoreboard_entries: 6,
             delivery_latency: 1,
-            exec_latency: 8,
-            shared_latency: 10,
             model_sideband_sorter: true,
             fast_forward: true,
             groups: vec![
@@ -223,7 +206,6 @@ impl SmConfig {
                     width: 32,
                 },
             ],
-            l1: CacheConfig::paper_l1(),
             mshr_entries: 0,
             l2: None,
             dram: DramConfig::paper(),
@@ -307,14 +289,12 @@ impl SmConfig {
 
     /// The net-new scheduling-order policy: the baseline dual-pool
     /// machine with **greedy-then-oldest** warp ordering (the pool's
-    /// last-issued warp keeps priority while it stays ready). The order
-    /// itself is a composable [`SchedOrder`] parameter — this preset is
-    /// its registered stand-alone entry point.
+    /// last-issued warp keeps priority while it stays ready) — a policy of
+    /// its own, [`crate::policy::baseline::DualPoolPolicy::greedy`].
     pub fn greedy_then_oldest() -> SmConfig {
         SmConfig {
             name: "GreedyThenOldest".into(),
             policy: "GreedyThenOldest".into(),
-            sched_order: SchedOrder::GreedyThenOldest,
             ..Self::baseline()
         }
     }
@@ -336,15 +316,15 @@ impl SmConfig {
             })
     }
 
-    /// The five configurations of fig. 7, in presentation order.
+    /// The five configurations of fig. 7, in presentation order — the
+    /// columns of the sweep and of the golden grid. Built through the
+    /// registry ([`SmConfig::with_policy`]), so every caller exercises
+    /// the path `--frontend` takes.
     pub fn figure7_set() -> Vec<SmConfig> {
-        vec![
-            Self::baseline(),
-            Self::sbi(),
-            Self::swi(),
-            Self::sbi_swi(),
-            Self::warp64(),
-        ]
+        ["Baseline", "SBI", "SWI", "SBI+SWI", "Warp64"]
+            .iter()
+            .map(|n| Self::with_policy(n).expect("figure-7 policy registered"))
+            .collect()
     }
 
     /// Renames the configuration (builder style).
@@ -374,13 +354,6 @@ impl SmConfig {
     /// Enables/disables SBI reconvergence constraints (builder style).
     pub fn with_constraints(mut self, on: bool) -> SmConfig {
         self.sbi_constraints = on;
-        self
-    }
-
-    /// Sets the scheduling order (builder style) — composable with every
-    /// registered policy.
-    pub fn with_sched_order(mut self, order: SchedOrder) -> SmConfig {
-        self.sched_order = order;
         self
     }
 
@@ -452,11 +425,6 @@ impl SmConfig {
         cfg
     }
 
-    /// Total SM thread capacity.
-    pub fn thread_capacity(&self) -> usize {
-        self.num_warps * self.warp_width
-    }
-
     /// Total back-end lanes.
     pub fn total_lanes(&self) -> usize {
         self.groups.iter().map(|g| g.width).sum()
@@ -509,9 +477,6 @@ impl SmConfig {
                 entry.name
             ));
         }
-        if self.scoreboard_entries == 0 {
-            return Err("scoreboard needs at least one entry".into());
-        }
         // A back-end that cannot issue: a zero-wide group divides by zero
         // on its first instruction, an unserved class idles into the
         // watchdog on its first, and control takes no port at all.
@@ -530,9 +495,6 @@ impl SmConfig {
                 return Err(format!("no execution group serves {class:?}"));
             }
         }
-        self.l1
-            .validate()
-            .map_err(|e| format!("l1 geometry: {e}"))?;
         self.dram
             .validate()
             .map_err(|e| format!("dram config: {e}"))?;
@@ -564,17 +526,25 @@ mod tests {
     #[test]
     fn validate_rejects_bad_memory_geometry() {
         let mut c = SmConfig::baseline();
-        c.l1.capacity_bytes = 100; // not a multiple of 6 × 128
-        assert!(c.validate().unwrap_err().contains("l1 geometry"));
-        let mut c = SmConfig::baseline();
-        c.l1.ways = 0;
-        assert!(c.validate().unwrap_err().contains("l1 geometry"));
-        let mut c = SmConfig::baseline();
         c.dram.num_channels = 0;
         assert!(c.validate().unwrap_err().contains("dram config"));
         let mut c = SmConfig::baseline();
         c.dram.interleave_bytes = 64; // below the 128 B transfer
         assert!(c.validate().unwrap_err().contains("dram config"));
+        // A channel that cannot move data: the transfer time would be
+        // infinite, negative or NaN, the completion cycle garbage.
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut c = SmConfig::baseline();
+            c.dram.bytes_per_cycle = bad;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("dram config: dram bytes_per_cycle"), "{err}");
+        }
+        // A zero latency would make the shared-channel epoch longer than
+        // the latency it is capped at.
+        let mut c = SmConfig::baseline();
+        c.dram.latency = 0;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("dram config: dram latency"), "{err}");
         let mut c = SmConfig::baseline()
             .with_shared_dram()
             .with_l2(CacheConfig {
@@ -599,10 +569,7 @@ mod tests {
         let c = SmConfig::baseline();
         assert_eq!((c.num_warps, c.warp_width), (32, 32));
         assert_eq!(c.delivery_latency, 0);
-        assert_eq!(c.exec_latency, 8);
-        assert_eq!(c.scoreboard_entries, 6);
         assert_eq!(c.peak_ipc(), 64);
-        assert_eq!(c.thread_capacity(), 1024);
         c.validate().unwrap();
     }
 
@@ -659,12 +626,10 @@ mod tests {
     #[test]
     fn associativity_partitioning_24_warps() {
         // The fig. 9 points with a 24-warp pool.
-        assert_eq!(Associativity::Full.candidates(24), 23);
+        assert_eq!(Associativity::Full.num_sets(24), 1);
         assert_eq!(Associativity::Ways(11).num_sets(24), 2);
-        assert_eq!(Associativity::Ways(11).candidates(24), 11);
         assert_eq!(Associativity::Ways(3).num_sets(24), 6);
         assert_eq!(Associativity::Ways(1).num_sets(24), 12);
-        assert_eq!(Associativity::Ways(1).candidates(24), 1);
         assert_eq!(Associativity::Ways(1).name(), "Direct mapped");
     }
 
@@ -682,31 +647,25 @@ mod tests {
             let direct = ctor();
             assert_eq!(via_registry.name, direct.name, "{name}");
             assert_eq!(via_registry.policy, direct.policy, "{name}");
-            assert_eq!(via_registry.sched_order, direct.sched_order, "{name}");
             via_registry.validate().unwrap();
         }
         assert!(SmConfig::with_policy("NoSuchPolicy").is_err());
     }
 
     #[test]
-    fn gto_preset_composes_the_order_parameter() {
-        let gto = SmConfig::greedy_then_oldest();
-        assert_eq!(gto.sched_order, SchedOrder::GreedyThenOldest);
-        // Same machine as the baseline, different walk order.
-        let base = SmConfig::baseline();
+    fn gto_preset_is_the_baseline_machine_under_another_policy() {
+        let (gto, base) = (SmConfig::greedy_then_oldest(), SmConfig::baseline());
+        assert_eq!(gto.policy, "GreedyThenOldest");
         assert_eq!(gto.num_warps, base.num_warps);
         assert_eq!(gto.warp_width, base.warp_width);
         assert_eq!(gto.divergence, base.divergence);
-        // And the order composes onto any policy.
-        let swi = SmConfig::swi().with_sched_order(SchedOrder::GreedyThenOldest);
-        swi.validate().unwrap();
-        assert_eq!(swi.policy, "SWI");
     }
 
     #[test]
     fn figure7_set_is_complete() {
         let set = SmConfig::figure7_set();
-        assert_eq!(set.len(), 5);
+        let names: Vec<&str> = set.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["Baseline", "SBI", "SWI", "SBI+SWI", "Warp64"]);
         for c in &set {
             c.validate().unwrap();
         }

@@ -83,9 +83,7 @@ pub use mask::Mask;
 #[cfg(debug_assertions)]
 pub use pipeline::EventAudit;
 pub use pipeline::{SimError, SlotState, Sm, WarpDiagnosis};
-pub use policy::{
-    Dispatch, IssueCtx, IssuePolicy, Pick, PolicyInfo, PolicyRegistry, Ready, SchedOrder,
-};
+pub use policy::{Dispatch, IssueCtx, IssuePolicy, Pick, PolicyInfo, PolicyRegistry, Ready};
 pub use regfile::WarpRegFile;
 pub use scoreboard::{DepMatrix, Scoreboard};
 pub use stats::Stats;

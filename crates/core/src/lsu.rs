@@ -342,6 +342,29 @@ mod tests {
     }
 
     #[test]
+    fn l1_hit_under_miss_answers_at_hit_latency_so_mshrs_never_merge() {
+        // Pins a gap, not a design: the L1 marks a missed line valid at the
+        // miss, so a load of the same line one cycle later is an L1 hit
+        // that completes at the hit latency — long before the fill lands —
+        // and never reaches the MSHR file. Only a line evicted while its
+        // fill is in flight merges (`mshr_merges_evicted_inflight_line`).
+        // Fixing it moves golden cycles (ROADMAP item 5's re-record).
+        let (mut l1, mut ch) = setup();
+        let mut mshr = MshrFile::new(8);
+        let t = 100;
+        let miss = plan_global(&mut l1, &mut mshr, t, &[tx(0)], false, 0);
+        assert_eq!(miss.dram_requests, vec![(t, 0, false)]);
+        let fill = resolve(&miss, &mut ch);
+        assert_eq!(fill, t + 330);
+        let again = plan_global(&mut l1, &mut mshr, t + 1, &[tx(0)], false, 1);
+        assert!(again.dram_requests.is_empty() && again.merged_waits.is_empty());
+        assert_eq!((again.mshr_merges, again.mshr_bypasses), (0, 0));
+        assert!(again.resolves_inline(false));
+        assert_eq!(again.inline_ready, t + 1 + 3);
+        assert!(again.inline_ready < fill);
+    }
+
+    #[test]
     fn mshr_full_file_bypasses_and_counts() {
         let mut l1 = Cache::new(CacheConfig::paper_l1());
         let mut mshr = MshrFile::new(1);

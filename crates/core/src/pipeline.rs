@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use warpweave_isa::{Instruction, MemSpace, Op, Pc, Program, UnitClass};
 use warpweave_mem::{
-    atomic_transactions_rows, coalesce_rows, AccessShape, Cache, CalendarQueue, MemGrant,
-    MemRequest, Memory, MshrFile, SharedDramChannel, SharedMem, TxScratch,
+    atomic_transactions_rows, coalesce_rows, AccessShape, Cache, CacheConfig, CalendarQueue,
+    MemGrant, MemRequest, Memory, MshrFile, SharedDramChannel, SharedMem, TxScratch,
 };
 
 use crate::config::{DivergenceModel, ScoreboardMode, SmConfig};
@@ -501,6 +501,17 @@ pub struct Sm {
 /// Cycles without any issue or writeback before the deadlock watchdog fires.
 const WATCHDOG_CYCLES: u64 = 100_000;
 
+/// Cycles from an ALU / SFU instruction's last wave to its writeback
+/// (table 2: 8), before the configured delivery latency.
+pub(crate) const EXEC_LATENCY: u64 = 8;
+
+/// Shared-memory latency: cycles from an access's last pass to its
+/// writeback, before the configured delivery latency (not a table-2 row).
+pub(crate) const SHARED_LATENCY: u64 = 10;
+
+/// In-flight instructions the scoreboard tracks per warp (table 2: 6).
+pub(crate) const SCOREBOARD_ENTRIES: usize = 6;
+
 impl Sm {
     /// Builds an SM for `launch` under `cfg`.
     ///
@@ -572,13 +583,13 @@ impl Sm {
                 // a warp that never receives a block reports a stack of
                 // depth 1 to `finalize_stats`, which the golden grid pins.
                 div: Divergence::Stack(PdomStack::new(Mask::EMPTY)),
-                scoreboard: Scoreboard::new(cfg.scoreboard_mode, cfg.scoreboard_entries),
+                scoreboard: Scoreboard::new(cfg.scoreboard_mode, SCOREBOARD_ENTRIES),
                 ibuf: [None, None],
                 exited: Mask::EMPTY,
                 populated: Mask::EMPTY,
             })
             .collect();
-        let l1 = Cache::new(cfg.l1);
+        let l1 = Cache::new(CacheConfig::paper_l1());
         let mshr = MshrFile::new(cfg.mshr_entries as usize);
         let dram = SharedDramChannel::new(cfg.dram);
         let seed = cfg.seed;
@@ -641,7 +652,7 @@ impl Sm {
             sideband_busy_until: 0,
             // One event per in-flight scoreboard instruction at most, so
             // the queue never grows after construction.
-            pending_wb: CalendarQueue::with_capacity(cfg.num_warps * cfg.scoreboard_entries * 2),
+            pending_wb: CalendarQueue::with_capacity(cfg.num_warps * SCOREBOARD_ENTRIES * 2),
             policy: Some(policy),
             lane_table,
             rng: TieBreakRng::new(seed),
@@ -728,7 +739,7 @@ impl Sm {
 
     /// Sets this SM's machine-wide id: stamps outgoing [`MemRequest`]s so
     /// the shared channel's arbitration order is well-defined across SMs.
-    pub fn set_sm_id(&mut self, sm_id: u32) {
+    pub(crate) fn set_sm_id(&mut self, sm_id: u32) {
         self.sm_id = sm_id;
     }
 
@@ -736,19 +747,19 @@ impl Sm {
     /// SM stops self-granting, leaves its transactions in the outbox for
     /// [`Sm::drain_mem_requests`] and blocks the issuing warps until
     /// [`Sm::deliver_mem_grants`] supplies the completion times.
-    pub fn attach_shared_channel(&mut self) {
+    pub(crate) fn attach_shared_channel(&mut self) {
         self.external_mem = true;
     }
 
     /// Drains the transactions issued since the last drain (machine epoch
     /// barrier). Empty unless [`Sm::attach_shared_channel`] was called.
-    pub fn drain_mem_requests(&mut self) -> Vec<MemRequest> {
+    pub(crate) fn drain_mem_requests(&mut self) -> Vec<MemRequest> {
         std::mem::take(&mut self.mem_outbox)
     }
 
     /// Delivers arbitration grants from the machine-shared channel,
     /// unblocking the scoreboard entries that were waiting on them.
-    pub fn deliver_mem_grants(&mut self, grants: &[MemGrant]) {
+    pub(crate) fn deliver_mem_grants(&mut self, grants: &[MemGrant]) {
         for grant in grants {
             debug_assert_eq!(grant.sm_id, self.sm_id, "grant routed to wrong SM");
             self.apply_grant(grant);
@@ -1837,7 +1848,7 @@ impl Sm {
         let now = self.cycle;
         let width = self.cfg.warp_width;
         let delivery = self.cfg.delivery_latency as u64;
-        let lat = self.cfg.exec_latency as u64 + delivery;
+        let lat = EXEC_LATENCY + delivery;
         match dispatch {
             Dispatch::None => WbTiming::At(now + 1),
             Dispatch::Ride(g) => {
@@ -1937,7 +1948,7 @@ impl Sm {
                             self.stats.lsu_transactions += txs.len() as u64;
                             (
                                 txs.len().max(1) as u64,
-                                WbTiming::At(now + self.cfg.shared_latency as u64 + delivery),
+                                WbTiming::At(now + SHARED_LATENCY + delivery),
                             )
                         }
                         (MemSpace::Shared, _) => {
@@ -1959,9 +1970,7 @@ impl Sm {
                             }
                             (
                                 passes,
-                                WbTiming::At(
-                                    now + passes - 1 + self.cfg.shared_latency as u64 + delivery,
-                                ),
+                                WbTiming::At(now + passes - 1 + SHARED_LATENCY + delivery),
                             )
                         }
                     };

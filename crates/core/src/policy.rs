@@ -72,41 +72,13 @@ pub mod baseline;
 pub mod sbi;
 pub mod swi;
 
-use std::sync::OnceLock;
+use std::sync::{OnceLock, RwLock};
 
 use warpweave_isa::{Pc, Program, UnitClass};
 
 use crate::config::SmConfig;
 use crate::mask::Mask;
 use crate::pipeline::Sm;
-
-/// The order in which a scheduler walks its ready candidates.
-///
-/// This is a *composable* parameter: every built-in policy honours it for
-/// its primary pick, so `SmConfig::baseline().with_sched_order(..)` or the
-/// registered `GreedyThenOldest` preset both get greedy warp scheduling
-/// without a new scheduler implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SchedOrder {
-    /// Strict oldest-first: the ready instruction with the smallest fetch
-    /// sequence number wins (the paper's baseline order).
-    #[default]
-    OldestFirst,
-    /// Greedy-then-oldest (GTO): the warp that issued last keeps priority
-    /// while it stays ready; when it stalls, fall back to oldest-first.
-    /// Improves L1 locality on regular kernels at the cost of fairness.
-    GreedyThenOldest,
-}
-
-impl SchedOrder {
-    /// The label used in benchmark output.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedOrder::OldestFirst => "oldest-first",
-            SchedOrder::GreedyThenOldest => "greedy-then-oldest",
-        }
-    }
-}
 
 /// A scheduling candidate: a ready, decoded instruction in some warp's
 /// instruction buffer, as reported by [`IssueCtx::ready_check`].
@@ -334,7 +306,7 @@ pub type PolicyFactory = fn(&SmConfig) -> Box<dyn IssuePolicy>;
 pub struct PolicyInfo {
     /// Canonical registry name (also the preset's config label).
     pub name: &'static str,
-    /// Alternate names [`PolicyRegistry::resolve`] accepts.
+    /// Alternate names [`PolicyRegistry::resolve_global`] accepts.
     pub aliases: &'static [&'static str],
     /// One-line description.
     pub summary: &'static str,
@@ -350,7 +322,7 @@ pub struct PolicyInfo {
 
 impl PolicyInfo {
     /// A new entry with no aliases and no architectural requirements
-    /// (builder-style setters below add them). `preset` returns the
+    /// (set `needs_*` with struct-update syntax). `preset` returns the
     /// policy's default [`SmConfig`]; `factory` builds a fresh policy
     /// instance per SM. Register the result with
     /// [`PolicyRegistry::register_global`] to make the policy
@@ -374,24 +346,10 @@ impl PolicyInfo {
         }
     }
 
-    /// Sets the alternate names [`PolicyRegistry::resolve`] accepts
-    /// (builder style).
+    /// Sets the alternate names [`PolicyRegistry::resolve_global`]
+    /// accepts (builder style).
     pub fn with_aliases(mut self, aliases: &'static [&'static str]) -> PolicyInfo {
         self.aliases = aliases;
-        self
-    }
-
-    /// Marks the policy as requiring thread-frontier divergence tracking
-    /// (builder style; enforced by [`SmConfig::validate`]).
-    pub fn requires_frontier(mut self) -> PolicyInfo {
-        self.needs_frontier = true;
-        self
-    }
-
-    /// Marks the policy as requiring a mask-aware scoreboard (builder
-    /// style; enforced by [`SmConfig::validate`]).
-    pub fn requires_masked_scoreboard(mut self) -> PolicyInfo {
-        self.needs_masked_scoreboard = true;
         self
     }
 
@@ -411,97 +369,43 @@ impl PolicyInfo {
     }
 }
 
-/// Resolves issue-policy names to boxed factories.
-///
-/// The **process-wide** registry (seeded with the built-ins, extended
-/// via [`PolicyRegistry::register_global`]) is what [`SmConfig`]
-/// validation and SM construction resolve against — registering a
-/// custom policy there makes it constructible by name everywhere
-/// (`SmConfig::with_policy`, `--frontend <name>`, `Sm::new`). Owned
-/// registries (via [`PolicyRegistry::with_builtins`] +
-/// [`PolicyRegistry::register`]) stay available for staging entries
-/// without touching process state.
-#[derive(Debug, Clone)]
-pub struct PolicyRegistry {
-    entries: Vec<PolicyInfo>,
-}
+/// The process-wide table of issue policies: seeded with the built-ins,
+/// extended via [`PolicyRegistry::register_global`]. It is what
+/// [`SmConfig`] validation and SM construction resolve against, so a
+/// policy registered here is constructible by name everywhere
+/// (`SmConfig::with_policy`, `--frontend <name>`, `Sm::new`). There is no
+/// other instance: the type only names the table's three functions.
+#[derive(Debug)]
+pub enum PolicyRegistry {}
 
-/// The process-wide registry cell.
-fn global() -> &'static std::sync::RwLock<PolicyRegistry> {
-    static GLOBAL: OnceLock<std::sync::RwLock<PolicyRegistry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| std::sync::RwLock::new(PolicyRegistry::with_builtins()))
+/// The table: the built-ins, then every registration.
+fn table() -> &'static RwLock<Vec<PolicyInfo>> {
+    static TABLE: OnceLock<RwLock<Vec<PolicyInfo>>> = OnceLock::new();
+    TABLE.get_or_init(|| RwLock::new(builtin_entries()))
 }
 
 impl PolicyRegistry {
-    /// An empty registry.
-    pub fn new() -> PolicyRegistry {
-        PolicyRegistry {
-            entries: Vec::new(),
-        }
-    }
-
-    /// A fresh owned registry pre-populated with the built-in policies.
-    pub fn with_builtins() -> PolicyRegistry {
-        let mut r = PolicyRegistry::new();
-        for e in builtin_entries() {
-            r.register(e);
-        }
-        r
-    }
-
-    /// Registers `info` in the **process-wide** registry, replacing any
-    /// entry with the same canonical name. After this call the policy is
-    /// constructible by name from every entry point
-    /// ([`SmConfig::with_policy`], [`SmConfig::validate`],
+    /// Registers `info`, replacing any entry with the same canonical name.
+    /// After this call the policy is constructible by name from every
+    /// entry point ([`SmConfig::with_policy`], [`SmConfig::validate`],
     /// `Sm`/`Machine` construction, the CLIs' `--frontend`).
     pub fn register_global(info: PolicyInfo) {
-        global()
-            .write()
-            .expect("policy registry lock")
-            .register(info);
+        let mut entries = table().write().expect("policy registry lock");
+        entries.retain(|e| e.name != info.name);
+        entries.push(info);
     }
 
-    /// Resolves a name or alias against the process-wide registry
-    /// (a cheap clone of the entry — two `fn` pointers plus statics).
+    /// Resolves a canonical name or alias (a cheap clone of the entry —
+    /// two `fn` pointers plus statics).
     pub fn resolve_global(name: &str) -> Option<PolicyInfo> {
-        global()
-            .read()
-            .expect("policy registry lock")
-            .resolve(name)
-            .cloned()
-    }
-
-    /// Canonical names registered process-wide, in registration order.
-    pub fn global_names() -> Vec<&'static str> {
-        global().read().expect("policy registry lock").names()
-    }
-
-    /// Registers `info` in this owned registry, replacing any entry with
-    /// the same canonical name.
-    pub fn register(&mut self, info: PolicyInfo) {
-        self.entries.retain(|e| e.name != info.name);
-        self.entries.push(info);
-    }
-
-    /// Resolves a canonical name or alias to its entry.
-    pub fn resolve(&self, name: &str) -> Option<&PolicyInfo> {
-        self.entries.iter().find(|e| e.matches(name))
+        let entries = table().read().expect("policy registry lock");
+        entries.iter().find(|e| e.matches(name)).cloned()
     }
 
     /// Canonical names, in registration order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.entries.iter().map(|e| e.name).collect()
-    }
-
-    /// All entries, in registration order.
-    pub fn entries(&self) -> &[PolicyInfo] {
-        &self.entries
-    }
-}
-
-impl Default for PolicyRegistry {
-    fn default() -> Self {
-        PolicyRegistry::with_builtins()
+    pub fn global_names() -> Vec<&'static str> {
+        let entries = table().read().expect("policy registry lock");
+        entries.iter().map(|e| e.name).collect()
     }
 }
 
@@ -515,7 +419,7 @@ fn builtin_entries() -> Vec<PolicyInfo> {
             needs_frontier: false,
             needs_masked_scoreboard: false,
             preset: SmConfig::baseline,
-            factory: |cfg| Box::new(baseline::DualPoolPolicy::new(cfg.sched_order)),
+            factory: |_| Box::new(baseline::DualPoolPolicy::oldest_first()),
         },
         PolicyInfo {
             name: "Warp64",
@@ -525,7 +429,7 @@ fn builtin_entries() -> Vec<PolicyInfo> {
             needs_frontier: true,
             needs_masked_scoreboard: false,
             preset: SmConfig::warp64,
-            factory: |cfg| Box::new(baseline::DualPoolPolicy::new(cfg.sched_order)),
+            factory: |_| Box::new(baseline::DualPoolPolicy::oldest_first()),
         },
         PolicyInfo {
             name: "SBI",
@@ -535,7 +439,7 @@ fn builtin_entries() -> Vec<PolicyInfo> {
             needs_frontier: true,
             needs_masked_scoreboard: true,
             preset: SmConfig::sbi,
-            factory: |cfg| Box::new(sbi::SbiPolicy::new(cfg.sched_order)),
+            factory: |_| Box::new(sbi::SbiPolicy),
         },
         PolicyInfo {
             name: "SWI",
@@ -545,7 +449,7 @@ fn builtin_entries() -> Vec<PolicyInfo> {
             needs_frontier: true,
             needs_masked_scoreboard: false,
             preset: SmConfig::swi,
-            factory: |cfg| Box::new(swi::SwiPolicy::solo(cfg.sched_order)),
+            factory: |_| Box::new(swi::SwiPolicy::solo()),
         },
         PolicyInfo {
             name: "SBI+SWI",
@@ -555,7 +459,7 @@ fn builtin_entries() -> Vec<PolicyInfo> {
             needs_frontier: true,
             needs_masked_scoreboard: true,
             preset: SmConfig::sbi_swi,
-            factory: |cfg| Box::new(swi::SwiPolicy::with_sbi(cfg.sched_order)),
+            factory: |_| Box::new(swi::SwiPolicy::with_sbi()),
         },
         PolicyInfo {
             name: "GreedyThenOldest",
@@ -565,7 +469,7 @@ fn builtin_entries() -> Vec<PolicyInfo> {
             needs_frontier: false,
             needs_masked_scoreboard: false,
             preset: SmConfig::greedy_then_oldest,
-            factory: |cfg| Box::new(baseline::DualPoolPolicy::new(cfg.sched_order)),
+            factory: |_| Box::new(baseline::DualPoolPolicy::greedy()),
         },
     ]
 }
@@ -576,19 +480,17 @@ mod tests {
 
     #[test]
     fn builtin_names_resolve_and_validate() {
-        let reg = PolicyRegistry::with_builtins();
-        assert_eq!(
-            reg.names(),
-            vec![
-                "Baseline",
-                "Warp64",
-                "SBI",
-                "SWI",
-                "SBI+SWI",
-                "GreedyThenOldest"
-            ]
-        );
-        for entry in reg.entries() {
+        let builtins = [
+            "Baseline",
+            "Warp64",
+            "SBI",
+            "SWI",
+            "SBI+SWI",
+            "GreedyThenOldest",
+        ];
+        assert_eq!(PolicyRegistry::global_names(), builtins);
+        for name in builtins {
+            let entry = PolicyRegistry::resolve_global(name).unwrap();
             let cfg = entry.preset();
             assert_eq!(cfg.policy, entry.name, "preset policy name mismatch");
             cfg.validate()
@@ -601,28 +503,10 @@ mod tests {
 
     #[test]
     fn aliases_resolve_to_the_same_entry() {
-        let reg = PolicyRegistry::with_builtins();
-        assert_eq!(reg.resolve("gto").unwrap().name, "GreedyThenOldest");
-        assert_eq!(reg.resolve("GTO").unwrap().name, "GreedyThenOldest");
-        assert_eq!(reg.resolve("sbi+swi").unwrap().name, "SBI+SWI");
-        assert!(reg.resolve("nope").is_none());
-    }
-
-    #[test]
-    fn custom_registration_replaces_by_name() {
-        let mut reg = PolicyRegistry::with_builtins();
-        let n = reg.entries().len();
-        let mut custom = reg.resolve("Baseline").unwrap().clone();
-        custom.summary = "replaced";
-        reg.register(custom);
-        assert_eq!(reg.entries().len(), n);
-        assert_eq!(reg.resolve("Baseline").unwrap().summary, "replaced");
-    }
-
-    #[test]
-    fn sched_order_labels() {
-        assert_eq!(SchedOrder::OldestFirst.name(), "oldest-first");
-        assert_eq!(SchedOrder::GreedyThenOldest.name(), "greedy-then-oldest");
-        assert_eq!(SchedOrder::default(), SchedOrder::OldestFirst);
+        let resolve = |name| PolicyRegistry::resolve_global(name).map(|e| e.name);
+        assert_eq!(resolve("gto"), Some("GreedyThenOldest"));
+        assert_eq!(resolve("GTO"), Some("GreedyThenOldest"));
+        assert_eq!(resolve("sbi+swi"), Some("SBI+SWI"));
+        assert_eq!(resolve("nope"), None);
     }
 }

@@ -1,16 +1,16 @@
 //! The baseline dual-pool front-end (paper §2, fig. 1), shared by the
 //! `Baseline`, `Warp64` and `GreedyThenOldest` registry entries.
 
-use super::{FetchChannels, FetchPref, IssueCtx, IssuePolicy, Pick, Ready, SchedOrder};
+use super::{FetchChannels, FetchPref, IssueCtx, IssuePolicy, Pick};
 
 /// Two warp pools by warp-ID parity, one scheduler each, one issue per
-/// pool per cycle. Under [`SchedOrder::OldestFirst`] each pool picks its
-/// oldest ready instruction (the paper's baseline); under
-/// [`SchedOrder::GreedyThenOldest`] the warp that issued last in a pool
-/// keeps priority while it stays ready.
-#[derive(Debug, Default)]
+/// pool per cycle. [`DualPoolPolicy::oldest_first`] picks each pool's
+/// oldest ready instruction (the paper's baseline);
+/// [`DualPoolPolicy::greedy`] lets the warp that issued last in a pool keep
+/// priority while it stays ready (greedy-then-oldest).
+#[derive(Debug)]
 pub struct DualPoolPolicy {
-    order: SchedOrder,
+    greedy: bool,
     /// Per-pool warp that issued most recently (GTO's greedy handle).
     last: [Option<usize>; 2],
 }
@@ -22,10 +22,20 @@ const CHANNELS: FetchChannels = {
 };
 
 impl DualPoolPolicy {
-    /// A dual-pool scheduler walking candidates in `order`.
-    pub fn new(order: SchedOrder) -> DualPoolPolicy {
+    /// Strict oldest-first: the ready instruction with the smallest fetch
+    /// sequence number wins.
+    pub fn oldest_first() -> DualPoolPolicy {
         DualPoolPolicy {
-            order,
+            greedy: false,
+            last: [None, None],
+        }
+    }
+
+    /// Greedy-then-oldest (GTO): the pool's last-issued warp keeps priority
+    /// while it stays ready; when it stalls, fall back to oldest-first.
+    pub fn greedy() -> DualPoolPolicy {
+        DualPoolPolicy {
+            greedy: true,
             last: [None, None],
         }
     }
@@ -36,19 +46,13 @@ impl IssuePolicy for DualPoolPolicy {
         let mut issued = 0;
         let first = (ctx.cycle() % 2) as usize;
         for pool in [first, 1 - first] {
-            // Greedy handle first (GTO only): the pool's last-issued warp
-            // retains priority while it has a ready instruction.
-            let mut best: Option<Ready> = None;
-            if self.order == SchedOrder::GreedyThenOldest {
-                if let Some(w) = self.last[pool] {
-                    best = ctx.ready_check(w, 0);
-                }
-            }
-            if best.is_none() {
+            // Greedy handle first (GTO only), else the pool's oldest.
+            let held = self.last[pool].filter(|_| self.greedy);
+            let best = held.and_then(|w| ctx.ready_check(w, 0)).or_else(|| {
                 const EVEN: u64 = 0x5555_5555_5555_5555;
                 let pool_mask = if pool == 0 { EVEN } else { !EVEN };
-                best = ctx.oldest_ready(0, pool_mask, !0);
-            }
+                ctx.oldest_ready(0, pool_mask, !0)
+            });
             if let Some(r) = best {
                 if let Some(dispatch) = ctx.plan_dispatch(r.unit) {
                     self.last[pool] = Some(r.warp);

@@ -5,7 +5,7 @@
 
 use warpweave_isa::UnitClass;
 
-use super::{FetchChannels, FetchPref, IssueCtx, IssuePolicy, Pick, SchedOrder};
+use super::{FetchChannels, FetchPref, IssueCtx, IssuePolicy, Pick};
 
 /// The SBI front-end. Scheduling is primary-led: the leading split never
 /// advances while the laggard stalls, so desynchronised splits can catch
@@ -16,11 +16,7 @@ use super::{FetchChannels, FetchPref, IssueCtx, IssuePolicy, Pick, SchedOrder};
 /// cannot share lanes). Both picks are [`IssueCtx::oldest_ready`] scans,
 /// so a cycle's cost follows the warps that woke, not the pool size.
 #[derive(Debug, Default)]
-pub struct SbiPolicy {
-    order: SchedOrder,
-    /// Warp of the last primary issue (GTO's greedy handle).
-    last: Option<usize>,
-}
+pub struct SbiPolicy;
 
 const CHANNELS: FetchChannels = {
     const CPC1: &[FetchPref] = &[(None, 0)];
@@ -28,24 +24,11 @@ const CHANNELS: FetchChannels = {
     [CPC1, CPC2]
 };
 
-impl SbiPolicy {
-    /// An SBI scheduler walking primary candidates in `order`.
-    pub fn new(order: SchedOrder) -> SbiPolicy {
-        SbiPolicy { order, last: None }
-    }
-}
-
 impl IssuePolicy for SbiPolicy {
     fn issue(&mut self, ctx: &mut IssueCtx<'_>) -> usize {
-        // Greedy handle first (GTO only), else the oldest ready primary.
-        let mut best = None;
-        if self.order == SchedOrder::GreedyThenOldest {
-            best = self.last.and_then(|w| ctx.ready_check(w, 0));
-        }
-        if best.is_none() {
-            best = ctx.oldest_ready(0, !0, !0);
-        }
-        let Some(r1) = best else { return 0 };
+        let Some(r1) = ctx.oldest_ready(0, !0, !0) else {
+            return 0;
+        };
         let w = r1.warp;
         let Some(d1) = ctx.plan_dispatch(r1.unit) else {
             return 0;
@@ -92,7 +75,6 @@ impl IssuePolicy for SbiPolicy {
                 }
             }
         }
-        self.last = Some(w);
         ctx.commit(w, &picks[..n]);
         issued
     }

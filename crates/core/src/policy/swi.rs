@@ -8,7 +8,7 @@ use warpweave_isa::{Pc, UnitClass};
 
 use crate::mask::Mask;
 
-use super::{Dispatch, FetchChannels, FetchPref, IssueCtx, IssuePolicy, Pick, Ready, SchedOrder};
+use super::{Dispatch, FetchChannels, FetchPref, IssueCtx, IssuePolicy, Pick, Ready};
 
 /// The pending primary pick of the cascade (selected one cycle before
 /// issue — table 2's 2-cycle scheduler latency).
@@ -27,12 +27,9 @@ struct PendingPrimary {
 /// [`IssueCtx::ready_info`] record — no per-warp probing, no allocation.
 #[derive(Debug)]
 pub struct SwiPolicy {
-    order: SchedOrder,
     /// Ibuf slots fetched per warp: 1 solo, 2 when combined with SBI.
     slots: usize,
     pending: Option<PendingPrimary>,
-    /// Warp of the last committed primary (GTO's greedy handle).
-    last: Option<usize>,
 }
 
 const SOLO_CHANNELS: FetchChannels = {
@@ -48,22 +45,18 @@ const SBI_CHANNELS: FetchChannels = {
 
 impl SwiPolicy {
     /// SWI alone: one divergence context fetched per warp.
-    pub fn solo(order: SchedOrder) -> SwiPolicy {
+    pub fn solo() -> SwiPolicy {
         SwiPolicy {
-            order,
             slots: 1,
             pending: None,
-            last: None,
         }
     }
 
     /// SBI+SWI: the cascade also sees every warp's CPC2 split.
-    pub fn with_sbi(order: SchedOrder) -> SwiPolicy {
+    pub fn with_sbi() -> SwiPolicy {
         SwiPolicy {
-            order,
             slots: 2,
             pending: None,
-            last: None,
         }
     }
 
@@ -196,19 +189,10 @@ impl BestFit {
 impl IssuePolicy for SwiPolicy {
     fn issue(&mut self, ctx: &mut IssueCtx<'_>) -> usize {
         // Phase n+1 primary pick (in parallel with this cycle's
-        // secondary), excluding the warp whose entry the pending primary
-        // reserves: greedy handle first (GTO only), else the oldest.
+        // secondary): the oldest, excluding the warp whose entry the
+        // pending primary reserves.
         let others = !self.pending.map_or(0, |pp| 1u64 << pp.warp);
-        let mut np: Option<Ready> = None;
-        if self.order == SchedOrder::GreedyThenOldest {
-            np = self
-                .last
-                .filter(|&w| others >> w & 1 != 0)
-                .and_then(|w| ctx.ready_check(w, 0));
-        }
-        if np.is_none() {
-            np = ctx.oldest_ready(0, others, !0);
-        }
+        let mut np = ctx.oldest_ready(0, others, !0);
 
         let mut issued = 0;
         let pending = self.pending.take();
@@ -229,7 +213,6 @@ impl IssuePolicy for SwiPolicy {
                             dispatch: d1,
                             secondary: false,
                         };
-                        self.last = Some(r1.warp);
                         match sec {
                             Some((r2, d2)) => {
                                 secondary_issued = Some((r2.warp, r2.slot));

@@ -183,6 +183,24 @@ fn custom_policy_registers_and_runs_by_name() {
 }
 
 #[test]
+fn custom_registration_replaces_by_name() {
+    const NAME: &str = "ReplacedByNameTest";
+    for summary in ["first", "replaced"] {
+        PolicyRegistry::register_global(PolicyInfo::new(
+            NAME,
+            summary,
+            "net-new (test)",
+            round_robin_preset,
+            |_cfg| Box::new(RoundRobinPolicy::default()),
+        ));
+    }
+    let names = PolicyRegistry::global_names();
+    assert_eq!(names.iter().filter(|&&n| n == NAME).count(), 1);
+    let entry = PolicyRegistry::resolve_global(NAME).expect("registered");
+    assert_eq!(entry.summary, "replaced");
+}
+
+#[test]
 fn stateful_policy_needs_no_fast_forward_hook() {
     PolicyRegistry::register_global(PolicyInfo::new(
         "Delayed",

@@ -46,11 +46,23 @@ impl DramConfig {
         (addr / self.interleave_bytes.max(1)) % n
     }
 
-    /// Checks the multi-channel knobs are coherent.
+    /// Checks that a channel can move data and that the multi-channel knobs
+    /// are coherent.
     ///
     /// # Errors
     /// A description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
+        // A transfer holds the channel transfer_bytes / bytes_per_cycle.
+        if !(self.bytes_per_cycle.is_finite() && self.bytes_per_cycle > 0.0) {
+            return Err(format!(
+                "dram bytes_per_cycle {} must be finite and positive",
+                self.bytes_per_cycle
+            ));
+        }
+        // The shared-channel epoch (≥ 1 cycle) must not exceed the latency.
+        if self.latency == 0 {
+            return Err("dram latency must be ≥ 1 cycle".into());
+        }
         if self.num_channels == 0 {
             return Err("dram num_channels must be ≥ 1".into());
         }

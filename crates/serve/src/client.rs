@@ -10,6 +10,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 use warpweave_core::checkpoint::{decode_cell, SweepCheckpoint};
+use warpweave_core::SmConfig;
 
 use crate::protocol::{classify_line, render_request, Request, ResponseLine, RunRequest};
 
@@ -159,7 +160,7 @@ pub fn render_response_json(req: &RunRequest, response: &SweepResponse) -> Resul
     } else {
         req.frontends
             .iter()
-            .map(|n| warpweave_bench::grid::frontend_config(n))
+            .map(|n| SmConfig::with_policy(n))
             .collect::<Result<_, _>>()?
     };
     let workloads = warpweave_bench::grid::sweep_workloads(req.full);

@@ -14,7 +14,7 @@
 //!
 //! [`acquire`]: crate::cache::CellCache::acquire
 
-use warpweave_bench::grid::{figure7_configs, frontend_config, grid_id, sweep_workloads};
+use warpweave_bench::grid::{figure7_configs, grid_id, sweep_workloads};
 use warpweave_bench::{grid_jobs, CellFailure, GridJob};
 use warpweave_core::checkpoint::encode_cell;
 use warpweave_core::{SmConfig, SweepRunner};
@@ -45,7 +45,7 @@ pub fn resolve(req: &RunRequest) -> Result<ResolvedGrid, String> {
     } else {
         req.frontends
             .iter()
-            .map(|n| frontend_config(n))
+            .map(|n| SmConfig::with_policy(n))
             .collect::<Result<_, _>>()?
     };
     let workloads = if req.workloads.is_empty() {

@@ -6,7 +6,9 @@
 # Also fails if ARCHITECTURE.md's fenced copy of `pub trait IssuePolicy`
 # does not list the methods the trait in crates/core/src/policy.rs declares,
 # or if its "Scheduler hot path" section does not name, in backticks, every
-# variant of `SlotState` in crates/core/src/pipeline.rs.
+# variant of `SlotState` in crates/core/src/pipeline.rs, or if its
+# "Configuration surface" table does not have exactly one row per `pub`
+# field of `SmConfig` in crates/core/src/config.rs, in declaration order.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,6 +40,19 @@ for state in $states; do
         exit 1
     fi
 done
+
+# The `pub` fields of `SmConfig`, against the first column of the table in
+# the section from its heading to the next `## `.
+fields="$(sed -n '/^pub struct SmConfig/,/^}/p' crates/core/src/config.rs \
+    | sed -n 's/^    pub \([a-z_0-9]*\):.*/\1/p')"
+rows="$(sed -n '/^## Configuration surface/,/^## /p' ARCHITECTURE.md \
+    | sed -n 's/^| `\([a-z_0-9]*\)` |.*/\1/p')"
+if [ -z "$fields" ] || [ "$fields" != "$rows" ]; then
+    echo "ARCHITECTURE.md's \"Configuration surface\" table does not match SmConfig's pub fields" >&2
+    echo "(< the struct, > the table):" >&2
+    diff <(echo "$fields") <(echo "$rows") >&2 || true
+    exit 1
+fi
 
 names="$(cargo run --release -q -p warpweave-bench --bin bench_sweep -- --list-frontends)"
 if [ -z "$names" ]; then
