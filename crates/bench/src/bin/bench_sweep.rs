@@ -5,8 +5,8 @@
 //! Usage:
 //! `bench_sweep [--full] [--out PATH] [--checkpoint PATH] [--no-checkpoint]
 //!              [--cell-budget N] [--threads N] [--frontend NAMES]
-//!              [--list-frontends] [--salvage] [--max-cell-retries N]
-//!              [--inject SPEC] [--jobs-from SPEC] [--merge SHARD...]
+//!              [--list-frontends] [--salvage] [--inject SPEC]
+//!              [--jobs-from SPEC] [--merge SHARD...]
 //!              [--record-golden] [--check-golden] [--golden PATH]`
 //!
 //! * default — a quick test-scale sweep (2 workloads × 5 front-ends) plus
@@ -27,13 +27,12 @@
 //! * `--salvage` — before resuming, truncate a torn/corrupt checkpoint to
 //!   its last checksum-valid record (the damaged tail is preserved as a
 //!   `.quarantine` sidecar) instead of refusing to load it.
-//! * `--max-cell-retries N` — retries per failing cell before it is
-//!   quarantined (default 1). A sweep with quarantined cells completes
-//!   every healthy cell, prints a failures block with per-cell
-//!   provenance, writes a partial `--out` payload and exits 4.
-//! * `--inject SPEC` — arm the deterministic fault injector with `SPEC`
-//!   (same grammar as the `WARPWEAVE_FAULTS` env var, which this flag
-//!   overrides); used by the CI fault drills.
+//! * `--inject SPEC` — inject the deterministic faults of `SPEC` (grammar:
+//!   `warpweave_core::faultinject`); used by the CI fault drills. Every
+//!   `cell:IDX` / `key:KEY` rule must name a job of the full grid. Each job
+//!   runs once: a sweep with quarantined jobs completes every healthy job,
+//!   prints a failures block with per-job provenance, writes a partial
+//!   `--out` payload and exits 4.
 //! * `--jobs-from SPEC` — shard mode, one slice of the distributed sweep
 //!   fabric: run only the selected slice of the full job grid (matrix
 //!   cells in workload-major order, then the machine probes) into the
@@ -53,22 +52,24 @@
 //!   committed baseline with **zero tolerance**; any drift writes
 //!   `BENCH_golden.json.diff` and exits 1.
 //!
-//! Contradictory flag combinations (e.g. `--check-golden` with
-//! `--inject`, `--jobs-from` with `--merge`) are rejected up front with a
-//! one-line error and exit code 2 — silently preferring one of the two
-//! would run something other than what was asked for.
+//! Usage errors are rejected up front with a one-line error and exit code
+//! 2: a malformed `--cell-budget`, `--threads`, `--inject` or `--jobs-from`
+//! value, an unknown `--frontend` name, an `--inject` rule that names no
+//! job, and contradictory flag combinations (e.g. `--check-golden` with
+//! `--inject`, `--jobs-from` with `--merge`) — silently preferring one of
+//! the two would run something other than what was asked for.
 //!
 //! All wall-clock timing goes to stderr; the JSON artifacts carry only
 //! deterministic simulation results.
 
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::str::FromStr;
 use std::time::Instant;
 
 use warpweave_bench::arg_value;
 use warpweave_bench::grid::{self, grid_jobs, GridJob};
 use warpweave_bench::harness::{
-    format_failures, run_grid, run_machine_probes, run_matrix_at, CellResult, FaultPolicy,
+    format_failures, run_grid, run_machine_probes, run_matrix_at, CellResult,
 };
 use warpweave_bench::report::{
     check_golden, probes_from_store, render_faulted_sweep_json, render_golden_json,
@@ -76,9 +77,36 @@ use warpweave_bench::report::{
 };
 use warpweave_bench::shard::{matrix_from_store, merge_checkpoints, ShardSpec};
 use warpweave_core::checkpoint::SweepCheckpoint;
-use warpweave_core::faultinject::{FaultPlan, FAULTS_ENV};
+use warpweave_core::faultinject::{CellTarget, FaultPlan};
 use warpweave_core::{PolicyRegistry, SmConfig, SweepRunner};
 use warpweave_workloads::Scale;
+
+/// A usage error: one line on stderr, exit code 2.
+fn usage(message: String) -> ExitCode {
+    eprintln!("{message}");
+    ExitCode::from(2)
+}
+
+/// The value following `flag`, parsed; a malformed one is a usage error.
+fn parsed<T: FromStr>(args: &[String], flag: &str, takes: &str) -> Result<Option<T>, ExitCode> {
+    arg_value(args, flag)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| usage(format!("{flag} takes {takes}, got `{v}`")))
+        })
+        .transpose()
+}
+
+/// The first cell rule of `plan` that names no job of the full grid `all`,
+/// as written. Rules address full-grid indices, so a `--jobs-from` slice
+/// is checked against the grid it was cut from.
+fn stray_rule(plan: &FaultPlan, all: &[GridJob]) -> Option<String> {
+    plan.cells.iter().find_map(|rule| match &rule.target {
+        CellTarget::Index(i) if *i >= all.len() => Some(format!("cell:{i}")),
+        CellTarget::Key(k) if all.iter().all(|job| &job.key != k) => Some(format!("key:{k}")),
+        _ => None,
+    })
+}
 
 /// Writes `contents` to `path`, reporting I/O failure on stderr instead
 /// of panicking (the sweep results are already safe in the checkpoint).
@@ -167,10 +195,16 @@ fn render_golden(runner: &SweepRunner) -> String {
 }
 
 fn main() -> ExitCode {
+    sweep().unwrap_or_else(|code| code)
+}
+
+/// The whole CLI; `Err` is an early exit (a usage error, a failed write).
+fn sweep() -> Result<ExitCode, ExitCode> {
     let args: Vec<String> = std::env::args().collect();
     if let Some((a, b)) = flag_conflict(&args) {
-        eprintln!("conflicting flags: {a} cannot be combined with {b}");
-        return ExitCode::from(2);
+        return Err(usage(format!(
+            "conflicting flags: {a} cannot be combined with {b}"
+        )));
     }
     let full = args.iter().any(|a| a == "--full");
     let record_golden = args.iter().any(|a| a == "--record-golden");
@@ -181,34 +215,12 @@ fn main() -> ExitCode {
     let golden_path = arg_value(&args, "--golden").unwrap_or_else(|| "BENCH_golden.json".into());
     let checkpoint_path =
         arg_value(&args, "--checkpoint").unwrap_or_else(|| "BENCH_sweep.checkpoint".into());
-    let cell_budget: Option<usize> = arg_value(&args, "--cell-budget")
-        .map(|v| v.parse().expect("--cell-budget takes a cell count"));
-    let max_cell_retries: u32 = arg_value(&args, "--max-cell-retries")
-        .map(|v| v.parse().expect("--max-cell-retries takes a retry count"))
-        .unwrap_or(1);
-    // `--inject` overrides the env var; either way a malformed spec is a
-    // usage error, reported before any simulation starts.
-    let policy = match arg_value(&args, "--inject") {
-        Some(spec) => match FaultPlan::parse(&spec) {
-            Ok(plan) => FaultPolicy {
-                max_retries: max_cell_retries,
-                injector: (!plan.is_empty()).then(|| Arc::new(plan.arm())),
-            },
-            Err(e) => {
-                eprintln!("--inject: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => match FaultPolicy::from_env(max_cell_retries) {
-            Ok(policy) => policy,
-            Err(e) => {
-                eprintln!("{FAULTS_ENV}: {e}");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    let runner = match arg_value(&args, "--threads") {
-        Some(n) => SweepRunner::with_threads(n.parse().expect("--threads takes a count")),
+    let cell_budget: Option<usize> = parsed(&args, "--cell-budget", "a job count")?;
+    let faults = arg_value(&args, "--inject")
+        .map(|spec| FaultPlan::parse(&spec).map_err(|e| usage(format!("--inject: {e}"))))
+        .transpose()?;
+    let runner = match parsed(&args, "--threads", "a worker count")? {
+        Some(n) => SweepRunner::with_threads(n),
         None => SweepRunner::new(),
     };
 
@@ -216,23 +228,20 @@ fn main() -> ExitCode {
         for name in PolicyRegistry::global_names() {
             println!("{name}");
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     if record_golden {
-        let json = render_golden(&runner);
-        if let Err(code) = write_artifact(&golden_path, &json) {
-            return code;
-        }
+        write_artifact(&golden_path, &render_golden(&runner))?;
         eprintln!("recorded golden baseline: {golden_path}");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     if do_check_golden {
         let committed = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
             panic!("read {golden_path}: {e} (record one with --record-golden)")
         });
         let current = render_golden(&runner);
-        return match check_golden(&committed, &current) {
+        return Ok(match check_golden(&committed, &current) {
             Ok(()) => {
                 eprintln!("golden baseline {golden_path}: OK (bit-exact)");
                 ExitCode::SUCCESS
@@ -246,15 +255,16 @@ fn main() -> ExitCode {
                 eprintln!("golden baseline {golden_path}: DRIFT — report written to {diff_path}");
                 ExitCode::FAILURE
             }
-        };
+        });
     }
 
     // Sweep, shard and merge modes all run on the same grid definition.
     let configs: Vec<_> = match arg_value(&args, "--frontend") {
         Some(names) => names
             .split(',')
-            .map(|n| SmConfig::with_policy(n.trim()).unwrap_or_else(|e| panic!("--frontend: {e}")))
-            .collect(),
+            .map(|n| SmConfig::with_policy(n.trim()))
+            .collect::<Result<_, _>>()
+            .map_err(|e| usage(format!("--frontend: {e}")))?,
         None => grid::figure7_configs(),
     };
     let workloads = grid::sweep_workloads(full);
@@ -268,13 +278,10 @@ fn main() -> ExitCode {
     // same grid because both render from the same per-cell records.
     if let Some(shards) = merge_shard_paths(&args) {
         let id = grid::grid_id(&configs, &workloads, scale);
-        let union = match merge_checkpoints(&shards, id) {
-            Ok(union) => union,
-            Err(e) => {
-                eprintln!("--merge: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let union = merge_checkpoints(&shards, id).map_err(|e| {
+            eprintln!("--merge: {e}");
+            ExitCode::FAILURE
+        })?;
         let incomplete = |missing: Vec<String>| {
             eprintln!(
                 "--merge: union of {} shard(s) covers {} job(s) but misses {}: {}{}",
@@ -304,37 +311,36 @@ fn main() -> ExitCode {
             missing.extend(m.iter().cloned());
         }
         if !missing.is_empty() {
-            return incomplete(missing);
+            return Ok(incomplete(missing));
         }
         let (matrix, probes) = (matrix.unwrap(), probes.unwrap());
-        let json = render_sweep_json(scale_label, &matrix, &probes);
-        if let Err(code) = write_artifact(&out_path, &json) {
-            return code;
-        }
+        write_artifact(&out_path, &render_sweep_json(scale_label, &matrix, &probes))?;
         eprintln!(
             "merged {} shard(s): {} matrix cells + {} probes -> {out_path}",
             shards.len(),
             jobs,
             probes.len()
         );
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     // Everything else is one run of the canonical job list. `--jobs-from`
     // only narrows the selection and makes the checkpoint the sole output.
     let all = grid_jobs(&configs, &workloads);
-    let shard = match arg_value(&args, "--jobs-from").map(|spec| {
-        let spec = ShardSpec::parse(&spec)?;
-        let indices = spec.select(all.len())?;
-        Ok::<_, String>((spec, indices))
-    }) {
-        Some(Ok(shard)) => Some(shard),
-        Some(Err(e)) => {
-            eprintln!("--jobs-from: {e}");
-            return ExitCode::from(2);
-        }
-        None => None,
-    };
+    if let Some(rule) = faults.as_ref().and_then(|plan| stray_rule(plan, &all)) {
+        let jobs = all.len();
+        return Err(usage(format!(
+            "--inject: {rule} names no job of this {jobs}-job grid"
+        )));
+    }
+    let shard = arg_value(&args, "--jobs-from")
+        .map(|spec| {
+            let spec = ShardSpec::parse(&spec)?;
+            let indices = spec.select(all.len())?;
+            Ok((spec, indices))
+        })
+        .transpose()
+        .map_err(|e: String| usage(format!("--jobs-from: {e}")))?;
     let total = all.len();
     let selected: Vec<GridJob> = match &shard {
         Some((_, indices)) => indices.iter().map(|&i| all[i].clone()).collect(),
@@ -375,8 +381,8 @@ fn main() -> ExitCode {
     } else {
         SweepCheckpoint::in_memory(id)
     };
-    if let Some(injector) = &policy.injector {
-        store.arm_faults(Arc::clone(injector));
+    if let Some(plan) = &faults {
+        store.arm_faults(plan.clone());
     }
     let done_before = store.len();
     if done_before > 0 {
@@ -388,7 +394,7 @@ fn main() -> ExitCode {
         &selected,
         scale,
         verify,
-        &policy,
+        faults.as_ref(),
         cell_budget,
         &mut store,
     )
@@ -409,12 +415,10 @@ fn main() -> ExitCode {
                 })
                 .collect();
             let json = render_faulted_sweep_json(scale_label, jobs, &healthy, &failures);
-            if let Err(code) = write_artifact(&out_path, &json) {
-                return code;
-            }
+            write_artifact(&out_path, &json)?;
             eprintln!("wrote {out_path} (partial: quarantined cells listed under \"failures\")");
         }
-        return ExitCode::from(4);
+        return Ok(ExitCode::from(4));
     }
     let done = selected
         .iter()
@@ -427,7 +431,7 @@ fn main() -> ExitCode {
             selected.len(),
             t0.elapsed().as_secs_f64()
         );
-        return ExitCode::from(3);
+        return Ok(ExitCode::from(3));
     }
     eprintln!(
         "sweep complete: {} jobs ({done_before} resumed) in {:.1} s",
@@ -436,7 +440,7 @@ fn main() -> ExitCode {
     );
     if shard.is_some() {
         eprintln!("merge with `bench_sweep --merge {checkpoint_path} ...`");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     let complete = "every job of the grid is in the store";
@@ -453,10 +457,7 @@ fn main() -> ExitCode {
         );
     }
 
-    let json = render_sweep_json(scale_label, &matrix, &probes);
-    if let Err(code) = write_artifact(&out_path, &json) {
-        return code;
-    }
+    write_artifact(&out_path, &render_sweep_json(scale_label, &matrix, &probes))?;
     eprintln!("wrote {out_path}");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -239,14 +239,13 @@ impl GridJob {
         .map_err(|e| e.to_string())
     }
 
-    /// The quarantine record of this job after `attempts` failed attempts.
-    pub fn failure(&self, attempts: u32, reason: JobFailure) -> CellFailure {
+    /// The quarantine record of this job, failed for `reason`.
+    pub fn failure(&self, reason: JobFailure) -> CellFailure {
         CellFailure {
             key: self.key.clone(),
             workload: self.workload.to_string(),
             config: self.config.name.clone(),
             seed: self.config.seed,
-            attempts,
             reason,
         }
     }

@@ -4,10 +4,10 @@
 //! containment — plus the matrix result types and table formatters the
 //! figure binaries share.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use warpweave_core::checkpoint::{CheckpointError, SweepCheckpoint};
-use warpweave_core::faultinject::{FaultInjector, FaultKind, FaultPlan, FAULTS_ENV};
+use warpweave_core::faultinject::{FaultKind, FaultPlan};
 use warpweave_core::sweep::JobFailure;
 use warpweave_core::{SmConfig, Stats, SweepRunner};
 use warpweave_mem::DramConfig;
@@ -135,7 +135,7 @@ pub fn cell_key(workload: &str, config: &str) -> String {
 }
 
 /// One quarantined sweep job, with full provenance: which job, under
-/// which seed, how many attempts were made, and why the last one failed.
+/// which seed, and why it failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellFailure {
     /// The job's grid key (`workload/config`, or `machine/...` for a probe).
@@ -146,19 +146,13 @@ pub struct CellFailure {
     pub config: String,
     /// The configuration's RNG seed (reproduce with exactly this).
     pub seed: u64,
-    /// Attempts made before quarantine.
-    pub attempts: u32,
-    /// The final attempt's failure.
+    /// Why the job failed.
     pub reason: JobFailure,
 }
 
 impl std::fmt::Display for CellFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: seed {:#x}, {} attempt(s): {}",
-            self.key, self.seed, self.attempts, self.reason
-        )
+        write!(f, "{}: seed {:#x}: {}", self.key, self.seed, self.reason)
     }
 }
 
@@ -172,46 +166,17 @@ pub fn format_failures(failures: &[CellFailure]) -> String {
     out
 }
 
-/// Containment policy of a [`run_grid`] run: how often a failing job is
-/// retried, and an optional armed fault plan (tests/CI).
-#[derive(Debug, Default)]
-pub struct FaultPolicy {
-    /// Retries per job after its first failed attempt.
-    pub max_retries: u32,
-    /// Deterministic fault injection, when armed.
-    pub injector: Option<Arc<FaultInjector>>,
-}
-
-impl FaultPolicy {
-    /// No retries, no injection.
-    pub fn none() -> FaultPolicy {
-        FaultPolicy::default()
-    }
-
-    /// Reads a fault plan from the [`FAULTS_ENV`] environment variable
-    /// (no plan set means no injection).
-    ///
-    /// # Errors
-    /// A malformed spec, rendered as a human-readable message.
-    pub fn from_env(max_retries: u32) -> Result<FaultPolicy, String> {
-        Ok(FaultPolicy {
-            max_retries,
-            injector: FaultPlan::from_env()?.map(|plan| Arc::new(plan.arm())),
-        })
-    }
-}
-
 /// **The** sweep driver: runs a selection of the canonical job list
 /// ([`grid_jobs`]) — matrix cells and machine probes alike — into `store`.
 ///
 /// * Jobs whose key is already in `store` are skipped, so the same call
 ///   resumes an interrupted sweep; `budget` caps how many *new* jobs this
-///   call attempts (`None` = all of them).
-/// * Every attempt first consults `policy.injector` with the job's
-///   full-grid index and key, then runs [`GridJob::run`] under
-///   `catch_unwind`; a panicking or erroring job is retried up to
-///   `policy.max_retries` times and then quarantined as a [`CellFailure`]
-///   while every other job still completes.
+///   call runs (`None` = all of them).
+/// * Every job first consults `faults` with its full-grid index and key,
+///   then runs [`GridJob::run`] once, under `catch_unwind`; a panicking or
+///   erroring job is quarantined as a [`CellFailure`] while every other job
+///   still completes. A job is a pure function of its inputs, so a second
+///   run could only repeat the failure.
 /// * Each success is recorded (and, for a file-backed store, flushed)
 ///   the moment it settles, from whichever worker ran it; quarantined
 ///   jobs are never recorded, so a later run re-attempts exactly those.
@@ -232,7 +197,7 @@ pub fn run_grid(
     jobs: &[GridJob],
     scale: Scale,
     verify: bool,
-    policy: &FaultPolicy,
+    faults: Option<&FaultPlan>,
     budget: Option<usize>,
     store: &mut SweepCheckpoint,
 ) -> Result<Vec<CellFailure>, CheckpointError> {
@@ -252,14 +217,9 @@ pub fn run_grid(
         Mutex::new((store, None));
     let outcomes = runner.run_isolated_reporting(
         &remaining,
-        policy.max_retries,
         |job| {
             let (index, key) = (job.index, &job.key);
-            let fault = policy
-                .injector
-                .as_ref()
-                .and_then(|injector| injector.cell_fault(index, key));
-            match fault {
+            match faults.and_then(|plan| plan.cell_fault(index, key)) {
                 Some(FaultKind::Panic) => panic!("injected fault: panic in cell {index} ({key})"),
                 Some(FaultKind::SimError) => Err(format!(
                     "injected fault: simulation error in cell {index} ({key})"
@@ -268,7 +228,7 @@ pub fn run_grid(
             }
         },
         |i, outcome| {
-            if let Ok(record) = &outcome.result {
+            if let Ok(record) = outcome {
                 let mut guard = recorder
                     .lock()
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -289,10 +249,7 @@ pub fn run_grid(
     Ok(remaining
         .iter()
         .zip(outcomes)
-        .filter_map(|(job, outcome)| {
-            let reason = outcome.result.err()?;
-            Some(job.failure(outcome.attempts, reason))
-        })
+        .filter_map(|(job, outcome)| Some(job.failure(outcome.err()?)))
         .collect())
 }
 
@@ -304,7 +261,7 @@ fn matrix_jobs(configs: &[SmConfig], workloads: &[Box<dyn Workload>]) -> Vec<Gri
 }
 
 /// [`run_grid`] for callers to whom a half-measured grid is useless: no
-/// retries, no injection, and the first quarantined job panics.
+/// injection, and the first quarantined job panics.
 fn run_strict(
     runner: &SweepRunner,
     jobs: &[GridJob],
@@ -313,15 +270,7 @@ fn run_strict(
     budget: Option<usize>,
     store: &mut SweepCheckpoint,
 ) -> Result<(), CheckpointError> {
-    let failures = run_grid(
-        runner,
-        jobs,
-        scale,
-        verify,
-        &FaultPolicy::none(),
-        budget,
-        store,
-    )?;
+    let failures = run_grid(runner, jobs, scale, verify, None, budget, store)?;
     if let Some(first) = failures.first() {
         panic!("{}: {}", first.key, first.reason);
     }
@@ -404,8 +353,7 @@ pub fn run_machine_probes(
 }
 
 /// The figure binaries' entry point: runs a figure's matrix through
-/// [`run_grid`], fault-isolated under the policy from [`FAULTS_ENV`] (no
-/// env var means no injection; one retry either way). With a `checkpoint`
+/// [`run_grid`], each cell once and fault-isolated. With a `checkpoint`
 /// path the grid resumes from (and records into) that file — bound via
 /// [`grid_id`] to this exact config/workload set, so a stale file from a
 /// different figure can never be resumed against it; without one it runs
@@ -416,8 +364,7 @@ pub fn run_machine_probes(
 /// checkpoint, so nothing is lost.
 ///
 /// # Panics
-/// Checkpoint failures or a malformed fault spec — a partial figure is
-/// useless.
+/// Checkpoint failures — a partial figure is useless.
 pub fn run_matrix_figure(
     runner: &SweepRunner,
     configs: &[SmConfig],
@@ -426,8 +373,6 @@ pub fn run_matrix_figure(
     verify: bool,
     checkpoint: Option<&str>,
 ) -> MatrixResult {
-    let policy =
-        FaultPolicy::from_env(1).unwrap_or_else(|e| panic!("bad {FAULTS_ENV} fault spec: {e}"));
     let id = grid_id(configs, workloads, scale);
     let mut store = match checkpoint {
         Some(path) => {
@@ -443,11 +388,8 @@ pub fn run_matrix_figure(
         }
         None => SweepCheckpoint::in_memory(id),
     };
-    if let Some(injector) = &policy.injector {
-        store.arm_faults(Arc::clone(injector));
-    }
     let jobs = matrix_jobs(configs, workloads);
-    let failures = run_grid(runner, &jobs, scale, verify, &policy, None, &mut store)
+    let failures = run_grid(runner, &jobs, scale, verify, None, None, &mut store)
         .unwrap_or_else(|e| panic!("figure grid: {e}"));
     if !failures.is_empty() {
         eprint!("{}", format_failures(&failures));

@@ -15,7 +15,7 @@ pub use grid::{grid_jobs, GridJob};
 pub use harness::{
     cell_key, format_bandwidth_summary, format_bandwidth_table, format_failures, format_ipc_table,
     gmean, run_grid, run_machine_probes, run_matrix_at, run_matrix_checkpointed, run_matrix_figure,
-    CellFailure, CellResult, FaultPolicy, MatrixResult, BENCH_SEED,
+    CellFailure, CellResult, MatrixResult, BENCH_SEED,
 };
 pub use report::{
     check_golden, parse_golden_cells, probes_from_store, render_faulted_sweep_json,

@@ -23,7 +23,7 @@ use crate::harness::{CellFailure, CellResult, MatrixResult};
 /// Schema tag of the sweep payload.
 pub const SWEEP_SCHEMA: &str = "warpweave-bench-sweep-v3";
 /// Schema tag of the partial payload a faulted sweep emits.
-pub const FAULTED_SWEEP_SCHEMA: &str = "warpweave-bench-sweep-faulted-v2";
+pub const FAULTED_SWEEP_SCHEMA: &str = "warpweave-bench-sweep-faulted-v3";
 /// Schema tag of the golden baseline.
 pub const GOLDEN_SCHEMA: &str = "warpweave-bench-golden-v1";
 
@@ -247,7 +247,6 @@ pub fn render_faulted_sweep_json(
             ("workload", f.workload.as_str().into()),
             ("config", f.config.as_str().into()),
             ("seed", Json::Str(format!("{:#x}", f.seed))),
-            ("attempts", Json::Int(f.attempts.into())),
             ("reason", Json::Str(f.reason.to_string())),
         ])
     });
@@ -468,7 +467,6 @@ mod tests {
             workload: "w".into(),
             config: "c".into(),
             seed: 7,
-            attempts: 2,
             reason: warpweave_core::JobFailure::Panic("\u{1b}[31mboom\u{0}\t\"q\"\\".into()),
         };
         let json = render_faulted_sweep_json("test", 1, &[], &[failure]);

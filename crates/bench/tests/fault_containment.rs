@@ -1,17 +1,18 @@
 //! Fault-containment drills at the harness level: a fault injected into
 //! **any** job of a sweep grid — matrix cell or machine probe, addressed
-//! by index or by key — quarantines exactly that job, every healthy job
+//! by index or by key — quarantines exactly that job after its one run,
+//! every healthy job
 //! completes bit-identical to a fault-free run at 1 and 8 host threads,
 //! and the healed re-run renders a **byte-identical** `BENCH_sweep.json`;
 //! so does a checkpoint torn by an injected partial write, once salvaged
 //! and resumed.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use warpweave_bench::grid::{self, grid_jobs, GridJob};
-use warpweave_bench::harness::{run_grid, FaultPolicy};
+use warpweave_bench::harness::run_grid;
 use warpweave_bench::report::{probes_from_store, render_sweep_json};
 use warpweave_bench::shard::matrix_from_store;
 use warpweave_core::checkpoint::{CellRecord, SweepCheckpoint};
@@ -38,11 +39,11 @@ fn scratch(name: &str) -> std::path::PathBuf {
 fn sweep(
     threads: usize,
     jobs: &[GridJob],
-    policy: &FaultPolicy,
+    faults: Option<&FaultPlan>,
     store: &mut SweepCheckpoint,
 ) -> Result<Vec<warpweave_bench::CellFailure>, warpweave_core::CheckpointError> {
     let runner = SweepRunner::with_threads(threads);
-    run_grid(&runner, jobs, SCALE, false, policy, None, store)
+    run_grid(&runner, jobs, SCALE, false, faults, None, store)
 }
 
 /// Renders the sweep payload of a store that holds the whole test grid.
@@ -61,7 +62,7 @@ fn reference() -> &'static (Vec<CellRecord>, String) {
         let (configs, workloads) = test_grid();
         let jobs = grid_jobs(&configs, &workloads);
         let mut store = SweepCheckpoint::in_memory(grid::grid_id(&configs, &workloads, SCALE));
-        let failures = sweep(1, &jobs, &FaultPolicy::none(), &mut store).unwrap();
+        let failures = sweep(1, &jobs, None, &mut store).unwrap();
         assert!(failures.is_empty(), "{failures:?}");
         let records = jobs
             .iter()
@@ -72,8 +73,8 @@ fn reference() -> &'static (Vec<CellRecord>, String) {
 }
 
 /// Exhaustive drill (every job × 1 and 8 threads, both fault kinds, both
-/// addressing modes): the faulted job is retried once and quarantined
-/// with full provenance, every other job is bit-identical to the
+/// addressing modes): the faulted job is quarantined with full
+/// provenance, every other job is bit-identical to the
 /// fault-free reference, and a follow-up run on the same store with
 /// injection disabled heals the grid to the byte-identical payload.
 #[test]
@@ -95,12 +96,8 @@ fn fault_in_any_job_contains_to_that_job() {
         for threads in [1usize, 8] {
             let what = format!("{spec} at {threads} threads");
             let plan = FaultPlan::parse(&spec).unwrap();
-            let policy = FaultPolicy {
-                max_retries: 1,
-                injector: Some(Arc::new(plan.arm())),
-            };
             let mut store = SweepCheckpoint::in_memory(id);
-            let failures = sweep(threads, &jobs, &policy, &mut store).unwrap();
+            let failures = sweep(threads, &jobs, Some(&plan), &mut store).unwrap();
 
             // Exactly the targeted job is quarantined, with provenance.
             assert_eq!(failures.len(), 1, "{what}: one quarantined job");
@@ -109,7 +106,6 @@ fn fault_in_any_job_contains_to_that_job() {
             assert_eq!(failure.workload, target.workload, "{what}");
             assert_eq!(failure.config, target.config.name, "{what}");
             assert_eq!(failure.seed, target.config.seed, "{what}: seed provenance");
-            assert_eq!(failure.attempts, 2, "{what}: one retry before quarantine");
             assert!(failure.to_string().contains(&target.key), "{what}");
 
             // Every healthy job is stored bit-identical to the reference;
@@ -126,7 +122,7 @@ fn fault_in_any_job_contains_to_that_job() {
 
             // Healing run: same store, injection off — re-attempts only
             // the gap and completes the grid.
-            let healed = sweep(threads, &jobs, &FaultPolicy::none(), &mut store).unwrap();
+            let healed = sweep(threads, &jobs, None, &mut store).unwrap();
             assert!(healed.is_empty(), "{what}: heals cleanly");
             assert_eq!(&render(&store), ref_json, "{what}: healed payload");
         }
@@ -156,8 +152,8 @@ proptest! {
         // Phase 1: sweep crashes on the injected torn write.
         let plan = FaultPlan::parse(&format!("torn@record:{record}:{keep}")).unwrap();
         let mut store = SweepCheckpoint::resume(&path, id).unwrap();
-        store.arm_faults(Arc::new(plan.arm()));
-        let crash = sweep(1, &jobs, &FaultPolicy::none(), &mut store);
+        store.arm_faults(plan);
+        let crash = sweep(1, &jobs, None, &mut store);
         prop_assert!(crash.is_err(), "torn write must surface as a checkpoint error");
         drop(store);
 
@@ -169,7 +165,7 @@ proptest! {
         }
         let mut store = SweepCheckpoint::resume(&path, id).unwrap();
         prop_assert_eq!(store.len(), record);
-        let resumed = sweep(1, &jobs, &FaultPolicy::none(), &mut store).unwrap();
+        let resumed = sweep(1, &jobs, None, &mut store).unwrap();
         prop_assert!(resumed.is_empty());
         prop_assert_eq!(&render(&store), ref_json, "salvaged-and-resumed payload");
         let _ = std::fs::remove_file(&path);

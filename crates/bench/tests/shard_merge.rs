@@ -11,8 +11,7 @@ use proptest::prelude::*;
 
 use warpweave_bench::grid::{self, grid_jobs, GridJob};
 use warpweave_bench::{
-    matrix_from_store, merge_checkpoints, probes_from_store, render_sweep_json, run_grid,
-    FaultPolicy, ShardSpec,
+    matrix_from_store, merge_checkpoints, probes_from_store, render_sweep_json, run_grid, ShardSpec,
 };
 use warpweave_core::checkpoint::{CellRecord, SweepCheckpoint};
 use warpweave_core::SweepRunner;
@@ -29,9 +28,8 @@ struct Reference {
 /// Runs `jobs` of the quick grid into `store`; nothing may fail.
 fn sweep(jobs: &[GridJob], store: &mut SweepCheckpoint) {
     let runner = SweepRunner::with_threads(2);
-    let policy = FaultPolicy::none();
     let failures =
-        run_grid(&runner, jobs, Scale::Test, false, &policy, None, store).expect("sweep records");
+        run_grid(&runner, jobs, Scale::Test, false, None, None, store).expect("sweep records");
     assert!(failures.is_empty(), "{failures:?}");
 }
 

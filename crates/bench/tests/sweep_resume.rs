@@ -5,7 +5,7 @@
 
 use warpweave_bench::grid::{self, grid_jobs};
 use warpweave_bench::harness::{
-    run_grid, run_machine_probes, run_matrix_at, run_matrix_checkpointed, FaultPolicy,
+    run_grid, run_machine_probes, run_matrix_at, run_matrix_checkpointed,
 };
 use warpweave_bench::report::{probes_from_store, render_sweep_json};
 use warpweave_bench::{matrix_from_store, MatrixResult};
@@ -143,8 +143,7 @@ fn cell_budget_counts_probes_and_the_resumed_sweep_is_byte_identical() {
 
     let mut reference = SweepCheckpoint::in_memory(id);
     let serial = SweepRunner::with_threads(1);
-    let none = FaultPolicy::none();
-    run_grid(&serial, &jobs, scale, false, &none, None, &mut reference).unwrap();
+    run_grid(&serial, &jobs, scale, false, None, None, &mut reference).unwrap();
     let reference_json = render(&reference);
 
     for threads in [1usize, 8] {
@@ -154,7 +153,7 @@ fn cell_budget_counts_probes_and_the_resumed_sweep_is_byte_identical() {
 
         let mut store = SweepCheckpoint::resume(&path, id).unwrap();
         let budget = Some(cells + 2);
-        let failures = run_grid(&runner, &jobs, scale, false, &none, budget, &mut store).unwrap();
+        let failures = run_grid(&runner, &jobs, scale, false, None, budget, &mut store).unwrap();
         assert!(failures.is_empty());
         assert_eq!(
             store.len(),
@@ -167,7 +166,7 @@ fn cell_budget_counts_probes_and_the_resumed_sweep_is_byte_identical() {
         drop(store);
 
         let mut store = SweepCheckpoint::resume(&path, id).unwrap();
-        run_grid(&runner, &jobs, scale, false, &none, None, &mut store).unwrap();
+        run_grid(&runner, &jobs, scale, false, None, None, &mut store).unwrap();
         assert_eq!(store.len(), jobs.len());
         assert_eq!(render(&store), reference_json, "{threads} threads: resumed");
         let _ = std::fs::remove_file(&path);

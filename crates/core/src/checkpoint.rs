@@ -52,11 +52,10 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use warpweave_mem::ChannelStats;
 
-use crate::faultinject::FaultInjector;
+use crate::faultinject::FaultPlan;
 use crate::stats::Stats;
 
 /// Current checkpoint file-format version (see the module docs for the
@@ -274,8 +273,8 @@ pub struct SweepCheckpoint {
     cells: BTreeMap<String, CellRecord>,
     /// Open append handle; `None` for in-memory stores.
     file: Option<File>,
-    /// Armed fault plan (torn-write injection); `None` in production.
-    faults: Option<Arc<FaultInjector>>,
+    /// Torn-write injection; an empty plan in production.
+    faults: FaultPlan,
 }
 
 /// What a [`SweepCheckpoint::salvage`] pass recovered and discarded.
@@ -327,7 +326,7 @@ impl SweepCheckpoint {
             grid_id,
             cells: BTreeMap::new(),
             file: Some(file),
-            faults: None,
+            faults: FaultPlan::default(),
         })
     }
 
@@ -405,7 +404,7 @@ impl SweepCheckpoint {
             grid_id,
             cells,
             file: None,
-            faults: None,
+            faults: FaultPlan::default(),
         })
     }
 
@@ -493,16 +492,16 @@ impl SweepCheckpoint {
             grid_id,
             cells: BTreeMap::new(),
             file: None,
-            faults: None,
+            faults: FaultPlan::default(),
         }
     }
 
-    /// Arms deterministic fault injection on this store's writer: rules
-    /// from the injector's plan (`torn@record:IDX:KEEP`) make
-    /// [`SweepCheckpoint::record`] write the matching record short and
-    /// report an I/O error, reproducing a crash mid-append.
-    pub fn arm_faults(&mut self, injector: Arc<FaultInjector>) {
-        self.faults = Some(injector);
+    /// Arms deterministic fault injection on this store's writer: the
+    /// plan's `torn@record:IDX:KEEP` rules make [`SweepCheckpoint::record`]
+    /// write the matching record short and report an I/O error,
+    /// reproducing a crash mid-append.
+    pub fn arm_faults(&mut self, plan: FaultPlan) {
+        self.faults = plan;
     }
 
     fn parse_header(header: &str) -> Result<u64, CheckpointError> {
@@ -575,11 +574,7 @@ impl SweepCheckpoint {
         }
         if let Some(file) = &mut self.file {
             let line = encode_cell(key, &record);
-            if let Some(keep) = self
-                .faults
-                .as_ref()
-                .and_then(|inj| inj.torn_write(self.cells.len()))
-            {
+            if let Some(keep) = self.faults.torn_write(self.cells.len()) {
                 // Injected torn write: only a prefix of the line reaches
                 // the file (no newline), exactly like a crash mid-append.
                 let cut = keep.min(line.len());
@@ -814,14 +809,13 @@ mod tests {
 
     #[test]
     fn injected_torn_write_reproduces_crash_mid_append() {
-        use crate::faultinject::FaultPlan;
         let dir = std::env::temp_dir().join("warpweave-ckpt-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("torn-inject.checkpoint");
         let _ = std::fs::remove_file(&path);
 
         let mut store = SweepCheckpoint::resume(&path, 0x7e57).unwrap();
-        store.arm_faults(Arc::new(FaultPlan::parse("torn@record:1:9").unwrap().arm()));
+        store.arm_faults(FaultPlan::parse("torn@record:1:9").unwrap());
         store.record("a", CellRecord::new(sample_stats(1))).unwrap();
         let err = store
             .record("b", CellRecord::new(sample_stats(2)))

@@ -1,14 +1,13 @@
 //! Deterministic fault injection for the sweep / checkpoint robustness
 //! paths.
 //!
-//! A [`FaultPlan`] is parsed from a compact spec string (CLI flag or the
-//! [`FAULTS_ENV`] environment variable) and then armed into a
-//! [`FaultInjector`], which the bench harness consults once per cell
-//! attempt and the checkpoint writer consults once per appended record.
-//! Everything is a pure function of the plan and the attempt counters —
-//! no wall clock, no global RNG — so an injected failure reproduces
-//! bit-identically at any host thread count and under `--salvage`
-//! replays.
+//! A [`FaultPlan`] is parsed from a compact spec string (`bench_sweep
+//! --inject`) and consulted as is: the sweep driver asks it once per job
+//! and the checkpoint writer once per appended record. A job is a pure
+//! function of its inputs and runs once, so a verdict is a pure function
+//! of the plan and the job's index or key — no counters, no wall clock, no
+//! global RNG — and an injected failure reproduces bit-identically at any
+//! host thread count and under `--salvage` replays.
 //!
 //! # Spec grammar
 //!
@@ -16,37 +15,27 @@
 //!
 //! | rule | effect |
 //! |------|--------|
-//! | `panic@cell:IDX` | panic every attempt of the cell at job index `IDX` |
-//! | `sim@cell:IDX` | fail every attempt of cell `IDX` with a simulated [`crate::SimError`]-style error |
-//! | `panic@key:KEY` / `sim@key:KEY` | same, targeting the cell whose key (`workload/config`) equals `KEY` |
-//! | `...*TIMES` | suffix: only the first `TIMES` attempts fail (so retries succeed) |
+//! | `panic@cell:IDX` | the job at index `IDX` panics |
+//! | `sim@cell:IDX` | job `IDX` fails with a simulated [`crate::SimError`]-style error |
+//! | `panic@key:KEY` / `sim@key:KEY` | same, targeting the job whose key (`workload/config`) equals `KEY` |
 //! | `torn@record:IDX:KEEP` | cut checkpoint record number `IDX` to its first `KEEP` bytes |
 //!
-//! Cell indices refer to a cell's position in the full job grid (stable
-//! across resumes), not its position among the cells remaining.
+//! Cell indices refer to a job's position in the full job grid (stable
+//! across resumes), not its position among the jobs remaining.
 //!
 //! # Examples
 //! ```
 //! use warpweave_core::faultinject::{FaultKind, FaultPlan};
 //!
-//! let plan = FaultPlan::parse("panic@cell:3*1; torn@record:2:10").unwrap();
-//! let inj = plan.arm();
-//! // First attempt on cell 3 fails, the retry succeeds.
-//! assert_eq!(inj.cell_fault(3, "BFS/Baseline"), Some(FaultKind::Panic));
-//! assert_eq!(inj.cell_fault(3, "BFS/Baseline"), None);
+//! let plan = FaultPlan::parse("panic@cell:3; torn@record:2:10").unwrap();
+//! assert_eq!(plan.cell_fault(3, "BFS/Baseline"), Some(FaultKind::Panic));
+//! assert_eq!(plan.cell_fault(4, "BFS/SBI"), None);
 //! // Checkpoint record 2 is torn after 10 bytes.
-//! assert_eq!(inj.torn_write(2), Some(10));
-//! assert_eq!(inj.torn_write(1), None);
+//! assert_eq!(plan.torn_write(2), Some(10));
+//! assert_eq!(plan.torn_write(1), None);
 //! ```
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-
-/// Environment variable holding a fault-plan spec (same grammar as
-/// [`FaultPlan::parse`]). Read by [`FaultPlan::from_env`].
-pub const FAULTS_ENV: &str = "WARPWEAVE_FAULTS";
-
-/// What an injected cell fault does to the attempt it fires on.
+/// What an injected cell fault does to the job it fires on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The cell closure panics (exercises `catch_unwind` containment).
@@ -64,16 +53,13 @@ pub enum CellTarget {
     Key(String),
 }
 
-/// One cell-fault rule: target, effect, and how many attempts it poisons.
+/// One cell-fault rule: target and effect.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellFault {
     /// Which cell the rule fires on.
     pub target: CellTarget,
     /// Panic or simulated error.
     pub kind: FaultKind,
-    /// Number of attempts that fail before the cell is allowed to
-    /// succeed (`u32::MAX` = permanent fault).
-    pub times: u32,
 }
 
 /// A torn-write rule: the checkpoint record at index `record` is written
@@ -88,8 +74,8 @@ pub struct TornWrite {
     pub keep_bytes: usize,
 }
 
-/// A parsed, inert fault plan. Call [`FaultPlan::arm`] to get the
-/// stateful [`FaultInjector`] the harness consults.
+/// A parsed fault plan: the rules, and the two questions the sweep driver
+/// and the checkpoint writer ask of them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Cell-fault rules, in spec order (first match wins).
@@ -132,14 +118,6 @@ impl FaultPlan {
                 "sim" => FaultKind::SimError,
                 other => return Err(format!("rule `{rule}`: unknown fault kind `{other}`")),
             };
-            let (target, times) = match target.rsplit_once('*') {
-                Some((t, n)) => (
-                    t,
-                    n.parse::<u32>()
-                        .map_err(|e| format!("rule `{rule}`: bad attempt count: {e}"))?,
-                ),
-                None => (target, u32::MAX),
-            };
             let target = if let Some(idx) = target.strip_prefix("cell:") {
                 CellTarget::Index(
                     idx.parse()
@@ -152,90 +130,30 @@ impl FaultPlan {
                     "rule `{rule}`: expected cell:IDX or key:KEY target"
                 ));
             };
-            plan.cells.push(CellFault {
-                target,
-                kind,
-                times,
-            });
+            plan.cells.push(CellFault { target, kind });
         }
         Ok(plan)
     }
 
-    /// Reads a plan from the [`FAULTS_ENV`] environment variable.
-    /// `Ok(None)` when the variable is unset or empty.
-    ///
-    /// # Errors
-    /// Same as [`FaultPlan::parse`].
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        match std::env::var(FAULTS_ENV) {
-            Ok(spec) if !spec.trim().is_empty() => FaultPlan::parse(&spec).map(Some),
-            _ => Ok(None),
-        }
-    }
-
-    /// True when the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty() && self.torn.is_empty()
-    }
-
-    /// Arms the plan: wraps it in the attempt-counting [`FaultInjector`].
-    pub fn arm(self) -> FaultInjector {
-        FaultInjector {
-            plan: self,
-            attempts: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
-/// An armed [`FaultPlan`] with per-cell attempt counters. Shared across
-/// worker threads behind an `Arc`; the counters are keyed on
-/// `(rule index, cell index)`, never on completion order, so verdicts
-/// are identical at any host thread count.
-#[derive(Debug, Default)]
-pub struct FaultInjector {
-    plan: FaultPlan,
-    attempts: Mutex<HashMap<(usize, usize), u32>>,
-}
-
-impl FaultInjector {
-    /// Consults the plan for one attempt of the cell at `index` with key
-    /// `key`, counting the attempt against the first matching rule.
-    /// Returns the fault to inject, or `None` when the attempt should
-    /// run normally (no rule matches, or the matching rule's `times`
-    /// budget is spent).
+    /// The fault to inject into the job at full-grid `index` with key
+    /// `key` (the first matching rule's), or `None` when it runs normally.
     pub fn cell_fault(&self, index: usize, key: &str) -> Option<FaultKind> {
-        let rule_hit = self
-            .plan
-            .cells
+        self.cells
             .iter()
-            .enumerate()
-            .find(|(_, r)| match &r.target {
+            .find(|r| match &r.target {
                 CellTarget::Index(i) => *i == index,
                 CellTarget::Key(k) => k == key,
-            });
-        let (ri, rule) = rule_hit?;
-        let mut attempts = self
-            .attempts
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let n = attempts.entry((ri, index)).or_insert(0);
-        *n += 1;
-        (*n <= rule.times).then_some(rule.kind)
+            })
+            .map(|r| r.kind)
     }
 
     /// Returns `Some(keep_bytes)` when the checkpoint record at
     /// `record_index` should be written torn, `None` otherwise.
     pub fn torn_write(&self, record_index: usize) -> Option<usize> {
-        self.plan
-            .torn
+        self.torn
             .iter()
             .find(|t| t.record == record_index)
             .map(|t| t.keep_bytes)
-    }
-
-    /// The plan this injector was armed from.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 }
 
@@ -245,19 +163,17 @@ mod tests {
 
     #[test]
     fn parses_full_grammar() {
-        let plan = FaultPlan::parse("panic@cell:7; sim@key:BFS/SBI*2 ;torn@record:0:5").unwrap();
+        let plan = FaultPlan::parse("panic@cell:7; sim@key:BFS/SBI ;torn@record:0:5").unwrap();
         assert_eq!(
             plan.cells,
             vec![
                 CellFault {
                     target: CellTarget::Index(7),
                     kind: FaultKind::Panic,
-                    times: u32::MAX,
                 },
                 CellFault {
                     target: CellTarget::Key("BFS/SBI".into()),
                     kind: FaultKind::SimError,
-                    times: 2,
                 },
             ]
         );
@@ -278,6 +194,7 @@ mod tests {
             "panic@cell:x",
             "panic@warp:1",
             "panic@cell:1*y",
+            "panic@cell:3*1",
             "torn@record:3",
             "torn@record:a:5",
         ] {
@@ -287,31 +204,25 @@ mod tests {
 
     #[test]
     fn empty_spec_is_empty_plan() {
-        let plan = FaultPlan::parse(" ; ;").unwrap();
-        assert!(plan.is_empty());
-    }
-
-    #[test]
-    fn attempt_budget_counts_per_cell() {
-        let inj = FaultPlan::parse("sim@cell:2*2").unwrap().arm();
-        assert_eq!(inj.cell_fault(2, "a/b"), Some(FaultKind::SimError));
-        assert_eq!(inj.cell_fault(2, "a/b"), Some(FaultKind::SimError));
-        assert_eq!(inj.cell_fault(2, "a/b"), None, "budget spent");
-        assert_eq!(inj.cell_fault(1, "a/b"), None, "other cells untouched");
+        assert_eq!(FaultPlan::parse(" ; ;").unwrap(), FaultPlan::default());
     }
 
     #[test]
     fn key_target_matches_exact_key() {
-        let inj = FaultPlan::parse("panic@key:BFS/SBI").unwrap().arm();
-        assert_eq!(inj.cell_fault(0, "BFS/SBI"), Some(FaultKind::Panic));
-        assert_eq!(inj.cell_fault(1, "BFS/SBI+SWI"), None);
+        let plan = FaultPlan::parse("panic@key:BFS/SBI").unwrap();
+        assert_eq!(plan.cell_fault(0, "BFS/SBI"), Some(FaultKind::Panic));
+        assert_eq!(plan.cell_fault(1, "BFS/SBI+SWI"), None);
     }
 
     #[test]
-    fn permanent_fault_never_clears() {
-        let inj = FaultPlan::parse("panic@cell:0").unwrap().arm();
-        for _ in 0..10 {
-            assert_eq!(inj.cell_fault(0, "k"), Some(FaultKind::Panic));
+    fn verdicts_are_a_pure_function_of_the_job() {
+        let plan = FaultPlan::parse("sim@cell:2; panic@key:a/b").unwrap();
+        for _ in 0..3 {
+            assert_eq!(plan.cell_fault(2, "x/y"), Some(FaultKind::SimError));
+            assert_eq!(plan.cell_fault(5, "a/b"), Some(FaultKind::Panic));
+            assert_eq!(plan.cell_fault(1, "x/y"), None, "other cells untouched");
         }
+        // First match wins when two rules name one job.
+        assert_eq!(plan.cell_fault(2, "a/b"), Some(FaultKind::SimError));
     }
 }

@@ -74,7 +74,7 @@ pub use divergence::frontier::{FrontierHeap, HeapStats};
 pub use divergence::stack::PdomStack;
 pub use divergence::Transition;
 pub use exec::{execute_warp, ThreadInfo, ThreadRegs};
-pub use faultinject::{FaultInjector, FaultKind, FaultPlan};
+pub use faultinject::{FaultKind, FaultPlan};
 pub use fuzzing::{CaseOutcome, FuzzFailure, FuzzTarget};
 pub use lane::{LaneShuffle, LaneTable};
 pub use launch::{Launch, WarpInfo};
@@ -88,5 +88,5 @@ pub use regfile::WarpRegFile;
 pub use scoreboard::{DepMatrix, Scoreboard};
 pub use stats::Stats;
 pub use superblock::execute_fused;
-pub use sweep::{IsolatedOutcome, JobFailure, SweepRunner};
+pub use sweep::{JobFailure, SweepRunner};
 pub use trace::{render_timeline, IssueSlot, TraceEvent};

@@ -291,7 +291,8 @@ impl Machine {
     /// Builds a machine of `num_sms` SMs for `launch` under `cfg`.
     ///
     /// # Errors
-    /// Configuration validation failures, empty programs, zero SMs.
+    /// Configuration validation failures, empty programs, empty launch
+    /// grids (as [`Sm::for_blocks`]), zero SMs.
     pub fn new(cfg: SmConfig, num_sms: usize, launch: Launch) -> Result<Machine, String> {
         cfg.validate()?;
         if num_sms == 0 {
@@ -299,6 +300,9 @@ impl Machine {
         }
         if launch.program.is_empty() {
             return Err("empty program".into());
+        }
+        if launch.grid_blocks == 0 || launch.block_threads == 0 {
+            return Err("empty launch grid".into());
         }
         let warps_per_block = (launch.block_threads as usize).div_ceil(cfg.warp_width);
         if warps_per_block > cfg.num_warps {
@@ -613,6 +617,26 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, (0..10).collect::<Vec<u32>>());
         assert_eq!(m.shard(0), vec![0, 3, 6, 9]);
+    }
+
+    #[test]
+    fn empty_launch_grid_is_refused_at_construction() {
+        // `Launch`'s fields are pub, so `Launch::new`'s assert can be
+        // bypassed; the machine refuses what `Sm::for_blocks` refuses.
+        for (grid_blocks, block_threads) in [(0, 128), (4, 0)] {
+            let launch = Launch {
+                grid_blocks,
+                block_threads,
+                ..store_tid_launch(4)
+            };
+            for cfg in [
+                SmConfig::baseline(),
+                SmConfig::baseline().with_shared_dram(),
+            ] {
+                let err = Machine::new(cfg, 2, launch.clone()).unwrap_err();
+                assert_eq!(err, "empty launch grid", "{grid_blocks} x {block_threads}");
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl Drop for BatchScope {
     }
 }
 
-/// Why one isolated job failed (after its retry budget was spent).
+/// Why one isolated job failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobFailure {
     /// The job panicked; the payload rendered to a string.
@@ -52,17 +52,6 @@ impl fmt::Display for JobFailure {
             JobFailure::Error(msg) => write!(f, "error: {msg}"),
         }
     }
-}
-
-/// Outcome of one job run under [`SweepRunner::run_isolated_reporting`]: the
-/// result (or the last failure) plus how many attempts were made.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IsolatedOutcome<R> {
-    /// The job's result, or the failure of its final attempt.
-    pub result: Result<R, JobFailure>,
-    /// Attempts made (1 = first try succeeded; `max_retries + 1` when
-    /// every attempt failed).
-    pub attempts: u32,
 }
 
 /// Renders a caught panic payload (the `&str` / `String` payloads
@@ -172,20 +161,19 @@ impl SweepRunner {
             .collect()
     }
 
-    /// Fault-isolated parallel map: each job attempt runs under
-    /// `catch_unwind`, panics and `Err` returns are retried up to
-    /// `max_retries` times on the same worker, and a job whose budget is
-    /// spent is quarantined as a [`JobFailure`] instead of aborting the
-    /// batch. Healthy jobs produce results bit-identical to
-    /// [`SweepRunner::run`] at any thread count, because containment
-    /// never reorders or re-seeds work — it only wraps each closure
-    /// call.
+    /// Fault-isolated parallel map: each job runs exactly once, under
+    /// `catch_unwind`, and a job that panics or returns `Err` is
+    /// quarantined as a [`JobFailure`] instead of aborting the batch. A
+    /// job is a pure function of its input, so running it again could
+    /// only repeat the failure. Healthy jobs produce results bit-identical
+    /// to [`SweepRunner::run`] at any thread count, because containment
+    /// never reorders or re-seeds work — it only wraps each closure call.
     ///
-    /// `on_done(index, &outcome)` fires on the worker thread the moment
+    /// `on_done(index, &result)` fires on the worker thread the moment
     /// job `index` settles (success or quarantine), **in completion
     /// order** (nondeterministic), while the returned vector stays in job
     /// order as always. This is the incremental-persistence hook of the
-    /// sweep driver: it appends each `Ok` outcome to its
+    /// sweep driver: it appends each `Ok` result to its
     /// [`crate::checkpoint::SweepCheckpoint`] from `on_done`, so an
     /// interrupted sweep loses at most the jobs still in flight.
     /// `on_done` runs concurrently from many workers — synchronise any
@@ -193,42 +181,25 @@ impl SweepRunner {
     pub fn run_isolated_reporting<J, R, E, F, P>(
         &self,
         jobs: &[J],
-        max_retries: u32,
         f: F,
         on_done: P,
-    ) -> Vec<IsolatedOutcome<R>>
+    ) -> Vec<Result<R, JobFailure>>
     where
         J: Sync + Send,
         R: Send,
         E: fmt::Display,
         F: Fn(&J) -> Result<R, E> + Sync + Send,
-        P: Fn(usize, &IsolatedOutcome<R>) + Sync + Send,
+        P: Fn(usize, &Result<R, JobFailure>) + Sync + Send,
     {
         let indexed: Vec<(usize, &J)> = jobs.iter().enumerate().collect();
         self.run(&indexed, |&(i, job)| {
-            let mut attempts = 0u32;
-            let mut last: Option<JobFailure>;
-            let outcome = loop {
-                attempts += 1;
-                match catch_unwind(AssertUnwindSafe(|| f(job))) {
-                    Ok(Ok(r)) => {
-                        break IsolatedOutcome {
-                            result: Ok(r),
-                            attempts,
-                        }
-                    }
-                    Ok(Err(e)) => last = Some(JobFailure::Error(e.to_string())),
-                    Err(payload) => last = Some(JobFailure::Panic(panic_message(payload.as_ref()))),
-                }
-                if attempts > max_retries {
-                    break IsolatedOutcome {
-                        result: Err(last.take().expect("at least one failed attempt")),
-                        attempts,
-                    };
-                }
+            let result = match catch_unwind(AssertUnwindSafe(|| f(job))) {
+                Ok(Ok(r)) => Ok(r),
+                Ok(Err(e)) => Err(JobFailure::Error(e.to_string())),
+                Err(payload) => Err(JobFailure::Panic(panic_message(payload.as_ref()))),
             };
-            on_done(i, &outcome);
-            outcome
+            on_done(i, &result);
+            result
         })
     }
 
@@ -321,7 +292,6 @@ mod tests {
         let jobs: Vec<u64> = (0..12).collect();
         let out = SweepRunner::with_threads(4).run_isolated_reporting(
             &jobs,
-            1,
             |&j| match j {
                 3 => panic!("injected panic on job {j}"),
                 7 => Err(format!("bad job {j}")),
@@ -332,54 +302,35 @@ mod tests {
         assert_eq!(out.len(), 12);
         for (i, o) in out.iter().enumerate() {
             match i {
-                3 => {
-                    assert_eq!(
-                        o.result,
-                        Err(JobFailure::Panic("injected panic on job 3".into()))
-                    );
-                    assert_eq!(o.attempts, 2, "one retry before quarantine");
-                }
-                7 => {
-                    assert_eq!(o.result, Err(JobFailure::Error("bad job 7".into())));
-                    assert_eq!(o.attempts, 2);
-                }
-                _ => {
-                    assert_eq!(o.result, Ok(i as u64 * 10));
-                    assert_eq!(o.attempts, 1);
-                }
+                3 => assert_eq!(*o, Err(JobFailure::Panic("injected panic on job 3".into()))),
+                7 => assert_eq!(*o, Err(JobFailure::Error("bad job 7".into()))),
+                _ => assert_eq!(*o, Ok(i as u64 * 10)),
             }
         }
     }
 
     #[test]
-    fn isolated_retry_recovers_transient_failure() {
-        use std::collections::HashMap;
-        use std::sync::Mutex;
+    fn a_failing_job_runs_exactly_once() {
         let jobs: Vec<u64> = (0..6).collect();
-        let tries: Mutex<HashMap<u64, u32>> = Mutex::new(HashMap::new());
+        let calls: Vec<AtomicUsize> = jobs.iter().map(|_| AtomicUsize::new(0)).collect();
         let out = SweepRunner::with_threads(2).run_isolated_reporting(
             &jobs,
-            2,
             |&j| {
-                let n = {
-                    let mut tries = tries.lock().unwrap();
-                    let n = tries.entry(j).or_insert(0);
-                    *n += 1;
-                    *n
-                };
-                if j == 4 && n == 1 {
-                    return Err("transient".to_string());
+                calls[j as usize].fetch_add(1, Ordering::Relaxed);
+                match j {
+                    1 => panic!("poison job"),
+                    4 => Err("bad job".to_string()),
+                    _ => Ok(j),
                 }
-                Ok(j + 1)
             },
             |_, _| {},
         );
-        assert_eq!(out[4].result, Ok(5));
-        assert_eq!(out[4].attempts, 2, "failed once, then recovered");
-        assert!(out
-            .iter()
-            .enumerate()
-            .all(|(i, o)| o.result == Ok(i as u64 + 1)));
+        assert!(out[1].is_err() && out[4].is_err());
+        let calls: Vec<usize> = calls.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        assert_eq!(
+            calls, [1; 6],
+            "the panicking and the erring job ran once each"
+        );
     }
 
     #[test]
@@ -392,7 +343,7 @@ mod tests {
             Ok(j.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 9)
         };
         let run = |threads| {
-            SweepRunner::with_threads(threads).run_isolated_reporting(&jobs, 0, f, |_, _| {})
+            SweepRunner::with_threads(threads).run_isolated_reporting(&jobs, f, |_, _| {})
         };
         let reference = run(1);
         for threads in [2, 8] {
@@ -407,9 +358,8 @@ mod tests {
         let seen = Mutex::new(Vec::new());
         SweepRunner::with_threads(3).run_isolated_reporting(
             &jobs,
-            0,
             |&j| if j == 2 { Err("x".to_string()) } else { Ok(j) },
-            |i, o| seen.lock().unwrap().push((i, o.result.is_ok())),
+            |i, o| seen.lock().unwrap().push((i, o.is_ok())),
         );
         let mut seen = seen.into_inner().unwrap();
         seen.sort_unstable();

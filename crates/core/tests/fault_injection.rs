@@ -5,6 +5,8 @@
 //! panic or simulation error — at **any** job index leaves every healthy
 //! job's outcome bit-identical at 1 and 8 host threads.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use proptest::prelude::*;
 
 use warpweave_core::checkpoint::{CellRecord, SweepCheckpoint};
@@ -90,9 +92,9 @@ proptest! {
     }
 
     /// An injected fault (panic or simulation error) at any job index is
-    /// contained: the faulted job is retried and quarantined with the
-    /// right attempt count, and every healthy job's result is
-    /// bit-identical between a 1-thread and an 8-thread run.
+    /// contained: the faulted job runs once and is quarantined, and every
+    /// healthy job's result is bit-identical between a 1-thread and an
+    /// 8-thread run.
     #[test]
     fn injected_fault_at_any_index_leaves_healthy_jobs_identical(
         jobs in 4usize..12,
@@ -108,38 +110,39 @@ proptest! {
         let plan = FaultPlan::parse(&spec).unwrap();
         let items: Vec<usize> = (0..jobs).collect();
         let run = |threads: usize| {
-            // Each run arms its own injector so attempt budgets reset.
-            let injector = plan.clone().arm();
-            SweepRunner::with_threads(threads).run_isolated_reporting(
+            let calls: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+            let results = SweepRunner::with_threads(threads).run_isolated_reporting(
                 &items,
-                1,
-                |&i| match injector.cell_fault(i, &format!("job-{i}")) {
-                    Some(FaultKind::Panic) => panic!("injected panic in job {i}"),
-                    Some(FaultKind::SimError) => Err(format!("injected sim error in job {i}")),
-                    None => Ok((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+                |&i| {
+                    calls[i].fetch_add(1, Ordering::Relaxed);
+                    match plan.cell_fault(i, &format!("job-{i}")) {
+                        Some(FaultKind::Panic) => panic!("injected panic in job {i}"),
+                        Some(FaultKind::SimError) => Err(format!("injected sim error in job {i}")),
+                        None => Ok((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+                    }
                 },
                 |_, _| {},
-            )
+            );
+            let calls: Vec<usize> = calls.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+            (results, calls)
         };
-        let serial = run(1);
-        let wide = run(8);
+        let (serial, serial_calls) = run(1);
+        let (wide, wide_calls) = run(8);
         prop_assert_eq!(serial.len(), jobs);
         prop_assert_eq!(wide.len(), jobs);
+        // Every job, the faulted one included, runs exactly once.
+        prop_assert_eq!(&serial_calls, &vec![1; jobs]);
+        prop_assert_eq!(&wide_calls, &vec![1; jobs]);
         for (i, (a, b)) in serial.iter().zip(&wide).enumerate() {
             if i == fault_idx {
-                prop_assert!(a.result.is_err(), "job {} quarantined at 1 thread", i);
-                prop_assert!(b.result.is_err(), "job {} quarantined at 8 threads", i);
-                // 1 retry allowed → exactly 2 attempts, thread-count independent.
-                prop_assert_eq!(a.attempts, 2);
-                prop_assert_eq!(b.attempts, 2);
+                prop_assert!(a.is_err(), "job {} quarantined at 1 thread", i);
+                prop_assert!(b.is_err(), "job {} quarantined at 8 threads", i);
             } else {
                 prop_assert_eq!(
-                    a.result.as_ref().unwrap(),
-                    b.result.as_ref().unwrap(),
+                    a.as_ref().unwrap(),
+                    b.as_ref().unwrap(),
                     "healthy job {} drifted across thread counts", i
                 );
-                prop_assert_eq!(a.attempts, 1);
-                prop_assert_eq!(b.attempts, 1);
             }
         }
     }

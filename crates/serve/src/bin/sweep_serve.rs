@@ -1,22 +1,22 @@
 //! The sweep service daemon.
 //!
 //! Usage:
-//! `sweep_serve [--addr HOST:PORT] [--threads N] [--max-cell-retries N]
-//!              [--cache-entries N] [--cache-dir PATH]`
+//! `sweep_serve [--addr HOST:PORT] [--threads N] [--cache-entries N]
+//!              [--cache-dir PATH]`
 //!
 //! * `--addr` — bind address (default `127.0.0.1:0`; port 0 picks an
 //!   ephemeral port). The resolved address is printed to **stdout** as
 //!   `listening <host:port>` so scripts can capture it.
 //! * `--threads N` — cap the simulation worker pool (default: all cores).
-//! * `--max-cell-retries N` — retries per failing cell before it is
-//!   reported as a `fail|` line (default 1).
 //! * `--cache-entries N` — memory-tier capacity of the content-addressed
 //!   cell cache (default 1024 entries).
 //! * `--cache-dir PATH` — enable the on-disk cache tier (one
 //!   checksummed `.cell` file per entry; survives restarts).
 //!
-//! The server runs until a client sends `shutdown` (see `sweep_client
-//! --shutdown`). Wire protocol: `warpweave_serve::protocol`.
+//! Each missing cell of a request is simulated once; one that fails is
+//! streamed as a `fail|` line and never cached. The server runs until a
+//! client sends `shutdown` (see `sweep_client --shutdown`). Wire protocol:
+//! `warpweave_serve::protocol`.
 
 use std::process::ExitCode;
 
@@ -32,15 +32,6 @@ fn main() -> ExitCode {
             Ok(n) => cfg.threads = Some(n),
             Err(_) => {
                 eprintln!("--threads takes a worker count, got `{n}`");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(n) = arg_value(&args, "--max-cell-retries") {
-        match n.parse() {
-            Ok(n) => cfg.max_retries = n,
-            Err(_) => {
-                eprintln!("--max-cell-retries takes a retry count, got `{n}`");
                 return ExitCode::from(2);
             }
         }

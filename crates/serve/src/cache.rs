@@ -16,7 +16,7 @@
 //!   simulates it, later requesters block until the line is ready (or
 //!   the claim is abandoned, in which case one of them claims next).
 //!   Failures are **never** cached — a failed claim is abandoned so
-//!   every retry re-simulates with its own provenance.
+//!   every later request re-simulates with its own provenance.
 //! * **disk** (optional) — one `<digest:016x>.cell` file per entry,
 //!   written through on fulfilment and consulted on memory misses.
 //!   Checksums are verified on the way back in, so a torn or tampered

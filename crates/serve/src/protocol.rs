@@ -26,9 +26,9 @@
 //! ## Responses (server → client, in order)
 //!
 //! ```text
-//! hello|warpweave-serve-v1|grid=<id:016x>
+//! hello|warpweave-serve-v2|grid=<id:016x>
 //! cell|<key>|s:<fields>[|c:<fields>]|#<checksum:016x>      (one per healthy cell)
-//! fail|<key>|seed=<hex>|attempts=<n>|<reason>              (one per quarantined job)
+//! fail|<key>|seed=<hex>|<reason>                           (one per quarantined job)
 //! stats|hits=<n>|misses=<n>|evictions=<n>|simulated=<n>
 //! done|cells=<n>|failed=<n>
 //! ```
@@ -53,7 +53,7 @@ use warpweave_bench::CellFailure;
 
 /// The protocol identifier carried by the `hello` line. Bumped when the
 /// request grammar or response sequence changes incompatibly.
-pub const PROTOCOL_ID: &str = "warpweave-serve-v1";
+pub const PROTOCOL_ID: &str = "warpweave-serve-v2";
 
 /// Longest request line the server buffers, in bytes without the `\n`
 /// (the longest legitimate `run …` line is a few hundred).
@@ -213,13 +213,10 @@ pub fn parse_hello(line: &str) -> Result<u64, String> {
     u64::from_str_radix(grid, 16).map_err(|_| format!("bad grid id `{grid}`"))
 }
 
-/// The `fail` line for one quarantined cell — PR 6's [`CellFailure`]
-/// provenance (cell, seed, attempts, final reason) on the wire.
+/// The `fail` line for one quarantined cell — its [`CellFailure`]
+/// provenance (cell, seed, reason) on the wire.
 pub fn fail_line(f: &CellFailure) -> String {
-    format!(
-        "fail|{}|seed={:#x}|attempts={}|{}",
-        f.key, f.seed, f.attempts, f.reason
-    )
+    format!("fail|{}|seed={:#x}|{}", f.key, f.seed, f.reason)
 }
 
 /// The per-request `stats` line: how this request was served.
@@ -340,7 +337,7 @@ mod tests {
     #[test]
     fn hello_round_trips_and_rejects_other_versions() {
         assert_eq!(parse_hello(&hello_line(0xdead_beef)).unwrap(), 0xdead_beef);
-        assert!(parse_hello("hello|warpweave-serve-v0|grid=0").is_err());
+        assert!(parse_hello("hello|warpweave-serve-v1|grid=0").is_err());
         assert!(parse_hello("cell|x").is_err());
     }
 

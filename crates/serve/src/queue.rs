@@ -6,18 +6,17 @@
 //! probes), so a served grid and a locally-run grid name identical cells.
 //! Each job then flows through [`run_jobs`]: a cache [`acquire`]
 //! (serve-or-claim), and for claimed cells the **same cell body the local
-//! sweep driver runs** ([`GridJob::run`] under
-//! [`SweepRunner::run_isolated_reporting`]'s catch-unwind + retry loop).
-//! A cell that exhausts its retries becomes a [`CellFailure`] with full
-//! provenance, never a dead server — and is never cached, so a later
-//! request re-attempts it fresh.
+//! sweep driver runs** ([`GridJob::run`], once, under
+//! [`SweepRunner::run_isolated_reporting`]'s catch-unwind).
+//! A cell that fails becomes a [`CellFailure`] with full provenance, never
+//! a dead server — and is never cached, so a later request runs it fresh.
 //!
 //! [`acquire`]: crate::cache::CellCache::acquire
 
 use warpweave_bench::grid::{figure7_configs, grid_id, sweep_workloads};
 use warpweave_bench::{grid_jobs, CellFailure, GridJob};
 use warpweave_core::checkpoint::encode_cell;
-use warpweave_core::{SmConfig, SweepRunner};
+use warpweave_core::{JobFailure, SmConfig, SweepRunner};
 use warpweave_workloads::{by_name, Scale};
 
 use crate::cache::{cell_digest, Acquired, CellCache};
@@ -76,7 +75,7 @@ pub enum Outcome {
     Hit(String),
     /// Simulated by this request — the encoded checkpoint line.
     Simulated(String),
-    /// Quarantined after its retry budget, with provenance.
+    /// Quarantined, with provenance.
     Failed(CellFailure),
 }
 
@@ -106,13 +105,11 @@ pub fn run_jobs(
     runner: &SweepRunner,
     cache: &CellCache,
     scale: Scale,
-    max_retries: u32,
     jobs: &[GridJob],
     on_done: impl Fn(usize, &Outcome) + Sync + Send,
 ) -> Vec<Outcome> {
     let outcomes = runner.run_isolated_reporting(
         jobs,
-        max_retries,
         |job| -> Result<Outcome, String> {
             match cache.acquire(job_digest(scale, job)) {
                 Acquired::Ready(line) => Ok(Outcome::Hit(line)),
@@ -133,12 +130,12 @@ pub fn run_jobs(
         .collect()
 }
 
-/// Converts one isolated outcome into the wire-facing [`Outcome`],
+/// Converts one isolated result into the wire-facing [`Outcome`],
 /// attaching the job's provenance to failures.
-fn settle(job: &GridJob, isolated: &warpweave_core::IsolatedOutcome<Outcome>) -> Outcome {
-    match &isolated.result {
+fn settle(job: &GridJob, isolated: &Result<Outcome, JobFailure>) -> Outcome {
+    match isolated {
         Ok(outcome) => outcome.clone(),
-        Err(reason) => Outcome::Failed(job.failure(isolated.attempts, reason.clone())),
+        Err(reason) => Outcome::Failed(job.failure(reason.clone())),
     }
 }
 
@@ -182,9 +179,9 @@ mod tests {
         let cache = CellCache::in_memory(64);
         let runner = SweepRunner::with_threads(2);
         let grid = resolve(&quick_pair()).unwrap();
-        let first = run_jobs(&runner, &cache, grid.scale, 0, &grid.jobs, |_, _| {});
+        let first = run_jobs(&runner, &cache, grid.scale, &grid.jobs, |_, _| {});
         assert!(first.iter().all(|o| matches!(o, Outcome::Simulated(_))));
-        let second = run_jobs(&runner, &cache, grid.scale, 0, &grid.jobs, |_, _| {});
+        let second = run_jobs(&runner, &cache, grid.scale, &grid.jobs, |_, _| {});
         assert!(second.iter().all(|o| matches!(o, Outcome::Hit(_))));
         // Byte-identical lines either way.
         let a: Vec<String> = first.iter().map(Outcome::line).collect();

@@ -30,8 +30,6 @@ use crate::queue::{job_digest, resolve, run_jobs, Outcome};
 pub struct ServeConfig {
     /// Worker-thread cap for the simulation pool (`None` = all cores).
     pub threads: Option<usize>,
-    /// Retries per failing cell before quarantine.
-    pub max_retries: u32,
     /// Memory-tier capacity of the cell cache, in entries.
     pub cache_entries: usize,
     /// Disk tier directory (`None` = memory-only).
@@ -42,7 +40,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             threads: None,
-            max_retries: 1,
             cache_entries: 1024,
             cache_dir: None,
         }
@@ -54,7 +51,6 @@ pub struct Server {
     listener: TcpListener,
     cache: Arc<CellCache>,
     runner: Arc<SweepRunner>,
-    max_retries: u32,
     stop: Arc<AtomicBool>,
 }
 
@@ -78,7 +74,6 @@ impl Server {
             listener,
             cache: Arc::new(cache),
             runner: Arc::new(runner),
-            max_retries: cfg.max_retries,
             stop: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -118,9 +113,8 @@ impl Server {
             let cache = Arc::clone(&self.cache);
             let runner = Arc::clone(&self.runner);
             let stop = Arc::clone(&self.stop);
-            let max_retries = self.max_retries;
             handlers.push(std::thread::spawn(move || {
-                if let Err(e) = handle(stream, &cache, &runner, max_retries, &stop, addr) {
+                if let Err(e) = handle(stream, &cache, &runner, &stop, addr) {
                     eprintln!("sweep_serve: connection: {e}");
                 }
             }));
@@ -137,7 +131,6 @@ fn handle(
     stream: TcpStream,
     cache: &CellCache,
     runner: &SweepRunner,
-    max_retries: u32,
     stop: &AtomicBool,
     addr: SocketAddr,
 ) -> std::io::Result<()> {
@@ -200,8 +193,7 @@ fn handle(
                 };
                 writeln!(writer, "{}", hello_line(grid.grid_id))?;
                 writer.flush()?;
-                let (hits, simulated, failed) =
-                    stream_in_order(&mut writer, runner, cache, max_retries, &grid)?;
+                let (hits, simulated, failed) = stream_in_order(&mut writer, runner, cache, &grid)?;
                 let evictions = cache.stats().evictions;
                 // Request-scoped misses: every cell the cache could not
                 // serve, whether it then simulated cleanly or failed.
@@ -221,7 +213,6 @@ fn stream_in_order(
     writer: &mut impl Write,
     runner: &SweepRunner,
     cache: &CellCache,
-    max_retries: u32,
     grid: &crate::queue::ResolvedGrid,
 ) -> std::io::Result<(u64, u64, usize)> {
     // An all-hit request is answered here, on the connection's thread:
@@ -243,17 +234,10 @@ fn stream_in_order(
     let mut counts = (0u64, 0u64, 0usize);
     std::thread::scope(|scope| -> std::io::Result<()> {
         scope.spawn(|| {
-            run_jobs(
-                runner,
-                cache,
-                grid.scale,
-                max_retries,
-                &grid.jobs,
-                |i, outcome| {
-                    slots.lock().expect("slot lock")[i] = Some(outcome.clone());
-                    ready.notify_all();
-                },
-            );
+            run_jobs(runner, cache, grid.scale, &grid.jobs, |i, outcome| {
+                slots.lock().expect("slot lock")[i] = Some(outcome.clone());
+                ready.notify_all();
+            });
         });
         for i in 0..grid.jobs.len() {
             // `more` is whether the next line can be written without

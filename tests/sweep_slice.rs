@@ -5,9 +5,7 @@
 //! cell lines that decode to the same records.
 
 use warpweave::bench::grid::{self, grid_jobs};
-use warpweave::bench::{
-    matrix_from_store, probes_from_store, render_golden_json, run_grid, FaultPolicy,
-};
+use warpweave::bench::{matrix_from_store, probes_from_store, render_golden_json, run_grid};
 use warpweave::core::checkpoint::{decode_cell, SweepCheckpoint};
 use warpweave::serve::{request_run, request_shutdown, RunRequest, ServeConfig, Server};
 use warpweave::{Scale, SweepRunner};
@@ -23,17 +21,8 @@ fn quick_grid_matches_the_golden_baseline_locally_and_served() {
     // Locally: one run of the driver into an in-memory store.
     let mut store = SweepCheckpoint::in_memory(id);
     let runner = SweepRunner::with_threads(2);
-    let policy = FaultPolicy::none();
-    let failures = run_grid(
-        &runner,
-        &jobs,
-        Scale::Test,
-        false,
-        &policy,
-        None,
-        &mut store,
-    )
-    .expect("an in-memory store records infallibly");
+    let failures = run_grid(&runner, &jobs, Scale::Test, false, None, None, &mut store)
+        .expect("an in-memory store records infallibly");
     assert!(failures.is_empty(), "{failures:?}");
 
     // Every rendered cell line must be a line of the committed baseline
