@@ -162,14 +162,6 @@ pub struct SmConfig {
     /// Whether [`SmConfig::dram`] bandwidth is private per SM or one
     /// machine-shared pool (see [`MemModel`]).
     pub mem_model: MemModel,
-    /// Inert. It used to route straight-line regions through the superblock
-    /// trace engine; the pipeline now has one execute path
-    /// (`exec::execute_rows`) because the engine cost host time on the
-    /// divergent kernels (`benchmark/`'s `core.superblock_gain` < 1), and
-    /// nothing reads this field. It and [`SmConfig::with_superblocks`]
-    /// remain only because the frozen `benchmark/` crate names them; they
-    /// go with the rest of the engine (ROADMAP item 3).
-    pub superblocks: bool,
     /// Seed for the secondary scheduler's pseudo-random tie-breaking.
     pub seed: u64,
 }
@@ -210,7 +202,6 @@ impl SmConfig {
             l2: None,
             dram: DramConfig::paper(),
             mem_model: MemModel::PrivatePerSm,
-            superblocks: true,
             seed: 0xb1e55ed,
         }
     }
@@ -389,10 +380,10 @@ impl SmConfig {
         self
     }
 
-    /// Sets the inert [`SmConfig::superblocks`] shim (builder style): no
-    /// simulated or host-side behaviour depends on it.
-    pub fn with_superblocks(mut self, on: bool) -> SmConfig {
-        self.superblocks = on;
+    /// Returns the configuration unchanged. The pipeline has one execute
+    /// path, so there is no superblock engine to switch; the method stays
+    /// only because the frozen `benchmark/` crate calls it (ROADMAP item 3).
+    pub fn with_superblocks(self, _on: bool) -> SmConfig {
         self
     }
 

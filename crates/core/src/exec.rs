@@ -397,27 +397,25 @@ fn apply3(
 }
 
 /// Merges a freshly computed predicate bitmask into predicate `p`:
-/// executing lanes take `res`, all others keep their old bit. Shared with
-/// the superblock fused path so the merge rule cannot drift.
+/// executing lanes take `res`, all others keep their old bit.
 #[inline]
-pub(crate) fn commit_pred(rf: &mut WarpRegFile, p: usize, exec: Mask, res: u64) {
+fn commit_pred(rf: &mut WarpRegFile, p: usize, exec: Mask, res: u64) {
     debug_assert_eq!(res & !exec.bits(), 0);
     let bits = (rf.pred_bits(p) & !exec.bits()) | res;
     rf.set_pred_bits(p, bits);
 }
 
-/// Bit-casting adapters for the f32 op families (shared with the
-/// superblock fused path).
+/// Bit-casting adapters for the f32 op families.
 #[inline]
-pub(crate) fn f1(f: impl Fn(f32) -> f32) -> impl Fn(u32) -> u32 {
+fn f1(f: impl Fn(f32) -> f32) -> impl Fn(u32) -> u32 {
     move |x| f(f32::from_bits(x)).to_bits()
 }
 #[inline]
-pub(crate) fn f2(f: impl Fn(f32, f32) -> f32) -> impl Fn(u32, u32) -> u32 {
+fn f2(f: impl Fn(f32, f32) -> f32) -> impl Fn(u32, u32) -> u32 {
     move |x, y| f(f32::from_bits(x), f32::from_bits(y)).to_bits()
 }
 #[inline]
-pub(crate) fn f3(f: impl Fn(f32, f32, f32) -> f32) -> impl Fn(u32, u32, u32) -> u32 {
+fn f3(f: impl Fn(f32, f32, f32) -> f32) -> impl Fn(u32, u32, u32) -> u32 {
     move |x, y, z| f(f32::from_bits(x), f32::from_bits(y), f32::from_bits(z)).to_bits()
 }
 
@@ -566,9 +564,8 @@ pub fn execute_rows(
 /// [`execute_rows`] with the accesses of a memory instruction listed as
 /// `(thread, effective byte address, store data)` triples in ascending
 /// thread order (data 0 for loads) — the form the differential suites
-/// compare with the scalar reference and with
-/// [`execute_fused`](crate::superblock::execute_fused). `accesses` is
-/// cleared first. Off the issue path: the pipeline reads the rows.
+/// compare with the scalar reference. `accesses` is cleared first. Off
+/// the issue path: the pipeline reads the rows.
 pub fn execute_warp(
     instr: &Instruction,
     rf: &mut WarpRegFile,

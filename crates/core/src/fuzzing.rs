@@ -6,13 +6,10 @@
 //! 1. **Differential** ([`check_differential`]) — every instruction of the
 //!    generated kernel, driven with random issue masks over random register
 //!    state, must be bit-identical between the scalar `execute_thread`
-//!    reference, the SoA [`execute_warp`] path (the pipeline's
-//!    `execute_rows`, its access rows listed), *and* the library's fused
-//!    kernels ([`execute_fused`]
-//!    wherever a superblock covers the pc, `execute_warp` elsewhere — off
-//!    the issue path, but kept correct until it is deleted) — the same
-//!    methodology as `tests/exec_differential.rs`, but over real lowered
-//!    programs instead of free-floating instruction encodings.
+//!    reference and the SoA [`execute_warp`] path (the pipeline's
+//!    `execute_rows`, its access rows listed) — the same methodology as
+//!    `tests/exec_differential.rs`, but over real lowered programs instead
+//!    of free-floating instruction encodings.
 //! 2. **Policy sweep** ([`check_policies`]) — every policy in the global
 //!    [`PolicyRegistry`] must run the kernel to completion without
 //!    scoreboard violations or watchdog deadlocks; per-policy IPC is
@@ -29,13 +26,12 @@
 //! (e.g. from `tests/corpus/`) through all three checks.
 
 use crate::exec::{execute_thread, execute_warp, guard_passes, ThreadRegs};
-use crate::superblock::execute_fused;
 use crate::{Launch, Machine, Mask, MemModel, PolicyRegistry, Sm, SmConfig, WarpInfo, WarpRegFile};
 use warpweave_isa::fuzz::{
     self, launch_params, splitmix64, FuzzProfile, KernelPlan, Reproducer, ATOM_BASE, INPUT_BASE,
     REGION_WORDS, STORE_BASE,
 };
-use warpweave_isa::{FusedOp, Instruction, Program, SuperblockSet, NUM_PREDS, NUM_REGS};
+use warpweave_isa::{Instruction, Program, NUM_PREDS, NUM_REGS};
 use warpweave_mem::Memory;
 
 /// Watchdog cycle budget per policy/machine run. Generated kernels are
@@ -52,8 +48,7 @@ pub const MAX_SHRINK_EVALS: usize = 300;
 pub enum FuzzTarget {
     /// The generator itself failed to lower a plan to a valid program.
     Generator,
-    /// Scalar `execute_thread` vs SoA `execute_warp` vs superblock
-    /// `execute_fused` divergence.
+    /// Scalar `execute_thread` vs SoA `execute_warp` divergence.
     Differential,
     /// A registered policy deadlocked, tripped an invariant or errored.
     PolicySweep,
@@ -175,21 +170,8 @@ fn state_mismatch(rf: &WarpRegFile, regs: &[ThreadRegs], width: usize) -> Option
     None
 }
 
-/// Per-pc fused-op lookup for the superblock band: `Some(fop)` where a
-/// superblock covers the pc, `None` (interpreter fallback) elsewhere.
-fn fused_coverage(program: &Program) -> Vec<Option<FusedOp>> {
-    let set = SuperblockSet::build(program);
-    let mut map: Vec<Option<FusedOp>> = vec![None; program.instructions().len()];
-    for sb in set.superblocks() {
-        for (i, fop) in sb.ops.iter().enumerate() {
-            map[sb.start.index() + i] = Some(fop.clone());
-        }
-    }
-    map
-}
-
-/// Runs every instruction of `program` through all three execute paths at
-/// one warp width, with random issue masks over random initial state.
+/// Runs every instruction of `program` through both execute paths at one
+/// warp width, with random issue masks over random initial state.
 #[allow(clippy::needless_range_loop)] // (t, reg) indexing mirrors the layout
 fn differential_width(
     program: &Program,
@@ -214,40 +196,30 @@ fn differential_width(
         16,
     );
 
-    let fused = fused_coverage(program);
-
-    // Identical random initial state in all three layouts.
+    // Identical random initial state in both layouts.
     let mut rf = WarpRegFile::new(width);
-    let mut rf_sb = WarpRegFile::new(width);
     let mut regs: Vec<ThreadRegs> = (0..width).map(|_| ThreadRegs::new()).collect();
     let mut s = state_seed;
     for t in 0..width {
         for ri in 0..NUM_REGS {
             let v = splitmix64(&mut s) as u32;
             rf.set_reg(t, ri, v);
-            rf_sb.set_reg(t, ri, v);
             regs[t].set_reg(ri, v);
         }
         for pi in 0..NUM_PREDS {
             let v = splitmix64(&mut s) & 1 == 1;
             rf.set_pred(t, pi, v);
-            rf_sb.set_pred(t, pi, v);
             regs[t].set_pred(pi, v);
         }
     }
 
     let mut soa_accesses: Vec<(usize, u32, u32)> = Vec::new();
-    let mut sb_accesses: Vec<(usize, u32, u32)> = Vec::new();
     for (n, instr) in program.instructions().iter().enumerate() {
         // A fresh (possibly partial) issue mask per instruction.
         let mask = Mask::from_bits(splitmix64(&mut entropy)) & full;
         let active = mask & populated;
 
         let soa_taken = execute_warp(instr, &mut rf, &info, params, active, &mut soa_accesses);
-        let sb_taken = match &fused[n] {
-            Some(fop) => execute_fused(fop, &mut rf_sb, &info, params, active, &mut sb_accesses),
-            None => execute_warp(instr, &mut rf_sb, &info, params, active, &mut sb_accesses),
-        };
         let (ref_taken, ref_accesses) =
             scalar_step(instr, &mut regs, &info, mask, populated, params);
 
@@ -259,35 +231,20 @@ fn differential_width(
                 ref_taken.bits()
             ));
         }
-        if sb_taken != ref_taken {
-            return Err(format!(
-                "{ctx}: superblock taken mask diverged (fused {:#x} vs scalar {:#x})",
-                sb_taken.bits(),
-                ref_taken.bits()
-            ));
-        }
         if soa_accesses != ref_accesses {
             return Err(format!("{ctx}: access list diverged"));
-        }
-        if sb_accesses != ref_accesses {
-            return Err(format!("{ctx}: superblock access list diverged"));
         }
         if let Some(m) = state_mismatch(&rf, &regs, width) {
             return Err(format!("{ctx}: {m}"));
         }
-        if let Some(m) = state_mismatch(&rf_sb, &regs, width) {
-            return Err(format!("{ctx}: superblock {m}"));
-        }
         soa_accesses.clear();
-        sb_accesses.clear();
     }
     Ok(())
 }
 
 /// Differential target: the kernel must be bit-identical between the
-/// scalar `execute_thread` reference, the SoA [`execute_warp`] path and
-/// the fused kernels ([`execute_fused`] on covered pcs, interpreter
-/// fallback elsewhere) at warp widths 4, 32 and 64.
+/// scalar `execute_thread` reference and the SoA [`execute_warp`] path at
+/// warp widths 4, 32 and 64.
 ///
 /// # Errors
 /// Returns the first divergence (instruction, lane, register, values).

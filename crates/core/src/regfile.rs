@@ -80,14 +80,6 @@ impl WarpRegFile {
         &mut self.regs[r * self.width..(r + 1) * self.width]
     }
 
-    /// The whole register-major storage as one flat slice (row `r` spans
-    /// `r*width .. (r+1)*width`). The superblock fast path reads source
-    /// rows through this without snapshotting them.
-    #[inline]
-    pub(crate) fn flat(&self) -> &[u32] {
-        &self.regs
-    }
-
     /// Reads register `r` of lane `t`.
     #[inline]
     pub fn reg(&self, t: usize, r: usize) -> u32 {

@@ -76,9 +76,10 @@ warpweave_mem::counter_table! {
         /// Misses that found the MSHR file full and fell through to their own
         /// DRAM request (0 when MSHRs are disabled).
         mshr_bypasses: u64 = sum,
-        /// Always 0: the superblock trace engine left the issue path. The
-        /// row (and the two below) stays only because the frozen
-        /// `benchmark/` crate reads it; ROADMAP item 3 deletes all three.
+        /// Always 0: nothing writes it, since the simulator has no
+        /// superblock engine. The row (and the two below) stays only
+        /// because the frozen `benchmark/` crate reads it; ROADMAP item 3
+        /// deletes all three.
         superblock_enters: u64 = sum,
         /// Always 0 (see `superblock_enters`).
         superblock_covered: u64 = sum,

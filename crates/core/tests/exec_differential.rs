@@ -8,22 +8,15 @@
 //! state (registers, predicates), the same taken masks and the same access
 //! lists — at warp widths 4, 32 and 64, under partial `populated` masks,
 //! random guards and every operand kind.
-//!
-//! A third band covers the superblock trace engine: the same sequences are
-//! fused via `build_superblocks` and replayed through `execute_fused`
-//! wherever a superblock covers the pc (falling back to `execute_warp`
-//! elsewhere, exactly like the pipeline), and that state must also stay
-//! bit-identical to the scalar reference after every instruction.
 
 use proptest::prelude::*;
 use warpweave_core::exec::{
     execute_rows, execute_thread, execute_warp, guard_passes, LaneScratch, ThreadRegs,
 };
-use warpweave_core::{execute_fused, LaneShuffle, Mask, WarpInfo, WarpRegFile};
+use warpweave_core::{LaneShuffle, Mask, WarpInfo, WarpRegFile};
 use warpweave_isa::fuzz::splitmix64;
-use warpweave_isa::superblock::build_superblocks;
 use warpweave_isa::{
-    p, r, CmpOp, FusedOp, Guard, Instruction, Op, Operand, Pc, SpecialReg, NUM_PREDS, NUM_REGS,
+    p, r, CmpOp, Guard, Instruction, Op, Operand, Pc, SpecialReg, NUM_PREDS, NUM_REGS,
 };
 
 /// Launch parameters both paths resolve `Operand::Param` against.
@@ -246,23 +239,10 @@ fn assert_state_eq(rf: &WarpRegFile, regs: &[ThreadRegs], width: usize, ctx: &st
     }
 }
 
-/// Per-pc fused-op lookup over a decoded sequence: `Some(fop)` where a
-/// superblock covers the pc, `None` (interpreter fallback) elsewhere —
-/// the same coverage decision the pipeline makes per issue grant.
-fn fused_coverage(instrs: &[Instruction]) -> Vec<Option<FusedOp>> {
-    let set = build_superblocks(instrs);
-    let mut map: Vec<Option<FusedOp>> = vec![None; instrs.len()];
-    for sb in set.superblocks() {
-        for (i, fop) in sb.ops.iter().enumerate() {
-            map[sb.start.index() + i] = Some(fop.clone());
-        }
-    }
-    map
-}
-
-/// Runs one random instruction sequence through all three paths at
-/// `width`: SoA interpreter, superblock engine (fused where covered) and
-/// the scalar reference, asserting bit-identity after every instruction.
+/// Runs one random instruction sequence at `width` through the SoA path —
+/// listed (`execute_warp`) and in the pipeline's row form
+/// (`execute_rows`) — and the scalar reference, asserting bit-identity
+/// after every instruction.
 #[allow(clippy::needless_range_loop)] // (t, reg) indexing mirrors the layout
 fn run_differential(width: usize, seq: &[(u64, u64)], state_seed: u64, mask_bits: u64) {
     let full = Mask::full(width);
@@ -282,24 +262,20 @@ fn run_differential(width: usize, seq: &[(u64, u64)], state_seed: u64, mask_bits
     );
 
     let instrs: Vec<Instruction> = seq.iter().map(|&(a, b)| decode_instruction(a, b)).collect();
-    let fused = fused_coverage(&instrs);
 
-    // Identical random initial state in all three layouts.
+    // Identical random initial state in both layouts.
     let mut rf = WarpRegFile::new(width);
-    let mut rf_sb = WarpRegFile::new(width);
     let mut regs: Vec<ThreadRegs> = (0..width).map(|_| ThreadRegs::new()).collect();
     let mut s = state_seed;
     for t in 0..width {
         for ri in 0..NUM_REGS {
             let v = splitmix64(&mut s) as u32;
             rf.set_reg(t, ri, v);
-            rf_sb.set_reg(t, ri, v);
             regs[t].set_reg(ri, v);
         }
         for pi in 0..NUM_PREDS {
             let v = splitmix64(&mut s) & 1 == 1;
             rf.set_pred(t, pi, v);
-            rf_sb.set_pred(t, pi, v);
             regs[t].set_pred(pi, v);
         }
     }
@@ -310,7 +286,6 @@ fn run_differential(width: usize, seq: &[(u64, u64)], state_seed: u64, mask_bits
     let mut scratch = LaneScratch::default();
 
     let mut soa_accesses: Vec<(usize, u32, u32)> = Vec::new();
-    let mut sb_accesses: Vec<(usize, u32, u32)> = Vec::new();
     let mut mask_entropy = state_seed ^ 0x5eed;
     for (n, instr) in instrs.iter().enumerate() {
         // A fresh (possibly partial) issue mask per instruction.
@@ -318,22 +293,12 @@ fn run_differential(width: usize, seq: &[(u64, u64)], state_seed: u64, mask_bits
         let active = mask & populated;
 
         let soa_taken = execute_warp(instr, &mut rf, &info, &PARAMS, active, &mut soa_accesses);
-        let sb_taken = match &fused[n] {
-            Some(fop) => execute_fused(fop, &mut rf_sb, &info, &PARAMS, active, &mut sb_accesses),
-            None => execute_warp(instr, &mut rf_sb, &info, &PARAMS, active, &mut sb_accesses),
-        };
         let (ref_taken, ref_accesses) = scalar_step(instr, &mut regs, &info, mask, populated);
 
         let ctx = format!("instr #{n} ({}) width {width}", instr.op);
         assert_eq!(soa_taken, ref_taken, "{ctx}: taken mask diverged");
-        assert_eq!(sb_taken, ref_taken, "{ctx}: superblock taken mask diverged");
         assert_eq!(soa_accesses, ref_accesses, "{ctx}: access list diverged");
-        assert_eq!(
-            sb_accesses, ref_accesses,
-            "{ctx}: superblock access list diverged"
-        );
         assert_state_eq(&rf, &regs, width, &ctx);
-        assert_state_eq(&rf_sb, &regs, width, &format!("{ctx} (superblock)"));
 
         let rows_taken = execute_rows(
             instr,
@@ -362,9 +327,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Random instruction sequences at the three paper warp widths, with
-    /// random populated masks, must keep all three implementations (SoA
-    /// interpreter, superblock engine, scalar reference) bit-identical
-    /// after every instruction.
+    /// random populated masks, must keep the SoA path (listed and as rows)
+    /// and the scalar reference bit-identical after every instruction.
     #[test]
     fn soa_matches_scalar_reference(
         seq in proptest::collection::vec((any::<u64>(), any::<u64>()), 1..32),
@@ -466,26 +430,4 @@ fn barrier_exit_inert_and_atomic_access_parity() {
     assert_eq!(acc, ref_acc, "atomic access lists diverged");
     assert_eq!(acc.len(), populated.iter().count());
     assert_state_eq(&rf, &regs, width, "atom.add with dst");
-}
-
-/// Coverage anchor for the superblock band: a straight-line all-fusible
-/// sequence must fuse completely, so the proptest band above genuinely
-/// replays such sequences through `execute_fused` rather than silently
-/// falling back to the interpreter everywhere.
-#[test]
-fn straight_line_sequences_fuse_fully() {
-    // `sel = 0x00..` decodes into the arithmetic band of OPS (never a
-    // control op), so every instruction is fusible.
-    let seq: Vec<(u64, u64)> = (0..8u64).map(|i| (i * 7, i * 13 + 1)).collect();
-    let instrs: Vec<Instruction> = seq.iter().map(|&(a, b)| decode_instruction(a, b)).collect();
-    assert!(instrs
-        .iter()
-        .all(|i| !matches!(i.op, Op::Bra | Op::Sync | Op::Bar | Op::Exit)));
-    let fused = fused_coverage(&instrs);
-    assert!(
-        fused.iter().all(Option::is_some),
-        "an all-fusible straight-line sequence must be fully covered"
-    );
-    // And the band itself runs clean over it.
-    run_differential(32, &seq, 0x5b5b_1234, u64::MAX);
 }

@@ -49,11 +49,6 @@ impl Cfg {
         debug_assert!(!self.blocks.is_empty() && idx < self.blocks[self.blocks.len() - 1].end);
         self.blocks.partition_point(|b| b.start <= idx) - 1
     }
-
-    /// True iff instruction `idx` is the first instruction of its block.
-    pub fn is_leader(&self, idx: usize) -> bool {
-        self.blocks.binary_search_by_key(&idx, |b| b.start).is_ok()
-    }
 }
 
 /// Builds the CFG of an instruction sequence whose branch targets are
@@ -598,9 +593,6 @@ mod tests {
                 .unwrap();
             assert_eq!(c.block_containing(i), linear, "instr {i}");
         }
-        assert!(c.is_leader(0));
-        assert!(c.is_leader(1) && c.is_leader(3) && c.is_leader(4));
-        assert!(!c.is_leader(2) && !c.is_leader(5));
     }
 
     #[test]

@@ -55,4 +55,4 @@ pub use instr::{Guard, Instruction, Operand};
 pub use op::{CmpOp, MemSpace, Op, UnitClass};
 pub use program::{Pc, Program};
 pub use reg::{p, r, Pred, Reg, SpecialReg, NUM_PREDS, NUM_REGS};
-pub use superblock::{FusedOp, FusedSrc, Superblock, SuperblockSet, MIN_SUPERBLOCK_LEN};
+pub use superblock::{Superblock, SuperblockSet};

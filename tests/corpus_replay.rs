@@ -1,8 +1,5 @@
 //! Replays every committed fuzz reproducer under `tests/corpus/` through
 //! all three fuzz harnesses (differential, policy sweep, determinism).
-//! The differential harness itself compares three execute functions —
-//! scalar reference, SoA interpreter and the library's fused kernels — so
-//! every corpus kernel also pins `execute_fused` bit-exact where it fuses.
 //!
 //! The corpus is the fuzzer's regression memory: when CI shrinks a
 //! failing kernel, the minimised `.wwasm` file gets committed here and
