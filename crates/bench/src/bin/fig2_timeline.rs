@@ -1,6 +1,7 @@
 //! Regenerates **figure 2**: the contents of the execution pipeline when an
-//! if-then-else block runs over 2 warps of 4 threads, under classic SIMT,
-//! SBI (with and without reconvergence constraints), SWI, and SBI+SWI.
+//! if-then-else block runs over 8 threads, under classic SIMT, SBI (with
+//! and without reconvergence constraints), SWI, and SBI+SWI — every
+//! front-end on the same 4 MAD lanes ([`warpweave_bench::grid::fig2_shrink`]).
 //!
 //! Instruction numbering follows the paper: 1 = the divergent branch,
 //! 2–4 = the `if` side, 5 = the `else` side, 6 = the reconverged tail.
@@ -11,80 +12,30 @@
 //! scheduling orders on the toy kernel.
 
 use warpweave_bench::arg_value;
-use warpweave_core::{render_timeline, Launch, Sm, SmConfig};
-use warpweave_isa::{p, r, CmpOp, KernelBuilder, Program, SpecialReg};
-
-/// The paper's toy kernel: `if (tid & 1) { i2; i3; i4 } else { i5 } i6`.
-fn toy_program() -> Program {
-    let mut k = KernelBuilder::new("fig2");
-    k.and_(r(0), SpecialReg::Tid, 1i32); // i0: compute condition
-    k.isetp(p(0), CmpOp::Eq, r(0), 0i32);
-    k.bra_if(p(0), "else"); // i1: the divergent branch
-    k.iadd(r(1), r(1), 1i32); // i2
-    k.iadd(r(2), r(2), 1i32); // i3
-    k.iadd(r(3), r(3), 1i32); // i4
-    k.bra("join");
-    k.label("else");
-    k.iadd(r(4), r(4), 1i32); // i5
-    k.label("join");
-    k.iadd(r(5), r(5), 1i32); // i6 (after the SYNC marker)
-    k.exit();
-    k.build().expect("fig2 toy kernel assembles")
-}
-
-fn shrink(cfg: SmConfig, name: &str) -> SmConfig {
-    let mut cfg = cfg.named(name);
-    cfg.num_warps = 2;
-    cfg.warp_width = 4;
-    // Scale the back-end down with the warp so the picture stays readable.
-    for g in &mut cfg.groups {
-        g.width = g.width.min(4);
-    }
-    cfg
-}
+use warpweave_bench::grid::{fig2_configs, fig2_launch, fig2_shrink};
+use warpweave_core::{render_timeline, Sm, SmConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if let Some(names) = arg_value(&args, "--frontend") {
-        for name in names.split(',') {
-            let cfg =
-                SmConfig::with_policy(name.trim()).unwrap_or_else(|e| panic!("--frontend: {e}"));
-            let label = cfg.name.clone();
-            let cfg = shrink(cfg, &label);
-            let launch = Launch::new(toy_program(), 2, 4);
-            let mut sm = Sm::new(cfg, launch).expect("valid configuration");
-            sm.enable_trace();
-            sm.run(10_000).expect("toy kernel finishes");
-            println!("== {label} ==");
-            println!("{}", render_timeline(sm.trace_events(), 2, 4));
-        }
-        return;
-    }
-    let variants = vec![
-        shrink(SmConfig::baseline(), "(a) SIMT baseline"),
-        shrink(
-            SmConfig::sbi().with_constraints(false),
-            "(b) SBI, no constraints",
-        ),
-        shrink(
-            SmConfig::sbi().with_constraints(true),
-            "(c) SBI with reconvergence constraints",
-        ),
-        shrink(SmConfig::swi(), "(d) SWI"),
-        shrink(SmConfig::sbi_swi(), "(e) SBI+SWI"),
-    ];
-    for mut cfg in variants {
-        if cfg.name.contains("SIMT") {
-            cfg.warp_width = 4;
-        }
-        let name = cfg.name.clone();
-        let launch = Launch::new(toy_program(), 2, 4);
-        let mut sm = Sm::new(cfg, launch).expect("valid configuration");
+    let configs = match arg_value(&args, "--frontend") {
+        Some(names) => names
+            .split(',')
+            .map(|name| {
+                let cfg = SmConfig::with_policy(name.trim())
+                    .unwrap_or_else(|e| panic!("--frontend: {e}"));
+                fig2_shrink(cfg)
+            })
+            .collect(),
+        None => fig2_configs(),
+    };
+    for cfg in configs {
+        let (name, warps, width) = (cfg.name.clone(), cfg.num_warps, cfg.warp_width);
+        let mut sm = Sm::new(cfg, fig2_launch()).expect("valid configuration");
         sm.enable_trace();
         sm.run(10_000).expect("toy kernel finishes");
         println!("== {name} ==");
         println!("(cells show the issued PC per thread; '.' = lane idle)\n");
-        println!("{}", render_timeline(sm.trace_events(), 2, 4));
+        println!("{}", render_timeline(sm.trace_events(), warps, width));
         println!(
             "cycles: {}  thread-instructions: {}  IPC: {:.2}\n",
             sm.stats().cycles,

@@ -14,13 +14,68 @@
 use warpweave_core::checkpoint::{CellRecord, CHECKPOINT_VERSION};
 use warpweave_core::digest::fnv1a;
 use warpweave_core::sweep::JobFailure;
-use warpweave_core::{Associativity, LaneShuffle, SmConfig};
+use warpweave_core::{Associativity, LaneShuffle, Launch, SmConfig};
+use warpweave_isa::{p, r, CmpOp, KernelBuilder, SpecialReg};
 use warpweave_mem::CacheConfig;
 use warpweave_workloads::{
     all_workloads, by_name, run_prepared, run_prepared_multi_sm, Scale, Workload,
 };
 
 use crate::harness::{cell_key, CellFailure};
+
+/// Fig. 2's launch: the paper's toy kernel
+/// `if (tid & 1) { i2; i3; i4 } else { i5 } i6` over 2 blocks of 4 threads.
+/// Instruction numbering follows the paper: 1 = the divergent branch,
+/// 2–4 = the `if` side, 5 = the `else` side, 6 = the reconverged tail.
+pub fn fig2_launch() -> Launch {
+    let mut k = KernelBuilder::new("fig2");
+    k.and_(r(0), SpecialReg::Tid, 1i32); // i0: compute condition
+    k.isetp(p(0), CmpOp::Eq, r(0), 0i32);
+    k.bra_if(p(0), "else"); // i1: the divergent branch
+    k.iadd(r(1), r(1), 1i32); // i2
+    k.iadd(r(2), r(2), 1i32); // i3
+    k.iadd(r(3), r(3), 1i32); // i4
+    k.bra("join");
+    k.label("else");
+    k.iadd(r(4), r(4), 1i32); // i5
+    k.label("join");
+    k.iadd(r(5), r(5), 1i32); // i6 (after the SYNC marker)
+    k.exit();
+    Launch::new(k.build().expect("fig2 toy kernel assembles"), 2, 4)
+}
+
+/// `cfg` at fig. 2's scale: the warp width and the MAD lanes divided by 16
+/// and 8 resident threads, so the back-end rule of [`SmConfig`] puts every
+/// front-end on 4 MAD lanes — Baseline as 4 warps × 2 threads on two
+/// 2-lane groups, every 64-wide preset as 2 warps × 4 threads on one
+/// 4-lane group.
+pub fn fig2_shrink(cfg: SmConfig) -> SmConfig {
+    let warp_width = cfg.warp_width / 16;
+    SmConfig {
+        num_warps: 8 / warp_width,
+        warp_width,
+        mad_lanes: cfg.mad_lanes / 16,
+        ..cfg
+    }
+}
+
+/// Fig. 2's panels (a)–(e), each through [`fig2_shrink`].
+pub fn fig2_configs() -> Vec<SmConfig> {
+    [
+        SmConfig::baseline().named("(a) SIMT baseline"),
+        SmConfig::sbi()
+            .with_constraints(false)
+            .named("(b) SBI, no constraints"),
+        SmConfig::sbi()
+            .with_constraints(true)
+            .named("(c) SBI with reconvergence constraints"),
+        SmConfig::swi().named("(d) SWI"),
+        SmConfig::sbi_swi().named("(e) SBI+SWI"),
+    ]
+    .into_iter()
+    .map(fig2_shrink)
+    .collect()
+}
 
 /// The fig. 7 front-end set: [`SmConfig::figure7_set`], under the name
 /// the frozen `benchmark/` crate calls it by.
@@ -306,6 +361,7 @@ mod tests {
     fn grid_sets_validate() {
         for cfg in figure7_configs()
             .iter()
+            .chain(&fig2_configs())
             .chain(&constraint_configs())
             .chain(&lane_shuffle_configs())
             .chain(&associativity_configs())

@@ -1,9 +1,9 @@
 //! Simulator configuration and the paper's architecture presets (table 2).
 
-use warpweave_isa::UnitClass;
 use warpweave_mem::{CacheConfig, DramConfig};
 
 use crate::lane::LaneShuffle;
+use crate::pipeline::{LSU_LANES, SFU_LANES};
 use crate::policy::PolicyRegistry;
 use crate::rng::TieBreakRng;
 
@@ -87,22 +87,16 @@ impl MemModel {
     }
 }
 
-/// One back-end SIMD group (paper fig. 1/3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct GroupConfig {
-    /// Unit class served by the group.
-    pub class: warpweave_isa::UnitClass,
-    /// Number of lanes.
-    pub width: usize,
-}
-
 /// Full SM configuration. Build one with the presets ([`SmConfig::baseline`]
 /// etc.) and adjust fields as needed.
 ///
 /// A field is an axis some preset, figure or probe sets. What every
 /// configuration shares is a constant of the pipeline: table 2's 8-cycle
-/// execution latency, 6-entry scoreboard and L1
+/// execution latency, 6-entry scoreboard, 8 SFU lanes, 32 LSU lanes and L1
 /// ([`CacheConfig::paper_l1`]), and a 10-cycle shared-memory latency.
+///
+/// The back-end is one rule of the warp width: `mad_lanes / warp_width`
+/// MAD groups, each one warp wide, then one SFU group and one LSU group.
 ///
 /// Two more table-2 values are modelled by a mechanism. The scheduler
 /// latency (1 cycle; 2 for SWI's cascade) is the SWI policy's pending
@@ -114,7 +108,8 @@ pub struct GroupConfig {
 pub struct SmConfig {
     /// Human-readable label (defaults to the front-end name).
     pub name: String,
-    /// Warps resident on the SM.
+    /// Warps resident on the SM (1 024 threads / `warp_width` in every
+    /// preset).
     pub num_warps: usize,
     /// Threads per warp (32 baseline, 64 for SBI/SWI — table 2).
     pub warp_width: usize,
@@ -146,8 +141,9 @@ pub struct SmConfig {
     /// (`fast_forward_is_exact`, `switch_invariance.rs`; debug builds
     /// re-check every jump). Disable it to trace cycle by cycle.
     pub fast_forward: bool,
-    /// Back-end SIMD groups.
-    pub groups: Vec<GroupConfig>,
+    /// Back-end MAD lanes (table 2: 64); a non-zero multiple of
+    /// `warp_width`.
+    pub mad_lanes: usize,
     /// Per-SM miss-status holding registers: a miss to a line evicted
     /// while its fill is in flight merges onto that fill instead of
     /// multiplying DRAM traffic (a load of a line still in the L1 is a
@@ -168,13 +164,13 @@ pub struct SmConfig {
 
 impl SmConfig {
     /// The fields every preset shares; `policy` is the preset's
-    /// [`PolicyRegistry`] name and doubles as its figure label.
-    fn common(policy: &str) -> SmConfig {
-        use warpweave_isa::UnitClass::*;
+    /// [`PolicyRegistry`] name and doubles as its figure label. Table 2's
+    /// 1 024 resident threads fix the pool at `1024 / warp_width` warps.
+    fn common(policy: &str, warp_width: usize) -> SmConfig {
         SmConfig {
             name: policy.to_string(),
-            num_warps: 16,
-            warp_width: 64,
+            num_warps: 1024 / warp_width,
+            warp_width,
             policy: policy.to_string(),
             divergence: DivergenceModel::Frontier,
             sbi_constraints: false,
@@ -184,20 +180,7 @@ impl SmConfig {
             delivery_latency: 1,
             model_sideband_sorter: true,
             fast_forward: true,
-            groups: vec![
-                GroupConfig {
-                    class: Mad,
-                    width: 64,
-                },
-                GroupConfig {
-                    class: Sfu,
-                    width: 8,
-                },
-                GroupConfig {
-                    class: Lsu,
-                    width: 32,
-                },
-            ],
+            mad_lanes: 64,
             mshr_entries: 0,
             l2: None,
             dram: DramConfig::paper(),
@@ -206,41 +189,20 @@ impl SmConfig {
         }
     }
 
-    /// The baseline Fermi-like SM: 32 warps × 32 threads, two pools,
-    /// PDOM stack (table 2, column 1).
+    /// The baseline Fermi-like SM: 32 warps × 32 threads on two 32-wide MAD
+    /// groups, two pools, PDOM stack (table 2, column 1).
     pub fn baseline() -> SmConfig {
-        use warpweave_isa::UnitClass::*;
         SmConfig {
-            num_warps: 32,
-            warp_width: 32,
             divergence: DivergenceModel::Stack,
             delivery_latency: 0,
-            groups: vec![
-                GroupConfig {
-                    class: Mad,
-                    width: 32,
-                },
-                GroupConfig {
-                    class: Mad,
-                    width: 32,
-                },
-                GroupConfig {
-                    class: Sfu,
-                    width: 8,
-                },
-                GroupConfig {
-                    class: Lsu,
-                    width: 32,
-                },
-            ],
-            ..Self::common("Baseline")
+            ..Self::common("Baseline", 32)
         }
     }
 
     /// The fig. 7 reference: thread frontiers with 64-wide warps, sequential
     /// branch execution.
     pub fn warp64() -> SmConfig {
-        Self::common("Warp64")
+        Self::common("Warp64", 64)
     }
 
     /// Simultaneous Branch Interweaving (table 2, column 2). Reconvergence
@@ -253,7 +215,7 @@ impl SmConfig {
         SmConfig {
             scoreboard_mode: ScoreboardMode::Matrix,
             sbi_constraints: true,
-            ..Self::common("SBI")
+            ..Self::common("SBI", 64)
         }
     }
 
@@ -264,7 +226,7 @@ impl SmConfig {
     pub fn swi() -> SmConfig {
         SmConfig {
             lane_shuffle: LaneShuffle::XorRev,
-            ..Self::common("SWI")
+            ..Self::common("SWI", 64)
         }
     }
 
@@ -274,7 +236,7 @@ impl SmConfig {
             scoreboard_mode: ScoreboardMode::Matrix,
             sbi_constraints: true,
             lane_shuffle: LaneShuffle::XorRev,
-            ..Self::common("SBI+SWI")
+            ..Self::common("SBI+SWI", 64)
         }
     }
 
@@ -418,7 +380,7 @@ impl SmConfig {
 
     /// Total back-end lanes.
     pub fn total_lanes(&self) -> usize {
-        self.groups.iter().map(|g| g.width).sum()
+        self.mad_lanes + SFU_LANES + LSU_LANES
     }
 
     /// Peak thread-instructions per cycle: issue-bound (2 warps/cycle) or
@@ -468,23 +430,13 @@ impl SmConfig {
                 entry.name
             ));
         }
-        // A back-end that cannot issue: a zero-wide group divides by zero
-        // on its first instruction, an unserved class idles into the
-        // watchdog on its first, and control takes no port at all.
-        for (i, g) in self.groups.iter().enumerate() {
-            if g.width == 0 {
-                return Err(format!("execution group {i} ({:?}) has no lanes", g.class));
-            }
-            if g.class == UnitClass::Control {
-                return Err(format!(
-                    "execution group {i} serves Control, which needs no port"
-                ));
-            }
-        }
-        for class in [UnitClass::Mad, UnitClass::Sfu, UnitClass::Lsu] {
-            if !self.groups.iter().any(|g| g.class == class) {
-                return Err(format!("no execution group serves {class:?}"));
-            }
+        // Every MAD group is one warp wide: the lanes must split into at
+        // least one whole group.
+        if self.mad_lanes == 0 || !self.mad_lanes.is_multiple_of(self.warp_width) {
+            return Err(format!(
+                "{} MAD lanes are not a non-zero multiple of the warp width {}",
+                self.mad_lanes, self.warp_width
+            ));
         }
         self.dram
             .validate()
@@ -596,22 +548,24 @@ mod tests {
         c.warp_width = 48;
         assert!(c.validate().is_err());
 
-        // Back-ends that cannot issue, each refused by name.
-        let mut c = SmConfig::baseline();
-        c.groups[1].width = 0;
-        assert_eq!(
-            c.validate().unwrap_err(),
-            "execution group 1 (Mad) has no lanes"
-        );
+        // MAD lanes that split into no whole warp-wide group.
+        for lanes in [0, 48] {
+            let mut c = SmConfig::sbi();
+            c.mad_lanes = lanes;
+            assert_eq!(
+                c.validate().unwrap_err(),
+                format!("{lanes} MAD lanes are not a non-zero multiple of the warp width 64")
+            );
+        }
+    }
 
-        let mut c = SmConfig::sbi();
-        c.groups.retain(|g| g.class != UnitClass::Lsu);
-        assert_eq!(c.validate().unwrap_err(), "no execution group serves Lsu");
-
-        let mut c = SmConfig::sbi();
-        c.groups[0].class = UnitClass::Control;
-        let err = c.validate().unwrap_err();
-        assert!(err.contains("group 0 serves Control"), "{err}");
+    #[test]
+    fn presets_derive_warps_and_lanes_from_the_width() {
+        for c in SmConfig::figure7_set() {
+            assert_eq!(c.num_warps * c.warp_width, 1024, "{}", c.name);
+            assert_eq!(c.mad_lanes, 64, "{}", c.name);
+        }
+        assert_eq!(SmConfig::baseline().total_lanes(), 104);
     }
 
     #[test]

@@ -2,17 +2,18 @@
 
 use warpweave_isa::UnitClass;
 
-use crate::config::GroupConfig;
+use crate::config::SmConfig;
+use crate::pipeline::{LSU_LANES, SFU_LANES};
 
 /// The timing state of one SIMD group.
 #[derive(Debug, Clone)]
-pub struct GroupState {
-    /// Static geometry.
-    pub cfg: GroupConfig,
+struct GroupState {
+    /// Unit class served by the group.
+    class: UnitClass,
+    /// Number of lanes.
+    width: usize,
     /// First cycle at which the group's issue port is free again.
-    pub port_free_at: u64,
-    /// Total port-busy cycles (utilisation accounting).
-    pub busy_cycles: u64,
+    port_free_at: u64,
 }
 
 /// All back-end groups of the SM.
@@ -22,15 +23,19 @@ pub struct ExecGroups {
 }
 
 impl ExecGroups {
-    /// Instantiates groups from the configuration.
-    pub fn new(cfgs: &[GroupConfig]) -> Self {
+    /// The back-end of `cfg`, table 2's rule at any warp width:
+    /// `mad_lanes / warp_width` MAD groups, each one warp wide, then one
+    /// SFU group and one LSU group.
+    pub fn new(cfg: &SmConfig) -> Self {
+        let mad = (UnitClass::Mad, cfg.warp_width);
+        let shape = std::iter::repeat_n(mad, cfg.mad_lanes / cfg.warp_width)
+            .chain([(UnitClass::Sfu, SFU_LANES), (UnitClass::Lsu, LSU_LANES)]);
         ExecGroups {
-            groups: cfgs
-                .iter()
-                .map(|&cfg| GroupState {
-                    cfg,
+            groups: shape
+                .map(|(class, width)| GroupState {
+                    class,
+                    width,
                     port_free_at: 0,
-                    busy_cycles: 0,
                 })
                 .collect(),
         }
@@ -40,7 +45,7 @@ impl ExecGroups {
     pub fn find_free(&self, class: UnitClass, now: u64) -> Option<usize> {
         self.groups
             .iter()
-            .position(|g| g.cfg.class == class && g.port_free_at <= now)
+            .position(|g| g.class == class && g.port_free_at <= now)
     }
 
     /// Classes with at least one free port at `now`, as a bitmask over
@@ -49,23 +54,13 @@ impl ExecGroups {
         self.groups
             .iter()
             .filter(|g| g.port_free_at <= now)
-            .fold(0u8, |m, g| m | (1 << g.cfg.class as u8))
-    }
-
-    /// True if `idx` serves `class` and is free at `now`.
-    pub fn is_free(&self, idx: usize, now: u64) -> bool {
-        self.groups[idx].port_free_at <= now
-    }
-
-    /// The unit class of group `idx`.
-    pub fn class(&self, idx: usize) -> UnitClass {
-        self.groups[idx].cfg.class
+            .fold(0u8, |m, g| m | (1 << g.class as u8))
     }
 
     /// Issue waves needed to push a `warp_width`-wide instruction through
     /// group `idx`.
     pub fn waves(&self, idx: usize, warp_width: usize) -> u64 {
-        warp_width.div_ceil(self.groups[idx].cfg.width) as u64
+        warp_width.div_ceil(self.groups[idx].width) as u64
     }
 
     /// Occupies group `idx` for `cycles` starting at `now`; returns the
@@ -73,7 +68,6 @@ impl ExecGroups {
     pub fn occupy(&mut self, idx: usize, now: u64, cycles: u64) -> u64 {
         debug_assert!(self.groups[idx].port_free_at <= now, "group already busy");
         self.groups[idx].port_free_at = now + cycles;
-        self.groups[idx].busy_cycles += cycles;
         now + cycles - 1
     }
 
@@ -87,23 +81,6 @@ impl ExecGroups {
             .filter(|&t| t > now)
             .min()
     }
-
-    /// Per-group utilisation over `total_cycles`.
-    pub fn utilisation(&self, total_cycles: u64) -> Vec<(UnitClass, f64)> {
-        self.groups
-            .iter()
-            .map(|g| {
-                (
-                    g.cfg.class,
-                    if total_cycles == 0 {
-                        0.0
-                    } else {
-                        g.busy_cycles as f64 / total_cycles as f64
-                    },
-                )
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -111,25 +88,27 @@ mod tests {
     use super::*;
     use warpweave_isa::UnitClass::*;
 
+    /// The baseline's back-end: two 32-wide MAD groups, SFU, LSU.
     fn groups() -> ExecGroups {
-        ExecGroups::new(&[
-            GroupConfig {
-                class: Mad,
-                width: 32,
-            },
-            GroupConfig {
-                class: Mad,
-                width: 32,
-            },
-            GroupConfig {
-                class: Sfu,
-                width: 8,
-            },
-            GroupConfig {
-                class: Lsu,
-                width: 32,
-            },
-        ])
+        ExecGroups::new(&SmConfig::baseline())
+    }
+
+    #[test]
+    fn width_rule_shapes_the_back_end() {
+        let shape = |cfg: SmConfig| -> Vec<(UnitClass, usize)> {
+            ExecGroups::new(&cfg)
+                .groups
+                .iter()
+                .map(|g| (g.class, g.width))
+                .collect()
+        };
+        assert_eq!(
+            shape(SmConfig::baseline()),
+            [(Mad, 32), (Mad, 32), (Sfu, 8), (Lsu, 32)]
+        );
+        for cfg in [SmConfig::warp64(), SmConfig::sbi(), SmConfig::sbi_swi()] {
+            assert_eq!(shape(cfg), [(Mad, 64), (Sfu, 8), (Lsu, 32)]);
+        }
     }
 
     #[test]
@@ -162,17 +141,7 @@ mod tests {
         let sfu = g.find_free(Sfu, 5).unwrap();
         let last = g.occupy(sfu, 5, 4);
         assert_eq!(last, 8);
-        assert!(!g.is_free(sfu, 8));
-        assert!(g.is_free(sfu, 9));
-    }
-
-    #[test]
-    fn utilisation_accounting() {
-        let mut g = groups();
-        let m = g.find_free(Mad, 0).unwrap();
-        g.occupy(m, 0, 10);
-        let u = g.utilisation(20);
-        assert_eq!(u[0], (Mad, 0.5));
-        assert_eq!(u[2], (Sfu, 0.0));
+        assert_eq!(g.find_free(Sfu, 8), None);
+        assert_eq!(g.find_free(Sfu, 9), Some(sfu));
     }
 }

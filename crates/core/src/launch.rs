@@ -2,6 +2,7 @@
 
 use warpweave_isa::{Program, SpecialReg};
 
+use crate::config::SmConfig;
 use crate::exec::ThreadInfo;
 use crate::lane::LaneShuffle;
 
@@ -58,6 +59,32 @@ impl Launch {
     pub fn total_threads(&self) -> u64 {
         self.grid_blocks as u64 * self.block_threads as u64
     }
+}
+
+/// What every simulator constructor refuses before it builds anything: an
+/// invalid configuration, an empty program or grid, and a block that needs
+/// more warps than an SM holds. Returns the warps one block occupies.
+pub(crate) fn check_launch(
+    cfg: &SmConfig,
+    program: &Program,
+    grid_blocks: u32,
+    block_threads: u32,
+) -> Result<usize, String> {
+    cfg.validate()?;
+    if program.is_empty() {
+        return Err("empty program".into());
+    }
+    if grid_blocks == 0 || block_threads == 0 {
+        return Err("empty launch grid".into());
+    }
+    let warps_per_block = (block_threads as usize).div_ceil(cfg.warp_width);
+    if warps_per_block > cfg.num_warps {
+        return Err(format!(
+            "block of {block_threads} threads needs {warps_per_block} warps; an SM has {}",
+            cfg.num_warps
+        ));
+    }
+    Ok(warps_per_block)
 }
 
 /// Struct-of-arrays launch coordinates of one warp, feeding the special

@@ -68,7 +68,7 @@ pub mod trace;
 pub use checkpoint::{
     CellRecord, CheckpointError, SalvageReport, SweepCheckpoint, CHECKPOINT_VERSION,
 };
-pub use config::{Associativity, DivergenceModel, GroupConfig, MemModel, ScoreboardMode, SmConfig};
+pub use config::{Associativity, DivergenceModel, MemModel, ScoreboardMode, SmConfig};
 pub use divergence::frontier::{FrontierHeap, HeapStats};
 pub use divergence::stack::PdomStack;
 pub use divergence::Transition;

@@ -68,7 +68,7 @@ use warpweave_mem::{
 };
 
 use crate::config::{MemModel, SmConfig};
-use crate::launch::Launch;
+use crate::launch::{check_launch, Launch};
 use crate::pipeline::{SimError, Sm};
 use crate::stats::Stats;
 use crate::sweep::SweepRunner;
@@ -291,25 +291,16 @@ impl Machine {
     /// Builds a machine of `num_sms` SMs for `launch` under `cfg`.
     ///
     /// # Errors
-    /// Configuration validation failures, empty programs, empty launch
-    /// grids (as [`Sm::for_blocks`]), zero SMs.
+    /// What [`Sm::for_blocks`] refuses of a launch, and zero SMs.
     pub fn new(cfg: SmConfig, num_sms: usize, launch: Launch) -> Result<Machine, String> {
-        cfg.validate()?;
+        check_launch(
+            &cfg,
+            &launch.program,
+            launch.grid_blocks,
+            launch.block_threads,
+        )?;
         if num_sms == 0 {
             return Err("machine needs at least one SM".into());
-        }
-        if launch.program.is_empty() {
-            return Err("empty program".into());
-        }
-        if launch.grid_blocks == 0 || launch.block_threads == 0 {
-            return Err("empty launch grid".into());
-        }
-        let warps_per_block = (launch.block_threads as usize).div_ceil(cfg.warp_width);
-        if warps_per_block > cfg.num_warps {
-            return Err(format!(
-                "block of {} threads needs {warps_per_block} warps; each SM has {}",
-                launch.block_threads, cfg.num_warps
-            ));
         }
         Ok(Machine {
             cfg,

@@ -32,7 +32,7 @@ use crate::divergence::Transition;
 use crate::exec::{execute_rows, LaneScratch, MemRows};
 use crate::groups::ExecGroups;
 use crate::lane::LaneTable;
-use crate::launch::{Launch, WarpInfo};
+use crate::launch::{check_launch, Launch, WarpInfo};
 use crate::lsu::{plan_global_into, shared_passes, waves_touched, GlobalPlan};
 use crate::machine::MemJournal;
 use crate::mask::Mask;
@@ -505,6 +505,12 @@ const WATCHDOG_CYCLES: u64 = 100_000;
 /// (table 2: 8), before the configured delivery latency.
 pub(crate) const EXEC_LATENCY: u64 = 8;
 
+/// Lanes of the SM's one SFU group (table 2: 8).
+pub(crate) const SFU_LANES: usize = 8;
+
+/// Lanes of the SM's one LSU group (table 2: 32).
+pub(crate) const LSU_LANES: usize = 32;
+
 /// Shared-memory latency: cycles from an access's last pass to its
 /// writeback, before the configured delivery latency (not a table-2 row).
 pub(crate) const SHARED_LATENCY: u64 = 10;
@@ -545,22 +551,9 @@ impl Sm {
         params: Vec<u32>,
         block_ids: Vec<u32>,
     ) -> Result<Sm, String> {
-        cfg.validate()?;
-        if program.is_empty() {
-            return Err("empty program".into());
-        }
-        if grid_blocks == 0 || block_threads == 0 {
-            return Err("empty launch grid".into());
-        }
+        let warps_per_block = check_launch(&cfg, &program, grid_blocks, block_threads)?;
         if let Some(&bad) = block_ids.iter().find(|&&b| b >= grid_blocks) {
             return Err(format!("block id {bad} outside grid of {grid_blocks}"));
-        }
-        let warps_per_block = (block_threads as usize).div_ceil(cfg.warp_width);
-        if warps_per_block > cfg.num_warps {
-            return Err(format!(
-                "block of {block_threads} threads needs {warps_per_block} warps; SM has {}",
-                cfg.num_warps
-            ));
         }
         let num_slots = cfg.num_warps / warps_per_block;
         let blocks = (0..num_slots)
@@ -648,7 +641,7 @@ impl Sm {
             grid_blocks,
             block_threads,
             journal: None,
-            groups: ExecGroups::new(&cfg.groups),
+            groups: ExecGroups::new(&cfg),
             sideband_busy_until: 0,
             // One event per in-flight scoreboard instruction at most, so
             // the queue never grows after construction.
