@@ -5,16 +5,16 @@
 //! its own config list, so the committed golden baseline and the test
 //! matrix could silently diverge (a renamed config or a tweaked preset
 //! would update one but not the other). Everything that enumerates
-//! `workload × config` cells — `bench_sweep`, the four figure binaries,
-//! `tests/workload_matrix.rs`, `tests/differential.rs`, the golden checker
-//! — now pulls its grid from here, and [`grid_id`] digests the grid into
-//! the identity a [`SweepCheckpoint`](warpweave_core::SweepCheckpoint)
-//! binds to.
+//! `workload × config` cells — `bench_sweep`, the `figure` driver's table
+//! ([`crate::figure`]), `tests/workload_matrix.rs`, `tests/differential.rs`,
+//! the golden checker — now pulls its grid from here, and [`grid_id`]
+//! digests the grid into the identity a
+//! [`SweepCheckpoint`](warpweave_core::SweepCheckpoint) binds to.
 
 use warpweave_core::checkpoint::{CellRecord, CHECKPOINT_VERSION};
 use warpweave_core::digest::fnv1a;
 use warpweave_core::sweep::JobFailure;
-use warpweave_core::{Associativity, LaneShuffle, Launch, SmConfig};
+use warpweave_core::{Associativity, LaneShuffle, Launch, ScoreboardMode, SmConfig};
 use warpweave_isa::{p, r, CmpOp, KernelBuilder, SpecialReg};
 use warpweave_mem::CacheConfig;
 use warpweave_workloads::{
@@ -114,6 +114,32 @@ pub fn associativity_configs() -> Vec<SmConfig> {
     .iter()
     .map(|&a| SmConfig::swi().with_warps(24).with_assoc(a).named(a.name()))
     .collect()
+}
+
+/// The §3.4 scoreboard ablation: SBI under the paper's 3×3
+/// dependency-matrix scheme and under an exact thread-mask oracle.
+pub fn scoreboard_configs() -> Vec<SmConfig> {
+    [
+        (ScoreboardMode::Matrix, "Matrix"),
+        (ScoreboardMode::Exact, "Exact"),
+    ]
+    .map(|(scoreboard_mode, name)| SmConfig {
+        scoreboard_mode,
+        ..SmConfig::sbi().named(name)
+    })
+    .into()
+}
+
+/// The §3.4 sideband ablation: SBI with the modelled CCT sideband sorter
+/// (one node per cycle, degrading to stack order under pressure) and with
+/// an ideally sorted CCT.
+pub fn sideband_configs() -> Vec<SmConfig> {
+    [(true, "Sideband"), (false, "Ideal")]
+        .map(|(model_sideband_sorter, name)| SmConfig {
+            model_sideband_sorter,
+            ..SmConfig::sbi().named(name)
+        })
+        .into()
 }
 
 /// The non-baseline front-ends the differential fuzzer must prove
@@ -365,6 +391,8 @@ mod tests {
             .chain(&constraint_configs())
             .chain(&lane_shuffle_configs())
             .chain(&associativity_configs())
+            .chain(&scoreboard_configs())
+            .chain(&sideband_configs())
             .chain(&differential_configs())
         {
             cfg.validate()

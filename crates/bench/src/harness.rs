@@ -1,8 +1,8 @@
 //! The sweep driver ([`run_grid`]): a selection of the canonical job list
 //! ([`grid_jobs`]) fanned out across host cores via [`SweepRunner`], with
 //! per-job checkpointing through [`SweepCheckpoint`] and per-job failure
-//! containment — plus the matrix result types and table formatters the
-//! figure binaries share.
+//! containment — plus the matrix result types the figures
+//! ([`crate::figure`]) and the sweep payloads render from.
 
 use std::sync::Mutex;
 
@@ -10,7 +10,6 @@ use warpweave_core::checkpoint::{CheckpointError, SweepCheckpoint};
 use warpweave_core::faultinject::{FaultKind, FaultPlan};
 use warpweave_core::sweep::JobFailure;
 use warpweave_core::{SmConfig, Stats, SweepRunner};
-use warpweave_mem::DramConfig;
 use warpweave_workloads::{Scale, Workload};
 
 use crate::grid::{grid_id, grid_jobs, GridJob};
@@ -35,17 +34,6 @@ impl CellResult {
     /// Thread-instructions per cycle.
     pub fn ipc(&self) -> f64 {
         self.stats.ipc()
-    }
-
-    /// DRAM bandwidth saturation of the run: fraction of the channel's
-    /// byte budget actually moved (see [`Stats::dram_utilization`]).
-    pub fn dram_utilization(&self, dram: &DramConfig) -> f64 {
-        self.stats.dram_utilization(dram)
-    }
-
-    /// Mean cycles each DRAM load queued behind the channel.
-    pub fn avg_dram_queue_delay(&self) -> f64 {
-        self.stats.avg_dram_queue_delay()
     }
 }
 
@@ -74,40 +62,15 @@ impl MatrixResult {
             .collect()
     }
 
-    /// Row index of a workload by name.
-    pub fn row(&self, workload: &str) -> Option<usize> {
-        self.workloads.iter().position(|w| w == workload)
-    }
-
-    /// Mean DRAM bandwidth saturation per config over the given rows.
-    pub fn mean_dram_utilization(&self, rows: &[usize], dram: &DramConfig) -> Vec<f64> {
-        (0..self.configs.len())
-            .map(|c| {
-                if rows.is_empty() {
-                    0.0
-                } else {
-                    rows.iter()
-                        .map(|&w| self.cells[w][c].dram_utilization(dram))
-                        .sum::<f64>()
-                        / rows.len() as f64
-                }
-            })
-            .collect()
-    }
-
-    /// Mean per-load DRAM queue delay per config over the given rows.
-    pub fn mean_dram_queue_delay(&self, rows: &[usize]) -> Vec<f64> {
-        (0..self.configs.len())
-            .map(|c| {
-                if rows.is_empty() {
-                    0.0
-                } else {
-                    rows.iter()
-                        .map(|&w| self.cells[w][c].avg_dram_queue_delay())
-                        .sum::<f64>()
-                        / rows.len() as f64
-                }
-            })
+    /// The rows of `rows` a mean is taken over: every one but TMD1 and
+    /// TMD2, as in the paper — "as the TMD application reflects properties
+    /// of thread-frontier based reconvergence rather than SBI and SWI, we
+    /// do not take it into account when computing the performance means"
+    /// (§5.1).
+    pub fn mean_rows(&self, rows: &[usize]) -> Vec<usize> {
+        rows.iter()
+            .copied()
+            .filter(|&w| !self.workloads[w].starts_with("TMD"))
             .collect()
     }
 }
@@ -254,7 +217,7 @@ pub fn run_grid(
 }
 
 /// The matrix cells of a grid (its job list without the machine probes).
-fn matrix_jobs(configs: &[SmConfig], workloads: &[Box<dyn Workload>]) -> Vec<GridJob> {
+pub(crate) fn matrix_jobs(configs: &[SmConfig], workloads: &[Box<dyn Workload>]) -> Vec<GridJob> {
     let mut jobs = grid_jobs(configs, workloads);
     jobs.retain(|job| !job.is_probe());
     jobs
@@ -350,132 +313,6 @@ pub fn run_machine_probes(
         store,
     )?;
     Ok(probes_from_store(store).expect("no budget and no failures, so every probe is stored"))
-}
-
-/// The figure binaries' entry point: runs a figure's matrix through
-/// [`run_grid`], each cell once and fault-isolated. With a `checkpoint`
-/// path the grid resumes from (and records into) that file — bound via
-/// [`grid_id`] to this exact config/workload set, so a stale file from a
-/// different figure can never be resumed against it; without one it runs
-/// purely in memory.
-///
-/// Quarantined cells print a failures block to stderr and **exit the
-/// process with code 4** — every healthy cell is already persisted to the
-/// checkpoint, so nothing is lost.
-///
-/// # Panics
-/// Checkpoint failures — a partial figure is useless.
-pub fn run_matrix_figure(
-    runner: &SweepRunner,
-    configs: &[SmConfig],
-    workloads: &[Box<dyn Workload>],
-    scale: Scale,
-    verify: bool,
-    checkpoint: Option<&str>,
-) -> MatrixResult {
-    let id = grid_id(configs, workloads, scale);
-    let mut store = match checkpoint {
-        Some(path) => {
-            let store = SweepCheckpoint::resume(path, id)
-                .unwrap_or_else(|e| panic!("checkpoint {path}: {e}"));
-            if !store.is_empty() {
-                eprintln!(
-                    "checkpoint {path}: resuming with {} completed cell(s)",
-                    store.len()
-                );
-            }
-            store
-        }
-        None => SweepCheckpoint::in_memory(id),
-    };
-    let jobs = matrix_jobs(configs, workloads);
-    let failures = run_grid(runner, &jobs, scale, verify, None, None, &mut store)
-        .unwrap_or_else(|e| panic!("figure grid: {e}"));
-    if !failures.is_empty() {
-        eprint!("{}", format_failures(&failures));
-        eprintln!("completed cells are persisted; fix the fault and re-run to fill the gaps");
-        std::process::exit(4);
-    }
-    matrix_from_store(configs, workloads, &store)
-        .expect("no budget and no failures, so the grid completes")
-}
-
-/// Formats an IPC table: one row per workload, one column per config, plus
-/// a geometric-mean row over `mean_rows`.
-pub fn format_ipc_table(m: &MatrixResult, mean_rows: &[usize], mean_label: &str) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{:<22}", "benchmark"));
-    for c in &m.configs {
-        out.push_str(&format!("{c:>12}"));
-    }
-    out.push('\n');
-    for (w, name) in m.workloads.iter().enumerate() {
-        out.push_str(&format!("{name:<22}"));
-        for c in 0..m.configs.len() {
-            out.push_str(&format!("{:>12.1}", m.ipc(w, c)));
-        }
-        out.push('\n');
-    }
-    out.push_str(&format!("{mean_label:<22}"));
-    for g in m.gmean_ipc(mean_rows) {
-        out.push_str(&format!("{g:>12.1}"));
-    }
-    out.push('\n');
-    out
-}
-
-/// Formats the bandwidth-saturation companion table: one row per workload,
-/// one column per config, each cell the run's DRAM utilization in percent,
-/// plus mean-utilization and mean-queue-delay summary rows over
-/// `mean_rows`. This is how every figure binary records how close its
-/// configurations run to the memory wall.
-pub fn format_bandwidth_table(m: &MatrixResult, dram: &DramConfig, mean_rows: &[usize]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{:<22}", "dram util %"));
-    for c in &m.configs {
-        out.push_str(&format!("{c:>12}"));
-    }
-    out.push('\n');
-    for (w, name) in m.workloads.iter().enumerate() {
-        out.push_str(&format!("{name:<22}"));
-        for c in 0..m.configs.len() {
-            out.push_str(&format!(
-                "{:>12.1}",
-                m.cells[w][c].dram_utilization(dram) * 100.0
-            ));
-        }
-        out.push('\n');
-    }
-    out.push_str(&format!("{:<22}", "Mean util %"));
-    for u in m.mean_dram_utilization(mean_rows, dram) {
-        out.push_str(&format!("{:>12.1}", u * 100.0));
-    }
-    out.push('\n');
-    out.push_str(&format!("{:<22}", "Queue delay (cy)"));
-    for d in m.mean_dram_queue_delay(mean_rows) {
-        out.push_str(&format!("{d:>12.1}"));
-    }
-    out.push('\n');
-    out
-}
-
-/// Formats the compact per-config bandwidth summary (mean DRAM
-/// saturation and queue delay over `rows`) the fig8/fig9 binaries append
-/// below their speedup tables.
-pub fn format_bandwidth_summary(m: &MatrixResult, dram: &DramConfig, rows: &[usize]) -> String {
-    let utils = m.mean_dram_utilization(rows, dram);
-    let delays = m.mean_dram_queue_delay(rows);
-    let width = m.configs.iter().map(String::len).max().unwrap_or(0).max(14);
-    let mut out = String::from("DRAM saturation (mean over shown rows):\n");
-    for (c, name) in m.configs.iter().enumerate() {
-        out.push_str(&format!(
-            "  {:<width$} {:5.1}% of bandwidth, {:6.1} cy avg queue delay\n",
-            name,
-            utils[c] * 100.0,
-            delays[c]
-        ));
-    }
-    out
 }
 
 #[cfg(test)]

@@ -202,10 +202,11 @@ pub fn render_sweep_json(scale: &str, m: &MatrixResult, probes: &[ProbeResult]) 
         ]);
         doc.push(("shared_channel", block));
     }
-    let rows: Vec<usize> = (0..m.workloads.len())
-        .filter(|&w| !m.workloads[w].starts_with("TMD"))
-        .collect();
-    let gmeans = m.gmean_ipc(&rows).into_iter().map(|g| Json::Fixed(g, 4));
+    let rows: Vec<usize> = (0..m.workloads.len()).collect();
+    let gmeans = m
+        .gmean_ipc(&m.mean_rows(&rows))
+        .into_iter()
+        .map(|g| Json::Fixed(g, 4));
     let gmeans = m.configs.iter().map(String::as_str).zip(gmeans);
     doc.push(("gmean_ipc_per_config", Json::Object(gmeans.collect())));
     Json::Object(doc).render()

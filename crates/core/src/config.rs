@@ -126,8 +126,6 @@ pub struct SmConfig {
     pub swi_assoc: Associativity,
     /// Dependence-tracking scheme.
     pub scoreboard_mode: ScoreboardMode,
-    /// Instruction delivery latency (0 baseline; 1 for SBI/SWI — table 2).
-    pub delivery_latency: u32,
     /// Model the sideband CCT sorter's walk time (degrades to stack order
     /// under pressure, §3.4). `false` keeps the CCT ideally sorted.
     pub model_sideband_sorter: bool,
@@ -177,7 +175,6 @@ impl SmConfig {
             lane_shuffle: LaneShuffle::Identity,
             swi_assoc: Associativity::Full,
             scoreboard_mode: ScoreboardMode::WarpLevel,
-            delivery_latency: 1,
             model_sideband_sorter: true,
             fast_forward: true,
             mad_lanes: 64,
@@ -194,7 +191,6 @@ impl SmConfig {
     pub fn baseline() -> SmConfig {
         SmConfig {
             divergence: DivergenceModel::Stack,
-            delivery_latency: 0,
             ..Self::common("Baseline", 32)
         }
     }
@@ -378,6 +374,12 @@ impl SmConfig {
         cfg
     }
 
+    /// Table 2's instruction delivery latency: 1 cycle on the
+    /// thread-frontier front-ends, 0 over the PDOM stack.
+    pub(crate) fn delivery_latency(&self) -> u64 {
+        u64::from(self.divergence == DivergenceModel::Frontier)
+    }
+
     /// Total back-end lanes.
     pub fn total_lanes(&self) -> usize {
         self.mad_lanes + SFU_LANES + LSU_LANES
@@ -511,7 +513,7 @@ mod tests {
     fn table2_baseline() {
         let c = SmConfig::baseline();
         assert_eq!((c.num_warps, c.warp_width), (32, 32));
-        assert_eq!(c.delivery_latency, 0);
+        assert_eq!(c.delivery_latency(), 0);
         assert_eq!(c.peak_ipc(), 64);
         c.validate().unwrap();
     }
@@ -520,12 +522,12 @@ mod tests {
     fn table2_sbi_swi() {
         let sbi = SmConfig::sbi();
         assert_eq!((sbi.num_warps, sbi.warp_width), (16, 64));
-        assert_eq!(sbi.delivery_latency, 1);
+        assert_eq!(sbi.delivery_latency(), 1);
         assert_eq!(sbi.peak_ipc(), 104);
         sbi.validate().unwrap();
 
         let swi = SmConfig::swi();
-        assert_eq!(swi.delivery_latency, 1);
+        assert_eq!(swi.delivery_latency(), 1);
         assert_eq!(swi.peak_ipc(), 104);
         swi.validate().unwrap();
 

@@ -1145,7 +1145,7 @@ impl Sm {
             op.max_done = op.max_done.max(grant.ready_cycle);
             if op.remaining == 0 {
                 let op = self.pending_mem.swap_remove(i);
-                let wb = op.floor.max(op.max_done) + self.cfg.delivery_latency as u64;
+                let wb = op.floor.max(op.max_done) + self.cfg.delivery_latency();
                 self.push_wb(wb, op.warp, op.token);
                 // swap_remove moved a fresh op into slot i: revisit it.
             } else {
@@ -1840,7 +1840,7 @@ impl Sm {
     ) -> WbTiming {
         let now = self.cycle;
         let width = self.cfg.warp_width;
-        let delivery = self.cfg.delivery_latency as u64;
+        let delivery = self.cfg.delivery_latency();
         let lat = EXEC_LATENCY + delivery;
         match dispatch {
             Dispatch::None => WbTiming::At(now + 1),

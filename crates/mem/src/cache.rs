@@ -90,6 +90,18 @@ pub enum AccessKind {
     Miss,
 }
 
+/// Where a load landed, for state kept per line beside a [`Cache`] (the
+/// owner SMs of [`crate::SharedL2`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LoadOutcome {
+    /// Hit, or a miss that allocated `slot`.
+    pub kind: AccessKind,
+    /// The line slot (set base + way) that now holds the block.
+    pub slot: usize,
+    /// The fill replaced a valid line (false on a hit).
+    pub evicted: bool,
+}
+
 crate::counter_table! {
     /// Hit/miss statistics of the L1 (serialised as `l1_*`).
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -164,7 +176,7 @@ impl Cache {
         ((set * self.cfg.ways) as usize, tag)
     }
 
-    fn probe(&mut self, addr: u32) -> Option<usize> {
+    fn probe(&self, addr: u32) -> Option<usize> {
         let (base, tag) = self.set_range(addr);
         (base..base + self.cfg.ways as usize)
             .find(|&i| self.lines[i].valid && self.lines[i].tag == tag)
@@ -173,15 +185,25 @@ impl Cache {
     /// Performs a load access to the block containing `addr`: allocates on
     /// miss (LRU victim) and returns the access classification.
     pub fn access_load(&mut self, addr: u32) -> AccessKind {
+        self.load(addr).kind
+    }
+
+    /// [`Cache::access_load`], also reporting the slot the block hit or
+    /// filled and whether the fill evicted a valid line.
+    pub(crate) fn load(&mut self, addr: u32) -> LoadOutcome {
         self.tick += 1;
-        if let Some(i) = self.probe(addr) {
-            self.lines[i].lru = self.tick;
+        if let Some(slot) = self.probe(addr) {
+            self.lines[slot].lru = self.tick;
             self.stats.load_hits += 1;
-            return AccessKind::Hit;
+            return LoadOutcome {
+                kind: AccessKind::Hit,
+                slot,
+                evicted: false,
+            };
         }
         self.stats.load_misses += 1;
         let (base, tag) = self.set_range(addr);
-        let victim = (base..base + self.cfg.ways as usize)
+        let slot = (base..base + self.cfg.ways as usize)
             .min_by_key(|&i| {
                 if self.lines[i].valid {
                     self.lines[i].lru
@@ -190,12 +212,17 @@ impl Cache {
                 }
             })
             .expect("non-empty set");
-        self.lines[victim] = Line {
+        let evicted = self.lines[slot].valid;
+        self.lines[slot] = Line {
             tag,
             valid: true,
             lru: self.tick,
         };
-        AccessKind::Miss
+        LoadOutcome {
+            kind: AccessKind::Miss,
+            slot,
+            evicted,
+        }
     }
 
     /// Performs a store access: write-through, no allocate; refreshes LRU on
@@ -303,6 +330,24 @@ mod tests {
         c.access_load(512); // C evicts B
         assert_eq!(c.access_load(0), AccessKind::Hit);
         assert_eq!(c.access_load(256), AccessKind::Miss);
+    }
+
+    #[test]
+    fn load_reports_its_slot_and_eviction() {
+        let mut c = tiny();
+        let a = c.load(0);
+        assert_eq!((a.kind, a.evicted), (AccessKind::Miss, false));
+        assert_eq!(
+            c.load(0),
+            LoadOutcome {
+                kind: AccessKind::Hit,
+                ..a
+            }
+        );
+        assert!(!c.load(256).evicted, "the set's second way was empty");
+        // Set 0 is full: block 512 replaces the LRU line, block 0.
+        let c_fill = c.load(512);
+        assert_eq!((c_fill.slot, c_fill.evicted), (a.slot, true));
     }
 
     #[test]

@@ -18,19 +18,11 @@
 //! therefore every hit/miss classification — is a pure function of the
 //! request set, independent of host threading.
 
-use crate::cache::{AccessKind, CacheConfig};
+use crate::cache::{AccessKind, Cache, CacheConfig};
 use crate::channel::ChannelStats;
 
-#[derive(Debug, Clone, Copy, Default)]
-struct L2Line {
-    tag: u32,
-    owner_sm: u32,
-    valid: bool,
-    /// Larger = more recently used.
-    lru: u64,
-}
-
-/// A machine-shared, set-associative, true-LRU tag-only L2 model.
+/// A machine-shared, set-associative, true-LRU tag-only L2 model: a
+/// [`Cache`] for the tags, plus the SM that filled each line.
 ///
 /// # Examples
 /// ```
@@ -43,11 +35,9 @@ struct L2Line {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SharedL2 {
-    cfg: CacheConfig,
-    lines: Vec<L2Line>,
-    tick: u64,
-    hits: u64,
-    misses: u64,
+    tags: Cache,
+    /// `owner_sm[slot]`: the SM whose load last filled the line in `slot`.
+    owner_sm: Vec<u32>,
     cross_sm_evictions: u64,
 }
 
@@ -58,87 +48,48 @@ impl SharedL2 {
     /// Panics if the geometry is degenerate (zero sets or ways) — machine
     /// construction validates via [`CacheConfig::validate`] first.
     pub fn new(cfg: CacheConfig) -> Self {
-        assert!(cfg.ways > 0 && cfg.num_sets() > 0, "degenerate L2");
         SharedL2 {
-            cfg,
-            lines: vec![L2Line::default(); (cfg.num_sets() * cfg.ways) as usize],
-            tick: 0,
-            hits: 0,
-            misses: 0,
+            tags: Cache::new(cfg),
+            owner_sm: vec![0; (cfg.num_sets() * cfg.ways) as usize],
             cross_sm_evictions: 0,
         }
     }
 
     /// The cache's configuration.
     pub fn config(&self) -> &CacheConfig {
-        &self.cfg
+        self.tags.config()
     }
 
     /// Accumulated hit / miss / interference counters, as the `l2_*` rows
     /// of a [`ChannelStats`] the machine folds into its channel totals.
-    /// (Kept as three words here: a whole `ChannelStats` inside the L2
-    /// measured 2 % of `mem_hierarchy` host time.)
     pub fn stats(&self) -> ChannelStats {
+        let tags = self.tags.stats();
         ChannelStats {
-            l2_hits: self.hits,
-            l2_misses: self.misses,
+            l2_hits: tags.load_hits,
+            l2_misses: tags.load_misses,
             l2_cross_sm_evictions: self.cross_sm_evictions,
             ..ChannelStats::default()
         }
     }
 
-    fn set_range(&self, addr: u32) -> (usize, u32) {
-        let block = addr / self.cfg.line_bytes;
-        let set = block % self.cfg.num_sets();
-        let tag = block / self.cfg.num_sets();
-        ((set * self.cfg.ways) as usize, tag)
-    }
-
-    fn probe(&self, addr: u32) -> Option<usize> {
-        let (base, tag) = self.set_range(addr);
-        (base..base + self.cfg.ways as usize)
-            .find(|&i| self.lines[i].valid && self.lines[i].tag == tag)
-    }
-
     /// A load fill from SM `sm_id`: allocates on miss (LRU victim,
     /// recording interference when the victim belonged to another SM).
     pub fn access_load(&mut self, addr: u32, sm_id: u32) -> AccessKind {
-        self.tick += 1;
-        if let Some(i) = self.probe(addr) {
-            self.lines[i].lru = self.tick;
-            self.hits += 1;
-            return AccessKind::Hit;
+        let load = self.tags.load(addr);
+        if load.kind == AccessKind::Miss {
+            let owner = &mut self.owner_sm[load.slot];
+            if load.evicted && *owner != sm_id {
+                self.cross_sm_evictions += 1;
+            }
+            *owner = sm_id;
         }
-        self.misses += 1;
-        let (base, tag) = self.set_range(addr);
-        let victim = (base..base + self.cfg.ways as usize)
-            .min_by_key(|&i| {
-                if self.lines[i].valid {
-                    self.lines[i].lru
-                } else {
-                    0
-                }
-            })
-            .expect("non-empty set");
-        if self.lines[victim].valid && self.lines[victim].owner_sm != sm_id {
-            self.cross_sm_evictions += 1;
-        }
-        self.lines[victim] = L2Line {
-            tag,
-            owner_sm: sm_id,
-            valid: true,
-            lru: self.tick,
-        };
-        AccessKind::Miss
+        load.kind
     }
 
     /// A write-through store: no allocation, refreshes recency on hit.
     /// Channel traffic is unaffected either way.
     pub fn access_store(&mut self, addr: u32) {
-        self.tick += 1;
-        if let Some(i) = self.probe(addr) {
-            self.lines[i].lru = self.tick;
-        }
+        self.tags.access_store(addr);
     }
 }
 

@@ -23,8 +23,8 @@ fn all_workloads_verify_on_all_architectures() {
 
 #[test]
 fn lane_shuffles_and_associativity_preserve_results() {
-    // The fig. 8(b) and fig. 9 columns, exactly as the figure binaries
-    // run them.
+    // The fig. 8(b) and fig. 9 columns, exactly as `figure fig8b` and
+    // `figure fig9` run them.
     let w = warpweave::by_name("SortingNetworks").expect("registered");
     for cfg in grid::lane_shuffle_configs()
         .iter()
