@@ -1,73 +1,59 @@
 //! The sweep engine's CLI: runs the `workload × frontend` grid, emits the
-//! deterministic `BENCH_sweep.json` payload, checkpoints per-cell progress,
-//! and records/checks the golden IPC baseline.
+//! deterministic `BENCH_sweep.json` payload, merges shard checkpoints, and
+//! records/checks the golden IPC baseline.
 //!
-//! Usage:
-//! `bench_sweep [--full] [--out PATH] [--checkpoint PATH] [--no-checkpoint]
-//!              [--cell-budget N] [--threads N] [--frontend NAMES]
-//!              [--list-frontends] [--salvage] [--inject SPEC]
-//!              [--jobs-from SPEC] [--merge SHARD...]
-//!              [--record-golden] [--check-golden] [--golden PATH]`
+//! Usage (`warpweave_bench::cli::bench_sweep` is the parser):
 //!
-//! * default — a quick test-scale sweep (2 workloads × 5 front-ends) plus
-//!   the 7 machine probes.
-//! * `--frontend NAMES` — replace the fig. 7 columns with the named
-//!   issue policies (comma-separated; any name the policy registry
-//!   resolves, e.g. `GreedyThenOldest` or `Baseline,GTO`).
-//! * `--list-frontends` — print every registered policy name and exit.
-//! * `--full` — the fig. 7 sweep (all 21 workloads × 5 front-ends) at
-//!   bench scale. Minutes of work, which is why it checkpoints: every
-//!   completed cell is flushed to `--checkpoint` (default
-//!   `BENCH_sweep.checkpoint`), and a re-run resumes from the last cell
-//!   instead of restarting. The resumed JSON is **byte-identical** to an
-//!   uninterrupted run's.
-//! * `--cell-budget N` — stop after N newly simulated jobs, matrix cells
-//!   and machine probes alike (exit code 3); combined with the checkpoint
-//!   this splits a long sweep across runs.
-//! * `--salvage` — before resuming, truncate a torn/corrupt checkpoint to
-//!   its last checksum-valid record (the damaged tail is preserved as a
-//!   `.quarantine` sidecar) instead of refusing to load it.
-//! * `--inject SPEC` — inject the deterministic faults of `SPEC` (grammar:
-//!   `warpweave_core::faultinject`); used by the CI fault drills. Every
-//!   `cell:IDX` / `key:KEY` rule must name a job of the full grid. Each job
-//!   runs once: a sweep with quarantined jobs completes every healthy job,
-//!   prints a failures block with per-job provenance, writes a partial
-//!   `--out` payload and exits 4.
-//! * `--jobs-from SPEC` — shard mode, one slice of the distributed sweep
-//!   fabric: run only the selected slice of the full job grid (matrix
-//!   cells in workload-major order, then the machine probes) into the
-//!   checkpoint file. `shard:K/N` is the K-th of N round-robin slices
-//!   (0-based); `cells:3,7,10-14` is an explicit job-index list. Shard
-//!   mode writes **no JSON** — the checkpoint is the output; merge the
-//!   shards afterwards.
-//! * `--merge A.ckpt B.ckpt ...` — union shard checkpoints (every file
-//!   must be intact and carry this grid's id; overlapping cells must be
-//!   bit-identical) and render `--out` **byte-identical** to a
-//!   single-host run of the same grid. Merging never simulates: an
-//!   incomplete union lists its missing cells and exits 3.
-//! * `--record-golden` — run the golden grid (test scale: full matrix +
-//!   machine probes under both bandwidth models) and write the baseline
-//!   (default `BENCH_golden.json`).
-//! * `--check-golden` — re-run the golden grid and diff against the
-//!   committed baseline with **zero tolerance**; any drift writes
-//!   `BENCH_golden.json.diff` and exits 1.
+//! * `bench_sweep [sweep] [--full] [--frontend NAMES] [--out PATH]
+//!   [--threads N] [--checkpoint PATH] [--salvage] [--cell-budget N]
+//!   [--jobs-from SPEC] [--inject SPEC]` — the quick test-scale sweep
+//!   (2 workloads × 5 front-ends) plus the 7 machine probes, written to
+//!   `--out` (default `BENCH_sweep.json`).
+//!   * `--full` — the fig. 7 grid (all 21 workloads) at bench scale.
+//!   * `--frontend NAMES` — replace the fig. 7 columns with the named
+//!     issue policies (comma-separated registry names, e.g.
+//!     `Baseline,GTO`).
+//!   * `--checkpoint PATH` — resume from and flush every completed job to
+//!     `PATH`; a sweep checkpoints exactly when this is given. The resumed
+//!     JSON is **byte-identical** to an uninterrupted run's. The next three
+//!     flags need it:
+//!   * `--salvage` — before resuming, truncate a torn/corrupt checkpoint
+//!     to its last checksum-valid record (the damaged tail is kept as a
+//!     `.quarantine` sidecar) instead of refusing to load it.
+//!   * `--cell-budget N` — stop after N newly simulated jobs, matrix cells
+//!     and machine probes alike (exit 3); a re-run resumes.
+//!   * `--jobs-from SPEC` — run one slice of the full job grid (matrix
+//!     cells in workload-major order, then the probes): `shard:K/N` is the
+//!     K-th of N round-robin slices (0-based), `cells:3,7,10-14` an
+//!     explicit index list. The checkpoint is the only output.
+//!   * `--inject SPEC` — deterministic faults (grammar:
+//!     `warpweave_core::faultinject`) for the CI fault drills; every
+//!     `cell:IDX` / `key:KEY` rule must name a job of the full grid. Each
+//!     job runs once: quarantined jobs are listed with their provenance, a
+//!     partial payload is written, and the sweep exits 4.
+//! * `bench_sweep merge SHARD... [--full] [--frontend NAMES] [--out PATH]`
+//!   — union shard checkpoints of that grid (each intact and carrying its
+//!   id; overlapping jobs bit-identical) and render the payload
+//!   **byte-identical** to a single-host run. It never simulates: an
+//!   incomplete union lists its missing jobs and exits 3.
+//! * `bench_sweep golden check|record [--golden PATH] [--threads N]` — run
+//!   the golden grid (all 21 workloads × 5 front-ends at test scale plus
+//!   the probes) and diff it against the baseline (default
+//!   `BENCH_golden.json`) with **zero tolerance**, writing
+//!   `PATH.diff` on drift, or record it.
+//! * `bench_sweep frontends` — print every registered policy name.
 //!
-//! Usage errors are rejected up front with a one-line error and exit code
-//! 2: a malformed `--cell-budget`, `--threads`, `--inject` or `--jobs-from`
-//! value, an unknown `--frontend` name, an `--inject` rule that names no
-//! job, and contradictory flag combinations (e.g. `--check-golden` with
-//! `--inject`, `--jobs-from` with `--merge`) — silently preferring one of
-//! the two would run something other than what was asked for.
-//!
-//! All wall-clock timing goes to stderr; the JSON artifacts carry only
-//! deterministic simulation results.
+//! Exit codes: 0 done; 1 a file that cannot be read, written or trusted
+//! (a checkpoint, shard or baseline) or golden drift; 2 usage (one stderr
+//! line); 3 incomplete (a spent `--cell-budget`, a merge missing jobs); 4
+//! jobs quarantined. All wall-clock timing goes to stderr; the JSON
+//! artifacts carry only deterministic simulation results.
 
 use std::process::ExitCode;
-use std::str::FromStr;
 use std::time::Instant;
 
-use warpweave_bench::arg_value;
-use warpweave_bench::grid::{self, grid_jobs, GridJob};
+use warpweave_bench::cli::{self, Args, Sweep};
+use warpweave_bench::grid::{self, grid_jobs};
 use warpweave_bench::harness::{
     format_failures, run_grid, run_machine_probes, run_matrix_at, CellResult,
 };
@@ -75,377 +61,137 @@ use warpweave_bench::report::{
     check_golden, probes_from_store, render_faulted_sweep_json, render_golden_json,
     render_sweep_json,
 };
-use warpweave_bench::shard::{matrix_from_store, merge_checkpoints, ShardSpec};
+use warpweave_bench::shard::{matrix_from_store, merge_checkpoints};
 use warpweave_core::checkpoint::SweepCheckpoint;
-use warpweave_core::faultinject::{CellTarget, FaultPlan};
-use warpweave_core::{PolicyRegistry, SmConfig, SweepRunner};
-use warpweave_workloads::Scale;
+use warpweave_core::{PolicyRegistry, SweepRunner};
+use warpweave_workloads::{Scale, Workload};
 
-/// A usage error: one line on stderr, exit code 2.
-fn usage(message: String) -> ExitCode {
-    eprintln!("{message}");
-    ExitCode::from(2)
-}
-
-/// The value following `flag`, parsed; a malformed one is a usage error.
-fn parsed<T: FromStr>(args: &[String], flag: &str, takes: &str) -> Result<Option<T>, ExitCode> {
-    arg_value(args, flag)
-        .map(|v| {
-            v.parse()
-                .map_err(|_| usage(format!("{flag} takes {takes}, got `{v}`")))
-        })
-        .transpose()
-}
-
-/// The first cell rule of `plan` that names no job of the full grid `all`,
-/// as written. Rules address full-grid indices, so a `--jobs-from` slice
-/// is checked against the grid it was cut from.
-fn stray_rule(plan: &FaultPlan, all: &[GridJob]) -> Option<String> {
-    plan.cells.iter().find_map(|rule| match &rule.target {
-        CellTarget::Index(i) if *i >= all.len() => Some(format!("cell:{i}")),
-        CellTarget::Key(k) if all.iter().all(|job| &job.key != k) => Some(format!("key:{k}")),
-        _ => None,
-    })
-}
-
-/// Writes `contents` to `path`, reporting I/O failure on stderr instead
-/// of panicking (the sweep results are already safe in the checkpoint).
-fn write_artifact(path: &str, contents: &str) -> Result<(), ExitCode> {
-    std::fs::write(path, contents).map_err(|e| {
-        eprintln!("write {path}: {e}");
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let s = match cli::bench_sweep(&args) {
+        Ok(s) => s,
+        Err(usage) => {
+            eprintln!("{usage}");
+            return ExitCode::from(2);
+        }
+    };
+    let run = match s.args.command.as_str() {
+        "frontends" => {
+            for name in PolicyRegistry::global_names() {
+                println!("{name}");
+            }
+            Ok(ExitCode::SUCCESS)
+        }
+        "golden check" | "golden record" => golden(&s.args),
+        "merge" => merge(&s),
+        _ => sweep(&s),
+    };
+    run.unwrap_or_else(|e| {
+        eprintln!("{e}");
         ExitCode::FAILURE
     })
 }
 
-/// The flag pairs that contradict each other. Each is rejected up front
-/// with a one-line error instead of silently preferring one side:
-///
-/// * golden modes are fixed-grid, injection-free reference runs, so
-///   `--inject`, `--frontend`, `--full` and each other are meaningless;
-/// * `--merge` is a pure union/validation step — nothing may simulate,
-///   checkpoint or inject during it;
-/// * `--jobs-from` *is* a checkpointed run (the checkpoint is its only
-///   output) and is itself an input to `--merge`, never combined with it;
-/// * `--no-checkpoint` contradicts every flag whose effect lives in the
-///   checkpoint (`--checkpoint`, `--salvage`, and `--cell-budget`, whose
-///   saved progress would be silently discarded).
-const FLAG_CONFLICTS: &[(&str, &str)] = &[
-    ("--jobs-from", "--merge"),
-    ("--jobs-from", "--no-checkpoint"),
-    ("--jobs-from", "--check-golden"),
-    ("--jobs-from", "--record-golden"),
-    ("--merge", "--check-golden"),
-    ("--merge", "--record-golden"),
-    ("--merge", "--inject"),
-    ("--merge", "--cell-budget"),
-    ("--merge", "--salvage"),
-    ("--merge", "--checkpoint"),
-    ("--merge", "--no-checkpoint"),
-    ("--check-golden", "--record-golden"),
-    ("--check-golden", "--inject"),
-    ("--check-golden", "--frontend"),
-    ("--check-golden", "--full"),
-    ("--record-golden", "--inject"),
-    ("--record-golden", "--frontend"),
-    ("--record-golden", "--full"),
-    ("--no-checkpoint", "--checkpoint"),
-    ("--no-checkpoint", "--salvage"),
-    ("--no-checkpoint", "--cell-budget"),
-];
-
-/// Returns the first contradictory flag pair present in `args`, if any.
-fn flag_conflict(args: &[String]) -> Option<(&'static str, &'static str)> {
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    FLAG_CONFLICTS
-        .iter()
-        .find(|(a, b)| has(a) && has(b))
-        .copied()
+fn runner(a: &Args) -> SweepRunner {
+    let threads = a.number("--threads");
+    threads.map_or_else(SweepRunner::new, SweepRunner::with_threads)
 }
 
-/// The shard-checkpoint paths following `--merge` (every argument up to
-/// the next `--flag`); `None` when `--merge` is absent.
-fn merge_shard_paths(args: &[String]) -> Option<Vec<String>> {
-    let at = args.iter().position(|a| a == "--merge")?;
-    Some(
-        args[at + 1..]
-            .iter()
-            .take_while(|a| !a.starts_with("--"))
-            .cloned()
-            .collect(),
-    )
+/// The scale every job runs at, and its name in the payload.
+fn scale(a: &Args) -> (Scale, &'static str) {
+    match a.has("--full") {
+        true => (Scale::Bench, "bench"),
+        false => (Scale::Test, "test"),
+    }
+}
+
+fn out(a: &Args) -> &str {
+    a.value("--out").unwrap_or("BENCH_sweep.json")
+}
+
+fn write(path: &str, contents: &str) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("write {path}: {e}"))
 }
 
 /// Runs the golden grid (full workload matrix + machine probes at test
-/// scale) and renders the baseline JSON.
-fn render_golden(runner: &SweepRunner) -> String {
+/// scale), then checks it against `--golden` or records it there.
+fn golden(a: &Args) -> Result<ExitCode, String> {
+    let path = a.value("--golden").unwrap_or("BENCH_golden.json");
+    let committed = (a.command == "golden check")
+        .then(|| std::fs::read_to_string(path))
+        .transpose()
+        .map_err(|e| format!("read {path}: {e} (record one with `golden record`)"))?;
     let configs = grid::figure7_configs();
     let workloads = grid::sweep_workloads(true);
-    let scale = Scale::Test;
-    let id = grid::grid_id(&configs, &workloads, scale);
+    let id = grid::grid_id(&configs, &workloads, Scale::Test);
     let t = Instant::now();
-    let m = run_matrix_at(runner, &configs, &workloads, scale, false);
-    let probes = run_machine_probes(scale, None).expect("probes without a store cannot fail");
+    let m = run_matrix_at(&runner(a), &configs, &workloads, Scale::Test, false);
+    let probes = run_machine_probes(Scale::Test, None).expect("probes without a store cannot fail");
     eprintln!(
         "golden grid: {} cells + {} probes in {:.1} s",
         configs.len() * workloads.len(),
         probes.len(),
         t.elapsed().as_secs_f64()
     );
-    render_golden_json("test", id, &m, &probes)
+    let current = render_golden_json("test", id, &m, &probes);
+    let Some(committed) = committed else {
+        write(path, &current)?;
+        eprintln!("recorded golden baseline: {path}");
+        return Ok(ExitCode::SUCCESS);
+    };
+    let Err(report) = check_golden(&committed, &current) else {
+        eprintln!("golden baseline {path}: OK (bit-exact)");
+        return Ok(ExitCode::SUCCESS);
+    };
+    let diff_path = format!("{path}.diff");
+    if let Err(e) = write(&diff_path, &report) {
+        eprintln!("{e}");
+    }
+    eprint!("{report}");
+    eprintln!("golden baseline {path}: DRIFT — report written to {diff_path}");
+    Ok(ExitCode::FAILURE)
 }
 
-fn main() -> ExitCode {
-    sweep().unwrap_or_else(|code| code)
+/// Unions shard checkpoints and renders them — never simulates. The
+/// output is byte-identical to a single-host run of the same grid because
+/// both render from the same per-job records.
+fn merge(s: &Sweep) -> Result<ExitCode, String> {
+    let workloads = grid::sweep_workloads(s.args.has("--full"));
+    let id = grid::grid_id(&s.configs, &workloads, scale(&s.args).0);
+    let union = merge_checkpoints(&s.args.operands, id).map_err(|e| format!("merge: {e}"))?;
+    let shards = s.args.operands.len();
+    eprintln!("merge: {shards} shard(s) cover {} job(s)", union.len());
+    render(s, &workloads, &union)
 }
 
-/// The whole CLI; `Err` is an early exit (a usage error, a failed write).
-fn sweep() -> Result<ExitCode, ExitCode> {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some((a, b)) = flag_conflict(&args) {
-        return Err(usage(format!(
-            "conflicting flags: {a} cannot be combined with {b}"
-        )));
-    }
-    let full = args.iter().any(|a| a == "--full");
-    let record_golden = args.iter().any(|a| a == "--record-golden");
-    let do_check_golden = args.iter().any(|a| a == "--check-golden");
-    let no_checkpoint = args.iter().any(|a| a == "--no-checkpoint");
-    let salvage = args.iter().any(|a| a == "--salvage");
-    let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_sweep.json".into());
-    let golden_path = arg_value(&args, "--golden").unwrap_or_else(|| "BENCH_golden.json".into());
-    let checkpoint_path =
-        arg_value(&args, "--checkpoint").unwrap_or_else(|| "BENCH_sweep.checkpoint".into());
-    let cell_budget: Option<usize> = parsed(&args, "--cell-budget", "a job count")?;
-    let faults = arg_value(&args, "--inject")
-        .map(|spec| FaultPlan::parse(&spec).map_err(|e| usage(format!("--inject: {e}"))))
-        .transpose()?;
-    let runner = match parsed(&args, "--threads", "a worker count")? {
-        Some(n) => SweepRunner::with_threads(n),
-        None => SweepRunner::new(),
-    };
-
-    if args.iter().any(|a| a == "--list-frontends") {
-        for name in PolicyRegistry::global_names() {
-            println!("{name}");
-        }
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    if record_golden {
-        write_artifact(&golden_path, &render_golden(&runner))?;
-        eprintln!("recorded golden baseline: {golden_path}");
-        return Ok(ExitCode::SUCCESS);
-    }
-    if do_check_golden {
-        let committed = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
-            panic!("read {golden_path}: {e} (record one with --record-golden)")
-        });
-        let current = render_golden(&runner);
-        return Ok(match check_golden(&committed, &current) {
-            Ok(()) => {
-                eprintln!("golden baseline {golden_path}: OK (bit-exact)");
-                ExitCode::SUCCESS
-            }
-            Err(report) => {
-                let diff_path = format!("{golden_path}.diff");
-                if let Err(e) = std::fs::write(&diff_path, &report) {
-                    eprintln!("write {diff_path}: {e}");
-                }
-                eprint!("{report}");
-                eprintln!("golden baseline {golden_path}: DRIFT — report written to {diff_path}");
-                ExitCode::FAILURE
-            }
-        });
-    }
-
-    // Sweep, shard and merge modes all run on the same grid definition.
-    let configs: Vec<_> = match arg_value(&args, "--frontend") {
-        Some(names) => names
-            .split(',')
-            .map(|n| SmConfig::with_policy(n.trim()))
-            .collect::<Result<_, _>>()
-            .map_err(|e| usage(format!("--frontend: {e}")))?,
-        None => grid::figure7_configs(),
-    };
-    let workloads = grid::sweep_workloads(full);
-    let scale = if full { Scale::Bench } else { Scale::Test };
-    let scale_label = if full { "bench" } else { "test" };
-    let verify = false; // timing/baseline runs stay pure simulation
-    let jobs = configs.len() * workloads.len();
-
-    // Merge mode: union shard checkpoints, validate, render — never
-    // simulate. The output is byte-identical to a single-host run of the
-    // same grid because both render from the same per-cell records.
-    if let Some(shards) = merge_shard_paths(&args) {
-        let id = grid::grid_id(&configs, &workloads, scale);
-        let union = merge_checkpoints(&shards, id).map_err(|e| {
-            eprintln!("--merge: {e}");
-            ExitCode::FAILURE
-        })?;
-        let incomplete = |missing: Vec<String>| {
-            eprintln!(
-                "--merge: union of {} shard(s) covers {} job(s) but misses {}: {}{}",
-                shards.len(),
-                union.len(),
-                missing.len(),
-                missing
-                    .iter()
-                    .take(5)
-                    .cloned()
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                if missing.len() > 5 { ", ..." } else { "" }
-            );
-            eprintln!("run the missing slice with --jobs-from and merge again");
-            ExitCode::from(3)
-        };
-        // Check matrix cells AND probes before refusing, so the missing
-        // list (and its count) covers the whole job grid.
-        let matrix = matrix_from_store(&configs, &workloads, &union);
-        let probes = probes_from_store(&union);
-        let mut missing = Vec::new();
-        if let Err(m) = &matrix {
-            missing.extend(m.iter().cloned());
-        }
-        if let Err(m) = &probes {
-            missing.extend(m.iter().cloned());
-        }
-        if !missing.is_empty() {
-            return Ok(incomplete(missing));
-        }
-        let (matrix, probes) = (matrix.unwrap(), probes.unwrap());
-        write_artifact(&out_path, &render_sweep_json(scale_label, &matrix, &probes))?;
-        eprintln!(
-            "merged {} shard(s): {} matrix cells + {} probes -> {out_path}",
-            shards.len(),
-            jobs,
-            probes.len()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    // Everything else is one run of the canonical job list. `--jobs-from`
-    // only narrows the selection and makes the checkpoint the sole output.
-    let all = grid_jobs(&configs, &workloads);
-    if let Some(rule) = faults.as_ref().and_then(|plan| stray_rule(plan, &all)) {
-        let jobs = all.len();
-        return Err(usage(format!(
-            "--inject: {rule} names no job of this {jobs}-job grid"
-        )));
-    }
-    let shard = arg_value(&args, "--jobs-from")
-        .map(|spec| {
-            let spec = ShardSpec::parse(&spec)?;
-            let indices = spec.select(all.len())?;
-            Ok((spec, indices))
-        })
-        .transpose()
-        .map_err(|e: String| usage(format!("--jobs-from: {e}")))?;
-    let total = all.len();
-    let selected: Vec<GridJob> = match &shard {
-        Some((_, indices)) => indices.iter().map(|&i| all[i].clone()).collect(),
-        None => all,
-    };
-    let probe_count = selected.iter().filter(|job| job.is_probe()).count();
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    eprintln!(
-        "{}: {} of {total} grid jobs ({} matrix cells + {probe_count} probes) on \
-         {host_threads} host threads ({} worker threads, {scale_label} scale)",
-        shard
-            .as_ref()
-            .map_or("sweep".into(), |(spec, _)| format!("shard {spec}")),
-        selected.len(),
-        selected.len() - probe_count,
-        runner.threads(),
-    );
-
-    // `--full` checkpoints by default (it is minutes of work) and a shard's
-    // checkpoint is its output; the quick sweep runs into an in-memory
-    // store unless `--checkpoint` is passed explicitly.
-    let use_checkpoint =
-        shard.is_some() || (!no_checkpoint && (full || args.iter().any(|a| a == "--checkpoint")));
-    let id = grid::grid_id(&configs, &workloads, scale);
-    let mut store = if use_checkpoint {
-        if salvage {
-            match SweepCheckpoint::salvage(&checkpoint_path) {
-                Ok(report) => eprintln!("checkpoint {checkpoint_path}: salvage: {report}"),
-                Err(e) => {
-                    eprintln!("checkpoint {checkpoint_path}: salvage skipped: {e} (resuming as-is)")
-                }
-            }
-        }
-        SweepCheckpoint::resume(&checkpoint_path, id)
-            .unwrap_or_else(|e| panic!("checkpoint {checkpoint_path}: {e}"))
-    } else {
-        SweepCheckpoint::in_memory(id)
-    };
-    if let Some(plan) = &faults {
-        store.arm_faults(plan.clone());
-    }
-    let done_before = store.len();
-    if done_before > 0 {
-        eprintln!("checkpoint {checkpoint_path}: resuming with {done_before} completed job(s)");
-    }
-    let t0 = Instant::now();
-    let failures = run_grid(
-        &runner,
-        &selected,
-        scale,
-        verify,
-        faults.as_ref(),
-        cell_budget,
-        &mut store,
-    )
-    .unwrap_or_else(|e| panic!("checkpointed sweep: {e}"));
-    if !failures.is_empty() {
-        eprint!("{}", format_failures(&failures));
-        eprintln!("healthy jobs are persisted; fix the fault and re-run to fill the gaps");
-        if shard.is_none() {
-            let healthy: Vec<CellResult> = selected
-                .iter()
-                .filter(|job| !job.is_probe())
-                .filter_map(|job| {
-                    store.get(&job.key).map(|record| CellResult {
-                        workload: job.workload.to_string(),
-                        config: job.config.name.clone(),
-                        stats: record.stats.clone(),
-                    })
-                })
+/// Writes the payload of the grid's jobs in `store` to `--out`; a store
+/// that misses jobs lists them and exits 3 instead.
+fn render(
+    s: &Sweep,
+    workloads: &[Box<dyn Workload>],
+    store: &SweepCheckpoint,
+) -> Result<ExitCode, String> {
+    // Check matrix cells AND probes before refusing, so the missing list
+    // (and its count) covers the whole job grid.
+    let (matrix, probes) = match (
+        matrix_from_store(&s.configs, workloads, store),
+        probes_from_store(store),
+    ) {
+        (Ok(matrix), Ok(probes)) => (matrix, probes),
+        (matrix, probes) => {
+            let missing: Vec<String> = matrix
+                .err()
+                .into_iter()
+                .chain(probes.err())
+                .flatten()
                 .collect();
-            let json = render_faulted_sweep_json(scale_label, jobs, &healthy, &failures);
-            write_artifact(&out_path, &json)?;
-            eprintln!("wrote {out_path} (partial: quarantined cells listed under \"failures\")");
+            let shown = missing[..missing.len().min(5)].join(", ");
+            let more = if missing.len() > 5 { ", ..." } else { "" };
+            eprintln!("{} job(s) missing: {shown}{more}", missing.len());
+            eprintln!("run the missing slice with --jobs-from and merge again");
+            return Ok(ExitCode::from(3));
         }
-        return Ok(ExitCode::from(4));
-    }
-    let done = selected
-        .iter()
-        .filter(|job| store.contains(&job.key))
-        .count();
-    if done < selected.len() {
-        eprintln!(
-            "cell budget exhausted after {done} of {} jobs ({:.1} s); re-run to resume from \
-             {checkpoint_path}",
-            selected.len(),
-            t0.elapsed().as_secs_f64()
-        );
-        return Ok(ExitCode::from(3));
-    }
-    eprintln!(
-        "sweep complete: {} jobs ({done_before} resumed) in {:.1} s",
-        selected.len(),
-        t0.elapsed().as_secs_f64()
-    );
-    if shard.is_some() {
-        eprintln!("merge with `bench_sweep --merge {checkpoint_path} ...`");
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let complete = "every job of the grid is in the store";
-    let matrix = matrix_from_store(&configs, &workloads, &store).expect(complete);
-    let probes = probes_from_store(&store).expect(complete);
+    };
     for p in &probes {
         eprintln!(
             "machine {}sm/{}: makespan {} cycles, ipc {:.1}, channel util {:.1}%",
@@ -456,8 +202,108 @@ fn sweep() -> Result<ExitCode, ExitCode> {
             p.channel_utilization() * 100.0
         );
     }
-
-    write_artifact(&out_path, &render_sweep_json(scale_label, &matrix, &probes))?;
-    eprintln!("wrote {out_path}");
+    write(
+        out(&s.args),
+        &render_sweep_json(scale(&s.args).1, &matrix, &probes),
+    )?;
+    eprintln!("wrote {}", out(&s.args));
     Ok(ExitCode::SUCCESS)
+}
+
+/// One run of the selected jobs of the canonical job list into the store:
+/// the `--checkpoint` file, or memory.
+fn sweep(s: &Sweep) -> Result<ExitCode, String> {
+    let (a, runner, (scale, label)) = (&s.args, runner(&s.args), scale(&s.args));
+    let workloads = grid::sweep_workloads(a.has("--full"));
+    let id = grid::grid_id(&s.configs, &workloads, scale);
+    let path = a.value("--checkpoint").unwrap_or_default();
+    let mut store = match a.has("--checkpoint") {
+        true => {
+            if a.has("--salvage") {
+                match SweepCheckpoint::salvage(path) {
+                    Ok(report) => eprintln!("checkpoint {path}: salvage: {report}"),
+                    Err(e) => eprintln!("checkpoint {path}: salvage skipped: {e} (resuming as-is)"),
+                }
+            }
+            SweepCheckpoint::resume(path, id).map_err(|e| format!("checkpoint {path}: {e}"))?
+        }
+        false => SweepCheckpoint::in_memory(id),
+    };
+    if let Some(plan) = &s.faults {
+        store.arm_faults(plan.clone());
+    }
+    let probe_count = s.jobs.iter().filter(|job| job.is_probe()).count();
+    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    eprintln!(
+        "{}: {} of {} grid jobs ({} matrix cells + {probe_count} probes) on \
+         {host_threads} host threads ({} worker threads, {} scale)",
+        a.value("--jobs-from")
+            .map_or("sweep".into(), |spec| format!("shard {spec}")),
+        s.jobs.len(),
+        grid_jobs(&s.configs, &workloads).len(),
+        s.jobs.len() - probe_count,
+        runner.threads(),
+        label,
+    );
+    let done_before = store.len();
+    if done_before > 0 {
+        eprintln!("checkpoint {path}: resuming with {done_before} completed job(s)");
+    }
+    let t0 = Instant::now();
+    let failures = run_grid(
+        &runner,
+        &s.jobs,
+        scale,
+        false, // timing/baseline runs stay pure simulation
+        s.faults.as_ref(),
+        a.number("--cell-budget"),
+        &mut store,
+    )
+    .map_err(|e| format!("sweep: {e}"))?;
+    if !failures.is_empty() {
+        eprint!("{}", format_failures(&failures));
+        eprintln!("healthy jobs are persisted; fix the fault and re-run to fill the gaps");
+        if !a.has("--jobs-from") {
+            let healthy: Vec<CellResult> = s
+                .jobs
+                .iter()
+                .filter(|job| !job.is_probe())
+                .filter_map(|job| {
+                    store.get(&job.key).map(|record| CellResult {
+                        workload: job.workload.to_string(),
+                        config: job.config.name.clone(),
+                        stats: record.stats.clone(),
+                    })
+                })
+                .collect();
+            let cells = s.configs.len() * workloads.len();
+            let json = render_faulted_sweep_json(label, cells, &healthy, &failures);
+            write(out(a), &json)?;
+            eprintln!(
+                "wrote {} (partial: quarantined cells listed under \"failures\")",
+                out(a)
+            );
+        }
+        return Ok(ExitCode::from(4));
+    }
+    let done = s.jobs.iter().filter(|job| store.contains(&job.key)).count();
+    if done < s.jobs.len() {
+        eprintln!(
+            "cell budget exhausted after {done} of {} jobs ({:.1} s); re-run to resume from \
+             {path}",
+            s.jobs.len(),
+            t0.elapsed().as_secs_f64()
+        );
+        return Ok(ExitCode::from(3));
+    }
+    eprintln!(
+        "sweep complete: {} jobs ({done_before} resumed) in {:.1} s",
+        s.jobs.len(),
+        t0.elapsed().as_secs_f64()
+    );
+    if a.has("--jobs-from") {
+        eprintln!("merge with `bench_sweep merge {path} ...`");
+        return Ok(ExitCode::SUCCESS);
+    }
+    render(s, &workloads, &store)
 }

@@ -1,42 +1,38 @@
 //! Release-scale sweep of the seeded synthetic-kernel fuzzer.
 //!
-//! Generates `--count` kernels (round-robin over the fuzz profiles, or a
-//! single `--profile`) and drives every kernel through all three fuzz
-//! targets — scalar-vs-SoA differential, full policy-registry sweep and
-//! 1-vs-8-host-thread determinism under both memory models — then prints
-//! a scenario-diversity stats table of per-profile policy IPCs and
-//! SBI/SWI-vs-baseline deltas.
+//! `fuzz_smoke [sweep] [--count N] [--seed S] [--profile NAME]
+//! [--repro PATH] [--out PATH]` generates `--count` kernels (default 500,
+//! round-robin over the fuzz profiles, or only `--profile`: balanced |
+//! regular | pathological | memory_heavy) from the base seed (decimal or
+//! 0x-hex, default `0xf0225eed`) and drives every kernel through all three
+//! fuzz targets — scalar-vs-SoA differential, full policy-registry sweep
+//! and 1-vs-8-host-thread determinism under both memory models — then
+//! prints a scenario-diversity table of per-profile policy IPCs and
+//! SBI/SWI-vs-baseline deltas (`--out`: also as JSON). A failure writes
+//! the shrunk reproducer to `--repro` (default `FUZZ_reproducer.wwasm`;
+//! CI uploads it) and prints the one command that reruns exactly that
+//! case: `fuzz_smoke --seed S --count 1 --profile P`.
 //!
-//! Usage: `fuzz_smoke [--count N] [--seed S] [--profile NAME]
-//!                    [--repro PATH] [--out PATH] [--emit-corpus DIR]`
+//! `fuzz_smoke emit-corpus DIR` writes the fixed-seed reproducer corpus
+//! (two kernels per profile) into `DIR`.
 //!
-//! * `--count N` — kernels to generate (default 500; each runs through
-//!   all three targets, so this is the per-target count too).
-//! * `--seed S` — base seed (decimal or 0x-hex); defaults to the
-//!   `WARPWEAVE_FUZZ_SEED` env override, then to a fixed constant.
-//! * `--profile NAME` — restrict to one profile
-//!   (balanced | regular | pathological | memory_heavy).
-//! * `--repro PATH` — where to write the shrunk reproducer on failure
-//!   (default `FUZZ_reproducer.wwasm`; CI uploads it as an artifact).
-//! * `--out PATH` — also write the stats table as JSON.
-//! * `--emit-corpus DIR` — instead of sweeping, write the fixed-seed
-//!   reproducer corpus (two kernels per profile) into `DIR` and exit.
-//!
-//! Every run is wall-clock-free and deterministic in `(seed, count)`; any
-//! failure prints a one-line rerun command carrying the seed.
+//! Every run is wall-clock-free and deterministic in `(seed, count)`.
+//! Exit codes: 0 clean, 1 a failing kernel or a failed write, 2 usage (one
+//! stderr line; `warpweave_bench::cli::fuzz_smoke` is the parser).
 
-use warpweave_bench::{arg_value, Json};
+use std::process::ExitCode;
+
+use warpweave_bench::cli::{self, Args};
+use warpweave_bench::Json;
 use warpweave_core::fuzzing::{run_case, CaseOutcome};
-use warpweave_isa::fuzz::{self, parse_seed, seed_from_env, FuzzProfile, Reproducer, SEED_ENV};
+use warpweave_isa::fuzz::{self, FuzzProfile, Reproducer};
 
-/// Default base seed when neither `--seed` nor the env override is set.
-const DEFAULT_SEED: u64 = 0xf022_5eed;
-
-/// Fixed seeds per profile for `--emit-corpus` — chosen once, committed
+/// Fixed seeds per profile for `emit-corpus` — chosen once, committed
 /// under `tests/corpus/`, and replayed by `tests/corpus_replay.rs`.
 const CORPUS_SEEDS: [u64; 2] = [0x0c0_4b05_0001, 0x0c0_4b05_0002];
 
 /// Per-profile accumulator for the scenario-diversity table.
+#[derive(Default)]
 struct ProfileStats {
     name: &'static str,
     cases: usize,
@@ -46,15 +42,6 @@ struct ProfileStats {
 }
 
 impl ProfileStats {
-    fn new(name: &'static str) -> ProfileStats {
-        ProfileStats {
-            name,
-            cases: 0,
-            instrs: 0,
-            ipc_sums: Vec::new(),
-        }
-    }
-
     fn add(&mut self, out: &CaseOutcome) {
         self.cases += 1;
         self.instrs += out.static_instrs;
@@ -159,39 +146,40 @@ fn print_table(stats: &[ProfileStats]) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(dir) = arg_value(&args, "--emit-corpus") {
-        if let Err(e) = emit_corpus(&dir) {
-            eprintln!("corpus emission failed: {e}");
-            std::process::exit(1);
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let run = match cli::fuzz_smoke(&args) {
+        Ok((a, _)) if a.command == "emit-corpus" => emit_corpus(&a.operands[0]),
+        Ok((a, seed)) => fuzz_sweep(&a, seed),
+        Err(usage) => {
+            eprintln!("{usage}");
+            return ExitCode::from(2);
         }
-        return;
-    }
-
-    let count: usize = arg_value(&args, "--count")
-        .map(|v| v.parse().expect("--count N"))
-        .unwrap_or(500);
-    let base_seed = match arg_value(&args, "--seed") {
-        Some(v) => parse_seed(&v).expect("--seed takes decimal or 0x-hex"),
-        None => seed_from_env(DEFAULT_SEED),
     };
-    let repro_path =
-        arg_value(&args, "--repro").unwrap_or_else(|| "FUZZ_reproducer.wwasm".to_string());
-    let profiles: Vec<FuzzProfile> = match arg_value(&args, "--profile") {
-        Some(name) => vec![FuzzProfile::by_name(&name)
-            .unwrap_or_else(|| panic!("unknown profile {name} (see --help text in source)"))],
+    match run {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn fuzz_sweep(a: &Args, base_seed: u64) -> Result<(), String> {
+    let count = a.number("--count").unwrap_or(500);
+    let profiles = match a.value("--profile") {
+        Some(name) => FuzzProfile::by_name(name).into_iter().collect(),
         None => FuzzProfile::all(),
     };
-    let mut stats: Vec<ProfileStats> = profiles.iter().map(|p| ProfileStats::new(p.name)).collect();
-
+    let stats = profiles.iter().map(|p| ProfileStats {
+        name: p.name,
+        ..ProfileStats::default()
+    });
+    let mut stats: Vec<ProfileStats> = stats.collect();
+    let names: Vec<&str> = profiles.iter().map(|p| p.name).collect();
     println!(
         "fuzz_smoke: {count} kernels, base seed {base_seed:#x}, profiles [{}]",
-        profiles
-            .iter()
-            .map(|p| p.name)
-            .collect::<Vec<_>>()
-            .join(", ")
+        names.join(", ")
     );
     for i in 0..count {
         let which = i % profiles.len();
@@ -200,18 +188,16 @@ fn main() {
             Ok(out) => stats[which].add(&out),
             Err(fail) => {
                 eprintln!("FAILURE after {i} passing kernels: {fail}");
-                match std::fs::write(&repro_path, fail.reproducer.to_text()) {
-                    Ok(()) => eprintln!("shrunk reproducer written to {repro_path}"),
+                let repro = a.value("--repro").unwrap_or("FUZZ_reproducer.wwasm");
+                match std::fs::write(repro, fail.reproducer.to_text()) {
+                    Ok(()) => eprintln!("shrunk reproducer written to {repro}"),
                     Err(e) => {
-                        eprintln!("could not write {repro_path}: {e}; reproducer follows");
+                        eprintln!("could not write {repro}: {e}; reproducer follows");
                         eprintln!("{}", fail.reproducer.to_text());
                     }
                 }
-                eprintln!(
-                    "rerun: {SEED_ENV}={seed:#x} cargo run --release -p warpweave-bench --bin fuzz_smoke -- --count 1 --profile {}",
-                    profiles[which].name
-                );
-                std::process::exit(1);
+                let rerun = fuzz::rerun_command(seed, profiles[which].name);
+                return Err(format!("rerun: {rerun}"));
             }
         }
         if (i + 1) % 100 == 0 {
@@ -220,12 +206,13 @@ fn main() {
     }
 
     print_table(&stats);
-    if let Some(out) = arg_value(&args, "--out") {
+    if let Some(out) = a.value("--out") {
         let json = stats_json(&stats, base_seed, count);
-        std::fs::write(&out, json).expect("write --out");
+        std::fs::write(out, json).map_err(|e| format!("write {out}: {e}"))?;
         println!("\nstats written to {out}");
     }
     println!(
         "\nall {count} kernels clean across differential, policy-sweep and determinism targets"
     );
+    Ok(())
 }

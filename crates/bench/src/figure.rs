@@ -5,15 +5,17 @@
 //! A figure with workload sets runs exactly one grid through [`run_grid`],
 //! its configs × the selected rows, so it binds one checkpoint; fig. 7 and
 //! the summary run the 21-row union grid once and report each set from its
-//! own rows. Fig. 2 and tables 3–4 run no grid. [`parse`] is the one flag
-//! parser: a flag means the same for every figure that takes it, and a
-//! flag a figure cannot honour is a usage error, never silently ignored.
+//! own rows. Fig. 2 and tables 3–4 run no grid. [`parse`] reads the
+//! command line with [`crate::cli`]: each figure is a command, so a flag
+//! means the same for every figure that takes it, and a flag a figure
+//! cannot honour is a usage error, never silently ignored.
 
 use warpweave_core::checkpoint::SweepCheckpoint;
 use warpweave_core::{render_timeline, Sm, SmConfig, SweepRunner};
 use warpweave_mem::DramConfig;
 use warpweave_workloads::{all_workloads, by_name, irregular, regular, Category, Scale, Workload};
 
+use crate::cli;
 use crate::grid::{self, grid_id};
 use crate::harness::{gmean, matrix_jobs, run_grid, CellFailure, CellResult, MatrixResult};
 use crate::shard::matrix_from_store;
@@ -154,71 +156,55 @@ pub enum FigureError {
     Quarantined(Vec<CellFailure>),
 }
 
-/// Parses `figure`'s arguments (without the program name).
+/// Parses `figure`'s arguments (without the program name) against the
+/// table: one command per figure, its name first.
 ///
 /// # Errors
-/// The one-line usage error: no or an unknown figure name, an unknown
-/// flag, a flag the figure does not take, a missing value, a `--set`
-/// value the figure does not take, or an unknown `--frontend` policy.
+/// The one-line usage error: besides [`cli::parse`]'s, an unknown
+/// `--frontend` policy.
 pub fn parse(args: &[String]) -> Result<Invocation, String> {
-    let names = FIGURES
-        .iter()
-        .map(|f| f.name)
-        .collect::<Vec<_>>()
-        .join(", ");
-    let Some((name, mut flags)) = args.split_first().map(|(n, f)| (n, f.iter())) else {
-        return Err(format!(
-            "usage: figure <name> [--set regular|irregular|all] [--checkpoint PATH] \
-             [--no-verify] [--frontend NAMES] (figures: {names})"
-        ));
-    };
+    let synopses: Vec<String> = FIGURES.iter().map(Figure::synopsis).collect();
+    let a = cli::parse(&synopses, args)?;
     let figure = FIGURES
         .iter()
-        .find(|f| f.name == name)
-        .ok_or_else(|| format!("unknown figure `{name}` (figures: {names})"))?;
-    let mut inv = Invocation {
-        figure,
-        set: figure.sets.first().copied(),
-        configs: (figure.configs)(),
-        checkpoint: None,
-        verify: true,
+        .find(|f| f.name == a.command)
+        .expect("a table entry");
+    let set = match a.value("--set") {
+        Some(value) => figure.sets.iter().copied().find(|s| *s == value),
+        None => figure.sets.first().copied(),
     };
-    while let Some(flag) = flags.next() {
-        let takes = match flag.as_str() {
-            "--set" | "--checkpoint" | "--no-verify" => !figure.sets.is_empty(),
-            "--frontend" => figure.frontend.is_some(),
-            _ => return Err(format!("unknown flag `{flag}`")),
-        };
-        if !takes {
-            return Err(format!("{name} does not take {flag}"));
+    let configs = match (a.value("--frontend"), figure.frontend) {
+        (Some(names), Some(column)) => names
+            .split(',')
+            .map(|n| SmConfig::with_policy(n.trim()).map(column))
+            .collect::<Result<_, _>>()
+            .map_err(|e| format!("--frontend: {e}"))?,
+        _ => (figure.configs)(),
+    };
+    Ok(Invocation {
+        figure,
+        set,
+        configs,
+        checkpoint: a.value("--checkpoint").map(Into::into),
+        verify: !a.has("--no-verify"),
+    })
+}
+
+impl Figure {
+    /// The figure's synopsis: a grid figure takes `--set` (one of its
+    /// sets), `--checkpoint` and `--no-verify`, fig. 2 and fig. 7
+    /// `--frontend`.
+    fn synopsis(&self) -> String {
+        let mut synopsis = self.name.to_string();
+        if !self.sets.is_empty() {
+            let sets = self.sets.join("|");
+            synopsis += &format!(" [--set {sets}] [--checkpoint PATH] [--no-verify]");
         }
-        if flag == "--no-verify" {
-            inv.verify = false;
-            continue;
+        if self.frontend.is_some() {
+            synopsis += " [--frontend NAMES]";
         }
-        let value = flags
-            .next()
-            .ok_or_else(|| format!("{flag} takes a value"))?;
-        match flag.as_str() {
-            "--set" => {
-                let set = figure.sets.iter().find(|s| *s == value);
-                inv.set = Some(set.ok_or_else(|| {
-                    let sets = figure.sets.join("|");
-                    format!("--set: {name} takes {sets}, got `{value}`")
-                })?);
-            }
-            "--checkpoint" => inv.checkpoint = Some(value.clone()),
-            _ => {
-                let column = figure.frontend.expect("checked above");
-                inv.configs = value
-                    .split(',')
-                    .map(|n| SmConfig::with_policy(n.trim()).map(column))
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| format!("--frontend: {e}"))?;
-            }
-        }
+        synopsis
     }
-    Ok(inv)
 }
 
 impl Invocation {

@@ -3,10 +3,12 @@
 //! The experiment harness regenerating every table and figure of the paper's
 //! evaluation (§5): one table of artefacts ([`figure::FIGURES`]) behind one
 //! `figure <name>` binary, all built on one canonical job list
-//! ([`grid_jobs`]) and one driver ([`run_grid`]).
+//! ([`grid_jobs`]) and one driver ([`run_grid`]). Every binary reads its
+//! command line with one parser, [`cli`].
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod figure;
 pub mod grid;
 pub mod harness;
@@ -25,10 +27,10 @@ pub use report::{
 };
 pub use shard::{matrix_from_store, merge_checkpoints, ShardSpec};
 
-/// Returns the value following `flag` in an argument list — the
-/// `--flag VALUE` helper `bench_sweep`, `fuzz_smoke` and the sweep-server
-/// binaries share (`figure` parses its flags in [`figure::parse`]).
-/// `None` when the flag is absent or is the last argument.
+/// Returns the value following `flag` in an argument list; `None` when the
+/// flag is absent or is the last argument. No binary of the workspace
+/// uses it ([`cli`] parses every command line); it stays for the
+/// benchmark crate's own flags.
 pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)

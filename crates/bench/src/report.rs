@@ -127,7 +127,7 @@ impl ProbeResult {
 }
 
 /// Assembles every machine probe from a store — how every sweep reads
-/// its probe results back, and the probe half of `bench_sweep --merge`,
+/// its probe results back, and the probe half of `bench_sweep merge`,
 /// which must never re-simulate anything: a merge is a
 /// validation-and-union step over already-run shards.
 ///
@@ -390,8 +390,8 @@ pub fn check_golden(committed: &str, current: &str) -> Result<(), String> {
     let b: Vec<&str> = current.lines().collect();
     let mut report = String::from(
         "golden baseline drift (zero tolerance: the engine is bit-deterministic,\n\
-         so any drift is a real behaviour change; re-record with --record-golden\n\
-         if it is intentional):\n",
+         so any drift is a real behaviour change; re-record with\n\
+         `bench_sweep golden record` if it is intentional):\n",
     );
     let mut counters = String::from("drifted counters:\n");
     let mut drifted = 0usize;

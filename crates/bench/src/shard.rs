@@ -160,7 +160,7 @@ impl std::fmt::Display for ShardSpec {
 /// duplicate cells.
 pub fn merge_checkpoints(paths: &[String], expected_grid: u64) -> Result<SweepCheckpoint, String> {
     if paths.is_empty() {
-        return Err("--merge needs at least one shard checkpoint file".into());
+        return Err("merge needs at least one shard checkpoint file".into());
     }
     let mut union = SweepCheckpoint::in_memory(expected_grid);
     for path in paths {

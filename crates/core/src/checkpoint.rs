@@ -617,7 +617,7 @@ mod tests {
             (5, [0xda25_d408_55b5_59bc, 0x93d5_d5cf_b01b_d694]),
             "the counter tables changed the serialised format: bump CHECKPOINT_VERSION, \
              update this pin (and the literal line below) and re-record the golden file \
-             (`bench_sweep --record-golden`) in the same change"
+             (`bench_sweep golden record`) in the same change"
         );
     }
 

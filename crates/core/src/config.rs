@@ -473,9 +473,6 @@ mod tests {
         let mut c = SmConfig::baseline();
         c.dram.num_channels = 0;
         assert!(c.validate().unwrap_err().contains("dram config"));
-        let mut c = SmConfig::baseline();
-        c.dram.interleave_bytes = 64; // below the 128 B transfer
-        assert!(c.validate().unwrap_err().contains("dram config"));
         // A channel that cannot move data: the transfer time would be
         // infinite, negative or NaN, the completion cycle garbage.
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {

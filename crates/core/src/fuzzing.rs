@@ -74,7 +74,7 @@ pub struct FuzzFailure {
     pub target: FuzzTarget,
     /// The failure message from the (shrunk) kernel.
     pub message: String,
-    /// Seed of the failing case — rerun with `WARPWEAVE_FUZZ_SEED`.
+    /// Seed of the failing case — [`fuzz::rerun_command`] reruns it.
     pub seed: u64,
     /// Profile name of the failing case.
     pub profile: String,
@@ -88,14 +88,13 @@ impl std::fmt::Display for FuzzFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "[{}] seed 0x{:x} profile {}: {} (shrunk in {} evals; rerun with {}=0x{:x})",
+            "[{}] seed 0x{:x} profile {}: {} (shrunk in {} evals; rerun with `{}`)",
             self.target,
             self.seed,
             self.profile,
             self.message,
             self.shrink_evals,
-            fuzz::SEED_ENV,
-            self.seed,
+            fuzz::rerun_command(self.seed, &self.profile),
         )
     }
 }

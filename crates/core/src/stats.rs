@@ -123,8 +123,7 @@ impl Stats {
         if self.cycles == 0 || dram.bytes_per_cycle <= 0.0 {
             0.0
         } else {
-            self.dram.total_bytes(dram.transfer_bytes) as f64
-                / (dram.bytes_per_cycle * self.cycles as f64)
+            self.dram.total_bytes() as f64 / (dram.bytes_per_cycle * self.cycles as f64)
         }
     }
 

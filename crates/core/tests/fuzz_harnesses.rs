@@ -3,19 +3,18 @@
 //! A handful of seeds per profile keeps this inside the tier-1 budget;
 //! the full 500-kernels-per-target sweep lives in the release
 //! `fuzz_smoke` bin (`cargo run --release -p warpweave-bench --bin
-//! fuzz_smoke`). The base seed honours `WARPWEAVE_FUZZ_SEED`, and any
-//! failure prints the shrunk reproducer plus the one-line rerun command.
+//! fuzz_smoke`). The seeds are fixed, and any failure prints the shrunk
+//! reproducer plus the `fuzz_smoke` command that reruns exactly that case.
 
 use warpweave_core::fuzzing::run_case;
-use warpweave_isa::fuzz::{seed_from_env, FuzzProfile, SEED_ENV};
+use warpweave_isa::fuzz::{rerun_command, FuzzProfile};
 
-const DEFAULT_SEED: u64 = 0x5b15_a110;
+const BASE_SEED: u64 = 0x5b15_a110;
 const SEEDS_PER_PROFILE: u64 = 3;
 
 fn sweep(profile: &FuzzProfile) {
-    let base = seed_from_env(DEFAULT_SEED);
     for i in 0..SEEDS_PER_PROFILE {
-        let seed = base.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let seed = BASE_SEED.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         match run_case(seed, profile) {
             Ok(out) => {
                 assert!(out.static_instrs > 0);
@@ -23,7 +22,7 @@ fn sweep(profile: &FuzzProfile) {
             }
             Err(fail) => {
                 eprintln!("shrunk reproducer:\n{}", fail.reproducer.to_text());
-                panic!("{fail}\nrerun: {SEED_ENV}={seed:#x} cargo test -p warpweave-core --test fuzz_harnesses");
+                panic!("{fail}\nrerun: {}", rerun_command(seed, profile.name));
             }
         }
     }

@@ -11,10 +11,10 @@
 //!
 //! Generation is wall-clock-free: the same `(seed, profile)` pair always
 //! produces the same [`KernelPlan`] and the same lowered [`Program`], so a
-//! CI failure is reproducible with one environment variable
-//! ([`SEED_ENV`]). Plans shrink structurally
-//! ([`KernelPlan::shrink_candidates`]) and serialise to replayable
-//! reproducer files ([`Reproducer`]) via the `isa::asm` text round-trip.
+//! CI failure is reproducible with one command ([`rerun_command`]). Plans
+//! shrink structurally ([`KernelPlan::shrink_candidates`]) and serialise
+//! to replayable reproducer files ([`Reproducer`]) via the `isa::asm` text
+//! round-trip.
 //!
 //! # Safety invariants of generated kernels
 //!
@@ -38,18 +38,11 @@ use crate::op::{CmpOp, MemSpace, Op};
 use crate::program::Program;
 use crate::reg::{p, r, SpecialReg};
 
-/// Environment variable overriding the base seed of every fuzz entry
-/// point (harness tests, the corpus replay test and the `fuzz_smoke`
-/// bin). Accepts decimal or `0x`-prefixed hex.
-pub const SEED_ENV: &str = "WARPWEAVE_FUZZ_SEED";
-
-/// Resolves the fuzz base seed: [`SEED_ENV`] if set and parseable,
-/// otherwise `default`.
-pub fn seed_from_env(default: u64) -> u64 {
-    match std::env::var(SEED_ENV) {
-        Ok(s) => parse_seed(&s).unwrap_or(default),
-        Err(_) => default,
-    }
+/// The command that reruns exactly the fuzz case `(seed, profile)`: with a
+/// count of one, `fuzz_smoke` calls `run_case(seed, profile)`, as the
+/// harness that found the case did.
+pub fn rerun_command(seed: u64, profile: &str) -> String {
+    format!("fuzz_smoke --seed {seed:#x} --count 1 --profile {profile}")
 }
 
 /// Parses a decimal or `0x`-hex seed string.
@@ -971,14 +964,13 @@ impl Reproducer {
     pub fn to_text(&self) -> String {
         format!(
             "; warpweave fuzz reproducer — replay via the corpus test or\n\
-             ; {}=0x{:x} on the matching fuzz entry point\n\
+             ; {}\n\
              .fuzz_seed 0x{:x}\n\
              .profile {}\n\
              .grid {}\n\
              .block {}\n\
              {}",
-            SEED_ENV,
-            self.seed,
+            rerun_command(self.seed, &self.profile),
             self.seed,
             self.profile,
             self.grid_blocks,

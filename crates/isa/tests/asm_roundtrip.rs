@@ -4,7 +4,7 @@
 //! a committed corpus kernel would silently test something else.
 
 use proptest::prelude::*;
-use warpweave_isa::fuzz::{self, seed_from_env, FuzzProfile, Reproducer};
+use warpweave_isa::fuzz::{self, FuzzProfile, Reproducer};
 use warpweave_isa::{program_from_text, program_to_text};
 
 /// Asserts text round-trip fidelity for the kernel generated by
@@ -46,11 +46,11 @@ proptest! {
     }
 }
 
-/// The env-pinned seed (or a fixed default) round-trips on all profiles,
-/// including the full reproducer wrapper with its fuzz directives.
+/// A pinned seed round-trips on all profiles, including the full
+/// reproducer wrapper with its fuzz directives.
 #[test]
 fn reproducer_wrapper_roundtrips_at_pinned_seed() {
-    let seed = seed_from_env(0xc0_ffee);
+    let seed = 0xc0_ffee;
     for profile in FuzzProfile::all() {
         assert_roundtrip(seed, &profile);
         let plan = fuzz::generate(seed, &profile);

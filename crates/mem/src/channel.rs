@@ -23,13 +23,14 @@
 //! # Timing
 //!
 //! A granted request starts at `max(channel_free, issue_cycle)`, occupies
-//! the channel for `transfer_bytes / bytes_per_cycle` cycles and completes
+//! the channel for `BLOCK_BYTES / bytes_per_cycle` cycles and completes
 //! a fixed `latency` after its start — the same arithmetic as the private
 //! [`crate::Dram`] model, so a single-SM machine on the shared channel
 //! reproduces the inline-latency timings exactly.
 
 use std::collections::VecDeque;
 
+use crate::coalesce::BLOCK_BYTES;
 use crate::dram::DramConfig;
 
 /// One off-chip transaction awaiting a grant.
@@ -212,7 +213,7 @@ impl SharedDramChannel {
         // them to keep the in-flight queue bounded by true outstanding work.
         self.retire_completions_before(req.issue_cycle);
         let start = self.free.max(req.issue_cycle as f64);
-        self.free = start + self.cfg.transfer_bytes as f64 / self.cfg.bytes_per_cycle;
+        self.free = start + f64::from(BLOCK_BYTES) / self.cfg.bytes_per_cycle;
         let start_cycle = start as u64;
         let ready_cycle = start_cycle + self.cfg.latency;
         let queue_delay = start_cycle - req.issue_cycle;
@@ -221,7 +222,7 @@ impl SharedDramChannel {
         } else {
             self.stats.read_transfers += 1;
         }
-        self.stats.bytes_transferred += self.cfg.transfer_bytes as u64;
+        self.stats.bytes_transferred += u64::from(BLOCK_BYTES);
         if queue_delay > 0 {
             self.stats.queued_requests += 1;
         }

@@ -2,9 +2,12 @@
 //!
 //! Follows the methodology of Gebhart et al. adopted by the paper (table 2):
 //! a single SM sees 10 GB/s of bandwidth at 330 ns latency (= 330 cycles at
-//! the 1 GHz core clock). The channel serialises 128-byte transfers at
-//! `line_bytes / bytes_per_cycle` cycles each; a request's completion time is
-//! its (possibly queued) start time plus the fixed latency.
+//! the 1 GHz core clock). The channel serialises one-line transfers
+//! ([`BLOCK_BYTES`], 128 B) at `BLOCK_BYTES / bytes_per_cycle` cycles each;
+//! a request's completion time is its (possibly queued) start time plus the
+//! fixed latency.
+
+use crate::coalesce::BLOCK_BYTES;
 
 /// DRAM bandwidth/latency parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -14,45 +17,36 @@ pub struct DramConfig {
     pub bytes_per_cycle: f64,
     /// Fixed access latency in cycles (330 ns @ 1 GHz = 330).
     pub latency: u64,
-    /// Transfer granularity in bytes (one L1 block).
-    pub transfer_bytes: u32,
     /// Independent address-interleaved channels in shared-DRAM mode; each
     /// contributes `bytes_per_cycle` of bandwidth. The private per-SM model
-    /// ignores this (each SM already owns a full channel).
+    /// ignores this (each SM already owns a full channel). Channels
+    /// interleave at the line: see [`DramConfig::channel_of`].
     pub num_channels: u32,
-    /// Interleave granularity in bytes: a block at address `a` is served by
-    /// channel `(a / interleave_bytes) % num_channels`. Must be a power of
-    /// two no smaller than `transfer_bytes` so one transfer never straddles
-    /// channels.
-    pub interleave_bytes: u32,
 }
 
 impl DramConfig {
     /// The paper's memory system: 10 GB/s (1 SM), 330 ns (table 2), one
-    /// channel interleaved at the transfer granularity.
+    /// channel.
     pub fn paper() -> Self {
         DramConfig {
             bytes_per_cycle: 10.0,
             latency: 330,
-            transfer_bytes: 128,
             num_channels: 1,
-            interleave_bytes: 128,
         }
     }
 
-    /// The channel a block-aligned address maps to.
+    /// The channel a block-aligned address maps to: consecutive lines go
+    /// to consecutive channels, so one transfer never straddles two.
     pub fn channel_of(&self, addr: u32) -> u32 {
-        let n = self.num_channels.max(1);
-        (addr / self.interleave_bytes.max(1)) % n
+        (addr / BLOCK_BYTES) % self.num_channels.max(1)
     }
 
-    /// Checks that a channel can move data and that the multi-channel knobs
-    /// are coherent.
+    /// Checks that a channel can move data and that there is one.
     ///
     /// # Errors
     /// A description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        // A transfer holds the channel transfer_bytes / bytes_per_cycle.
+        // A transfer holds the channel BLOCK_BYTES / bytes_per_cycle.
         if !(self.bytes_per_cycle.is_finite() && self.bytes_per_cycle > 0.0) {
             return Err(format!(
                 "dram bytes_per_cycle {} must be finite and positive",
@@ -65,19 +59,6 @@ impl DramConfig {
         }
         if self.num_channels == 0 {
             return Err("dram num_channels must be ≥ 1".into());
-        }
-        if !self.interleave_bytes.is_power_of_two() {
-            return Err(format!(
-                "dram interleave_bytes {} must be a power of two",
-                self.interleave_bytes
-            ));
-        }
-        if self.interleave_bytes < self.transfer_bytes {
-            return Err(format!(
-                "dram interleave_bytes {} is below the {} B transfer \
-                 granularity: one transfer would straddle channels",
-                self.interleave_bytes, self.transfer_bytes
-            ));
         }
         Ok(())
     }
@@ -96,8 +77,8 @@ crate::counter_table! {
 
 impl DramStats {
     /// Total bytes moved.
-    pub fn total_bytes(&self, transfer_bytes: u32) -> u64 {
-        (self.read_transfers + self.write_transfers) * transfer_bytes as u64
+    pub fn total_bytes(&self) -> u64 {
+        (self.read_transfers + self.write_transfers) * u64::from(BLOCK_BYTES)
     }
 }
 
@@ -133,7 +114,7 @@ impl Dram {
 
     fn schedule(&mut self, now: u64) -> u64 {
         let start = self.channel_free.max(now as f64);
-        self.channel_free = start + self.cfg.transfer_bytes as f64 / self.cfg.bytes_per_cycle;
+        self.channel_free = start + f64::from(BLOCK_BYTES) / self.cfg.bytes_per_cycle;
         (start as u64) + self.cfg.latency
     }
 
@@ -188,6 +169,6 @@ mod tests {
         d.read(0);
         assert_eq!(d.stats().write_transfers, 1);
         assert_eq!(d.stats().read_transfers, 1);
-        assert_eq!(d.stats().total_bytes(128), 256);
+        assert_eq!(d.stats().total_bytes(), 256);
     }
 }

@@ -6,7 +6,9 @@
 
 use proptest::prelude::*;
 
-use warpweave_mem::{ChannelStats, Dram, DramConfig, MemGrant, MemRequest, SharedDramChannel};
+use warpweave_mem::{
+    ChannelStats, Dram, DramConfig, MemGrant, MemRequest, SharedDramChannel, BLOCK_BYTES,
+};
 
 const NUM_SMS: u32 = 6;
 
@@ -167,7 +169,7 @@ proptest! {
         let grants = ch.arbitrate_epoch(epoch, NUM_SMS, batch(&raw));
         // The channel is busy until the last transfer drains: its start
         // (ready − latency) plus the transfer occupancy, rounded up.
-        let occupancy = (cfg.transfer_bytes as f64 / cfg.bytes_per_cycle).ceil() as u64 + 1;
+        let occupancy = (f64::from(BLOCK_BYTES) / cfg.bytes_per_cycle).ceil() as u64 + 1;
         let makespan = grants.iter().map(|g| g.ready_cycle).max().unwrap()
             - cfg.latency + occupancy;
         let util = ch.stats().utilization(makespan + slack, cfg.bytes_per_cycle);

@@ -1,89 +1,72 @@
 //! The sweep service client CLI.
 //!
-//! Usage:
-//! `sweep_client --addr HOST:PORT [--full] [--frontend NAMES]
-//!               [--workloads NAMES] [--no-probes] [--out PATH]
-//!               [--json PATH] [--server-stats] [--shutdown]`
+//! Usage (`warpweave_serve::cli::sweep_client` is the parser):
 //!
-//! * default — issue a `run` request for the quick sweep grid, print the
-//!   per-request stats line to stderr, and exit 0 (healthy), 4 (the
-//!   server quarantined cells), or 1 (refused/protocol failure).
-//! * `--full` — request the bench-scale grid instead.
-//! * `--frontend NAMES` / `--workloads NAMES` — restrict the grid
-//!   (comma-separated registry names).
-//! * `--no-probes` — matrix cells only.
-//! * `--out PATH` — write the deterministic response transcript (cell
-//!   and fail lines, checksum-verified) to `PATH`. Two clients issuing
-//!   the same request get byte-identical transcripts — `cmp` them.
-//! * `--json PATH` — render the response to the standard
-//!   `BENCH_sweep.json` payload (full default grid + probes only),
-//!   byte-identical to a local `bench_sweep` run.
-//! * `--server-stats` — query the server's cumulative cache stats and
-//!   print the raw line to stdout (no run request).
-//! * `--shutdown` — stop the server (no run request).
+//! * `sweep_client [run] --addr HOST:PORT [--full] [--frontend NAMES]
+//!   [--workloads NAMES] [--no-probes] [--out PATH] [--json PATH]` — issue
+//!   a `run` request for the quick sweep grid and print the per-request
+//!   stats line to stderr.
+//!   * `--full` — request the bench-scale grid instead.
+//!   * `--frontend NAMES` / `--workloads NAMES` — restrict the grid
+//!     (comma-separated registry names).
+//!   * `--no-probes` — matrix cells only.
+//!   * `--out PATH` — write the deterministic response transcript (cell
+//!     and fail lines, checksum-verified) to `PATH`. Two clients issuing
+//!     the same request get byte-identical transcripts — `cmp` them.
+//!   * `--json PATH` — render the response to the standard
+//!     `BENCH_sweep.json` payload (full default grid + probes only),
+//!     byte-identical to a local `bench_sweep` run.
+//! * `sweep_client stats --addr HOST:PORT` — print the server's
+//!   cumulative cache stats line to stdout.
+//! * `sweep_client shutdown --addr HOST:PORT` — stop the server.
+//!
+//! Exit codes: 0 done, 1 refused or a protocol or write failure, 2 usage
+//! (one stderr line), 4 the server quarantined cells.
 
 use std::process::ExitCode;
 
-use warpweave_bench::arg_value;
 use warpweave_serve::{
-    render_response_json, request_run, request_shutdown, request_stats, RunRequest,
+    cli, render_response_json, request_run, request_shutdown, request_stats, RunRequest,
 };
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(addr) = arg_value(&args, "--addr") else {
-        eprintln!("sweep_client: --addr HOST:PORT is required");
-        return ExitCode::from(2);
-    };
-
-    if args.iter().any(|a| a == "--shutdown") {
-        return match request_shutdown(&addr) {
-            Ok(()) => {
-                eprintln!("server at {addr} asked to shut down");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("shutdown: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.iter().any(|a| a == "--server-stats") {
-        return match request_stats(&addr) {
-            Ok(line) => {
-                println!("{line}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("stats: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let split = |names: String| {
-        names
-            .split(',')
-            .map(|n| n.trim().to_string())
-            .collect::<Vec<_>>()
-    };
-    let req = RunRequest {
-        full: args.iter().any(|a| a == "--full"),
-        frontends: arg_value(&args, "--frontend")
-            .map(split)
-            .unwrap_or_default(),
-        workloads: arg_value(&args, "--workloads")
-            .map(split)
-            .unwrap_or_default(),
-        probes: !args.iter().any(|a| a == "--no-probes"),
-    };
-    let response = match request_run(&addr, &req) {
-        Ok(response) => response,
-        Err(e) => {
-            eprintln!("run request: {e}");
-            return ExitCode::FAILURE;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (a, request) = match cli::sweep_client(&args) {
+        Ok(parsed) => parsed,
+        Err(usage) => {
+            eprintln!("{usage}");
+            return ExitCode::from(2);
         }
     };
+    let addr = a.value("--addr").unwrap_or_default();
+    let run = match a.command.as_str() {
+        "shutdown" => request_shutdown(addr)
+            .map(|()| {
+                eprintln!("server at {addr} asked to shut down");
+                ExitCode::SUCCESS
+            })
+            .map_err(|e| format!("shutdown: {e}")),
+        "stats" => request_stats(addr)
+            .map(|line| {
+                println!("{line}");
+                ExitCode::SUCCESS
+            })
+            .map_err(|e| format!("stats: {e}")),
+        _ => run(addr, &request, a.value("--out"), a.value("--json")),
+    };
+    run.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    })
+}
+
+fn run(
+    addr: &str,
+    request: &RunRequest,
+    out: Option<&str>,
+    json: Option<&str>,
+) -> Result<ExitCode, String> {
+    let response = request_run(addr, request).map_err(|e| format!("run request: {e}"))?;
     eprintln!(
         "grid {:016x}: {} cell(s), {} failure(s); hits={} misses={} simulated={}",
         response.grid_id,
@@ -93,33 +76,24 @@ fn main() -> ExitCode {
         response.stats.misses,
         response.stats.simulated
     );
-    if let Some(path) = arg_value(&args, "--out") {
-        if let Err(e) = std::fs::write(&path, response.transcript()) {
-            eprintln!("write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let write = |path: &str, contents: String| {
+        std::fs::write(path, contents).map_err(|e| format!("write {path}: {e}"))
+    };
+    if let Some(path) = out {
+        write(path, response.transcript())?;
         eprintln!("wrote transcript: {path}");
     }
-    if let Some(path) = arg_value(&args, "--json") {
-        match render_response_json(&req, &response) {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(&path, json) {
-                    eprintln!("write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("wrote sweep payload: {path}");
-            }
-            Err(e) => {
-                eprintln!("--json: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(path) = json {
+        let payload =
+            render_response_json(request, &response).map_err(|e| format!("--json: {e}"))?;
+        write(path, payload)?;
+        eprintln!("wrote sweep payload: {path}");
     }
     if !response.fail_lines.is_empty() {
         for line in &response.fail_lines {
             eprintln!("{line}");
         }
-        return ExitCode::from(4);
+        return Ok(ExitCode::from(4));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

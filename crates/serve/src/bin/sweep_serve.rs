@@ -15,38 +15,23 @@
 //!
 //! Each missing cell of a request is simulated once; one that fails is
 //! streamed as a `fail|` line and never cached. The server runs until a
-//! client sends `shutdown` (see `sweep_client --shutdown`). Wire protocol:
-//! `warpweave_serve::protocol`.
+//! client sends `shutdown` (see `sweep_client shutdown`). Wire protocol:
+//! `warpweave_serve::protocol`. A usage error (`warpweave_serve::cli` is
+//! the parser) is one stderr line and exit 2.
 
 use std::process::ExitCode;
 
-use warpweave_bench::arg_value;
-use warpweave_serve::{ServeConfig, Server};
+use warpweave_serve::{cli, Server};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let addr = arg_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:0".into());
-    let mut cfg = ServeConfig::default();
-    if let Some(n) = arg_value(&args, "--threads") {
-        match n.parse() {
-            Ok(n) => cfg.threads = Some(n),
-            Err(_) => {
-                eprintln!("--threads takes a worker count, got `{n}`");
-                return ExitCode::from(2);
-            }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (addr, cfg) = match cli::sweep_serve(&args) {
+        Ok(parsed) => parsed,
+        Err(usage) => {
+            eprintln!("{usage}");
+            return ExitCode::from(2);
         }
-    }
-    if let Some(n) = arg_value(&args, "--cache-entries") {
-        match n.parse() {
-            Ok(n) => cfg.cache_entries = n,
-            Err(_) => {
-                eprintln!("--cache-entries takes an entry count, got `{n}`");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    cfg.cache_dir = arg_value(&args, "--cache-dir").map(Into::into);
-
+    };
     let server = match Server::bind(&addr, cfg) {
         Ok(server) => server,
         Err(e) => {

@@ -23,6 +23,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
+pub mod cli;
 pub mod client;
 pub mod protocol;
 pub mod queue;

@@ -27,6 +27,7 @@ use crate::protocol::{
 use crate::queue::{job_digest, resolve, run_jobs, Outcome};
 
 /// Server tuning knobs (all optional; defaults are sensible for CI).
+#[derive(Debug)]
 pub struct ServeConfig {
     /// Worker-thread cap for the simulation pool (`None` = all cores).
     pub threads: Option<usize>,

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Fails if any issue policy registered in core::policy::PolicyRegistry is
 # missing from README.md's policy table. The registry is the source of
-# truth (`bench_sweep --list-frontends` prints it); the README must name
+# truth (`bench_sweep frontends` prints it); the README must name
 # every entry in backticks, which is exactly how the table renders them.
 # Also fails if ARCHITECTURE.md's fenced copy of `pub trait IssuePolicy`
 # does not list the methods the trait in crates/core/src/policy.rs declares,
@@ -54,9 +54,9 @@ if [ -z "$fields" ] || [ "$fields" != "$rows" ]; then
     exit 1
 fi
 
-names="$(cargo run --release -q -p warpweave-bench --bin bench_sweep -- --list-frontends)"
+names="$(cargo run --release -q -p warpweave-bench --bin bench_sweep -- frontends)"
 if [ -z "$names" ]; then
-    echo "bench_sweep --list-frontends printed no policies" >&2
+    echo "bench_sweep frontends printed no policies" >&2
     exit 1
 fi
 

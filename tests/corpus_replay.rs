@@ -6,7 +6,7 @@
 //! this test keeps it passing forever after the fix. The seeded base
 //! corpus (two kernels per profile at fixed seeds) is regenerated by
 //! `cargo run --release -p warpweave-bench --bin fuzz_smoke -- \
-//! --emit-corpus tests/corpus`.
+//! emit-corpus tests/corpus`.
 
 use warpweave_core::fuzzing::replay_reproducer;
 use warpweave_isa::fuzz::Reproducer;
@@ -62,7 +62,7 @@ fn corpus_files_are_canonical_serialisations() {
         assert_eq!(
             rep.to_text(),
             text,
-            "{} is not in canonical form; regenerate with --emit-corpus",
+            "{} is not in canonical form; regenerate with `fuzz_smoke emit-corpus`",
             path.display()
         );
     }

@@ -103,6 +103,11 @@ fn flags_a_figure_cannot_honour_are_usage_errors() {
         &["summary", "--frontend", "SBI"],
         &["fig7", "--set"],
         &["fig7", "--bogus"],
+        &["--bogus"],
+        &["fig7", "--set", "regular", "--set", "all"],
+        &["fig7", "--no-verify", "--no-verify"],
+        &["fig7", "regular"],
+        &["table3", "--checkpoint"],
     ] {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
         match parse(&args) {
