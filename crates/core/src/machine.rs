@@ -317,8 +317,14 @@ impl Machine {
 
     /// Caps the host threads used to simulate SMs (builder style). The
     /// default is [`SweepRunner::new`]'s: one thread per available core,
-    /// or the caller's own when the machine is itself a sweep job. Results
-    /// never depend on this setting — only wall-clock time does.
+    /// or the caller's own when the machine is itself a sweep job.
+    ///
+    /// With `T` threads (at most one per SM), [`Machine::run`] spawns
+    /// `T - 1` workers once and keeps them for the whole run: SM `i` is
+    /// stepped by worker `i % T`, the calling thread being worker 0, and a
+    /// worker sleeps on a condition variable between epochs. With one
+    /// thread the run spawns nothing. Results never depend on this
+    /// setting — only wall-clock time does.
     pub fn with_threads(mut self, n: usize) -> Machine {
         self.runner = SweepRunner::with_threads(n);
         self
@@ -427,15 +433,14 @@ impl Machine {
         &self.stats
     }
 
-    /// Private-channel mode: every shard runs to completion on its own.
+    /// Private-channel mode: every shard runs to completion on its own,
+    /// as one round of the runner's pool.
     fn run_private(&mut self, max_cycles: u64) -> Result<&MachineStats, SimError> {
         let mut sms = self.build_sms()?;
-        let ran = self
-            .runner
-            .run_mut(&mut sms, |sm| sm.run(max_cycles).map(drop));
-        for outcome in ran {
-            outcome?; // first error in SM-id order
-        }
+        let step = |sm: &mut Sm, ()| sm.run(max_cycles).map(drop);
+        // First error in SM-id order.
+        self.runner
+            .with_pool(&mut sms, step, |pool| pool.step(()))?;
         Ok(self.merge_shards(&mut sms, ChannelStats::default()))
     }
 
@@ -456,19 +461,19 @@ impl Machine {
         let mut epoch = 0u64;
         let mut epoch_end = epoch_len;
         let mut livelock = LivelockDetector::new(LIVELOCK_EPOCHS);
-        loop {
+        // One epoch's traffic, cleared at every barrier, never reallocated.
+        let mut batch: Vec<MemRequest> = Vec::new();
+        let mut grants: Vec<MemGrant> = Vec::new();
+        let mut per_channel: Vec<Vec<MemRequest>> = vec![Vec::new(); num_channels];
+        let step = |sm: &mut Sm, limit| sm.run_until(limit, max_cycles).map(drop);
+        self.runner.with_pool(&mut sms, step, |pool| loop {
             // Parallel phase: every SM advances to the barrier (or to
-            // completion) on its own worker thread.
-            let stepped = self
-                .runner
-                .run_mut(&mut sms, |sm| sm.run_until(epoch_end, max_cycles));
-            for outcome in stepped {
-                outcome?; // first error in SM-id order
-            }
+            // completion) on the worker that owns it.
+            pool.step(epoch_end)?; // first error in SM-id order
+            let sms = pool.items();
             // Serial phase: arbitrate this epoch's transactions in the
             // deterministic total order and hand the grants back.
-            let mut batch = Vec::new();
-            for sm in &mut sms {
+            for sm in sms.iter_mut() {
                 batch.extend(sm.drain_mem_requests());
             }
             let had_traffic = !batch.is_empty();
@@ -478,9 +483,7 @@ impl Machine {
                 // them, so its replacement state — and every hit/miss — is
                 // a pure function of the request set.
                 sort_epoch_order(epoch, num_sms, &mut batch);
-                let mut grants: Vec<MemGrant> = Vec::with_capacity(batch.len());
-                let mut per_channel: Vec<Vec<MemRequest>> = vec![Vec::new(); num_channels];
-                for req in batch {
+                for req in batch.drain(..) {
                     if let Some(l2) = &mut l2 {
                         if req.is_write {
                             // Write-through/no-allocate: refresh recency,
@@ -499,17 +502,18 @@ impl Machine {
                     }
                     per_channel[self.cfg.dram.channel_of(req.addr) as usize].push(req);
                 }
-                for (ch_idx, reqs) in per_channel.into_iter().enumerate() {
+                for (ch_idx, reqs) in per_channel.iter_mut().enumerate() {
                     // Offsetting the epoch by the channel index de-phases
                     // the priority rotations so no SM holds top priority
                     // on every channel of the same epoch.
-                    grants.extend(channels[ch_idx].arbitrate_epoch(
+                    channels[ch_idx].arbitrate_into(
                         epoch + ch_idx as u64,
                         num_sms,
                         reqs,
-                    ));
+                        &mut grants,
+                    );
                 }
-                for grant in grants {
+                for grant in grants.drain(..) {
                     let idx = sms
                         .binary_search_by_key(&grant.sm_id, Sm::sm_id)
                         .expect("grant routed to a known SM");
@@ -517,7 +521,7 @@ impl Machine {
                 }
             }
             if sms.iter().all(Sm::is_done) {
-                break;
+                return Ok(());
             }
             epoch += 1;
             // Epoch-livelock watchdog: epochs keep ticking but no SM
@@ -532,10 +536,10 @@ impl Machine {
             }
             let mem_pending = channels.iter().any(|ch| ch.outstanding_transfers() > 0);
             if livelock.observe(progress_sum, had_traffic, mem_pending) {
-                return Err(Self::livelock_error(&sms, epoch, &channels));
+                return Err(Self::livelock_error(sms, epoch, &channels));
             }
             epoch_end += epoch_len;
-        }
+        })?;
 
         let mut channel_total = ChannelStats::default();
         for channel in &channels {

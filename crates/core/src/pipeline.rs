@@ -746,8 +746,8 @@ impl Sm {
 
     /// Drains the transactions issued since the last drain (machine epoch
     /// barrier). Empty unless [`Sm::attach_shared_channel`] was called.
-    pub(crate) fn drain_mem_requests(&mut self) -> Vec<MemRequest> {
-        std::mem::take(&mut self.mem_outbox)
+    pub(crate) fn drain_mem_requests(&mut self) -> std::vec::Drain<'_, MemRequest> {
+        self.mem_outbox.drain(..)
     }
 
     /// Delivers arbitration grants from the machine-shared channel,

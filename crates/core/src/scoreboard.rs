@@ -22,18 +22,19 @@ use warpweave_isa::Instruction;
 use crate::config::ScoreboardMode;
 use crate::mask::Mask;
 
-/// A 3×3 boolean matrix over the warp-split slots {I1, I2, I3}.
+/// A 3×3 boolean matrix over the warp-split slots {I1, I2, I3}: bit
+/// `3i + j` is entry `(i, j)`, so row `i` is the three bits from `3i`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DepMatrix(u16);
+
+/// Bit 0 of every row: column 0, and the factor that copies one 3-bit row
+/// into all three.
+const COLUMN0: u16 = 0b001_001_001;
 
 impl DepMatrix {
     /// The identity matrix.
     pub fn identity() -> DepMatrix {
-        let mut m = DepMatrix(0);
-        for i in 0..3 {
-            m.set(i, i, true);
-        }
-        m
+        DepMatrix(0b100_010_001)
     }
 
     /// The all-ones matrix (fully conservative).
@@ -43,17 +44,12 @@ impl DepMatrix {
 
     /// Builds the transition matrix between two slot partitions:
     /// `T[i][j] = 1` iff `before[i]` and `after[j]` share a thread.
-    #[allow(clippy::needless_range_loop)] // (i, j) indexing mirrors fig. 6
     pub fn transition(before: &[Mask; 3], after: &[Mask; 3]) -> DepMatrix {
-        let mut m = DepMatrix(0);
-        for i in 0..3 {
-            for j in 0..3 {
-                if before[i].intersects(after[j]) {
-                    m.set(i, j, true);
-                }
-            }
-        }
-        m
+        let row = |b: Mask| {
+            let [a0, a1, a2] = after.map(|a| u16::from(b.intersects(a)));
+            a0 | a1 << 1 | a2 << 2
+        };
+        DepMatrix(row(before[0]) | row(before[1]) << 3 | row(before[2]) << 6)
     }
 
     /// Reads bit `(i, j)`.
@@ -71,19 +67,17 @@ impl DepMatrix {
         }
     }
 
-    /// Boolean matrix product `self × rhs`.
+    /// Boolean matrix product `self × rhs`: row `i` is the OR of the rows
+    /// `k` of `rhs` for which `(i, k)` is set in `self`. Per `k`, column
+    /// `k` of `self` widened to whole rows masks row `k` of `rhs` copied
+    /// into every row.
     pub fn compose(self, rhs: DepMatrix) -> DepMatrix {
-        let mut out = DepMatrix(0);
-        for i in 0..3 {
-            for j in 0..3 {
-                let mut v = false;
-                for k in 0..3 {
-                    v |= self.get(i, k) && rhs.get(k, j);
-                }
-                out.set(i, j, v);
-            }
-        }
-        out
+        let term = |k: usize| {
+            let rows_reaching_k = ((self.0 >> k) & COLUMN0) * 0b111;
+            let row_k_everywhere = ((rhs.0 >> (3 * k)) & 0b111) * COLUMN0;
+            rows_reaching_k & row_k_everywhere
+        };
+        DepMatrix(term(0) | term(1) | term(2))
     }
 }
 
@@ -320,6 +314,7 @@ impl Scoreboard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::TieBreakRng;
     use warpweave_isa::{p, r, KernelBuilder};
 
     fn instr_iadd(dst: u8, a: u8, b: u8) -> Instruction {
@@ -334,6 +329,73 @@ mod tests {
         k.isetp(p(pd), warpweave_isa::CmpOp::Lt, r(a), 0i32);
         k.exit();
         k.build().unwrap().instructions()[0].clone()
+    }
+
+    /// `DepMatrix::transition` entry by entry: the oracle.
+    #[allow(clippy::needless_range_loop)] // (i, j) indexing mirrors fig. 6
+    fn transition_by_entries(before: &[Mask; 3], after: &[Mask; 3]) -> DepMatrix {
+        let mut m = DepMatrix(0);
+        for i in 0..3 {
+            for j in 0..3 {
+                if before[i].intersects(after[j]) {
+                    m.set(i, j, true);
+                }
+            }
+        }
+        m
+    }
+
+    /// `DepMatrix::compose` entry by entry: the oracle.
+    fn compose_by_entries(a: DepMatrix, b: DepMatrix) -> DepMatrix {
+        let mut out = DepMatrix(0);
+        for i in 0..3 {
+            for j in 0..3 {
+                let mut v = false;
+                for k in 0..3 {
+                    v |= a.get(i, k) && b.get(k, j);
+                }
+                out.set(i, j, v);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn compose_matches_the_entry_oracle_on_every_pair() {
+        for a in 0..512 {
+            for b in 0..512 {
+                let (a, b) = (DepMatrix(a), DepMatrix(b));
+                assert_eq!(a.compose(b), compose_by_entries(a, b), "{a:?} x {b:?}");
+            }
+        }
+        let mut id = DepMatrix(0);
+        (0..3).for_each(|i| id.set(i, i, true));
+        assert_eq!(DepMatrix::identity(), id);
+    }
+
+    #[test]
+    fn transition_matches_the_entry_oracle_on_random_partitions() {
+        // Each lane lands in one of the three slots or in none.
+        fn partition(width: usize, rng: &mut TieBreakRng) -> [Mask; 3] {
+            let mut slots = [Mask::EMPTY; 3];
+            for lane in 0..width {
+                if let Some(slot) = slots.get_mut(rng.below(4)) {
+                    *slot |= Mask::single(lane);
+                }
+            }
+            slots
+        }
+        let mut rng = TieBreakRng::new(0x5107_5107);
+        for trial in 0..3000 {
+            let width = [1, 4, 8, 32, 64][trial % 5];
+            let before = partition(width, &mut rng);
+            let after = partition(width, &mut rng);
+            assert_eq!(
+                DepMatrix::transition(&before, &after),
+                transition_by_entries(&before, &after),
+                "{before:?} -> {after:?}"
+            );
+        }
     }
 
     #[test]

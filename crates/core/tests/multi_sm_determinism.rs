@@ -1,7 +1,7 @@
 //! Determinism guarantees of the parallel multi-SM engine:
 //!
 //! * the same machine produces **bit-identical** statistics and memory for
-//!   1, 2 and 8 host simulation threads;
+//!   1, 2, 3, 5 and 8 host simulation threads, under both memory models;
 //! * a 1-SM machine reproduces a standalone [`Sm`] exactly;
 //! * idle-cycle fast-forwarding is exact with respect to cycle-by-cycle
 //!   simulation;
@@ -81,21 +81,28 @@ fn run_machine(
     (stats, words)
 }
 
+/// On 4 SMs, 3 threads give one worker two SMs and 5 or 8 threads more
+/// workers than SMs; under both memory models none may change a result.
 #[test]
 fn stats_identical_across_1_2_8_threads() {
-    for cfg in [SmConfig::baseline(), SmConfig::sbi_swi()] {
+    for cfg in [
+        SmConfig::baseline(),
+        SmConfig::sbi_swi(),
+        SmConfig::baseline().with_shared_dram(),
+        SmConfig::sbi_swi().with_shared_dram(),
+    ] {
         let (reference, ref_mem) = run_machine(&cfg, 4, 1, 12);
-        for threads in [2, 8] {
+        for threads in [2, 3, 5, 8] {
             let (stats, mem) = run_machine(&cfg, 4, threads, 12);
             assert_eq!(
                 stats, reference,
-                "{}: stats diverged at {threads} threads",
-                cfg.name
+                "{} {:?}: stats diverged at {threads} threads",
+                cfg.name, cfg.mem_model
             );
             assert_eq!(
                 mem, ref_mem,
-                "{}: memory diverged at {threads} threads",
-                cfg.name
+                "{} {:?}: memory diverged at {threads} threads",
+                cfg.name, cfg.mem_model
             );
         }
         // Per-SM breakdown must be populated and cycles must be the makespan.

@@ -250,8 +250,23 @@ impl SharedDramChannel {
         num_sms: u32,
         mut requests: Vec<MemRequest>,
     ) -> Vec<MemGrant> {
-        sort_epoch_order(epoch, num_sms, &mut requests);
-        requests.iter().map(|r| self.grant(r)).collect()
+        let mut grants = Vec::with_capacity(requests.len());
+        self.arbitrate_into(epoch, num_sms, &mut requests, &mut grants);
+        grants
+    }
+
+    /// [`SharedDramChannel::arbitrate_epoch`] over buffers the caller
+    /// keeps: drains `requests` and appends their grants to `grants`, so a
+    /// machine's epoch loop reuses both from epoch to epoch.
+    pub fn arbitrate_into(
+        &mut self,
+        epoch: u64,
+        num_sms: u32,
+        requests: &mut Vec<MemRequest>,
+        grants: &mut Vec<MemGrant>,
+    ) {
+        sort_epoch_order(epoch, num_sms, requests);
+        grants.extend(requests.drain(..).map(|r| self.grant(&r)));
     }
 
     /// Discards granted completions strictly before `now` so
