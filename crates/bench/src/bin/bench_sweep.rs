@@ -5,32 +5,20 @@
 //! Usage (`warpweave_bench::cli::bench_sweep` is the parser):
 //!
 //! * `bench_sweep [sweep] [--full] [--frontend NAMES] [--out PATH]
-//!   [--threads N] [--checkpoint PATH] [--salvage] [--cell-budget N]
-//!   [--jobs-from SPEC] [--inject SPEC]` — the quick test-scale sweep
-//!   (2 workloads × 5 front-ends) plus the 7 machine probes, written to
-//!   `--out` (default `BENCH_sweep.json`).
+//!   [--threads N] [--checkpoint PATH --jobs-from SPEC]` — the quick
+//!   test-scale sweep (2 workloads × 5 front-ends) plus the 7 machine
+//!   probes, run once in memory and written to `--out` (default
+//!   `BENCH_sweep.json`).
 //!   * `--full` — the fig. 7 grid (all 21 workloads) at bench scale.
 //!   * `--frontend NAMES` — replace the fig. 7 columns with the named
 //!     issue policies (comma-separated registry names, e.g.
 //!     `Baseline,GTO`).
-//!   * `--checkpoint PATH` — resume from and flush every completed job to
-//!     `PATH`; a sweep checkpoints exactly when this is given. The resumed
-//!     JSON is **byte-identical** to an uninterrupted run's. The next three
-//!     flags need it:
-//!   * `--salvage` — before resuming, truncate a torn/corrupt checkpoint
-//!     to its last checksum-valid record (the damaged tail is kept as a
-//!     `.quarantine` sidecar) instead of refusing to load it.
-//!   * `--cell-budget N` — stop after N newly simulated jobs, matrix cells
-//!     and machine probes alike (exit 3); a re-run resumes.
-//!   * `--jobs-from SPEC` — run one slice of the full job grid (matrix
-//!     cells in workload-major order, then the probes): `shard:K/N` is the
-//!     K-th of N round-robin slices (0-based), `cells:3,7,10-14` an
-//!     explicit index list. The checkpoint is the only output.
-//!   * `--inject SPEC` — deterministic faults (grammar:
-//!     `warpweave_core::faultinject`) for the CI fault drills; every
-//!     `cell:IDX` / `key:KEY` rule must name a job of the full grid. Each
-//!     job runs once: quarantined jobs are listed with their provenance, a
-//!     partial payload is written, and the sweep exits 4.
+//!   * `--jobs-from SPEC --checkpoint PATH` — run one slice of the full job
+//!     grid (matrix cells in workload-major order, then the probes):
+//!     `shard:K/N` is the K-th of N round-robin slices (0-based),
+//!     `cells:3,7,10-14` an explicit index list. The slice's jobs are
+//!     recorded in job order into `PATH`, created fresh; it is the only
+//!     output, byte-identical at any `--threads`. Each flag needs the other.
 //! * `bench_sweep merge SHARD... [--full] [--frontend NAMES] [--out PATH]`
 //!   — union shard checkpoints of that grid (each intact and carrying its
 //!   id; overlapping jobs bit-identical) and render the payload
@@ -43,23 +31,22 @@
 //!   `PATH.diff` on drift, or record it.
 //! * `bench_sweep frontends` — print every registered policy name.
 //!
-//! Exit codes: 0 done; 1 a file that cannot be read, written or trusted
-//! (a checkpoint, shard or baseline) or golden drift; 2 usage (one stderr
-//! line); 3 incomplete (a spent `--cell-budget`, a merge missing jobs); 4
-//! jobs quarantined. All wall-clock timing goes to stderr; the JSON
-//! artifacts carry only deterministic simulation results.
+//! Each job runs once: a job that panics or fails is listed with its key
+//! and seed, every other job still completes, and the sweep exits 4
+//! without a payload. Exit codes: 0 done; 1 a file that cannot be read,
+//! written or trusted (a shard or baseline) or golden drift; 2 usage (one
+//! stderr line); 3 a merge that misses jobs; 4 jobs quarantined. All
+//! wall-clock timing goes to stderr; the JSON artifacts carry only
+//! deterministic simulation results.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use warpweave_bench::cli::{self, Args, Sweep};
 use warpweave_bench::grid::{self, grid_jobs};
-use warpweave_bench::harness::{
-    format_failures, run_grid, run_machine_probes, run_matrix_at, CellResult,
-};
+use warpweave_bench::harness::{format_failures, run_grid, run_machine_probes, run_matrix_at};
 use warpweave_bench::report::{
-    check_golden, probes_from_store, render_faulted_sweep_json, render_golden_json,
-    render_sweep_json,
+    check_golden, probes_from_store, render_golden_json, render_sweep_json,
 };
 use warpweave_bench::shard::{matrix_from_store, merge_checkpoints};
 use warpweave_core::checkpoint::SweepCheckpoint;
@@ -211,27 +198,18 @@ fn render(
 }
 
 /// One run of the selected jobs of the canonical job list into the store:
-/// the `--checkpoint` file, or memory.
+/// a shard's `--checkpoint` file, or memory.
 fn sweep(s: &Sweep) -> Result<ExitCode, String> {
     let (a, runner, (scale, label)) = (&s.args, runner(&s.args), scale(&s.args));
     let workloads = grid::sweep_workloads(a.has("--full"));
     let id = grid::grid_id(&s.configs, &workloads, scale);
-    let path = a.value("--checkpoint").unwrap_or_default();
-    let mut store = match a.has("--checkpoint") {
-        true => {
-            if a.has("--salvage") {
-                match SweepCheckpoint::salvage(path) {
-                    Ok(report) => eprintln!("checkpoint {path}: salvage: {report}"),
-                    Err(e) => eprintln!("checkpoint {path}: salvage skipped: {e} (resuming as-is)"),
-                }
-            }
-            SweepCheckpoint::resume(path, id).map_err(|e| format!("checkpoint {path}: {e}"))?
+    let shard = a.value("--checkpoint");
+    let mut store = match shard {
+        Some(path) => {
+            SweepCheckpoint::create(path, id).map_err(|e| format!("checkpoint {path}: {e}"))?
         }
-        false => SweepCheckpoint::in_memory(id),
+        None => SweepCheckpoint::in_memory(id),
     };
-    if let Some(plan) = &s.faults {
-        store.arm_faults(plan.clone());
-    }
     let probe_count = s.jobs.iter().filter(|job| job.is_probe()).count();
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!(
@@ -245,65 +223,24 @@ fn sweep(s: &Sweep) -> Result<ExitCode, String> {
         runner.threads(),
         label,
     );
-    let done_before = store.len();
-    if done_before > 0 {
-        eprintln!("checkpoint {path}: resuming with {done_before} completed job(s)");
-    }
     let t0 = Instant::now();
-    let failures = run_grid(
-        &runner,
-        &s.jobs,
-        scale,
-        false, // timing/baseline runs stay pure simulation
-        s.faults.as_ref(),
-        a.number("--cell-budget"),
-        &mut store,
-    )
-    .map_err(|e| format!("sweep: {e}"))?;
+    // Timing/baseline runs stay pure simulation: no result verification.
+    let failures =
+        run_grid(&runner, &s.jobs, scale, false, &mut store).map_err(|e| format!("sweep: {e}"))?;
     if !failures.is_empty() {
         eprint!("{}", format_failures(&failures));
-        eprintln!("healthy jobs are persisted; fix the fault and re-run to fill the gaps");
-        if !a.has("--jobs-from") {
-            let healthy: Vec<CellResult> = s
-                .jobs
-                .iter()
-                .filter(|job| !job.is_probe())
-                .filter_map(|job| {
-                    store.get(&job.key).map(|record| CellResult {
-                        workload: job.workload.to_string(),
-                        config: job.config.name.clone(),
-                        stats: record.stats.clone(),
-                    })
-                })
-                .collect();
-            let cells = s.configs.len() * workloads.len();
-            let json = render_faulted_sweep_json(label, cells, &healthy, &failures);
-            write(out(a), &json)?;
-            eprintln!(
-                "wrote {} (partial: quarantined cells listed under \"failures\")",
-                out(a)
-            );
-        }
         return Ok(ExitCode::from(4));
     }
-    let done = s.jobs.iter().filter(|job| store.contains(&job.key)).count();
-    if done < s.jobs.len() {
-        eprintln!(
-            "cell budget exhausted after {done} of {} jobs ({:.1} s); re-run to resume from \
-             {path}",
-            s.jobs.len(),
-            t0.elapsed().as_secs_f64()
-        );
-        return Ok(ExitCode::from(3));
-    }
     eprintln!(
-        "sweep complete: {} jobs ({done_before} resumed) in {:.1} s",
+        "sweep complete: {} jobs in {:.1} s",
         s.jobs.len(),
         t0.elapsed().as_secs_f64()
     );
-    if a.has("--jobs-from") {
-        eprintln!("merge with `bench_sweep merge {path} ...`");
-        return Ok(ExitCode::SUCCESS);
+    match shard {
+        Some(path) => {
+            eprintln!("merge with `bench_sweep merge {path} ...`");
+            Ok(ExitCode::SUCCESS)
+        }
+        None => render(s, &workloads, &store),
     }
-    render(s, &workloads, &store)
 }

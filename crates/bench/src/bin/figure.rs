@@ -1,14 +1,13 @@
 //! Regenerates one of the paper's figures or tables at bench scale:
-//! `figure <name> [--set regular|irregular|all] [--checkpoint PATH]
-//! [--no-verify] [--frontend NAMES]`. The names, and the flags each takes,
-//! are the table in `warpweave_bench::figure`.
+//! `figure <name> [--set regular|irregular|all] [--no-verify]
+//! [--frontend NAMES]`. The names, and the flags each takes, are the table
+//! in `warpweave_bench::figure`.
 //!
-//! Exit codes: 2 usage (one stderr line), 1 a checkpoint failure, 4 jobs
-//! quarantined (every healthy cell is in the checkpoint).
+//! Exit codes: 2 usage (one stderr line), 4 jobs quarantined.
 
 use std::process::ExitCode;
 
-use warpweave_bench::figure::{parse, FigureError};
+use warpweave_bench::figure::parse;
 use warpweave_bench::format_failures;
 use warpweave_core::SweepRunner;
 use warpweave_workloads::Scale;
@@ -27,13 +26,8 @@ fn main() -> ExitCode {
             print!("{}", (inv.figure.report)(&inv, &m));
             ExitCode::SUCCESS
         }
-        Err(FigureError::Checkpoint(e)) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
-        Err(FigureError::Quarantined(failures)) => {
+        Err(failures) => {
             eprint!("{}", format_failures(&failures));
-            eprintln!("completed cells are persisted; fix the fault and re-run to fill the gaps");
             ExitCode::from(4)
         }
     }

@@ -19,7 +19,6 @@
 //! [`figure::parse`](crate::figure::parse), and the sweep service's two in
 //! `warpweave_serve::cli`.
 
-use warpweave_core::faultinject::{CellTarget, FaultPlan};
 use warpweave_core::SmConfig;
 use warpweave_isa::fuzz::parse_seed;
 
@@ -172,7 +171,7 @@ impl Args {
 /// `bench_sweep`'s commands.
 const BENCH_SWEEP: [&str; 5] = [
     "[sweep] [--full] [--frontend NAMES] [--out PATH] [--threads N] [--checkpoint PATH] \
-     [--salvage] [--cell-budget N] [--jobs-from SPEC] [--inject SPEC]",
+     [--jobs-from SPEC]",
     "merge SHARD... [--full] [--frontend NAMES] [--out PATH]",
     "golden check [--golden PATH] [--threads N]",
     "golden record [--golden PATH] [--threads N]",
@@ -186,8 +185,6 @@ pub struct Sweep {
     pub args: Args,
     /// The grid's columns: the fig. 7 front-ends, or `--frontend`'s.
     pub configs: Vec<SmConfig>,
-    /// `--inject`'s faults.
-    pub faults: Option<FaultPlan>,
     /// The jobs to run: the grid's canonical job list, or the slice
     /// `--jobs-from` selects.
     pub jobs: Vec<GridJob>,
@@ -197,14 +194,17 @@ pub struct Sweep {
 ///
 /// # Errors
 /// The one-line usage error: besides [`parse`]'s, an unknown `--frontend`
-/// policy, a malformed `--inject` or `--jobs-from` spec, an `--inject`
-/// rule that names no job of the grid, and `--salvage`, `--cell-budget`
-/// or `--jobs-from` without `--checkpoint`.
+/// policy, a malformed `--jobs-from` spec, and `--jobs-from` or
+/// `--checkpoint` without the other (a shard's only output is its
+/// checkpoint file).
 pub fn bench_sweep(args: &[String]) -> Result<Sweep, String> {
     let args = parse(&BENCH_SWEEP, args)?;
-    for flag in ["--salvage", "--cell-budget", "--jobs-from"] {
-        if args.has(flag) && !args.has("--checkpoint") {
-            return Err(format!("{flag} needs --checkpoint"));
+    for (flag, needs) in [
+        ("--jobs-from", "--checkpoint"),
+        ("--checkpoint", "--jobs-from"),
+    ] {
+        if args.has(flag) && !args.has(needs) {
+            return Err(format!("{flag} needs {needs}"));
         }
     }
     let configs: Vec<SmConfig> = match args.value("--frontend") {
@@ -216,14 +216,6 @@ pub fn bench_sweep(args: &[String]) -> Result<Sweep, String> {
         None => grid::figure7_configs(),
     };
     let all = grid_jobs(&configs, &grid::sweep_workloads(args.has("--full")));
-    let faults = args.value("--inject").map(FaultPlan::parse).transpose();
-    let faults = faults.map_err(|e| format!("--inject: {e}"))?;
-    if let Some(rule) = faults.as_ref().and_then(|plan| stray_rule(plan, &all)) {
-        let total = all.len();
-        return Err(format!(
-            "--inject: {rule} names no job of this {total}-job grid"
-        ));
-    }
     let jobs = match args.value("--jobs-from") {
         Some(spec) => {
             let indices = ShardSpec::parse(spec).and_then(|spec| spec.select(all.len()));
@@ -235,19 +227,7 @@ pub fn bench_sweep(args: &[String]) -> Result<Sweep, String> {
     Ok(Sweep {
         args,
         configs,
-        faults,
         jobs,
-    })
-}
-
-/// The first cell rule of `plan` that names no job of the full grid `all`,
-/// as written. Rules address full-grid indices, so a `--jobs-from` slice
-/// is checked against the grid it was cut from.
-fn stray_rule(plan: &FaultPlan, all: &[GridJob]) -> Option<String> {
-    plan.cells.iter().find_map(|rule| match &rule.target {
-        CellTarget::Index(i) if *i >= all.len() => Some(format!("cell:{i}")),
-        CellTarget::Key(k) if all.iter().all(|job| &job.key != k) => Some(format!("key:{k}")),
-        _ => None,
     })
 }
 

@@ -1,14 +1,14 @@
 //! The paper's figures and tables as one table ([`FIGURES`]) behind one
-//! binary, `figure <name> [--set regular|irregular|all] [--checkpoint PATH]
-//! [--no-verify] [--frontend NAMES]`.
+//! binary, `figure <name> [--set regular|irregular|all] [--no-verify]
+//! [--frontend NAMES]`.
 //!
 //! A figure with workload sets runs exactly one grid through [`run_grid`],
-//! its configs × the selected rows, so it binds one checkpoint; fig. 7 and
-//! the summary run the 21-row union grid once and report each set from its
-//! own rows. Fig. 2 and tables 3–4 run no grid. [`parse`] reads the
-//! command line with [`crate::cli`]: each figure is a command, so a flag
-//! means the same for every figure that takes it, and a flag a figure
-//! cannot honour is a usage error, never silently ignored.
+//! its configs × the selected rows; fig. 7 and the summary run the 21-row
+//! union grid once and report each set from its own rows. Fig. 2 and
+//! tables 3–4 run no grid. [`parse`] reads the command line with
+//! [`crate::cli`]: each figure is a command, so a flag means the same for
+//! every figure that takes it, and a flag a figure cannot honour is a
+//! usage error, never silently ignored.
 
 use warpweave_core::checkpoint::SweepCheckpoint;
 use warpweave_core::{render_timeline, Sm, SmConfig, SweepRunner};
@@ -141,19 +141,8 @@ pub struct Invocation {
     pub set: Option<&'static str>,
     /// The grid's columns: the figure's own, or the `--frontend` policies.
     pub configs: Vec<SmConfig>,
-    /// `--checkpoint PATH`: the file the grid resumes from and records to.
-    pub checkpoint: Option<String>,
     /// False under `--no-verify`.
     pub verify: bool,
-}
-
-/// Why a figure's grid produced no matrix.
-#[derive(Debug)]
-pub enum FigureError {
-    /// The checkpoint could not be opened, resumed or appended to.
-    Checkpoint(String),
-    /// Jobs failed (every other job is recorded in the checkpoint).
-    Quarantined(Vec<CellFailure>),
 }
 
 /// Parses `figure`'s arguments (without the program name) against the
@@ -185,20 +174,18 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
         figure,
         set,
         configs,
-        checkpoint: a.value("--checkpoint").map(Into::into),
         verify: !a.has("--no-verify"),
     })
 }
 
 impl Figure {
     /// The figure's synopsis: a grid figure takes `--set` (one of its
-    /// sets), `--checkpoint` and `--no-verify`, fig. 2 and fig. 7
-    /// `--frontend`.
+    /// sets) and `--no-verify`, fig. 2 and fig. 7 `--frontend`.
     fn synopsis(&self) -> String {
         let mut synopsis = self.name.to_string();
         if !self.sets.is_empty() {
             let sets = self.sets.join("|");
-            synopsis += &format!(" [--set {sets}] [--checkpoint PATH] [--no-verify]");
+            synopsis += &format!(" [--set {sets}] [--no-verify]");
         }
         if self.frontend.is_some() {
             synopsis += " [--frontend NAMES]";
@@ -220,42 +207,25 @@ impl Invocation {
     }
 
     /// Runs the figure's one grid, `configs × workloads` at `scale`,
-    /// through [`run_grid`]: each cell once, fault-isolated, resumed from
-    /// and recorded to `--checkpoint` when given. The file is bound via
-    /// [`grid_id`] to exactly this grid, so one figure's checkpoint is
-    /// never resumed by another whose grid differs.
+    /// through [`run_grid`]: each cell once, fault-isolated.
     ///
     /// # Errors
-    /// [`FigureError`]: a checkpoint failure or quarantined jobs.
+    /// The quarantined jobs, when any job failed.
     pub fn matrix(
         &self,
         runner: &SweepRunner,
         scale: Scale,
         workloads: &[Box<dyn Workload>],
-    ) -> Result<MatrixResult, FigureError> {
-        let id = grid_id(&self.configs, workloads, scale);
-        let mut store = match &self.checkpoint {
-            Some(path) => {
-                let store = SweepCheckpoint::resume(path, id)
-                    .map_err(|e| FigureError::Checkpoint(format!("checkpoint {path}: {e}")))?;
-                if !store.is_empty() {
-                    eprintln!(
-                        "checkpoint {path}: resuming with {} completed cell(s)",
-                        store.len()
-                    );
-                }
-                store
-            }
-            None => SweepCheckpoint::in_memory(id),
-        };
+    ) -> Result<MatrixResult, Vec<CellFailure>> {
+        let mut store = SweepCheckpoint::in_memory(grid_id(&self.configs, workloads, scale));
         let jobs = matrix_jobs(&self.configs, workloads);
-        let failures = run_grid(runner, &jobs, scale, self.verify, None, None, &mut store)
-            .map_err(|e| FigureError::Checkpoint(format!("figure grid: {e}")))?;
+        let failures = run_grid(runner, &jobs, scale, self.verify, &mut store)
+            .expect("an in-memory store records infallibly");
         if !failures.is_empty() {
-            return Err(FigureError::Quarantined(failures));
+            return Err(failures);
         }
         Ok(matrix_from_store(&self.configs, workloads, &store)
-            .expect("no budget and no failures, so the grid completes"))
+            .expect("no failures, so the grid completes"))
     }
 }
 

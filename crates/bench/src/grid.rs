@@ -279,9 +279,8 @@ pub fn machine_probes() -> Vec<MachineProbe> {
 #[derive(Debug, Clone)]
 pub struct GridJob {
     /// Position in the **full** grid, whatever selection the job is run
-    /// in: fault rules (`panic@cell:7`) and shard specs (`shard:2/8`)
-    /// address this index, so they mean the same job on a fresh run, a
-    /// resumed run and every host of a sharded run.
+    /// in: shard specs (`shard:2/8`, `cells:10-16`) address this index, so
+    /// they mean the same job on every host of a sharded run.
     pub index: usize,
     /// Checkpoint, golden and cache key: `workload/config` for a matrix
     /// cell, [`MachineProbe::key`] for a probe.
@@ -334,8 +333,8 @@ impl GridJob {
 
 /// The canonical job list of a grid: the workload-major matrix cells
 /// (`0 .. W×C`) followed by the [`machine_probes`] (`W×C .. W×C+P`). This
-/// is the one enumeration shard specs, fault rules, the merge
-/// completeness check and the sweep server all index.
+/// is the one enumeration shard specs, the merge completeness check and
+/// the sweep server all index.
 pub fn grid_jobs(configs: &[SmConfig], workloads: &[Box<dyn Workload>]) -> Vec<GridJob> {
     let cells = workloads.iter().flat_map(|w| {
         configs
@@ -361,7 +360,7 @@ pub fn grid_jobs(configs: &[SmConfig], workloads: &[Box<dyn Workload>]) -> Vec<G
 /// Digests a grid — config labels, workload labels, machine probes, scale
 /// and the checkpoint format version — into the 64-bit identity a
 /// checkpoint binds to. Any change to the grid definition changes the id,
-/// so a stale checkpoint can never be resumed against a different sweep.
+/// so a stale shard can never be merged into a different sweep.
 pub fn grid_id(configs: &[SmConfig], workloads: &[Box<dyn Workload>], scale: Scale) -> u64 {
     let mut text = format!("ckpt-v{CHECKPOINT_VERSION};scale={scale:?};");
     for c in configs {

@@ -1,13 +1,10 @@
 //! The sweep driver ([`run_grid`]): a selection of the canonical job list
 //! ([`grid_jobs`]) fanned out across host cores via [`SweepRunner`], with
-//! per-job checkpointing through [`SweepCheckpoint`] and per-job failure
-//! containment — plus the matrix result types the figures
+//! per-job failure containment and every result recorded into a
+//! [`SweepCheckpoint`] — plus the matrix result types the figures
 //! ([`crate::figure`]) and the sweep payloads render from.
 
-use std::sync::Mutex;
-
 use warpweave_core::checkpoint::{CheckpointError, SweepCheckpoint};
-use warpweave_core::faultinject::{FaultKind, FaultPlan};
 use warpweave_core::sweep::JobFailure;
 use warpweave_core::{SmConfig, Stats, SweepRunner};
 use warpweave_workloads::{Scale, Workload};
@@ -132,25 +129,21 @@ pub fn format_failures(failures: &[CellFailure]) -> String {
 /// **The** sweep driver: runs a selection of the canonical job list
 /// ([`grid_jobs`]) — matrix cells and machine probes alike — into `store`.
 ///
-/// * Jobs whose key is already in `store` are skipped, so the same call
-///   resumes an interrupted sweep; `budget` caps how many *new* jobs this
-///   call runs (`None` = all of them).
-/// * Every job first consults `faults` with its full-grid index and key,
-///   then runs [`GridJob::run`] once, under `catch_unwind`; a panicking or
-///   erroring job is quarantined as a [`CellFailure`] while every other job
-///   still completes. A job is a pure function of its inputs, so a second
-///   run could only repeat the failure.
-/// * Each success is recorded (and, for a file-backed store, flushed)
-///   the moment it settles, from whichever worker ran it; quarantined
-///   jobs are never recorded, so a later run re-attempts exactly those.
+/// * Every job runs [`GridJob::run`] once, under `catch_unwind`; a
+///   panicking or erroring job is quarantined as a [`CellFailure`] while
+///   every other job still completes. A job is a pure function of its
+///   inputs, so a second run could only repeat the failure.
+/// * Once every job has settled, each success is recorded in job order
+///   (and, for a file-backed store, flushed), so a shard file is
+///   byte-identical at any host thread count; quarantined jobs are never
+///   recorded.
 ///
 /// Results are read back from the store ([`matrix_from_store`],
 /// [`probes_from_store`]), never from this call: a job is a pure function
-/// of `(workload, config, scale)`, so it does not matter which run, host
-/// thread or shard computed it, and a resumed or sharded sweep is
-/// bit-identical to an uninterrupted single-host one. A job missing from
-/// the store afterwards either failed (it is in the returned list, which
-/// is in job order) or fell outside the budget.
+/// of `(workload, config, scale)`, so it does not matter which host
+/// thread or shard computed it, and a sharded sweep is bit-identical to a
+/// single-host one. A job missing from the store afterwards failed: it is
+/// in the returned list, which is in job order.
 ///
 /// # Errors
 /// The first [`CheckpointError`] hit while recording. Simulation
@@ -160,60 +153,17 @@ pub fn run_grid(
     jobs: &[GridJob],
     scale: Scale,
     verify: bool,
-    faults: Option<&FaultPlan>,
-    budget: Option<usize>,
     store: &mut SweepCheckpoint,
 ) -> Result<Vec<CellFailure>, CheckpointError> {
-    let remaining: Vec<&GridJob> = jobs
-        .iter()
-        .filter(|job| !store.contains(&job.key))
-        .take(budget.unwrap_or(usize::MAX))
-        .collect();
-
-    // The store is appended to from worker threads in completion order;
-    // the mutex serialises the appends, the Option keeps the first
-    // recording error (later jobs still simulate, they just stop
-    // persisting). Lock recovery is poison-tolerant: a job panic is caught
-    // *inside* the isolated closure, but belt-and-braces beats a second
-    // abort.
-    let recorder: Mutex<(&mut SweepCheckpoint, Option<CheckpointError>)> =
-        Mutex::new((store, None));
-    let outcomes = runner.run_isolated_reporting(
-        &remaining,
-        |job| {
-            let (index, key) = (job.index, &job.key);
-            match faults.and_then(|plan| plan.cell_fault(index, key)) {
-                Some(FaultKind::Panic) => panic!("injected fault: panic in cell {index} ({key})"),
-                Some(FaultKind::SimError) => Err(format!(
-                    "injected fault: simulation error in cell {index} ({key})"
-                )),
-                None => job.run(scale, verify),
-            }
-        },
-        |i, outcome| {
-            if let Ok(record) = outcome {
-                let mut guard = recorder
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                if guard.1.is_none() {
-                    if let Err(e) = guard.0.record(&remaining[i].key, record.clone()) {
-                        guard.1 = Some(e);
-                    }
-                }
-            }
-        },
-    );
-    let (_, error) = recorder
-        .into_inner()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    if let Some(e) = error {
-        return Err(e);
+    let outcomes = runner.run_isolated_reporting(jobs, |job| job.run(scale, verify), |_, _| {});
+    let mut failures = Vec::new();
+    for (job, outcome) in jobs.iter().zip(outcomes) {
+        match outcome {
+            Ok(record) => store.record(&job.key, record)?,
+            Err(reason) => failures.push(job.failure(reason)),
+        }
     }
-    Ok(remaining
-        .iter()
-        .zip(outcomes)
-        .filter_map(|(job, outcome)| Some(job.failure(outcome.err()?)))
-        .collect())
+    Ok(failures)
 }
 
 /// The matrix cells of a grid (its job list without the machine probes).
@@ -223,17 +173,16 @@ pub(crate) fn matrix_jobs(configs: &[SmConfig], workloads: &[Box<dyn Workload>])
     jobs
 }
 
-/// [`run_grid`] for callers to whom a half-measured grid is useless: no
-/// injection, and the first quarantined job panics.
+/// [`run_grid`] for callers to whom a half-measured grid is useless: the
+/// first quarantined job panics.
 fn run_strict(
     runner: &SweepRunner,
     jobs: &[GridJob],
     scale: Scale,
     verify: bool,
-    budget: Option<usize>,
     store: &mut SweepCheckpoint,
 ) -> Result<(), CheckpointError> {
-    let failures = run_grid(runner, jobs, scale, verify, None, budget, store)?;
+    let failures = run_grid(runner, jobs, scale, verify, store)?;
     if let Some(first) = failures.first() {
         panic!("{}: {}", first.key, first.reason);
     }
@@ -261,12 +210,10 @@ pub fn run_matrix_at(
         .expect("no cell budget, so the grid completes")
 }
 
-/// [`run_matrix_at`] into a caller-supplied store: cells already present
-/// in `store` are not re-simulated, every freshly completed cell is
-/// recorded the moment it finishes, and `cell_budget` caps how many *new*
-/// cells this call runs. Returns `Ok(None)` while the matrix is still
-/// incomplete (resume later); the completed matrix is assembled from the
-/// store, so a resumed sweep is bit-identical to an uninterrupted one.
+/// [`run_matrix_at`] into a caller-supplied store: the matrix cells not
+/// yet in `store`, at most `cell_budget` of them (`None` = all), are
+/// simulated and recorded. Returns `Ok(None)` while the matrix is still
+/// incomplete; the completed matrix is assembled from the store.
 ///
 /// # Errors
 /// The first [`CheckpointError`] hit while recording.
@@ -282,14 +229,16 @@ pub fn run_matrix_checkpointed(
     store: &mut SweepCheckpoint,
     cell_budget: Option<usize>,
 ) -> Result<Option<MatrixResult>, CheckpointError> {
-    let jobs = matrix_jobs(configs, workloads);
-    run_strict(runner, &jobs, scale, verify, cell_budget, store)?;
+    let mut jobs = matrix_jobs(configs, workloads);
+    jobs.retain(|job| !store.contains(&job.key));
+    jobs.truncate(cell_budget.unwrap_or(usize::MAX));
+    run_strict(runner, &jobs, scale, verify, store)?;
     Ok(matrix_from_store(configs, workloads, store).ok())
 }
 
-/// Runs (or resumes from `store`) every machine probe of the sweep grid
-/// at `scale`, one after the other on the calling host thread, without
-/// result verification.
+/// Runs every machine probe of the sweep grid at `scale` into `store`
+/// (or a scratch store), one after the other on the calling host thread,
+/// without result verification.
 ///
 /// # Errors
 /// Checkpoint recording failures.
@@ -304,15 +253,8 @@ pub fn run_machine_probes(
     let store = store.unwrap_or(&mut scratch);
     // An empty matrix leaves exactly the probes in the job list.
     let probes = grid_jobs(&[], &[]);
-    run_strict(
-        &SweepRunner::with_threads(1),
-        &probes,
-        scale,
-        false,
-        None,
-        store,
-    )?;
-    Ok(probes_from_store(store).expect("no budget and no failures, so every probe is stored"))
+    run_strict(&SweepRunner::with_threads(1), &probes, scale, false, store)?;
+    Ok(probes_from_store(store).expect("no failures, so every probe is stored"))
 }
 
 #[cfg(test)]

@@ -6,9 +6,9 @@
 //! Everything rendered here is a pure function of simulation results —
 //! **no wall-clock timings, host thread counts or absolute paths** ever
 //! enter the JSON (they go to stderr instead). That is what lets the
-//! acceptance tests demand *byte identity*: an interrupted-and-resumed
-//! sweep must render exactly the bytes an uninterrupted run renders, and
-//! the golden checker diffs rendered baselines **with a tolerance of
+//! acceptance tests demand *byte identity*: a sharded-and-merged sweep
+//! must render exactly the bytes a single-host run renders, and the
+//! golden checker diffs rendered baselines **with a tolerance of
 //! exactly zero**. The engine is bit-deterministic, so any drift — a
 //! single IPC digit, one stall cycle — is a real behaviour change that
 //! must be acknowledged by re-recording the baseline.
@@ -18,17 +18,15 @@ use warpweave_core::{Stats, CHECKPOINT_VERSION};
 use warpweave_mem::ChannelStats;
 
 use crate::grid::{machine_probes, MachineProbe};
-use crate::harness::{CellFailure, CellResult, MatrixResult};
+use crate::harness::{CellResult, MatrixResult};
 
 /// Schema tag of the sweep payload.
 pub const SWEEP_SCHEMA: &str = "warpweave-bench-sweep-v3";
-/// Schema tag of the partial payload a faulted sweep emits.
-pub const FAULTED_SWEEP_SCHEMA: &str = "warpweave-bench-sweep-faulted-v3";
 /// Schema tag of the golden baseline.
 pub const GOLDEN_SCHEMA: &str = "warpweave-bench-golden-v1";
 
 /// Escapes a string for a JSON literal (every control character included,
-/// so a panic message carrying terminal escapes still yields valid JSON).
+/// so a label carrying terminal escapes still yields valid JSON).
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -160,7 +158,18 @@ pub fn probes_from_store(store: &SweepCheckpoint) -> Result<Vec<ProbeResult>, Ve
 /// grid — see the module docs.
 pub fn render_sweep_json(scale: &str, m: &MatrixResult, probes: &[ProbeResult]) -> String {
     // Per-cell IPC grid: one line per cell, workload-major.
-    let cells = m.cells.iter().flatten().map(sweep_cell);
+    let cells = m.cells.iter().flatten().map(|cell: &CellResult| {
+        Json::Object(vec![
+            ("workload", cell.workload.as_str().into()),
+            ("config", cell.config.as_str().into()),
+            ("ipc", Json::Fixed(cell.ipc(), 4)),
+            ("cycles", Json::Int(cell.stats.cycles)),
+            (
+                "thread_instructions",
+                Json::Int(cell.stats.thread_instructions),
+            ),
+        ])
+    });
     let utilization = |p: &ProbeResult| Json::Fixed(p.channel_utilization(), 4);
     let probe_lines = probes.iter().map(|p| {
         Json::Object(vec![
@@ -210,57 +219,6 @@ pub fn render_sweep_json(scale: &str, m: &MatrixResult, probes: &[ProbeResult]) 
     let gmeans = m.configs.iter().map(String::as_str).zip(gmeans);
     doc.push(("gmean_ipc_per_config", Json::Object(gmeans.collect())));
     Json::Object(doc).render()
-}
-
-/// One sweep cell line — shared by the clean and faulted sweep renderers,
-/// so a faulted run's healthy cells are **byte-identical** to the same
-/// cells in a clean run's payload.
-fn sweep_cell(cell: &CellResult) -> Json<'_> {
-    Json::Object(vec![
-        ("workload", cell.workload.as_str().into()),
-        ("config", cell.config.as_str().into()),
-        ("ipc", Json::Fixed(cell.ipc(), 4)),
-        ("cycles", Json::Int(cell.stats.cycles)),
-        (
-            "thread_instructions",
-            Json::Int(cell.stats.thread_instructions),
-        ),
-    ])
-}
-
-/// Renders the partial payload of a sweep with quarantined jobs: every
-/// healthy cell (byte-identical to its line in a clean run's
-/// [`render_sweep_json`] payload — both go through the same cell-line
-/// builder) plus a `failures` block carrying the full provenance of each
-/// quarantined job, grid key first (what tells a probe from the matrix cell
-/// of the same labels). No gmean or probe blocks: a partial aggregate would
-/// silently misrepresent the grid.
-pub fn render_faulted_sweep_json(
-    scale: &str,
-    jobs: usize,
-    healthy: &[CellResult],
-    failures: &[CellFailure],
-) -> String {
-    let cells = healthy.iter().map(sweep_cell);
-    let failure_lines = failures.iter().map(|f| {
-        Json::Object(vec![
-            ("key", f.key.as_str().into()),
-            ("workload", f.workload.as_str().into()),
-            ("config", f.config.as_str().into()),
-            ("seed", Json::Str(format!("{:#x}", f.seed))),
-            ("reason", Json::Str(f.reason.to_string())),
-        ])
-    });
-    Json::Object(vec![
-        ("schema", FAULTED_SWEEP_SCHEMA.into()),
-        ("scale", scale.into()),
-        ("jobs", Json::Int(jobs as u64)),
-        ("healthy", Json::Int(healthy.len() as u64)),
-        ("quarantined", Json::Int(failures.len() as u64)),
-        ("cells", Json::Lines(cells.collect())),
-        ("failures", Json::Lines(failure_lines.collect())),
-    ])
-    .render()
 }
 
 /// One golden cell line: the key, the headline IPC and **every** integer
@@ -462,22 +420,18 @@ mod tests {
     }
 
     #[test]
-    fn control_characters_in_a_failure_reason_stay_valid_json() {
-        let failure = CellFailure {
-            key: "w/c".into(),
-            workload: "w".into(),
-            config: "c".into(),
-            seed: 7,
-            reason: warpweave_core::JobFailure::Panic("\u{1b}[31mboom\u{0}\t\"q\"\\".into()),
-        };
-        let json = render_faulted_sweep_json("test", 1, &[], &[failure]);
+    fn control_characters_stay_valid_json() {
+        let doc = Json::Object(vec![(
+            "s",
+            Json::Str("\u{1b}[31mboom\u{0}\t\"q\"\\".into()),
+        )]);
+        let json = doc.render();
         assert!(
-            json.contains(r#""reason": "panic: \u001b[31mboom\u0000\t\"q\"\\""#),
+            json.contains(r#""s": "\u001b[31mboom\u0000\t\"q\"\\""#),
             "{json}"
         );
         // No raw control character survives except the layout's newlines.
         assert!(json.chars().all(|c| c == '\n' || c >= ' '), "{json:?}");
-        assert!(json.contains(r#"{"key": "w/c", "workload": "w""#), "{json}");
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //!
 //! * **One canonical job numbering** ([`grid_jobs`](crate::grid::grid_jobs)):
 //!   the full job grid is the workload-major matrix cells (`0 .. W×C`)
-//!   followed by the machine probes (`W×C .. W×C+P`). Shard specs,
-//!   fault-injection rules and the merge completeness check all index this
-//!   same list, so `shard:2/8` means the same jobs on every host and across
-//!   resumes; a shard is simply [`run_grid`](crate::harness::run_grid) over
-//!   the selected jobs.
+//!   followed by the machine probes (`W×C .. W×C+P`). Shard specs and the
+//!   merge completeness check both index this same list, so `shard:2/8`
+//!   means the same jobs on every host; a shard is simply
+//!   [`run_grid`](crate::harness::run_grid) over the selected jobs, recorded
+//!   in job order into a fresh file.
 //! * **Grid-bound shards**: every shard checkpoint carries the same grid
 //!   id a single-host checkpoint would; [`merge_checkpoints`] refuses a
 //!   shard from a different grid (or a torn/corrupt file) instead of
@@ -153,7 +153,7 @@ impl std::fmt::Display for ShardSpec {
 /// format version, same grid id); a cell recorded by several shards must
 /// be bit-identical everywhere it appears. Violations are refused with a
 /// one-line message naming the offending file — merging is a validation
-/// step, never a repair step (use `--salvage` on the damaged shard first).
+/// step, never a repair step (re-run the damaged shard instead).
 ///
 /// # Errors
 /// Torn/corrupt/mis-versioned files, grid-id mismatches, or conflicting

@@ -31,12 +31,18 @@ fn bench_sweep_exits_cleanly_on_bad_input() {
     let garbage = scratch().join("garbage.ckpt");
     std::fs::write(&garbage, "not a checkpoint\n").unwrap();
     let garbage = garbage.to_str().expect("utf-8 path");
-    exits(bin, &["--checkpoint", garbage, "--out", "x.json"], 1);
     exits(bin, &["merge", garbage], 1);
+    let unwritable = "no/such/dir/s.ckpt";
+    exits(
+        bin,
+        &["--jobs-from", "shard:0/3", "--checkpoint", unwritable],
+        1,
+    );
     exits(bin, &["golden", "check", "--golden", "missing.json"], 1);
     exits(bin, &["--bogus-flag"], 2);
     exits(bin, &["--threads"], 2);
     exits(bin, &["--salvage"], 2);
+    exits(bin, &["--checkpoint", "c.ckpt", "--out", "x.json"], 2);
     assert!(
         !scratch().join("BENCH_sweep.json").exists(),
         "a refused sweep ran"

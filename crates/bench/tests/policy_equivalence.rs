@@ -4,7 +4,7 @@
 //! * every registered policy name round-trips through config
 //!   serialization — the preset's `policy` field resolves back to the
 //!   same entry, and a sweep checkpoint keyed by each policy's config
-//!   label resumes exactly;
+//!   label loads back exactly;
 //! * the paper's five front-end configurations produce **bit-identical**
 //!   statistics (all 35 counters) to the committed `BENCH_golden.json`
 //!   when constructed via the new registry path (`SmConfig::with_policy`),
@@ -50,14 +50,14 @@ fn registry_names_round_trip_through_config_serialization() {
     }
 
     // And through the on-disk checkpoint format: one cell per policy,
-    // keyed by the preset's config label, written and resumed exactly.
+    // keyed by the preset's config label, written and loaded back exactly.
     let dir = std::env::temp_dir().join(format!("warpweave-policy-rt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("policies.checkpoint");
     let path = path.to_str().expect("utf-8 temp path");
     let grid = 0x9e3779b97f4a7c15u64;
     {
-        let mut store = SweepCheckpoint::resume(path, grid).expect("fresh checkpoint");
+        let mut store = SweepCheckpoint::create(path, grid).expect("fresh checkpoint");
         for (i, name) in names.iter().enumerate() {
             let cfg = SmConfig::with_policy(name).expect("registered");
             let stats = warpweave_core::Stats {
@@ -69,7 +69,8 @@ fn registry_names_round_trip_through_config_serialization() {
                 .expect("record");
         }
     }
-    let store = SweepCheckpoint::resume(path, grid).expect("resume");
+    let store = SweepCheckpoint::load(path).expect("load");
+    assert_eq!(store.grid_id(), grid);
     for (i, name) in names.iter().enumerate() {
         let cfg = SmConfig::with_policy(name).expect("registered");
         let rec = store

@@ -28,8 +28,7 @@ struct Reference {
 /// Runs `jobs` of the quick grid into `store`; nothing may fail.
 fn sweep(jobs: &[GridJob], store: &mut SweepCheckpoint) {
     let runner = SweepRunner::with_threads(2);
-    let failures =
-        run_grid(&runner, jobs, Scale::Test, false, None, None, store).expect("sweep records");
+    let failures = run_grid(&runner, jobs, Scale::Test, false, store).expect("sweep records");
     assert!(failures.is_empty(), "{failures:?}");
 }
 
@@ -84,8 +83,7 @@ fn shard_path(case: usize, shard: usize) -> String {
 /// Writes the jobs at `indices` into a file-backed shard checkpoint.
 fn write_shard(path: &str, indices: &[usize]) {
     let reference = reference();
-    let _ = std::fs::remove_file(path);
-    let mut shard = SweepCheckpoint::resume(path, reference.grid_id).expect("create shard file");
+    let mut shard = SweepCheckpoint::create(path, reference.grid_id).expect("create shard file");
     for &i in indices {
         let (key, record) = &reference.records[i];
         shard.record(key, record.clone()).expect("record cell");
@@ -177,11 +175,34 @@ fn round_robin_sharded_execution_reproduces_the_single_host_payload() {
 }
 
 #[test]
+fn shard_files_are_byte_identical_at_any_thread_count() {
+    // Records land in job order once the slice has settled, never in
+    // completion order: `--jobs-from shard:0/3` writes the same bytes on
+    // one host thread as on eight.
+    let jobs = quick_jobs();
+    let indices = ShardSpec::parse("shard:0/3")
+        .unwrap()
+        .select(jobs.len())
+        .unwrap();
+    let shard: Vec<GridJob> = indices.iter().map(|&i| jobs[i].clone()).collect();
+    let bytes = |threads: usize| {
+        let path = shard_path(9004, threads);
+        let mut store = SweepCheckpoint::create(&path, reference().grid_id).unwrap();
+        let runner = SweepRunner::with_threads(threads);
+        let failures = run_grid(&runner, &shard, Scale::Test, false, &mut store).unwrap();
+        assert!(failures.is_empty(), "{failures:?}");
+        let bytes = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        bytes
+    };
+    assert_eq!(bytes(1), bytes(8));
+}
+
+#[test]
 fn merge_refuses_a_mismatched_grid_id() {
     let reference = reference();
     let path = shard_path(9000, 0);
-    let _ = std::fs::remove_file(&path);
-    let mut alien = SweepCheckpoint::resume(&path, reference.grid_id ^ 1).unwrap();
+    let mut alien = SweepCheckpoint::create(&path, reference.grid_id ^ 1).unwrap();
     let (key, record) = &reference.records[0];
     alien.record(key, record.clone()).unwrap();
     let err = merge_checkpoints(std::slice::from_ref(&path), reference.grid_id).unwrap_err();
@@ -208,8 +229,7 @@ fn merge_refuses_conflicting_duplicate_cells() {
     let a = shard_path(9002, 0);
     let b = shard_path(9002, 1);
     write_shard(&a, &[0]);
-    let _ = std::fs::remove_file(&b);
-    let mut conflicting = SweepCheckpoint::resume(&b, reference.grid_id).unwrap();
+    let mut conflicting = SweepCheckpoint::create(&b, reference.grid_id).unwrap();
     let (key, record) = &reference.records[0];
     let mut tampered = record.clone();
     tampered.stats.cycles += 1;

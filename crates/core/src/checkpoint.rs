@@ -1,22 +1,18 @@
 //! Versioned, deterministic serialization of sweep results.
 //!
-//! A sweep at bench scale is minutes of simulation; losing it to a Ctrl-C
-//! at cell 97 of 105 is unacceptable, and trusting it requires diffing it
-//! against a pinned baseline. This module provides the storage layer for
-//! both: a [`SweepCheckpoint`] is an append-only, checksummed, versioned
-//! record of completed sweep cells that
+//! One line of this format is one completed sweep cell, wherever a cell
+//! travels: the golden baseline's checker, a `--jobs-from` shard file, the
+//! sweep server's cache and wire all carry it. A [`SweepCheckpoint`] is a
+//! store of such cells — in memory for a local sweep, or a file that
+//! [`SweepCheckpoint::create`] writes fresh (a shard's output; it is never
+//! reopened for append) and [`SweepCheckpoint::load`] reads back (the
+//! shard merge). The store
 //!
-//! * the bench harness appends to **incrementally, per completed cell**, so
-//!   an interrupted sweep resumes from the last finished cell;
 //! * binds to a **grid id** (a digest of the sweep's workloads, configs and
-//!   scale), so a checkpoint can never be resumed against a different grid;
+//!   scale), so a shard of one grid is never merged into another;
 //! * refuses to load anything it cannot prove intact — wrong version,
-//!   unknown grid, torn or bit-flipped lines all fail with a
-//!   [`CheckpointError`] instead of silently resuming with partial cells;
-//! * offers an **explicit** recovery path for damaged files:
-//!   [`SweepCheckpoint::salvage`] truncates to the last checksum-valid
-//!   line, quarantines the damaged tail as a `.quarantine` sidecar, and
-//!   lets the sweep resume from the intact prefix.
+//!   torn or bit-flipped lines all fail with a [`CheckpointError`]
+//!   instead of yielding partial cells.
 //!
 //! # File format (`CHECKPOINT_VERSION` 5)
 //!
@@ -35,7 +31,7 @@
 //! where `s:` carries the canonical [`Stats::to_fields`] list, the optional
 //! `c:` section carries [`ChannelStats::to_fields`] (machine probes), and
 //! the trailer is the FNV-1a 64 checksum of everything before the `|#`.
-//! A crash mid-append leaves a torn final line; the checksum catches it.
+//! A crash mid-write leaves a torn final line; the checksum catches it.
 //!
 //! **Versioning rule:** any change to the field lists, the line grammar,
 //! the checksum or what a counter counts must bump [`CHECKPOINT_VERSION`]
@@ -49,13 +45,12 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use warpweave_mem::ChannelStats;
 
-use crate::faultinject::FaultPlan;
 use crate::stats::Stats;
 
 /// Current checkpoint file-format version (see the module docs for the
@@ -76,13 +71,6 @@ pub enum CheckpointError {
         /// The offending header line.
         header: String,
     },
-    /// The file belongs to a different sweep grid.
-    GridMismatch {
-        /// Grid id in the file.
-        found: u64,
-        /// Grid id of the sweep being resumed.
-        expected: u64,
-    },
     /// A cell line is torn, bit-flipped or malformed.
     Corrupt {
         /// 1-based line number.
@@ -99,17 +87,12 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Version { header } => write!(
                 f,
                 "not a v{CHECKPOINT_VERSION} checkpoint (header `{header}`); \
-                 delete the file to start fresh"
-            ),
-            CheckpointError::GridMismatch { found, expected } => write!(
-                f,
-                "checkpoint belongs to grid {found:016x}, this sweep is grid \
-                 {expected:016x}; delete the file to start fresh"
+                 refusing to load it"
             ),
             CheckpointError::Corrupt { line, detail } => write!(
                 f,
                 "checkpoint line {line} is corrupt ({detail}); refusing to \
-                 resume from a damaged file — delete it to start fresh"
+                 load a damaged file"
             ),
         }
     }
@@ -245,12 +228,12 @@ pub fn decode_cell(line: &str) -> Result<(String, CellRecord), String> {
     Ok((key, CellRecord { stats, channel }))
 }
 
-/// An on-disk, append-only store of completed sweep cells.
+/// A store of completed sweep cells, in memory or backed by a fresh file.
 ///
-/// Open with [`SweepCheckpoint::resume`] (load-or-create against a grid id)
-/// and append with [`SweepCheckpoint::record`]; each record is flushed
-/// before `record` returns, so every completed cell survives a kill at any
-/// later point.
+/// Open with [`SweepCheckpoint::create`] (a new file) or
+/// [`SweepCheckpoint::in_memory`], append with [`SweepCheckpoint::record`]
+/// — a file-backed record is flushed before `record` returns — and read a
+/// finished file back with [`SweepCheckpoint::load`].
 ///
 /// # Examples
 /// ```no_run
@@ -258,53 +241,19 @@ pub fn decode_cell(line: &str) -> Result<(String, CellRecord), String> {
 /// use warpweave_core::Stats;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut store = SweepCheckpoint::resume("sweep.checkpoint", 0xfeed)?;
-/// if !store.contains("MatrixMul/SBI") {
-///     let stats = Stats::default(); // ... actually simulate the cell ...
-///     store.record("MatrixMul/SBI", CellRecord::new(stats))?;
-/// }
+/// let mut store = SweepCheckpoint::create("shard0.ckpt", 0xfeed)?;
+/// let stats = Stats::default(); // ... actually simulate the cell ...
+/// store.record("MatrixMul/SBI", CellRecord::new(stats))?;
+/// assert!(SweepCheckpoint::load("shard0.ckpt")?.contains("MatrixMul/SBI"));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug)]
 pub struct SweepCheckpoint {
-    path: PathBuf,
     grid_id: u64,
     cells: BTreeMap<String, CellRecord>,
-    /// Open append handle; `None` for in-memory stores.
+    /// Open append handle; `None` for in-memory and loaded stores.
     file: Option<File>,
-    /// Torn-write injection; an empty plan in production.
-    faults: FaultPlan,
-}
-
-/// What a [`SweepCheckpoint::salvage`] pass recovered and discarded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SalvageReport {
-    /// Checksum-valid cell lines kept in the truncated file.
-    pub kept_cells: usize,
-    /// Bytes of damaged tail moved to the quarantine sidecar.
-    pub dropped_bytes: usize,
-    /// Path of the `.quarantine` sidecar, when a tail was dropped.
-    pub quarantine: Option<PathBuf>,
-}
-
-impl fmt::Display for SalvageReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.quarantine {
-            Some(q) => write!(
-                f,
-                "salvage kept {} cell(s), quarantined {} damaged byte(s) to {}",
-                self.kept_cells,
-                self.dropped_bytes,
-                q.display()
-            ),
-            None => write!(
-                f,
-                "salvage found the file intact ({} cell(s), nothing dropped)",
-                self.kept_cells
-            ),
-        }
-    }
 }
 
 impl SweepCheckpoint {
@@ -317,62 +266,24 @@ impl SweepCheckpoint {
         path: impl AsRef<Path>,
         grid_id: u64,
     ) -> Result<SweepCheckpoint, CheckpointError> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = File::create(&path)?;
+        let mut file = File::create(path)?;
         writeln!(file, "{MAGIC} v{CHECKPOINT_VERSION} grid={grid_id:016x}")?;
         file.flush()?;
         Ok(SweepCheckpoint {
-            path,
             grid_id,
             cells: BTreeMap::new(),
             file: Some(file),
-            faults: FaultPlan::default(),
         })
     }
 
-    /// Loads the checkpoint at `path` if it exists (validating version and
-    /// grid id), or creates a fresh one bound to `grid_id`.
+    /// Loads an existing checkpoint read-only (no append handle) — how a
+    /// shard merge reads its inputs.
     ///
     /// # Errors
-    /// Any [`CheckpointError`]: I/O, version/grid mismatch, or a corrupt
+    /// Any [`CheckpointError`]: I/O, a version mismatch, or a corrupt
     /// cell line. A damaged file is **never** partially loaded.
-    pub fn resume(
-        path: impl AsRef<Path>,
-        grid_id: u64,
-    ) -> Result<SweepCheckpoint, CheckpointError> {
-        let path = path.as_ref();
-        if path.exists() {
-            let mut store = Self::load(path)?;
-            if store.grid_id != grid_id {
-                return Err(CheckpointError::GridMismatch {
-                    found: store.grid_id,
-                    expected: grid_id,
-                });
-            }
-            let mut file = OpenOptions::new().append(true).open(path)?;
-            // A kill between a record's bytes and its newline leaves a
-            // checksum-valid but unterminated final line, which `load`
-            // accepts. Terminate it before appending anything, or the next
-            // record would concatenate onto it and corrupt the file.
-            if std::fs::read(path)?.last().is_some_and(|&b| b != b'\n') {
-                file.write_all(b"\n")?;
-                file.flush()?;
-            }
-            store.file = Some(file);
-            Ok(store)
-        } else {
-            Self::create(path, grid_id)
-        }
-    }
-
-    /// Loads an existing checkpoint read-only (no append handle); useful
-    /// for inspection and for the resume integration tests.
-    ///
-    /// # Errors
-    /// As [`SweepCheckpoint::resume`], minus grid binding.
     pub fn load(path: impl AsRef<Path>) -> Result<SweepCheckpoint, CheckpointError> {
-        let path = path.as_ref().to_path_buf();
-        let text = std::fs::read_to_string(&path)?;
+        let text = std::fs::read_to_string(path)?;
         let mut lines = text.lines().enumerate();
         let (_, header) = lines.next().ok_or(CheckpointError::Version {
             header: String::from("<empty file>"),
@@ -400,108 +311,19 @@ impl SweepCheckpoint {
             }
         }
         Ok(SweepCheckpoint {
-            path,
             grid_id,
             cells,
             file: None,
-            faults: FaultPlan::default(),
-        })
-    }
-
-    /// Repairs a torn or corrupt checkpoint file in place: keeps the
-    /// longest prefix of checksum-valid cell lines, moves everything
-    /// after it (torn writes, bit flips, duplicate keys, trailing
-    /// garbage) to a `<path>.quarantine` sidecar, and truncates the file
-    /// so a subsequent [`SweepCheckpoint::resume`] succeeds. An intact
-    /// file is left untouched (and no sidecar is written).
-    ///
-    /// This is deliberately **not** automatic on resume: damage means
-    /// something went wrong, and losing cells silently would hide it.
-    /// The bench binaries expose it behind an explicit `--salvage` flag.
-    ///
-    /// # Errors
-    /// [`CheckpointError::Io`] on filesystem failures, or
-    /// [`CheckpointError::Version`] when the header line itself is
-    /// damaged — without a valid header there is no version or grid
-    /// identity to trust, so the file cannot be salvaged.
-    pub fn salvage(path: impl AsRef<Path>) -> Result<SalvageReport, CheckpointError> {
-        let path = path.as_ref();
-        let bytes = std::fs::read(path)?;
-        let header_end = match bytes.iter().position(|&b| b == b'\n') {
-            Some(nl) => nl + 1,
-            None => bytes.len(),
-        };
-        let header = std::str::from_utf8(&bytes[..header_end])
-            .map(|h| h.trim_end_matches('\n'))
-            .map_err(|_| CheckpointError::Version {
-                header: String::from("<non-utf8 header>"),
-            })?;
-        Self::parse_header(header)?;
-
-        // Scan cell lines; the valid prefix ends at the first line that
-        // is torn, corrupt, duplicated or not newline-terminated cleanly.
-        let mut valid_end = header_end;
-        let mut kept_cells = 0usize;
-        let mut seen = std::collections::BTreeSet::new();
-        let mut pos = header_end;
-        while pos < bytes.len() {
-            let (line_bytes, line_end) = match bytes[pos..].iter().position(|&b| b == b'\n') {
-                Some(nl) => (&bytes[pos..pos + nl], pos + nl + 1),
-                None => (&bytes[pos..], bytes.len()),
-            };
-            let Ok(line) = std::str::from_utf8(line_bytes) else {
-                break;
-            };
-            if line.is_empty() {
-                break;
-            }
-            let Ok((key, _)) = decode_cell(line) else {
-                break;
-            };
-            if !seen.insert(key) {
-                break;
-            }
-            valid_end = line_end;
-            kept_cells += 1;
-            pos = line_end;
-        }
-
-        let dropped_bytes = bytes.len() - valid_end;
-        let mut quarantine = None;
-        if dropped_bytes > 0 {
-            let mut sidecar = path.as_os_str().to_os_string();
-            sidecar.push(".quarantine");
-            let sidecar = PathBuf::from(sidecar);
-            std::fs::write(&sidecar, &bytes[valid_end..])?;
-            let file = OpenOptions::new().write(true).open(path)?;
-            file.set_len(valid_end as u64)?;
-            file.sync_all()?;
-            quarantine = Some(sidecar);
-        }
-        Ok(SalvageReport {
-            kept_cells,
-            dropped_bytes,
-            quarantine,
         })
     }
 
     /// An in-memory store (no file) — for tests and dry runs.
     pub fn in_memory(grid_id: u64) -> SweepCheckpoint {
         SweepCheckpoint {
-            path: PathBuf::new(),
             grid_id,
             cells: BTreeMap::new(),
             file: None,
-            faults: FaultPlan::default(),
         }
-    }
-
-    /// Arms deterministic fault injection on this store's writer: the
-    /// plan's `torn@record:IDX:KEEP` rules make [`SweepCheckpoint::record`]
-    /// write the matching record short and report an I/O error,
-    /// reproducing a crash mid-append.
-    pub fn arm_faults(&mut self, plan: FaultPlan) {
-        self.faults = plan;
     }
 
     fn parse_header(header: &str) -> Result<u64, CheckpointError> {
@@ -521,11 +343,6 @@ impl SweepCheckpoint {
     /// The grid id this checkpoint is bound to.
     pub fn grid_id(&self) -> u64 {
         self.grid_id
-    }
-
-    /// The file backing this store (empty for in-memory stores).
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Number of completed cells.
@@ -553,8 +370,8 @@ impl SweepCheckpoint {
         self.cells.keys().map(String::as_str)
     }
 
-    /// Appends one completed cell and flushes it to disk before returning,
-    /// so the cell survives any subsequent kill.
+    /// Adds one completed cell; a file-backed store appends its line and
+    /// flushes it before returning.
     ///
     /// # Errors
     /// A key containing the reserved characters `|`, `#` or a newline, a
@@ -573,20 +390,7 @@ impl SweepCheckpoint {
             });
         }
         if let Some(file) = &mut self.file {
-            let line = encode_cell(key, &record);
-            if let Some(keep) = self.faults.torn_write(self.cells.len()) {
-                // Injected torn write: only a prefix of the line reaches
-                // the file (no newline), exactly like a crash mid-append.
-                let cut = keep.min(line.len());
-                file.write_all(&line.as_bytes()[..cut])?;
-                file.flush()?;
-                return Err(CheckpointError::Io(std::io::Error::other(format!(
-                    "injected torn write: record {} cut to {cut} of {} bytes",
-                    self.cells.len(),
-                    line.len()
-                ))));
-            }
-            writeln!(file, "{line}")?;
+            writeln!(file, "{}", encode_cell(key, &record))?;
             file.flush()?;
         }
         self.cells.insert(key.to_string(), record);
@@ -672,168 +476,32 @@ mod tests {
     }
 
     #[test]
-    fn file_round_trip_and_resume() {
+    fn file_round_trip() {
         let dir = std::env::temp_dir().join("warpweave-ckpt-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("unit.checkpoint");
-        let _ = std::fs::remove_file(&path);
 
-        let mut store = SweepCheckpoint::resume(&path, 0xabcd).unwrap();
+        let mut store = SweepCheckpoint::create(&path, 0xabcd).unwrap();
         store.record("a", CellRecord::new(sample_stats(1))).unwrap();
         store.record("b", CellRecord::new(sample_stats(2))).unwrap();
         drop(store);
 
-        // Resume finds both cells.
-        let store = SweepCheckpoint::resume(&path, 0xabcd).unwrap();
-        assert_eq!(store.len(), 2);
+        let store = SweepCheckpoint::load(&path).unwrap();
+        assert_eq!((store.grid_id(), store.len()), (0xabcd, 2));
         assert_eq!(store.get("a").unwrap().stats, sample_stats(1));
 
-        // A different grid id refuses to resume.
-        assert!(matches!(
-            SweepCheckpoint::resume(&path, 0x1234),
-            Err(CheckpointError::GridMismatch { .. })
-        ));
-
-        // Truncating the last line (torn write) fails the load cleanly.
+        // A final line that lost only its newline still proves itself
+        // intact; a cut into the line itself (a torn write) fails the
+        // load cleanly.
         let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.trim_end_matches('\n')).unwrap();
+        assert_eq!(SweepCheckpoint::load(&path).unwrap().len(), 2);
         std::fs::write(&path, &text[..text.len() - 10]).unwrap();
         assert!(matches!(
             SweepCheckpoint::load(&path),
             Err(CheckpointError::Corrupt { .. })
         ));
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn resume_after_missing_final_newline_stays_appendable() {
-        // A kill can land between the last record's bytes and its
-        // newline: the final line is checksum-valid but unterminated.
-        // Resuming must terminate it before appending, or the next record
-        // would merge onto it and corrupt the file.
-        let dir = std::env::temp_dir().join("warpweave-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn-newline.checkpoint");
-        let _ = std::fs::remove_file(&path);
-
-        let mut store = SweepCheckpoint::resume(&path, 0x77).unwrap();
-        store.record("a", CellRecord::new(sample_stats(1))).unwrap();
-        drop(store);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.ends_with('\n'));
-        std::fs::write(&path, text.trim_end_matches('\n')).unwrap();
-
-        let mut store = SweepCheckpoint::resume(&path, 0x77).unwrap();
-        assert_eq!(store.len(), 1, "unterminated final line still loads");
-        store.record("b", CellRecord::new(sample_stats(2))).unwrap();
-        drop(store);
-
-        let store = SweepCheckpoint::resume(&path, 0x77).unwrap();
-        assert_eq!(store.len(), 2, "both cells survive the torn newline");
-        assert_eq!(store.get("a").unwrap().stats, sample_stats(1));
-        assert_eq!(store.get("b").unwrap().stats, sample_stats(2));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn salvage_recovers_valid_prefix_and_quarantines_tail() {
-        let dir = std::env::temp_dir().join("warpweave-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("salvage.checkpoint");
-        let _ = std::fs::remove_file(&path);
-
-        let mut store = SweepCheckpoint::resume(&path, 0xbeef).unwrap();
-        store.record("a", CellRecord::new(sample_stats(1))).unwrap();
-        store.record("b", CellRecord::new(sample_stats(2))).unwrap();
-        store.record("c", CellRecord::new(sample_stats(3))).unwrap();
-        drop(store);
-
-        // Tear the final record mid-line.
-        let intact = std::fs::read(&path).unwrap();
-        let torn_at = intact.len() - 20;
-        std::fs::write(&path, &intact[..torn_at]).unwrap();
-        assert!(SweepCheckpoint::load(&path).is_err(), "torn file refuses");
-
-        let report = SweepCheckpoint::salvage(&path).unwrap();
-        assert_eq!(report.kept_cells, 2);
-        assert!(report.dropped_bytes > 0);
-        let sidecar = report.quarantine.clone().unwrap();
-        let tail = std::fs::read(&sidecar).unwrap();
-        assert_eq!(report.dropped_bytes, tail.len());
-        assert!(intact.windows(tail.len()).any(|w| w == tail.as_slice()));
-
-        // The truncated file resumes cleanly and can finish the sweep.
-        let mut store = SweepCheckpoint::resume(&path, 0xbeef).unwrap();
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.get("a").unwrap().stats, sample_stats(1));
-        assert_eq!(store.get("b").unwrap().stats, sample_stats(2));
-        store.record("c", CellRecord::new(sample_stats(3))).unwrap();
-        drop(store);
-        assert_eq!(SweepCheckpoint::load(&path).unwrap().len(), 3);
-
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&sidecar);
-    }
-
-    #[test]
-    fn salvage_leaves_intact_file_untouched() {
-        let dir = std::env::temp_dir().join("warpweave-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("salvage-clean.checkpoint");
-        let _ = std::fs::remove_file(&path);
-
-        let mut store = SweepCheckpoint::resume(&path, 0x5a).unwrap();
-        store.record("a", CellRecord::new(sample_stats(1))).unwrap();
-        drop(store);
-        let before = std::fs::read(&path).unwrap();
-
-        let report = SweepCheckpoint::salvage(&path).unwrap();
-        assert_eq!(report.kept_cells, 1);
-        assert_eq!(report.dropped_bytes, 0);
-        assert!(report.quarantine.is_none());
-        assert_eq!(std::fs::read(&path).unwrap(), before);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn salvage_refuses_damaged_header() {
-        let dir = std::env::temp_dir().join("warpweave-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("salvage-header.checkpoint");
-        std::fs::write(&path, "warpweave-sweep-chec").unwrap();
-        assert!(matches!(
-            SweepCheckpoint::salvage(&path),
-            Err(CheckpointError::Version { .. })
-        ));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn injected_torn_write_reproduces_crash_mid_append() {
-        let dir = std::env::temp_dir().join("warpweave-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn-inject.checkpoint");
-        let _ = std::fs::remove_file(&path);
-
-        let mut store = SweepCheckpoint::resume(&path, 0x7e57).unwrap();
-        store.arm_faults(FaultPlan::parse("torn@record:1:9").unwrap());
-        store.record("a", CellRecord::new(sample_stats(1))).unwrap();
-        let err = store
-            .record("b", CellRecord::new(sample_stats(2)))
-            .unwrap_err();
-        assert!(matches!(err, CheckpointError::Io(_)));
-        drop(store);
-
-        // The file now holds a 9-byte torn tail; plain resume refuses,
-        // salvage recovers cell `a` exactly.
-        assert!(SweepCheckpoint::resume(&path, 0x7e57).is_err());
-        let report = SweepCheckpoint::salvage(&path).unwrap();
-        assert_eq!(report.kept_cells, 1);
-        assert_eq!(report.dropped_bytes, 9);
-        let store = SweepCheckpoint::resume(&path, 0x7e57).unwrap();
-        assert_eq!(store.len(), 1);
-        assert!(store.contains("a"));
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(report.quarantine.unwrap());
     }
 
     #[test]

@@ -48,7 +48,6 @@ pub mod config;
 pub mod digest;
 pub mod divergence;
 pub mod exec;
-pub mod faultinject;
 pub mod fuzzing;
 pub mod groups;
 pub mod lane;
@@ -65,9 +64,7 @@ pub mod stats;
 pub mod sweep;
 pub mod trace;
 
-pub use checkpoint::{
-    CellRecord, CheckpointError, SalvageReport, SweepCheckpoint, CHECKPOINT_VERSION,
-};
+pub use checkpoint::{CellRecord, CheckpointError, SweepCheckpoint, CHECKPOINT_VERSION};
 pub use config::{Associativity, DivergenceModel, MemModel, ScoreboardMode, SmConfig};
 pub use divergence::frontier::{FrontierHeap, HeapStats};
 pub use divergence::stack::PdomStack;
@@ -77,7 +74,6 @@ pub use divergence::Transition;
 /// running them (ROADMAP item 3 retires the name).
 pub use exec::execute_warp as execute_fused;
 pub use exec::{execute_warp, ThreadInfo, ThreadRegs};
-pub use faultinject::{FaultKind, FaultPlan};
 pub use fuzzing::{CaseOutcome, FuzzFailure, FuzzTarget};
 pub use lane::{LaneShuffle, LaneTable};
 pub use launch::{Launch, WarpInfo};

@@ -183,12 +183,10 @@ impl SweepRunner {
     /// `on_done(index, &result)` fires on the worker thread the moment
     /// job `index` settles (success or quarantine), **in completion
     /// order** (nondeterministic), while the returned vector stays in job
-    /// order as always. This is the incremental-persistence hook of the
-    /// sweep driver: it appends each `Ok` result to its
-    /// [`crate::checkpoint::SweepCheckpoint`] from `on_done`, so an
-    /// interrupted sweep loses at most the jobs still in flight.
-    /// `on_done` runs concurrently from many workers — synchronise any
-    /// shared state it touches (a mutex around the checkpoint store).
+    /// order as always. The sweep server streams each settled job to its
+    /// client from `on_done`; a caller that needs no stream passes a
+    /// no-op. `on_done` runs concurrently from many workers — synchronise
+    /// any shared state it touches.
     pub fn run_isolated_reporting<J, R, E, F, P>(
         &self,
         jobs: &[J],

@@ -1,7 +1,7 @@
 //! Property-based verification of the checkpoint codec's safety contract:
 //! any `Stats`/`ChannelStats` value round-trips through serialization to
 //! exact equality, and a corrupted or truncated checkpoint file **errors
-//! cleanly** — it never resumes with a partial cell.
+//! cleanly** — it never loads a partial cell.
 
 use proptest::prelude::*;
 
@@ -115,7 +115,7 @@ proptest! {
         // A cell line counts as complete when its full content survives
         // the cut — the trailing newline itself is optional (a torn write
         // can drop just the newline, and the checksum still proves the
-        // line intact; `resume` re-terminates it before appending).
+        // line intact).
         let full_lines: Vec<&str> = text[header_len..].lines().collect();
         let complete_lines = text[header_len..at]
             .split('\n')

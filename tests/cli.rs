@@ -45,20 +45,22 @@ fn bench_sweep_refuses_bad_invocations() {
             "--out",
             "--threads x",
             "--threads --out x.json",
-            "--cell-budget x --checkpoint c",
             "--out a --out b",
             "--full --full",
             "--frontend NoSuchPolicy",
-            "--inject panic@cell:17",
-            "--inject panic@key:Typo/SBI",
-            "--inject panic@cell:3*1",
-            "--inject panic@key:MatrixMul/SBI*1",
             "--jobs-from shard:3/3 --checkpoint c",
+            "--jobs-from cells:17 --checkpoint c",
             "--salvage",
+            "--salvage --jobs-from shard:0/3 --checkpoint c",
+            "--inject X",
+            "--inject panic@cell:3 --out x.json",
             "--cell-budget 3",
+            "--cell-budget 3 --jobs-from shard:0/3 --checkpoint c",
             "--jobs-from shard:0/3",
+            "--checkpoint c",
+            "--checkpoint c --out x.json",
             "merge",
-            "merge s0.ckpt --inject panic@cell:3",
+            "merge s0.ckpt --threads 2",
             "merge s0.ckpt --checkpoint c",
             "golden",
             "golden verify",
@@ -82,37 +84,23 @@ fn bench_sweep_parses_every_invocation_ci_uses() {
         ("sweep", Some("BENCH_sweep.ci.json"), 17)
     );
     assert!(!a.has("--full") && !a.has("--checkpoint") && !a.has("--jobs-from"));
-    assert!(s.faults.is_none());
     assert_eq!(sweep("sweep").args.command, "sweep");
 
-    let s = sweep("--checkpoint ci.checkpoint --cell-budget 3 --out /dev/null");
-    assert_eq!(
-        (s.args.value("--checkpoint"), s.args.number("--cell-budget")),
-        (Some("ci.checkpoint"), Some(3))
-    );
     let s = sweep("--frontend GreedyThenOldest --out BENCH_sweep.gto.json");
     let names: Vec<&str> = s.configs.iter().map(|c| c.name.as_str()).collect();
     assert_eq!(names, ["GreedyThenOldest"]);
-    for spec in [
-        "panic@cell:3",
-        "panic@cell:10",
-        "panic@key:machine/Mandelbrot/1sm/private",
-    ] {
-        assert!(sweep(&format!("--inject {spec} --out x.json"))
-            .faults
-            .is_some());
-    }
-    let s = sweep("--inject torn@record:2:17 --checkpoint torn.checkpoint --out /dev/null");
-    assert!(s.faults.is_some() && !s.args.has("--salvage"));
-    let s = sweep("--salvage --checkpoint torn.checkpoint --out s.json");
-    assert!(s.args.has("--salvage"));
-    let s = sweep("--full --threads 2 --checkpoint f.ckpt");
+    let s = sweep("--full --threads 2 --jobs-from shard:0/3 --checkpoint f.ckpt");
     assert!(s.args.has("--full") && s.args.number("--threads") == Some(2));
 
     // Round-robin shard 1 of 3 over the 17 quick jobs: 1, 4, ..., 16.
     let s = sweep("--jobs-from shard:1/3 --checkpoint shard1.ckpt");
     let indices: Vec<usize> = s.jobs.iter().map(|j| j.index).collect();
     assert_eq!(indices, [1, 4, 7, 10, 13, 16]);
+    let s = sweep("--jobs-from shard:0/3 --checkpoint shard0.t1.ckpt --threads 1");
+    assert_eq!((s.jobs.len(), s.args.number("--threads")), (6, Some(1)));
+    // The quick grid's jobs 10-16 are exactly its seven machine probes.
+    let s = sweep("--jobs-from cells:10-16 --checkpoint probes.ckpt");
+    assert!(s.jobs.len() == 7 && s.jobs.iter().all(|j| j.is_probe()));
 
     let s = sweep("merge shard0.ckpt shard1.ckpt shard2.ckpt --out m.json");
     assert_eq!(

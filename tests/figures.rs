@@ -1,11 +1,9 @@
 //! The `figure` driver's table (`bench::figure`): every artefact renders,
-//! every flag a figure cannot honour is a usage error, the mean rows drop
-//! exactly TMD1/TMD2, and a checkpointed figure grid resumes bit-identical
-//! to an uninterrupted run — and refuses another figure's checkpoint.
+//! every flag a figure cannot honour is a usage error, and the mean rows
+//! drop exactly TMD1/TMD2.
 
-use warpweave::bench::figure::{parse, FigureError, Invocation, FIGURES};
-use warpweave::bench::{run_matrix_at, run_matrix_checkpointed, CellResult, MatrixResult};
-use warpweave::core::checkpoint::SweepCheckpoint;
+use warpweave::bench::figure::{parse, Invocation, FIGURES};
+use warpweave::bench::MatrixResult;
 use warpweave::workloads::Workload;
 use warpweave::{all_workloads, Scale, SweepRunner};
 
@@ -23,21 +21,6 @@ fn subset(inv: &Invocation) -> Vec<Box<dyn Workload>> {
     let mut rows = inv.workloads();
     rows.retain(|w| SUBSET.contains(&w.name()));
     rows
-}
-
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("warpweave-figures-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let path = dir.join(name);
-    let _ = std::fs::remove_file(&path);
-    path
-}
-
-fn assert_bit_identical(a: &MatrixResult, b: &MatrixResult, what: &str) {
-    assert_eq!(a.workloads, b.workloads, "{what}: workload rows");
-    assert_eq!(a.configs, b.configs, "{what}: config columns");
-    let cells = |m: &MatrixResult| m.cells.concat().into_iter().map(|c: CellResult| c.stats);
-    assert!(cells(a).eq(cells(b)), "{what}: cell statistics differ");
 }
 
 #[test]
@@ -99,6 +82,7 @@ fn flags_a_figure_cannot_honour_are_usage_errors() {
         &[],
         &["table3", "--no-verify"],
         &["fig2", "--checkpoint", "P"],
+        &["fig7", "--checkpoint", "P"],
         &["fig8b", "--set", "all"],
         &["summary", "--frontend", "SBI"],
         &["fig7", "--set"],
@@ -136,80 +120,4 @@ fn means_drop_exactly_tmd1_and_tmd2() {
         .map(|&w| workloads[w].as_str())
         .collect();
     assert_eq!(dropped, ["TMD1", "TMD2"]);
-}
-
-#[test]
-fn interrupted_figure_grid_resumes_bit_identical() {
-    let path = scratch("fig8a.checkpoint");
-    let inv = invocation(&["fig8a", "--checkpoint", path.to_str().expect("utf-8 path")]);
-    let workloads = subset(&inv);
-    let runner = SweepRunner::with_threads(1);
-    let reference = run_matrix_at(&runner, &inv.configs, &workloads, Scale::Test, true);
-
-    // "Kill" the run after 2 of its 4 cells: a cell budget stands in for
-    // SIGKILL at a cell boundary.
-    let id = warpweave::bench::grid::grid_id(&inv.configs, &workloads, Scale::Test);
-    let mut store = SweepCheckpoint::resume(&path, id).unwrap();
-    let partial = run_matrix_checkpointed(
-        &runner,
-        &inv.configs,
-        &workloads,
-        Scale::Test,
-        true,
-        &mut store,
-        Some(2),
-    )
-    .unwrap();
-    assert!(partial.is_none(), "grid cannot be complete after 2 cells");
-    assert_eq!(store.len(), 2, "cell budget respected");
-    drop(store);
-
-    // The figure resumes from disk and completes; a second run simulates
-    // nothing and reads the same matrix back.
-    for what in ["resumed", "replayed"] {
-        let m = inv.matrix(&runner, Scale::Test, &workloads).unwrap();
-        assert_bit_identical(&reference, &m, what);
-    }
-
-    // Fig. 9's grid differs, so it refuses fig. 8a's checkpoint.
-    let fig9 = invocation(&["fig9", "--checkpoint", path.to_str().expect("utf-8 path")]);
-    match fig9.matrix(&runner, Scale::Test, &workloads) {
-        Err(FigureError::Checkpoint(e)) => assert!(e.contains("belongs to grid"), "{e}"),
-        other => panic!(
-            "expected a grid-mismatch refusal, got {:?}",
-            other.map(|_| ())
-        ),
-    }
-}
-
-#[test]
-fn fig7_union_grid_resumes_bit_identical() {
-    let path = scratch("fig7.checkpoint");
-    let inv = invocation(&["fig7", "--checkpoint", path.to_str().expect("utf-8 path")]);
-    let workloads = subset(&inv);
-    assert_eq!(workloads.len(), 2, "one row of each set");
-    let runner = SweepRunner::with_threads(2);
-    let uninterrupted = invocation(&["fig7"]);
-    let reference = uninterrupted
-        .matrix(&runner, Scale::Test, &workloads)
-        .unwrap();
-
-    let id = warpweave::bench::grid::grid_id(&inv.configs, &workloads, Scale::Test);
-    let mut store = SweepCheckpoint::resume(&path, id).unwrap();
-    run_matrix_checkpointed(
-        &runner,
-        &inv.configs,
-        &workloads,
-        Scale::Test,
-        true,
-        &mut store,
-        Some(3),
-    )
-    .unwrap();
-    drop(store);
-
-    let resumed = inv.matrix(&runner, Scale::Test, &workloads).unwrap();
-    assert_bit_identical(&reference, &resumed, "resumed fig7 union grid");
-    let report = |inv: &Invocation, m: &MatrixResult| (inv.figure.report)(inv, m);
-    assert_eq!(report(&inv, &resumed), report(&uninterrupted, &reference));
 }

@@ -21,7 +21,7 @@ fn quick_grid_matches_the_golden_baseline_locally_and_served() {
     // Locally: one run of the driver into an in-memory store.
     let mut store = SweepCheckpoint::in_memory(id);
     let runner = SweepRunner::with_threads(2);
-    let failures = run_grid(&runner, &jobs, Scale::Test, false, None, None, &mut store)
+    let failures = run_grid(&runner, &jobs, Scale::Test, false, &mut store)
         .expect("an in-memory store records infallibly");
     assert!(failures.is_empty(), "{failures:?}");
 
