@@ -2,9 +2,9 @@
 //!
 //! A binary is a table of commands, each written as its synopsis: the
 //! command's words (a bracketed `[sweep]` may be left out; a one-command
-//! binary has none), then its operand (`DIR`, or `SHARD...` for one or
-//! more), then its flags — `[--full]` a switch, `[--out PATH]` a flag with
-//! a value, `--addr HOST:PORT` one the command requires. An upper-case
+//! binary has none), then its one operand, if any (`DIR`), then its flags
+//! — `[--full]` a switch, `[--out PATH]` a flag with a value,
+//! `--addr HOST:PORT` one the command requires. An upper-case
 //! value label names the value (`N` a count), a lower-case one lists the
 //! values the flag takes (`[--set regular|irregular]`). [`parse`] reads a
 //! command line against the table, so the usage a user sees is the
@@ -22,13 +22,12 @@
 use warpweave_core::SmConfig;
 use warpweave_isa::fuzz::parse_seed;
 
-use crate::grid::{self, grid_jobs, GridJob};
-use crate::shard::ShardSpec;
+use crate::grid;
 
 /// A command line read against a table of synopses.
 #[derive(Debug)]
 pub struct Args {
-    /// The command's words (`merge`, `golden check`).
+    /// The command's words (`golden check`).
     pub command: String,
     /// Its operands, in order.
     pub operands: Vec<String>,
@@ -122,15 +121,11 @@ pub fn parse<S: AsRef<str>>(commands: &[S], args: &[String]) -> Result<Args, Str
         }
         parsed.flags.push((arg.clone(), value));
     }
-    let wanted = match head(synopsis).1 {
-        None => 0..=0,
-        Some(label) if label.ends_with("...") => 1..=usize::MAX,
-        Some(_) => 1..=1,
-    };
+    let wanted = usize::from(head(synopsis).1.is_some());
     let missing = takes
         .iter()
         .any(|(f, _, required)| *required && !parsed.has(f));
-    if missing || !wanted.contains(&parsed.operands.len()) {
+    if missing || parsed.operands.len() != wanted {
         return Err(format!("usage: {synopsis}"));
     }
     Ok(parsed)
@@ -169,10 +164,8 @@ impl Args {
 }
 
 /// `bench_sweep`'s commands.
-const BENCH_SWEEP: [&str; 5] = [
-    "[sweep] [--full] [--frontend NAMES] [--out PATH] [--threads N] [--checkpoint PATH] \
-     [--jobs-from SPEC]",
-    "merge SHARD... [--full] [--frontend NAMES] [--out PATH]",
+const BENCH_SWEEP: [&str; 4] = [
+    "[sweep] [--full] [--frontend NAMES] [--out PATH] [--threads N]",
     "golden check [--golden PATH] [--threads N]",
     "golden record [--golden PATH] [--threads N]",
     "frontends",
@@ -185,28 +178,15 @@ pub struct Sweep {
     pub args: Args,
     /// The grid's columns: the fig. 7 front-ends, or `--frontend`'s.
     pub configs: Vec<SmConfig>,
-    /// The jobs to run: the grid's canonical job list, or the slice
-    /// `--jobs-from` selects.
-    pub jobs: Vec<GridJob>,
 }
 
 /// Parses `bench_sweep`'s arguments (without the program name).
 ///
 /// # Errors
 /// The one-line usage error: besides [`parse`]'s, an unknown `--frontend`
-/// policy, a malformed `--jobs-from` spec, and `--jobs-from` or
-/// `--checkpoint` without the other (a shard's only output is its
-/// checkpoint file).
+/// policy.
 pub fn bench_sweep(args: &[String]) -> Result<Sweep, String> {
     let args = parse(&BENCH_SWEEP, args)?;
-    for (flag, needs) in [
-        ("--jobs-from", "--checkpoint"),
-        ("--checkpoint", "--jobs-from"),
-    ] {
-        if args.has(flag) && !args.has(needs) {
-            return Err(format!("{flag} needs {needs}"));
-        }
-    }
     let configs: Vec<SmConfig> = match args.value("--frontend") {
         Some(names) => names
             .split(',')
@@ -215,20 +195,7 @@ pub fn bench_sweep(args: &[String]) -> Result<Sweep, String> {
             .map_err(|e| format!("--frontend: {e}"))?,
         None => grid::figure7_configs(),
     };
-    let all = grid_jobs(&configs, &grid::sweep_workloads(args.has("--full")));
-    let jobs = match args.value("--jobs-from") {
-        Some(spec) => {
-            let indices = ShardSpec::parse(spec).and_then(|spec| spec.select(all.len()));
-            let indices = indices.map_err(|e| format!("--jobs-from: {e}"))?;
-            indices.iter().map(|&i| all[i].clone()).collect()
-        }
-        None => all,
-    };
-    Ok(Sweep {
-        args,
-        configs,
-        jobs,
-    })
+    Ok(Sweep { args, configs })
 }
 
 /// `fuzz_smoke`'s commands.

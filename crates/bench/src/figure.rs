@@ -18,7 +18,7 @@ use warpweave_workloads::{all_workloads, by_name, irregular, regular, Category, 
 use crate::cli;
 use crate::grid::{self, grid_id};
 use crate::harness::{gmean, matrix_jobs, run_grid, CellFailure, CellResult, MatrixResult};
-use crate::shard::matrix_from_store;
+use crate::report::matrix_from_store;
 
 /// One artefact of the paper's evaluation.
 pub struct Figure {

@@ -271,17 +271,13 @@ pub fn machine_probes() -> Vec<MachineProbe> {
 /// multi-SM machine probe. Both kinds are enumerated by [`grid_jobs`],
 /// keyed into the same checkpoint/cache namespace and simulated by the
 /// same cell body ([`GridJob::run`]), so whatever drives a job list —
-/// the local sweep, a shard, the sweep server — treats them alike.
+/// the local sweep, the sweep server — treats them alike.
 ///
 /// A job owns everything it needs (the workload is a registry label,
 /// resolved when the job runs), so job lists can outlive the grid
 /// definition they were enumerated from, e.g. in a server's request.
 #[derive(Debug, Clone)]
 pub struct GridJob {
-    /// Position in the **full** grid, whatever selection the job is run
-    /// in: shard specs (`shard:2/8`, `cells:10-16`) address this index, so
-    /// they mean the same job on every host of a sharded run.
-    pub index: usize,
     /// Checkpoint, golden and cache key: `workload/config` for a matrix
     /// cell, [`MachineProbe::key`] for a probe.
     pub key: String,
@@ -332,35 +328,30 @@ impl GridJob {
 }
 
 /// The canonical job list of a grid: the workload-major matrix cells
-/// (`0 .. W×C`) followed by the [`machine_probes`] (`W×C .. W×C+P`). This
-/// is the one enumeration shard specs, the merge completeness check and
-/// the sweep server all index.
+/// followed by the [`machine_probes`]. This is the one enumeration the
+/// local sweep and the sweep server both run.
 pub fn grid_jobs(configs: &[SmConfig], workloads: &[Box<dyn Workload>]) -> Vec<GridJob> {
     let cells = workloads.iter().flat_map(|w| {
-        configs
-            .iter()
-            .map(|cfg| (cell_key(w.name(), &cfg.name), w.name(), cfg.clone(), None))
-    });
-    let probes = machine_probes()
-        .into_iter()
-        .map(|p| (p.key(), p.workload, p.cfg, Some(p.num_sms)));
-    cells
-        .chain(probes)
-        .enumerate()
-        .map(|(index, (key, workload, config, num_sms))| GridJob {
-            index,
-            key,
-            workload,
-            config,
-            num_sms,
+        configs.iter().map(|cfg| GridJob {
+            key: cell_key(w.name(), &cfg.name),
+            workload: w.name(),
+            config: cfg.clone(),
+            num_sms: None,
         })
-        .collect()
+    });
+    let probes = machine_probes().into_iter().map(|p| GridJob {
+        key: p.key(),
+        workload: p.workload,
+        config: p.cfg,
+        num_sms: Some(p.num_sms),
+    });
+    cells.chain(probes).collect()
 }
 
 /// Digests a grid — config labels, workload labels, machine probes, scale
 /// and the checkpoint format version — into the 64-bit identity a
 /// checkpoint binds to. Any change to the grid definition changes the id,
-/// so a stale shard can never be merged into a different sweep.
+/// so a store of one grid is never read as another's.
 pub fn grid_id(configs: &[SmConfig], workloads: &[Box<dyn Workload>], scale: Scale) -> u64 {
     let mut text = format!("ckpt-v{CHECKPOINT_VERSION};scale={scale:?};");
     for c in configs {
@@ -416,6 +407,19 @@ mod tests {
         assert!(keys.contains(&"machine/MatrixMul/4sm/shared+2ch".to_string()));
         assert!(keys.contains(&"machine/MatrixMul/4sm/shared+mshr32".to_string()));
         assert!(keys.contains(&"machine/MatrixMul/4sm/shared+2ch+mshr32+l2".to_string()));
+    }
+
+    #[test]
+    fn probes_are_jobs_like_any_other() {
+        // The quick grid's 10 matrix cells come first, then its 7 machine
+        // probes, in `machine_probes` order.
+        let jobs = grid_jobs(&figure7_configs(), &quick_workloads());
+        assert_eq!(jobs.len(), 17);
+        assert!(jobs[..10].iter().all(|job| !job.is_probe()));
+        assert!(jobs[10..].iter().all(GridJob::is_probe));
+        let keys: Vec<&str> = jobs[10..].iter().map(|job| job.key.as_str()).collect();
+        let probes: Vec<String> = machine_probes().iter().map(MachineProbe::key).collect();
+        assert_eq!(keys, probes);
     }
 
     #[test]

@@ -10,8 +10,7 @@ use warpweave_core::{SmConfig, Stats, SweepRunner};
 use warpweave_workloads::{Scale, Workload};
 
 use crate::grid::{grid_id, grid_jobs, GridJob};
-use crate::report::{probes_from_store, ProbeResult};
-use crate::shard::matrix_from_store;
+use crate::report::{matrix_from_store, probes_from_store, ProbeResult};
 
 /// Seed used by every benchmark configuration (determinism across figures).
 pub const BENCH_SEED: u64 = 0xb1e55ed;
@@ -133,17 +132,15 @@ pub fn format_failures(failures: &[CellFailure]) -> String {
 ///   panicking or erroring job is quarantined as a [`CellFailure`] while
 ///   every other job still completes. A job is a pure function of its
 ///   inputs, so a second run could only repeat the failure.
-/// * Once every job has settled, each success is recorded in job order
-///   (and, for a file-backed store, flushed), so a shard file is
-///   byte-identical at any host thread count; quarantined jobs are never
-///   recorded.
+/// * Once every job has settled, each success is recorded in job order,
+///   so the store is the same at any host thread count; quarantined jobs
+///   are never recorded.
 ///
 /// Results are read back from the store ([`matrix_from_store`],
 /// [`probes_from_store`]), never from this call: a job is a pure function
 /// of `(workload, config, scale)`, so it does not matter which host
-/// thread or shard computed it, and a sharded sweep is bit-identical to a
-/// single-host one. A job missing from the store afterwards failed: it is
-/// in the returned list, which is in job order.
+/// thread computed it. A job missing from the store afterwards failed:
+/// it is in the returned list, which is in job order.
 ///
 /// # Errors
 /// The first [`CheckpointError`] hit while recording. Simulation

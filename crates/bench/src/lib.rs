@@ -13,7 +13,6 @@ pub mod figure;
 pub mod grid;
 pub mod harness;
 pub mod report;
-pub mod shard;
 
 pub use grid::{grid_jobs, GridJob};
 pub use harness::{
@@ -21,10 +20,9 @@ pub use harness::{
     run_matrix_checkpointed, CellFailure, CellResult, MatrixResult, BENCH_SEED,
 };
 pub use report::{
-    check_golden, parse_golden_cells, probes_from_store, render_golden_json, render_sweep_json,
-    Json, ProbeResult, GOLDEN_SCHEMA, SWEEP_SCHEMA,
+    check_golden, matrix_from_store, merge_checkpoints, parse_golden_cells, probes_from_store,
+    render_golden_json, render_sweep_json, Json, ProbeResult, GOLDEN_SCHEMA, SWEEP_SCHEMA,
 };
-pub use shard::{matrix_from_store, merge_checkpoints, ShardSpec};
 
 /// Returns the value following `flag` in an argument list; `None` when the
 /// flag is absent or is the last argument. No binary of the workspace

@@ -6,19 +6,20 @@
 //! Everything rendered here is a pure function of simulation results —
 //! **no wall-clock timings, host thread counts or absolute paths** ever
 //! enter the JSON (they go to stderr instead). That is what lets the
-//! acceptance tests demand *byte identity*: a sharded-and-merged sweep
-//! must render exactly the bytes a single-host run renders, and the
-//! golden checker diffs rendered baselines **with a tolerance of
+//! acceptance tests demand *byte identity*: a served sweep must render
+//! exactly the bytes a local run renders, at any host thread count, and
+//! the golden checker diffs rendered baselines **with a tolerance of
 //! exactly zero**. The engine is bit-deterministic, so any drift — a
 //! single IPC digit, one stall cycle — is a real behaviour change that
 //! must be acknowledged by re-recording the baseline.
 
 use warpweave_core::checkpoint::{CellRecord, SweepCheckpoint};
-use warpweave_core::{Stats, CHECKPOINT_VERSION};
+use warpweave_core::{SmConfig, Stats, CHECKPOINT_VERSION};
 use warpweave_mem::ChannelStats;
+use warpweave_workloads::Workload;
 
 use crate::grid::{machine_probes, MachineProbe};
-use crate::harness::{CellResult, MatrixResult};
+use crate::harness::{cell_key, CellResult, MatrixResult};
 
 /// Schema tag of the sweep payload.
 pub const SWEEP_SCHEMA: &str = "warpweave-bench-sweep-v3";
@@ -124,13 +125,48 @@ impl ProbeResult {
     }
 }
 
-/// Assembles every machine probe from a store — how every sweep reads
-/// its probe results back, and the probe half of `bench_sweep merge`,
-/// which must never re-simulate anything: a merge is a
-/// validation-and-union step over already-run shards.
+/// Assembles the full [`MatrixResult`] from a store.
 ///
 /// # Errors
-/// The sorted list of missing probe keys, when the union does not cover
+/// The sorted list of missing cell keys, when the store does not cover
+/// the whole matrix.
+pub fn matrix_from_store(
+    configs: &[SmConfig],
+    workloads: &[Box<dyn Workload>],
+    store: &SweepCheckpoint,
+) -> Result<MatrixResult, Vec<String>> {
+    let mut cells: Vec<Vec<CellResult>> = Vec::with_capacity(workloads.len());
+    let mut missing = Vec::new();
+    for w in workloads {
+        let mut row = Vec::with_capacity(configs.len());
+        for c in configs {
+            let key = cell_key(w.name(), &c.name);
+            match store.get(&key) {
+                Some(record) => row.push(CellResult {
+                    workload: w.name().to_string(),
+                    config: c.name.clone(),
+                    stats: record.stats.clone(),
+                }),
+                None => missing.push(key),
+            }
+        }
+        cells.push(row);
+    }
+    if !missing.is_empty() {
+        return Err(missing);
+    }
+    Ok(MatrixResult {
+        configs: configs.iter().map(|c| c.name.clone()).collect(),
+        workloads: workloads.iter().map(|w| w.name().to_string()).collect(),
+        cells,
+    })
+}
+
+/// Assembles every machine probe from a store — how every sweep reads
+/// its probe results back, never re-simulating anything.
+///
+/// # Errors
+/// The sorted list of missing probe keys, when the store does not cover
 /// the whole probe set.
 pub fn probes_from_store(store: &SweepCheckpoint) -> Result<Vec<ProbeResult>, Vec<String>> {
     let mut results = Vec::new();
@@ -150,6 +186,55 @@ pub fn probes_from_store(store: &SweepCheckpoint) -> Result<Vec<ProbeResult>, Ve
         return Err(missing);
     }
     Ok(results)
+}
+
+/// Merges checkpoint files into one in-memory union store bound to
+/// `expected_grid`. Its only caller outside the tests is the frozen
+/// `benchmark/` crate (ROADMAP item 3): a sweep runs on one host, so no
+/// binary of the workspace merges files.
+///
+/// Every input must be an intact checkpoint of the **same grid** (same
+/// format version, same grid id); a cell recorded by several files must
+/// be bit-identical everywhere it appears. Violations are refused with a
+/// one-line message naming the offending file — merging is a validation
+/// step, never a repair step.
+///
+/// # Errors
+/// Torn/corrupt/mis-versioned files, grid-id mismatches, or conflicting
+/// duplicate cells.
+pub fn merge_checkpoints(paths: &[String], expected_grid: u64) -> Result<SweepCheckpoint, String> {
+    if paths.is_empty() {
+        return Err("merge needs at least one shard checkpoint file".into());
+    }
+    let mut union = SweepCheckpoint::in_memory(expected_grid);
+    for path in paths {
+        let shard = SweepCheckpoint::load(path).map_err(|e| format!("{path}: {e}"))?;
+        if shard.grid_id() != expected_grid {
+            return Err(format!(
+                "{path}: shard belongs to grid {:016x}, this sweep is grid \
+                 {expected_grid:016x} (different --full/--frontend flags, or a \
+                 stale file?)",
+                shard.grid_id()
+            ));
+        }
+        for key in shard.keys().map(str::to_string).collect::<Vec<_>>() {
+            let record = shard.get(&key).expect("key just listed").clone();
+            match union.get(&key) {
+                Some(existing) if *existing == record => {} // overlapping shards agree
+                Some(_) => {
+                    return Err(format!(
+                        "{path}: cell `{key}` conflicts with an earlier shard's \
+                         record — cells are pure functions, so disagreeing shards \
+                         mean corruption or mismatched builds"
+                    ));
+                }
+                None => union
+                    .record(&key, record)
+                    .map_err(|e| format!("{path}: union of cell `{key}`: {e}"))?,
+            }
+        }
+    }
+    Ok(union)
 }
 
 /// Renders the deterministic `BENCH_sweep.json` payload: schema, per-cell
@@ -250,7 +335,7 @@ pub fn render_golden_json(
     probes: &[ProbeResult],
 ) -> String {
     let cells = m.cells.iter().flatten().map(|cell| {
-        let key = crate::harness::cell_key(&cell.workload, &cell.config);
+        let key = cell_key(&cell.workload, &cell.config);
         golden_cell(&key, &cell.stats, None)
     });
     let probe_cells = probes

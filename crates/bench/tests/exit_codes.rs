@@ -1,6 +1,6 @@
 //! The real `bench_sweep` and `fuzz_smoke` binaries: a usage error exits 2
 //! and a file that cannot be read or written exits 1, each with exactly
-//! one stderr line and never a panic.
+//! one stderr line for the error and never a panic.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -11,9 +11,9 @@ fn scratch() -> PathBuf {
     dir
 }
 
-/// Runs `binary` with `args` in the scratch directory and asserts its exit
-/// code and a one-line, panic-free stderr.
-fn exits(binary: &str, args: &[&str], code: i32) {
+/// Runs `binary` with `args` in the scratch directory, asserts its exit
+/// code and a panic-free stderr, and returns the stderr lines.
+fn run(binary: &str, args: &[&str], code: i32) -> Vec<String> {
     let out = Command::new(binary)
         .args(args)
         .current_dir(scratch())
@@ -21,28 +21,30 @@ fn exits(binary: &str, args: &[&str], code: i32) {
         .expect("spawn");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
-    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
     assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    stderr.lines().map(String::from).collect()
+}
+
+/// [`run`] of a command refused before it runs anything: one stderr line.
+fn exits(binary: &str, args: &[&str], code: i32) {
+    let lines = run(binary, args, code);
+    assert_eq!(lines.len(), 1, "{args:?}: {lines:?}");
 }
 
 #[test]
 fn bench_sweep_exits_cleanly_on_bad_input() {
     let bin = env!("CARGO_BIN_EXE_bench_sweep");
-    let garbage = scratch().join("garbage.ckpt");
-    std::fs::write(&garbage, "not a checkpoint\n").unwrap();
-    let garbage = garbage.to_str().expect("utf-8 path");
-    exits(bin, &["merge", garbage], 1);
-    let unwritable = "no/such/dir/s.ckpt";
-    exits(
-        bin,
-        &["--jobs-from", "shard:0/3", "--checkpoint", unwritable],
-        1,
-    );
+    // A payload that cannot be written is found once the sweep has run:
+    // its progress lines, then one line naming the file.
+    let lines = run(bin, &["--out", "no/such/dir/x.json"], 1);
+    let last = lines.last().map_or("", String::as_str);
+    assert!(last.starts_with("write no/such/dir/x.json:"), "{lines:?}");
     exits(bin, &["golden", "check", "--golden", "missing.json"], 1);
     exits(bin, &["--bogus-flag"], 2);
     exits(bin, &["--threads"], 2);
     exits(bin, &["--salvage"], 2);
     exits(bin, &["--checkpoint", "c.ckpt", "--out", "x.json"], 2);
+    exits(bin, &["merge", "a.ckpt", "b.ckpt"], 2);
     assert!(
         !scratch().join("BENCH_sweep.json").exists(),
         "a refused sweep ran"

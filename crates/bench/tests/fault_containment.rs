@@ -9,8 +9,7 @@ use std::sync::OnceLock;
 
 use warpweave_bench::grid::{self, grid_jobs, GridJob};
 use warpweave_bench::harness::run_grid;
-use warpweave_bench::report::{probes_from_store, render_sweep_json};
-use warpweave_bench::shard::matrix_from_store;
+use warpweave_bench::report::{matrix_from_store, probes_from_store, render_sweep_json};
 use warpweave_core::checkpoint::{CellRecord, SweepCheckpoint};
 use warpweave_core::{JobFailure, SmConfig, SweepRunner};
 use warpweave_workloads::{Scale, Workload};

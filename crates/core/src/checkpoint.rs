@@ -1,15 +1,16 @@
 //! Versioned, deterministic serialization of sweep results.
 //!
 //! One line of this format is one completed sweep cell, wherever a cell
-//! travels: the golden baseline's checker, a `--jobs-from` shard file, the
-//! sweep server's cache and wire all carry it. A [`SweepCheckpoint`] is a
-//! store of such cells — in memory for a local sweep, or a file that
-//! [`SweepCheckpoint::create`] writes fresh (a shard's output; it is never
-//! reopened for append) and [`SweepCheckpoint::load`] reads back (the
-//! shard merge). The store
+//! travels: the golden baseline's checker and the sweep server's cache and
+//! wire all carry it. A [`SweepCheckpoint`] is a store of such cells — in
+//! memory for a sweep, or a file that [`SweepCheckpoint::create`] writes
+//! fresh (it is never reopened for append) and [`SweepCheckpoint::load`]
+//! reads back. No binary of the workspace writes one: the file form's
+//! only callers outside the tests are in the frozen `benchmark/` crate
+//! (ROADMAP item 3). The store
 //!
 //! * binds to a **grid id** (a digest of the sweep's workloads, configs and
-//!   scale), so a shard of one grid is never merged into another;
+//!   scale), so a store of one grid is never read as another's;
 //! * refuses to load anything it cannot prove intact — wrong version,
 //!   torn or bit-flipped lines all fail with a [`CheckpointError`]
 //!   instead of yielding partial cells.
@@ -241,10 +242,10 @@ pub fn decode_cell(line: &str) -> Result<(String, CellRecord), String> {
 /// use warpweave_core::Stats;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut store = SweepCheckpoint::create("shard0.ckpt", 0xfeed)?;
+/// let mut store = SweepCheckpoint::create("sweep.ckpt", 0xfeed)?;
 /// let stats = Stats::default(); // ... actually simulate the cell ...
 /// store.record("MatrixMul/SBI", CellRecord::new(stats))?;
-/// assert!(SweepCheckpoint::load("shard0.ckpt")?.contains("MatrixMul/SBI"));
+/// assert!(SweepCheckpoint::load("sweep.ckpt")?.contains("MatrixMul/SBI"));
 /// # Ok(())
 /// # }
 /// ```
@@ -276,8 +277,7 @@ impl SweepCheckpoint {
         })
     }
 
-    /// Loads an existing checkpoint read-only (no append handle) — how a
-    /// shard merge reads its inputs.
+    /// Loads an existing checkpoint read-only (no append handle).
     ///
     /// # Errors
     /// Any [`CheckpointError`]: I/O, a version mismatch, or a corrupt

@@ -77,7 +77,7 @@ impl SweepResponse {
 
     /// Loads the response's cells into an in-memory checkpoint store
     /// bound to the response's grid id — ready for
-    /// `matrix_from_store`/`probes_from_store` or a `bench_sweep merge`.
+    /// `matrix_from_store`/`probes_from_store`, as a local sweep's store is.
     ///
     /// # Errors
     /// Codec defects (cannot happen for lines that passed receipt

@@ -1,19 +1,17 @@
 //! # warpweave-serve
 //!
-//! The distributed sweep fabric's service half: a long-running sweep
-//! server ([`server`]) speaking a line-delimited text protocol
-//! ([`protocol`]) over plain `std::net` TCP, a content-addressed result
-//! cache ([`cache`]) deduplicating identical cells across clients and
-//! requests, the cell queue ([`queue`]) that funnels misses through the
-//! same fault-isolated runner the checkpointed sweep uses, and a client
-//! library ([`client`]) with end-to-end checksum verification.
+//! The sweep service: a long-running sweep server ([`server`]) speaking a
+//! line-delimited text protocol ([`protocol`]) over plain `std::net` TCP,
+//! a content-addressed result cache ([`cache`]) deduplicating identical
+//! cells across clients and requests, the cell queue ([`queue`]) that
+//! funnels misses through the same fault-isolated runner the local sweep
+//! uses, and a client library ([`client`]) with end-to-end checksum
+//! verification.
 //!
-//! The other half of the fabric — sharded `--jobs-from` runs and
-//! checkpoint merging — lives in `warpweave-bench` (`shard` module),
-//! because shards are ordinary checkpointed sweeps. The wire format here
-//! deliberately **is** the checkpoint line codec: a cell travels as the
-//! exact checksummed bytes the checkpoint would persist, so results can
-//! flow server → client → checkpoint file → merge without re-encoding.
+//! The wire format deliberately **is** the checkpoint line codec: a cell
+//! travels as the exact checksummed bytes a checkpoint store holds, so a
+//! response loads into the store a local sweep renders from without
+//! re-encoding.
 //!
 //! Everything is std-only threaded networking: the build environment is
 //! fully offline, so there is no async runtime — one thread per

@@ -13,10 +13,10 @@
 //! is a pure function of the request.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use warpweave_core::SweepRunner;
 
@@ -89,41 +89,68 @@ impl Server {
 
     /// Serves until a `shutdown` request arrives. Connection handlers
     /// run on their own threads; a handler that panics kills only its
-    /// connection.
+    /// connection. At shutdown every connection stops reading: a client
+    /// that has sent nothing holds the server no longer, while a response
+    /// already being written streams to completion.
     ///
     /// # Errors
     /// Accept-loop I/O failures (per-connection I/O errors are contained
     /// in the handler).
     pub fn run(self) -> std::io::Result<()> {
         let addr = self.local_addr()?;
-        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        let mut handlers: Vec<(std::thread::JoinHandle<()>, Peer)> = Vec::new();
         for stream in self.listener.incoming() {
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
             // Finished connections release their thread's resources now,
             // not at shutdown: a long-lived daemon serves unboundedly many.
-            handlers.retain(|h| !h.is_finished());
-            let stream = match stream {
-                Ok(stream) => stream,
+            handlers.retain(|(h, _)| !h.is_finished());
+            let (stream, peer) = match stream.and_then(|s| Ok((s.try_clone()?, s))) {
+                Ok(pair) => pair,
                 Err(e) => {
                     eprintln!("sweep_serve: accept: {e}");
                     continue;
                 }
             };
+            let peer = Arc::new(Mutex::new(Some(peer)));
+            let closes = ClosesPeer(Arc::clone(&peer));
             let cache = Arc::clone(&self.cache);
             let runner = Arc::clone(&self.runner);
             let stop = Arc::clone(&self.stop);
-            handlers.push(std::thread::spawn(move || {
+            let handler = std::thread::spawn(move || {
+                let _closes = closes;
                 if let Err(e) = handle(stream, &cache, &runner, &stop, addr) {
                     eprintln!("sweep_serve: connection: {e}");
                 }
-            }));
+            });
+            handlers.push((handler, peer));
         }
-        for h in handlers {
+        // A handler parked on an idle client's next request line reads
+        // EOF now and returns; writes are untouched.
+        for (_, peer) in &handlers {
+            if let Some(stream) = &*peer.lock().unwrap_or_else(PoisonError::into_inner) {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+        }
+        for (h, _) in handlers {
             let _ = h.join();
         }
         Ok(())
+    }
+}
+
+/// The accept loop's own handle on a connection, which it shuts for
+/// reading at shutdown. Its handler closes it on the way out, however the
+/// handler ends, so the client sees the close when it happens.
+type Peer = Arc<Mutex<Option<TcpStream>>>;
+
+/// Closes a [`Peer`] when dropped.
+struct ClosesPeer(Peer);
+
+impl Drop for ClosesPeer {
+    fn drop(&mut self) {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).take();
     }
 }
 

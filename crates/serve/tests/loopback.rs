@@ -233,3 +233,42 @@ fn disk_cache_tier_survives_a_server_restart() {
     server.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn shutdown_does_not_wait_for_an_idle_client() {
+    let (addr, server) = start_server(ServeConfig::default());
+    // One client connects and never sends a request line.
+    let idle = TcpStream::connect(&addr).expect("connect idle client");
+    // Another has a run in flight: its hello has arrived, its cells have not.
+    let busy = TcpStream::connect(&addr).expect("connect busy client");
+    let mut writer = busy.try_clone().expect("clone stream");
+    let mut lines = BufReader::new(busy).lines();
+    writeln!(writer, "{}", render_request(&Request::Run(small_grid()))).expect("send");
+    let hello = lines.next().expect("hello before EOF").expect("read hello");
+    assert!(
+        matches!(classify_line(&hello), Ok(ResponseLine::Hello(_))),
+        "{hello}"
+    );
+
+    request_shutdown(&addr).expect("shutdown");
+    // The run streams to completion.
+    let mut cells = 0;
+    loop {
+        let line = lines.next().expect("done before EOF").expect("read line");
+        match classify_line(&line).expect("protocol line") {
+            ResponseLine::Cell(_) => cells += 1,
+            ResponseLine::Done { cells: done, .. } => break assert_eq!(done, cells),
+            _ => {}
+        }
+    }
+    assert_eq!(cells, 4);
+    // The idle client, still connected, does not hold the server up.
+    let (joined, wait) = std::sync::mpsc::channel();
+    std::thread::spawn(move || joined.send(server.join().is_ok()));
+    assert_eq!(
+        wait.recv_timeout(Duration::from_secs(5)),
+        Ok(true),
+        "the server outlived shutdown while a client sat idle"
+    );
+    drop((idle, writer, lines));
+}

@@ -48,20 +48,15 @@ fn bench_sweep_refuses_bad_invocations() {
             "--out a --out b",
             "--full --full",
             "--frontend NoSuchPolicy",
-            "--jobs-from shard:3/3 --checkpoint c",
-            "--jobs-from cells:17 --checkpoint c",
             "--salvage",
-            "--salvage --jobs-from shard:0/3 --checkpoint c",
             "--inject X",
             "--inject panic@cell:3 --out x.json",
             "--cell-budget 3",
-            "--cell-budget 3 --jobs-from shard:0/3 --checkpoint c",
             "--jobs-from shard:0/3",
             "--checkpoint c",
             "--checkpoint c --out x.json",
+            "merge a b",
             "merge",
-            "merge s0.ckpt --threads 2",
-            "merge s0.ckpt --checkpoint c",
             "golden",
             "golden verify",
             "golden check extra",
@@ -80,34 +75,20 @@ fn bench_sweep_parses_every_invocation_ci_uses() {
     let s = sweep("--out BENCH_sweep.ci.json");
     let a = &s.args;
     assert_eq!(
-        (a.command.as_str(), a.value("--out"), s.jobs.len()),
-        ("sweep", Some("BENCH_sweep.ci.json"), 17)
+        (a.command.as_str(), a.value("--out"), s.configs.len()),
+        ("sweep", Some("BENCH_sweep.ci.json"), 5)
     );
-    assert!(!a.has("--full") && !a.has("--checkpoint") && !a.has("--jobs-from"));
+    assert!(!a.has("--full") && !a.has("--threads"));
     assert_eq!(sweep("sweep").args.command, "sweep");
 
     let s = sweep("--frontend GreedyThenOldest --out BENCH_sweep.gto.json");
     let names: Vec<&str> = s.configs.iter().map(|c| c.name.as_str()).collect();
     assert_eq!(names, ["GreedyThenOldest"]);
-    let s = sweep("--full --threads 2 --jobs-from shard:0/3 --checkpoint f.ckpt");
+    let s = sweep("--full --threads 2 --out full.json");
     assert!(s.args.has("--full") && s.args.number("--threads") == Some(2));
+    let s = sweep("--threads 1 --out BENCH_sweep.t1.json");
+    assert_eq!(s.args.number("--threads"), Some(1));
 
-    // Round-robin shard 1 of 3 over the 17 quick jobs: 1, 4, ..., 16.
-    let s = sweep("--jobs-from shard:1/3 --checkpoint shard1.ckpt");
-    let indices: Vec<usize> = s.jobs.iter().map(|j| j.index).collect();
-    assert_eq!(indices, [1, 4, 7, 10, 13, 16]);
-    let s = sweep("--jobs-from shard:0/3 --checkpoint shard0.t1.ckpt --threads 1");
-    assert_eq!((s.jobs.len(), s.args.number("--threads")), (6, Some(1)));
-    // The quick grid's jobs 10-16 are exactly its seven machine probes.
-    let s = sweep("--jobs-from cells:10-16 --checkpoint probes.ckpt");
-    assert!(s.jobs.len() == 7 && s.jobs.iter().all(|j| j.is_probe()));
-
-    let s = sweep("merge shard0.ckpt shard1.ckpt shard2.ckpt --out m.json");
-    assert_eq!(
-        (s.args.command.as_str(), s.args.operands.len()),
-        ("merge", 3)
-    );
-    assert_eq!(s.args.value("--out"), Some("m.json"));
     let s = sweep("golden check");
     assert_eq!(
         (s.args.command.as_str(), s.args.value("--golden")),
