@@ -19,26 +19,27 @@
 //!   `PATH.diff` on drift, or record it.
 //! * `bench_sweep frontends` — print every registered policy name.
 //!
-//! Each job runs once: a job that panics or fails is listed with its key
-//! and seed, every other job still completes, and the sweep exits 4
-//! without a payload. Exit codes: 0 done; 1 a file that cannot be read or
-//! written (the payload or the baseline) or golden drift; 2 usage (one
+//! `sweep` and `golden` run their grid the same way, through `run_grid`,
+//! each job once: a job that panics or fails is listed with its key and
+//! seed, every other job still completes, and the command exits 4 with no
+//! payload or verdict. Exit codes: 0 done; 1 a file that cannot be read
+//! or written (the payload or the baseline) or golden drift; 2 usage (one
 //! stderr line); 4 jobs quarantined. All wall-clock timing goes to
-//! stderr; the JSON artifacts carry only deterministic simulation
-//! results, so the payload is byte-identical at any `--threads`.
+//! stderr, so the payload is byte-identical at any `--threads`.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use warpweave_bench::cli::{self, Args, Sweep};
 use warpweave_bench::grid::{self, grid_jobs};
-use warpweave_bench::harness::{format_failures, run_grid, run_machine_probes, run_matrix_at};
+use warpweave_bench::harness::{format_failures, run_grid, MatrixResult};
 use warpweave_bench::report::{
     check_golden, matrix_from_store, probes_from_store, render_golden_json, render_sweep_json,
+    ProbeResult,
 };
 use warpweave_core::checkpoint::SweepCheckpoint;
-use warpweave_core::{PolicyRegistry, SweepRunner};
-use warpweave_workloads::Scale;
+use warpweave_core::{PolicyRegistry, SmConfig, SweepRunner};
+use warpweave_workloads::{Scale, Workload};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -84,16 +85,10 @@ fn golden(a: &Args) -> Result<ExitCode, String> {
         .map_err(|e| format!("read {path}: {e} (record one with `golden record`)"))?;
     let configs = grid::figure7_configs();
     let workloads = grid::sweep_workloads(true);
+    let Some((m, probes)) = run(&runner(a), &configs, &workloads, (Scale::Test, "test")) else {
+        return Ok(ExitCode::from(4));
+    };
     let id = grid::grid_id(&configs, &workloads, Scale::Test);
-    let t = Instant::now();
-    let m = run_matrix_at(&runner(a), &configs, &workloads, Scale::Test, false);
-    let probes = run_machine_probes(Scale::Test, None).expect("probes without a store cannot fail");
-    eprintln!(
-        "golden grid: {} cells + {} probes in {:.1} s",
-        configs.len() * workloads.len(),
-        probes.len(),
-        t.elapsed().as_secs_f64()
-    );
     let current = render_golden_json("test", id, &m, &probes);
     let Some(committed) = committed else {
         write(path, &current)?;
@@ -123,33 +118,9 @@ fn sweep(s: &Sweep) -> Result<ExitCode, String> {
         false => (Scale::Test, "test"),
     };
     let workloads = grid::sweep_workloads(a.has("--full"));
-    let mut store = SweepCheckpoint::in_memory(grid::grid_id(&s.configs, &workloads, scale));
-    let jobs = grid_jobs(&s.configs, &workloads);
-    let probe_count = jobs.iter().filter(|job| job.is_probe()).count();
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    eprintln!(
-        "sweep: {} grid jobs ({} matrix cells + {probe_count} probes) on \
-         {host_threads} host threads ({} worker threads, {label} scale)",
-        jobs.len(),
-        jobs.len() - probe_count,
-        runner.threads(),
-    );
-    let t0 = Instant::now();
-    // Timing/baseline runs stay pure simulation: no result verification.
-    let failures =
-        run_grid(&runner, &jobs, scale, false, &mut store).map_err(|e| format!("sweep: {e}"))?;
-    if !failures.is_empty() {
-        eprint!("{}", format_failures(&failures));
+    let Some((matrix, probes)) = run(&runner, &s.configs, &workloads, (scale, label)) else {
         return Ok(ExitCode::from(4));
-    }
-    eprintln!(
-        "sweep complete: {} jobs in {:.1} s",
-        jobs.len(),
-        t0.elapsed().as_secs_f64()
-    );
-    // No job failed, so every job is in the store.
-    let matrix = matrix_from_store(&s.configs, &workloads, &store).expect("every cell stored");
-    let probes = probes_from_store(&store).expect("every probe stored");
+    };
     for p in &probes {
         eprintln!(
             "machine {}sm/{}: makespan {} cycles, ipc {:.1}, channel util {:.1}%",
@@ -164,4 +135,39 @@ fn sweep(s: &Sweep) -> Result<ExitCode, String> {
     write(out, &render_sweep_json(label, &matrix, &probes))?;
     eprintln!("wrote {out}");
     Ok(ExitCode::SUCCESS)
+}
+
+/// Runs the canonical job list of `configs × workloads` (machine probes
+/// included) at `scale` (named `label`) through [`run_grid`], pure
+/// simulation with no result verification, and reads the matrix and the
+/// probes back from its store. A quarantined job prints the failures
+/// block instead, and the command exits 4.
+fn run(
+    runner: &SweepRunner,
+    configs: &[SmConfig],
+    workloads: &[Box<dyn Workload>],
+    (scale, label): (Scale, &str),
+) -> Option<(MatrixResult, Vec<ProbeResult>)> {
+    let mut store = SweepCheckpoint::in_memory(grid::grid_id(configs, workloads, scale));
+    let jobs = grid_jobs(configs, workloads);
+    let t0 = Instant::now();
+    // The front-end list holds no policy twice, so no key repeats.
+    let failures = run_grid(runner, &jobs, scale, false, &mut store)
+        .expect("an in-memory store records distinct keys infallibly");
+    eprintln!(
+        "sweep: {} grid jobs at {label} scale in {:.1} s on {} worker threads",
+        jobs.len(),
+        t0.elapsed().as_secs_f64(),
+        runner.threads(),
+    );
+    if !failures.is_empty() {
+        eprint!("{}", format_failures(&failures));
+        return None;
+    }
+    // No job failed, so every job is in the store.
+    let matrix = matrix_from_store(configs, workloads, &store).expect("every cell stored");
+    Some((
+        matrix,
+        probes_from_store(&store).expect("every probe stored"),
+    ))
 }

@@ -184,14 +184,11 @@ pub struct Sweep {
 ///
 /// # Errors
 /// The one-line usage error: besides [`parse`]'s, an unknown `--frontend`
-/// policy.
+/// policy or one listed twice.
 pub fn bench_sweep(args: &[String]) -> Result<Sweep, String> {
     let args = parse(&BENCH_SWEEP, args)?;
-    let configs: Vec<SmConfig> = match args.value("--frontend") {
-        Some(names) => names
-            .split(',')
-            .map(|n| SmConfig::with_policy(n.trim()))
-            .collect::<Result<_, _>>()
+    let configs = match args.value("--frontend") {
+        Some(names) => SmConfig::with_policies(names.split(',').map(str::trim))
             .map_err(|e| format!("--frontend: {e}"))?,
         None => grid::figure7_configs(),
     };

@@ -150,7 +150,7 @@ pub struct Invocation {
 ///
 /// # Errors
 /// The one-line usage error: besides [`cli::parse`]'s, an unknown
-/// `--frontend` policy.
+/// `--frontend` policy or one listed twice.
 pub fn parse(args: &[String]) -> Result<Invocation, String> {
     let synopses: Vec<String> = FIGURES.iter().map(Figure::synopsis).collect();
     let a = cli::parse(&synopses, args)?;
@@ -163,11 +163,11 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
         None => figure.sets.first().copied(),
     };
     let configs = match (a.value("--frontend"), figure.frontend) {
-        (Some(names), Some(column)) => names
-            .split(',')
-            .map(|n| SmConfig::with_policy(n.trim()).map(column))
-            .collect::<Result<_, _>>()
-            .map_err(|e| format!("--frontend: {e}"))?,
+        (Some(names), Some(column)) => SmConfig::with_policies(names.split(',').map(str::trim))
+            .map_err(|e| format!("--frontend: {e}"))?
+            .into_iter()
+            .map(column)
+            .collect(),
         _ => (figure.configs)(),
     };
     Ok(Invocation {

@@ -128,23 +128,18 @@ pub fn format_failures(failures: &[CellFailure]) -> String {
 /// **The** sweep driver: runs a selection of the canonical job list
 /// ([`grid_jobs`]) — matrix cells and machine probes alike — into `store`.
 ///
-/// * Every job runs [`GridJob::run`] once, under `catch_unwind`; a
-///   panicking or erroring job is quarantined as a [`CellFailure`] while
-///   every other job still completes. A job is a pure function of its
-///   inputs, so a second run could only repeat the failure.
-/// * Once every job has settled, each success is recorded in job order,
-///   so the store is the same at any host thread count; quarantined jobs
-///   are never recorded.
-///
-/// Results are read back from the store ([`matrix_from_store`],
-/// [`probes_from_store`]), never from this call: a job is a pure function
-/// of `(workload, config, scale)`, so it does not matter which host
-/// thread computed it. A job missing from the store afterwards failed:
-/// it is in the returned list, which is in job order.
+/// Every job runs [`GridJob::run`] once, under `catch_unwind` (a job is a
+/// pure function of its inputs, so a second run could only repeat a
+/// failure); a panicking or erroring job is quarantined while every other
+/// job still completes. Once every job has settled, each success is
+/// recorded in job order, so the store is the same at any host thread
+/// count. Results are read back from the store ([`matrix_from_store`],
+/// [`probes_from_store`]), never from this call.
 ///
 /// # Errors
-/// The first [`CheckpointError`] hit while recording. Simulation
-/// failures do **not** error — they come back as the failure list.
+/// The first [`CheckpointError`] hit while recording. A failed job does
+/// **not** error: it comes back with its provenance in the returned list
+/// (in job order), and is never recorded.
 pub fn run_grid(
     runner: &SweepRunner,
     jobs: &[GridJob],
@@ -152,7 +147,7 @@ pub fn run_grid(
     verify: bool,
     store: &mut SweepCheckpoint,
 ) -> Result<Vec<CellFailure>, CheckpointError> {
-    let outcomes = runner.run_isolated_reporting(jobs, |job| job.run(scale, verify), |_, _| {});
+    let outcomes = runner.run_isolated(jobs, |job| job.run(scale, verify));
     let mut failures = Vec::new();
     for (job, outcome) in jobs.iter().zip(outcomes) {
         match outcome {
@@ -189,7 +184,8 @@ fn run_strict(
 /// Runs the full `workloads × configs` matrix in memory, fanning the
 /// cells out across `runner`'s host threads. Each cell stays a single-SM
 /// simulation (the paper's figures model one SM), so per-cell statistics
-/// are independent of the host thread count.
+/// are independent of the host thread count. Callers: `benchmark/` and one
+/// unit test.
 ///
 /// # Panics
 /// Simulation failures and (when `verify`) wrong results — benchmark
@@ -210,7 +206,8 @@ pub fn run_matrix_at(
 /// [`run_matrix_at`] into a caller-supplied store: the matrix cells not
 /// yet in `store`, at most `cell_budget` of them (`None` = all), are
 /// simulated and recorded. Returns `Ok(None)` while the matrix is still
-/// incomplete; the completed matrix is assembled from the store.
+/// incomplete; the completed matrix is assembled from the store. Only
+/// `benchmark/` calls it.
 ///
 /// # Errors
 /// The first [`CheckpointError`] hit while recording.
@@ -235,7 +232,7 @@ pub fn run_matrix_checkpointed(
 
 /// Runs every machine probe of the sweep grid at `scale` into `store`
 /// (or a scratch store), one after the other on the calling host thread,
-/// without result verification.
+/// without result verification. Only `benchmark/` calls it.
 ///
 /// # Errors
 /// Checkpoint recording failures.

@@ -265,6 +265,30 @@ impl SmConfig {
             })
     }
 
+    /// The presets of a list of issue policies, in list order: the one
+    /// resolver of every front-end list, a CLI's `--frontend NAMES` and a
+    /// served request's `frontends=` alike.
+    ///
+    /// # Errors
+    /// An unknown name, or a name whose canonical policy is already listed
+    /// (`SBI,sbi`): a grid holds each column once.
+    pub fn with_policies<'a>(
+        names: impl IntoIterator<Item = &'a str>,
+    ) -> Result<Vec<SmConfig>, String> {
+        let mut configs: Vec<SmConfig> = Vec::new();
+        for name in names {
+            let cfg = Self::with_policy(name)?;
+            if configs.iter().any(|c| c.policy == cfg.policy) {
+                return Err(format!(
+                    "issue policy '{name}' is listed twice (as '{}')",
+                    cfg.policy
+                ));
+            }
+            configs.push(cfg);
+        }
+        Ok(configs)
+    }
+
     /// The five configurations of fig. 7, in presentation order — the
     /// columns of the sweep and of the golden grid. Built through the
     /// registry ([`SmConfig::with_policy`]), so every caller exercises
@@ -594,6 +618,11 @@ mod tests {
             via_registry.validate().unwrap();
         }
         assert!(SmConfig::with_policy("NoSuchPolicy").is_err());
+        let pair = SmConfig::with_policies(["SBI", "gto"]).unwrap();
+        let names: Vec<&str> = pair.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["SBI", "GreedyThenOldest"]);
+        let twice = SmConfig::with_policies(["SBI", "sbi"]).unwrap_err();
+        assert!(twice.contains("'sbi' is listed twice"), "{twice}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! shared-memory bank-conflict modelling.
 //!
 //! Since the event-driven memory rework the LSU no longer charges DRAM
-//! latency inline. [`plan_global`] walks an instruction's transactions
+//! latency inline. [`plan_global_into`] walks an instruction's transactions
 //! through the L1 port and *classifies* them: hits (and stores) resolve to
 //! an inline ready cycle, misses become [`warpweave_mem::MemRequest`]
 //! issue slots the pipeline enqueues on the (private or machine-shared)
@@ -48,11 +48,6 @@ impl GlobalPlan {
     pub fn resolves_inline(&self, is_store: bool) -> bool {
         is_store || (self.dram_requests.is_empty() && self.merged_waits.is_empty())
     }
-
-    /// Grants this instruction must wait on: its own requests plus merges.
-    pub fn wait_count(&self) -> usize {
-        self.dram_requests.len() + self.merged_waits.len()
-    }
 }
 
 /// Plans a list of global-memory transactions starting at `start`: one
@@ -64,22 +59,10 @@ impl GlobalPlan {
 /// Stores are write-through (every transaction becomes a write request;
 /// completion is the port-release cycle — the pipeline does not wait, and
 /// the MSHR file is never consulted).
-pub fn plan_global(
-    l1: &mut Cache,
-    mshr: &mut MshrFile,
-    start: u64,
-    txs: &[Transaction],
-    is_store: bool,
-    seq_base: u64,
-) -> GlobalPlan {
-    let mut plan = GlobalPlan::default();
-    plan_global_into(&mut plan, l1, mshr, start, txs, is_store, seq_base);
-    plan
-}
-
-/// [`plan_global`] into a caller-held plan, reusing its request/merge
-/// vectors — the pipeline keeps one scratch plan per SM so the per-
-/// instruction planning allocates nothing in steady state.
+///
+/// The plan is written into `plan`, reusing its request/merge vectors —
+/// the pipeline keeps one scratch plan per SM so the per-instruction
+/// planning allocates nothing in steady state.
 pub fn plan_global_into(
     plan: &mut GlobalPlan,
     l1: &mut Cache,
@@ -226,9 +209,23 @@ mod tests {
         }
     }
 
+    /// [`plan_global_into`] a fresh plan.
+    fn planned(
+        l1: &mut Cache,
+        mshr: &mut MshrFile,
+        start: u64,
+        txs: &[Transaction],
+        is_store: bool,
+        seq_base: u64,
+    ) -> GlobalPlan {
+        let mut plan = GlobalPlan::default();
+        plan_global_into(&mut plan, l1, mshr, start, txs, is_store, seq_base);
+        plan
+    }
+
     /// Plans with MSHRs disabled — the historical single-miss model.
     fn plan(l1: &mut Cache, start: u64, txs: &[Transaction], is_store: bool) -> GlobalPlan {
-        plan_global(l1, &mut MshrFile::disabled(), start, txs, is_store, 0)
+        planned(l1, &mut MshrFile::disabled(), start, txs, is_store, 0)
     }
 
     /// Drives a plan's requests through a channel the way the pipeline's
@@ -317,17 +314,16 @@ mod tests {
         });
         let mut mshr = MshrFile::new(8);
         // Three distinct blocks thrash the single 2-way set.
-        let p1 = plan_global(&mut l1, &mut mshr, 0, &[tx(0), tx(256), tx(512)], false, 0);
+        let p1 = planned(&mut l1, &mut mshr, 0, &[tx(0), tx(256), tx(512)], false, 0);
         assert_eq!(p1.dram_requests.len(), 3);
         assert_eq!(p1.mshr_merges, 0);
         // Block 0 was evicted by block 512 → L1 re-miss, but seq 0's fill
         // is still outstanding: merged, no new request.
-        let p2 = plan_global(&mut l1, &mut mshr, 10, &[tx(0)], false, 3);
+        let p2 = planned(&mut l1, &mut mshr, 10, &[tx(0)], false, 3);
         assert!(p2.dram_requests.is_empty());
         assert_eq!(p2.merged_waits, vec![0]);
         assert_eq!(p2.mshr_merges, 1);
         assert!(!p2.resolves_inline(false));
-        assert_eq!(p2.wait_count(), 1);
         // Once the owner's grant lands, later re-misses resolve inline at
         // the fill's ready cycle. (The p2 re-miss re-allocated block 0's
         // L1 tag, so evict it again first — straight through the cache,
@@ -335,7 +331,7 @@ mod tests {
         mshr.on_grant(0, 330);
         l1.access_load(256);
         l1.access_load(512);
-        let p3 = plan_global(&mut l1, &mut mshr, 20, &[tx(0)], false, 3);
+        let p3 = planned(&mut l1, &mut mshr, 20, &[tx(0)], false, 3);
         assert!(p3.dram_requests.is_empty() && p3.merged_waits.is_empty());
         assert_eq!(p3.inline_ready, 330);
         assert!(p3.resolves_inline(false));
@@ -352,11 +348,11 @@ mod tests {
         let (mut l1, mut ch) = setup();
         let mut mshr = MshrFile::new(8);
         let t = 100;
-        let miss = plan_global(&mut l1, &mut mshr, t, &[tx(0)], false, 0);
+        let miss = planned(&mut l1, &mut mshr, t, &[tx(0)], false, 0);
         assert_eq!(miss.dram_requests, vec![(t, 0, false)]);
         let fill = resolve(&miss, &mut ch);
         assert_eq!(fill, t + 330);
-        let again = plan_global(&mut l1, &mut mshr, t + 1, &[tx(0)], false, 1);
+        let again = planned(&mut l1, &mut mshr, t + 1, &[tx(0)], false, 1);
         assert!(again.dram_requests.is_empty() && again.merged_waits.is_empty());
         assert_eq!((again.mshr_merges, again.mshr_bypasses), (0, 0));
         assert!(again.resolves_inline(false));
@@ -368,7 +364,7 @@ mod tests {
     fn mshr_full_file_bypasses_and_counts() {
         let mut l1 = Cache::new(CacheConfig::paper_l1());
         let mut mshr = MshrFile::new(1);
-        let p = plan_global(&mut l1, &mut mshr, 0, &[tx(0), tx(128)], false, 0);
+        let p = planned(&mut l1, &mut mshr, 0, &[tx(0), tx(128)], false, 0);
         assert_eq!(p.dram_requests.len(), 2, "bypass still issues");
         assert_eq!(p.mshr_bypasses, 1);
         assert_eq!(p.mshr_merges, 0);

@@ -178,11 +178,6 @@ impl MemJournal {
         self.stores.is_empty() && self.atomic_deltas.is_empty()
     }
 
-    /// Number of distinct words touched.
-    pub fn words_touched(&self) -> usize {
-        self.stores.len() + self.atomic_deltas.len()
-    }
-
     /// Commits a sequence of journals to `mem`: every journal's stores in
     /// the order given (so the caller's SM-id ordering decides write-write
     /// races deterministically), then the atomic deltas summed across all
@@ -698,7 +693,6 @@ mod tests {
         j1.record_store(0x80, 1);
         j2.record_store(0x80, 2); // later journal wins write-write races
         assert!(!j1.is_empty());
-        assert_eq!(j1.words_touched(), 2);
 
         let mut mem = Memory::new();
         mem.write_u32(0x40, 100);

@@ -180,25 +180,16 @@ impl Scoreboard {
             .collect()
     }
 
-    /// Checks whether `cand` (about to issue into `cand_slot` with thread
-    /// mask `cand_mask`) depends on any in-flight instruction. True means
-    /// the candidate must stall.
+    /// Checks whether a candidate (about to issue into `cand_slot` with
+    /// thread mask `cand_mask`) depends on any in-flight instruction. True
+    /// means the candidate must stall.
     ///
     /// A dependency is a register/predicate ID match (RAW on sources, WAW on
-    /// the destination) refined per the scoreboard mode.
-    pub fn depends(&self, cand: &Instruction, cand_mask: Mask, cand_slot: usize) -> bool {
-        self.depends_masks(
-            cand.reg_footprint(),
-            cand.pred_footprint(),
-            cand_mask,
-            cand_slot,
-        )
-    }
-
-    /// [`Scoreboard::depends`] against a precomputed candidate footprint
-    /// (`Instruction::reg_footprint`/`pred_footprint`) — the per-pc-cached
-    /// form the issue path's ready checks run every cycle. A register or
-    /// predicate match is one AND against each in-flight write bit.
+    /// the destination) refined per the scoreboard mode. The candidate is
+    /// its precomputed footprint (`Instruction::reg_footprint` /
+    /// `pred_footprint`) — the per-pc-cached form the issue path's ready
+    /// checks run every cycle. A register or predicate match is one AND
+    /// against each in-flight write bit.
     pub fn depends_masks(
         &self,
         cand_regs: u64,
@@ -324,6 +315,11 @@ mod tests {
         k.build().unwrap().instructions()[0].clone()
     }
 
+    /// Whether `cand` must stall on `sb`, from its footprint.
+    fn stalls(sb: &Scoreboard, cand: &Instruction, mask: Mask, slot: usize) -> bool {
+        sb.depends_masks(cand.reg_footprint(), cand.pred_footprint(), mask, slot)
+    }
+
     fn instr_setp(pd: u8, a: u8) -> Instruction {
         let mut k = KernelBuilder::new("t");
         k.isetp(p(pd), warpweave_isa::CmpOp::Lt, r(a), 0i32);
@@ -432,11 +428,11 @@ mod tests {
         sb.allocate((&producer, Mask::from_bits(0b0011)), None)
             .unwrap();
         let consumer = instr_iadd(6, 5, 2); // reads r5 (RAW)
-        assert!(sb.depends(&consumer, Mask::from_bits(0b1100), 0));
+        assert!(stalls(&sb, &consumer, Mask::from_bits(0b1100), 0));
         let unrelated = instr_iadd(7, 1, 2);
-        assert!(!sb.depends(&unrelated, Mask::full(4), 0));
+        assert!(!stalls(&sb, &unrelated, Mask::full(4), 0));
         let waw = instr_iadd(5, 1, 2);
-        assert!(sb.depends(&waw, Mask::full(4), 0));
+        assert!(stalls(&sb, &waw, Mask::full(4), 0));
     }
 
     #[test]
@@ -446,8 +442,8 @@ mod tests {
         sb.allocate((&producer, Mask::from_bits(0b0011)), None)
             .unwrap();
         let consumer = instr_iadd(6, 5, 2);
-        assert!(!sb.depends(&consumer, Mask::from_bits(0b1100), 0));
-        assert!(sb.depends(&consumer, Mask::from_bits(0b0110), 0));
+        assert!(!stalls(&sb, &consumer, Mask::from_bits(0b1100), 0));
+        assert!(stalls(&sb, &consumer, Mask::from_bits(0b0110), 0));
     }
 
     #[test]
@@ -460,10 +456,10 @@ mod tests {
         k.guard_t(p(0)).iadd(r(9), r(1), r(2));
         k.exit();
         let guarded = k.build().unwrap().instructions()[0].clone();
-        assert!(sb.depends(&guarded, Mask::full(4), 0));
+        assert!(stalls(&sb, &guarded, Mask::full(4), 0));
         // An unguarded one does not.
         let free = instr_iadd(9, 1, 2);
-        assert!(!sb.depends(&free, Mask::full(4), 0));
+        assert!(!stalls(&sb, &free, Mask::full(4), 0));
     }
 
     #[test]
@@ -482,9 +478,9 @@ mod tests {
         sb.on_event(&slots, &slots, Some(t1));
         let next_for_slot1 = instr_iadd(5, 5, 5);
         // Candidate in slot 1 depends on the slot-1 producer but not slot-0's.
-        assert!(sb.depends(&next_for_slot1, m2, 1));
+        assert!(stalls(&sb, &next_for_slot1, m2, 1));
         sb.retire(t2.unwrap());
-        assert!(!sb.depends(&next_for_slot1, m2, 1));
+        assert!(!stalls(&sb, &next_for_slot1, m2, 1));
         sb.retire(t1);
         assert_eq!(sb.in_flight(), 0);
     }
@@ -507,9 +503,9 @@ mod tests {
             None,
         );
         let consumer = instr_iadd(6, 5, 2);
-        assert!(sb.depends(&consumer, m1 | m2, 0));
+        assert!(stalls(&sb, &consumer, m1 | m2, 0));
         // And slot 1 (now empty) has no dependences.
-        assert!(!sb.depends(&consumer, Mask::EMPTY, 1));
+        assert!(!stalls(&sb, &consumer, Mask::EMPTY, 1));
     }
 
     #[test]
@@ -556,9 +552,9 @@ mod tests {
             matrix.on_event(&before, &after, Some(tk));
             let consumer = instr_iadd(6, 5, 1);
             for (slot, m) in after.iter().enumerate().take(2) {
-                if exact.depends(&consumer, *m, slot) {
+                if stalls(&exact, &consumer, *m, slot) {
                     assert!(
-                        matrix.depends(&consumer, *m, slot),
+                        stalls(&matrix, &consumer, *m, slot),
                         "matrix missed a dependency flagged by exact"
                     );
                 }

@@ -3,9 +3,11 @@
 //! Everything above the single-SM pipeline that wants host-level
 //! parallelism funnels through a [`SweepRunner`], in one of two shapes:
 //!
-//! * [`SweepRunner::run`] — the benchmark harness's `workload × frontend
-//!   × config` grids: a deterministic parallel map that returns results in
-//!   job order regardless of how many worker threads execute them;
+//! * [`SweepRunner::run`], and [`SweepRunner::run_isolated`] around it —
+//!   every sweep grid, run locally or served: a deterministic parallel map
+//!   that returns results in job order regardless of how many worker
+//!   threads execute them, the caller acting on them once all have come
+//!   back;
 //! * `SweepRunner::with_pool` — the multi-SM [`crate::machine::Machine`]:
 //!   items stepped in lock-step rounds by workers spawned once, each owning
 //!   a fixed shard, with the caller's serial phase between rounds.
@@ -179,36 +181,19 @@ impl SweepRunner {
     /// only repeat the failure. Healthy jobs produce results bit-identical
     /// to [`SweepRunner::run`] at any thread count, because containment
     /// never reorders or re-seeds work — it only wraps each closure call.
-    ///
-    /// `on_done(index, &result)` fires on the worker thread the moment
-    /// job `index` settles (success or quarantine), **in completion
-    /// order** (nondeterministic), while the returned vector stays in job
-    /// order as always. The sweep server streams each settled job to its
-    /// client from `on_done`; a caller that needs no stream passes a
-    /// no-op. `on_done` runs concurrently from many workers — synchronise
-    /// any shared state it touches.
-    pub fn run_isolated_reporting<J, R, E, F, P>(
-        &self,
-        jobs: &[J],
-        f: F,
-        on_done: P,
-    ) -> Vec<Result<R, JobFailure>>
+    pub fn run_isolated<J, R, E, F>(&self, jobs: &[J], f: F) -> Vec<Result<R, JobFailure>>
     where
         J: Sync + Send,
         R: Send,
         E: fmt::Display,
         F: Fn(&J) -> Result<R, E> + Sync + Send,
-        P: Fn(usize, &Result<R, JobFailure>) + Sync + Send,
     {
-        let indexed: Vec<(usize, &J)> = jobs.iter().enumerate().collect();
-        self.run(&indexed, |&(i, job)| {
-            let result = match catch_unwind(AssertUnwindSafe(|| f(job))) {
+        self.run(jobs, |job| {
+            match catch_unwind(AssertUnwindSafe(|| f(job))) {
                 Ok(Ok(r)) => Ok(r),
                 Ok(Err(e)) => Err(JobFailure::Error(e.to_string())),
                 Err(payload) => Err(JobFailure::Panic(panic_message(payload.as_ref()))),
-            };
-            on_done(i, &result);
-            result
+            }
         })
     }
 
@@ -508,15 +493,11 @@ mod tests {
     #[test]
     fn isolated_contains_panics_and_errors() {
         let jobs: Vec<u64> = (0..12).collect();
-        let out = SweepRunner::with_threads(4).run_isolated_reporting(
-            &jobs,
-            |&j| match j {
-                3 => panic!("injected panic on job {j}"),
-                7 => Err(format!("bad job {j}")),
-                _ => Ok(j * 10),
-            },
-            |_, _| {},
-        );
+        let out = SweepRunner::with_threads(4).run_isolated(&jobs, |&j| match j {
+            3 => panic!("injected panic on job {j}"),
+            7 => Err(format!("bad job {j}")),
+            _ => Ok(j * 10),
+        });
         assert_eq!(out.len(), 12);
         for (i, o) in out.iter().enumerate() {
             match i {
@@ -531,18 +512,14 @@ mod tests {
     fn a_failing_job_runs_exactly_once() {
         let jobs: Vec<u64> = (0..6).collect();
         let calls: Vec<AtomicUsize> = jobs.iter().map(|_| AtomicUsize::new(0)).collect();
-        let out = SweepRunner::with_threads(2).run_isolated_reporting(
-            &jobs,
-            |&j| {
-                calls[j as usize].fetch_add(1, Ordering::Relaxed);
-                match j {
-                    1 => panic!("poison job"),
-                    4 => Err("bad job".to_string()),
-                    _ => Ok(j),
-                }
-            },
-            |_, _| {},
-        );
+        let out = SweepRunner::with_threads(2).run_isolated(&jobs, |&j| {
+            calls[j as usize].fetch_add(1, Ordering::Relaxed);
+            match j {
+                1 => panic!("poison job"),
+                4 => Err("bad job".to_string()),
+                _ => Ok(j),
+            }
+        });
         assert!(out[1].is_err() && out[4].is_err());
         let calls: Vec<usize> = calls.iter().map(|c| c.load(Ordering::Relaxed)).collect();
         assert_eq!(
@@ -560,28 +537,11 @@ mod tests {
             }
             Ok(j.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 9)
         };
-        let run = |threads| {
-            SweepRunner::with_threads(threads).run_isolated_reporting(&jobs, f, |_, _| {})
-        };
+        let run = |threads| SweepRunner::with_threads(threads).run_isolated(&jobs, f);
         let reference = run(1);
         for threads in [2, 8] {
             assert_eq!(run(threads), reference, "{threads} threads");
         }
-    }
-
-    #[test]
-    fn isolated_reporting_fires_once_per_job() {
-        use std::sync::Mutex;
-        let jobs: Vec<u64> = (0..9).collect();
-        let seen = Mutex::new(Vec::new());
-        SweepRunner::with_threads(3).run_isolated_reporting(
-            &jobs,
-            |&j| if j == 2 { Err("x".to_string()) } else { Ok(j) },
-            |i, o| seen.lock().unwrap().push((i, o.is_ok())),
-        );
-        let mut seen = seen.into_inner().unwrap();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..9).map(|i| (i, i != 2)).collect::<Vec<_>>());
     }
 
     /// Runs `f` on a thread of its own and fails the test if it has not

@@ -1,4 +1,4 @@
-//! Direct coverage of `lsu::plan_global` edge cases that workloads only
+//! Direct coverage of `lsu::plan_global_into` edge cases that workloads only
 //! exercise indirectly: unaligned accesses, cross-line straddles,
 //! fully-masked-off warps, and replay trains under a zero-capacity epoch
 //! (a channel so slow the whole epoch grants nothing on time) — and the
@@ -9,31 +9,44 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use warpweave_core::lsu::{plan_global, shared_passes, waves_touched};
+use warpweave_core::lsu::{plan_global_into, shared_passes, waves_touched, GlobalPlan};
 use warpweave_core::Mask;
 use warpweave_mem::{
-    coalesce, AccessShape, Cache, CacheConfig, DramConfig, MemRequest, MshrFile, SharedDramChannel,
-    Transaction, BLOCK_BYTES,
+    coalesce_into, AccessShape, Cache, CacheConfig, DramConfig, MemRequest, MshrFile,
+    SharedDramChannel, Transaction, TxScratch, BLOCK_BYTES,
 };
 
 fn l1() -> Cache {
     Cache::new(CacheConfig::paper_l1())
 }
 
-/// `plan_global` with MSHRs disabled — the configuration every test here
-/// exercises (MSHR merge behaviour has its own coverage in `lsu`).
-fn plan(
-    l1: &mut Cache,
-    start: u64,
-    txs: &[Transaction],
-    is_store: bool,
-) -> warpweave_core::lsu::GlobalPlan {
-    plan_global(l1, &mut MshrFile::disabled(), start, txs, is_store, 0)
+/// `plan_global_into` a fresh plan with MSHRs disabled — the configuration
+/// every test here exercises (MSHR merge behaviour has its own coverage in
+/// `lsu`).
+fn plan(l1: &mut Cache, start: u64, txs: &[Transaction], is_store: bool) -> GlobalPlan {
+    let mut plan = GlobalPlan::default();
+    plan_global_into(
+        &mut plan,
+        l1,
+        &mut MshrFile::disabled(),
+        start,
+        txs,
+        is_store,
+        0,
+    );
+    plan
+}
+
+/// The coalesced transactions of a `(lane, byte address)` list.
+fn coalesced(accesses: &[(usize, u32)]) -> Vec<Transaction> {
+    let mut scratch = TxScratch::new();
+    coalesce_into(accesses, &mut scratch);
+    scratch.txs().to_vec()
 }
 
 /// Replays a plan's DRAM requests through a channel the way the
 /// private-mode pipeline does, returning the final data-ready cycle.
-fn resolve(plan: &warpweave_core::lsu::GlobalPlan, channel: &mut SharedDramChannel) -> u64 {
+fn resolve(plan: &GlobalPlan, channel: &mut SharedDramChannel) -> u64 {
     let mut ready = plan.inline_ready;
     for (seq, &(issue_cycle, addr, is_write)) in plan.dram_requests.iter().enumerate() {
         let grant = channel.grant(&MemRequest {
@@ -71,7 +84,7 @@ fn unaligned_accesses_coalesce_by_containing_block() {
     // Byte-unaligned lane addresses (1, 5, 127) share block 0; 129 falls
     // into block 128 — the coalescer keys on the containing 128 B block,
     // not on word alignment.
-    let txs = coalesce(&[(0, 1), (1, 5), (2, 127), (3, 129)]);
+    let txs = coalesced(&[(0, 1), (1, 5), (2, 127), (3, 129)]);
     assert_eq!(txs.len(), 2);
     assert_eq!(txs[0].block_addr, 0);
     assert_eq!(txs[0].lanes, 0b0111);
@@ -94,7 +107,7 @@ fn cross_line_straddle_replays_once_per_line() {
     // A warp whose consecutive word accesses straddle a line boundary:
     // lanes 0..31 at 100 + 4·lane cross from block 0 into block 128.
     let accesses: Vec<(usize, u32)> = (0..32).map(|l| (l, 100 + 4 * l as u32)).collect();
-    let txs = coalesce(&accesses);
+    let txs = coalesced(&accesses);
     assert_eq!(txs.len(), 2, "one transaction per touched line");
     assert_eq!(txs[0].block_addr, 0);
     assert_eq!(txs[1].block_addr, BLOCK_BYTES);

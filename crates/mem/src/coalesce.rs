@@ -246,61 +246,65 @@ fn scatter(accesses: &[(usize, u32)]) -> (u64, LaneRow) {
     (lanes, addr)
 }
 
-/// [`coalesce`] into a reusable [`TxScratch`] — no per-call allocation
-/// once the list has warmed up.
+/// Groups per-lane word accesses into 128-byte block transactions, in order
+/// of first appearance (the replay order the hardware would follow), into
+/// a reusable [`TxScratch`] — no per-call allocation once the list has
+/// warmed up.
+///
+/// Each input entry is `(lane, byte address)` in ascending lane order, at
+/// most one per lane; inactive lanes are simply not passed in. The
+/// pipeline calls [`coalesce_rows`] on its lane rows instead.
+///
+/// # Examples
+/// ```
+/// use warpweave_mem::{coalesce_into, TxScratch};
+/// // Four lanes touching two blocks -> two transactions.
+/// let mut txs = TxScratch::new();
+/// coalesce_into(&[(0, 0), (1, 4), (2, 128), (3, 132)], &mut txs);
+/// assert_eq!(txs.len(), 2);
+/// assert_eq!(txs.txs()[0].block_addr, 0);
+/// assert_eq!(txs.txs()[1].block_addr, 128);
+/// assert_eq!(txs.txs()[1].lanes, 0b1100);
+/// ```
 pub fn coalesce_into(accesses: &[(usize, u32)], out: &mut TxScratch) {
     let (lanes, addr) = scatter(accesses);
     coalesce_rows(lanes, &addr, AccessShape::of(lanes, &addr), out);
 }
 
-/// [`atomic_transactions`] into a reusable [`TxScratch`] — no per-call
-/// allocation once the list has warmed up.
+/// The atomic replay schedule of a `(lane, byte address)` list (see
+/// [`atomic_transactions_rows`]; same list contract as [`coalesce_into`])
+/// into a reusable [`TxScratch`].
 pub fn atomic_transactions_into(accesses: &[(usize, u32)], out: &mut TxScratch) {
     let (lanes, addr) = scatter(accesses);
     atomic_transactions_rows(lanes, &addr, out);
-}
-
-/// Groups per-lane word accesses into 128-byte block transactions, in order
-/// of first appearance (the replay order the hardware would follow).
-///
-/// Each input entry is `(lane, byte address)` in ascending lane order, at
-/// most one per lane; inactive lanes are simply not passed in. Allocates a
-/// fresh list per call — the pipeline holds a [`TxScratch`] and calls
-/// [`coalesce_rows`] instead.
-///
-/// # Examples
-/// ```
-/// use warpweave_mem::coalesce;
-/// // Four lanes touching two blocks -> two transactions.
-/// let txs = coalesce(&[(0, 0), (1, 4), (2, 128), (3, 132)]);
-/// assert_eq!(txs.len(), 2);
-/// assert_eq!(txs[0].block_addr, 0);
-/// assert_eq!(txs[1].block_addr, 128);
-/// assert_eq!(txs[1].lanes, 0b1100);
-/// ```
-pub fn coalesce(accesses: &[(usize, u32)]) -> Vec<Transaction> {
-    let mut scratch = TxScratch::new();
-    coalesce_into(accesses, &mut scratch);
-    scratch.txs
-}
-
-/// The atomic replay schedule of a `(lane, byte address)` list (see
-/// [`atomic_transactions_rows`]; same list contract as [`coalesce`]).
-/// Allocates per call.
-pub fn atomic_transactions(accesses: &[(usize, u32)]) -> Vec<Transaction> {
-    let mut scratch = TxScratch::new();
-    atomic_transactions_into(accesses, &mut scratch);
-    scratch.txs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `accesses` through `f` into a fresh list.
+    fn fresh(
+        f: fn(&[(usize, u32)], &mut TxScratch),
+        accesses: &[(usize, u32)],
+    ) -> Vec<Transaction> {
+        let mut scratch = TxScratch::new();
+        f(accesses, &mut scratch);
+        scratch.txs
+    }
+
+    fn coalesced(accesses: &[(usize, u32)]) -> Vec<Transaction> {
+        fresh(coalesce_into, accesses)
+    }
+
+    fn atomic(accesses: &[(usize, u32)]) -> Vec<Transaction> {
+        fresh(atomic_transactions_into, accesses)
+    }
+
     #[test]
     fn fully_coalesced_single_block() {
         let acc: Vec<(usize, u32)> = (0..32).map(|i| (i, i as u32 * 4)).collect();
-        let txs = coalesce(&acc);
+        let txs = coalesced(&acc);
         assert_eq!(txs.len(), 1);
         assert_eq!(txs[0].lanes, 0xffff_ffff);
     }
@@ -309,13 +313,13 @@ mod tests {
     fn fully_divergent_strided() {
         // Stride of 128: every lane its own block.
         let acc: Vec<(usize, u32)> = (0..32).map(|i| (i, i as u32 * 128)).collect();
-        let txs = coalesce(&acc);
+        let txs = coalesced(&acc);
         assert_eq!(txs.len(), 32);
     }
 
     #[test]
     fn replay_order_is_first_appearance() {
-        let txs = coalesce(&[(0, 256), (1, 0), (2, 300)]);
+        let txs = coalesced(&[(0, 256), (1, 0), (2, 300)]);
         assert_eq!(txs[0].block_addr, 256);
         assert_eq!(txs[1].block_addr, 0);
         assert_eq!(txs[0].lanes, 0b101);
@@ -323,8 +327,8 @@ mod tests {
 
     #[test]
     fn empty_request() {
-        assert!(coalesce(&[]).is_empty());
-        assert!(atomic_transactions(&[]).is_empty());
+        assert!(coalesced(&[]).is_empty());
+        assert!(atomic(&[]).is_empty());
     }
 
     #[test]
@@ -373,7 +377,7 @@ mod tests {
     #[test]
     fn atomic_conflict_free_matches_coalesce() {
         let acc: Vec<(usize, u32)> = (0..8).map(|i| (i, i as u32 * 4)).collect();
-        assert_eq!(atomic_transactions(&acc), coalesce(&acc));
+        assert_eq!(atomic(&acc), coalesced(&acc));
     }
 
     #[test]
@@ -381,16 +385,16 @@ mod tests {
         // 8 lanes hammering one counter: 8 rounds of 1 transaction, lowest
         // lane first.
         let acc: Vec<(usize, u32)> = (0..8).map(|i| (i, 64)).collect();
-        let txs = atomic_transactions(&acc);
+        let txs = atomic(&acc);
         assert_eq!(txs.len(), 8);
         assert!(txs.iter().enumerate().all(|(i, tx)| tx.lanes == 1 << i));
     }
 
     #[test]
     fn scratch_reuse_is_equivalent_to_fresh_allocation() {
-        // One list driven through mixed patterns must reproduce the
-        // allocating API exactly, including the no-cross-round-merge rule
-        // for atomics.
+        // One list driven through mixed patterns must reproduce a fresh
+        // list exactly, including the no-cross-round-merge rule for
+        // atomics.
         let patterns: Vec<Vec<(usize, u32)>> = vec![
             (0..32).map(|i| (i, i as u32 * 4)).collect(),
             (0..32).map(|i| (i, i as u32 * 128)).collect(),
@@ -402,9 +406,9 @@ mod tests {
         let mut scratch = TxScratch::new();
         for acc in &patterns {
             coalesce_into(acc, &mut scratch);
-            assert_eq!(scratch.txs(), coalesce(acc).as_slice());
+            assert_eq!(scratch.txs(), coalesced(acc).as_slice());
             atomic_transactions_into(acc, &mut scratch);
-            assert_eq!(scratch.txs(), atomic_transactions(acc).as_slice());
+            assert_eq!(scratch.txs(), atomic(acc).as_slice());
             assert_eq!(scratch.len(), scratch.txs().len());
         }
     }
@@ -423,10 +427,10 @@ mod tests {
     #[test]
     fn atomic_mixed_conflicts() {
         // Two addresses × two lanes each, same block: 2 rounds × 1 tx.
-        let txs = atomic_transactions(&[(0, 8), (1, 8), (2, 12), (3, 12)]);
+        let txs = atomic(&[(0, 8), (1, 8), (2, 12), (3, 12)]);
         assert_eq!(txs.len(), 2);
         // Two addresses in different blocks, 2 lanes each: 2 rounds × 2 tx.
-        let txs = atomic_transactions(&[(0, 0), (1, 0), (2, 256), (3, 256)]);
+        let txs = atomic(&[(0, 0), (1, 0), (2, 256), (3, 256)]);
         assert_eq!(txs.len(), 4);
     }
 }

@@ -1,8 +1,8 @@
 //! # warpweave-mem
 //!
 //! The memory hierarchy for the warpweave SIMT simulator: a sparse flat
-//! [`Memory`] backing store, the 128-byte [`coalesce()`]r with atomic replay
-//! scheduling, a set-associative tag-only L1 [`Cache`], a
+//! [`Memory`] backing store, the 128-byte coalescer ([`coalesce_rows`])
+//! with atomic replay scheduling, a set-associative tag-only L1 [`Cache`], a
 //! throughput/latency-limited [`Dram`] reference channel, and the
 //! event-driven shared-bandwidth subsystem — a deterministic
 //! [`MemEventQueue`] (with the O(1) [`CalendarQueue`] an SM's writebacks
@@ -26,7 +26,7 @@
 //!
 //! # Examples
 //! ```
-//! use warpweave_mem::{Cache, CacheConfig, Dram, DramConfig, Memory, coalesce};
+//! use warpweave_mem::{coalesce_into, Cache, CacheConfig, Dram, DramConfig, Memory, TxScratch};
 //!
 //! let mut mem = Memory::new();
 //! mem.write_u32(0x40, 7);
@@ -35,9 +35,10 @@
 //! let mut dram = Dram::new(DramConfig::paper());
 //!
 //! // A warp reads 4 consecutive words: one coalesced transaction.
-//! let txs = coalesce(&[(0, 0x40), (1, 0x44), (2, 0x48), (3, 0x4c)]);
+//! let mut txs = TxScratch::new();
+//! coalesce_into(&[(0, 0x40), (1, 0x44), (2, 0x48), (3, 0x4c)], &mut txs);
 //! assert_eq!(txs.len(), 1);
-//! let done_at = match l1.access_load(txs[0].block_addr) {
+//! let done_at = match l1.access_load(txs.txs()[0].block_addr) {
 //!     warpweave_mem::AccessKind::Hit => 3,
 //!     warpweave_mem::AccessKind::Miss => dram.read(0),
 //! };
@@ -60,8 +61,8 @@ pub mod space;
 pub use cache::{AccessKind, Cache, CacheConfig, CacheStats};
 pub use channel::{sort_epoch_order, ChannelStats, MemGrant, MemRequest, SharedDramChannel};
 pub use coalesce::{
-    atomic_transactions, atomic_transactions_into, atomic_transactions_rows, coalesce,
-    coalesce_into, coalesce_rows, AccessShape, LaneRow, Transaction, TxScratch, BLOCK_BYTES,
+    atomic_transactions_into, atomic_transactions_rows, coalesce_into, coalesce_rows, AccessShape,
+    LaneRow, Transaction, TxScratch, BLOCK_BYTES,
 };
 pub use dram::{Dram, DramConfig, DramStats};
 pub use event::{CalendarQueue, MemEvent, MemEventQueue};

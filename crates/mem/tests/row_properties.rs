@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 
 use warpweave_mem::{
-    atomic_transactions, atomic_transactions_rows, coalesce, coalesce_rows, AccessShape, LaneRow,
-    Transaction, TxScratch, BLOCK_BYTES,
+    atomic_transactions_into, atomic_transactions_rows, coalesce_into, coalesce_rows, AccessShape,
+    LaneRow, Transaction, TxScratch, BLOCK_BYTES,
 };
 
 /// An address row by pattern number. Every lane gets an address; which
@@ -124,8 +124,10 @@ proptest! {
         // The list functions: the rows, listed.
         let list: Vec<(usize, u32)> =
             (0..64).filter(|l| lanes >> l & 1 == 1).map(|l| (l, addr[l])).collect();
-        prop_assert_eq!(coalesce(&list), expect);
-        prop_assert_eq!(atomic_transactions(&list), expect_atomic);
+        coalesce_into(&list, &mut out);
+        prop_assert_eq!(out.txs(), expect.as_slice());
+        atomic_transactions_into(&list, &mut out);
+        prop_assert_eq!(out.txs(), expect_atomic.as_slice());
 
         // The generator reaches what it says it does.
         if lanes.count_ones() > 1 && lanes == lane_set(3, bits, 64) {

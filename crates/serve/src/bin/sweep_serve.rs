@@ -14,7 +14,7 @@
 //!   checksummed `.cell` file per entry; survives restarts).
 //!
 //! Each missing cell of a request is simulated once; one that fails is
-//! streamed as a `fail|` line and never cached. The server runs until a
+//! answered as a `fail|` line and never cached. The server runs until a
 //! client sends `shutdown` (see `sweep_client shutdown`). Wire protocol:
 //! `warpweave_serve::protocol`. A usage error (`warpweave_serve::cli` is
 //! the parser) is one stderr line and exit 2.

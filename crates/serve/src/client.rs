@@ -158,10 +158,7 @@ pub fn render_response_json(req: &RunRequest, response: &SweepResponse) -> Resul
     let configs: Vec<_> = if req.frontends.is_empty() {
         warpweave_bench::grid::figure7_configs()
     } else {
-        req.frontends
-            .iter()
-            .map(|n| SmConfig::with_policy(n))
-            .collect::<Result<_, _>>()?
+        SmConfig::with_policies(req.frontends.iter().map(String::as_str))?
     };
     let workloads = warpweave_bench::grid::sweep_workloads(req.full);
     let store = response.into_store()?;

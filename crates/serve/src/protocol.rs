@@ -41,12 +41,12 @@
 //!
 //! **Determinism clause**: for a given request, every line between
 //! `hello` and `stats` (exclusive) is a pure function of the request —
-//! cells stream in canonical request order (workload-major matrix cells,
-//! then probes), and each line's bytes are the deterministic checkpoint
-//! encoding. Two clients issuing the same request concurrently therefore
-//! receive byte-identical transcripts, whether cells came from the
-//! cache, from the other client's in-flight simulation, or were computed
-//! fresh. Only the `stats` line may differ between them (it reports who
+//! the server runs every job, then answers with the lines in canonical
+//! request order (workload-major matrix cells, then probes), and each
+//! line's bytes are the deterministic checkpoint encoding. Two clients
+//! issuing the same request concurrently therefore receive byte-identical
+//! transcripts, whether cells came from the cache, from the other
+//! client's in-flight simulation, or were computed fresh. Only the `stats` line may differ between them (it reports who
 //! paid for the simulation).
 
 use warpweave_bench::CellFailure;
@@ -251,9 +251,9 @@ pub enum ResponseLine {
     Stats(String),
     /// `done|cells=N|failed=K`.
     Done {
-        /// Healthy cells streamed.
+        /// Healthy cells answered.
         cells: usize,
-        /// Quarantined cells streamed.
+        /// Quarantined cells answered.
         failed: usize,
     },
     /// `error|...` — the request was refused (reason).

@@ -1,22 +1,21 @@
-//! The long-running sweep server: accept loop, per-connection handlers,
-//! and in-order response streaming.
+//! The long-running sweep server: accept loop and per-connection
+//! handlers.
 //!
-//! One OS thread per connection (the container is offline and std-only,
-//! so no async runtime); the heavy lifting — cell simulation — fans out
+//! One OS thread per connection (the build is offline and std-only, so
+//! no async runtime); the heavy lifting — cell simulation — fans out
 //! through a shared [`SweepRunner`] worker pool, and the shared
 //! [`CellCache`] deduplicates identical cells across connections.
 //!
-//! Responses stream **in canonical request order** even though cells
-//! finish in completion order: a reorder buffer holds early finishers
-//! until their turn. That is what makes the determinism clause hold — a
-//! client reads cell lines as they become streamable, yet the transcript
-//! is a pure function of the request.
+//! A `run` request is run, then answered: after the `hello` line the
+//! handler waits for [`run_jobs`], which hands back every job's outcome in
+//! canonical request order, then writes all the lines and flushes once.
+//! The transcript is therefore a pure function of the request.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use warpweave_core::SweepRunner;
 
@@ -24,7 +23,7 @@ use crate::cache::CellCache;
 use crate::protocol::{
     done_line, error_line, hello_line, parse_request, stats_line, Request, MAX_REQUEST_LINE,
 };
-use crate::queue::{job_digest, resolve, run_jobs, Outcome};
+use crate::queue::{resolve, run_jobs, Outcome};
 
 /// Server tuning knobs (all optional; defaults are sensible for CI).
 #[derive(Debug)]
@@ -90,8 +89,8 @@ impl Server {
     /// Serves until a `shutdown` request arrives. Connection handlers
     /// run on their own threads; a handler that panics kills only its
     /// connection. At shutdown every connection stops reading: a client
-    /// that has sent nothing holds the server no longer, while a response
-    /// already being written streams to completion.
+    /// that has sent nothing holds the server no longer, while a request
+    /// already under way is run and answered in full.
     ///
     /// # Errors
     /// Accept-loop I/O failures (per-connection I/O errors are contained
@@ -162,8 +161,8 @@ fn handle(
     stop: &AtomicBool,
     addr: SocketAddr,
 ) -> std::io::Result<()> {
-    // Responses are flushed at line-group boundaries; Nagle would hold each
-    // flush back until the client's delayed ACK of the previous one.
+    // A response is flushed after `hello` and at its end; Nagle would hold
+    // each flush back until the client's delayed ACK of the previous one.
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
@@ -221,7 +220,15 @@ fn handle(
                 };
                 writeln!(writer, "{}", hello_line(grid.grid_id))?;
                 writer.flush()?;
-                let (hits, simulated, failed) = stream_in_order(&mut writer, runner, cache, &grid)?;
+                let (mut hits, mut simulated, mut failed) = (0u64, 0u64, 0usize);
+                for outcome in run_jobs(runner, cache, grid.scale, &grid.jobs) {
+                    match outcome {
+                        Outcome::Hit(_) => hits += 1,
+                        Outcome::Simulated(_) => simulated += 1,
+                        Outcome::Failed(_) => failed += 1,
+                    }
+                    writeln!(writer, "{outcome}")?;
+                }
                 let evictions = cache.stats().evictions;
                 // Request-scoped misses: every cell the cache could not
                 // serve, whether it then simulated cleanly or failed.
@@ -232,68 +239,4 @@ fn handle(
             }
         }
     }
-}
-
-/// Runs the grid's jobs and streams their lines in canonical order as a
-/// contiguous prefix becomes ready. Returns `(hits, simulated, failed)`
-/// counts for the stats line.
-fn stream_in_order(
-    writer: &mut impl Write,
-    runner: &SweepRunner,
-    cache: &CellCache,
-    grid: &crate::queue::ResolvedGrid,
-) -> std::io::Result<(u64, u64, usize)> {
-    // An all-hit request is answered here, on the connection's thread:
-    // no workers, no reorder buffer, and a write count that does not
-    // depend on how those would have been scheduled.
-    let digests: Vec<u64> = grid
-        .jobs
-        .iter()
-        .map(|job| job_digest(grid.scale, job))
-        .collect();
-    if let Some(lines) = cache.acquire_all_ready(&digests) {
-        for line in &lines {
-            writeln!(writer, "{line}")?;
-        }
-        return Ok((lines.len() as u64, 0, 0));
-    }
-    let slots: Mutex<Vec<Option<Outcome>>> = Mutex::new(vec![None; grid.jobs.len()]);
-    let ready = Condvar::new();
-    let mut counts = (0u64, 0u64, 0usize);
-    std::thread::scope(|scope| -> std::io::Result<()> {
-        scope.spawn(|| {
-            run_jobs(runner, cache, grid.scale, &grid.jobs, |i, outcome| {
-                slots.lock().expect("slot lock")[i] = Some(outcome.clone());
-                ready.notify_all();
-            });
-        });
-        for i in 0..grid.jobs.len() {
-            // `more` is whether the next line can be written without
-            // waiting (the lines after the last cell always can).
-            let (outcome, more) = {
-                let mut slots = slots.lock().expect("slot lock");
-                loop {
-                    match slots[i].take() {
-                        Some(outcome) => {
-                            break (outcome, slots.get(i + 1).is_none_or(Option::is_some))
-                        }
-                        None => slots = ready.wait(slots).expect("slot lock"),
-                    }
-                }
-            };
-            match &outcome {
-                Outcome::Hit(_) => counts.0 += 1,
-                Outcome::Simulated(_) => counts.1 += 1,
-                Outcome::Failed(_) => counts.2 += 1,
-            }
-            writeln!(writer, "{}", outcome.line())?;
-            // A line streams the moment it is streamable; only a writer
-            // about to block on the reorder buffer needs to flush first.
-            if !more {
-                writer.flush()?;
-            }
-        }
-        Ok(())
-    })?;
-    Ok(counts)
 }

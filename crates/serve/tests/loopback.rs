@@ -6,8 +6,8 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use warpweave_bench::grid;
-use warpweave_bench::{render_sweep_json, run_machine_probes, run_matrix_at};
-use warpweave_core::SweepRunner;
+use warpweave_bench::{matrix_from_store, probes_from_store, render_sweep_json, run_grid};
+use warpweave_core::{SweepCheckpoint, SweepRunner};
 use warpweave_serve::protocol::{classify_line, ResponseLine};
 use warpweave_serve::{
     render_request, render_response_json, request_run, request_shutdown, request_stats, Request,
@@ -80,9 +80,13 @@ fn served_full_grid_renders_the_exact_sweep_payload() {
     let served = render_response_json(&req, &response).expect("render from response");
     let configs = grid::figure7_configs();
     let workloads = grid::sweep_workloads(false);
+    let mut store = SweepCheckpoint::in_memory(grid::grid_id(&configs, &workloads, Scale::Test));
+    let jobs = grid::grid_jobs(&configs, &workloads);
     let runner = SweepRunner::with_threads(1);
-    let matrix = run_matrix_at(&runner, &configs, &workloads, Scale::Test, false);
-    let probes = run_machine_probes(Scale::Test, None).expect("probes");
+    let failures = run_grid(&runner, &jobs, Scale::Test, false, &mut store).expect("record");
+    assert!(failures.is_empty(), "{failures:?}");
+    let matrix = matrix_from_store(&configs, &workloads, &store).expect("every cell");
+    let probes = probes_from_store(&store).expect("every probe");
     let local = render_sweep_json("test", &matrix, &probes);
     assert_eq!(served, local, "served and local sweep payloads");
 

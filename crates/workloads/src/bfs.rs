@@ -6,7 +6,7 @@ use warpweave_core::Launch;
 use warpweave_isa::{p, r, CmpOp, KernelBuilder, Operand, Program};
 
 use crate::runner::{Prepared, Scale};
-use crate::util::{emit_elem_addr, emit_gtid, region, Lcg};
+use crate::util::{assert_exact, emit_elem_addr, emit_gtid, region, Lcg};
 use crate::{Category, Workload};
 
 /// See the [module docs](self).
@@ -119,13 +119,7 @@ impl Workload for Bfs {
             launches,
             inputs: vec![(prow, rows), (pcol, cols), (pdist, dist0)],
             verify: Box::new(move |mem| {
-                let dist = mem.read_words(pdist, n as usize);
-                for (i, (&got, &want)) in dist.iter().zip(&expected).enumerate() {
-                    if got != want {
-                        return Err(format!("dist[{i}] = {got}, expected {want}"));
-                    }
-                }
-                Ok(())
+                assert_exact(&mem.read_words(pdist, n as usize), &expected)
             }),
         }
     }

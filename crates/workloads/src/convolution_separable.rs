@@ -7,7 +7,7 @@ use warpweave_core::Launch;
 use warpweave_isa::{p, r, CmpOp, KernelBuilder, Operand, Program};
 
 use crate::runner::{Prepared, Scale};
-use crate::util::{emit_gtid, region, Lcg};
+use crate::util::{assert_exact, emit_gtid, region, Lcg};
 use crate::{Category, Workload};
 
 /// See the [module docs](self).
@@ -105,13 +105,7 @@ impl Workload for ConvolutionSeparable {
             launches,
             inputs: vec![(pin, input.iter().map(|v| v.to_bits()).collect())],
             verify: Box::new(move |mem| {
-                let out = mem.read_f32s(pin, (w * h) as usize);
-                for (i, (&got, &want)) in out.iter().zip(&expected).enumerate() {
-                    if got != want {
-                        return Err(format!("pixel {i}: {got}, expected {want}"));
-                    }
-                }
-                Ok(())
+                assert_exact(&mem.read_f32s(pin, (w * h) as usize), &expected)
             }),
         }
     }

@@ -6,7 +6,7 @@ use warpweave_core::Launch;
 use warpweave_isa::{p, r, CmpOp, KernelBuilder, Operand, Program, SpecialReg};
 
 use crate::runner::{Prepared, Scale};
-use crate::util::{region, Lcg};
+use crate::util::{assert_exact, region, Lcg};
 use crate::{Category, Workload};
 
 /// See the [module docs](self).
@@ -117,15 +117,7 @@ impl Workload for DwtHaar1d {
         Prepared {
             launches: vec![launch],
             inputs: vec![(pin, input.iter().map(|v| v.to_bits()).collect())],
-            verify: Box::new(move |mem| {
-                let out = mem.read_f32s(pout, n as usize);
-                for (i, (&got, &want)) in out.iter().zip(&expected).enumerate() {
-                    if got != want {
-                        return Err(format!("coef {i}: {got}, expected {want}"));
-                    }
-                }
-                Ok(())
-            }),
+            verify: Box::new(move |mem| assert_exact(&mem.read_f32s(pout, n as usize), &expected)),
         }
     }
 }

@@ -6,7 +6,7 @@ use warpweave_core::Launch;
 use warpweave_isa::{r, KernelBuilder, Operand, Program, SpecialReg};
 
 use crate::runner::{Prepared, Scale};
-use crate::util::{region, Lcg};
+use crate::util::{assert_exact, region, Lcg};
 use crate::{Category, Workload};
 
 /// See the [module docs](self).
@@ -98,13 +98,7 @@ impl Workload for FastWalshTransform {
             launches: vec![launch],
             inputs: vec![(pdata, input)],
             verify: Box::new(move |mem| {
-                let out = mem.read_words(pdata, n as usize);
-                for (i, (&got, &want)) in out.iter().zip(&expected).enumerate() {
-                    if got != want {
-                        return Err(format!("out[{i}] = {got}, expected {want}"));
-                    }
-                }
-                Ok(())
+                assert_exact(&mem.read_words(pdata, n as usize), &expected)
             }),
         }
     }

@@ -5,7 +5,7 @@ use warpweave_core::Launch;
 use warpweave_isa::{r, KernelBuilder, Operand, Program, SpecialReg};
 
 use crate::runner::{Prepared, Scale};
-use crate::util::{region, Lcg};
+use crate::util::{assert_exact, region, Lcg};
 use crate::{Category, Workload};
 
 /// See the [module docs](self).
@@ -93,12 +93,7 @@ impl Workload for Histogram {
                 if total != n as u64 {
                     return Err(format!("histogram sums to {total}, expected {n}"));
                 }
-                for (b, (&got, &want)) in hist.iter().zip(&expected).enumerate() {
-                    if got != want {
-                        return Err(format!("bin {b}: {got}, expected {want}"));
-                    }
-                }
-                Ok(())
+                assert_exact(&hist, &expected)
             }),
         }
     }

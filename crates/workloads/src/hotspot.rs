@@ -5,7 +5,7 @@ use warpweave_core::Launch;
 use warpweave_isa::{p, r, CmpOp, KernelBuilder, Operand, Program};
 
 use crate::runner::{Prepared, Scale};
-use crate::util::{emit_gtid, region, Lcg};
+use crate::util::{assert_exact, emit_gtid, region, Lcg};
 use crate::{Category, Workload};
 
 /// See the [module docs](self).
@@ -114,13 +114,7 @@ impl Workload for Hotspot {
                 (ppow, pw.iter().map(|v| v.to_bits()).collect()),
             ],
             verify: Box::new(move |mem| {
-                let out = mem.read_f32s(final_buf, (w * h) as usize);
-                for (i, (&got, &want)) in out.iter().zip(&expected).enumerate() {
-                    if got != want {
-                        return Err(format!("cell {i}: {got}, expected {want}"));
-                    }
-                }
-                Ok(())
+                assert_exact(&mem.read_f32s(final_buf, (w * h) as usize), &expected)
             }),
         }
     }

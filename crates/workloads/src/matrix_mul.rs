@@ -5,7 +5,7 @@ use warpweave_core::Launch;
 use warpweave_isa::{r, KernelBuilder, Operand, Program};
 
 use crate::runner::{Prepared, Scale};
-use crate::util::{region, Lcg};
+use crate::util::{assert_exact, region, Lcg};
 use crate::{Category, Workload};
 
 /// See the [module docs](self).
@@ -110,13 +110,7 @@ impl Workload for MatrixMul {
             launches: vec![launch],
             inputs: vec![(pa, a), (pb, b)],
             verify: Box::new(move |mem| {
-                let c = mem.read_words(pc, (n * n) as usize);
-                for (i, (&got, &want)) in c.iter().zip(&expected).enumerate() {
-                    if got != want {
-                        return Err(format!("C[{i}] = {got}, expected {want}"));
-                    }
-                }
-                Ok(())
+                assert_exact(&mem.read_words(pc, (n * n) as usize), &expected)
             }),
         }
     }

@@ -24,11 +24,11 @@ fn program(samples: u32) -> Program {
     k.mov(r(2), 0i32); // hits
     k.mov(r(3), samples as i32); // remaining
     k.label("loop");
-    emit_lcg_step(&mut k, r(1), r(10));
+    emit_lcg_step(&mut k, r(1));
     k.shr(r(4), r(1), 8i32);
     k.i2f(r(4), r(4));
     k.fmul(r(4), r(4), INV_2_24); // x ∈ [0,1)
-    emit_lcg_step(&mut k, r(1), r(10));
+    emit_lcg_step(&mut k, r(1));
     k.shr(r(5), r(1), 8i32);
     k.i2f(r(5), r(5));
     k.fmul(r(5), r(5), INV_2_24); // y

@@ -6,7 +6,7 @@ use warpweave_core::Launch;
 use warpweave_isa::{p, r, CmpOp, KernelBuilder, Operand, Program, SpecialReg};
 
 use crate::runner::{Prepared, Scale};
-use crate::util::{region, Lcg};
+use crate::util::{assert_exact, region, Lcg};
 use crate::{Category, Workload};
 
 /// See the [module docs](self).
@@ -97,13 +97,7 @@ impl Workload for SortingNetworks {
             launches: vec![launch],
             inputs: vec![(pdata, data)],
             verify: Box::new(move |mem| {
-                let out = mem.read_words(pdata, n as usize);
-                for (i, (&got, &want)) in out.iter().zip(&expected).enumerate() {
-                    if got != want {
-                        return Err(format!("key {i}: {got}, expected {want}"));
-                    }
-                }
-                Ok(())
+                assert_exact(&mem.read_words(pdata, n as usize), &expected)
             }),
         }
     }

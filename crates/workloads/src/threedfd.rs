@@ -5,7 +5,7 @@ use warpweave_core::Launch;
 use warpweave_isa::{p, r, CmpOp, KernelBuilder, Operand, Program};
 
 use crate::runner::{Prepared, Scale};
-use crate::util::{emit_gtid, region, Lcg};
+use crate::util::{assert_exact, emit_gtid, region, Lcg};
 use crate::{Category, Workload};
 
 /// See the [module docs](self).
@@ -121,13 +121,7 @@ impl Workload for ThreeDfd {
             launches: vec![launch],
             inputs: vec![(pin, input.iter().map(|v| v.to_bits()).collect())],
             verify: Box::new(move |mem| {
-                let out = mem.read_f32s(pout, (nx * ny * nz) as usize);
-                for (i, (&got, &want)) in out.iter().zip(&expected).enumerate() {
-                    if got != want {
-                        return Err(format!("cell {i}: {got}, expected {want}"));
-                    }
-                }
-                Ok(())
+                assert_exact(&mem.read_f32s(pout, (nx * ny * nz) as usize), &expected)
             }),
         }
     }

@@ -25,7 +25,7 @@ use warpweave_core::Launch;
 use warpweave_isa::{p, r, CmpOp, KernelBuilder, Operand, Program};
 
 use crate::runner::{Prepared, Scale};
-use crate::util::{emit_gtid, region};
+use crate::util::{assert_exact, emit_gtid, region};
 use crate::{Category, Workload};
 
 /// Frontier-ordered variant (see the [module docs](self)).
@@ -203,13 +203,7 @@ fn prepare(frontier_ordered: bool, scale: Scale) -> Prepared {
         launches: vec![launch],
         inputs: vec![],
         verify: Box::new(move |mem| {
-            let out = mem.read_f32s(pout, threads as usize);
-            for (i, (&got, &want)) in out.iter().zip(&expected).enumerate() {
-                if got != want {
-                    return Err(format!("arg {i}: {got} expected {want}"));
-                }
-            }
-            Ok(())
+            assert_exact(&mem.read_f32s(pout, threads as usize), &expected)
         }),
     }
 }

@@ -5,7 +5,7 @@ use warpweave_core::Launch;
 use warpweave_isa::{r, KernelBuilder, Operand, Program, SpecialReg};
 
 use crate::runner::{Prepared, Scale};
-use crate::util::{region, Lcg};
+use crate::util::{assert_exact, region, Lcg};
 use crate::{Category, Workload};
 
 /// See the [module docs](self).
@@ -84,13 +84,7 @@ impl Workload for Transpose {
             launches: vec![launch],
             inputs: vec![(pin, input)],
             verify: Box::new(move |mem| {
-                let out = mem.read_words(pout, (w * h) as usize);
-                for (i, (&got, &want)) in out.iter().zip(&expected).enumerate() {
-                    if got != want {
-                        return Err(format!("out[{i}] = {got:#x}, expected {want:#x}"));
-                    }
-                }
-                Ok(())
+                assert_exact(&mem.read_words(pout, (w * h) as usize), &expected)
             }),
         }
     }

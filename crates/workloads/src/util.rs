@@ -1,5 +1,8 @@
 //! Shared helpers for workload kernels: address-space layout, common
-//! assembler idioms and a deterministic input generator.
+//! assembler idioms, a deterministic input generator and the two result
+//! comparisons (exact and within a tolerance).
+
+use std::fmt;
 
 use warpweave_isa::{r, KernelBuilder, Operand, Reg, SpecialReg};
 
@@ -54,8 +57,7 @@ impl Lcg {
 
 /// Emits one LCG step in-place on register `state`:
 /// `state = state * LCG_A + LCG_C`.
-pub fn emit_lcg_step(k: &mut KernelBuilder, state: Reg, tmp: Reg) {
-    let _ = tmp;
+pub fn emit_lcg_step(k: &mut KernelBuilder, state: Reg) {
     k.imad(state, state, LCG_A as i32, LCG_C as i32);
 }
 
@@ -78,6 +80,31 @@ pub fn assert_close(actual: &[f32], expected: &[f32], rel_tol: f32) -> Result<()
         }
     }
     Ok(())
+}
+
+/// Compares two slices exactly: the twin of [`assert_close`] for results
+/// the host reference reproduces bit for bit.
+///
+/// # Errors
+/// A length mismatch, or the first mismatching element.
+pub fn assert_exact<T: PartialEq + fmt::Display>(
+    actual: &[T],
+    expected: &[T],
+) -> Result<(), String> {
+    if actual.len() != expected.len() {
+        return Err(format!(
+            "length mismatch: {} vs {}",
+            actual.len(),
+            expected.len()
+        ));
+    }
+    match actual.iter().zip(expected).position(|(a, e)| a != e) {
+        Some(i) => Err(format!(
+            "element {i}: got {}, expected {}",
+            actual[i], expected[i]
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Shorthand register constructor re-exported for kernels.
@@ -119,5 +146,16 @@ mod tests {
         assert!(assert_close(&[1.0], &[1.0, 2.0], 1e-4).is_err());
         // NaNs never pass.
         assert!(assert_close(&[f32::NAN], &[1.0], 1e-4).is_err());
+    }
+
+    #[test]
+    fn exact_comparison() {
+        assert!(assert_exact(&[1u32, 2], &[1, 2]).is_ok());
+        assert_eq!(
+            assert_exact(&[1u32, 3], &[1, 2]),
+            Err("element 1: got 3, expected 2".into())
+        );
+        assert!(assert_exact(&[1u32], &[1, 2]).is_err());
+        assert!(assert_exact(&[f32::NAN], &[f32::NAN]).is_err());
     }
 }

@@ -48,6 +48,7 @@ fn bench_sweep_refuses_bad_invocations() {
             "--out a --out b",
             "--full --full",
             "--frontend NoSuchPolicy",
+            "--frontend SBI,sbi",
             "--salvage",
             "--inject X",
             "--inject panic@cell:3 --out x.json",

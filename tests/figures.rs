@@ -70,6 +70,13 @@ fn flags_a_figure_cannot_honour_are_usage_errors() {
     for args in [
         &["fig7", "--set", "foo"][..],
         &["fig7", "--frontend", "Nope"],
+        &[
+            "fig7",
+            "--set",
+            "regular",
+            "--frontend",
+            "Baseline,baseline",
+        ],
         &["fig9", "--set", "foo"],
         &[
             "ablation-scoreboard",

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use warpweave::core::{DepMatrix, FrontierHeap, LaneShuffle, Mask, Transition};
 use warpweave::isa::Pc;
-use warpweave::mem::{atomic_transactions, coalesce};
+use warpweave::mem::{atomic_transactions_into, coalesce_into, TxScratch};
 
 proptest! {
     /// Mask set algebra: de Morgan / partition properties.
@@ -87,7 +87,9 @@ proptest! {
     fn coalesce_conservation(addrs in proptest::collection::vec(0u32..1u32 << 20, 1..64)) {
         let accesses: Vec<(usize, u32)> =
             addrs.iter().enumerate().map(|(l, &a)| (l, a & !3)).collect();
-        let txs = coalesce(&accesses);
+        let mut scratch = TxScratch::new();
+        coalesce_into(&accesses, &mut scratch);
+        let txs = scratch.txs().to_vec();
         let total: u32 = txs.iter().map(|t| t.lanes.count_ones()).sum();
         prop_assert_eq!(total as usize, accesses.len());
         prop_assert!(txs.len() <= accesses.len());
@@ -97,7 +99,7 @@ proptest! {
                 prop_assert_eq!(accesses[l].1 & !127, t.block_addr);
             }
         }
-        let atomic = atomic_transactions(&accesses);
-        prop_assert!(atomic.len() >= txs.len());
+        atomic_transactions_into(&accesses, &mut scratch);
+        prop_assert!(scratch.len() >= txs.len());
     }
 }
