@@ -33,6 +33,10 @@
 //! `c:` section carries [`ChannelStats::to_fields`] (machine probes), and
 //! the trailer is the FNV-1a 64 checksum of everything before the `|#`.
 //! A crash mid-write leaves a torn final line; the checksum catches it.
+//! Only the canonical encoding decodes — a line is accepted exactly when
+//! [`encode_cell`] reproduces it byte for byte — and [`decode_cell`]
+//! checks it in one pass: the checksum, then one forward scan of the
+//! sections against the two tables' names.
 //!
 //! **Versioning rule:** any change to the field lists, the line grammar,
 //! the checksum or what a counter counts must bump [`CHECKPOINT_VERSION`]
@@ -45,7 +49,7 @@
 //! the digest move together.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs::File;
 use std::io::Write as _;
 use std::path::Path;
@@ -141,52 +145,76 @@ impl CellRecord {
     }
 }
 
-/// Renders a field list as `name=value,...`.
-fn render_fields(fields: &[(&'static str, u64)]) -> String {
-    fields
-        .iter()
-        .map(|(name, value)| format!("{name}={value}"))
-        .collect::<Vec<_>>()
-        .join(",")
+/// Appends `name=value,...` for a field list to `out`.
+fn push_fields(out: &mut String, fields: &[(&'static str, u64)]) {
+    for (i, (name, value)) in fields.iter().enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        write!(out, "{sep}{name}={value}").expect("writing to a String cannot fail");
+    }
 }
 
-/// Parses a `name=value,...` section back into a field list.
-fn parse_fields(section: &str) -> Result<Vec<(&str, u64)>, String> {
-    if section.is_empty() {
-        return Ok(Vec::new());
+/// Reads one section's `name=value,...` list off the front of `text` in
+/// one forward pass: each name must be the next of `names`, compared in
+/// place, and each value the canonical decimal spelling of a `u64` (no
+/// sign, no leading zero, not empty). Returns the values and the rest of
+/// `text` after the last value.
+fn read_fields<'t, const N: usize>(
+    table: &str,
+    names: &[&'static str; N],
+    text: &'t str,
+) -> Result<([u64; N], &'t str), String> {
+    let mut values = [0u64; N];
+    let mut rest = text.as_bytes();
+    for (i, (name, value)) in names.iter().zip(&mut values).enumerate() {
+        if i > 0 {
+            rest = rest
+                .strip_prefix(b",")
+                .ok_or_else(|| format!("{table} field {i}: expected `,` before `{name}`"))?;
+        }
+        rest = rest
+            .strip_prefix(name.as_bytes())
+            .and_then(|r| r.strip_prefix(b"="))
+            .ok_or_else(|| format!("{table} field {i}: expected `{name}=`"))?;
+        let mut digits = 0;
+        while let Some(d) = rest.get(digits).filter(|d| d.is_ascii_digit()) {
+            *value = value
+                .checked_mul(10)
+                .and_then(|v| v.checked_add(u64::from(d - b'0')))
+                .ok_or_else(|| format!("{table} field `{name}`: value exceeds u64"))?;
+            digits += 1;
+        }
+        if digits == 0 || (digits > 1 && rest[0] == b'0') {
+            return Err(format!("{table} field `{name}`: not a canonical decimal"));
+        }
+        rest = &rest[digits..];
     }
-    section
-        .split(',')
-        .map(|pair| {
-            let (name, value) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("field `{pair}` has no `=`"))?;
-            let value: u64 = value
-                .parse()
-                .map_err(|e| format!("field `{name}` value `{value}`: {e}"))?;
-            Ok((name, value))
-        })
-        .collect()
-}
-
-/// Renders one cell line *without* its checksum trailer.
-fn render_cell_body(key: &str, record: &CellRecord) -> String {
-    let mut line = format!("cell|{key}|s:{}", render_fields(&record.stats.to_fields()));
-    if let Some(channel) = &record.channel {
-        line.push_str(&format!("|c:{}", render_fields(&channel.to_fields())));
-    }
-    line
+    // Every byte read so far is ASCII, so the cut is on a char boundary.
+    Ok((values, &text[text.len() - rest.len()..]))
 }
 
 /// Encodes one complete cell line, checksum trailer included — the exact
-/// bytes [`SweepCheckpoint::record`] appends.
+/// bytes [`SweepCheckpoint::record`] appends — written into one `String`.
 pub fn encode_cell(key: &str, record: &CellRecord) -> String {
-    let body = render_cell_body(key, record);
-    let checksum = fnv1a(body.as_bytes());
-    format!("{body}|#{checksum:016x}")
+    let mut line = String::with_capacity(1024);
+    line.push_str("cell|");
+    line.push_str(key);
+    line.push_str("|s:");
+    push_fields(&mut line, &record.stats.to_fields());
+    if let Some(channel) = &record.channel {
+        line.push_str("|c:");
+        push_fields(&mut line, &channel.to_fields());
+    }
+    let checksum = fnv1a(line.as_bytes());
+    write!(line, "|#{checksum:016x}").expect("writing to a String cannot fail");
+    line
 }
 
 /// Decodes one cell line (checksum verified) back into `(key, record)`.
+///
+/// One hash over the body, then one forward scan of its sections against
+/// the counter tables' names. Only the canonical encoding decodes: a line
+/// is accepted exactly when [`encode_cell`] of what it decodes to
+/// reproduces it byte for byte.
 ///
 /// # Errors
 /// A description of the first defect: torn trailer, checksum mismatch,
@@ -195,38 +223,41 @@ pub fn decode_cell(line: &str) -> Result<(String, CellRecord), String> {
     let (body, checksum) = line
         .rsplit_once("|#")
         .ok_or("missing checksum trailer (torn write?)")?;
-    let stored =
-        u64::from_str_radix(checksum, 16).map_err(|_| format!("bad checksum `{checksum}`"))?;
+    let stored = Some(checksum)
+        .filter(|c| c.len() == 16 && c.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
+        .and_then(|c| u64::from_str_radix(c, 16).ok())
+        .ok_or_else(|| format!("bad checksum `{checksum}`"))?;
     let computed = fnv1a(body.as_bytes());
     if stored != computed {
         return Err(format!(
             "checksum mismatch (stored {stored:016x}, computed {computed:016x})"
         ));
     }
-    let mut sections = body.split('|');
-    match sections.next() {
-        Some("cell") => {}
-        other => return Err(format!("unexpected record tag {other:?}")),
-    }
-    let key = sections.next().ok_or("missing cell key")?.to_string();
-    let stats_section = sections
-        .next()
-        .and_then(|s| s.strip_prefix("s:"))
+    let rest = body
+        .strip_prefix("cell|")
+        .ok_or_else(|| format!("unexpected record tag in `{body:.16}`"))?;
+    let (key, rest) = rest.split_once('|').ok_or("missing cell key")?;
+    let rest = rest
+        .strip_prefix("s:")
         .ok_or("missing `s:` stats section")?;
-    let stats = Stats::from_fields(&parse_fields(stats_section)?)?;
-    let channel = match sections.next() {
-        None => None,
-        Some(section) => {
-            let fields = section
-                .strip_prefix("c:")
-                .ok_or_else(|| format!("unexpected section `{section}`"))?;
-            Some(ChannelStats::from_fields(&parse_fields(fields)?)?)
+    let (values, rest) = read_fields("Stats", &Stats::FIELD_NAMES, rest)?;
+    let stats = Stats::take_values(&mut values.into_iter())?;
+    let channel = match rest {
+        "" => None,
+        rest => {
+            let fields = rest
+                .strip_prefix("|c:")
+                .ok_or_else(|| format!("unexpected text `{rest:.24}` after the `s:` section"))?;
+            let (values, rest) = read_fields("ChannelStats", &ChannelStats::FIELD_NAMES, fields)?;
+            if !rest.is_empty() {
+                return Err(format!(
+                    "unexpected text `{rest:.24}` after the `c:` section"
+                ));
+            }
+            Some(ChannelStats::take_values(&mut values.into_iter())?)
         }
     };
-    if let Some(extra) = sections.next() {
-        return Err(format!("trailing section `{extra}`"));
-    }
-    Ok((key, CellRecord { stats, channel }))
+    Ok((key.to_string(), CellRecord { stats, channel }))
 }
 
 /// A store of completed sweep cells, in memory or backed by a fresh file.

@@ -67,6 +67,16 @@ impl Fnv1a {
     }
 }
 
+/// Folds formatted text in as it is written, so `write!(hasher, ...)`
+/// digests exactly the bytes `format!(...)` would build, without building
+/// them.
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,5 +99,16 @@ mod tests {
             h.update(&text[split..]);
             assert_eq!(h.finish(), whole, "split at {split}");
         }
+    }
+
+    #[test]
+    fn formatted_writes_digest_the_formatted_bytes() {
+        use std::fmt::Write as _;
+        let mut h = Fnv1a::new();
+        write!(h, "seed={:#018x};scale={:?}", 0xb1e55ed_u64, Some(3)).unwrap();
+        assert_eq!(
+            h.finish(),
+            fnv1a(format!("seed={:#018x};scale={:?}", 0xb1e55ed_u64, Some(3)).as_bytes())
+        );
     }
 }

@@ -134,7 +134,8 @@ macro_rules! counter_table {
             }
 
             /// Reads this table's counters off the front of `values`, whose
-            /// names [`Self::from_fields`] has already checked.
+            /// names the caller has already checked ([`Self::from_fields`],
+            /// or the checkpoint codec's one-pass section reader).
             #[doc(hidden)]
             pub fn take_values(values: &mut impl Iterator<Item = u64>) -> Result<$name, String> {
                 Ok($name {
@@ -172,10 +173,10 @@ macro_rules! counter_table {
 
     (@take nested $ty:ident, $name:expr, $values:ident) => { $ty::take_values($values)? };
     (@take $rule:ident u64, $name:expr, $values:ident) => {
-        $values.next().expect("count checked by from_fields")
+        $values.next().expect("count checked by the caller")
     };
     (@take $rule:ident usize, $name:expr, $values:ident) => {{
-        let value = $values.next().expect("count checked by from_fields");
+        let value = $values.next().expect("count checked by the caller");
         usize::try_from(value)
             .map_err(|_| format!("field `{}` value {value} exceeds usize", $name))?
     }};

@@ -25,11 +25,12 @@
 //!   the archive tier).
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::{Condvar, Mutex};
 
 use warpweave_core::checkpoint::{decode_cell, CHECKPOINT_VERSION};
-use warpweave_core::digest::fnv1a;
+use warpweave_core::digest::Fnv1a;
 use warpweave_workloads::Scale;
 
 /// The content address of one sweep cell: the FNV-1a digest of its
@@ -37,13 +38,18 @@ use warpweave_workloads::Scale;
 /// checkpoint cell key (`workload/config` or `machine/...`), and the
 /// configuration label. Any change to what a cell *means* (a format
 /// bump, a re-seeded config, a renamed policy) changes the address, so
-/// stale entries can never be served for a new grid.
+/// stale entries can never be served for a new grid. The text is folded
+/// into the hasher piece by piece as it is formatted, never built; the
+/// disk tier names its files by this value, so it is pinned by a test.
 pub fn cell_digest(scale: Scale, seed: u64, cell_key: &str, config_label: &str) -> u64 {
-    let text = format!(
+    let mut hasher = Fnv1a::new();
+    write!(
+        hasher,
         "cell-v{CHECKPOINT_VERSION};scale={scale:?};seed={seed:#018x};\
          cell={cell_key};config={config_label}"
-    );
-    fnv1a(text.as_bytes())
+    )
+    .expect("hashing cannot fail");
+    hasher.finish()
 }
 
 /// Cumulative cache counters (server lifetime).
@@ -335,6 +341,30 @@ mod tests {
         assert_ne!(base, cell_digest(Scale::Test, 2, "a/b", "b"), "seed");
         assert_ne!(base, cell_digest(Scale::Test, 1, "a/c", "c"), "cell");
         assert_eq!(base, cell_digest(Scale::Test, 1, "a/b", "b"), "stable");
+    }
+
+    /// Disk entries are named by these addresses: a change of any of them
+    /// orphans every cache directory written before it.
+    #[test]
+    fn cell_addresses_are_pinned() {
+        let seed = 0xb1e55ed;
+        assert_eq!(
+            [
+                cell_digest(Scale::Test, seed, "MatrixMul/SBI", "SBI"),
+                cell_digest(Scale::Bench, seed, "MatrixMul/SBI+SWI", "SBI+SWI"),
+                cell_digest(
+                    Scale::Test,
+                    seed,
+                    "machine/MatrixMul/4sm/shared+2ch+mshr32+l2",
+                    "SBI+SWI"
+                ),
+            ],
+            [
+                0x6908_ee66_1e7b_bb1b,
+                0x4a29_3600_5781_9727,
+                0xa7b7_2143_24b1_2f50
+            ]
+        );
     }
 
     #[test]

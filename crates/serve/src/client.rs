@@ -1,10 +1,14 @@
 //! The sweep service client: issue a request, collect and verify the
 //! response, and optionally render it to the standard sweep JSON.
 //!
-//! The client re-verifies every `cell|` line's FNV checksum on receipt
-//! (the wire format *is* the checkpoint codec), so a flipped bit
-//! anywhere between the server's simulation and this process is caught
-//! here, not in a downstream diff.
+//! The client re-verifies every `cell|` line on receipt with
+//! [`decode_cell`] (the wire format *is* the checkpoint codec), so a
+//! flipped bit anywhere between the server's simulation and this process
+//! is caught here, not in a downstream diff. A warm cell costs its bytes:
+//! the response is read into one reused line buffer, each line is
+//! classified where it lies, a `cell|` line is verified by one hash and
+//! one forward scan, and each kept `cell|` / `fail|` line is copied once,
+//! into [`SweepResponse`].
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -98,9 +102,8 @@ impl SweepResponse {
 /// Connection and I/O failures, protocol violations, `error|` responses,
 /// and any cell line whose checksum does not verify.
 pub fn request_run(addr: &str, req: &RunRequest) -> Result<SweepResponse, String> {
-    let lines = exchange(addr, &Request::Run(req.clone()))?;
-    let mut iter = lines.into_iter();
-    let grid_id = match iter.next() {
+    let mut exchange = Exchange::open(addr, &Request::Run(req.clone()))?;
+    let grid_id = match exchange.next_line()? {
         Some(ResponseLine::Hello(id)) => id,
         Some(ResponseLine::Error(reason)) => return Err(format!("server refused: {reason}")),
         other => return Err(format!("expected hello, got {other:?}")),
@@ -112,14 +115,14 @@ pub fn request_run(addr: &str, req: &RunRequest) -> Result<SweepResponse, String
         stats: RequestStats::default(),
     };
     let mut done = None;
-    for line in iter {
+    while let Some(line) = exchange.next_line()? {
         match line {
             ResponseLine::Cell(raw) => {
-                decode_cell(&raw).map_err(|e| format!("cell line failed verification: {e}"))?;
-                response.cell_lines.push(raw);
+                decode_cell(raw).map_err(|e| format!("cell line failed verification: {e}"))?;
+                response.cell_lines.push(raw.to_string());
             }
-            ResponseLine::Fail(raw) => response.fail_lines.push(raw),
-            ResponseLine::Stats(raw) => response.stats = parse_stats(&raw),
+            ResponseLine::Fail(raw) => response.fail_lines.push(raw.to_string()),
+            ResponseLine::Stats(raw) => response.stats = parse_stats(raw),
             ResponseLine::Done { cells, failed } => done = Some((cells, failed)),
             ResponseLine::Error(reason) => return Err(format!("server refused: {reason}")),
             ResponseLine::Hello(_) => return Err("unexpected second hello".into()),
@@ -179,9 +182,10 @@ pub fn render_response_json(req: &RunRequest, response: &SweepResponse) -> Resul
 /// # Errors
 /// Connection/protocol failures.
 pub fn request_stats(addr: &str) -> Result<String, String> {
-    for line in exchange(addr, &Request::Stats)? {
+    let mut exchange = Exchange::open(addr, &Request::Stats)?;
+    while let Some(line) = exchange.next_line()? {
         if let ResponseLine::Stats(raw) = line {
-            return Ok(raw);
+            return Ok(raw.to_string());
         }
     }
     Err("server sent no stats line".into())
@@ -192,35 +196,64 @@ pub fn request_stats(addr: &str) -> Result<String, String> {
 /// # Errors
 /// Connection/protocol failures.
 pub fn request_shutdown(addr: &str) -> Result<(), String> {
-    exchange(addr, &Request::Shutdown).map(|_| ())
+    let mut exchange = Exchange::open(addr, &Request::Shutdown)?;
+    while exchange.next_line()?.is_some() {}
+    Ok(())
 }
 
-/// One request/response exchange: connect, send, read to `done` or EOF.
-fn exchange(addr: &str, req: &Request) -> Result<Vec<ResponseLine>, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_nodelay(true)
-        .map_err(|e| format!("set TCP_NODELAY: {e}"))?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("clone stream: {e}"))?;
-    writeln!(writer, "{}", render_request(req)).map_err(|e| format!("send request: {e}"))?;
-    writer.flush().map_err(|e| format!("send request: {e}"))?;
-    // Half-close our sending side so the server's line reader sees EOF
-    // after this single request.
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let mut lines = Vec::new();
-    for line in BufReader::new(stream).lines() {
-        let line = line.map_err(|e| format!("read response: {e}"))?;
-        let classified = classify_line(&line)?;
-        let is_done = matches!(classified, ResponseLine::Done { .. });
-        let is_error = matches!(classified, ResponseLine::Error(_));
-        lines.push(classified);
-        if is_done || is_error {
-            break;
-        }
+/// One request/response exchange: a connection that has sent its
+/// request and reads the response, to `done`, `error` or EOF, one line at
+/// a time into a buffer it reuses.
+struct Exchange {
+    reader: BufReader<TcpStream>,
+    line: String,
+    over: bool,
+}
+
+impl Exchange {
+    /// Connects to `addr` and sends `req`.
+    fn open(addr: &str, req: &Request) -> Result<Exchange, String> {
+        let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+        stream
+            .set_nodelay(true)
+            .map_err(|e| format!("set TCP_NODELAY: {e}"))?;
+        let mut writer = stream
+            .try_clone()
+            .map_err(|e| format!("clone stream: {e}"))?;
+        writeln!(writer, "{}", render_request(req)).map_err(|e| format!("send request: {e}"))?;
+        writer.flush().map_err(|e| format!("send request: {e}"))?;
+        // Half-close our sending side so the server's line reader sees EOF
+        // after this single request.
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+        Ok(Exchange {
+            reader: BufReader::new(stream),
+            line: String::new(),
+            over: false,
+        })
     }
-    Ok(lines)
+
+    /// The next response line, classified where it lies in the buffer
+    /// (its `\n` or `\r\n` stripped, as [`BufRead::lines`] does); `None`
+    /// after `done` or `error`, or at EOF.
+    fn next_line(&mut self) -> Result<Option<ResponseLine<'_>>, String> {
+        self.line.clear();
+        if self.over
+            || self
+                .reader
+                .read_line(&mut self.line)
+                .map_err(|e| format!("read response: {e}"))?
+                == 0
+        {
+            return Ok(None);
+        }
+        let line = self.line.strip_suffix('\n').unwrap_or(&self.line);
+        let classified = classify_line(line.strip_suffix('\r').unwrap_or(line))?;
+        self.over = matches!(
+            classified,
+            ResponseLine::Done { .. } | ResponseLine::Error(_)
+        );
+        Ok(Some(classified))
+    }
 }
 
 #[cfg(test)]

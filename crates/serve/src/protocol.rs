@@ -238,17 +238,17 @@ pub fn error_line(reason: &str) -> String {
     format!("error|{}", reason.replace(['\n', '\r'], " "))
 }
 
-/// One classified server response line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResponseLine {
+/// One classified server response line, borrowing the line it came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResponseLine<'a> {
     /// `hello|...` — carries the grid id.
     Hello(u64),
     /// `cell|...` — one healthy cell in checkpoint encoding (raw line).
-    Cell(String),
+    Cell(&'a str),
     /// `fail|...` — one quarantined cell (raw line).
-    Fail(String),
+    Fail(&'a str),
     /// `stats|...` — the request's cache accounting (raw line).
-    Stats(String),
+    Stats(&'a str),
     /// `done|cells=N|failed=K`.
     Done {
         /// Healthy cells answered.
@@ -257,25 +257,25 @@ pub enum ResponseLine {
         failed: usize,
     },
     /// `error|...` — the request was refused (reason).
-    Error(String),
+    Error(&'a str),
 }
 
 /// Classifies one server line.
 ///
 /// # Errors
 /// Lines outside the protocol grammar.
-pub fn classify_line(line: &str) -> Result<ResponseLine, String> {
+pub fn classify_line(line: &str) -> Result<ResponseLine<'_>, String> {
     if line.starts_with("hello|") {
         return Ok(ResponseLine::Hello(parse_hello(line)?));
     }
     if line.starts_with("cell|") {
-        return Ok(ResponseLine::Cell(line.to_string()));
+        return Ok(ResponseLine::Cell(line));
     }
     if line.starts_with("fail|") {
-        return Ok(ResponseLine::Fail(line.to_string()));
+        return Ok(ResponseLine::Fail(line));
     }
     if line.starts_with("stats|") {
-        return Ok(ResponseLine::Stats(line.to_string()));
+        return Ok(ResponseLine::Stats(line));
     }
     if let Some(rest) = line.strip_prefix("done|") {
         let mut cells = None;
@@ -293,7 +293,7 @@ pub fn classify_line(line: &str) -> Result<ResponseLine, String> {
         }
     }
     if let Some(reason) = line.strip_prefix("error|") {
-        return Ok(ResponseLine::Error(reason.to_string()));
+        return Ok(ResponseLine::Error(reason));
     }
     Err(format!("unclassifiable server line `{line}`"))
 }

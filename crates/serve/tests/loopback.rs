@@ -124,7 +124,7 @@ fn repeat_requests_on_one_connection_are_prompt_and_byte_identical() {
                 .expect("read response");
             match classify_line(&line).expect("protocol line") {
                 ResponseLine::Cell(raw) | ResponseLine::Fail(raw) => {
-                    transcript.push_str(&raw);
+                    transcript.push_str(raw);
                     transcript.push('\n');
                 }
                 ResponseLine::Done { .. } => break,
