@@ -316,10 +316,10 @@ impl Machine {
     ///
     /// With `T` threads (at most one per SM), [`Machine::run`] spawns
     /// `T - 1` workers once and keeps them for the whole run: SM `i` is
-    /// stepped by worker `i % T`, the calling thread being worker 0, and a
-    /// worker sleeps on a condition variable between epochs. With one
-    /// thread the run spawns nothing. Results never depend on this
-    /// setting — only wall-clock time does.
+    /// stepped by worker `i % T`, the calling thread being worker 0, and
+    /// each epoch a worker receives its SMs over a channel, steps them and
+    /// sends them back. With one thread the run spawns nothing. Results
+    /// never depend on this setting — only wall-clock time does.
     pub fn with_threads(mut self, n: usize) -> Machine {
         self.runner = SweepRunner::with_threads(n);
         self

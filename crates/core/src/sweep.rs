@@ -18,7 +18,8 @@ use std::fmt;
 use std::mem;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Mutex, OnceLock};
 
 thread_local! {
     /// True while this thread executes a runner's jobs: a spawned worker
@@ -82,9 +83,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// Its stepped form, `with_pool`, serves a [`crate::Machine`]: it spawns
 /// `T - 1` workers once for a whole run (the caller is worker 0), gives
-/// item `i` to worker `i % T` for every round, and parks each worker on a
-/// condition variable between rounds — no spinning, and no thread at all
-/// when `T` is 1. What an item computes never depends on `T`.
+/// item `i` to worker `i % T` for every round, and each round sends every
+/// worker its shard over a channel and receives it back over another — no
+/// thread or channel at all when `T` is 1. What an item computes never
+/// depends on `T`.
 ///
 /// # Examples
 /// ```
@@ -207,9 +209,11 @@ impl SweepRunner {
     /// With `T = threads().min(items.len())` above 1 the runner spawns
     /// `T - 1` scoped workers once, for the length of `body`; worker `k`
     /// steps items `k, k + T, …` every round and the caller steps shard 0
-    /// itself. Workers block between rounds and exit when `body` returns
-    /// or unwinds. With `T` of 1 every round runs inline on the caller: no
-    /// thread, lock or allocation.
+    /// itself. A round sends each worker its shard over a channel and
+    /// receives it back over another. When `body` returns or unwinds the
+    /// pool is dropped, which closes every worker's inbox: the workers'
+    /// loops end and the scope joins them. With `T` of 1 every round runs
+    /// inline on the caller: no thread, channel or allocation.
     pub(crate) fn with_pool<J, A, E, F, R>(
         &self,
         items: &mut Vec<J>,
@@ -223,25 +227,37 @@ impl SweepRunner {
         F: Fn(&mut J, A) -> Result<(), E> + Sync,
     {
         let threads = self.threads().min(items.len());
+        let mut pool = Pool {
+            items,
+            step: &step,
+            shards: Vec::new(),
+            workers: Vec::new(),
+        };
         if threads <= 1 {
-            return body(&mut Pool {
-                items,
-                step: &step,
-                handoff: None,
-            });
+            return body(&mut pool);
         }
-        let handoff = Handoff::new(threads);
         std::thread::scope(|scope| {
+            // Moved into the scope, so it is dropped — and the workers told
+            // to exit — before the scope waits to join them.
+            let mut pool = pool;
+            pool.shards = (0..threads).map(|_| Vec::new()).collect();
             for k in 1..threads {
-                let (handoff, step) = (&handoff, &step);
-                scope.spawn(move || handoff.serve(k, step));
+                // One shard is in flight each way at most: a bounded
+                // channel of one never blocks its sender.
+                let (to_worker, inbox) = mpsc::sync_channel::<(Vec<J>, A)>(1);
+                let (outbox, from_worker) = mpsc::sync_channel(1);
+                let step = &step;
+                scope.spawn(move || {
+                    for (mut shard, arg) in inbox {
+                        let failure = step_shard(&mut shard, k, threads, arg, step);
+                        if outbox.send((shard, failure)).is_err() {
+                            return;
+                        }
+                    }
+                });
+                pool.workers.push((to_worker, from_worker));
             }
-            let _shutdown = Shutdown(&handoff);
-            body(&mut Pool {
-                items,
-                step: &step,
-                handoff: Some(&handoff),
-            })
+            body(&mut pool)
         })
     }
 }
@@ -252,113 +268,24 @@ enum StepFailure<E> {
     Panic(Box<dyn Any + Send>),
 }
 
-/// What a pool's caller and workers share, behind one mutex.
-struct Round<J, A, E> {
-    /// Bumped by the caller to start a round; a worker steps each once.
-    number: u64,
-    /// The current round's argument.
-    arg: Option<A>,
-    /// Shard `k`: items `k, k + T, …` in descending order, so the caller
-    /// deals them out and gathers them back with `push` and `pop` alone.
-    /// A worker takes its shard for the round and hands it back.
-    shards: Vec<Vec<J>>,
-    /// Shard `k`'s first failure of the round, with its item index.
-    failures: Vec<Option<(usize, StepFailure<E>)>>,
-    /// Workers that have not handed their shard back yet.
-    pending: usize,
-    /// Set when the caller is done with the pool: workers exit.
-    shutdown: bool,
-}
+/// A shard's first failure of a round, with its item index.
+type Failure<E> = Option<(usize, StepFailure<E>)>;
 
-/// Steps run outside the pool lock, so nothing panics while holding it.
-const UNPOISONED: &str = "no step runs under the pool lock";
-
-/// The blocking handoff between a pool's caller and its workers.
-struct Handoff<J, A, E> {
-    threads: usize,
-    round: Mutex<Round<J, A, E>>,
-    /// Signalled when a round starts or the pool shuts down.
-    started: Condvar,
-    /// Signalled when the last worker hands its shard back.
-    finished: Condvar,
-}
-
-impl<J, A: Copy, E> Handoff<J, A, E> {
-    fn new(threads: usize) -> Self {
-        Handoff {
-            threads,
-            round: Mutex::new(Round {
-                number: 0,
-                arg: None,
-                shards: (0..threads).map(|_| Vec::new()).collect(),
-                failures: (0..threads).map(|_| None).collect(),
-                pending: 0,
-                shutdown: false,
-            }),
-            started: Condvar::new(),
-            finished: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Round<J, A, E>> {
-        self.round.lock().expect(UNPOISONED)
-    }
-
-    /// Worker `k`'s life: wait for a round, step its shard, hand it back;
-    /// return at shutdown. A panicking step is caught and handed back too,
-    /// so a worker always finishes its round and the caller never waits
-    /// for a shard that is not coming.
-    fn serve<F: Fn(&mut J, A) -> Result<(), E>>(&self, k: usize, step: &F) {
-        let mut done = 0;
-        loop {
-            let mut round = self
-                .started
-                .wait_while(self.lock(), |r| r.number == done && !r.shutdown)
-                .expect(UNPOISONED);
-            if round.shutdown {
-                return;
-            }
-            done = round.number;
-            let arg = round.arg.expect("a started round carries its argument");
-            let mut shard = mem::take(&mut round.shards[k]);
-            drop(round);
-            let failure = step_shard(&mut shard, k, self.threads, arg, step);
-            let mut round = self.lock();
-            round.shards[k] = shard;
-            round.failures[k] = failure;
-            round.pending -= 1;
-            let last = round.pending == 0;
-            drop(round);
-            if last {
-                self.finished.notify_one();
-            }
-        }
-    }
-}
-
-/// Shuts a pool's workers down when the caller's body returns or unwinds.
-struct Shutdown<'a, J, A, E>(&'a Handoff<J, A, E>);
-
-impl<J, A, E> Drop for Shutdown<'_, J, A, E> {
-    fn drop(&mut self) {
-        // Never panic here: the caller may be unwinding already.
-        let mut round = self.0.round.lock().unwrap_or_else(PoisonError::into_inner);
-        round.shutdown = true;
-        drop(round);
-        self.0.started.notify_all();
-    }
-}
+/// The caller's ends of one worker's channels: its shard goes out with the
+/// round's argument and comes back with the shard's first failure.
+type Worker<J, A, E> = (SyncSender<(Vec<J>, A)>, Receiver<(Vec<J>, Failure<E>)>);
 
 /// Steps shard `k` of `threads` (stored in descending item order) in
 /// ascending item order, stopping at its first failure — which is then
-/// the shard's lowest-indexed one, whatever the shard size.
+/// the shard's lowest-indexed one, whatever the shard size. A panicking
+/// step is caught, so a worker always sends its shard back.
 fn step_shard<J, A: Copy, E>(
     shard: &mut [J],
     k: usize,
     threads: usize,
     arg: A,
     step: &impl Fn(&mut J, A) -> Result<(), E>,
-) -> Option<(usize, StepFailure<E>)> {
+) -> Failure<E> {
     let _batch = BatchScope::enter();
     shard.iter_mut().rev().enumerate().find_map(|(j, item)| {
         let failure = match catch_unwind(AssertUnwindSafe(|| step(item, arg))) {
@@ -374,8 +301,13 @@ fn step_shard<J, A: Copy, E>(
 pub(crate) struct Pool<'a, J, A, E, F> {
     items: &'a mut Vec<J>,
     step: &'a F,
-    /// `None` when every round runs inline on the caller.
-    handoff: Option<&'a Handoff<J, A, E>>,
+    /// Shard `k`: items `k, k + T, …` in descending order, so a round
+    /// deals them out and gathers them back with `push` and `pop` alone.
+    /// Empty between rounds; a shard's buffer travels to its worker and
+    /// back, so rounds after the first allocate nothing.
+    shards: Vec<Vec<J>>,
+    /// Workers `1..T`; none when every round runs inline on the caller.
+    workers: Vec<Worker<J, A, E>>,
 }
 
 impl<J, A: Copy, E, F: Fn(&mut J, A) -> Result<(), E>> Pool<'_, J, A, E, F> {
@@ -394,43 +326,33 @@ impl<J, A: Copy, E, F: Fn(&mut J, A) -> Result<(), E>> Pool<'_, J, A, E, F> {
     /// worker has been joined. Items after the first failure of a shard
     /// may be left unstepped.
     pub(crate) fn step(&mut self, arg: A) -> Result<(), E> {
-        let Some(handoff) = self.handoff else {
+        if self.workers.is_empty() {
             let _batch = BatchScope::enter();
             return self
                 .items
                 .iter_mut()
                 .try_for_each(|item| (self.step)(item, arg));
-        };
-        let threads = handoff.threads;
+        }
+        let threads = self.shards.len();
         let n = self.items.len();
-        let mut own = {
-            let mut round = handoff.lock();
-            while let Some(item) = self.items.pop() {
-                round.shards[self.items.len() % threads].push(item);
-            }
-            round.number += 1;
-            round.arg = Some(arg);
-            round.pending = threads - 1;
-            mem::take(&mut round.shards[0])
-        };
-        handoff.started.notify_all();
-        let own_failure = step_shard(&mut own, 0, threads, arg, self.step);
-        let mut round = handoff
-            .finished
-            .wait_while(handoff.lock(), |r| r.pending > 0)
-            .expect(UNPOISONED);
-        round.shards[0] = own;
-        round.failures[0] = own_failure;
+        while let Some(item) = self.items.pop() {
+            self.shards[self.items.len() % threads].push(item);
+        }
+        for ((to_worker, _), shard) in self.workers.iter().zip(&mut self.shards[1..]) {
+            to_worker
+                .send((mem::take(shard), arg))
+                .expect("a worker lives as long as its pool");
+        }
+        let mut first = step_shard(&mut self.shards[0], 0, threads, arg, self.step);
+        for ((_, from_worker), shard) in self.workers.iter().zip(&mut self.shards[1..]) {
+            let (stepped, failure) = from_worker.recv().expect("a worker sends its shard back");
+            *shard = stepped;
+            first = first.into_iter().chain(failure).min_by_key(|&(i, _)| i);
+        }
         for i in 0..n {
-            let item = round.shards[i % threads].pop();
+            let item = self.shards[i % threads].pop();
             self.items.push(item.expect("every shard comes back whole"));
         }
-        let first = round
-            .failures
-            .iter_mut()
-            .filter_map(Option::take)
-            .min_by_key(|&(i, _)| i);
-        drop(round);
         match first {
             None => Ok(()),
             Some((_, StepFailure::Err(e))) => Err(e),

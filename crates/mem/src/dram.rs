@@ -1,4 +1,7 @@
-//! Throughput-limited, constant-latency off-chip memory model.
+//! Throughput-limited, constant-latency off-chip memory model: the
+//! [`DramConfig`] every channel is built from, the [`DramStats`] it counts,
+//! and [`Dram`], the inline arithmetic the simulated channels are checked
+//! against.
 //!
 //! Follows the methodology of Gebhart et al. adopted by the paper (table 2):
 //! a single SM sees 10 GB/s of bandwidth at 330 ns latency (= 330 cycles at
@@ -82,8 +85,14 @@ impl DramStats {
     }
 }
 
-/// The DRAM channel: tracks when the shared channel frees up and stamps each
-/// request with its completion cycle.
+/// The inline reference channel: tracks when the channel frees up and
+/// stamps each request with its completion cycle at the moment it is made.
+///
+/// No simulator path constructs it: every SM's private channel is a
+/// [`crate::SharedDramChannel`] granted at the end of the issue event. It
+/// stays as the arithmetic a one-SM channel schedule is held to
+/// (`channel.rs`'s `matches_private_dram_arithmetic`,
+/// `tests/channel_properties.rs`).
 #[derive(Debug, Clone)]
 pub struct Dram {
     cfg: DramConfig,

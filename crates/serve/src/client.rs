@@ -33,7 +33,7 @@ pub struct RequestStats {
 
 /// Parses a `stats|` line into [`RequestStats`] (unknown fields are
 /// ignored so the server can grow the line compatibly).
-fn parse_stats(line: &str) -> RequestStats {
+pub(crate) fn parse_stats(line: &str) -> RequestStats {
     let mut stats = RequestStats::default();
     for field in line.trim_start_matches("stats|").split('|') {
         if let Some((key, value)) = field.split_once('=') {

@@ -33,7 +33,15 @@
 //! done|cells=<n>|failed=<n>
 //! ```
 //!
-//! or, for a request the server cannot parse or resolve:
+//! or, for a `stats` request, the server-lifetime cache counters:
+//!
+//! ```text
+//! stats|hits=<n>|misses=<n>|evictions=<n>|disk-hits=<n>|entries=<n>
+//! done|cells=0|failed=0
+//! ```
+//!
+//! or, for a `shutdown` request, `done|cells=0|failed=0`; or, for a
+//! request the server cannot parse or resolve:
 //!
 //! ```text
 //! error|<one-line reason>
@@ -50,6 +58,8 @@
 //! paid for the simulation).
 
 use warpweave_bench::CellFailure;
+
+use crate::cache::CacheStats;
 
 /// The protocol identifier carried by the `hello` line. Bumped when the
 /// request grammar or response sequence changes incompatibly.
@@ -227,6 +237,15 @@ pub fn stats_line(hits: u64, misses: u64, evictions: u64, simulated: u64) -> Str
     format!("stats|hits={hits}|misses={misses}|evictions={evictions}|simulated={simulated}")
 }
 
+/// The `stats` request's answer: the server-lifetime [`CacheStats`].
+/// `benchmark/` and CI read its fields by name.
+pub(crate) fn cache_stats_line(s: &CacheStats) -> String {
+    format!(
+        "stats|hits={}|misses={}|evictions={}|disk-hits={}|entries={}",
+        s.hits, s.misses, s.evictions, s.disk_hits, s.entries
+    )
+}
+
 /// The `done` line terminating a response.
 pub fn done_line(cells: usize, failed: usize) -> String {
     format!("done|cells={cells}|failed={failed}")
@@ -358,6 +377,23 @@ mod tests {
             classify_line("error|no such workload").unwrap(),
             ResponseLine::Error(_)
         ));
+        let lifetime = CacheStats {
+            hits: 7,
+            misses: 5,
+            evictions: 2,
+            disk_hits: 3,
+            entries: 4,
+        };
+        let line = cache_stats_line(&lifetime);
+        assert_eq!(
+            line,
+            "stats|hits=7|misses=5|evictions=2|disk-hits=3|entries=4"
+        );
+        let ResponseLine::Stats(raw) = classify_line(&line).unwrap() else {
+            panic!("`{line}` classifies as a stats line");
+        };
+        let read = crate::client::parse_stats(raw);
+        assert_eq!((read.hits, read.misses, read.evictions), (7, 5, 2));
         assert!(classify_line("gibberish").is_err());
     }
 

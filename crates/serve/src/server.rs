@@ -21,7 +21,8 @@ use warpweave_core::SweepRunner;
 
 use crate::cache::CellCache;
 use crate::protocol::{
-    done_line, error_line, hello_line, parse_request, stats_line, Request, MAX_REQUEST_LINE,
+    cache_stats_line, done_line, error_line, hello_line, parse_request, stats_line, Request,
+    MAX_REQUEST_LINE,
 };
 use crate::queue::{resolve, run_jobs, Outcome};
 
@@ -191,12 +192,7 @@ fn handle(
                 writer.flush()?;
             }
             Ok(Request::Stats) => {
-                let s = cache.stats();
-                writeln!(
-                    writer,
-                    "stats|hits={}|misses={}|evictions={}|disk-hits={}|entries={}",
-                    s.hits, s.misses, s.evictions, s.disk_hits, s.entries
-                )?;
+                writeln!(writer, "{}", cache_stats_line(&cache.stats()))?;
                 writeln!(writer, "{}", done_line(0, 0))?;
                 writer.flush()?;
             }

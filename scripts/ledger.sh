@@ -59,7 +59,12 @@ case "$pairs" in '' | *[!0-9]* | 0) usage ;; esac
 
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+# Building the change side in the working tree rewrites the frozen
+# `benchmark/Cargo.lock` (cargo prunes its dead entries): it is saved
+# first and put back on exit, so the ledger leaves `benchmark/` as it was.
+lock=$root/benchmark/Cargo.lock
+cp "$lock" "$tmp/Cargo.lock"
+trap 'cp "$tmp/Cargo.lock" "$lock"; rm -rf "$tmp"' EXIT
 
 rev=$(git -C "$root" rev-parse --short "$parent")
 mkdir "$tmp/parent" "$tmp/bin" "$tmp/runs"
