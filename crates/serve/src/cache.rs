@@ -7,11 +7,15 @@
 //! (the same hash the checkpoint uses for line checksums and grid ids),
 //! and the cache maps that digest to the cell's **encoded checkpoint
 //! line** — checksummed bytes that can be streamed to a client or
-//! persisted verbatim.
+//! persisted verbatim. A line is stored once, as a [`CellLine`], and
+//! shared by reference: a hit hands out the pointer, never a copy of the
+//! bytes, so an answer holds its lines without the cache lock.
 //!
 //! Two tiers:
 //!
-//! * **memory** — a bounded LRU map. `Pending` slots coordinate
+//! * **memory** — a bounded LRU map (it keeps a running count of its
+//!   ready entries, so neither [`CellCache::stats`] nor an insertion
+//!   under the bound scans it). `Pending` slots coordinate
 //!   concurrent clients: the first requester claims the cell and
 //!   simulates it, later requesters block until the line is ready (or
 //!   the claim is abandoned, in which case one of them claims next).
@@ -25,9 +29,10 @@
 //!   the archive tier).
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::ops::Deref;
 use std::path::PathBuf;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use warpweave_core::checkpoint::{decode_cell, CHECKPOINT_VERSION};
 use warpweave_core::digest::Fnv1a;
@@ -52,6 +57,38 @@ pub fn cell_digest(scale: Scale, seed: u64, cell_key: &str, config_label: &str) 
     hasher.finish()
 }
 
+/// One encoded checkpoint cell line, shared by reference: the cache slot
+/// and every answer that serves it hold the same bytes, so a hit costs a
+/// reference count, not a copy. It reads as a `str` and compares equal to
+/// a `String` holding the same line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CellLine(Arc<str>);
+
+impl From<String> for CellLine {
+    fn from(line: String) -> CellLine {
+        CellLine(line.into())
+    }
+}
+
+impl Deref for CellLine {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl PartialEq<String> for CellLine {
+    fn eq(&self, other: &String) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl fmt::Display for CellLine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
 /// Cumulative cache counters (server lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -74,12 +111,14 @@ enum Slot {
     /// Claimed by a requester that is simulating the cell right now.
     Pending,
     /// The encoded checkpoint line, with its LRU touch tick.
-    Ready { line: String, tick: u64 },
+    Ready { line: CellLine, tick: u64 },
 }
 
 struct Inner {
     slots: HashMap<u64, Slot>,
     tick: u64,
+    /// The counters, `entries` included: it counts the `Ready` slots as
+    /// they come and go.
     stats: CacheStats,
 }
 
@@ -95,7 +134,7 @@ pub struct CellCache {
 /// What [`CellCache::acquire`] hands back.
 pub enum Acquired<'a> {
     /// The cell's encoded line, served from the cache.
-    Ready(String),
+    Ready(CellLine),
     /// This requester owns the cell: simulate it, then
     /// [`fulfill`](Claim::fulfill) (dropping the claim un-fulfilled
     /// abandons it, waking any waiters to try again).
@@ -139,57 +178,34 @@ impl CellCache {
     /// claim. Returns the cached line, or a [`Claim`] making this caller
     /// responsible for simulating the cell.
     pub fn acquire(&self, digest: u64) -> Acquired<'_> {
-        enum State {
-            Hit(String),
-            Pending,
-            Absent,
-        }
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut guard = self.inner.lock().expect("cache lock");
         loop {
-            let state = match inner.slots.get(&digest) {
-                Some(Slot::Ready { line, .. }) => State::Hit(line.clone()),
-                Some(Slot::Pending) => State::Pending,
-                None => State::Absent,
-            };
-            match state {
-                State::Hit(line) => {
+            let inner = &mut *guard;
+            match inner.slots.get_mut(&digest) {
+                Some(Slot::Ready { line, tick }) => {
                     inner.tick += 1;
-                    let touched = inner.tick;
-                    if let Some(Slot::Ready { tick, .. }) = inner.slots.get_mut(&digest) {
-                        *tick = touched;
-                    }
+                    *tick = inner.tick;
                     inner.stats.hits += 1;
-                    return Acquired::Ready(line);
+                    return Acquired::Ready(line.clone());
                 }
-                State::Pending => {
-                    inner = self.settled.wait(inner).expect("cache lock");
-                }
-                State::Absent => {
-                    if let Some(line) = self.read_disk(digest) {
-                        inner.tick += 1;
-                        let tick = inner.tick;
-                        inner.slots.insert(
-                            digest,
-                            Slot::Ready {
-                                line: line.clone(),
-                                tick,
-                            },
-                        );
-                        inner.stats.hits += 1;
-                        inner.stats.disk_hits += 1;
-                        Self::evict_over_capacity(&mut inner, self.capacity);
-                        return Acquired::Ready(line);
-                    }
-                    inner.slots.insert(digest, Slot::Pending);
-                    inner.stats.misses += 1;
-                    return Acquired::Claimed(Claim {
-                        cache: self,
-                        digest,
-                        fulfilled: false,
-                    });
-                }
+                Some(Slot::Pending) => guard = self.settled.wait(guard).expect("cache lock"),
+                None => break,
             }
         }
+        let inner = &mut *guard;
+        if let Some(line) = self.read_disk(digest) {
+            inner.stats.hits += 1;
+            inner.stats.disk_hits += 1;
+            self.admit(inner, digest, line.clone());
+            return Acquired::Ready(line);
+        }
+        inner.slots.insert(digest, Slot::Pending);
+        inner.stats.misses += 1;
+        Acquired::Claimed(Claim {
+            cache: self,
+            digest,
+            fulfilled: false,
+        })
     }
 
     /// Serves a whole request from the memory tier, or none of it: when
@@ -198,70 +214,70 @@ impl CellCache {
     /// returns the lines in order; otherwise changes nothing and returns
     /// `None`. One lock hold and no waiting, so an all-hit request costs
     /// the same however its threads are scheduled.
-    pub fn acquire_all_ready(&self, digests: &[u64]) -> Option<Vec<String>> {
-        let mut inner = self.inner.lock().expect("cache lock");
+    pub fn acquire_all_ready(&self, digests: &[u64]) -> Option<Vec<CellLine>> {
+        let mut guard = self.inner.lock().expect("cache lock");
+        let inner = &mut *guard;
+        if !digests
+            .iter()
+            .all(|d| matches!(inner.slots.get(d), Some(Slot::Ready { .. })))
+        {
+            return None;
+        }
         let lines = digests
             .iter()
-            .map(|d| match inner.slots.get(d) {
-                Some(Slot::Ready { line, .. }) => Some(line.clone()),
-                _ => None,
+            .map(|d| {
+                let Some(Slot::Ready { line, tick }) = inner.slots.get_mut(d) else {
+                    unreachable!("every slot was just found ready");
+                };
+                inner.tick += 1;
+                *tick = inner.tick;
+                line.clone()
             })
-            .collect::<Option<Vec<_>>>()?;
-        for d in digests {
-            inner.tick += 1;
-            let touched = inner.tick;
-            if let Some(Slot::Ready { tick, .. }) = inner.slots.get_mut(d) {
-                *tick = touched;
-            }
-        }
+            .collect();
         inner.stats.hits += digests.len() as u64;
         Some(lines)
     }
 
     /// A snapshot of the cumulative counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("cache lock");
-        let mut stats = inner.stats;
-        stats.entries = inner
-            .slots
-            .values()
-            .filter(|s| matches!(s, Slot::Ready { .. }))
-            .count();
-        stats
+        self.inner.lock().expect("cache lock").stats
     }
 
-    /// Drops least-recently-touched ready entries until the bound holds.
-    /// Pending slots are never evicted — a claim must settle first.
-    fn evict_over_capacity(inner: &mut Inner, capacity: usize) {
-        loop {
-            let ready = inner
+    /// Makes `line` the ready slot of `digest` (in place of its claim, if
+    /// any), then drops least-recently-touched ready entries until the
+    /// bound holds — a scan of the slots only when it does not. Pending
+    /// slots are never evicted: a claim must settle first.
+    fn admit(&self, inner: &mut Inner, digest: u64, line: CellLine) {
+        inner.tick += 1;
+        let tick = inner.tick;
+        let old = inner.slots.insert(digest, Slot::Ready { line, tick });
+        if !matches!(old, Some(Slot::Ready { .. })) {
+            inner.stats.entries += 1;
+        }
+        while inner.stats.entries > self.capacity {
+            let (_, coldest) = inner
                 .slots
                 .iter()
                 .filter_map(|(d, s)| match s {
-                    Slot::Ready { tick, .. } => Some((*d, *tick)),
+                    Slot::Ready { tick, .. } => Some((*tick, *d)),
                     Slot::Pending => None,
                 })
-                .collect::<Vec<_>>();
-            if ready.len() <= capacity {
-                return;
-            }
-            let (coldest, _) = ready
-                .into_iter()
-                .min_by_key(|&(_, tick)| tick)
-                .expect("non-empty over-capacity set");
+                .min()
+                .expect("an over-capacity cache holds ready entries");
             inner.slots.remove(&coldest);
+            inner.stats.entries -= 1;
             inner.stats.evictions += 1;
         }
     }
 
     /// Reads (and checksum-verifies) one disk entry; `None` on any
     /// defect — a damaged archive file must never be served.
-    fn read_disk(&self, digest: u64) -> Option<String> {
+    fn read_disk(&self, digest: u64) -> Option<CellLine> {
         let dir = self.disk.as_ref()?;
-        let text = std::fs::read_to_string(dir.join(format!("{digest:016x}.cell"))).ok()?;
-        let line = text.trim_end_matches('\n');
-        decode_cell(line).ok()?;
-        Some(line.to_string())
+        let mut text = std::fs::read_to_string(dir.join(format!("{digest:016x}.cell"))).ok()?;
+        text.truncate(text.trim_end_matches('\n').len());
+        decode_cell(&text).ok()?;
+        Some(text.into())
     }
 
     /// Writes one disk entry via temp-file + rename, so a concurrent
@@ -281,15 +297,10 @@ impl CellCache {
         }
     }
 
-    fn settle(&self, digest: u64, line: Option<String>) {
+    fn settle(&self, digest: u64, line: Option<CellLine>) {
         let mut inner = self.inner.lock().expect("cache lock");
         match line {
-            Some(line) => {
-                inner.tick += 1;
-                let tick = inner.tick;
-                inner.slots.insert(digest, Slot::Ready { line, tick });
-                Self::evict_over_capacity(&mut inner, self.capacity);
-            }
+            Some(line) => self.admit(&mut inner, digest, line),
             None => {
                 inner.slots.remove(&digest);
             }
@@ -301,8 +312,10 @@ impl CellCache {
 
 impl Claim<'_> {
     /// Publishes the cell's encoded line: waiters wake with a hit, and
-    /// the disk tier (if any) gets a write-through copy.
-    pub fn fulfill(mut self, line: String) {
+    /// the disk tier (if any) gets a write-through copy. A `String` is
+    /// converted to a [`CellLine`] here, once; every later hit shares it.
+    pub fn fulfill(mut self, line: impl Into<CellLine>) {
+        let line = line.into();
         self.fulfilled = true;
         self.cache.write_disk(self.digest, &line);
         self.cache.settle(self.digest, Some(line));
@@ -463,6 +476,62 @@ mod tests {
         assert_eq!(stats.entries, 2);
         // digest[1] was the coldest; it must be the one gone.
         assert!(matches!(cache.acquire(digests[1]), Acquired::Claimed(_)));
+    }
+
+    /// The running counters against a model of the operations, and
+    /// `entries` against a scan of the slots, after every step: fill past
+    /// the bound, a memory hit, an abandoned claim, a disk hit that evicts,
+    /// and an all-ready request.
+    #[test]
+    fn running_counters_match_a_scan() {
+        let dir = std::env::temp_dir().join(format!("ww-cache-count-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = CellCache::with_disk(2, dir.clone()).unwrap();
+        let d: Vec<u64> = (0..4)
+            .map(|i| cell_digest(Scale::Test, i, "w/c", "c"))
+            .collect();
+        let check = |step: &str, hits, disk_hits, evictions| {
+            let scanned = cache
+                .inner
+                .lock()
+                .unwrap()
+                .slots
+                .values()
+                .filter(|s| matches!(s, Slot::Ready { .. }))
+                .count();
+            let stats = cache.stats();
+            assert_eq!(stats.entries, scanned, "{step}: entries");
+            assert_eq!(
+                (stats.hits, stats.disk_hits, stats.evictions),
+                (hits, disk_hits, evictions),
+                "{step}: hits, disk hits, evictions"
+            );
+        };
+        check("empty", 0, 0, 0);
+        for (i, &digest) in d[..3].iter().enumerate() {
+            let Acquired::Claimed(claim) = cache.acquire(digest) else {
+                panic!("fill {i} must miss");
+            };
+            claim.fulfill(line("w/c", i as u64));
+            check(&format!("fill {i}"), 0, 0, i.saturating_sub(1) as u64);
+        }
+        assert!(matches!(cache.acquire(d[1]), Acquired::Ready(_)));
+        check("memory hit", 1, 0, 1);
+        let Acquired::Claimed(claim) = cache.acquire(d[3]) else {
+            panic!("must miss");
+        };
+        check("claim pending", 1, 0, 1);
+        drop(claim);
+        check("claim abandoned", 1, 0, 1);
+        // d[0] was evicted to disk; admitting it evicts d[2], the coldest.
+        assert!(matches!(cache.acquire(d[0]), Acquired::Ready(_)));
+        check("disk hit", 2, 1, 2);
+        assert!(cache.acquire_all_ready(&d[..2]).is_some());
+        check("all ready", 4, 1, 2);
+        assert!(cache.acquire_all_ready(&d[..3]).is_none());
+        check("not all ready", 4, 1, 2);
+        assert_eq!(cache.stats().entries, 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

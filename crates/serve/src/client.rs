@@ -82,6 +82,8 @@ impl SweepResponse {
     /// Loads the response's cells into an in-memory checkpoint store
     /// bound to the response's grid id — ready for
     /// `matrix_from_store`/`probes_from_store`, as a local sweep's store is.
+    /// It decodes every line again, though receipt verified each one:
+    /// `cell_lines` is a pub field a caller may have edited since.
     ///
     /// # Errors
     /// Codec defects (cannot happen for lines that passed receipt

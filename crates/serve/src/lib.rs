@@ -27,7 +27,7 @@ pub mod protocol;
 pub mod queue;
 pub mod server;
 
-pub use cache::{cell_digest, Acquired, CacheStats, CellCache, Claim};
+pub use cache::{cell_digest, Acquired, CacheStats, CellCache, CellLine, Claim};
 pub use client::{
     render_response_json, request_run, request_shutdown, request_stats, RequestStats, SweepResponse,
 };

@@ -276,3 +276,191 @@ fn shutdown_does_not_wait_for_an_idle_client() {
     );
     drop((idle, writer, lines));
 }
+
+/// One request's answer as read off the wire.
+#[derive(Debug, PartialEq)]
+struct Answer {
+    grid_id: Option<u64>,
+    transcript: String,
+    stats: Option<String>,
+    error: Option<String>,
+}
+
+/// A connection that sends one request line at a time and reads each
+/// answer whole, to `done` or `error`.
+struct Session {
+    writer: TcpStream,
+    lines: std::io::Lines<BufReader<TcpStream>>,
+}
+
+impl Session {
+    fn open(addr: &str) -> Session {
+        let stream = TcpStream::connect(addr).expect("connect");
+        let writer = stream.try_clone().expect("clone stream");
+        Session {
+            writer,
+            lines: BufReader::new(stream).lines(),
+        }
+    }
+
+    fn ask(&mut self, req: &RunRequest) -> Answer {
+        writeln!(
+            self.writer,
+            "{}",
+            render_request(&Request::Run(req.clone()))
+        )
+        .expect("send");
+        let mut answer = Answer {
+            grid_id: None,
+            transcript: String::new(),
+            stats: None,
+            error: None,
+        };
+        loop {
+            let line = self.lines.next().expect("answer before EOF").expect("read");
+            match classify_line(&line).expect("protocol line") {
+                ResponseLine::Hello(id) => answer.grid_id = Some(id),
+                ResponseLine::Cell(raw) | ResponseLine::Fail(raw) => {
+                    answer.transcript.push_str(raw);
+                    answer.transcript.push('\n');
+                }
+                ResponseLine::Stats(raw) => answer.stats = Some(raw.to_string()),
+                ResponseLine::Done { .. } => return answer,
+                ResponseLine::Error(reason) => {
+                    answer.error = Some(reason.to_string());
+                    return answer;
+                }
+            }
+        }
+    }
+}
+
+/// A one-cell request: `frontend` on `workload`, no probes.
+fn one_cell(frontend: &str, workload: &str) -> RunRequest {
+    RunRequest {
+        full: false,
+        frontends: vec![frontend.into()],
+        workloads: vec![workload.into()],
+        probes: false,
+    }
+}
+
+#[test]
+fn alternating_requests_each_get_their_own_grid_and_transcript() {
+    let (addr, server) = start_server(ServeConfig::default());
+    let (a, b) = (
+        one_cell("Baseline", "MatrixMul"),
+        one_cell("SWI", "MatrixMul"),
+    );
+    let mut session = Session::open(&addr);
+    let first_a = session.ask(&a);
+    let first_b = session.ask(&b);
+    assert!(first_a.error.is_none() && first_b.error.is_none());
+    assert_ne!(first_a.grid_id, first_b.grid_id, "distinct grids");
+    assert_ne!(first_a.transcript, first_b.transcript, "distinct cells");
+    for round in 0..2 {
+        for (req, first) in [(&a, &first_a), (&b, &first_b)] {
+            let again = session.ask(req);
+            assert_eq!(
+                again.grid_id, first.grid_id,
+                "round {round}, one connection"
+            );
+            assert_eq!(
+                again.transcript, first.transcript,
+                "round {round}, one connection"
+            );
+            let separate = request_run(&addr, req).expect("separate connection");
+            assert_eq!(Some(separate.grid_id), first.grid_id, "round {round}");
+            assert_eq!(separate.transcript(), first.transcript, "round {round}");
+            assert_eq!(separate.stats.simulated, 0, "round {round}: all hits");
+        }
+    }
+    drop(session);
+    request_shutdown(&addr).expect("shutdown");
+    server.join().unwrap();
+}
+
+#[test]
+fn a_refused_request_is_refused_again_and_the_connection_still_serves() {
+    let (addr, server) = start_server(ServeConfig::default());
+    let bad = one_cell("Baseline", "NoSuchWorkload");
+    let mut session = Session::open(&addr);
+    let refused = session.ask(&bad);
+    assert!(
+        refused
+            .error
+            .as_deref()
+            .is_some_and(|e| e.contains("NoSuchWorkload")),
+        "{refused:?}"
+    );
+    assert_eq!(session.ask(&bad), refused, "refused the same way again");
+    let good = one_cell("Baseline", "MatrixMul");
+    let served = session.ask(&good);
+    assert!(served.error.is_none(), "{served:?}");
+    assert_eq!(served.transcript.lines().count(), 1);
+    drop(session);
+    request_shutdown(&addr).expect("shutdown");
+    server.join().unwrap();
+}
+
+#[test]
+fn more_requests_than_the_memo_holds_match_a_fresh_server() {
+    let requests: Vec<RunRequest> = ["MatrixMul", "SortingNetworks"]
+        .iter()
+        .flat_map(|w| {
+            grid::figure7_configs()
+                .into_iter()
+                .map(move |c| (c.name, *w))
+        })
+        .map(|(frontend, workload)| one_cell(&frontend, workload))
+        .collect();
+    let fresh: Vec<Answer> = requests
+        .iter()
+        .map(|req| {
+            let (addr, server) = start_server(ServeConfig::default());
+            let answer = Session::open(&addr).ask(req);
+            request_shutdown(&addr).expect("shutdown");
+            server.join().unwrap();
+            answer
+        })
+        .collect();
+    let (addr, server) = start_server(ServeConfig::default());
+    let mut session = Session::open(&addr);
+    // Twice through, each request twice in a row: the first ask of a pair
+    // displaces the memoised request, the second finds its own.
+    for pass in 0..2 {
+        for (req, fresh) in requests.iter().zip(&fresh) {
+            for ask in 0..2 {
+                let answer = session.ask(req);
+                let at = format!("pass {pass}, ask {ask}: {req:?}");
+                assert_eq!(answer.grid_id, fresh.grid_id, "{at}");
+                assert_eq!(answer.transcript, fresh.transcript, "{at}");
+            }
+        }
+    }
+    drop(session);
+    request_shutdown(&addr).expect("shutdown");
+    server.join().unwrap();
+}
+
+#[test]
+fn a_memoised_request_whose_cells_were_evicted_is_simulated_again() {
+    let (addr, server) = start_server(ServeConfig {
+        cache_entries: 4,
+        ..ServeConfig::default()
+    });
+    let req = small_grid();
+    let mut other = small_grid();
+    other.frontends = vec!["SBI".into(), "Warp64".into()];
+    let first = request_run(&addr, &req).expect("first");
+    assert_eq!(first.stats.simulated, 4);
+    // Four other cells push all four of `req`'s out of memory.
+    request_run(&addr, &other).expect("other");
+    let again = request_run(&addr, &req).expect("again");
+    assert_eq!(again.stats.simulated, 4, "the miss path ran");
+    assert_eq!(again.stats.evictions, 8);
+    assert_eq!(again.grid_id, first.grid_id);
+    assert_eq!(again.transcript(), first.transcript());
+    request_shutdown(&addr).expect("shutdown");
+    server.join().unwrap();
+}
