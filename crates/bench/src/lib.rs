@@ -3,8 +3,9 @@
 //! The experiment harness regenerating every table and figure of the paper's
 //! evaluation (§5): one table of artefacts ([`figure::FIGURES`]) behind one
 //! `figure <name>` binary, all built on one canonical job list
-//! ([`grid_jobs`]) and one driver ([`run_grid`]). Every binary reads its
-//! command line with one parser, [`cli`].
+//! ([`grid_jobs`]), one driver ([`run_grid`]) and one results document
+//! ([`render_results`]). Every binary reads its command line with one
+//! parser, [`cli`].
 
 #![forbid(unsafe_code)]
 
@@ -21,7 +22,7 @@ pub use harness::{
 };
 pub use report::{
     check_golden, matrix_from_store, merge_checkpoints, parse_golden_cells, probes_from_store,
-    render_golden_json, render_sweep_json, Json, ProbeResult, GOLDEN_SCHEMA, SWEEP_SCHEMA,
+    render_golden_json, render_results, Json, ProbeResult, GOLDEN_SCHEMA,
 };
 
 /// Returns the value following `flag` in an argument list; `None` when the

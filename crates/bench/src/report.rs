@@ -1,17 +1,20 @@
-//! Deterministic sweep reports: the `BENCH_sweep.json` payload, machine
-//! probe results, and the golden-baseline record/check machinery.
+//! Deterministic grid reports: the one results document every writer of
+//! grid results renders (committed as `BENCH_golden.json`), machine probe
+//! results, and the golden-baseline record/check machinery.
 //!
 //! # Determinism contract
 //!
 //! Everything rendered here is a pure function of simulation results —
 //! **no wall-clock timings, host thread counts or absolute paths** ever
 //! enter the JSON (they go to stderr instead). That is what lets the
-//! acceptance tests demand *byte identity*: a served sweep must render
+//! acceptance tests demand *byte identity*: a served grid must render
 //! exactly the bytes a local run renders, at any host thread count, and
 //! the golden checker diffs rendered baselines **with a tolerance of
 //! exactly zero**. The engine is bit-deterministic, so any drift — a
 //! single IPC digit, one stall cycle — is a real behaviour change that
 //! must be acknowledged by re-recording the baseline.
+
+use std::fmt::Write as _;
 
 use warpweave_core::checkpoint::{CellRecord, SweepCheckpoint};
 use warpweave_core::{SmConfig, Stats, CHECKPOINT_VERSION};
@@ -21,26 +24,31 @@ use warpweave_workloads::Workload;
 use crate::grid::{machine_probes, MachineProbe};
 use crate::harness::{cell_key, CellResult, MatrixResult};
 
-/// Schema tag of the sweep payload.
-pub const SWEEP_SCHEMA: &str = "warpweave-bench-sweep-v3";
-/// Schema tag of the golden baseline.
+/// Schema tag of the results document.
 pub const GOLDEN_SCHEMA: &str = "warpweave-bench-golden-v1";
 
 /// Escapes a string for a JSON literal (every control character included,
 /// so a label carrying terminal escapes still yields valid JSON).
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out`, escaped as [`json_escape`] does.
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '\\' | '"' => out.extend(['\\', c]),
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
 /// An ordered JSON value — the one writer behind every artifact payload:
@@ -63,33 +71,71 @@ pub enum Json<'a> {
 impl Json<'_> {
     /// The document form: two-space indented, newline-terminated.
     pub fn render(&self) -> String {
-        self.text(Some(0)) + "\n"
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out.push('\n');
+        out
     }
 
-    /// The value at nesting `depth`, or on one line when `depth` is `None`.
-    fn text(&self, depth: Option<usize>) -> String {
-        let layout = |open: char, items: Vec<String>, close: char| match depth {
-            None => format!("{open}{}{close}", items.join(", ")),
-            Some(d) => {
-                let pad = "  ".repeat(d + 1);
-                let lines: Vec<String> = items.iter().map(|i| format!("{pad}{i}")).collect();
-                format!("{open}\n{}\n{}{close}", lines.join(",\n"), "  ".repeat(d))
-            }
-        };
+    /// Appends the value at nesting `depth`, or on one line when `depth`
+    /// is `None`, to `out`: one growing buffer, no string per member.
+    fn write(&self, out: &mut String, depth: Option<usize>) {
         match self {
-            Json::Str(s) => format!("\"{}\"", json_escape(s)),
-            Json::Int(n) => n.to_string(),
-            Json::Fixed(x, decimals) => format!("{x:.decimals$}"),
+            Json::Str(s) => {
+                out.push('"');
+                escape_into(out, s);
+                out.push('"');
+            }
+            Json::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Fixed(x, decimals) => {
+                let _ = write!(out, "{x:.decimals$}");
+            }
             Json::Object(members) => {
                 let inner = depth.map(|d| d + 1);
-                let items = members
-                    .iter()
-                    .map(|(k, v)| format!("\"{}\": {}", json_escape(k), v.text(inner)));
-                layout('{', items.collect(), '}')
+                layout(out, depth, ['{', '}'], members, |out, (k, v)| {
+                    out.push('"');
+                    escape_into(out, k);
+                    out.push_str("\": ");
+                    v.write(out, inner);
+                });
             }
-            Json::Lines(items) => layout('[', items.iter().map(|v| v.text(None)).collect(), ']'),
+            Json::Lines(items) => {
+                layout(out, depth, ['[', ']'], items, |out, v| v.write(out, None))
+            }
         }
     }
+}
+
+/// Appends `items` between `open` and `close`: `, `-separated when
+/// `depth` is `None`, otherwise one per line, indented one level below
+/// `depth` (an empty list keeps its blank line).
+fn layout<T>(
+    out: &mut String,
+    depth: Option<usize>,
+    [open, close]: [char; 2],
+    items: &[T],
+    mut item: impl FnMut(&mut String, &T),
+) {
+    let indent = |out: &mut String, level: usize| (0..level).for_each(|_| out.push_str("  "));
+    out.push(open);
+    for (i, value) in items.iter().enumerate() {
+        match depth {
+            None if i > 0 => out.push_str(", "),
+            None => {}
+            Some(d) => {
+                out.push_str(if i > 0 { ",\n" } else { "\n" });
+                indent(out, d + 1);
+            }
+        }
+        item(out, value);
+    }
+    if let Some(d) = depth {
+        out.push_str(if items.is_empty() { "\n\n" } else { "\n" });
+        indent(out, d);
+    }
+    out.push(close);
 }
 
 impl From<&str> for Json<'_> {
@@ -107,22 +153,6 @@ pub struct ProbeResult {
     pub total: Stats,
     /// Shared-channel counters (all-zero under the private model).
     pub channel: ChannelStats,
-}
-
-impl ProbeResult {
-    /// Whole-machine IPC over the makespan.
-    pub fn ipc(&self) -> f64 {
-        self.total.ipc()
-    }
-
-    /// Shared-channel bandwidth saturation over the makespan, against the
-    /// machine's **aggregate** byte budget (`num_channels` interleaved
-    /// channels each carry a full `bytes_per_cycle`).
-    pub fn channel_utilization(&self) -> f64 {
-        let budget = self.probe.cfg.dram.bytes_per_cycle
-            * f64::from(self.probe.cfg.dram.num_channels.max(1));
-        self.channel.utilization(self.total.cycles, budget)
-    }
 }
 
 /// Assembles the full [`MatrixResult`] from a store.
@@ -237,75 +267,6 @@ pub fn merge_checkpoints(paths: &[String], expected_grid: u64) -> Result<SweepCh
     Ok(union)
 }
 
-/// Renders the deterministic `BENCH_sweep.json` payload: schema, per-cell
-/// IPC grid, machine probes, the shared-channel contention block and the
-/// per-config geometric means. Byte-for-byte reproducible for a given
-/// grid — see the module docs.
-pub fn render_sweep_json(scale: &str, m: &MatrixResult, probes: &[ProbeResult]) -> String {
-    // Per-cell IPC grid: one line per cell, workload-major.
-    let cells = m.cells.iter().flatten().map(|cell: &CellResult| {
-        Json::Object(vec![
-            ("workload", cell.workload.as_str().into()),
-            ("config", cell.config.as_str().into()),
-            ("ipc", Json::Fixed(cell.ipc(), 4)),
-            ("cycles", Json::Int(cell.stats.cycles)),
-            (
-                "thread_instructions",
-                Json::Int(cell.stats.thread_instructions),
-            ),
-        ])
-    });
-    let utilization = |p: &ProbeResult| Json::Fixed(p.channel_utilization(), 4);
-    let probe_lines = probes.iter().map(|p| {
-        Json::Object(vec![
-            ("key", Json::Str(p.probe.key())),
-            ("num_sms", Json::Int(p.probe.num_sms as u64)),
-            ("mem_model", p.probe.cfg.mem_model.name().into()),
-            ("makespan_cycles", Json::Int(p.total.cycles)),
-            ("ipc", Json::Fixed(p.ipc(), 4)),
-            ("channel_utilization", utilization(p)),
-        ])
-    });
-    let mut doc = vec![
-        ("schema", SWEEP_SCHEMA.into()),
-        ("scale", scale.into()),
-        (
-            "jobs",
-            Json::Int((m.configs.len() * m.workloads.len()) as u64),
-        ),
-        ("cells", Json::Lines(cells.collect())),
-        ("machine_probe", Json::Lines(probe_lines.collect())),
-    ];
-    // Contention profile of the widest plain shared-bandwidth probe
-    // (default hierarchy knobs — the suffixed probes have their own
-    // machine_probe lines and golden cells).
-    if let Some(shared) = probes
-        .iter()
-        .filter(|p| p.probe.key().ends_with("/shared"))
-        .max_by_key(|p| p.probe.num_sms)
-    {
-        let ch = &shared.channel;
-        let delay = Json::Fixed(ch.avg_queue_delay(), 4);
-        let block = Json::Object(vec![
-            ("utilization", utilization(shared)),
-            ("avg_queue_delay_cycles", delay),
-            ("max_queue_delay_cycles", Json::Int(ch.max_queue_delay)),
-            ("queued_requests", Json::Int(ch.queued_requests)),
-            ("read_transfers", Json::Int(ch.read_transfers)),
-            ("write_transfers", Json::Int(ch.write_transfers)),
-        ]);
-        doc.push(("shared_channel", block));
-    }
-    let rows: Vec<usize> = (0..m.workloads.len()).collect();
-    let gmeans = m
-        .gmean_ipc(&m.mean_rows(&rows))
-        .into_iter()
-        .map(|g| Json::Fixed(g, 4));
-    let gmeans = m.configs.iter().map(String::as_str).zip(gmeans);
-    doc.push(("gmean_ipc_per_config", Json::Object(gmeans.collect())));
-    Json::Object(doc).render()
-}
-
 /// One golden cell line: the key, the headline IPC and **every** integer
 /// counter of the cell (the full stall breakdown, cache, DRAM and — for
 /// probes — channel counters). One cell per line, so a golden diff names
@@ -325,31 +286,50 @@ fn golden_cell<'a>(key: &str, stats: &Stats, channel: Option<&ChannelStats>) -> 
     Json::Object(cell)
 }
 
-/// Renders the golden baseline: every matrix cell and machine probe with
-/// its full counter set, one cell per line. Committed as
-/// `BENCH_golden.json` and diffed byte-for-byte by [`check_golden`].
+/// Renders one grid's results document from its `(key, stats, channel)`
+/// records in job order: a record with channel counters (a machine probe)
+/// goes into `machine_probes`, every other record into `cells`, each with
+/// its full counter set on one line. Every writer of grid results renders
+/// this — `bench_sweep`, `golden record`, a served response — and the
+/// golden grid's document is committed as `BENCH_golden.json`.
+pub fn render_results<'s>(
+    scale: &str,
+    grid_id: u64,
+    records: impl IntoIterator<Item = (impl AsRef<str>, &'s Stats, Option<&'s ChannelStats>)>,
+) -> String {
+    let (mut cells, mut probes) = (Vec::new(), Vec::new());
+    for (key, stats, channel) in records {
+        let line = golden_cell(key.as_ref(), stats, channel);
+        match channel {
+            Some(_) => probes.push(line),
+            None => cells.push(line),
+        }
+    }
+    Json::Object(vec![
+        ("schema", GOLDEN_SCHEMA.into()),
+        ("checkpoint_version", Json::Int(CHECKPOINT_VERSION.into())),
+        ("scale", scale.into()),
+        ("grid", Json::Str(format!("{grid_id:016x}"))),
+        ("cells", Json::Lines(cells)),
+        ("machine_probes", Json::Lines(probes)),
+    ])
+    .render()
+}
+
+/// [`render_results`] of a matrix and its probes: the document
+/// [`check_golden`] diffs byte for byte.
 pub fn render_golden_json(
     scale: &str,
     grid_id: u64,
     m: &MatrixResult,
     probes: &[ProbeResult],
 ) -> String {
-    let cells = m.cells.iter().flatten().map(|cell| {
-        let key = cell_key(&cell.workload, &cell.config);
-        golden_cell(&key, &cell.stats, None)
-    });
-    let probe_cells = probes
+    let cells = m.cells.iter().flatten();
+    let cells = cells.map(|c| (cell_key(&c.workload, &c.config), &c.stats, None));
+    let probes = probes
         .iter()
-        .map(|p| golden_cell(&p.probe.key(), &p.total, Some(&p.channel)));
-    Json::Object(vec![
-        ("schema", GOLDEN_SCHEMA.into()),
-        ("checkpoint_version", Json::Int(CHECKPOINT_VERSION.into())),
-        ("scale", scale.into()),
-        ("grid", Json::Str(format!("{grid_id:016x}"))),
-        ("cells", Json::Lines(cells.collect())),
-        ("machine_probes", Json::Lines(probe_cells.collect())),
-    ])
-    .render()
+        .map(|p| (p.probe.key(), &p.total, Some(&p.channel)));
+    render_results(scale, grid_id, cells.chain(probes))
 }
 
 /// Parses a golden baseline's cell lines back into `(key, record)` pairs by
@@ -357,7 +337,7 @@ pub fn render_golden_json(
 /// [`Stats::from_fields`] / [`ChannelStats::from_fields`] — the strict
 /// decode (names, order, count) a checkpoint line goes through, so a file
 /// written by a different counter table is an error, not a partial read.
-/// [`render_golden_json`] puts one cell per line, which is all the framing
+/// [`render_results`] puts one cell per line, which is all the framing
 /// this relies on; lines without a `"key"` (the document header) are
 /// skipped.
 ///
@@ -472,6 +452,13 @@ pub fn check_golden(committed: &str, current: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    /// A value's one-line form, as a golden cell line carries it.
+    fn one_line(value: Json) -> String {
+        let mut out = String::new();
+        value.write(&mut out, None);
+        out
+    }
+
     #[test]
     fn golden_diff_names_the_drifted_line() {
         let a = "l1\nl2\nl3\n";
@@ -487,7 +474,7 @@ mod tests {
             constraint_suspensions: 13861,
             ..Stats::default()
         };
-        let cell = |stats| golden_cell("3DFD/SBI+SWI", stats, None).text(None);
+        let cell = |stats| one_line(golden_cell("3DFD/SBI+SWI", stats, None));
         let (old, new) = (cell(&Stats::default()), cell(&parked));
         let report = check_golden(&old, &new).unwrap_err();
         let named: Vec<&str> = report.lines().filter(|l| l.contains('→')).collect();
@@ -538,7 +525,9 @@ mod tests {
 
     #[test]
     fn golden_cell_lines_are_single_lines() {
-        let line = golden_cell("w/c", &Stats::default(), Some(&ChannelStats::default())).text(None);
+        let mut line = String::new();
+        golden_cell("w/c", &Stats::default(), Some(&ChannelStats::default()))
+            .write(&mut line, None);
         assert!(!line.contains('\n'));
         assert!(line.contains("\"key\": \"w/c\""));
         assert!(line.contains("\"cycles\": 0"));
@@ -556,7 +545,7 @@ mod tests {
             l2_hits: 7,
             ..ChannelStats::default()
         };
-        let line = golden_cell("machine/w/4sm/shared", &stats, Some(&channel)).text(None);
+        let line = one_line(golden_cell("machine/w/4sm/shared", &stats, Some(&channel)));
         assert_eq!(
             parse_golden_cells(&line).unwrap(),
             [(

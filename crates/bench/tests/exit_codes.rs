@@ -1,6 +1,8 @@
 //! The real `bench_sweep` and `fuzz_smoke` binaries: a usage error exits 2
 //! and a file that cannot be read or written exits 1, each with exactly
-//! one stderr line for the error and never a panic.
+//! one stderr line for the error and never a panic; and the document
+//! `bench_sweep` writes is the same bytes at any `--threads`, every cell of
+//! it a line of the committed `BENCH_golden.json`.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -49,6 +51,28 @@ fn bench_sweep_exits_cleanly_on_bad_input() {
         !scratch().join("BENCH_sweep.json").exists(),
         "a refused sweep ran"
     );
+}
+
+#[test]
+fn bench_sweep_writes_lines_of_the_golden_baseline_at_any_thread_count() {
+    let bin = env!("CARGO_BIN_EXE_bench_sweep");
+    run(bin, &["--out", "A.json"], 0);
+    run(bin, &["--threads", "1", "--out", "B.json"], 0);
+    let read = |name: &str| std::fs::read_to_string(scratch().join(name)).expect(name);
+    let document = read("A.json");
+    assert_eq!(document, read("B.json"), "1 thread vs the default");
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_golden.json");
+    let golden = std::fs::read_to_string(golden).expect("committed BENCH_golden.json");
+    let golden: Vec<&str> = golden.lines().map(|l| l.trim_end_matches(',')).collect();
+    let cells = document.lines().filter(|l| l.contains("\"key\": "));
+    let cells: Vec<&str> = cells.map(|l| l.trim_end_matches(',')).collect();
+    assert_eq!(cells.len(), 17, "10 matrix cells + 7 machine probes");
+    for line in cells {
+        assert!(
+            golden.contains(&line),
+            "drifted from BENCH_golden.json:\n{line}"
+        );
+    }
 }
 
 #[test]

@@ -9,7 +9,7 @@ use std::sync::OnceLock;
 
 use warpweave_bench::grid::{self, grid_jobs, GridJob};
 use warpweave_bench::harness::run_grid;
-use warpweave_bench::report::{matrix_from_store, probes_from_store, render_sweep_json};
+use warpweave_bench::report::{matrix_from_store, probes_from_store, render_golden_json};
 use warpweave_core::checkpoint::{CellRecord, SweepCheckpoint};
 use warpweave_core::{JobFailure, SmConfig, SweepRunner};
 use warpweave_workloads::{Scale, Workload};
@@ -38,16 +38,16 @@ fn sweep(threads: usize, jobs: &[GridJob]) -> (SweepCheckpoint, Vec<warpweave_be
     (store, failures)
 }
 
-/// Renders the sweep payload of a store that holds the whole test grid.
+/// Renders the results document of a store that holds the whole test grid.
 fn render(store: &SweepCheckpoint) -> String {
     let (configs, workloads) = test_grid();
     let matrix = matrix_from_store(&configs, &workloads, store).expect("every cell stored");
     let probes = probes_from_store(store).expect("every probe stored");
-    render_sweep_json("test", &matrix, &probes)
+    render_golden_json("test", store.grid_id(), &matrix, &probes)
 }
 
 /// The clean reference, computed once on one thread: every job's record
-/// in job order, and the payload rendered from them.
+/// in job order, and the document rendered from them.
 fn reference() -> &'static (Vec<CellRecord>, String) {
     static REF: OnceLock<(Vec<CellRecord>, String)> = OnceLock::new();
     REF.get_or_init(|| {
@@ -108,13 +108,13 @@ fn a_failing_job_is_contained_to_itself() {
             assert!(failure.to_string().contains(&bad.key), "{what}");
 
             // It is never recorded; every healthy record is the clean
-            // run's, so the payload is too.
+            // run's, so the document is too.
             assert!(store.get(&bad.key).is_none(), "{what}: failed job recorded");
             assert_eq!(store.len(), jobs.len(), "{what}");
             for (job, expected) in jobs.iter().zip(ref_records) {
                 assert_eq!(store.get(&job.key), Some(expected), "{what}: {}", job.key);
             }
-            assert_eq!(&render(&store), ref_json, "{what}: payload");
+            assert_eq!(&render(&store), ref_json, "{what}: document");
         }
     }
 }

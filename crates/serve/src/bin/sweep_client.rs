@@ -13,9 +13,9 @@
 //!   * `--out PATH` — write the deterministic response transcript (cell
 //!     and fail lines, checksum-verified) to `PATH`. Two clients issuing
 //!     the same request get byte-identical transcripts — `cmp` them.
-//!   * `--json PATH` — render the response to the standard
-//!     `BENCH_sweep.json` payload (full default grid + probes only),
-//!     byte-identical to a local `bench_sweep` run.
+//!   * `--json PATH` — render the response to its grid's results
+//!     document (the format of `BENCH_golden.json`), byte-identical to a
+//!     local run of the same grid; for any request without `fail|` lines.
 //! * `sweep_client stats --addr HOST:PORT` — print the server's
 //!   cumulative cache stats line to stdout.
 //! * `sweep_client shutdown --addr HOST:PORT` — stop the server.
@@ -84,10 +84,10 @@ fn run(
         eprintln!("wrote transcript: {path}");
     }
     if let Some(path) = json {
-        let payload =
+        let document =
             render_response_json(request, &response).map_err(|e| format!("--json: {e}"))?;
-        write(path, payload)?;
-        eprintln!("wrote sweep payload: {path}");
+        write(path, document)?;
+        eprintln!("wrote results document: {path}");
     }
     if !response.fail_lines.is_empty() {
         for line in &response.fail_lines {

@@ -22,7 +22,8 @@
 //!   Failures are **never** cached — a failed claim is abandoned so
 //!   every later request re-simulates with its own provenance.
 //! * **disk** (optional) — one `<digest:016x>.cell` file per entry,
-//!   written through on fulfilment and consulted on memory misses.
+//!   written through on fulfilment and consulted on memory misses, outside
+//!   the cache lock (the slot is claimed while the file is read).
 //!   Checksums are verified on the way back in, so a torn or tampered
 //!   file is ignored rather than served. Disk entries survive eviction
 //!   and server restarts; the directory is unbounded by design (it is
@@ -176,7 +177,10 @@ impl CellCache {
 
     /// Looks up `digest`, blocking while another requester holds its
     /// claim. Returns the cached line, or a [`Claim`] making this caller
-    /// responsible for simulating the cell.
+    /// responsible for simulating the cell. On a memory miss the slot is
+    /// claimed first and the disk tier read after the lock is released, so
+    /// no other lookup waits behind file I/O; a disk hit then settles the
+    /// claim as a fulfilment would (without writing the file back).
     pub fn acquire(&self, digest: u64) -> Acquired<'_> {
         let mut guard = self.inner.lock().expect("cache lock");
         loop {
@@ -192,20 +196,26 @@ impl CellCache {
                 None => break,
             }
         }
-        let inner = &mut *guard;
-        if let Some(line) = self.read_disk(digest) {
-            inner.stats.hits += 1;
-            inner.stats.disk_hits += 1;
-            self.admit(inner, digest, line.clone());
-            return Acquired::Ready(line);
-        }
-        inner.slots.insert(digest, Slot::Pending);
-        inner.stats.misses += 1;
-        Acquired::Claimed(Claim {
+        guard.slots.insert(digest, Slot::Pending);
+        let mut claim = Claim {
             cache: self,
             digest,
             fulfilled: false,
-        })
+        };
+        drop(guard);
+        let from_disk = self.read_disk(digest);
+        let mut guard = self.inner.lock().expect("cache lock");
+        if let Some(line) = from_disk {
+            claim.fulfilled = true;
+            guard.stats.hits += 1;
+            guard.stats.disk_hits += 1;
+            self.admit(&mut guard, digest, line.clone());
+            drop(guard);
+            self.settled.notify_all();
+            return Acquired::Ready(line);
+        }
+        guard.stats.misses += 1;
+        Acquired::Claimed(claim)
     }
 
     /// Serves a whole request from the memory tier, or none of it: when
@@ -531,6 +541,65 @@ mod tests {
         assert!(cache.acquire_all_ready(&d[..3]).is_none());
         check("not all ready", 4, 1, 2);
         assert_eq!(cache.stats().entries, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A disk read in flight holds no lock: while one lookup is stuck
+    /// opening its `.cell` file (a FIFO with no writer yet), `stats` and an
+    /// all-ready request for memory-ready cells still answer.
+    #[cfg(unix)]
+    #[test]
+    fn a_disk_read_does_not_hold_the_cache_lock() {
+        use std::sync::{mpsc, Arc};
+        use std::time::{Duration, Instant};
+        let dir = std::env::temp_dir().join(format!("ww-cache-fifo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Arc::new(CellCache::with_disk(4, dir.clone()).unwrap());
+        let ready = cell_digest(Scale::Test, 1, "w/c", "c");
+        let Acquired::Claimed(claim) = cache.acquire(ready) else {
+            panic!("must miss");
+        };
+        claim.fulfill(line("w/c", 1));
+        let slow = cell_digest(Scale::Test, 2, "w/c", "c");
+        let fifo = dir.join(format!("{slow:016x}.cell"));
+        let made = std::process::Command::new("mkfifo").arg(&fifo).status();
+        assert!(made.is_ok_and(|s| s.success()), "mkfifo {}", fifo.display());
+        let reader = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || match cache.acquire(slow) {
+                Acquired::Ready(l) => l,
+                Acquired::Claimed(_) => panic!("the FIFO's line must be served"),
+            })
+        };
+        // Once the lookup has claimed its slot it is in (or at) the read.
+        // Polled without blocking: a lookup that reads under the lock
+        // holds it until the FIFO opens, and the probe below says so.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Instant::now() < deadline
+            && !cache
+                .inner
+                .try_lock()
+                .is_ok_and(|inner| matches!(inner.slots.get(&slow), Some(Slot::Pending)))
+        {
+            std::thread::yield_now();
+        }
+        let (tx, rx) = mpsc::channel();
+        let probe = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                let _ = tx.send((cache.stats(), cache.acquire_all_ready(&[ready])));
+            })
+        };
+        let answered = rx.recv_timeout(Duration::from_secs(10));
+        // Unblock the read whatever happened, so no thread is left behind.
+        std::fs::write(&fifo, format!("{}\n", line("w/c", 2))).unwrap();
+        assert_eq!(reader.join().unwrap(), line("w/c", 2));
+        probe.join().unwrap();
+        let (stats, lines) = answered.expect("stats and an all-ready request wait on a disk read");
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1));
+        assert_eq!(lines, Some(vec![line("w/c", 1).into()]));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.disk_hits, stats.entries), (2, 1, 2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

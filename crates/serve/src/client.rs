@@ -1,5 +1,6 @@
 //! The sweep service client: issue a request, collect and verify the
-//! response, and optionally render it to the standard sweep JSON.
+//! response, and optionally render it to the grid's results document (the
+//! format of `BENCH_golden.json`).
 //!
 //! The client re-verifies every `cell|` line on receipt with
 //! [`decode_cell`] (the wire format *is* the checkpoint codec), so a
@@ -10,11 +11,11 @@
 //! one forward scan, and each kept `cell|` / `fail|` line is copied once,
 //! into [`SweepResponse`].
 
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 use warpweave_core::checkpoint::{decode_cell, SweepCheckpoint};
-use warpweave_core::SmConfig;
 
 use crate::protocol::{classify_line, render_request, Request, ResponseLine, RunRequest};
 
@@ -82,6 +83,8 @@ impl SweepResponse {
     /// Loads the response's cells into an in-memory checkpoint store
     /// bound to the response's grid id — ready for
     /// `matrix_from_store`/`probes_from_store`, as a local sweep's store is.
+    /// No binary of the workspace calls it ([`render_response_json`]
+    /// renders from the lines); it stays for the frozen `benchmark/` crate.
     /// It decodes every line again, though receipt verified each one:
     /// `cell_lines` is a pub field a caller may have edited since.
     ///
@@ -143,39 +146,36 @@ pub fn request_run(addr: &str, req: &RunRequest) -> Result<SweepResponse, String
     Ok(response)
 }
 
-/// Renders a full-grid response to the standard `BENCH_sweep.json`
-/// payload — byte-identical to a local `bench_sweep` run of the same
-/// grid, because both render from the same per-cell records.
+/// Renders a response to its grid's results document: the records of its
+/// cell lines in stream order (the request's job order), under the
+/// `hello` grid id: byte-identical to the document a local run of the
+/// same job list renders, so for the golden grid to `BENCH_golden.json`.
 ///
 /// # Errors
-/// Responses that do not cover the full grid (subset requests, probe-less
-/// requests, or responses with failures).
+/// A response carrying `fail|` lines (a document renders only from a
+/// fully healthy grid), a cell line that no longer decodes, or a key sent
+/// twice.
 pub fn render_response_json(req: &RunRequest, response: &SweepResponse) -> Result<String, String> {
     if !response.fail_lines.is_empty() {
         return Err(format!(
-            "{} cell(s) failed; a sweep payload renders only from a fully healthy grid",
+            "{} cell(s) failed; a results document renders only from a fully healthy grid",
             response.fail_lines.len()
         ));
     }
-    if !req.workloads.is_empty() || !req.probes {
-        return Err("the sweep payload needs the default workload rows and probes=all".into());
+    let lines = response.cell_lines.iter().map(String::as_str);
+    let records: Vec<_> = lines.map(decode_cell).collect::<Result<_, _>>()?;
+    let mut seen = HashSet::new();
+    if let Some((key, _)) = records.iter().find(|(key, _)| !seen.insert(key.as_str())) {
+        return Err(format!("cell `{key}` arrives twice in the response"));
     }
-    let configs: Vec<_> = if req.frontends.is_empty() {
-        warpweave_bench::grid::figure7_configs()
-    } else {
-        SmConfig::with_policies(req.frontends.iter().map(String::as_str))?
-    };
-    let workloads = warpweave_bench::grid::sweep_workloads(req.full);
-    let store = response.into_store()?;
-    let matrix = warpweave_bench::matrix_from_store(&configs, &workloads, &store)
-        .map_err(|missing| format!("response misses {} cell(s): {missing:?}", missing.len()))?;
-    let probes = warpweave_bench::probes_from_store(&store)
-        .map_err(|missing| format!("response misses {} probe(s): {missing:?}", missing.len()))?;
-    let scale_label = if req.full { "bench" } else { "test" };
-    Ok(warpweave_bench::render_sweep_json(
-        scale_label,
-        &matrix,
-        &probes,
+    let records = records
+        .iter()
+        .map(|(key, record)| (key, &record.stats, record.channel.as_ref()));
+    let scale = if req.full { "bench" } else { "test" };
+    Ok(warpweave_bench::render_results(
+        scale,
+        response.grid_id,
+        records,
     ))
 }
 
@@ -273,6 +273,49 @@ mod tests {
                 evictions: 1,
                 simulated: 3
             }
+        );
+    }
+
+    #[test]
+    fn a_response_with_a_failed_cell_renders_no_document() {
+        let response = SweepResponse {
+            grid_id: 7,
+            cell_lines: Vec::new(),
+            fail_lines: vec!["fail|MatrixMul/SBI|seed=0x1|panic: boom".into()],
+            stats: RequestStats::default(),
+        };
+        let err = render_response_json(&RunRequest::quick(), &response).unwrap_err();
+        assert!(err.starts_with("1 cell(s) failed"), "{err}");
+        let healthy = SweepResponse {
+            fail_lines: Vec::new(),
+            ..response
+        };
+        let doc = render_response_json(&RunRequest::quick(), &healthy).expect("no failures");
+        assert!(doc.contains("\"grid\": \"0000000000000007\""), "{doc}");
+    }
+
+    #[test]
+    fn a_response_that_repeats_a_cell_renders_no_document() {
+        use warpweave_core::checkpoint::{encode_cell, CellRecord};
+        use warpweave_core::Stats;
+        let line = encode_cell("MatrixMul/SBI", &CellRecord::new(Stats::default()));
+        let response = SweepResponse {
+            grid_id: 7,
+            cell_lines: vec![line.clone(), line],
+            fail_lines: Vec::new(),
+            stats: RequestStats::default(),
+        };
+        let err = render_response_json(&RunRequest::quick(), &response).unwrap_err();
+        assert_eq!(err, "cell `MatrixMul/SBI` arrives twice in the response");
+        let once = SweepResponse {
+            cell_lines: response.cell_lines[..1].to_vec(),
+            ..response
+        };
+        let doc = render_response_json(&RunRequest::quick(), &once).expect("one line per key");
+        assert_eq!(
+            doc.matches("\"key\": \"MatrixMul/SBI\"").count(),
+            1,
+            "{doc}"
         );
     }
 }

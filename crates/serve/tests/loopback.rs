@@ -6,7 +6,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use warpweave_bench::grid;
-use warpweave_bench::{matrix_from_store, probes_from_store, render_sweep_json, run_grid};
+use warpweave_bench::{matrix_from_store, probes_from_store, render_golden_json, run_grid};
 use warpweave_core::{SweepCheckpoint, SweepRunner};
 use warpweave_serve::protocol::{classify_line, ResponseLine};
 use warpweave_serve::{
@@ -76,22 +76,62 @@ fn served_full_grid_renders_the_exact_sweep_payload() {
     let req = RunRequest::quick();
     let response = request_run(&addr, &req).expect("quick grid");
 
-    // The service's payload must be byte-identical to a local run's.
+    // The service's document must be byte-identical to a local run's.
     let served = render_response_json(&req, &response).expect("render from response");
     let configs = grid::figure7_configs();
     let workloads = grid::sweep_workloads(false);
-    let mut store = SweepCheckpoint::in_memory(grid::grid_id(&configs, &workloads, Scale::Test));
+    let id = grid::grid_id(&configs, &workloads, Scale::Test);
+    let mut store = SweepCheckpoint::in_memory(id);
     let jobs = grid::grid_jobs(&configs, &workloads);
     let runner = SweepRunner::with_threads(1);
     let failures = run_grid(&runner, &jobs, Scale::Test, false, &mut store).expect("record");
     assert!(failures.is_empty(), "{failures:?}");
     let matrix = matrix_from_store(&configs, &workloads, &store).expect("every cell");
     let probes = probes_from_store(&store).expect("every probe");
-    let local = render_sweep_json("test", &matrix, &probes);
-    assert_eq!(served, local, "served and local sweep payloads");
+    let local = render_golden_json("test", id, &matrix, &probes);
+    assert_eq!(served, local, "served and local results documents");
 
     request_shutdown(&addr).expect("shutdown");
     server.join().unwrap();
+}
+
+#[test]
+fn a_subset_request_renders_lines_of_the_golden_baseline() {
+    let (addr, server) = start_server(ServeConfig::default());
+    let req = RunRequest {
+        full: false,
+        frontends: vec!["Baseline".into(), "SWI".into()],
+        workloads: vec!["MatrixMul".into()],
+        probes: false,
+    };
+    let response = request_run(&addr, &req).expect("subset grid");
+    let served = render_response_json(&req, &response).expect("any healthy grid renders");
+    request_shutdown(&addr).expect("shutdown");
+    server.join().unwrap();
+
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_golden.json");
+    let golden = std::fs::read_to_string(golden).expect("committed BENCH_golden.json");
+    let golden: Vec<&str> = golden.lines().map(|l| l.trim_end_matches(',')).collect();
+    let cells: Vec<&str> = served
+        .lines()
+        .filter(|l| l.contains("\"key\": "))
+        .map(|l| l.trim_end_matches(','))
+        .collect();
+    assert_eq!(cells.len(), 2, "{served}");
+    for line in cells {
+        assert!(golden.contains(&line), "not a golden line:\n{line}");
+    }
+    assert!(
+        served.contains(&format!("\"grid\": \"{:016x}\"", response.grid_id)),
+        "{served}"
+    );
+    let (_, probes) = served
+        .split_once("\"machine_probes\": [")
+        .expect("a machine_probes array");
+    assert!(
+        !probes.contains("\"key\": "),
+        "no probe was asked for:\n{served}"
+    );
 }
 
 #[test]

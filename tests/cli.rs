@@ -4,6 +4,7 @@
 //! (`figure`'s table of bad invocations is in `tests/figures.rs`.)
 
 use warpweave::bench::cli::{self, Args, Sweep};
+use warpweave::bench::grid;
 use warpweave::isa::fuzz::{rerun_command, FuzzProfile};
 use warpweave::serve::cli::{sweep_client, sweep_serve};
 use warpweave::serve::RunRequest;
@@ -214,10 +215,28 @@ fn sweep_service_parses_every_invocation_ci_uses() {
     };
     assert_eq!((a.command.as_str(), a.value("--addr")), ("run", Some("A")));
     assert_eq!((request, a.value("--out")), (wanted, Some("client-a.txt")));
-    let (a, request) = client("--addr A --json served.json");
+    // The golden-grid request: its workloads are the `*/Baseline` keys of
+    // BENCH_golden.json in file order, which name the golden grid's rows.
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_golden.json");
+    let golden = std::fs::read_to_string(golden).expect("committed BENCH_golden.json");
+    let rows = golden.lines().filter_map(|l| {
+        let key = l.split_once("{\"key\": \"")?.1.split_once('"')?.0;
+        key.strip_suffix("/Baseline")
+    });
+    let rows = rows.collect::<Vec<_>>().join(",");
+    let (a, request) = client(&format!(
+        "--addr A --workloads {rows} --json BENCH_golden.served.json"
+    ));
+    let golden_grid = RunRequest {
+        workloads: grid::sweep_workloads(true)
+            .iter()
+            .map(|w| w.name().into())
+            .collect(),
+        ..RunRequest::quick()
+    };
     assert_eq!(
         (request, a.value("--json")),
-        (RunRequest::quick(), Some("served.json"))
+        (golden_grid, Some("BENCH_golden.served.json"))
     );
     for command in ["run", "stats", "shutdown"] {
         let (a, _) = client(&format!("{command} --addr A"));
