@@ -110,7 +110,7 @@ impl Json<'_> {
 
 /// Appends `items` between `open` and `close`: `, `-separated when
 /// `depth` is `None`, otherwise one per line, indented one level below
-/// `depth` (an empty list keeps its blank line).
+/// `depth` (an empty list is `open` and `close` alone, as `[]`).
 fn layout<T>(
     out: &mut String,
     depth: Option<usize>,
@@ -131,8 +131,8 @@ fn layout<T>(
         }
         item(out, value);
     }
-    if let Some(d) = depth {
-        out.push_str(if items.is_empty() { "\n\n" } else { "\n" });
+    if let Some(d) = depth.filter(|_| !items.is_empty()) {
+        out.push('\n');
         indent(out, d);
     }
     out.push(close);
@@ -519,7 +519,7 @@ mod tests {
         assert_eq!(
             doc.render(),
             "{\n  \"n\": 3,\n  \"rows\": [\n    {\"x\": 0.5000}\n  ],\n  \
-             \"nested\": {\n    \"empty\": [\n\n    ]\n  }\n}\n"
+             \"nested\": {\n    \"empty\": []\n  }\n}\n"
         );
     }
 

@@ -24,7 +24,9 @@
 //! # Memory model
 //!
 //! Every SM starts a launch from a snapshot of global memory and runs
-//! against its private copy; cross-SM effects commit at launch boundaries
+//! against its private copy — a [`Memory`] clone, which shares the
+//! snapshot's pages and copies one only on the SM's first write to it;
+//! cross-SM effects commit at launch boundaries
 //! (stores in SM order, atomic-add deltas summed). This is the bulk-
 //! synchronous approximation CUDA itself licenses inside one kernel —
 //! blocks may not rely on the order of other blocks' same-launch writes —
@@ -381,7 +383,8 @@ impl Machine {
     }
 
     /// One SM per non-empty shard of the grid, in SM-id order: seeded for
-    /// its id, holding a snapshot of global memory, journaling its stores.
+    /// its id, holding a clone of global memory (sharing its pages until
+    /// it writes them), journaling its stores.
     fn build_sms(&self) -> Result<Vec<Sm>, SimError> {
         (0..self.num_sms)
             .map(|sm_id| (sm_id, self.shard(sm_id)))
@@ -407,13 +410,16 @@ impl Machine {
     }
 
     /// Folds the finished SMs' statistics and journals into
-    /// `self.stats`/`self.mem`, in SM-id order.
+    /// `self.stats`/`self.mem`, in SM-id order. Each SM's memory is dropped
+    /// before the commit, so every page it shared with `self.mem` is
+    /// `self.mem`'s alone again and the commit writes it in place.
     fn merge_shards(&mut self, sms: &mut [Sm], channel: ChannelStats) -> &MachineStats {
         let mut per_sm = vec![Stats::default(); self.num_sms];
         let mut journals: Vec<MemJournal> = Vec::with_capacity(sms.len());
         for sm in sms {
             per_sm[sm.sm_id() as usize] = sm.stats().clone();
             journals.push(sm.take_mem_journal().expect("journal was enabled"));
+            drop(std::mem::take(sm.memory_mut()));
         }
         MemJournal::commit_all(&journals, &mut self.mem);
         let mut total = Stats::default();
@@ -655,6 +661,30 @@ mod tests {
         }
         assert!(m.stats().ipc() > 0.0);
         assert_eq!(m.stats().per_sm.len(), 4);
+    }
+
+    #[test]
+    fn the_merge_writes_the_launch_image_in_place() {
+        // Shards share the image's pages and are dropped before the
+        // commit, so neither a page the kernel stores to nor one it never
+        // touches is copied. Blocks of 512 threads fill 0x1000..0x5000
+        // two blocks a page, so SMs 2 and 3 never write the first page.
+        let launch = Launch {
+            block_threads: 512,
+            ..store_tid_launch(8)
+        };
+        for cfg in [SmConfig::sbi(), SmConfig::sbi().with_shared_dram()] {
+            let mut m = Machine::new(cfg, 4, launch.clone()).unwrap();
+            m.memory_mut().write_u32(0x1000, 7);
+            m.memory_mut().write_u32(0x9000, 9);
+            let page = |m: &Machine, addr| m.memory().page(addr).map(<[u32]>::as_ptr);
+            let (stored, untouched) = (page(&m, 0x1000), page(&m, 0x9000));
+            m.run(1_000_000).unwrap();
+            assert_eq!(page(&m, 0x1000), stored, "the stored page was copied");
+            assert_eq!(page(&m, 0x9000), untouched, "the untouched page was copied");
+            assert_eq!(m.memory().read_u32(0x1004), 1);
+            assert_eq!(m.memory().read_u32(0x9000), 9);
+        }
     }
 
     #[test]

@@ -1766,13 +1766,22 @@ impl Sm {
                 }
             }
             Op::St => {
-                if walk {
+                if walk && global {
+                    // As for loads: one table walk, and one copy-on-write
+                    // check, per page transition instead of per lane.
+                    let mut key = u32::MAX; // page id of `page`
+                    let mut page: &mut [u32] = &mut [];
                     for t in mask.iter() {
-                        if global {
-                            self.mem.write_u32(addr[t], data[t]);
-                        } else {
-                            shared.write_u32(addr[t], data[t]);
+                        let a = addr[t];
+                        if a >> 12 != key {
+                            key = a >> 12;
+                            page = self.mem.page_mut(a);
                         }
+                        page[Memory::page_word(a)] = data[t];
+                    }
+                } else if walk {
+                    for t in mask.iter() {
+                        shared.write_u32(addr[t], data[t]);
                     }
                 }
                 if let Some(run) = sliced.clone() {

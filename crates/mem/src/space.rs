@@ -1,12 +1,16 @@
 //! Flat, sparse, word-granular backing store for global and shared memory.
 
+use std::sync::Arc;
+
 const PAGE_WORDS: usize = 1024; // 4 KiB pages
 /// Second-level tables cover `DIR_SPAN` pages (4 MiB of address space)
 /// each; the root directory has one slot per possible table.
 const DIR_SPAN: usize = 1024;
 const DIR_SLOTS: usize = 1024;
 
-type Page = Box<[u32; PAGE_WORDS]>;
+/// A 4 KiB page, shared by every clone of a [`Memory`] until one of them
+/// writes to it.
+type Page = Arc<[u32; PAGE_WORDS]>;
 
 /// A sparse 32-bit byte-addressed memory storing aligned 32-bit words.
 ///
@@ -18,6 +22,13 @@ type Page = Box<[u32; PAGE_WORDS]>;
 /// 4 KiB page), so the hot word accesses are two pointer chases and an
 /// index — no hashing on the simulator's LSU path. Unpopulated levels
 /// cost nothing until first written.
+///
+/// Pages are copy-on-write: a clone copies the directories and shares
+/// every resident page, and either side copies a shared page on its first
+/// write to it ([`Memory::page_mut`]). Each clone still behaves as an
+/// independent memory. This is the shard contract of a multi-SM
+/// `Machine`: every SM starts from a clone of the launch image and holds
+/// only the pages it wrote.
 ///
 /// # Examples
 /// ```
@@ -57,16 +68,18 @@ impl Memory {
     }
 
     /// The 4 KiB page containing `addr` as 1024 writable words, created
-    /// zero-filled if nothing was written there yet. Index it with
-    /// [`Memory::page_word`]; a run of consecutive words inside one page is
-    /// one table walk and one slice copy.
+    /// zero-filled if nothing was written there yet, and copied first if
+    /// another clone still shares it. Index it with [`Memory::page_word`];
+    /// a run of consecutive words inside one page is one table walk and one
+    /// slice copy.
     pub fn page_mut(&mut self, addr: u32) -> &mut [u32] {
         let w = (addr >> 2) as usize;
         if self.dirs.is_empty() {
             self.dirs.resize(DIR_SLOTS, None);
         }
         let dir = self.dirs[w >> 20].get_or_insert_with(|| Box::new([const { None }; DIR_SPAN]));
-        &mut dir[(w >> 10) & (DIR_SPAN - 1)].get_or_insert_with(|| Box::new([0; PAGE_WORDS]))[..]
+        let page = dir[(w >> 10) & (DIR_SPAN - 1)].get_or_insert_with(|| Arc::new([0; PAGE_WORDS]));
+        &mut Arc::make_mut(page)[..]
     }
 
     /// Read-only view of the resident 4 KiB page containing `addr`
@@ -148,16 +161,33 @@ impl Memory {
         self.write_run(addr, values, f32::to_bits);
     }
 
+    /// Reads `n` consecutive words starting at `addr` as `from_word` of
+    /// each: one table walk and one slice loop per 4 KiB page, and an
+    /// unwritten page reads as zeros.
+    fn read_run<T: Clone>(&self, addr: u32, n: usize, from_word: impl Fn(u32) -> T) -> Vec<T> {
+        Self::check_range(addr, n);
+        let mut out = Vec::with_capacity(n);
+        let mut word = addr >> 2; // the range check keeps this below 2^30
+        while out.len() < n {
+            let at = word as usize & (PAGE_WORDS - 1);
+            let len = (n - out.len()).min(PAGE_WORDS - at);
+            match self.page(word << 2) {
+                Some(page) => out.extend(page[at..at + len].iter().map(|&w| from_word(w))),
+                None => out.resize(out.len() + len, from_word(0)),
+            }
+            word += len as u32;
+        }
+        out
+    }
+
     /// Bulk-reads `n` consecutive words starting at `addr`.
     pub fn read_words(&self, addr: u32, n: usize) -> Vec<u32> {
-        Self::check_range(addr, n);
-        (0..n).map(|i| self.read_u32(addr + 4 * i as u32)).collect()
+        self.read_run(addr, n, |w| w)
     }
 
     /// Bulk-reads `n` consecutive `f32` values starting at `addr`.
     pub fn read_f32s(&self, addr: u32, n: usize) -> Vec<f32> {
-        Self::check_range(addr, n);
-        (0..n).map(|i| self.read_f32(addr + 4 * i as u32)).collect()
+        self.read_run(addr, n, f32::from_bits)
     }
 
     /// Number of resident 4 KiB pages (for capacity diagnostics).
@@ -253,6 +283,7 @@ impl SharedMem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn shared_roundtrip_and_zero_default() {
@@ -362,5 +393,133 @@ mod tests {
         assert_eq!(m.read_words(100, 3), vec![1, 2, 3]);
         m.write_f32s(200, &[1.0, 2.0]);
         assert_eq!(m.read_f32s(200, 2), vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn bulk_reads_match_per_word_reads_across_pages_and_holes() {
+        // Written: the end of page 1, page 2 whole, the start of page 3;
+        // page 4 is a hole; page 5 holds one word.
+        let mut m = Memory::new();
+        let words: Vec<u32> = (0..2100).map(|i| i * 7 + 1).collect();
+        m.write_words(0x1f00, &words);
+        m.write_u32(0x5010, 99);
+        for (addr, n) in [(0x1e00, 2300), (0x3ff8, 5), (0x4000, 2000), (0x1f04, 0)] {
+            let single: Vec<u32> = (0..n).map(|i| m.read_u32(addr + 4 * i as u32)).collect();
+            assert_eq!(m.read_words(addr, n), single, "{n} words at 0x{addr:x}");
+            let floats: Vec<f32> = (0..n).map(|i| m.read_f32(addr + 4 * i as u32)).collect();
+            assert_eq!(m.read_f32s(addr, n), floats);
+        }
+        assert_eq!(Memory::new().read_words(0x8000, 3000), vec![0; 3000]);
+    }
+
+    /// Whether both memories resolve `addr` to one and the same page.
+    fn shares(a: &Memory, b: &Memory, addr: u32) -> bool {
+        matches!((a.page(addr), b.page(addr)), (Some(x), Some(y)) if std::ptr::eq(x, y))
+    }
+
+    #[test]
+    fn a_clone_shares_its_pages_until_written() {
+        let mut original = Memory::new();
+        original.write_words(0, &[1; 2 * PAGE_WORDS]);
+        let clone = original.clone();
+        assert!(shares(&original, &clone, 0) && shares(&original, &clone, 0x1000));
+        assert_eq!(clone.resident_pages(), 2);
+
+        // A write copies only the page it lands on.
+        let mut clone = clone;
+        clone.write_u32(0x1000, 5);
+        assert!(shares(&original, &clone, 0));
+        assert!(!shares(&original, &clone, 0x1000));
+        assert_eq!((original.read_u32(0x1000), clone.read_u32(0x1000)), (1, 5));
+    }
+
+    #[test]
+    fn writes_on_either_side_are_invisible_to_the_other() {
+        // Each writer (`write_u32`, `write_words`, `page_mut`) on the
+        // original and on the clone, over a page both sides share.
+        type Writer = fn(&mut Memory);
+        let writers: [Writer; 3] = [
+            |m| m.write_u32(0x2004, 7),
+            |m| m.write_words(0x2004, &[7, 7]),
+            |m| m.page_mut(0x2004)[1] = 7,
+        ];
+        for (i, write) in writers.iter().enumerate() {
+            for clone_writes in [false, true] {
+                let mut original = Memory::new();
+                original.write_u32(0x2000, 3);
+                let mut clone = original.clone();
+                let (writer, other) = if clone_writes {
+                    (&mut clone, &original)
+                } else {
+                    (&mut original, &clone)
+                };
+                write(writer);
+                let case = format!("writer {i}, clone writes: {clone_writes}");
+                assert_eq!(writer.read_u32(0x2004), 7, "{case}");
+                assert_eq!(other.read_u32(0x2004), 0, "{case}");
+                assert_eq!(other.read_words(0x2000, 3), vec![3, 0, 0], "{case}");
+                assert_eq!(writer.read_u32(0x2000), 3, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_page_never_written_reads_zero_on_both_sides() {
+        let mut original = Memory::new();
+        original.write_u32(0, 1);
+        let mut clone = original.clone();
+        clone.write_u32(0x9000, 2); // a page only the clone creates
+        original.write_u32(0x7000, 3); // and one only the original does
+        for m in [&original, &clone] {
+            assert_eq!(m.read_u32(0x5000), 0);
+            assert_eq!(m.page(0x5000), None);
+        }
+        assert_eq!((original.read_u32(0x9000), clone.read_u32(0x7000)), (0, 0));
+        assert_eq!((original.resident_pages(), clone.resident_pages()), (2, 2));
+    }
+
+    /// Applies one random write: `kind` picks the writer, `addr` a word
+    /// in a 5-page window so writes collide, straddle pages and leave holes.
+    fn apply(m: &mut Memory, (kind, addr, value): (u8, u32, u32)) {
+        let addr = addr * 4;
+        match kind {
+            0 => m.write_u32(addr, value),
+            1 => m.write_words(addr, &[value, value ^ 1, value ^ 2]),
+            _ => m.page_mut(addr)[Memory::page_word(addr)] = value,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn a_clone_behaves_as_an_independent_copy(
+            before in proptest::collection::vec((0u8..3, 0u32..5 * 1024, any::<u32>()), 0..40),
+            on_original in proptest::collection::vec((0u8..3, 0u32..5 * 1024, any::<u32>()), 0..40),
+            on_clone in proptest::collection::vec((0u8..3, 0u32..5 * 1024, any::<u32>()), 0..40),
+        ) {
+            let mut original = Memory::new();
+            before.iter().for_each(|&w| apply(&mut original, w));
+            let mut clone = original.clone();
+            // Interleaved, so neither side is always the first to write.
+            for i in 0..on_original.len().max(on_clone.len()) {
+                on_original.get(i).into_iter().for_each(|&w| apply(&mut original, w));
+                on_clone.get(i).into_iter().for_each(|&w| apply(&mut clone, w));
+            }
+            // The same histories, built without sharing anything.
+            let mut expect_original = Memory::new();
+            let mut expect_clone = Memory::new();
+            for &w in &before {
+                apply(&mut expect_original, w);
+                apply(&mut expect_clone, w);
+            }
+            on_original.iter().for_each(|&w| apply(&mut expect_original, w));
+            on_clone.iter().for_each(|&w| apply(&mut expect_clone, w));
+            let window = 6 * PAGE_WORDS;
+            prop_assert_eq!(original.read_words(0, window), expect_original.read_words(0, window));
+            prop_assert_eq!(clone.read_words(0, window), expect_clone.read_words(0, window));
+            prop_assert_eq!(original.resident_pages(), expect_original.resident_pages());
+            prop_assert_eq!(clone.resident_pages(), expect_clone.resident_pages());
+        }
     }
 }
