@@ -171,7 +171,7 @@ pub fn execute_thread(
     let f = |i: usize| f32::from_bits(v(i));
     let dst = instr.dst.map(|r| r.index());
     let wr = |val: u32| Some((dst.expect("validated dst"), val));
-    let wf = |val: f32| Some((dst.expect("validated dst"), val.to_bits()));
+    let wf = |val: f32| Some((dst.expect("validated dst"), f32_bits(val)));
 
     match instr.op {
         Op::Mov => out.reg_write = wr(v(0)),
@@ -405,18 +405,30 @@ fn commit_pred(rf: &mut WarpRegFile, p: usize, exec: Mask, res: u64) {
     rf.set_pred_bits(p, bits);
 }
 
+/// The bits of an `f32` result, every NaN as the one quiet NaN
+/// `0x7fffffff`: a NaN's payload is whatever the host's instruction made
+/// of its operands, which differs between the scalar and vector forms.
+#[inline]
+fn f32_bits(x: f32) -> u32 {
+    if x.is_nan() {
+        0x7fff_ffff
+    } else {
+        x.to_bits()
+    }
+}
+
 /// Bit-casting adapters for the f32 op families.
 #[inline]
 fn f1(f: impl Fn(f32) -> f32) -> impl Fn(u32) -> u32 {
-    move |x| f(f32::from_bits(x)).to_bits()
+    move |x| f32_bits(f(f32::from_bits(x)))
 }
 #[inline]
 fn f2(f: impl Fn(f32, f32) -> f32) -> impl Fn(u32, u32) -> u32 {
-    move |x, y| f(f32::from_bits(x), f32::from_bits(y)).to_bits()
+    move |x, y| f32_bits(f(f32::from_bits(x), f32::from_bits(y)))
 }
 #[inline]
 fn f3(f: impl Fn(f32, f32, f32) -> f32) -> impl Fn(u32, u32, u32) -> u32 {
-    move |x, y, z| f(f32::from_bits(x), f32::from_bits(y), f32::from_bits(z)).to_bits()
+    move |x, y, z| f32_bits(f(f32::from_bits(x), f32::from_bits(y), f32::from_bits(z)))
 }
 
 /// Executes `instr` for every thread of a warp in one pass over the SoA

@@ -7,8 +7,6 @@
 //! the cycles it skips, and [`EventAudit`] counts the bookkeeping the loop
 //! actually did, so a test can say how much of it an event caused.
 
-use std::cell::Cell;
-
 use warpweave_isa::{Program, UnitClass};
 
 use super::{SlotState, Sm};
@@ -92,7 +90,7 @@ impl Sm {
         let warps = 0..self.warps.len();
         let pool = u64::MAX >> (64 - warps.len());
         for slot in 0..2 {
-            let sets = self.states[slot].each_ref().map(Cell::get);
+            let sets = SlotState::ALL.map(|state| self.partition.warps(slot, state));
             let union = sets.iter().fold(0, |u, s| u | s);
             let bits: u32 = sets.iter().map(|s| s.count_ones()).sum();
             assert_eq!(
@@ -102,7 +100,7 @@ impl Sm {
             );
             let mut fetchable = 0;
             for w in warps.clone() {
-                let held = self.state_of(w, slot);
+                let held = self.partition.state_of(w, slot);
                 if held != SlotState::Woken {
                     let fresh = self.ready_check_slow(w, slot);
                     // Settled, so answered from the sets and the record.
@@ -123,7 +121,7 @@ impl Sm {
         let parked = warps
             .filter(|&w| self.sync_parked(w))
             .fold(0, |m, w| m | 1u64 << w);
-        let held = self.warps_in(1, SlotState::Constraint).get();
+        let held = self.partition.warps(1, SlotState::Constraint);
         assert_eq!(held, parked, "a parked secondary outside `Constraint`");
     }
 

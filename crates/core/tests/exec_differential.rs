@@ -7,7 +7,8 @@
 //! over random initial register state must produce the same architectural
 //! state (registers, predicates), the same taken masks and the same access
 //! lists — at warp widths 4, 32 and 64, under partial `populated` masks,
-//! random guards and every operand kind.
+//! random guards and every operand kind, with NaNs of distinct payloads
+//! among the initial registers (every `f32` result's NaN is one quiet NaN).
 
 use proptest::prelude::*;
 use warpweave_core::exec::{
@@ -242,9 +243,16 @@ fn assert_state_eq(rf: &WarpRegFile, regs: &[ThreadRegs], width: usize, ctx: &st
 /// Runs one random instruction sequence at `width` through the SoA path —
 /// listed (`execute_warp`) and in the pipeline's row form
 /// (`execute_rows`) — and the scalar reference, asserting bit-identity
-/// after every instruction.
+/// after every instruction. `nan_seed` turns about half of the
+/// initial registers into NaNs, each with its own sign and payload.
 #[allow(clippy::needless_range_loop)] // (t, reg) indexing mirrors the layout
-fn run_differential(width: usize, seq: &[(u64, u64)], state_seed: u64, mask_bits: u64) {
+fn run_differential(
+    width: usize,
+    seq: &[(u64, u64)],
+    state_seed: u64,
+    mask_bits: u64,
+    nan_seed: u64,
+) {
     let full = Mask::full(width);
     let populated = Mask::from_bits(mask_bits) & full;
     let shuffle = LaneShuffle::ALL[(state_seed % 5) as usize];
@@ -267,9 +275,14 @@ fn run_differential(width: usize, seq: &[(u64, u64)], state_seed: u64, mask_bits
     let mut rf = WarpRegFile::new(width);
     let mut regs: Vec<ThreadRegs> = (0..width).map(|_| ThreadRegs::new()).collect();
     let mut s = state_seed;
+    let mut nans = nan_seed;
     for t in 0..width {
         for ri in 0..NUM_REGS {
-            let v = splitmix64(&mut s) as u32;
+            let mut v = splitmix64(&mut s) as u32;
+            if splitmix64(&mut nans) & 1 == 0 {
+                // All-ones exponent, non-zero payload: quiet or signalling.
+                v = v & 0x807f_ffff | 0x7f80_0000 | 1 << (v % 23);
+            }
             rf.set_reg(t, ri, v);
             regs[t].set_reg(ri, v);
         }
@@ -334,9 +347,10 @@ proptest! {
         seq in proptest::collection::vec((any::<u64>(), any::<u64>()), 1..32),
         state_seed in any::<u64>(),
         mask_bits in any::<u64>(),
+        nan_seed in any::<u64>(),
     ) {
         for width in [4usize, 32, 64] {
-            run_differential(width, &seq, state_seed, mask_bits);
+            run_differential(width, &seq, state_seed, mask_bits, nan_seed);
         }
     }
 
@@ -349,7 +363,7 @@ proptest! {
         state_seed in any::<u64>(),
     ) {
         for width in [4usize, 32, 64] {
-            run_differential(width, &[(a, b)], state_seed, 0);
+            run_differential(width, &[(a, b)], state_seed, 0, state_seed);
         }
     }
 }

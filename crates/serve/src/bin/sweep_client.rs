@@ -83,17 +83,24 @@ fn run(
         write(path, response.transcript())?;
         eprintln!("wrote transcript: {path}");
     }
+    for line in &response.fail_lines {
+        eprintln!("{line}");
+    }
+    let failed = !response.fail_lines.is_empty();
     if let Some(path) = json {
-        let document =
-            render_response_json(request, &response).map_err(|e| format!("--json: {e}"))?;
-        write(path, document)?;
-        eprintln!("wrote results document: {path}");
-    }
-    if !response.fail_lines.is_empty() {
-        for line in &response.fail_lines {
-            eprintln!("{line}");
+        match render_response_json(request, &response) {
+            Ok(document) => {
+                write(path, document)?;
+                eprintln!("wrote results document: {path}");
+            }
+            // Quarantined cells are reported above and by the exit code.
+            Err(e) if failed => eprintln!("--json: {path} not written: {e}"),
+            Err(e) => return Err(format!("--json: {e}")),
         }
-        return Ok(ExitCode::from(4));
     }
-    Ok(ExitCode::SUCCESS)
+    Ok(if failed {
+        ExitCode::from(4)
+    } else {
+        ExitCode::SUCCESS
+    })
 }

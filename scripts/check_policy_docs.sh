@@ -6,7 +6,7 @@
 # Also fails if ARCHITECTURE.md's fenced copy of `pub trait IssuePolicy`
 # does not list the methods the trait in crates/core/src/policy.rs declares,
 # or if its "Scheduler hot path" section does not name, in backticks, every
-# variant of `SlotState` in crates/core/src/pipeline.rs, or if its
+# variant of `SlotState` in crates/core/src/pipeline/readiness.rs, or if its
 # "Configuration surface" table does not have exactly one row per `pub`
 # field of `SmConfig` in crates/core/src/config.rs, in declaration order.
 set -euo pipefail
@@ -27,7 +27,7 @@ fi
 
 # The variant names between `pub enum SlotState` and its closing brace,
 # against the section from its heading to the next `## `.
-states="$(sed -n '/^pub enum SlotState/,/^}/p' crates/core/src/pipeline.rs \
+states="$(sed -n '/^pub enum SlotState/,/^}/p' crates/core/src/pipeline/readiness.rs \
     | sed -n 's/^    \([A-Z][A-Za-z]*\).*/\1/p')"
 section="$(sed -n '/^## Scheduler hot path/,/^## /p' ARCHITECTURE.md)"
 if [ -z "$states" ] || [ -z "$section" ]; then
