@@ -81,11 +81,12 @@ impl Sm {
 
     /// Asserts, for both slots, that the state sets partition the pool, that
     /// every warp outside `Woken` sits in the set a fresh evaluation puts it
-    /// in (with its record, if eligible), that `fetchable` is the from-state
-    /// set, and that slot 1's `Constraint` set is the per-warp fold of the
-    /// §3.3 parking condition — none of it settled first. Run once per
-    /// stepped cycle, just before the policy issues: everything every event
-    /// of the last cycle left behind is in view.
+    /// in (with its record and its `seq` / `lanes` scan keys, if eligible),
+    /// that `fetchable` is the from-state set, and that slot 1's
+    /// `Constraint` set is the per-warp fold of the §3.3 parking condition —
+    /// none of it settled first. Run once per stepped cycle, just before the
+    /// policy issues: everything every event of the last cycle left behind
+    /// is in view.
     pub(super) fn assert_event_state(&self) {
         let warps = 0..self.warps.len();
         let pool = u64::MAX >> (64 - warps.len());
@@ -109,6 +110,10 @@ impl Sm {
                         (SlotState::of(&fresh), fresh.ok()),
                         "warp {w} slot {slot}: settled state and record"
                     );
+                    if let Ok(r) = fresh {
+                        let keys = (self.partition.seq(w, slot), self.partition.lanes(w, slot));
+                        assert_eq!(keys, (r.seq, r.lanes), "warp {w} slot {slot}: scan keys");
+                    }
                 }
                 let wants = self.ctx(w, slot).is_some() && self.warps[w].ibuf[slot].is_none();
                 fetchable |= u64::from(wants) << w;

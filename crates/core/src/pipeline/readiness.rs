@@ -117,12 +117,24 @@ impl std::fmt::Display for SlotState {
 /// Only the three writers move a warp, each from one set to one other, so
 /// per slot the sets partition the pool; nothing moves under pure clock
 /// advance. `Cell` keeps the ready check `&self`.
+///
+/// Beside each record, `settle` writes its two scan keys — the age `seq`
+/// and the `lanes` mask — into per-slot word arrays: an oldest-first or
+/// best-fit scan reads one 8-byte word per candidate, one cache line per
+/// eight warps, and copies the 48-byte record of the one it picks only.
+/// The record stays whole: splitting every field into word arrays (the
+/// unit read back from the eligible sets) made assembling the pick cost
+/// what the scans saved.
 #[derive(Debug)]
 pub(super) struct Partition {
     /// `[slot][state as usize]`.
     sets: [[Cell<u64>; SlotState::ALL.len()]; 2],
     /// Valid exactly while the warp is in the eligible set its `unit` names.
     ready: Vec<[Cell<Ready>; 2]>,
+    /// `[slot][warp]`: the eligible record's `seq`, valid with the record.
+    seqs: [[Cell<u64>; 64]; 2],
+    /// `[slot][warp]`: the eligible record's `lanes`, valid with the record.
+    lanes: [[Cell<Mask>; 64]; 2],
 }
 
 impl Partition {
@@ -144,7 +156,12 @@ impl Partition {
         };
         let ready = (0..num_warps).map(|_| [Cell::new(unset), Cell::new(unset)]);
         let ready = ready.collect();
-        Partition { sets, ready }
+        Partition {
+            sets,
+            ready,
+            seqs: std::array::from_fn(|_| std::array::from_fn(|_| Cell::new(0))),
+            lanes: std::array::from_fn(|_| std::array::from_fn(|_| Cell::new(Mask::EMPTY))),
+        }
     }
 
     /// The warps whose `slot` stands in `state`.
@@ -186,6 +203,21 @@ impl Partition {
         r
     }
 
+    /// The scan key `seq` of `(w, slot)`, which must be eligible: its
+    /// record's age, without copying the record.
+    #[inline]
+    pub(super) fn seq(&self, w: usize, slot: usize) -> u64 {
+        debug_assert!(self.eligible(slot, !0) >> w & 1 != 0);
+        self.seqs[slot][w].get()
+    }
+
+    /// The scan key `lanes` of `(w, slot)`, which must be eligible.
+    #[inline]
+    pub(super) fn lanes(&self, w: usize, slot: usize) -> Mask {
+        debug_assert!(self.eligible(slot, !0) >> w & 1 != 0);
+        self.lanes[slot][w].get()
+    }
+
     /// The context-move writer: `(w, slot)` goes to `state`, a reason or
     /// `Woken` — only an evaluation makes a slot eligible.
     #[inline]
@@ -223,7 +255,11 @@ impl Partition {
         woken.set(woken.get() & !bit);
         let settled = &self.sets[slot][SlotState::of(&outcome) as usize];
         settled.set(settled.get() | bit);
-        outcome.ok().inspect(|&r| self.ready[w][slot].set(r))
+        outcome.ok().inspect(|&r| {
+            self.ready[w][slot].set(r);
+            self.seqs[slot][w].set(r.seq);
+            self.lanes[slot][w].set(r.lanes);
+        })
     }
 
     /// The retire and fetch-fill writer: `(w, slot)`, if it stands in one
@@ -496,6 +532,18 @@ impl Sm {
         self.partition.record(w, slot)
     }
 
+    /// [`Sm::ready_info`]'s `seq` alone, read from its dense scan key.
+    #[inline]
+    pub(crate) fn ready_seq(&self, w: usize, slot: usize) -> u64 {
+        self.partition.seq(w, slot)
+    }
+
+    /// [`Sm::ready_info`]'s `lanes` alone, read from its dense scan key.
+    #[inline]
+    pub(crate) fn ready_lanes(&self, w: usize, slot: usize) -> Mask {
+        self.partition.lanes(w, slot)
+    }
+
     /// The context-and-buffer half of the readiness evaluation: the checks
     /// only a context move or a fetch fill can change. `ctx` is the context
     /// feeding `(w, slot)`; `cpc1` looks up the primary context's pc and is
@@ -578,8 +626,9 @@ mod tests {
         /// Random `place` / `settle` / `wake` sequences over 64 warps × 2
         /// slots, against a per-warp model of `(state, record)`: after every
         /// write each warp sits in exactly one set per slot, `state_of`,
-        /// `counts` and every eligible `record` agree with the model, and
-        /// `eligible(slot, classes)` is the model's fold for every `classes`.
+        /// `counts` and every eligible `record` and its `seq` / `lanes` scan
+        /// keys agree with the model, and `eligible(slot, classes)` is the
+        /// model's fold for every `classes`.
         #[test]
         fn writers_keep_the_partition(
             ops in proptest::collection::vec(
@@ -650,6 +699,8 @@ mod tests {
                         prop_assert_eq!(part.state_of(w, slot), state);
                         if let Some(r) = record {
                             prop_assert_eq!(part.record(w, slot), r);
+                            let keys = (part.seq(w, slot), part.lanes(w, slot));
+                            prop_assert_eq!(keys, (r.seq, r.lanes), "scan keys");
                         }
                         counts[state as usize] += 1;
                     }

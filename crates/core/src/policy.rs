@@ -46,18 +46,24 @@
 //! [`IssueCtx::ready_set`]`(slot, among, classes)` returns the ready,
 //! port-free warps of a warp bitmask in one call — it evaluates only the
 //! woken slots and answers the rest by OR-ing the eligible sets of the
-//! port-free unit classes, reading no per-warp record at all. Walk its set
-//! bits (ascending warp order) and read each candidate's full [`Ready`] —
-//! age, unit class, thread and lane masks — from [`IssueCtx::ready_info`]:
-//! the evaluation's record *is* the pick, no second lookup.
+//! port-free unit classes, reading no per-warp record at all. Split a
+//! question by unit class with `classes` (SWI's lookup asks for the
+//! primary's own class and for every other one) and count candidates with
+//! a popcount. Then walk the set bits (ascending warp order) reading the
+//! candidate's scan key only — its age from [`IssueCtx::ready_seq`], its
+//! lane-space mask from [`IssueCtx::ready_lanes`], one dense word each —
+//! and read the full [`Ready`] from [`IssueCtx::ready_info`] for the one
+//! picked: the evaluation's record *is* the pick, no second lookup.
 //! [`IssueCtx::oldest_ready`] is the oldest-first pick built that way,
 //! and what every built-in scheduler calls. Restrict a scan with `among`
 //! (a pool, a lookup set, "not this warp") and `classes` rather than
 //! filtering afterwards. Debug builds check every `ready_set` result
-//! against a cache-free reference fold over all warps — and, once a cycle,
-//! every settled state, record, fetch candidate and parked secondary the SM
-//! maintains against its derivation from the architectural state — so a
-//! policy written this way is cross-checked by its own tests.
+//! against a cache-free reference fold over all warps, every
+//! `oldest_ready` pick against the fold over the records — and, once a
+//! cycle, every settled state, record, scan key, fetch candidate and parked
+//! secondary the SM maintains against its derivation from the
+//! architectural state — so a policy written this way is cross-checked by
+//! its own tests.
 //!
 //! # Determinism clause
 //!
@@ -234,20 +240,50 @@ impl IssueCtx<'_> {
         self.sm.ready_info(warp, slot)
     }
 
+    /// [`IssueCtx::ready_info`]`(warp, slot).seq` — the age a scan compares
+    /// — read from a dense per-slot word, not the record.
+    pub fn ready_seq(&self, warp: usize, slot: usize) -> u64 {
+        self.sm.ready_seq(warp, slot)
+    }
+
+    /// [`IssueCtx::ready_info`]`(warp, slot).lanes` — the lane mask a
+    /// best-fit scan measures — read from a dense per-slot word.
+    pub fn ready_lanes(&self, warp: usize, slot: usize) -> Mask {
+        self.sm.ready_lanes(warp, slot)
+    }
+
     /// The oldest instruction of [`IssueCtx::ready_set`]`(slot, among,
     /// classes)` — the oldest-first pick of every built-in scheduler.
     pub fn oldest_ready(&self, slot: usize, among: u64, classes: u8) -> Option<Ready> {
-        // Ascending warp order; `min_by_key` keeps the first minimum. The
-        // fold carries warp indices, not 48-byte records.
-        let w = Mask::from_bits(self.ready_set(slot, among, classes))
-            .iter()
-            .min_by_key(|&w| self.ready_info(w, slot).seq)?;
-        Some(self.ready_info(w, slot))
+        // Ascending warp order, a strictly smaller age replacing: the first
+        // minimum wins. The loop reads one `seq` word per candidate; the
+        // record is copied for the pick alone.
+        let ready = self.ready_set(slot, among, classes);
+        let mut set = ready;
+        let mut oldest: Option<(u64, usize)> = None;
+        while set != 0 {
+            let w = set.trailing_zeros() as usize;
+            set &= set - 1;
+            let seq = self.ready_seq(w, slot);
+            if oldest.is_none_or(|(age, _)| seq < age) {
+                oldest = Some((seq, w));
+            }
+        }
+        // The scan keys' test: the pick is the fold over the records.
+        #[cfg(debug_assertions)]
+        {
+            let reference = Mask::from_bits(ready)
+                .iter()
+                .min_by_key(|&w| self.ready_info(w, slot).seq);
+            let picked = oldest.map(|(_, w)| w);
+            assert_eq!(picked, reference, "slot {slot}: oldest pick");
+        }
+        oldest.map(|(_, w)| self.ready_info(w, slot))
     }
 
-    /// Counts one SWI mask-lookup probe.
-    pub fn count_lookup_probe(&mut self) {
-        self.sm.stats_mut().lookup_probes += 1;
+    /// Counts `n` SWI mask-lookup probes (candidates the lookup compared).
+    pub fn count_lookup_probes(&mut self, n: u32) {
+        self.sm.stats_mut().lookup_probes += u64::from(n);
     }
 
     /// Counts one successful SWI mask-lookup.

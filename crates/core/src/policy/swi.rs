@@ -22,9 +22,13 @@ struct PendingPrimary {
 /// The SWI front-end (solo, or combined with SBI's secondary-split
 /// fetch). This cycle issues the primary picked *last* cycle plus a
 /// secondary found now; in parallel the next primary is picked, with
-/// a-posteriori conflict squashing (§4). Every pick walks
-/// [`IssueCtx::ready_set`] bitmasks and reads the dense
-/// [`IssueCtx::ready_info`] record — no per-warp probing, no allocation.
+/// a-posteriori conflict squashing (§4). Every pick is set algebra over
+/// [`IssueCtx::ready_set`] bitmasks — the secondary lookup splits its set
+/// by unit class — and one loop over set bits that reads a dense scan key
+/// per candidate ([`IssueCtx::ready_seq`] for oldest-first,
+/// [`IssueCtx::ready_lanes`] for best-fit); the full [`IssueCtx::ready_info`]
+/// record is read for the candidate picked only. No per-warp probing, no
+/// allocation.
 #[derive(Debug)]
 pub struct SwiPolicy {
     /// Ibuf slots fetched per warp: 1 solo, 2 when combined with SBI.
@@ -60,26 +64,17 @@ impl SwiPolicy {
         }
     }
 
-    /// The ready `(warp, slot)` pairs among the warps of `among`, in
-    /// lookup order: ascending warp, then slot.
-    fn ready_pairs(&self, ctx: &IssueCtx<'_>, among: u64) -> impl Iterator<Item = (usize, usize)> {
-        let mut sets = [0u64; 2];
-        for (slot, set) in sets.iter_mut().enumerate().take(self.slots) {
-            *set = ctx.ready_set(slot, among, !0);
-        }
-        Mask::from_bits(sets[0] | sets[1])
-            .iter()
-            .flat_map(move |w| {
-                (0..2)
-                    .filter(move |&slot| sets[slot] >> w & 1 != 0)
-                    .map(move |slot| (w, slot))
-            })
-    }
-
     /// The SWI secondary lookup: search the primary's associativity set
     /// for a ready instruction whose lanes fit in the primary's free
     /// lanes (same-group ride), or any instruction for another free
     /// group. Best-fit (max occupancy) with pseudo-random tie-breaking.
+    ///
+    /// Fig. 9's associative match as unit-class set algebra: per slot, the
+    /// primary's own class holds the ride candidates and every other class
+    /// (all of them for a control primary, which rides nothing) the
+    /// other-group ones, so the lookup's probes are two popcounts, the
+    /// other group takes the oldest of its set, and only a MAD or SFU
+    /// primary with a lane free walks its rides.
     fn find_secondary(
         &self,
         ctx: &mut IssueCtx<'_>,
@@ -88,41 +83,57 @@ impl SwiPolicy {
     ) -> Option<(Ready, Dispatch)> {
         let free = Mask::full(ctx.warp_width()) - r1.lanes;
         let mut rides = BestFit::default();
-        // Oldest candidate for another group.
-        let mut other: Option<Ready> = None;
+        // Oldest candidate for another group, as `(seq, warp, slot)`.
+        let mut other: Option<(u64, usize, usize)> = None;
 
         // Same-warp CPC2 (SBI-style) — always reachable, no lookup needed.
         if self.slots > 1 {
             if let Some(r2) = ctx.ready_check(r1.warp, 1) {
                 match ctx.plan_coissue(r1, d1, &r2) {
                     Some(Dispatch::Ride(_)) => rides.offer(r1.warp, 1, r2.mask.count()),
-                    Some(_) => other = Some(r2),
+                    Some(_) => other = Some((r2.seq, r1.warp, 1)),
                     None => {}
                 }
             }
         }
 
+        let same = match r1.unit {
+            UnitClass::Control => 0,
+            unit => 1 << unit as u8,
+        };
         let others = ctx.lookup_set(r1.warp) & !(1u64 << r1.warp);
-        for (w, slot) in self.ready_pairs(ctx, others) {
-            ctx.count_lookup_probe();
-            let info = ctx.ready_info(w, slot);
-            if info.unit != r1.unit || info.unit == UnitClass::Control {
-                // Another class has a free group of its own (the scan
-                // vouches for the port); control needs none.
-                if other.is_none_or(|o| info.seq < o.seq) {
-                    other = Some(info);
-                }
-            } else if info.unit != UnitClass::Lsu && info.lanes.is_subset(free) {
-                // Cross-warp branch pairs are fine (separate HCT sorters);
-                // only the single 128-byte L1 port is exclusive.
-                rides.offer(w, slot, info.lanes.count());
+        let (mut elsewhere, mut alike) = ([0u64; 2], [0u64; 2]);
+        for slot in 0..self.slots {
+            // Another class has a free group of its own (the scan vouches
+            // for the port); control needs none.
+            elsewhere[slot] = ctx.ready_set(slot, others, !same);
+            alike[slot] = ctx.ready_set(slot, others, same);
+        }
+        let sets = elsewhere.iter().chain(&alike);
+        ctx.count_lookup_probes(sets.map(|set| set.count_ones()).sum());
+
+        each_pair(elsewhere, |w, slot| {
+            let seq = ctx.ready_seq(w, slot);
+            if other.is_none_or(|(age, _, _)| seq < age) {
+                other = Some((seq, w, slot));
             }
+        });
+        // Cross-warp branch pairs are fine (separate HCT sorters); only the
+        // single 128-byte L1 port is exclusive, so LSU never rides.
+        if matches!(r1.unit, UnitClass::Mad | UnitClass::Sfu) && !free.is_empty() {
+            each_pair(alike, |w, slot| {
+                let lanes = ctx.ready_lanes(w, slot);
+                if lanes.is_subset(free) {
+                    rides.offer(w, slot, lanes.count());
+                }
+            });
         }
 
-        let (r2, ride) = match rides.pick(ctx) {
-            Some((w, slot)) => (ctx.ready_info(w, slot), true),
-            None => (other?, false),
+        let (w, slot, ride) = match rides.pick(ctx) {
+            Some((w, slot)) => (w, slot, true),
+            None => other.map(|(_, w, slot)| (w, slot, false))?,
         };
+        let r2 = ctx.ready_info(w, slot);
         ctx.count_lookup_hit();
         let d2 = match d1 {
             Dispatch::Group(g) if ride => Dispatch::Ride(g),
@@ -134,12 +145,31 @@ impl SwiPolicy {
     /// The secondary scheduler's solo pick (after a conflict bubble):
     /// best-fit over all ready instructions.
     fn solo_pick(&self, ctx: &mut IssueCtx<'_>) -> Option<Ready> {
-        let mut best = BestFit::default();
-        for (w, slot) in self.ready_pairs(ctx, !0) {
-            best.offer(w, slot, ctx.ready_info(w, slot).lanes.count());
+        let mut sets = [0u64; 2];
+        for (slot, set) in sets.iter_mut().enumerate().take(self.slots) {
+            *set = ctx.ready_set(slot, !0, !0);
         }
+        let mut best = BestFit::default();
+        each_pair(sets, |w, slot| {
+            best.offer(w, slot, ctx.ready_lanes(w, slot).count());
+        });
         let (w, slot) = best.pick(ctx)?;
         Some(ctx.ready_info(w, slot))
+    }
+}
+
+/// Visits the `(warp, slot)` pairs of per-slot warp sets in lookup order —
+/// ascending warp, then slot — in one loop over the set bits of their union.
+fn each_pair(sets: [u64; 2], mut visit: impl FnMut(usize, usize)) {
+    let mut warps = sets[0] | sets[1];
+    while warps != 0 {
+        let w = warps.trailing_zeros() as usize;
+        warps &= warps - 1;
+        for (slot, set) in sets.iter().enumerate() {
+            if set >> w & 1 != 0 {
+                visit(w, slot);
+            }
+        }
     }
 }
 

@@ -6,10 +6,17 @@
 #                     [--workloads a,b,c] [--metrics m,n] [--seed X]
 #                     [--trace 0|1] [--keep DIR]
 #
-# Unpacks REV (default HEAD: a change not yet committed; give HEAD~1 once
-# it is) into a temporary directory with `git archive` — a worktree would
-# do, but this leaves the repository's own state untouched — builds both
-# `benchmark/` binaries, then runs every workload N times on each side,
+# Both sides are built and run in ONE directory, because the path a
+# binary is built under moves its host metrics by itself (the same source
+# built under two paths has read 0.98x and 1.03x `host_tips`, and
+# 1.03x `peak_rss_mib`). It unpacks REV (default HEAD: a change not yet
+# committed; give HEAD~1 once it is) into `$tmp/src` with `git archive` —
+# a worktree would do, but this leaves the repository's own state
+# untouched — builds its `benchmark/` binary and saves it; then it removes
+# the files the working tree no longer has, lays the working tree's files
+# (tracked and untracked, not ignored) over the same path, builds again
+# and saves that binary. The checkout itself is never built. Then it
+# runs every workload N times on each side, from that path,
 # alternating which side goes first, and prints the markdown table
 # CHANGES.md entries carry: per metric the median [p25..p75] of each side,
 # the ratio change/parent (base: the parent), the pairs the change won, and
@@ -20,8 +27,8 @@
 # `sim_*` metrics, which must not move at all. Exits 1 on `DIFFERENT` or on
 # a run with failed operations, 2 on usage.
 #
-# It reads the last stdout line of each run only and writes nothing under
-# `benchmark/` itself (the binary keeps its own `benchmark/out/`, ignored).
+# It reads the last stdout line of each run only and writes nothing in the
+# checkout (set TMPDIR to put `$tmp` elsewhere).
 # `--keep DIR` saves every run's result line as DIR/<workload>.<side>.jsonl
 # — the raw material of "report every run made".
 set -euo pipefail
@@ -59,29 +66,35 @@ case "$pairs" in '' | *[!0-9]* | 0) usage ;; esac
 
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 tmp=$(mktemp -d)
-# Building the change side in the working tree rewrites the frozen
-# `benchmark/Cargo.lock` (cargo prunes its dead entries): it is saved
-# first and put back on exit, so the ledger leaves `benchmark/` as it was.
-lock=$root/benchmark/Cargo.lock
-cp "$lock" "$tmp/Cargo.lock"
-trap 'cp "$tmp/Cargo.lock" "$lock"; rm -rf "$tmp"' EXIT
+trap 'rm -rf "$tmp"' EXIT
 
 rev=$(git -C "$root" rev-parse --short "$parent")
-mkdir "$tmp/parent" "$tmp/bin" "$tmp/runs"
-git -C "$root" archive "$parent" | tar -x -C "$tmp/parent"
-for side in parent change; do
-    if [ "$side" = parent ]; then dir=$tmp/parent; else dir=$root; fi
-    echo "ledger: building $side ($dir)" >&2
-    (cd "$dir" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
-    cp "$dir/benchmark/target/release/warpweave-benchmark" "$tmp/bin/$side"
-done
+src=$tmp/src
+mkdir "$src" "$tmp/bin" "$tmp/runs"
+build() {
+    echo "ledger: building $1 ($src)" >&2
+    (cd "$src" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
+    cp "$src/benchmark/target/release/warpweave-benchmark" "$tmp/bin/$1"
+}
+git -C "$root" archive "$parent" | tar -x -C "$src"
+build parent
+# The working tree's files, NUL-separated: tracked ones it still has, and
+# untracked ones git does not ignore.
+(cd "$root" && git ls-files -z -co --exclude-standard |
+    while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done) |
+    sort -zu >"$tmp/files"
+git -C "$root" ls-tree -r -z --name-only "$parent" | sort -z >"$tmp/parent.files"
+(cd "$src" && comm -z -23 "$tmp/parent.files" "$tmp/files" | xargs -0r rm -f --)
+# `-m` stamps every file now, newer than the parent's build, so cargo
+# rebuilds each crate the overlay touched whatever its mtime in the tree.
+(cd "$root" && tar -c --null -T "$tmp/files") | tar -x -m -C "$src"
+build change
 
 # One run of `side` on `workload`: its result line, appended to the side's
 # series. The binary looks for BENCHMARK.json in its working directory.
 run_side() {
-    local side=$1 workload=$2 dir
-    if [ "$side" = parent ]; then dir=$tmp/parent; else dir=$root; fi
-    (cd "$dir" && "$tmp/bin/$side" --workload "$workload" --seconds "$seconds" \
+    local side=$1 workload=$2
+    (cd "$src" && "$tmp/bin/$side" --workload "$workload" --seconds "$seconds" \
         --trace "$trace" ${seed:+--seed "$seed"} 2>/dev/null || true) |
         tail -n 1 >>"$tmp/runs/$workload.$side.jsonl"
 }
