@@ -62,6 +62,10 @@ warpweave_mem::counter_table! {
 pub struct FrontierHeap {
     hct: [Option<Ctx>; 2],
     cct: VecDeque<Ctx>,
+    /// The union of the live splits' masks, kept: `reset` sets it and an
+    /// exiting split takes its mask out — a split or a merge moves threads
+    /// between splits, never out of the union.
+    alive: Mask,
     stats: HeapStats,
 }
 
@@ -73,6 +77,7 @@ impl FrontierHeap {
             // Splits hold disjoint non-empty thread sets, so the table
             // can never outgrow this: spills do not allocate.
             cct: VecDeque::with_capacity(mask.count().saturating_sub(2) as usize),
+            alive: mask,
             stats: HeapStats::default(),
         };
         heap.reset(mask);
@@ -91,6 +96,7 @@ impl FrontierHeap {
             None,
         ];
         self.cct.clear();
+        self.alive = mask;
         self.stats = HeapStats {
             max_live_splits: 1,
             ..HeapStats::default()
@@ -138,15 +144,17 @@ impl FrontierHeap {
     }
 
     /// Union of the masks of all live splits (the warp's alive threads).
+    #[inline]
     pub fn alive_mask(&self) -> Mask {
-        let mut m = Mask::EMPTY;
-        for c in self.hct.iter().flatten() {
-            m |= c.mask;
-        }
-        for c in &self.cct {
-            m |= c.mask;
-        }
-        m
+        debug_assert_eq!(self.alive, self.union_of_splits(), "kept alive mask");
+        self.alive
+    }
+
+    /// [`FrontierHeap::alive_mask`] by walking the HCT and the CCT: the
+    /// kept mask's derivation.
+    fn union_of_splits(&self) -> Mask {
+        let splits = self.hct.iter().flatten().chain(&self.cct);
+        splits.fold(Mask::EMPTY, |m, c| m | c.mask)
     }
 
     /// Applies the transitions of the primary (`t1`) and/or secondary (`t2`)
@@ -212,7 +220,7 @@ impl FrontierHeap {
                             at_barrier: true,
                             ..c
                         }),
-                        Transition::Exit => {}
+                        Transition::Exit => self.alive = self.alive - c.mask,
                         Transition::Split { first, second } => {
                             push(Ctx {
                                 pc: first.0,
@@ -460,6 +468,59 @@ mod tests {
         // sits at 4 unflagged: they must not merge.
         h.apply_pair(Some(Transition::Barrier(Pc(4))), None, true);
         assert_eq!(h.live_splits(), 2);
+    }
+
+    proptest::proptest! {
+        /// Random transition sequences on both HCT slots — advances,
+        /// barriers, exits, one split per event, barrier releases, sorted
+        /// and degraded spills: after every event the kept `alive` is the
+        /// union of the live splits, and the splits stay disjoint.
+        #[test]
+        fn kept_alive_mask_is_the_union_of_splits(
+            width in 1usize..65,
+            events in proptest::collection::vec(
+                (
+                    ((0u8..6, 0u8..6), (0u32..40, 0u32..40)),
+                    proptest::prelude::any::<u64>(),
+                    proptest::prelude::any::<bool>(),
+                ),
+                1..80,
+            ),
+        ) {
+            let mut h = FrontierHeap::new(Mask::full(width));
+            for (((k1, k2), (pc1, pc2)), sel, sideband_free) in events {
+                let mut split_taken = false;
+                let mut pick = |slot: usize, kind: u8, pc: u32| {
+                    let c = h.hct[slot]?;
+                    let taken = Mask::from_bits(sel) & c.mask;
+                    Some(match kind {
+                        0 | 1 => Transition::Advance(Pc(pc)),
+                        2 => Transition::Barrier(Pc(pc)),
+                        3 => Transition::Exit,
+                        _ if split_taken || taken.is_empty() || taken == c.mask => {
+                            Transition::Advance(Pc(pc))
+                        }
+                        _ => {
+                            split_taken = true;
+                            Transition::from_branch(c.mask, taken, Pc(pc + 3), Pc(pc))
+                        }
+                    })
+                };
+                let t1 = pick(0, k1, pc1);
+                let t2 = pick(1, k2, pc2);
+                if k1 == 5 && k2 == 5 {
+                    h.release_barrier();
+                }
+                h.apply_pair(t1, t2, sideband_free);
+                proptest::prop_assert_eq!(h.alive, h.union_of_splits());
+                let live: Vec<Mask> = h.hct.iter().flatten().chain(&h.cct).map(|c| c.mask).collect();
+                let total: u32 = live.iter().map(|m| m.count()).sum();
+                proptest::prop_assert_eq!(total, h.alive.count(), "splits overlap");
+                if h.is_done() {
+                    break;
+                }
+            }
+        }
     }
 
     #[test]

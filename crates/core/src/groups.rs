@@ -20,6 +20,12 @@ struct GroupState {
 #[derive(Debug, Clone)]
 pub struct ExecGroups {
     groups: Vec<GroupState>,
+    /// `[class as usize]`: the first cycle at which some group of the
+    /// class has a free port — the minimum of its groups' `port_free_at`,
+    /// `u64::MAX` for a class without a group (control). Kept by
+    /// [`ExecGroups::occupy`], so the per-scan class question is four
+    /// compares, not a walk.
+    class_free_at: [u64; 4],
 }
 
 impl ExecGroups {
@@ -30,19 +36,28 @@ impl ExecGroups {
         let mad = (UnitClass::Mad, cfg.warp_width);
         let shape = std::iter::repeat_n(mad, cfg.mad_lanes / cfg.warp_width)
             .chain([(UnitClass::Sfu, SFU_LANES), (UnitClass::Lsu, LSU_LANES)]);
+        let groups: Vec<GroupState> = shape
+            .map(|(class, width)| GroupState {
+                class,
+                width,
+                port_free_at: 0,
+            })
+            .collect();
+        let mut class_free_at = [u64::MAX; 4];
+        for g in &groups {
+            class_free_at[g.class as usize] = 0;
+        }
         ExecGroups {
-            groups: shape
-                .map(|(class, width)| GroupState {
-                    class,
-                    width,
-                    port_free_at: 0,
-                })
-                .collect(),
+            groups,
+            class_free_at,
         }
     }
 
     /// Finds a group of `class` whose port is free at `now`.
     pub fn find_free(&self, class: UnitClass, now: u64) -> Option<usize> {
+        if self.class_free_at[class as usize] > now {
+            return None;
+        }
         self.groups
             .iter()
             .position(|g| g.class == class && g.port_free_at <= now)
@@ -50,7 +65,17 @@ impl ExecGroups {
 
     /// Classes with at least one free port at `now`, as a bitmask over
     /// `UnitClass as u8`.
+    #[inline]
     pub fn free_class_mask(&self, now: u64) -> u8 {
+        let [mad, sfu, lsu, control] = self.class_free_at.map(|at| u8::from(at <= now));
+        let mask = mad | sfu << 1 | lsu << 2 | control << 3;
+        debug_assert_eq!(mask, self.free_class_mask_by_walk(now), "class word");
+        mask
+    }
+
+    /// [`ExecGroups::free_class_mask`] by walking every group: the class
+    /// word's derivation.
+    fn free_class_mask_by_walk(&self, now: u64) -> u8 {
         self.groups
             .iter()
             .filter(|g| g.port_free_at <= now)
@@ -68,6 +93,10 @@ impl ExecGroups {
     pub fn occupy(&mut self, idx: usize, now: u64, cycles: u64) -> u64 {
         debug_assert!(self.groups[idx].port_free_at <= now, "group already busy");
         self.groups[idx].port_free_at = now + cycles;
+        let class = self.groups[idx].class;
+        let of_class = self.groups.iter().filter(|g| g.class == class);
+        self.class_free_at[class as usize] =
+            of_class.map(|g| g.port_free_at).min().unwrap_or(u64::MAX);
         now + cycles - 1
     }
 
@@ -133,6 +162,35 @@ mod tests {
         let mad = g.find_free(Mad, 0).unwrap();
         assert_eq!(g.waves(mad, 32), 1);
         assert_eq!(g.waves(mad, 64), 2);
+    }
+
+    proptest::proptest! {
+        /// Random `occupy` sequences on every preset's back-end: after each,
+        /// at every cycle around it, the class word answers what the walk
+        /// over the groups does.
+        #[test]
+        fn class_word_is_the_group_walk(
+            preset in 0usize..4,
+            ops in proptest::collection::vec((0usize..4, 0u64..6, 1u64..9), 1..60),
+        ) {
+            let cfg = [SmConfig::baseline(), SmConfig::warp64(), SmConfig::sbi(), SmConfig::sbi_swi()];
+            let mut g = ExecGroups::new(&cfg[preset]);
+            let mut now = 0;
+            for (idx, wait, cycles) in ops {
+                now += wait;
+                let idx = idx % g.groups.len();
+                if g.groups[idx].port_free_at <= now {
+                    g.occupy(idx, now, cycles);
+                }
+                for t in now.saturating_sub(2)..now + 10 {
+                    proptest::prop_assert_eq!(g.free_class_mask(t), g.free_class_mask_by_walk(t));
+                    for class in [Mad, Sfu, Lsu, Control] {
+                        let walk = g.groups.iter().position(|x| x.class == class && x.port_free_at <= t);
+                        proptest::prop_assert_eq!(g.find_free(class, t), walk);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -372,11 +372,17 @@ impl Sm {
                 barrier_arrived: 0,
             })
             .collect();
+        // Rows up to the highest register any instruction reads or writes.
+        let footprint = program
+            .instructions()
+            .iter()
+            .fold(0, |m, i| m | i.reg_footprint());
+        let num_regs = (u64::BITS - footprint.leading_zeros()) as usize;
         let warps = (0..cfg.num_warps)
             .map(|_| Warp {
                 alive: false,
                 block_slot: 0,
-                regs: WarpRegFile::new(cfg.warp_width),
+                regs: WarpRegFile::with_regs(cfg.warp_width, num_regs),
                 info: WarpInfo::new(cfg.warp_width),
                 // A placeholder until `assign_block` — under either model:
                 // a warp that never receives a block reports a stack of
@@ -629,8 +635,11 @@ impl Sm {
         #[cfg(debug_assertions)]
         self.assert_event_state();
         // §5.1: one per parked secondary per cycle, whatever the policy.
+        // Empty unless SBI constraints park a split: skip the popcount.
         let parked = self.partition.warps(1, SlotState::Constraint);
-        self.stats.constraint_suspensions += u64::from(parked.count_ones());
+        if parked != 0 {
+            self.stats.constraint_suspensions += u64::from(parked.count_ones());
+        }
         // The policy is taken out for the call so it can borrow the SM
         // mutably through the `IssueCtx` view; it is always restored.
         let mut policy = self.policy.take().expect("policy present outside issue");

@@ -80,8 +80,10 @@ impl Sm {
     }
 
     /// Asserts, for both slots, that the state sets partition the pool, that
-    /// every warp outside `Woken` sits in the set a fresh evaluation puts it
-    /// in (with its record and its `seq` / `lanes` scan keys, if eligible),
+    /// every warp's state index names the set that holds it, that every
+    /// warp outside `Woken` sits in the set a fresh evaluation puts it in
+    /// (with its record and its `seq` / `lanes` / `fit` scan keys, if
+    /// eligible),
     /// that `fetchable` is the from-state set, and that slot 1's
     /// `Constraint` set is the per-warp fold of the §3.3 parking condition —
     /// none of it settled first. Run once per stepped cycle, just before the
@@ -102,6 +104,10 @@ impl Sm {
             let mut fetchable = 0;
             for w in warps.clone() {
                 let held = self.partition.state_of(w, slot);
+                assert!(
+                    self.partition.warps(slot, held) >> w & 1 != 0,
+                    "warp {w} slot {slot}: state index {held} names a set without it"
+                );
                 if held != SlotState::Woken {
                     let fresh = self.ready_check_slow(w, slot);
                     // Settled, so answered from the sets and the record.
@@ -111,8 +117,10 @@ impl Sm {
                         "warp {w} slot {slot}: settled state and record"
                     );
                     if let Ok(r) = fresh {
-                        let keys = (self.partition.seq(w, slot), self.partition.lanes(w, slot));
-                        assert_eq!(keys, (r.seq, r.lanes), "warp {w} slot {slot}: scan keys");
+                        let p = &self.partition;
+                        let keys = (p.seq(w, slot), p.lanes(w, slot), p.fit(w, slot));
+                        let want = (r.seq, r.lanes, r.lanes.count());
+                        assert_eq!(keys, want, "warp {w} slot {slot}: scan keys");
                     }
                 }
                 let wants = self.ctx(w, slot).is_some() && self.warps[w].ibuf[slot].is_none();

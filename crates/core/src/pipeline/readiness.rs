@@ -118,23 +118,33 @@ impl std::fmt::Display for SlotState {
 /// per slot the sets partition the pool; nothing moves under pure clock
 /// advance. `Cell` keeps the ready check `&self`.
 ///
-/// Beside each record, `settle` writes its two scan keys — the age `seq`
-/// and the `lanes` mask — into per-slot word arrays: an oldest-first or
-/// best-fit scan reads one 8-byte word per candidate, one cache line per
-/// eight warps, and copies the 48-byte record of the one it picks only.
-/// The record stays whole: splitting every field into word arrays (the
-/// unit read back from the eligible sets) made assembling the pick cost
-/// what the scans saved.
+/// Beside each record, `settle` writes its three scan keys — the age
+/// `seq`, the `lanes` mask and its population `fit` — into per-slot word
+/// arrays: an oldest-first or best-fit scan reads one word per candidate,
+/// and copies the 48-byte record of the one it picks only. The record
+/// stays whole: splitting every field into word arrays (the unit read back
+/// from the eligible sets) made assembling the pick cost what the scans
+/// saved.
+///
+/// The sets answer "which warps stand in a state"; the state index beside
+/// them answers "where does this warp stand" in one byte read, so a
+/// writer clears the one set that holds the warp instead of all eleven,
+/// and `settle` tells eligible from blocked without reading the record.
 #[derive(Debug)]
 pub(super) struct Partition {
     /// `[slot][state as usize]`.
     sets: [[Cell<u64>; SlotState::ALL.len()]; 2],
+    /// `[slot][warp]`: the state whose set holds the warp, as `state as u8`.
+    state: [[Cell<u8>; 64]; 2],
     /// Valid exactly while the warp is in the eligible set its `unit` names.
     ready: Vec<[Cell<Ready>; 2]>,
     /// `[slot][warp]`: the eligible record's `seq`, valid with the record.
     seqs: [[Cell<u64>; 64]; 2],
     /// `[slot][warp]`: the eligible record's `lanes`, valid with the record.
     lanes: [[Cell<Mask>; 64]; 2],
+    /// `[slot][warp]`: `lanes.count()`, the best-fit score, valid with the
+    /// record.
+    fits: [[Cell<u8>; 64]; 2],
 }
 
 impl Partition {
@@ -156,11 +166,14 @@ impl Partition {
         };
         let ready = (0..num_warps).map(|_| [Cell::new(unset), Cell::new(unset)]);
         let ready = ready.collect();
+        let bytes = |b| std::array::from_fn(|_| std::array::from_fn(|_| Cell::new(b)));
         Partition {
             sets,
+            state: bytes(SlotState::NoContext as u8),
             ready,
             seqs: std::array::from_fn(|_| std::array::from_fn(|_| Cell::new(0))),
             lanes: std::array::from_fn(|_| std::array::from_fn(|_| Cell::new(Mask::EMPTY))),
+            fits: bytes(0),
         }
     }
 
@@ -170,13 +183,10 @@ impl Partition {
         self.sets[slot][state as usize].get()
     }
 
-    /// The state whose set holds `(w, slot)`.
+    /// The state whose set holds `(w, slot)`, read from the state index.
+    #[inline]
     pub(super) fn state_of(&self, w: usize, slot: usize) -> SlotState {
-        let holds = |state: &&SlotState| self.warps(slot, **state) >> w & 1 != 0;
-        *SlotState::ALL
-            .iter()
-            .find(holds)
-            .expect("sets partition the pool")
+        SlotState::ALL[usize::from(self.state[slot][w].get())]
     }
 
     /// How many warps stand in each state of `slot`, at its discriminant.
@@ -188,11 +198,13 @@ impl Partition {
     /// bitmask over `UnitClass as u8`).
     #[inline]
     pub(super) fn eligible(&self, slot: usize, classes: u8) -> u64 {
-        let eligible = self.sets[slot][SlotState::EligibleMad as usize..].iter();
-        let wanted = eligible
-            .enumerate()
-            .filter(|(class, _)| classes >> class & 1 != 0);
-        wanted.fold(0, |set, (_, warps)| set | warps.get())
+        // Branch-free: each class's set ANDed with all-ones or zero.
+        let sets = &self.sets[slot];
+        let wanted = |class: usize| {
+            let set = sets[SlotState::EligibleMad as usize + class].get();
+            set & 0u64.wrapping_sub(u64::from(classes >> class & 1))
+        };
+        wanted(0) | wanted(1) | wanted(2) | wanted(3)
     }
 
     /// The record of `(w, slot)`, which must be eligible.
@@ -218,16 +230,33 @@ impl Partition {
         self.lanes[slot][w].get()
     }
 
+    /// The scan key `fit` of `(w, slot)`, which must be eligible: its
+    /// `lanes`' population, without a popcount.
+    #[inline]
+    pub(super) fn fit(&self, w: usize, slot: usize) -> u32 {
+        debug_assert!(self.eligible(slot, !0) >> w & 1 != 0);
+        u32::from(self.fits[slot][w].get())
+    }
+
+    /// Moves `(w, slot)` from the set its index names to `to`'s: one clear,
+    /// one set, one byte write.
+    #[inline]
+    fn move_to(&self, w: usize, slot: usize, to: SlotState) {
+        let bit = 1u64 << w;
+        let index = &self.state[slot][w];
+        let from = &self.sets[slot][usize::from(index.get())];
+        from.set(from.get() & !bit);
+        let set = &self.sets[slot][to as usize];
+        set.set(set.get() | bit);
+        index.set(to as u8);
+    }
+
     /// The context-move writer: `(w, slot)` goes to `state`, a reason or
     /// `Woken` — only an evaluation makes a slot eligible.
     #[inline]
     pub(super) fn place(&self, w: usize, slot: usize, state: SlotState) {
         debug_assert!(state as usize <= SlotState::Woken as usize);
-        for set in &self.sets[slot] {
-            set.set(set.get() & !(1u64 << w));
-        }
-        let set = &self.sets[slot][state as usize];
-        set.set(set.get() | 1u64 << w);
+        self.move_to(w, slot, state);
     }
 
     /// The evaluation writer: an eligible `(w, slot)` answers with its
@@ -240,25 +269,22 @@ impl Partition {
         slot: usize,
         evaluate: impl FnOnce() -> Result<Ready, SlotState>,
     ) -> Option<Ready> {
-        let bit = 1u64 << w;
-        // An eligible warp's record is valid and names its set; any other
-        // warp is in no eligible set, whichever a stale record points at.
-        let held = self.ready[w][slot].get();
-        if self.warps(slot, SlotState::eligible(held.unit)) & bit != 0 {
-            return Some(held);
+        // The eligible states follow `Woken`; only an eligible warp's
+        // record is valid.
+        let held = self.state[slot][w].get();
+        if held > SlotState::Woken as u8 {
+            return Some(self.ready[w][slot].get());
         }
-        let woken = &self.sets[slot][SlotState::Woken as usize];
-        if woken.get() & bit == 0 {
+        if held != SlotState::Woken as u8 {
             return None;
         }
         let outcome = evaluate();
-        woken.set(woken.get() & !bit);
-        let settled = &self.sets[slot][SlotState::of(&outcome) as usize];
-        settled.set(settled.get() | bit);
+        self.move_to(w, slot, SlotState::of(&outcome));
         outcome.ok().inspect(|&r| {
             self.ready[w][slot].set(r);
             self.seqs[slot][w].set(r.seq);
             self.lanes[slot][w].set(r.lanes);
+            self.fits[slot][w].set(r.lanes.count() as u8);
         })
     }
 
@@ -266,12 +292,9 @@ impl Partition {
     /// of the `reasons` the event can clear, goes to `Woken`.
     #[inline]
     pub(super) fn wake(&self, w: usize, slot: usize, reasons: &[SlotState]) {
-        let woken = &self.sets[slot][SlotState::Woken as usize];
-        for &reason in reasons {
-            debug_assert!((reason as usize) < SlotState::Woken as usize);
-            let set = &self.sets[slot][reason as usize];
-            woken.set(woken.get() | set.get() & 1u64 << w);
-            set.set(set.get() & !(1u64 << w));
+        debug_assert!(reasons.iter().all(|&r| (r as u8) < SlotState::Woken as u8));
+        if reasons.contains(&self.state_of(w, slot)) {
+            self.move_to(w, slot, SlotState::Woken);
         }
     }
 }
@@ -544,6 +567,12 @@ impl Sm {
         self.partition.lanes(w, slot)
     }
 
+    /// [`Sm::ready_info`]'s `lanes.count()`, read from its dense scan key.
+    #[inline]
+    pub(crate) fn ready_fit(&self, w: usize, slot: usize) -> u32 {
+        self.partition.fit(w, slot)
+    }
+
     /// The context-and-buffer half of the readiness evaluation: the checks
     /// only a context move or a fetch fill can change. `ctx` is the context
     /// feeding `(w, slot)`; `cpc1` looks up the primary context's pc and is
@@ -625,9 +654,10 @@ mod tests {
     proptest! {
         /// Random `place` / `settle` / `wake` sequences over 64 warps × 2
         /// slots, against a per-warp model of `(state, record)`: after every
-        /// write each warp sits in exactly one set per slot, `state_of`,
-        /// `counts` and every eligible `record` and its `seq` / `lanes` scan
-        /// keys agree with the model, and `eligible(slot, classes)` is the
+        /// write each warp sits in exactly one set per slot — the one its
+        /// state index names — `state_of`, `counts` and every eligible
+        /// `record` and its `seq` / `lanes` / `fit` scan keys agree with the
+        /// model, and `eligible(slot, classes)` is the
         /// model's fold for every `classes`.
         #[test]
         fn writers_keep_the_partition(
@@ -696,11 +726,14 @@ mod tests {
                         let holds = |s: &&SlotState| part.warps(slot, **s) >> w & 1 != 0;
                         let held = SlotState::ALL.iter().filter(holds);
                         prop_assert_eq!(held.count(), 1, "warp {} slot {}", w, slot);
-                        prop_assert_eq!(part.state_of(w, slot), state);
+                        // The state index names the one set that holds the warp.
+                        prop_assert!(part.warps(slot, state) >> w & 1 != 0, "sets");
+                        prop_assert_eq!(part.state_of(w, slot), state, "state index");
                         if let Some(r) = record {
                             prop_assert_eq!(part.record(w, slot), r);
-                            let keys = (part.seq(w, slot), part.lanes(w, slot));
-                            prop_assert_eq!(keys, (r.seq, r.lanes), "scan keys");
+                            let keys = (part.seq(w, slot), part.lanes(w, slot), part.fit(w, slot));
+                            let want = (r.seq, r.lanes, r.lanes.count());
+                            prop_assert_eq!(keys, want, "scan keys");
                         }
                         counts[state as usize] += 1;
                     }

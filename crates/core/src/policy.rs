@@ -51,8 +51,9 @@
 //! primary's own class and for every other one) and count candidates with
 //! a popcount. Then walk the set bits (ascending warp order) reading the
 //! candidate's scan key only — its age from [`IssueCtx::ready_seq`], its
-//! lane-space mask from [`IssueCtx::ready_lanes`], one dense word each —
-//! and read the full [`Ready`] from [`IssueCtx::ready_info`] for the one
+//! lane-space mask from [`IssueCtx::ready_lanes`] and that mask's
+//! population from [`IssueCtx::ready_fit`], one dense word each — and read
+//! the full [`Ready`] from [`IssueCtx::ready_info`] for the one
 //! picked: the evaluation's record *is* the pick, no second lookup.
 //! [`IssueCtx::oldest_ready`] is the oldest-first pick built that way,
 //! and what every built-in scheduler calls. Restrict a scan with `among`
@@ -250,6 +251,13 @@ impl IssueCtx<'_> {
     /// best-fit scan measures — read from a dense per-slot word.
     pub fn ready_lanes(&self, warp: usize, slot: usize) -> Mask {
         self.sm.ready_lanes(warp, slot)
+    }
+
+    /// [`IssueCtx::ready_lanes`]`(warp, slot).count()` — the best-fit score
+    /// — read from a dense per-slot byte the evaluation wrote, not
+    /// popcounted per candidate.
+    pub fn ready_fit(&self, warp: usize, slot: usize) -> u32 {
+        self.sm.ready_fit(warp, slot)
     }
 
     /// The oldest instruction of [`IssueCtx::ready_set`]`(slot, among,

@@ -26,8 +26,9 @@ struct PendingPrimary {
 /// [`IssueCtx::ready_set`] bitmasks — the secondary lookup splits its set
 /// by unit class — and one loop over set bits that reads a dense scan key
 /// per candidate ([`IssueCtx::ready_seq`] for oldest-first,
-/// [`IssueCtx::ready_lanes`] for best-fit); the full [`IssueCtx::ready_info`]
-/// record is read for the candidate picked only. No per-warp probing, no
+/// [`IssueCtx::ready_fit`] and [`IssueCtx::ready_lanes`] for best-fit);
+/// the full [`IssueCtx::ready_info`] record is read for the candidate
+/// picked only. No per-warp probing, no popcount per candidate, no
 /// allocation.
 #[derive(Debug)]
 pub struct SwiPolicy {
@@ -72,9 +73,11 @@ impl SwiPolicy {
     /// Fig. 9's associative match as unit-class set algebra: per slot, the
     /// primary's own class holds the ride candidates and every other class
     /// (all of them for a control primary, which rides nothing) the
-    /// other-group ones, so the lookup's probes are two popcounts, the
-    /// other group takes the oldest of its set, and only a MAD or SFU
-    /// primary with a lane free walks its rides.
+    /// other-group ones, so the lookup's probes are popcounts of the sets.
+    /// Only a MAD or SFU primary with a lane free walks its rides, scoring
+    /// each by its fit key; the other group's oldest is scanned only when
+    /// no ride fits — a ride always wins, and the scan has no side effect,
+    /// so skipping it changes nothing.
     fn find_secondary(
         &self,
         ctx: &mut IssueCtx<'_>,
@@ -90,7 +93,7 @@ impl SwiPolicy {
         if self.slots > 1 {
             if let Some(r2) = ctx.ready_check(r1.warp, 1) {
                 match ctx.plan_coissue(r1, d1, &r2) {
-                    Some(Dispatch::Ride(_)) => rides.offer(r1.warp, 1, r2.mask.count()),
+                    Some(Dispatch::Ride(_)) => rides.offer(r1.warp, 1, ctx.ready_fit(r1.warp, 1)),
                     Some(_) => other = Some((r2.seq, r1.warp, 1)),
                     None => {}
                 }
@@ -112,26 +115,31 @@ impl SwiPolicy {
         let sets = elsewhere.iter().chain(&alike);
         ctx.count_lookup_probes(sets.map(|set| set.count_ones()).sum());
 
-        each_pair(elsewhere, |w, slot| {
-            let seq = ctx.ready_seq(w, slot);
-            if other.is_none_or(|(age, _, _)| seq < age) {
-                other = Some((seq, w, slot));
-            }
-        });
         // Cross-warp branch pairs are fine (separate HCT sorters); only the
         // single 128-byte L1 port is exclusive, so LSU never rides.
         if matches!(r1.unit, UnitClass::Mad | UnitClass::Sfu) && !free.is_empty() {
+            let room = free.count();
             each_pair(alike, |w, slot| {
-                let lanes = ctx.ready_lanes(w, slot);
-                if lanes.is_subset(free) {
-                    rides.offer(w, slot, lanes.count());
+                // A candidate below the best fit so far, or wider than the
+                // free lanes, cannot be offered: its lanes stay unread.
+                let fit = ctx.ready_fit(w, slot);
+                if fit >= rides.fit && fit <= room && ctx.ready_lanes(w, slot).is_subset(free) {
+                    rides.offer(w, slot, fit);
                 }
             });
         }
 
         let (w, slot, ride) = match rides.pick(ctx) {
             Some((w, slot)) => (w, slot, true),
-            None => other.map(|(_, w, slot)| (w, slot, false))?,
+            None => {
+                each_pair(elsewhere, |w, slot| {
+                    let seq = ctx.ready_seq(w, slot);
+                    if other.is_none_or(|(age, _, _)| seq < age) {
+                        other = Some((seq, w, slot));
+                    }
+                });
+                other.map(|(_, w, slot)| (w, slot, false))?
+            }
         };
         let r2 = ctx.ready_info(w, slot);
         ctx.count_lookup_hit();
@@ -150,9 +158,7 @@ impl SwiPolicy {
             *set = ctx.ready_set(slot, !0, !0);
         }
         let mut best = BestFit::default();
-        each_pair(sets, |w, slot| {
-            best.offer(w, slot, ctx.ready_lanes(w, slot).count());
-        });
+        each_pair(sets, |w, slot| best.offer(w, slot, ctx.ready_fit(w, slot)));
         let (w, slot) = best.pick(ctx)?;
         Some(ctx.ready_info(w, slot))
     }

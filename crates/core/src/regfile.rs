@@ -14,8 +14,9 @@
 //! r63     [  u32   |  u32   |  u32   | … |  u32  ]
 //! ```
 //!
-//! One flat `Vec<u32>` of `NUM_REGS × width` words: register `r` of lane `t`
-//! lives at index `r * width + t`, so a warp-level operation reads and
+//! One flat `Vec<u32>` of `regs × width` words (`NUM_REGS` rows, or only a
+//! kernel's, [`WarpRegFile::with_regs`]): register `r` of lane `t` lives at
+//! index `r * width + t`, so a warp-level operation reads and
 //! writes contiguous rows the compiler can autovectorise. Predicates are
 //! bitmasks — `preds[p]` holds predicate `p` of every lane, bit `t` = lane
 //! `t` — so a guard evaluates as a single AND/ANDN against the active mask
@@ -30,8 +31,9 @@ use warpweave_isa::{Guard, NUM_PREDS, NUM_REGS};
 
 use crate::mask::Mask;
 
-/// Struct-of-arrays architectural state of one warp: `NUM_REGS` lane-
-/// contiguous register rows plus `NUM_PREDS` predicate bitmasks.
+/// Struct-of-arrays architectural state of one warp: lane-contiguous
+/// register rows (`NUM_REGS`, or as many as its kernel uses) plus
+/// `NUM_PREDS` predicate bitmasks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarpRegFile {
     width: usize,
@@ -48,10 +50,23 @@ impl WarpRegFile {
     /// # Panics
     /// Panics if `width` is 0 or exceeds 64 (the [`Mask`] limit).
     pub fn new(width: usize) -> WarpRegFile {
+        WarpRegFile::with_regs(width, NUM_REGS)
+    }
+
+    /// A zero-initialised register file holding rows `r0..r{regs - 1}`
+    /// only — a kernel's highest register plus one, so a block launch
+    /// zeroes and the execute path touches only the rows the kernel uses.
+    /// A register at or above `regs` is out of range.
+    ///
+    /// # Panics
+    /// Panics if `width` is 0 or exceeds 64 (the [`Mask`] limit), or if
+    /// `regs` exceeds `NUM_REGS`.
+    pub fn with_regs(width: usize, regs: usize) -> WarpRegFile {
         assert!(width > 0 && width <= 64, "warp width {width} out of range");
+        assert!(regs <= NUM_REGS, "{regs} registers out of range");
         WarpRegFile {
             width,
-            regs: vec![0; NUM_REGS * width],
+            regs: vec![0; regs * width],
             preds: [0; NUM_PREDS],
         }
     }

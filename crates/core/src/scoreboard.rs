@@ -81,26 +81,9 @@ impl DepMatrix {
     }
 }
 
-/// One in-flight instruction inside a scoreboard entry.
-#[derive(Debug, Clone, Copy)]
-struct SbInst {
-    dst: Option<u8>,
-    /// `dst` as a register bitmask (bit `r` set), 0 when no destination —
-    /// the write footprint candidates are matched against with one AND.
-    dst_bit: u64,
-    /// `pdst` as a predicate bitmask, 0 when none.
-    pdst_bit: u8,
-    /// Thread mask at issue (Exact mode refinement).
-    mask: Mask,
-}
-
-/// One scoreboard entry: the (up to two) instructions issued in one
-/// scheduling cycle plus their dependency matrix.
-#[derive(Debug, Clone)]
-struct SbEntry {
-    insts: [Option<SbInst>; 2],
-    matrix: DepMatrix,
-}
+/// Entries one scoreboard can hold: its occupancy is one byte, its
+/// in-flight instructions one 16-bit word.
+const MAX_ENTRIES: usize = 8;
 
 /// Identifies an in-flight instruction for retirement: `(entry, slot)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,74 +92,97 @@ pub struct SbToken {
     slot: usize,
 }
 
-/// The per-warp scoreboard.
+impl SbToken {
+    /// The instruction's bit in [`Scoreboard::live`].
+    fn bit(self) -> u16 {
+        1 << (2 * self.entry + self.slot)
+    }
+}
+
+/// The per-warp scoreboard: per entry (the up to two instructions issued in
+/// one scheduling cycle) its dependency matrix, per in-flight instruction
+/// its write footprint and issue mask — fixed word arrays indexed by entry,
+/// or by `2 * entry + slot`, with an occupancy mask beside them, so an
+/// allocation is one `trailing_zeros` and no event walks a free entry.
 #[derive(Debug, Clone)]
 pub struct Scoreboard {
     mode: ScoreboardMode,
-    entries: Vec<Option<SbEntry>>,
-    /// Union of every in-flight `dst_bit` — the WarpLevel dependence test
+    /// Bit `e` set ⇔ the scoreboard has an entry `e` (its size).
+    entries: u8,
+    /// Bit `e` set ⇔ entry `e` is occupied.
+    occupied: u8,
+    /// Bit `2e + s` set ⇔ instruction `s` of entry `e` is in flight.
+    live: u16,
+    /// Per instruction: its destination register as a bitmask (bit `r`
+    /// set), 0 when none — the write footprint candidates are matched
+    /// against with one AND.
+    dst_bits: [u64; 2 * MAX_ENTRIES],
+    /// Per instruction: its destination predicate as a bitmask, 0 when none.
+    pdst_bits: [u8; 2 * MAX_ENTRIES],
+    /// Per instruction: its thread mask at issue (Exact mode refinement).
+    masks: [Mask; 2 * MAX_ENTRIES],
+    /// Per entry: its dependency matrix (Matrix mode).
+    matrices: [DepMatrix; MAX_ENTRIES],
+    /// Union of every in-flight `dst_bits` — the WarpLevel dependence test
     /// collapses to one AND against this. Kept current by
     /// [`Scoreboard::allocate`]/[`Scoreboard::retire`].
     agg_regs: u64,
-    /// Union of every in-flight `pdst_bit`.
+    /// Union of every in-flight `pdst_bits`.
     agg_preds: u8,
-    /// Count of occupied entries, kept current by
-    /// [`Scoreboard::allocate`]/[`Scoreboard::retire`] so the per-cycle
-    /// [`Scoreboard::has_free`] probe is one compare, not a slot scan.
-    occupied: usize,
+}
+
+/// The set bits of `bits`, ascending.
+fn bits_of(mut bits: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            i
+        })
+    })
 }
 
 impl Scoreboard {
     /// A scoreboard with `entries` slots (table 2: 6 per warp).
+    ///
+    /// # Panics
+    /// Panics if `entries` exceeds 8.
     pub fn new(mode: ScoreboardMode, entries: usize) -> Self {
+        assert!(
+            entries <= MAX_ENTRIES,
+            "{entries} scoreboard entries, at most {MAX_ENTRIES}"
+        );
         Scoreboard {
             mode,
-            entries: vec![None; entries],
+            entries: (1u16 << entries).wrapping_sub(1) as u8,
+            occupied: 0,
+            live: 0,
+            dst_bits: [0; 2 * MAX_ENTRIES],
+            pdst_bits: [0; 2 * MAX_ENTRIES],
+            masks: [Mask::EMPTY; 2 * MAX_ENTRIES],
+            matrices: [DepMatrix::identity(); MAX_ENTRIES],
             agg_regs: 0,
             agg_preds: 0,
-            occupied: 0,
         }
-    }
-
-    /// Recomputes the aggregate write footprints from the live entries
-    /// (≤ `entries × 2` instructions — retire rate, not ready-check rate;
-    /// allocation only ever adds bits, so it ORs them in instead).
-    fn recompute_agg(&mut self) {
-        let mut regs = 0u64;
-        let mut preds = 0u8;
-        for inst in self
-            .entries
-            .iter()
-            .flatten()
-            .flat_map(|e| e.insts.iter().flatten())
-        {
-            regs |= inst.dst_bit;
-            preds |= inst.pdst_bit;
-        }
-        self.agg_regs = regs;
-        self.agg_preds = preds;
     }
 
     /// True if an entry is free for the next issue.
     pub fn has_free(&self) -> bool {
-        self.occupied < self.entries.len()
+        self.occupied != self.entries
     }
 
     /// Number of occupied entries.
     pub fn in_flight(&self) -> usize {
-        debug_assert_eq!(self.occupied, self.entries.iter().flatten().count());
-        self.occupied
+        self.occupied.count_ones() as usize
     }
 
     /// Destination registers of every in-flight instruction, in entry
     /// order — the registers dependants are blocked on. Feeds the
     /// deadlock watchdog's per-warp diagnosis.
     pub fn in_flight_dsts(&self) -> Vec<u8> {
-        self.entries
-            .iter()
-            .flatten()
-            .flat_map(|e| e.insts.iter().flatten())
-            .filter_map(|i| i.dst)
+        let dsts = bits_of(self.live).map(|i| self.dst_bits[i]);
+        dsts.filter(|&d| d != 0)
+            .map(|d| d.trailing_zeros() as u8)
             .collect()
     }
 
@@ -207,23 +213,15 @@ impl Scoreboard {
         if self.mode == ScoreboardMode::WarpLevel {
             return true;
         }
-        for e in self.entries.iter().flatten() {
-            for (slot, inst) in e.insts.iter().enumerate() {
-                let Some(inst) = inst else { continue };
-                if inst.dst_bit & cand_regs == 0 && inst.pdst_bit & cand_preds == 0 {
-                    continue;
-                }
-                let refined = match self.mode {
+        bits_of(self.live).any(|i| {
+            let touches = self.dst_bits[i] & cand_regs != 0 || self.pdst_bits[i] & cand_preds != 0;
+            touches
+                && match self.mode {
                     ScoreboardMode::WarpLevel => true,
-                    ScoreboardMode::Exact => inst.mask.intersects(cand_mask),
-                    ScoreboardMode::Matrix => e.matrix.get(slot, cand_slot),
-                };
-                if refined {
-                    return true;
+                    ScoreboardMode::Exact => self.masks[i].intersects(cand_mask),
+                    ScoreboardMode::Matrix => self.matrices[i / 2].get(i % 2, cand_slot),
                 }
-            }
-        }
-        false
+        })
     }
 
     /// Allocates an entry for this cycle's issue: `i1` and optionally `i2`
@@ -235,34 +233,26 @@ impl Scoreboard {
         i1: (&Instruction, Mask),
         i2: Option<(&Instruction, Mask)>,
     ) -> Option<(SbToken, Option<SbToken>)> {
-        let idx = self.entries.iter().position(Option::is_none)?;
-        let to_inst = |(ins, mask): (&Instruction, Mask)| SbInst {
-            dst: ins.dst.map(|r| r.index() as u8),
-            dst_bit: ins.dst.map_or(0, |r| 1 << r.index()),
-            pdst_bit: ins.pdst.map_or(0, |p| 1 << p.index()),
-            mask,
-        };
-        let e = SbEntry {
-            insts: [Some(to_inst(i1)), i2.map(to_inst)],
-            matrix: DepMatrix::identity(), // replaced by `on_event`
-        };
-        for inst in e.insts.iter().flatten() {
-            self.agg_regs |= inst.dst_bit;
-            self.agg_preds |= inst.pdst_bit;
+        let free = self.entries & !self.occupied;
+        if free == 0 {
+            return None;
         }
-        let t2 = i2.map(|_| SbToken {
-            entry: idx,
-            slot: 1,
-        });
-        self.entries[idx] = Some(e);
-        self.occupied += 1;
-        Some((
-            SbToken {
-                entry: idx,
-                slot: 0,
-            },
-            t2,
-        ))
+        let entry = free.trailing_zeros() as usize;
+        self.occupied |= 1 << entry;
+        self.matrices[entry] = DepMatrix::identity(); // replaced by `on_event`
+        let mut issue = |slot: usize, (ins, mask): (&Instruction, Mask)| {
+            let token = SbToken { entry, slot };
+            let i = 2 * entry + slot;
+            self.dst_bits[i] = ins.dst.map_or(0, |r| 1 << r.index());
+            self.pdst_bits[i] = ins.pdst.map_or(0, |p| 1 << p.index());
+            self.masks[i] = mask;
+            self.agg_regs |= self.dst_bits[i];
+            self.agg_preds |= self.pdst_bits[i];
+            self.live |= token.bit();
+            token
+        };
+        let t1 = issue(0, i1);
+        Some((t1, i2.map(|i2| issue(1, i2))))
     }
 
     /// Folds this scheduling event's slot transition into every entry:
@@ -271,34 +261,56 @@ impl Scoreboard {
     /// the transition matrix).
     ///
     /// Only meaningful in `Matrix` mode; a no-op otherwise.
+    ///
+    /// An identity event (`before == after`: no split moved a thread) is
+    /// the diagonal matrix of the non-empty slots, and composing with it
+    /// clears the columns of the empty ones. Every older matrix already
+    /// has those columns clear — the previous event left these very slots
+    /// empty, and nothing moves threads between events — so only the new
+    /// entry's matrix is written.
     pub fn on_event(&mut self, before: &[Mask; 3], after: &[Mask; 3], new_entry: Option<SbToken>) {
         if self.mode != ScoreboardMode::Matrix {
             return;
         }
         let t = DepMatrix::transition(before, after);
-        for (i, e) in self.entries.iter_mut().enumerate() {
-            let Some(e) = e else { continue };
-            if Some(i) == new_entry.map(|t| t.entry) {
-                e.matrix = t;
-            } else {
-                e.matrix = e.matrix.compose(t);
+        let new_entry = new_entry.map_or(0, |n| 1u8 << n.entry);
+        let older = self.occupied & !new_entry;
+        if before == after {
+            #[cfg(debug_assertions)]
+            for e in bits_of(older.into()) {
+                let m = self.matrices[e];
+                assert_eq!(m.compose(t), m, "an empty slot's column is set");
             }
+        } else {
+            for e in bits_of(older.into()) {
+                self.matrices[e] = self.matrices[e].compose(t);
+            }
+        }
+        if new_entry != 0 {
+            self.matrices[new_entry.trailing_zeros() as usize] = t;
         }
     }
 
     /// Retires one in-flight instruction; frees the entry when both slots
     /// are clear.
     pub fn retire(&mut self, token: SbToken) {
-        let e = self.entries[token.entry]
-            .as_mut()
-            .expect("retiring a freed entry");
-        debug_assert!(e.insts[token.slot].is_some(), "double retire");
-        e.insts[token.slot] = None;
-        if e.insts.iter().all(Option::is_none) {
-            self.entries[token.entry] = None;
-            self.occupied -= 1;
+        assert!(
+            self.occupied >> token.entry & 1 != 0,
+            "retiring a freed entry"
+        );
+        debug_assert!(self.live & token.bit() != 0, "double retire");
+        self.live &= !token.bit();
+        if self.live >> (2 * token.entry) & 0b11 == 0 {
+            self.occupied &= !(1 << token.entry);
         }
-        self.recompute_agg();
+        // Recomputed from the instructions still in flight (allocation
+        // only ever adds bits, so it ORs them in instead).
+        let (mut regs, mut preds) = (0, 0);
+        for i in bits_of(self.live) {
+            regs |= self.dst_bits[i];
+            preds |= self.pdst_bits[i];
+        }
+        (self.agg_regs, self.agg_preds) = (regs, preds);
     }
 }
 
@@ -516,6 +528,139 @@ mod tests {
         assert!(sb.allocate((&i, Mask::full(4)), None).is_some());
         assert!(!sb.has_free());
         assert!(sb.allocate((&i, Mask::full(4)), None).is_none());
+    }
+
+    /// `Scoreboard::on_event` without the identity skip: every older
+    /// matrix composed with the transition.
+    fn on_event_by_compose(
+        sb: &mut Scoreboard,
+        before: &[Mask; 3],
+        after: &[Mask; 3],
+        new_entry: Option<SbToken>,
+    ) {
+        let t = DepMatrix::transition(before, after);
+        for e in bits_of(sb.occupied.into()) {
+            sb.matrices[e] = match new_entry {
+                Some(n) if n.entry == e => t,
+                _ => sb.matrices[e].compose(t),
+            };
+        }
+    }
+
+    proptest::proptest! {
+        /// Random allocate / retire / event sequences on a 16-thread warp,
+        /// each event starting from the slots the previous one left: the
+        /// skipping `on_event` leaves every matrix where the compose-every-
+        /// entry path does.
+        #[test]
+        fn identity_skip_is_the_compose_path(
+            ops in proptest::collection::vec(
+                (0u8..6, proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+                1..120,
+            ),
+        ) {
+            let mut sb = Scoreboard::new(ScoreboardMode::Matrix, 6);
+            let mut reference = sb.clone();
+            let mut live: Vec<SbToken> = Vec::new();
+            let mut slots = [Mask::full(16), Mask::EMPTY, Mask::EMPTY];
+            let i = instr_iadd(5, 1, 2);
+            for (kind, bits, sel) in ops {
+                if kind == 0 {
+                    if let Some(&t) = live.get(bits as usize % live.len().max(1)) {
+                        live.retain(|&x| x != t);
+                        sb.retire(t);
+                        reference.retire(t);
+                    }
+                    continue;
+                }
+                // An issue event, allocating an entry when one is free.
+                let mut new_entry = None;
+                if kind < 4 && sb.has_free() {
+                    let i2 = (kind == 2).then_some((&i, slots[1]));
+                    let (t1, t2) = sb.allocate((&i, slots[0]), i2).unwrap();
+                    reference.allocate((&i, slots[0]), i2).unwrap();
+                    live.extend(std::iter::once(t1).chain(t2));
+                    new_entry = Some(t1);
+                }
+                // Odd kinds move no thread: the identity event.
+                let after = if kind % 2 == 1 {
+                    slots
+                } else {
+                    let alive = (slots[0] | slots[1] | slots[2]) & Mask::from_bits(bits | bits >> 5);
+                    let a0 = alive & Mask::from_bits(sel);
+                    let a1 = (alive - a0) & Mask::from_bits(sel.rotate_left(17));
+                    [a0, a1, alive - a0 - a1]
+                };
+                sb.on_event(&slots, &after, new_entry);
+                on_event_by_compose(&mut reference, &slots, &after, new_entry);
+                let matrices = |sb: &Scoreboard| -> Vec<DepMatrix> {
+                    bits_of(sb.occupied.into()).map(|e| sb.matrices[e]).collect()
+                };
+                proptest::prop_assert_eq!(sb.occupied, reference.occupied);
+                proptest::prop_assert_eq!(matrices(&sb), matrices(&reference));
+                slots = after;
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Random allocate / retire sequences in the two mask-free-matrix
+        /// modes against a list of entries, each a pair of in-flight
+        /// `(dst, pdst, mask)` or nothing: the first free entry is
+        /// allocated, and `has_free`, `in_flight`, `in_flight_dsts` and
+        /// every dependence answer what the list does.
+        #[test]
+        fn words_answer_what_the_entry_list_does(
+            exact in proptest::prelude::any::<bool>(),
+            size in 1usize..9,
+            ops in proptest::collection::vec(
+                (0u8..4, (0u8..8, 0u8..8), proptest::prelude::any::<u64>()),
+                1..100,
+            ),
+        ) {
+            type Inst = (u8, Option<u8>, Mask);
+            let mode = if exact { ScoreboardMode::Exact } else { ScoreboardMode::WarpLevel };
+            let mut sb = Scoreboard::new(mode, size);
+            let mut list: Vec<[Option<Inst>; 2]> = vec![[None; 2]; size];
+            let mut tokens: Vec<SbToken> = Vec::new();
+            let (iadd, setp) = ((0..8).map(|d| instr_iadd(d, 8, 9)).collect::<Vec<_>>(), instr_setp(1, 8));
+            for (kind, (d1, d2), bits) in ops {
+                let mask = Mask::from_bits(bits);
+                if kind == 0 {
+                    if let Some(&t) = tokens.get(bits as usize % tokens.len().max(1)) {
+                        tokens.retain(|&x| x != t);
+                        sb.retire(t);
+                        list[t.entry][t.slot] = None;
+                    }
+                } else {
+                    let i1 = if kind == 3 { &setp } else { &iadd[usize::from(d1)] };
+                    let i2 = (kind == 2).then_some((&iadd[usize::from(d2)], !mask));
+                    let free = list.iter().position(|e| e.iter().all(Option::is_none));
+                    let got = sb.allocate((i1, mask), i2);
+                    proptest::prop_assert_eq!(got.map(|(t, _)| t.entry), free);
+                    if let (Some((t1, t2)), Some(e)) = (got, free) {
+                        let inst = |i: &Instruction, m| (i.dst.map_or(0, |r| r.index() as u8), i.pdst.map(|p| p.index() as u8), m);
+                        list[e] = [Some(inst(i1, mask)), i2.map(|(i, m)| inst(i, m))];
+                        tokens.extend(std::iter::once(t1).chain(t2));
+                    }
+                }
+                let occupied = list.iter().filter(|e| e.iter().any(Option::is_some)).count();
+                proptest::prop_assert_eq!(sb.in_flight(), occupied);
+                proptest::prop_assert_eq!(sb.has_free(), occupied < size);
+                let live = list.iter().flatten().flatten();
+                let dsts: Vec<u8> = live.clone().filter(|i| i.1.is_none()).map(|i| i.0).collect();
+                proptest::prop_assert_eq!(sb.in_flight_dsts(), dsts);
+                for reg in 0..10u8 {
+                    for (preds, pred) in [(0u8, None), (0b10, Some(1))] {
+                        let hit = live.clone().any(|i| {
+                            let touches = (i.1.is_none() && i.0 == reg) || (pred.is_some() && i.1 == pred);
+                            touches && (!exact || i.2.intersects(mask))
+                        });
+                        proptest::prop_assert_eq!(sb.depends_masks(1 << reg, preds, mask, 0), hit);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -208,7 +208,44 @@ pub fn coalesce_rows(lanes: u64, addr: &LaneRow, shape: AccessShape, out: &mut T
 /// replays it), and each round's survivors are block-coalesced like
 /// ordinary accesses. `out` holds the rounds' transactions back to back;
 /// its length is the LSU occupancy in cycles.
+///
+/// A lane's round is its occurrence index among the lanes at its address,
+/// in lane order: one sort of the `(address, lane)` keys numbers every run
+/// of equal addresses, so the schedule costs a sort, not a search of the
+/// served addresses per lane.
 pub fn atomic_transactions_rows(lanes: u64, addr: &LaneRow, out: &mut TxScratch) {
+    out.txs.clear();
+    let mut keys = [0u64; 64];
+    let mut n = 0;
+    for lane in lanes_of(lanes) {
+        keys[n] = u64::from(addr[lane]) << 6 | lane as u64;
+        n += 1;
+    }
+    keys[..n].sort_unstable();
+    // `rounds[r]`: the lanes served in replay round `r`.
+    let (mut rounds, mut used, mut round) = ([0u64; 64], 0, 0);
+    for (i, &key) in keys[..n].iter().enumerate() {
+        round = if i > 0 && keys[i - 1] >> 6 == key >> 6 {
+            round + 1
+        } else {
+            0
+        };
+        rounds[round] |= 1 << (key & 63);
+        used = used.max(round + 1);
+    }
+    for &served in &rounds[..used] {
+        let (round_start, mut cur) = (out.txs.len(), usize::MAX);
+        for lane in lanes_of(served) {
+            out.add_lane(round_start, &mut cur, addr[lane] & !(BLOCK_BYTES - 1), lane);
+        }
+    }
+}
+
+/// [`atomic_transactions_rows`] as the hardware replays it: round by
+/// round, each lane deferred whose address an earlier lane of the round
+/// took. The reference the sorted schedule is held to.
+#[cfg(test)]
+fn atomic_transactions_by_replay(lanes: u64, addr: &LaneRow, out: &mut TxScratch) {
     out.txs.clear();
     let mut served = [0u32; 64];
     let mut pending = lanes;
@@ -372,6 +409,30 @@ mod tests {
         assert_eq!(fast.txs(), walk.txs());
         assert_eq!(fast.len(), 3);
         assert_eq!(fast.txs()[0].lanes, lane_range(3, 10));
+    }
+
+    proptest::proptest! {
+        /// Random lane sets over addresses drawn from a pool of `pool`
+        /// words (a small pool makes equal addresses, hence rounds, common;
+        /// the high bits reach other blocks): the sorted schedule emits the
+        /// replay's transactions in the replay's order.
+        #[test]
+        fn atomic_rounds_are_the_replay(
+            lanes in proptest::prelude::any::<u64>(),
+            pool in 1u32..80,
+            picks in proptest::collection::vec(proptest::prelude::any::<u32>(), 64..65),
+        ) {
+            let mut addr = [0u32; 64];
+            for (a, pick) in addr.iter_mut().zip(picks) {
+                *a = (pick % pool) * 4 + (pick >> 24) * BLOCK_BYTES;
+            }
+            let (mut sorted, mut replay) = (TxScratch::new(), TxScratch::new());
+            for lanes in [lanes, lanes & 0xffff_ffff, lanes >> 60, u64::MAX] {
+                atomic_transactions_rows(lanes, &addr, &mut sorted);
+                atomic_transactions_by_replay(lanes, &addr, &mut replay);
+                proptest::prop_assert_eq!(sorted.txs(), replay.txs());
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 # Where the host time of a benchmark workload goes, by function: a SIGPROF
 # stack sampler over the unmodified `benchmark/` release binary.
 #
-#   scripts/sample.sh WORKLOAD [SECONDS]        (default 10 s)
+#   scripts/sample.sh WORKLOAD [SECONDS] [FUNCTION]   (default 10 s)
 #
 # Builds a small LD_PRELOAD library (a `setitimer(ITIMER_PROF)` tick every
 # millisecond of CPU time; the handler stores the interrupted RIP and a
@@ -11,13 +11,19 @@
 # (self) and anywhere on the stack (inclusive), inlined frames resolved
 # through `addr2line -f -i`; a sample that lands outside the binary (libc
 # `memset` / `memcpy`, libm) is listed under its first in-binary caller as
-# `[outside] <- caller`. Needs only `cc`, `addr2line` and `python3`.
+# `[outside] <- caller`. With FUNCTION (a name as the tables print it, or
+# its last `::` segments, e.g. `Sm::tick`) it also prints where FUNCTION's
+# own samples go: per immediate callee — the next frame inward of its
+# innermost occurrence, inlined frames included — the share of FUNCTION's
+# samples and of all samples, `[self]` for samples in FUNCTION itself.
+# Needs only `cc`, `addr2line` and `python3`.
 # It is what ROADMAP item 4's attribution tables come from until committed
 # spans exist; the numbers are shares of CPU samples, not a ledger — compare
 # two commits with scripts/ledger.sh.
 #
-# SAMPLE_BIN=path samples another binary (its arguments follow WORKLOAD's
-# place verbatim): `SAMPLE_BIN=target/debug/deps/foo-123 scripts/sample.sh --`.
+# SAMPLE_BIN=path samples another binary (its arguments follow `--`, and
+# FUNCTION, if any, comes before it):
+# `SAMPLE_BIN=target/debug/deps/foo-123 scripts/sample.sh [FUNCTION] -- ARGS`.
 set -euo pipefail
 
 [ $# -ge 1 ] || { sed -n '2,6p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
@@ -80,23 +86,29 @@ __attribute__((constructor)) static void start(void) {
 C
 cc -O2 -shared -fPIC -o "$tmp/libsample.so" "$tmp/sample.c"
 
+focus=
 if [ -n "${SAMPLE_BIN:-}" ]; then
     bin=$(realpath "$SAMPLE_BIN")
+    if [ $# -ge 2 ] && [ "$2" = -- ]; then
+        focus=$1
+        shift
+    fi
     [ "$1" = -- ] && shift
     args=("$@")
 else
     (cd "$root" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
     bin=$root/benchmark/target/release/warpweave-benchmark
     args=(--workload "$1" --seconds "${2:-10}" --trace 0)
+    focus=${3:-}
 fi
 # The binary looks for BENCHMARK.json in its working directory.
 (cd "$root" && LD_PRELOAD="$tmp/libsample.so" SAMPLE_OUT="$tmp/samples" \
     SAMPLE_EXE="$(basename "$bin")" "$bin" "${args[@]}" >/dev/null)
 
-python3 - "$bin" "$tmp/samples" <<'PY'
+python3 - "$bin" "$tmp/samples" "$focus" <<'PY'
 import collections, subprocess, sys
 
-binary, path = sys.argv[1:3]
+binary, path, focus = sys.argv[1:4]
 maps, stacks = [], []
 for line in open(path):
     f = line.split()
@@ -137,6 +149,7 @@ for line in out:  # per address: its line, then (function, file:line) per inlini
             cur.append(line)
         is_function = not is_function
 self_n, incl_n = collections.Counter(), collections.Counter()
+callee_n = collections.Counter()  # FUNCTION's immediate callees
 OUTSIDE = "[outside the binary]"  # libc memset / memcpy, libm, the kernel's vdso
 for fr in frames:
     per_frame = [names.get(linked(a), [OUTSIDE]) for a in fr]
@@ -149,6 +162,10 @@ for fr in frames:
         chain[0] = f"[outside] <- {caller}"
     self_n[chain[0]] += 1
     incl_n.update(set(chain))
+    if focus:
+        at = next((i for i, n in enumerate(chain) if n == focus or n.endswith("::" + focus)), None)
+        if at is not None:
+            callee_n[chain[at - 1] if at else "[self]"] += 1
 total = len(frames) or 1
 print(f"{len(frames)} samples of {binary.rsplit('/', 1)[-1]}")
 
@@ -162,4 +179,12 @@ def table(title, rows):
 table("innermost frame, top 25 by self share:", [n for n, _ in self_n.most_common(25)])
 ours = [n for n, k in incl_n.most_common() if "warpweave" in n and k * 200 >= total]
 table("this repository's functions on the stack, 0.5 % inclusive and up:", ours)
+
+if focus:
+    inside = sum(callee_n.values())
+    print(f"\nimmediate callees of {focus} ({inside} samples, {100 * inside / total:.1f} % of all)")
+    print(f"{'of fn %':>7} {'all %':>7}  callee")
+    for name, k in callee_n.most_common():
+        if k * 200 >= inside:
+            print(f"{100 * k / (inside or 1):7.1f} {100 * k / total:7.1f}  {name}")
 PY
